@@ -25,7 +25,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -164,6 +164,9 @@ class MetricChart:
     metric_deriv: Optional[Callable[[np.ndarray], tuple]] = None
     christoffel_analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "chart"
+    # real_form memo: point bytes -> validated form with a read-only gram
+    _real_form_cache: dict = field(default_factory=dict, init=False, repr=False,
+                                   compare=False)
 
     def hermitian(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.metric_eval(np.asarray(z, dtype=complex)), dtype=complex)
@@ -190,8 +193,19 @@ class MetricChart:
         return G
 
     def real_form(self, z: np.ndarray) -> SemiEuclideanForm:
-        """Pointwise SemiEuclideanForm of signature (2(n-s), 2s)."""
-        return SemiEuclideanForm(dim=2 * self.n, index=2 * self.s, gram=self.real_gram(z))
+        """Pointwise SemiEuclideanForm of signature (2(n-s), 2s).
+
+        Memoized per distinct point, so the signature check runs once per
+        point; the cached gram is read-only.  A failed check is not cached.
+        """
+        key = np.asarray(z, dtype=complex).tobytes()
+        form = self._real_form_cache.get(key)
+        if form is None:
+            form = SemiEuclideanForm(dim=2 * self.n, index=2 * self.s,
+                                     gram=self.real_gram(z))
+            form.gram.setflags(write=False)
+            self._real_form_cache[key] = form
+        return form
 
 
 def metric_inner(chart: MetricChart, z: np.ndarray, u: TangentVector, v: TangentVector):

@@ -47,6 +47,11 @@ __all__ = [
 NULL_C_TOL = 1e-10  # |c| below this (times scale) counts as a null Lee field
 
 
+def _non_null(c: float, Breal: np.ndarray) -> bool:
+    """c = g(B, B) is nonzero relative to the Euclidean size max(1, |B|^2)."""
+    return abs(c) > NULL_C_TOL * max(1.0, float(Breal @ Breal))
+
+
 class SingularLeeError(ValueError):
     """Lee field vanishes at the point; foliations are undefined there."""
 
@@ -117,8 +122,7 @@ def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     omega = _omega_real(lck, z, form, data)
     Breal = data.B.real_coords()
     tangent = FrameSubspace.from_vectors(form, _kernel_rows(omega, form.dim))
-    scale = max(1.0, float(Breal @ Breal))
-    if abs(data.c) > NULL_C_TOL * scale:
+    if _non_null(data.c, Breal):
         return FoliationFibre(point=z, c=data.c, tangent=tangent,
                               radical=FrameSubspace.zero(form),
                               screen=tangent,
@@ -188,8 +192,7 @@ def _tangential_extension(lck: LCKStructure, vec: np.ndarray) -> Callable:
         form = lck.chart.real_form(p)
         omega = form.gram @ data.B.real_coords()
         Breal = data.B.real_coords()
-        scale = max(1.0, float(Breal @ Breal))
-        if abs(data.c) > NULL_C_TOL * scale:
+        if _non_null(data.c, Breal):
             proj = vec - (float(omega @ vec) / data.c) * Breal
         else:
             proj = vec - (float(omega @ vec) / float(omega @ omega)) * omega
@@ -204,8 +207,7 @@ def _split_first(lck: LCKStructure, fibre: FoliationFibre, w: np.ndarray,
     data = lee_data(lck, z)
     form = fibre.form
     omega = form.gram @ data.B.real_coords()
-    scale = max(1.0, float(data.B.real_coords() @ data.B.real_coords()))
-    if abs(fibre.c) > NULL_C_TOL * scale:
+    if _non_null(fibre.c, data.B.real_coords()):
         coeff = float(omega @ w) / fibre.c
     else:
         coeff = float(omega @ w)   # omega(N_V) = 1
@@ -252,8 +254,7 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
 
     def Vfield(p):
         d = lee_data(lck, p)
-        s = max(1.0, d.B.real_coords() @ d.B.real_coords())
-        if abs(d.c) > NULL_C_TOL * s:
+        if _non_null(d.c, d.B.real_coords()):
             return alpha * d.B
         fb = first_foliation_fibre(lck, p)
         return alpha * TangentVector.from_real_coords(fb.transversal.basis[0])
@@ -279,8 +280,7 @@ def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     data, form = _lck_point(lck, z)
     A, B = data.A.real_coords(), data.B.real_coords()
     tangent = FrameSubspace.from_vectors(form, [A, B])
-    scale = max(1.0, float(B @ B))
-    if abs(data.c) > NULL_C_TOL * scale:
+    if _non_null(data.c, B):
         return FoliationFibre(point=z, c=data.c, tangent=tangent,
                               radical=FrameSubspace.zero(form),
                               screen=tangent,
@@ -393,10 +393,11 @@ def h_P_residual(lck: LCKStructure, z) -> float:
     worst = 0.0
     plane = fibre.tangent.basis
     q, _ = np.linalg.qr(plane.T)
+    non_null = _non_null(fibre.c, plane[1])     # plane rows are (A, B)
     for X in (Afield, Bfield):
         for Y in (Afield, Bfield):
             nXY = covariant_derivative(chart, X, Y, z, gamma=gamma).real_coords()
-            if abs(fibre.c) > NULL_C_TOL:
+            if non_null:
                 # g-projection onto the plane, remainder is transversal
                 coeffA = inner(fibre.form, nXY, fibre.tangent.basis[0]) / fibre.c
                 coeffB = inner(fibre.form, nXY, fibre.tangent.basis[1]) / fibre.c

@@ -10,7 +10,7 @@ Also implements the Weyl connection shift, the closed-form identity for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .charts import (
     ConnectionCoefficients,
     MetricChart,
+    SingularMetricError,
     TangentVector,
     _as_field,
     christoffel,
@@ -48,6 +49,8 @@ class LCKStructure:
     conformal_factor_eval: Optional[Callable[[np.ndarray], float]] = None
     parallel_lee: bool = False
     name: str = "lck"
+    # lee_data memo: point bytes -> read-only LeeData (see lee_data)
+    _lee_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -84,15 +87,26 @@ class LeeData:
 
 
 def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
-    """Raise the Lee form and assemble A, theta, Omega and c."""
+    """Raise the Lee form and assemble A, theta, Omega and c.
+
+    Memoized on the structure, one entry per distinct point: finite
+    difference stencils of projected fields revisit the same points many
+    times.  The returned arrays are read-only and `point` is a copy of z,
+    so a cached result cannot alias or be changed by any caller.  A point
+    whose Gram matrix is singular raises SingularMetricError on every call.
+    """
     z = np.asarray(z, dtype=complex)
+    key = z.tobytes()
+    cached = lck._lee_cache.get(key)
+    if cached is not None:
+        return cached
     chart = lck.chart
     n = chart.n
     omega = lee_form_components(lck, z)
     G = chart.gram_full(z)
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > 1e12:
-        raise np.linalg.LinAlgError(f"metric Gram singular at {z}")
+        raise SingularMetricError(f"metric Gram singular at {z}")
     B = TangentVector.from_components(np.linalg.solve(G, omega))
     A = -1.0 * B.j()                      # A = -J B
     theta = G @ A.components              # theta(X) = g(X, A)
@@ -101,16 +115,16 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
     Om[:n, n:] = -1j * H
     Om[n:, :n] = 1j * H.conj()
     c = float((omega @ B.components).real)
-    return LeeData(point=z, B=B, A=A, theta=theta, Omega=Om, c=c)
+    data = LeeData(point=z.copy(), B=B, A=A, theta=theta, Omega=Om, c=c)
+    for arr in (data.point, B.hol, B.antihol, A.hol, A.antihol, theta, Om):
+        arr.setflags(write=False)
+    lck._lee_cache[key] = data
+    return data
 
 
 def lee_field(lck: LCKStructure) -> Callable[[np.ndarray], TangentVector]:
     """The Lee field as a vector field."""
     return lambda z: lee_data(lck, z).B
-
-
-def anti_lee_field(lck: LCKStructure) -> Callable[[np.ndarray], TangentVector]:
-    return lambda z: lee_data(lck, z).A
 
 
 def weyl_connection(lck: LCKStructure, X, Y, z: np.ndarray,

@@ -10,6 +10,7 @@ witness suites whose aggregated minimum must exceed the threshold
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -705,7 +706,10 @@ def _run_suite(cfg: RunConfig, suite: Suite, suite_idx: int) -> SuiteResult:
                            max_residual=float("nan"), tolerance=tol,
                            direction=suite.direction, verdict="error",
                            error=f"{type(exc).__name__}: {exc}")
-    if suite.direction == "le":
+    nonfinite = [r for r in residuals if not math.isfinite(r)]
+    if nonfinite:   # max/min would silently drop a NaN after the first point
+        agg, verdict = nonfinite[0], "fail"
+    elif suite.direction == "le":
         agg = max(residuals)
         verdict = "pass" if agg <= tol else "fail"
     else:

@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from lcklab.report import RunConfig, to_csv, to_json
-from lcklab.suites import SUITES, UsageError, run_config, suites_for
+from lcklab.suites import SUITES, Suite, UsageError, _run_suite, run_config, suites_for
 
 
 def run_cli(args, env=None):
@@ -92,6 +93,23 @@ class TestRunConfig:
         assert all(r.passed for r in reports)
         residuals = {r.results[0].max_residual for r in reports}
         assert len(residuals) > 1  # different samples
+
+    @pytest.mark.parametrize("direction, values", [
+        ("le", [0.0, math.nan, 0.0]),
+        ("ge", [1.0, math.nan, 1.0]),
+        ("le", [0.0, -math.inf, 0.0]),
+        ("ge", [1.0, math.inf, 1.0]),
+    ])
+    def test_nonfinite_residual_fails(self, direction, values):
+        it = iter(values)
+        suite = Suite(name="nonfinite-probe", anchor="none", models=frozenset({"hopf"}),
+                      tolerance=lambda cfg: 0.5, point_fn=lambda cfg, rng: next(it),
+                      direction=direction)
+        cfg = RunConfig(model="hopf", points=len(values), seed=0)
+        result = _run_suite(cfg, suite, 0)
+        assert result.verdict == "fail"
+        assert result.points == len(values)
+        assert not math.isfinite(result.max_residual)
 
 
 class TestSerialization:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from lcklab.charts import TangentVector, christoffel, exterior_derivative_1form, kahler_form, exterior_derivative_2form
+from lcklab.charts import (
+    MetricChart,
+    SingularMetricError,
+    TangentVector,
+    christoffel,
+    exterior_derivative_1form,
+    exterior_derivative_2form,
+    kahler_form,
+)
 from lcklab.lck import (
+    LCKStructure,
     lee_data,
     lee_form_components,
     nabla_J_defect,
@@ -88,6 +97,82 @@ class TestLeeData:
             om = lambda u, v: complex(u.components @ d.Omega @ v.components)
             assert abs(om(X, Y) + om(Y, X)) < 1e-10
             assert abs(om(X.j(), Y.j()) - om(X, Y)) < 1e-10
+
+
+    def test_singular_gram_raises_typed_error_every_call(self):
+        calls = []
+
+        def zero_metric(z):
+            calls.append(1)
+            return np.zeros((2, 2))
+
+        chart = MetricChart(n=2, s=1, metric_eval=zero_metric, domain_pred=lambda z: True)
+        lck = LCKStructure(chart=chart, lee_form_eval=lambda z: np.ones(2))
+        z = np.array([0.5 + 0.1j, 1.0 - 0.2j])
+        for attempt in (1, 2):
+            with pytest.raises(SingularMetricError):
+                lee_data(lck, z)
+            assert len(calls) == attempt   # the failure was not memoized
+
+
+class TestPointMemo:
+    """lee_data and real_form memoize per point without callers noticing."""
+
+    Z = np.array([0.3 + 0.1j, 1.2 - 0.4j])
+
+    def test_repeated_calls_equal_a_fresh_evaluation(self):
+        lck = hopf_chart(MODEL)
+        first = lee_data(lck, self.Z)
+        again = lee_data(lck, self.Z.copy())
+        fresh = lee_data(hopf_chart(MODEL), self.Z)
+        for d in (again, fresh):
+            assert d.c == first.c
+            for name in ("point", "theta", "Omega"):
+                assert np.array_equal(getattr(d, name), getattr(first, name))
+            assert np.array_equal(d.B.components, first.B.components)
+            assert np.array_equal(d.A.components, first.A.components)
+        forms = [lck.chart.real_form(self.Z), lck.chart.real_form(self.Z.copy()),
+                 hopf_chart(MODEL).chart.real_form(self.Z)]
+        for form in forms:
+            assert np.array_equal(form.gram, lck.chart.real_gram(self.Z))
+
+    def test_repeat_skips_metric_evaluation(self):
+        calls = []
+        metric = HOPF.chart.metric_eval
+
+        def counted(z):
+            calls.append(1)
+            return metric(z)
+
+        chart = MetricChart(n=2, s=1, metric_eval=counted, domain_pred=HOPF.chart.domain_pred)
+        lck = LCKStructure(chart=chart, lee_form_eval=HOPF.lee_form_eval)
+        lee_data(lck, self.Z)
+        chart.real_form(self.Z)
+        done = len(calls)
+        lee_data(lck, self.Z)
+        chart.real_form(self.Z)
+        assert len(calls) == done
+
+    def test_cached_arrays_are_read_only(self):
+        d = lee_data(HOPF, self.Z)
+        for arr in (d.point, d.B.hol, d.B.antihol, d.A.hol, d.A.antihol, d.theta, d.Omega):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(ValueError):
+            HOPF.chart.real_form(self.Z).gram[0, 0] = 0.0
+        assert np.array_equal(lee_data(HOPF, self.Z).point, self.Z)
+
+    def test_caller_mutation_does_not_reach_the_cache(self):
+        lck = hopf_chart(MODEL)
+        z = self.Z.copy()
+        d = lee_data(lck, z)
+        z[0] += 0.05
+        assert np.array_equal(d.point, self.Z)
+        moved = lee_data(lck, z)
+        assert np.array_equal(moved.point, z)
+        assert np.array_equal(moved.B.components,
+                              lee_data(hopf_chart(MODEL), z).B.components)
+        assert np.array_equal(lee_data(lck, self.Z).B.components, d.B.components)
 
 
 class TestWeylConnection:
