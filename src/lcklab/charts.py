@@ -174,11 +174,7 @@ class MetricChart:
     def gram_full(self, z: np.ndarray) -> np.ndarray:
         """Complexified 2n x 2n Gram matrix [[0, H], [conj(H), 0]]."""
         H = self.hermitian(z)
-        n = self.n
-        G = np.zeros((2 * n, 2 * n), dtype=complex)
-        G[:n, n:] = H
-        G[n:, :n] = H.conj()
-        return G
+        return _mixed_blocks(H, H.conj())
 
     def real_gram(self, z: np.ndarray) -> np.ndarray:
         """Real 2n x 2n Gram in interleaved coordinates (x_1, y_1, ...)."""
@@ -206,6 +202,24 @@ class MetricChart:
             form.gram.setflags(write=False)
             self._real_form_cache[key] = form
         return form
+
+
+def _mixed_blocks(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Frame matrix [[0, upper], [lower, 0]]: only the mixed (hol, antihol)
+    and (antihol, hol) blocks are nonzero."""
+    n = upper.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, n:] = upper
+    out[n:, :n] = lower
+    return out
+
+
+def _solve_gram(G: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Solve G x = rhs, refusing a Gram matrix that is singular at z."""
+    cond = np.linalg.cond(G)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularMetricError(f"metric Gram singular at {z}")
+    return np.linalg.solve(G, rhs)
 
 
 def metric_inner(chart: MetricChart, z: np.ndarray, u: TangentVector, v: TangentVector):
@@ -318,12 +332,8 @@ def _solve_koszul(chart: MetricChart, z: np.ndarray, use_analytic_deriv: bool) -
     rhs = np.empty((2 * n, 2 * n, 2 * n), dtype=complex)
     for D in range(2 * n):
         rhs[D] = T[:, :, D] + T[:, :, D].T - T[D]
-    G = chart.gram_full(z)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularMetricError(f"metric Gram singular at {z}")
-    gamma = 0.5 * np.linalg.solve(G, rhs.reshape(2 * n, -1)).reshape(2 * n, 2 * n, 2 * n)
-    return gamma
+    solved = _solve_gram(chart.gram_full(z), rhs.reshape(2 * n, -1), z)
+    return 0.5 * solved.reshape(2 * n, 2 * n, 2 * n)
 
 
 def christoffel(chart: MetricChart, z: np.ndarray,
@@ -397,11 +407,7 @@ def gradient(chart: MetricChart, f: Callable[[np.ndarray], complex],
     _require_stencil_domain(chart, z, h)
     d_dz, d_dzb = wirtinger_derivative(lambda p: np.asarray(f(p), dtype=complex), z, h)
     df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
-    G = chart.gram_full(z)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularMetricError(f"metric Gram singular at {z}")
-    return TangentVector.from_components(np.linalg.solve(G, df))
+    return TangentVector.from_components(_solve_gram(chart.gram_full(z), df, z))
 
 
 def lie_bracket(X, Y, z: np.ndarray, h: float | None = None) -> TangentVector:
@@ -447,14 +453,11 @@ def exterior_derivative_2form(omega: Callable[[np.ndarray], np.ndarray],
 
 def kahler_form(chart: MetricChart) -> Callable[[np.ndarray], np.ndarray]:
     """Frame components of Omega(X, Y) = g(X, JY) as a matrix field."""
-    n = chart.n
 
     def omega(z):
         H = chart.hermitian(z)
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[:n, n:] = -1j * H            # Omega_{j kbar} = -i g_{j kbar}
-        out[n:, :n] = 1j * H.conj()      # Omega_{jbar k} = i conj(g_{j kbar})
-        return out
+        # Omega_{j kbar} = -i g_{j kbar}, Omega_{jbar k} = i conj(g_{j kbar})
+        return _mixed_blocks(-1j * H, 1j * H.conj())
 
     return omega
 

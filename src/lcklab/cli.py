@@ -57,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="RNG seed (fallback: LCKLAB_SEED, then 0)")
     p.add_argument("--suites", default="all",
                    help="comma-separated suite names or 'all' (default)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads over sample points (default 1)")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--format", dest="fmt", choices=["json", "csv"],
                    default="json", help="report format (default json)")
@@ -94,8 +92,7 @@ def main(argv=None) -> int:
             raise UsageError("empty suite selection")
         cfg = RunConfig(model=args.model, n=args.n, s=args.s, lam=args.lam,
                         points=args.points, tol_analytic=args.tol_analytic,
-                        tol_fd=args.tol_fd, seed=seed, suites=names,
-                        threads=args.threads)
+                        tol_fd=args.tol_fd, seed=seed, suites=names)
         start = time.perf_counter()
         report = run_config(cfg)
         elapsed = time.perf_counter() - start

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ChartDomainError, TangentVector, lie_bracket, wirtinger_derivative, fd_step
-from .lck import SINGULAR_LEE_TOL, LCKStructure, lee_data
+from .lck import SINGULAR_LEE_TOL, LCKStructure, _non_null, lee_data
 from .models import HopfModel, cayley, eps_signs
-from .semieuclid import FrameSubspace
+from .semieuclid import FrameSubspace, _kernel
 
 __all__ = [
     "CRFibre", "LeafLabel", "cr_fibre", "tangential_cr_residual",
@@ -48,11 +48,7 @@ class CRFibre:
 
 def _t10_basis(omega_hol: np.ndarray) -> np.ndarray:
     """Orthonormal (Euclidean) basis of {v : omega_hol . v = 0} as columns."""
-    n = omega_hol.size
-    row = omega_hol.reshape(1, n)
-    _, sv, vt = np.linalg.svd(row, full_matrices=True)
-    rank = int(np.sum(sv > 1e-13 * max(sv[0], 1.0)))
-    return vt[rank:].conj().T
+    return _kernel(omega_hol, omega_hol.size).conj().T
 
 
 def cr_fibre(lck: LCKStructure, z) -> CRFibre:
@@ -78,8 +74,7 @@ def cr_fibre(lck: LCKStructure, z) -> CRFibre:
         rows.append(v.real_coords())
         rows.append(v.j().real_coords())
     levi_H = FrameSubspace.from_vectors(form, rows)
-    scale = max(1.0, data.B.norm() ** 2)
-    marker = data.A if abs(data.c) > 1e-10 * scale else data.B
+    marker = data.A if _non_null(data.c, data.B.real_coords()) else data.B
     return CRFibre(point=z, t10=t10, levi_H=levi_H, characteristic=marker)
 
 
@@ -187,11 +182,7 @@ def leaf_label(model: HopfModel, z) -> LeafLabel:
     if b <= 0.0:
         raise ChartDomainError("leaf labels require b(z, z) > 0")
     r = np.sqrt(b)
-    w = complex(np.exp(2j * np.pi * np.log(r) / np.log(model.lam)))
-    arg = float(np.angle(w)) % (2.0 * np.pi)
-    a = arg / (2.0 * np.pi * np.log(model.lam))
-    radius = model.lam ** (-np.floor(a)) * np.exp(arg / (2.0 * np.pi))
-    return LeafLabel(w=w, a=float(a), chart_radius=float(radius), lam=model.lam)
+    return label_from_w(model, np.exp(2j * np.pi * np.log(r) / np.log(model.lam)))
 
 
 def label_from_w(model: HopfModel, w: complex) -> LeafLabel:
@@ -215,15 +206,11 @@ def leaf_chart_image_check(model: HopfModel, w: complex, samples,
     Labels with integer a (the leaf of the unit pseudosphere itself) are
     excluded: that leaf needs the shifted-annulus chart instead.
     """
-    w = complex(w)
-    if abs(abs(w) - 1.0) > 1e-9:
-        raise ValueError("leaf labels lie on the unit circle")
-    arg = float(np.angle(w)) % (2.0 * np.pi)
-    a = arg / (2.0 * np.pi * np.log(model.lam))
+    label = label_from_w(model, w)
+    a, radius = label.a, label.chart_radius
     if min(a - np.floor(a), np.ceil(a) - a) <= tol_excluded:
         raise ValueError("excluded leaf: use the shifted annulus chart "
                          "(integer chart index)")
-    radius = model.lam ** (-np.floor(a)) * np.exp(arg / (2.0 * np.pi))
     worst = 0.0
     for zeta in np.atleast_2d(np.asarray(samples, dtype=complex)):
         x = radius * zeta

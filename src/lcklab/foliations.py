@@ -24,14 +24,19 @@ import numpy as np
 
 from .charts import (
     TangentVector,
+    _richardson,
     christoffel,
     covariant_derivative,
+    fd_step,
     lie_bracket,
 )
-from .lck import SINGULAR_LEE_TOL, LCKStructure, LeeData, lee_data
+from .lck import SINGULAR_LEE_TOL, LCKStructure, LeeData, _non_null, lee_data
 from .semieuclid import (
     FrameSubspace,
     SemiEuclideanForm,
+    _complement_within,
+    _full_rank,
+    _kernel,
     inner,
     orthogonal_complement,
 )
@@ -44,36 +49,8 @@ __all__ = [
     "complex_submanifold_mean_curvature",
 ]
 
-NULL_C_TOL = 1e-10  # |c| below this (times scale) counts as a null Lee field
-
-
-def _non_null(c: float, Breal: np.ndarray) -> bool:
-    """c = g(B, B) is nonzero relative to the Euclidean size max(1, |B|^2)."""
-    return abs(c) > NULL_C_TOL * max(1.0, float(Breal @ Breal))
-
-
 class SingularLeeError(ValueError):
     """Lee field vanishes at the point; foliations are undefined there."""
-
-
-def _kernel_rows(rows: np.ndarray, dim: int) -> np.ndarray:
-    if rows.size == 0:
-        return np.eye(dim)
-    _, sv, vt = np.linalg.svd(np.atleast_2d(rows), full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * max(sv[0], 1.0)))
-    return vt[rank:]
-
-
-def _euclid_complement_within(space: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Basis of the Euclidean orthocomplement of span(space) inside
-    span(inside); both inputs are row-bases."""
-    if space.size == 0:
-        return inside
-    q, _ = np.linalg.qr(space.T)
-    proj = inside - (inside @ q) @ q.T
-    _, sv, vt = np.linalg.svd(proj, full_matrices=False)
-    rank = int(np.sum(sv > 1e-12 * max(sv[0] if sv.size else 0.0, 1.0)))
-    return vt[:rank]
 
 
 @dataclass(frozen=True)
@@ -121,7 +98,7 @@ def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     data, form = _lck_point(lck, z)
     omega = _omega_real(lck, z, form, data)
     Breal = data.B.real_coords()
-    tangent = FrameSubspace.from_vectors(form, _kernel_rows(omega, form.dim))
+    tangent = FrameSubspace.from_vectors(form, _kernel(omega, form.dim))
     if _non_null(data.c, Breal):
         return FoliationFibre(point=z, c=data.c, tangent=tangent,
                               radical=FrameSubspace.zero(form),
@@ -129,10 +106,10 @@ def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
                               transversal=FrameSubspace.from_vectors(form, [Breal]),
                               form=form)
     rad = FrameSubspace.from_vectors(form, [Breal])
-    screen_rows = _euclid_complement_within(rad.basis, tangent.basis)
+    screen_rows = _complement_within(rad.basis, tangent.basis)
     screen = FrameSubspace.from_vectors(form, screen_rows)
     screen_perp = orthogonal_complement(form, screen)
-    V_rows = _euclid_complement_within(rad.basis, screen_perp.basis)
+    V_rows = _complement_within(rad.basis, screen_perp.basis)
     if V_rows.shape[0] != 1:
         raise ValueError("could not isolate a complement of the Lee line")
     N = lightlike_transversal(form, omega, Breal, screen, V_rows[0])
@@ -161,9 +138,7 @@ def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
         cross = np.abs(screen.basis @ form.gram @ V).max()
         if cross > 1e-8 * max(1.0, float(np.abs(V).max())):
             raise ValueError("V is not orthogonal to the screen")
-    pair = np.vstack([B, V])
-    sv = np.linalg.svd(pair, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
+    if not _full_rank(np.vstack([B, V])):
         raise ValueError("V lies on the Lee line")
     wV = float(omega @ V)
     if abs(wV) <= 1e-12 * max(1.0, float(np.abs(omega).max()) * float(np.abs(V).max())):
@@ -287,20 +262,18 @@ def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
                               transversal=orthogonal_complement(form, tangent),
                               form=form)
     perp = orthogonal_complement(form, tangent)
-    screen_rows = _euclid_complement_within(tangent.basis, perp.basis)
-    screen = FrameSubspace.from_vectors(form, screen_rows) if screen_rows.size \
-        else FrameSubspace.zero(form)
+    screen_rows = _complement_within(tangent.basis, perp.basis)
+    screen = FrameSubspace.from_vectors(form, screen_rows)
     if lck.chart.n >= 3:
         omega = _omega_real(lck, z, form, data)
         theta = form.gram @ A
         sperp = orthogonal_complement(form, screen)
-        E_rows = _euclid_complement_within(tangent.basis, sperp.basis)
+        E_rows = _complement_within(tangent.basis, sperp.basis)
         pair = isotropic_transversal_pair(form, omega, theta, A, B, screen,
                                           E_rows[0], E_rows[1])
-        trans_rows = np.vstack([pair.N1, pair.N2, screen.basis]) if screen.dim \
-            else np.vstack([pair.N1, pair.N2])
+        trans_rows = np.vstack([pair.N1, pair.N2, screen.basis])
     else:
-        trans_rows = _euclid_complement_within(tangent.basis, np.eye(form.dim))
+        trans_rows = _complement_within(tangent.basis, np.eye(form.dim))
     return FoliationFibre(point=z, c=data.c, tangent=tangent, radical=tangent,
                           screen=FrameSubspace.zero(form),
                           transversal=FrameSubspace.from_vectors(form, trans_rows),
@@ -424,14 +397,9 @@ class ComplexImmersion:
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         if self.tangent is not None:
             return np.asarray(self.tangent(u), dtype=complex)
-        h = 1e-5 * max(1.0, float(np.linalg.norm(u)))
-        cols = []
-        for a in range(self.m):
-            e = np.zeros(self.m, dtype=complex)
-            e[a] = 1.0
-            d1 = (self.chart_map(u + h * e) - self.chart_map(u - h * e)) / (2 * h)
-            d2 = (self.chart_map(u + h / 2 * e) - self.chart_map(u - h / 2 * e)) / h
-            cols.append((4 * d2 - d1) / 3)
+        h = fd_step(u)
+        cols = [_richardson(lambda t: self.chart_map(u + t * e), h)
+                for e in np.eye(self.m, dtype=complex)]
         return np.stack(cols, axis=1)
 
 
@@ -507,21 +475,15 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
 
     def h_of(Xi: TangentVector, Yi: TangentVector, ycoeff_u: np.ndarray,
              y_is_j: bool) -> np.ndarray:
-        # field along the submanifold with constant u-coefficients
-        def Yfield_param(t, direction):
-            up = u + t * direction
-            zp = immersion.chart_map(up)
-            jp = immersion.jacobian(up)
-            hol = jp @ ycoeff_u
-            vec = TangentVector.real(1j * hol if y_is_j else hol)
-            return vec.components
-
         # direction of X in parameter space
         xcoeff = np.linalg.lstsq(jac, Xi.hol, rcond=None)[0]
-        h = 1e-5 * max(1.0, float(np.linalg.norm(u)))
-        d1 = (Yfield_param(h, xcoeff) - Yfield_param(-h, xcoeff)) / (2 * h)
-        d2 = (Yfield_param(h / 2, xcoeff) - Yfield_param(-h / 2, xcoeff)) / h
-        dY = (4 * d2 - d1) / 3
+
+        # field along the submanifold with constant u-coefficients
+        def Yfield_param(t):
+            hol = immersion.jacobian(u + t * xcoeff) @ ycoeff_u
+            return TangentVector.real(1j * hol if y_is_j else hol).components
+
+        dY = _richardson(Yfield_param, fd_step(u))
         # X must also move the conjugate part: the parameter curve is
         # holomorphic, so the real curve velocity is X itself only when
         # X.hol lies in the column span of jac: guaranteed for tangent X.

@@ -18,9 +18,10 @@ import numpy as np
 from .charts import (
     ConnectionCoefficients,
     MetricChart,
-    SingularMetricError,
     TangentVector,
     _as_field,
+    _mixed_blocks,
+    _solve_gram,
     christoffel,
     covariant_derivative,
     fd_step,
@@ -31,6 +32,7 @@ __all__ = ["LCKStructure", "LeeData", "lee_data", "weyl_connection",
            "nabla_J_defect", "parallel_lee_residual", "lee_form_components"]
 
 SINGULAR_LEE_TOL = 1e-8  # Euclidean threshold below which B counts as singular
+NULL_C_TOL = 1e-10  # |c| below this (times scale) counts as a null Lee field
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,11 @@ class LeeData:
     Omega: np.ndarray   # frame components Omega_{AB} of the Kahler 2-form
     c: float            # g(B, B)
 
-    @property
-    def is_null(self) -> bool:
-        return abs(self.c) < 1e-10 * max(1.0, self.B.norm() ** 2)
+
+def _non_null(c: float, Breal: np.ndarray) -> bool:
+    """c = g(B, B) is nonzero relative to the Euclidean size max(1, |B|^2)
+    of the Lee field B in real interleaved coordinates."""
+    return abs(c) > NULL_C_TOL * max(1.0, float(Breal @ Breal))
 
 
 def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
@@ -100,20 +104,13 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
     cached = lck._lee_cache.get(key)
     if cached is not None:
         return cached
-    chart = lck.chart
-    n = chart.n
     omega = lee_form_components(lck, z)
-    G = chart.gram_full(z)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularMetricError(f"metric Gram singular at {z}")
-    B = TangentVector.from_components(np.linalg.solve(G, omega))
+    H = lck.chart.hermitian(z)
+    G = _mixed_blocks(H, H.conj())        # gram_full(z), sharing H with Omega
+    B = TangentVector.from_components(_solve_gram(G, omega, z))
     A = -1.0 * B.j()                      # A = -J B
     theta = G @ A.components              # theta(X) = g(X, A)
-    H = chart.hermitian(z)
-    Om = np.zeros((2 * n, 2 * n), dtype=complex)
-    Om[:n, n:] = -1j * H
-    Om[n:, :n] = 1j * H.conj()
+    Om = _mixed_blocks(-1j * H, 1j * H.conj())   # as in charts.kahler_form
     c = float((omega @ B.components).real)
     data = LeeData(point=z.copy(), B=B, A=A, theta=theta, Omega=Om, c=c)
     for arr in (data.point, B.hol, B.antihol, A.hol, A.antihol, theta, Om):

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import ChartDomainError, MetricChart, TangentVector, metric_inner
+from .charts import ChartDomainError, MetricChart, TangentVector, _richardson, metric_inner
 from .lck import LCKStructure, lee_data
 from .semieuclid import FrameSubspace, orthogonal_complement, signature_of
 
@@ -409,10 +409,7 @@ def submersion_isometry_residual(model: HopfModel, z, u: TangentVector,
             ut = TangentVector(fac * u.hol, np.conj(fac) * u.antihol)
             vt = TangentVector(fac * v.hol, np.conj(fac) * v.antihol)
             return np.array([metric_inner(lck.chart, zt, ut, vt)])
-        h = 1e-5
-        d1 = (f(h) - f(-h)) / (2 * h)
-        d2 = (f(h / 2) - f(-h / 2)) / h
-        return float(np.abs((4 * d2 - d1) / 3).max())
+        return float(np.abs(_richardson(f, 1e-5)).max())
 
     return max(gram_along(1.0 + 0j), gram_along(1j))
 

@@ -13,6 +13,8 @@ from typing import Optional
 
 __all__ = ["RunConfig", "SuiteResult", "VerificationReport", "to_json", "to_csv"]
 
+SCHEMA = 2  # report format version, written into every JSON and CSV report
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -25,7 +27,6 @@ class RunConfig:
     tol_fd: float = 1e-6
     seed: int = 0
     suites: tuple = ()
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ def to_json(report: VerificationReport) -> str:
     lines.append(f'    "tol_analytic": {_f(cfg.tol_analytic)},')
     lines.append(f'    "tol_fd": {_f(cfg.tol_fd)},')
     lines.append(f'    "seed": {cfg.seed},')
-    lines.append(f'    "threads": {cfg.threads},')
     suites = ", ".join(_s(name) for name in cfg.suites)
     lines.append(f'    "suites": [{suites}]')
     lines.append("  },")
@@ -113,7 +113,7 @@ def to_json(report: VerificationReport) -> str:
 def to_csv(report: VerificationReport) -> str:
     cfg = report.config
     lines = [
-        f"# schema=1 model={cfg.model} n={cfg.n} s={cfg.s} lambda={_f(cfg.lam)} "
+        f"# schema={report.schema} model={cfg.model} n={cfg.n} s={cfg.s} lambda={_f(cfg.lam)} "
         f"points={cfg.points} seed={cfg.seed}",
         "name,anchor,points,max_residual,tolerance,direction,verdict",
     ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import CONE_MARGIN, HopfModel
-from .semieuclid import FrameSubspace, SemiEuclideanForm
+from .semieuclid import FrameSubspace, SemiEuclideanForm, _complement_within, _kernel
 
 __all__ = [
     "sample_hopf", "sample_pseudosphere", "sample_tricerri", "sample_flat",
@@ -112,40 +112,27 @@ def sample_null_config(n: int, s: int, rng: np.random.Generator) -> NullLeeConfi
     theta = form.gram @ A
     plane = FrameSubspace.from_vectors(form, [A, B])
     # P-perp via kernel of the Gram constraints
-    constraints = plane.basis @ form.gram
-    _, sv, vt = np.linalg.svd(constraints, full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * max(sv[0], 1.0)))
-    perp_rows = vt[rank:]
+    perp_rows = _kernel(plane.basis @ form.gram, 2 * n)
     # screen: Euclidean complement of span{A, B} inside P-perp
-    q, _ = np.linalg.qr(plane.basis.T)
-    proj = perp_rows - (perp_rows @ q) @ q.T
-    _, sv2, vt2 = np.linalg.svd(proj, full_matrices=False)
-    rank2 = int(np.sum(sv2 > 1e-10 * max(sv2[0], 1.0)))
-    screen_rows = vt2[:rank2]
-    screen = FrameSubspace.from_vectors(form, screen_rows) if rank2 \
-        else FrameSubspace.zero(form)
-    sperp_constraints = screen_rows @ form.gram if rank2 else np.zeros((0, 2 * n))
-    _, sv3, vt3 = np.linalg.svd(sperp_constraints, full_matrices=True) \
-        if rank2 else (None, np.zeros(0), np.eye(2 * n))
-    rank3 = int(np.sum(sv3 > 1e-12 * max(sv3[0], 1.0))) if rank2 else 0
-    sperp_rows = vt3[rank3:]
+    screen_rows = _complement_within(plane.basis, perp_rows)
+    screen = FrameSubspace.from_vectors(form, screen_rows)
+    sperp_rows = _kernel(screen_rows @ form.gram, 2 * n)
     return NullLeeConfig(n=n, s=s, form=form, B=B, A=A, omega=omega,
                          theta=theta, screen=screen,
                          screen_perp_basis=sperp_rows)
+
+
+def first_screen_rows(cfg: NullLeeConfig) -> np.ndarray:
+    """Row basis of the first-foliation screen: the Euclidean complement
+    of the Lee line inside ker(omega)."""
+    return _complement_within(cfg.B.reshape(1, -1), _kernel(cfg.omega, 2 * cfg.n))
 
 
 def sample_complement_vector(cfg: NullLeeConfig, rng: np.random.Generator) -> np.ndarray:
     """Random vector spanning a complement of the Lee line inside the
     orthocomplement of the first-foliation screen (which is 2-dimensional
     and contains B)."""
-    # screen = Euclidean complement of B inside ker(omega)
-    tangent_rows = _kernel(cfg.omega.reshape(1, -1), 2 * cfg.n)
-    qB, _ = np.linalg.qr(cfg.B.reshape(-1, 1))
-    proj = tangent_rows - (tangent_rows @ qB) @ qB.T
-    _, sv, vt = np.linalg.svd(proj, full_matrices=False)
-    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
-    screen_rows = vt[:rank]
-    sperp = _kernel(screen_rows @ cfg.form.gram, 2 * cfg.n)
+    sperp = _kernel(first_screen_rows(cfg) @ cfg.form.gram, 2 * cfg.n)
     for _ in range(_MAX_TRIES):
         coeff = rng.standard_normal(sperp.shape[0])
         V = coeff @ sperp
@@ -171,11 +158,3 @@ def sample_pair_frame(cfg: NullLeeConfig, rng: np.random.Generator
         if abs(D) > 0.05 * scale:
             return V1, V2
     raise RuntimeError("could not sample a complement frame")
-
-
-def _kernel(rows: np.ndarray, dim: int) -> np.ndarray:
-    if rows.size == 0:
-        return np.eye(dim)
-    _, sv, vt = np.linalg.svd(np.atleast_2d(rows), full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * max(sv[0], 1.0)))
-    return vt[rank:]

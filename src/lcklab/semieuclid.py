@@ -95,10 +95,8 @@ class FrameSubspace:
             b = b.reshape(0, form.dim)
         if b.shape[1] != form.dim:
             raise ValueError(f"vectors must have length {form.dim}")
-        if b.shape[0] > 0:
-            sv = np.linalg.svd(b, compute_uv=False)
-            if sv[-1] <= _RANK_RTOL * max(sv[0], 1.0):
-                raise DegenerateSubspaceError("basis vectors are not linearly independent")
+        if not _full_rank(b):
+            raise DegenerateSubspaceError("basis vectors are not linearly independent")
         gram = b @ form.gram @ b.T
         return cls(ambient_dim=form.dim, basis=b, gram_restricted=gram)
 
@@ -126,13 +124,37 @@ class Signature:
         return self.neg
 
 
-def _kernel(mat: np.ndarray, ncols: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the right null space of `mat` via SVD."""
-    if mat.shape[0] == 0:
+def _full_rank(rows: np.ndarray) -> bool:
+    """True if the rows are linearly independent (no rows trivially are)."""
+    if rows.shape[0] > rows.shape[1]:
+        return False
+    if rows.shape[0] == 0:
+        return True
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return bool(sv[-1] > _RANK_RTOL * max(sv[0], 1.0))
+
+
+def _kernel(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """Orthonormal basis (rows) of the right null space of `rows` via SVD;
+    a single row may be given as a vector of length `ncols`."""
+    rows = rows.reshape(-1, ncols)
+    if rows.size == 0:
         return np.eye(ncols)
-    _, sv, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(sv > _RANK_RTOL * max(sv[0] if sv.size else 0.0, 1.0)))
+    _, sv, vt = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.sum(sv > _RANK_RTOL * max(sv[0], 1.0)))
     return vt[rank:]
+
+
+def _complement_within(space: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Basis of the Euclidean orthocomplement of span(space) inside
+    span(inside); both inputs are row bases."""
+    if space.size == 0:
+        return inside
+    q, _ = np.linalg.qr(space.T)
+    proj = inside - (inside @ q) @ q.T
+    _, sv, vt = np.linalg.svd(proj, full_matrices=False)
+    rank = int(np.sum(sv > _RANK_RTOL * max(sv[0] if sv.size else 0.0, 1.0)))
+    return vt[:rank]
 
 
 def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSubspace:
@@ -144,10 +166,8 @@ def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSub
     """
     if W.ambient_dim != form.dim:
         raise ValueError("ambient dimension mismatch")
-    if W.dim > 0:
-        sv = np.linalg.svd(W.basis, compute_uv=False)
-        if sv[-1] <= _RANK_RTOL * max(sv[0], 1.0):
-            raise DegenerateSubspaceError("rank-deficient subspace basis")
+    if not _full_rank(W.basis):
+        raise DegenerateSubspaceError("rank-deficient subspace basis")
     constraints = W.basis @ form.gram
     ker = _kernel(constraints, form.dim)
     return FrameSubspace.from_vectors(form, ker) if ker.shape[0] else FrameSubspace.zero(form)

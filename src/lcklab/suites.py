@@ -1,18 +1,17 @@
 """Named verification suites mapping onto the numbered statements.
 
-Each suite draws its own sample from a per-point random generator and
-returns one scalar residual, so the runner can parallelize over points
-while keeping index-ordered (deterministic) aggregation.  Direction
-"le" means the aggregated maximum must stay below tolerance; "ge" marks
-witness suites whose aggregated minimum must exceed the threshold
-(e.g. exhibiting a nonparallel Lee form).
+Each suite draws its own sample from a per-point random generator seeded
+by (seed, suite index, point index) and returns one scalar residual, so
+a point's sample does not depend on which other points or suites ran.
+Direction "le" means the aggregated maximum must stay below tolerance;
+"ge" marks witness suites whose aggregated minimum must exceed the
+threshold (e.g. exhibiting a nonparallel Lee form).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -27,10 +26,11 @@ from .models import (
     hopf_diffeo_inv, retraction, submersion_isometry_residual,
     synthetic_null_structure, torus_pullback_isometry_residual, tricerri_chart,
 )
-from .report import RunConfig, SuiteResult, VerificationReport
+from .report import SCHEMA, RunConfig, SuiteResult, VerificationReport
 from .sampling import (
-    sample_complement_vector, sample_flat, sample_hopf, sample_null_config,
-    sample_pair_frame, sample_pseudosphere, sample_tricerri, sample_unit_circle,
+    first_screen_rows, sample_complement_vector, sample_flat, sample_hopf,
+    sample_null_config, sample_pair_frame, sample_pseudosphere, sample_tricerri,
+    sample_unit_circle,
 )
 from .semieuclid import FrameSubspace, contains_span, inner, same_span, signature_of
 
@@ -173,8 +173,7 @@ def _pt_eq8_transversal(cfg, rng):
     c = sample_null_config(cfg.n, cfg.s, rng)
     V = sample_complement_vector(c, rng)
     # first-foliation screen for the check
-    tangent_rows = _null_tangent(c)
-    screen = _null_screen(c, tangent_rows)
+    screen = _null_screen(c)
     N = fol.lightlike_transversal(c.form, c.omega, c.B, screen, V)
     resid = abs(inner(c.form, N, N))
     resid = max(resid, abs(float(c.omega @ N) - 1.0))
@@ -185,23 +184,13 @@ def _pt_eq8_transversal(cfg, rng):
     return resid
 
 
-def _null_tangent(c) -> np.ndarray:
-    from .sampling import _kernel
-    return _kernel(c.omega.reshape(1, -1), 2 * c.n)
-
-
-def _null_screen(c, tangent_rows) -> FrameSubspace:
-    qB, _ = np.linalg.qr(c.B.reshape(-1, 1))
-    proj = tangent_rows - (tangent_rows @ qB) @ qB.T
-    _, sv, vt = np.linalg.svd(proj, full_matrices=False)
-    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
-    return FrameSubspace.from_vectors(c.form, vt[:rank])
+def _null_screen(c) -> FrameSubspace:
+    return FrameSubspace.from_vectors(c.form, first_screen_rows(c))
 
 
 def _pt_eq5_invariance(cfg, rng):
     c = sample_null_config(cfg.n, cfg.s, rng)
-    tangent_rows = _null_tangent(c)
-    screen = _null_screen(c, tangent_rows)
+    screen = _null_screen(c)
     V = sample_complement_vector(c, rng)
     V2 = sample_complement_vector(c, rng)
     N = fol.lightlike_transversal(c.form, c.omega, c.B, screen, V)
@@ -279,8 +268,7 @@ def _pt_lemma6_invariance(cfg, rng):
 def _pt_screen_splits(cfg, rng):
     """Dimension and orthogonality bookkeeping of the null splittings."""
     c = sample_null_config(cfg.n, cfg.s, rng)
-    tangent_rows = _null_tangent(c)
-    screen = _null_screen(c, tangent_rows)
+    screen = _null_screen(c)
     resid = 0.0 if screen.dim == 2 * c.n - 2 else 1.0
     # screen orthogonal to the radical (the Lee line)
     resid = max(resid, float(np.abs(screen.basis @ c.form.gram @ c.B).max()))
@@ -672,8 +660,6 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("points must be >= 1")
     if cfg.tol_analytic <= 0 or cfg.tol_fd <= 0:
         raise UsageError("tolerances must be positive")
-    if cfg.threads < 1:
-        raise UsageError("threads must be >= 1")
     if cfg.model == "hopf":
         if cfg.n < 2 or not 0 < cfg.s < cfg.n:
             raise UsageError("hopf model needs n >= 2 and 0 < s < n")
@@ -696,11 +682,7 @@ def _run_suite(cfg: RunConfig, suite: Suite, suite_idx: int) -> SuiteResult:
         return float(suite.point_fn(cfg, rng))
 
     try:
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                residuals = list(pool.map(one, range(cfg.points)))
-        else:
-            residuals = [one(i) for i in range(cfg.points)]
+        residuals = [one(i) for i in range(cfg.points)]
     except Exception as exc:  # suite runtime error: recorded, not fatal
         return SuiteResult(name=suite.name, anchor=suite.anchor, points=0,
                            max_residual=float("nan"), tolerance=tol,
@@ -726,9 +708,5 @@ def run_config(cfg: RunConfig) -> VerificationReport:
     chosen = suites_for(cfg)
     index_of = {s.name: i for i, s in enumerate(SUITES)}
     results = tuple(_run_suite(cfg, s, index_of[s.name]) for s in chosen)
-    expanded = RunConfig(model=cfg.model, n=cfg.n, s=cfg.s, lam=cfg.lam,
-                         points=cfg.points, tol_analytic=cfg.tol_analytic,
-                         tol_fd=cfg.tol_fd, seed=cfg.seed,
-                         suites=tuple(s.name for s in chosen),
-                         threads=cfg.threads)
-    return VerificationReport(schema=1, config=expanded, results=results)
+    expanded = replace(cfg, suites=tuple(s.name for s in chosen))
+    return VerificationReport(schema=SCHEMA, config=expanded, results=results)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lcklab.report import RunConfig, to_csv, to_json
+from lcklab.report import RunConfig, VerificationReport, to_csv, to_json
 from lcklab.suites import SUITES, Suite, UsageError, _run_suite, run_config, suites_for
 
 
@@ -118,7 +118,8 @@ class TestSerialization:
         rep = run_config(cfg)
         payload = to_json(rep)
         parsed = json.loads(payload)
-        assert parsed["schema"] == 1
+        assert parsed["schema"] == 2
+        assert "threads" not in parsed["config"]
         assert parsed["config"]["lambda"] == 0.5
         assert parsed["suites"][0]["name"] == "parallel-lee"
         assert parsed["summary"]["verdict"] == "pass"
@@ -132,6 +133,11 @@ class TestSerialization:
         lines = to_csv(rep).strip().splitlines()
         assert lines[1].startswith("name,anchor,points")
         assert len(lines) == 4
+
+    def test_csv_header_carries_report_schema(self):
+        rep = VerificationReport(schema=7, config=RunConfig(model="hopf", seed=3),
+                                 results=())
+        assert to_csv(rep).startswith("# schema=7 model=hopf ")
 
 
 class TestCommandLine:
@@ -174,9 +180,6 @@ class TestCommandLine:
         assert text.splitlines()[1].startswith("name,")
         assert "parallel-lee" in text
 
-    def test_threads_do_not_change_residuals(self):
-        base = ["--model", "hopf", "--points", "8", "--seed", "4",
-                "--suites", "thm1-totally-geodesic"]
-        seq = json.loads(run_cli(base).stdout)
-        par = json.loads(run_cli(base + ["--threads", "4"]).stdout)
-        assert seq["suites"] == par["suites"]
+    def test_threads_flag_is_gone(self):
+        out = run_cli(["--model", "hopf", "--points", "2", "--threads", "2"])
+        assert out.returncode == 2

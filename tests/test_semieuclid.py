@@ -1,9 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcklab.semieuclid import (
+    DegenerateSubspaceError,
     FrameSubspace,
     SemiEuclideanForm,
     contains_span,
@@ -67,6 +70,26 @@ class TestComplement:
     def test_rank_deficient_basis_rejected(self):
         with pytest.raises(ValueError):
             FrameSubspace.from_vectors(H24, [e(0), 2 * e(0)])
+
+    def test_overfull_basis_rejected(self):
+        # three vectors in R^2: the SVD has only two singular values, both
+        # large, so the row count must be checked as well
+        with pytest.raises(DegenerateSubspaceError):
+            FrameSubspace.from_vectors(SemiEuclideanForm.standard(1, 2),
+                                       [[1, 0], [0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("module", ["lcklab.semieuclid", "lcklab.sampling"])
+def test_kernel_cut_is_relative_1e10(module):
+    # singular values 1 and 1e-11 (relative): the weak direction lies below
+    # the rank cut and belongs to the kernel, for every module that uses it
+    kernel = importlib.import_module(module)._kernel
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    rows = np.diag([1.0, 1e-11]) @ q.T[:2]
+    ker = kernel(rows, 3)
+    assert ker.shape == (2, 3)
+    assert np.abs(ker @ q[:, 0]).max() < 1e-12
+    assert np.abs(ker @ ker.T - np.eye(2)).max() < 1e-12
 
 
 class TestRadical:
