@@ -25,7 +25,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 FD_STEP_BASE = 1e-5  # relative central-difference step
+GRAM_COND_MAX = 1e12  # a Gram matrix of larger condition number counts as singular
 
 
 class ChartDomainError(ValueError):
@@ -164,9 +165,6 @@ class MetricChart:
     metric_deriv: Optional[Callable[[np.ndarray], tuple]] = None
     christoffel_analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "chart"
-    # real_form memo: point bytes -> validated form with a read-only gram
-    _real_form_cache: dict = field(default_factory=dict, init=False, repr=False,
-                                   compare=False)
 
     def hermitian(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.metric_eval(np.asarray(z, dtype=complex)), dtype=complex)
@@ -178,30 +176,25 @@ class MetricChart:
 
     def real_gram(self, z: np.ndarray) -> np.ndarray:
         """Real 2n x 2n Gram in interleaved coordinates (x_1, y_1, ...)."""
-        H = self.hermitian(z)
-        n = self.n
-        G = np.empty((2 * n, 2 * n))
-        re, im = 2.0 * H.real, 2.0 * H.imag
-        G[0::2, 0::2] = re
-        G[1::2, 1::2] = re
-        G[0::2, 1::2] = im
-        G[1::2, 0::2] = -im
-        return G
+        return _real_gram(self.hermitian(z))
 
     def real_form(self, z: np.ndarray) -> SemiEuclideanForm:
-        """Pointwise SemiEuclideanForm of signature (2(n-s), 2s).
+        """Pointwise SemiEuclideanForm of signature (2(n-s), 2s), validated
+        on every call: use it at base points, not inside stencils."""
+        return SemiEuclideanForm(dim=2 * self.n, index=2 * self.s,
+                                 gram=self.real_gram(z))
 
-        Memoized per distinct point, so the signature check runs once per
-        point; the cached gram is read-only.  A failed check is not cached.
-        """
-        key = np.asarray(z, dtype=complex).tobytes()
-        form = self._real_form_cache.get(key)
-        if form is None:
-            form = SemiEuclideanForm(dim=2 * self.n, index=2 * self.s,
-                                     gram=self.real_gram(z))
-            form.gram.setflags(write=False)
-            self._real_form_cache[key] = form
-        return form
+
+def _real_gram(H: np.ndarray) -> np.ndarray:
+    """Real Gram in interleaved coordinates of the Hermitian matrix H."""
+    n = H.shape[0]
+    G = np.empty((2 * n, 2 * n))
+    re, im = 2.0 * H.real, 2.0 * H.imag
+    G[0::2, 0::2] = re
+    G[1::2, 1::2] = re
+    G[0::2, 1::2] = im
+    G[1::2, 0::2] = -im
+    return G
 
 
 def _mixed_blocks(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -217,7 +210,7 @@ def _mixed_blocks(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
 def _solve_gram(G: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Solve G x = rhs, refusing a Gram matrix that is singular at z."""
     cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > GRAM_COND_MAX:
         raise SingularMetricError(f"metric Gram singular at {z}")
     return np.linalg.solve(G, rhs)
 

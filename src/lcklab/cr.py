@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ChartDomainError, TangentVector, lie_bracket, wirtinger_derivative, fd_step
-from .lck import SINGULAR_LEE_TOL, LCKStructure, _non_null, lee_data
+from .lck import LCKStructure, _nonsingular, lee_data
 from .models import HopfModel, cayley, eps_signs
 from .semieuclid import FrameSubspace, _kernel
 
@@ -61,20 +61,16 @@ def cr_fibre(lck: LCKStructure, z) -> CRFibre:
     used as the marker of the quotient direction.
     """
     z = np.asarray(z, dtype=complex)
-    data = lee_data(lck, z)
-    if data.B.norm() < SINGULAR_LEE_TOL:
-        raise ValueError(f"Lee field vanishes at {z}")
-    omega_hol = lck.lee_hol(z)
-    t10 = _t10_basis(omega_hol)
-    chart = lck.chart
-    form = chart.real_form(z)
+    data = _nonsingular(lee_data(lck, z))
+    t10 = _t10_basis(lck.lee_hol(z))
+    form = lck.chart.real_form(z)
     rows = []
     for k in range(t10.shape[1]):
         v = TangentVector.real(t10[:, k])
         rows.append(v.real_coords())
         rows.append(v.j().real_coords())
     levi_H = FrameSubspace.from_vectors(form, rows)
-    marker = data.A if _non_null(data.c, data.B.real_coords()) else data.B
+    marker = data.A if data.non_null else data.B
     return CRFibre(point=z, t10=t10, levi_H=levi_H, characteristic=marker)
 
 

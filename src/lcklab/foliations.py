@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .charts import (
+    GRAM_COND_MAX,
     TangentVector,
     _richardson,
     christoffel,
@@ -30,7 +31,7 @@ from .charts import (
     fd_step,
     lie_bracket,
 )
-from .lck import SINGULAR_LEE_TOL, LCKStructure, LeeData, _non_null, lee_data
+from .lck import LCKStructure, LeeData, _nonsingular, lee_data
 from .semieuclid import (
     FrameSubspace,
     SemiEuclideanForm,
@@ -49,8 +50,9 @@ __all__ = [
     "complex_submanifold_mean_curvature",
 ]
 
-class SingularLeeError(ValueError):
-    """Lee field vanishes at the point; foliations are undefined there."""
+# Relative tolerance of the checks that caller-supplied vectors are
+# g-orthogonal to a screen or lie on a transversal generator.
+ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,16 +76,17 @@ class FoliationFibre:
 
 
 def _lck_point(lck: LCKStructure, z: np.ndarray) -> tuple[LeeData, SemiEuclideanForm]:
-    data = lee_data(lck, z)
-    if data.B.norm() < SINGULAR_LEE_TOL:
-        raise SingularLeeError(f"Lee field vanishes at {z}")
-    return data, lck.chart.real_form(z)
+    return _nonsingular(lee_data(lck, z)), lck.chart.real_form(z)
 
 
-def _omega_real(lck: LCKStructure, z: np.ndarray, form: SemiEuclideanForm,
-                data: LeeData) -> np.ndarray:
-    """Lee form as a real covector in interleaved coordinates."""
-    return form.gram @ data.B.real_coords()
+def _screen_split(form: SemiEuclideanForm, radical: np.ndarray,
+                  space: np.ndarray) -> tuple[FrameSubspace, np.ndarray]:
+    """Screen of a degenerate space (Duggal-Bejancu): the Euclidean
+    complement of its radical inside it, and a row basis of the screen's
+    g-orthocomplement, which contains the radical.  Both inputs are row
+    bases, the radical's rows lying in span(space)."""
+    screen = FrameSubspace.from_vectors(form, _complement_within(radical, space))
+    return screen, _kernel(screen.basis @ form.gram, form.dim)
 
 
 def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
@@ -96,24 +99,19 @@ def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     """
     z = np.asarray(z, dtype=complex)
     data, form = _lck_point(lck, z)
-    omega = _omega_real(lck, z, form, data)
-    Breal = data.B.real_coords()
+    omega, Breal = data.omega_real, data.B_real
     tangent = FrameSubspace.from_vectors(form, _kernel(omega, form.dim))
-    if _non_null(data.c, Breal):
+    lee_line = FrameSubspace.from_vectors(form, [Breal])
+    if data.non_null:
         return FoliationFibre(point=z, c=data.c, tangent=tangent,
-                              radical=FrameSubspace.zero(form),
-                              screen=tangent,
-                              transversal=FrameSubspace.from_vectors(form, [Breal]),
-                              form=form)
-    rad = FrameSubspace.from_vectors(form, [Breal])
-    screen_rows = _complement_within(rad.basis, tangent.basis)
-    screen = FrameSubspace.from_vectors(form, screen_rows)
-    screen_perp = orthogonal_complement(form, screen)
-    V_rows = _complement_within(rad.basis, screen_perp.basis)
+                              radical=FrameSubspace.zero(form), screen=tangent,
+                              transversal=lee_line, form=form)
+    screen, screen_perp = _screen_split(form, lee_line.basis, tangent.basis)
+    V_rows = _complement_within(lee_line.basis, screen_perp)
     if V_rows.shape[0] != 1:
         raise ValueError("could not isolate a complement of the Lee line")
     N = lightlike_transversal(form, omega, Breal, screen, V_rows[0])
-    return FoliationFibre(point=z, c=data.c, tangent=tangent, radical=rad,
+    return FoliationFibre(point=z, c=data.c, tangent=tangent, radical=lee_line,
                           screen=screen,
                           transversal=FrameSubspace.from_vectors(form, [N]),
                           form=form)
@@ -136,7 +134,7 @@ def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
     omega = np.asarray(omega, dtype=float)
     if screen.dim:
         cross = np.abs(screen.basis @ form.gram @ V).max()
-        if cross > 1e-8 * max(1.0, float(np.abs(V).max())):
+        if cross > ORTHO_TOL * max(1.0, float(np.abs(V).max())):
             raise ValueError("V is not orthogonal to the screen")
     if not _full_rank(np.vstack([B, V])):
         raise ValueError("V lies on the Lee line")
@@ -164,25 +162,22 @@ def _tangential_extension(lck: LCKStructure, vec: np.ndarray) -> Callable:
     when c != 0, Euclidean kernel projection when c = 0)."""
     def field(p):
         data = lee_data(lck, p)
-        form = lck.chart.real_form(p)
-        omega = form.gram @ data.B.real_coords()
-        Breal = data.B.real_coords()
-        if _non_null(data.c, Breal):
-            proj = vec - (float(omega @ vec) / data.c) * Breal
+        omega = data.omega_real
+        if data.non_null:
+            proj = vec - (float(omega @ vec) / data.c) * data.B_real
         else:
             proj = vec - (float(omega @ vec) / float(omega @ omega)) * omega
         return TangentVector.from_real_coords(proj)
     return field
 
 
-def _split_first(lck: LCKStructure, fibre: FoliationFibre, w: np.ndarray,
-                 z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split_first(data: LeeData, fibre: FoliationFibre,
+                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a real vector against tangent + transversal of the first
-    foliation using the omega-normalization of the transversal."""
-    data = lee_data(lck, z)
-    form = fibre.form
-    omega = form.gram @ data.B.real_coords()
-    if _non_null(fibre.c, data.B.real_coords()):
+    foliation at data's point, using the omega-normalization of the
+    transversal."""
+    omega = data.omega_real
+    if data.non_null:
         coeff = float(omega @ w) / fibre.c
     else:
         coeff = float(omega @ w)   # omega(N_V) = 1
@@ -202,21 +197,22 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
     z = np.asarray(z, dtype=complex)
     chart = lck.chart
     gamma = christoffel(chart, z)
+    data = lee_data(lck, z)
 
     def as_real(vec) -> np.ndarray:
         return vec.real_coords() if isinstance(vec, TangentVector) else np.asarray(vec, dtype=float)
 
     Xr, Yr, Vr = as_real(X), as_real(Y), as_real(V)
     cond = np.linalg.cond(fibre.form.gram)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > GRAM_COND_MAX:
         raise ValueError("fibre decomposition is ill-conditioned")
 
     Xfield = _tangential_extension(lck, Xr)
     Yfield = _tangential_extension(lck, Yr)
     nXY = covariant_derivative(chart, Xfield, Yfield, z, gamma=gamma)
     nYX = covariant_derivative(chart, Yfield, Xfield, z, gamma=gamma)
-    tanXY, traXY = _split_first(lck, fibre, nXY.real_coords(), z)
-    _, traYX = _split_first(lck, fibre, nYX.real_coords(), z)
+    tanXY, traXY = _split_first(data, fibre, nXY.real_coords())
+    _, traYX = _split_first(data, fibre, nYX.real_coords())
 
     scale = max(1.0, float(np.abs(fibre.transversal.basis).max()))
     # coefficient of V against the transversal generator, so the shape
@@ -224,18 +220,18 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
     alpha = float(np.linalg.lstsq(fibre.transversal.basis.T,
                                   Vr, rcond=None)[0][0])
     gen_resid = np.abs(alpha * fibre.transversal.basis[0] - Vr).max()
-    if gen_resid > 1e-8 * max(1.0, np.abs(Vr).max()):
+    if gen_resid > ORTHO_TOL * max(1.0, np.abs(Vr).max()):
         raise ValueError("V is not a transversal vector at z")
 
     def Vfield(p):
         d = lee_data(lck, p)
-        if _non_null(d.c, d.B.real_coords()):
+        if d.non_null:
             return alpha * d.B
         fb = first_foliation_fibre(lck, p)
         return alpha * TangentVector.from_real_coords(fb.transversal.basis[0])
 
     nXV = covariant_derivative(chart, Xfield, Vfield, z, gamma=gamma)
-    tanXV, traXV = _split_first(lck, fibre, nXV.real_coords(), z)
+    tanXV, traXV = _split_first(data, fibre, nXV.real_coords())
     return SecondFundamentalData(
         induced=tanXY, h=traXY, shape_operator=-tanXV,
         transversal_connection=traXV,
@@ -253,24 +249,18 @@ def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     """
     z = np.asarray(z, dtype=complex)
     data, form = _lck_point(lck, z)
-    A, B = data.A.real_coords(), data.B.real_coords()
+    A, B = data.A_real, data.B_real
     tangent = FrameSubspace.from_vectors(form, [A, B])
-    if _non_null(data.c, B):
-        return FoliationFibre(point=z, c=data.c, tangent=tangent,
-                              radical=FrameSubspace.zero(form),
-                              screen=tangent,
-                              transversal=orthogonal_complement(form, tangent),
-                              form=form)
     perp = orthogonal_complement(form, tangent)
-    screen_rows = _complement_within(tangent.basis, perp.basis)
-    screen = FrameSubspace.from_vectors(form, screen_rows)
+    if data.non_null:
+        return FoliationFibre(point=z, c=data.c, tangent=tangent,
+                              radical=FrameSubspace.zero(form), screen=tangent,
+                              transversal=perp, form=form)
+    screen, sperp = _screen_split(form, tangent.basis, perp.basis)
     if lck.chart.n >= 3:
-        omega = _omega_real(lck, z, form, data)
-        theta = form.gram @ A
-        sperp = orthogonal_complement(form, screen)
-        E_rows = _complement_within(tangent.basis, sperp.basis)
-        pair = isotropic_transversal_pair(form, omega, theta, A, B, screen,
-                                          E_rows[0], E_rows[1])
+        E_rows = _complement_within(tangent.basis, sperp)
+        pair = isotropic_transversal_pair(form, data.omega_real, data.theta_real,
+                                          A, B, screen, E_rows[0], E_rows[1])
         trans_rows = np.vstack([pair.N1, pair.N2, screen.basis])
     else:
         trans_rows = _complement_within(tangent.basis, np.eye(form.dim))
@@ -283,16 +273,10 @@ def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
 def integrability_residual(lck: LCKStructure, z) -> float:
     """Euclidean norm of [A, B] after projecting out span{A, B}."""
     z = np.asarray(z, dtype=complex)
-    data, form = _lck_point(lck, z)
-
-    def Afield(p):
-        return lee_data(lck, p).A
-
-    def Bfield(p):
-        return lee_data(lck, p).B
-
+    data = _nonsingular(lee_data(lck, z))
+    Afield, Bfield = (lambda p: lee_data(lck, p).A), (lambda p: lee_data(lck, p).B)
     br = lie_bracket(Afield, Bfield, z).real_coords()
-    plane = np.vstack([data.A.real_coords(), data.B.real_coords()])
+    plane = np.vstack([data.A_real, data.B_real])
     q, _ = np.linalg.qr(plane.T)
     resid = br - q @ (q.T @ br)
     return float(np.linalg.norm(resid))
@@ -325,7 +309,7 @@ def isotropic_transversal_pair(form: SemiEuclideanForm, omega: np.ndarray,
     V2 = np.asarray(V2, dtype=float)
     if screen.dim:
         cross = np.abs(screen.basis @ form.gram @ np.vstack([V1, V2]).T).max()
-        if cross > 1e-8 * max(1.0, float(np.abs(V1).max()), float(np.abs(V2).max())):
+        if cross > ORTHO_TOL * max(1.0, float(np.abs(V1).max()), float(np.abs(V2).max())):
             raise ValueError("V1, V2 must be orthogonal to the screen")
     w1, w2 = float(omega @ V1), float(omega @ V2)
     t1, t2 = float(theta @ V1), float(theta @ V2)
@@ -356,17 +340,12 @@ def h_P_residual(lck: LCKStructure, z) -> float:
     fibre = second_foliation_fibre(lck, z)
     chart = lck.chart
     gamma = christoffel(chart, z)
-
-    def Afield(p):
-        return lee_data(lck, p).A
-
-    def Bfield(p):
-        return lee_data(lck, p).B
+    Afield, Bfield = (lambda p: lee_data(lck, p).A), (lambda p: lee_data(lck, p).B)
 
     worst = 0.0
     plane = fibre.tangent.basis
     q, _ = np.linalg.qr(plane.T)
-    non_null = _non_null(fibre.c, plane[1])     # plane rows are (A, B)
+    non_null = fibre.radical.dim == 0
     for X in (Afield, Bfield):
         for Y in (Afield, Bfield):
             nXY = covariant_derivative(chart, X, Y, z, gamma=gamma).real_coords()
@@ -444,9 +423,8 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
     chart = lck.chart
     gamma = christoffel(chart, z)
     data = lee_data(lck, z)
-    H = chart.hermitian(z)
     jac = immersion.jacobian(u)
-    frame_cols, signs = _hermitian_orthonormal_frame(H, jac)
+    frame_cols, signs = _hermitian_orthonormal_frame(data.H, jac)
     m = immersion.m
 
     # real orthonormal tangent frame {X_a, J X_a}
@@ -455,7 +433,7 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
         E = TangentVector.real(frame_cols[:, a])
         reals.extend([E, E.j()])
 
-    G = chart.gram_full(z)
+    G = data.G
 
     def tan(vcomp: np.ndarray) -> np.ndarray:
         out = np.zeros_like(vcomp)

@@ -11,6 +11,7 @@ Also implements the Weyl connection shift, the closed-form identity for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,6 +22,7 @@ from .charts import (
     TangentVector,
     _as_field,
     _mixed_blocks,
+    _real_gram,
     _solve_gram,
     christoffel,
     covariant_derivative,
@@ -28,11 +30,15 @@ from .charts import (
     wirtinger_derivative,
 )
 
-__all__ = ["LCKStructure", "LeeData", "lee_data", "weyl_connection",
+__all__ = ["LCKStructure", "LeeData", "SingularLeeError", "lee_data", "weyl_connection",
            "nabla_J_defect", "parallel_lee_residual", "lee_form_components"]
 
 SINGULAR_LEE_TOL = 1e-8  # Euclidean threshold below which B counts as singular
 NULL_C_TOL = 1e-10  # |c| below this (times scale) counts as a null Lee field
+
+
+class SingularLeeError(ValueError):
+    """Lee field vanishes at the point; foliations are undefined there."""
 
 
 @dataclass(frozen=True)
@@ -54,10 +60,6 @@ class LCKStructure:
     # lee_data memo: point bytes -> read-only LeeData (see lee_data)
     _lee_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.chart.n
-
     def lee_hol(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.lee_form_eval(np.asarray(z, dtype=complex)), dtype=complex)
 
@@ -72,22 +74,66 @@ def eval_form(components: np.ndarray, v: TangentVector) -> complex:
     return complex(np.asarray(components) @ v.components)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class LeeData:
-    """Pointwise Lee apparatus at z."""
+    """Pointwise Lee apparatus at z.
+
+    The cached members hold B and A in real interleaved coordinates, the
+    real Gram, omega and theta as real covectors and the null test of c;
+    each is derived from H when first asked for, then kept.
+    """
 
     point: np.ndarray
     B: TangentVector
     A: TangentVector
+    omega: np.ndarray   # frame components of the Lee form
     theta: np.ndarray   # frame components of the anti-Lee form
     Omega: np.ndarray   # frame components Omega_{AB} of the Kahler 2-form
     c: float            # g(B, B)
+    H: np.ndarray       # metric components g_{j kbar}, as MetricChart.hermitian
+    G: np.ndarray       # complexified Gram, as MetricChart.gram_full
+
+    @cached_property
+    def real_gram(self) -> np.ndarray:
+        return _read_only(_real_gram(self.H))
+
+    @cached_property
+    def B_real(self) -> np.ndarray:
+        return _read_only(self.B.real_coords())
+
+    @cached_property
+    def A_real(self) -> np.ndarray:
+        return _read_only(self.A.real_coords())
+
+    @cached_property
+    def omega_real(self) -> np.ndarray:
+        return _read_only(self.real_gram @ self.B_real)
+
+    @cached_property
+    def theta_real(self) -> np.ndarray:
+        return _read_only(self.real_gram @ self.A_real)
+
+    @cached_property
+    def non_null(self) -> bool:
+        return _non_null(self.c, self.B_real)
 
 
 def _non_null(c: float, Breal: np.ndarray) -> bool:
     """c = g(B, B) is nonzero relative to the Euclidean size max(1, |B|^2)
     of the Lee field B in real interleaved coordinates."""
     return abs(c) > NULL_C_TOL * max(1.0, float(Breal @ Breal))
+
+
+def _nonsingular(data: LeeData) -> LeeData:
+    """data, unless its Lee field vanishes (SingularLeeError)."""
+    if data.B.norm() < SINGULAR_LEE_TOL:
+        raise SingularLeeError(f"Lee field vanishes at {data.point}")
+    return data
 
 
 def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
@@ -112,8 +158,10 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
     theta = G @ A.components              # theta(X) = g(X, A)
     Om = _mixed_blocks(-1j * H, 1j * H.conj())   # as in charts.kahler_form
     c = float((omega @ B.components).real)
-    data = LeeData(point=z.copy(), B=B, A=A, theta=theta, Omega=Om, c=c)
-    for arr in (data.point, B.hol, B.antihol, A.hol, A.antihol, theta, Om):
+    data = LeeData(point=z.copy(), B=B, A=A, omega=omega, theta=theta, Omega=Om,
+                   c=c, H=H.view(), G=G)  # a view: a chart's constant H stays writable
+    for arr in (data.point, B.hol, B.antihol, A.hol, A.antihol, omega, theta, Om,
+                data.H, G):
         arr.setflags(write=False)
     lck._lee_cache[key] = data
     return data
@@ -131,9 +179,8 @@ def weyl_connection(lck: LCKStructure, X, Y, z: np.ndarray,
     base = covariant_derivative(lck.chart, X, Y, z, gamma=gamma)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     data = lee_data(lck, z)
-    omega = lee_form_components(lck, z)
-    wX, wY = eval_form(omega, Xv), eval_form(omega, Yv)
-    gXY = Xv.components @ lck.chart.gram_full(z) @ Yv.components
+    wX, wY = eval_form(data.omega, Xv), eval_form(data.omega, Yv)
+    gXY = Xv.components @ data.G @ Yv.components
     shift = wX * Yv.components + wY * Xv.components - gXY * data.B.components
     return TangentVector.from_components(base.components - 0.5 * shift)
 
@@ -156,10 +203,9 @@ def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray,
         - covariant_derivative(chart, X, Y, z, gamma=gamma).j()
     Xv, Yv = Xf(z), Yf(z)
     data = lee_data(lck, z)
-    omega = lee_form_components(lck, z)
     thY = eval_form(data.theta, Yv)
-    wY = eval_form(omega, Yv)
-    gXY = Xv.components @ chart.gram_full(z) @ Yv.components
+    wY = eval_form(data.omega, Yv)
+    gXY = Xv.components @ data.G @ Yv.components
     OmXY = Xv.components @ data.Omega @ Yv.components
     rhs = 0.5 * (thY * Xv.components - wY * Xv.j().components
                  - gXY * data.A.components - OmXY * data.B.components)

@@ -98,11 +98,6 @@ class HopfModel:
             raise ChartDomainError("point lies on the null cone")
         return 1.0 if b > 0 else -1.0
 
-    def in_region(self, z, margin: float = 0.0) -> bool:
-        b = self.b(z)
-        zz = float(np.vdot(z, z).real)
-        return self.sign * b > margin * zz and zz > 0.0
-
 
 def _hopf_metric_fns(n: int, s: int):
     eps = eps_signs(n, s)
@@ -374,7 +369,7 @@ def fibration_split(model: HopfModel, z) -> tuple[FrameSubspace, FrameSubspace]:
     lck = hopf_chart(model)
     data = lee_data(lck, z)
     form = lck.chart.real_form(z)
-    V0 = FrameSubspace.from_vectors(form, [data.A.real_coords(), data.B.real_coords()])
+    V0 = FrameSubspace.from_vectors(form, [data.A_real, data.B_real])
     sig = signature_of(form, V0)
     if sig.null:
         raise ValueError("vertical space is degenerate")

@@ -10,11 +10,13 @@ from the boundary for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .foliations import _screen_split
 from .models import CONE_MARGIN, HopfModel
-from .semieuclid import FrameSubspace, SemiEuclideanForm, _complement_within, _kernel
+from .semieuclid import FrameSubspace, SemiEuclideanForm, _kernel
 
 __all__ = [
     "sample_hopf", "sample_pseudosphere", "sample_tricerri", "sample_flat",
@@ -71,7 +73,9 @@ class NullLeeConfig:
     Real interleaved coordinates; B and A = -JB are null and mutually
     orthogonal, omega and theta are their metric duals, and the screen
     is the Euclidean orthocomplement of span{A, B} inside its own
-    g-orthocomplement.
+    g-orthocomplement.  The first-foliation screen (the Euclidean
+    complement of the Lee line inside ker(omega)) and its
+    g-orthocomplement are computed once, when first asked for.
     """
 
     n: int
@@ -83,6 +87,20 @@ class NullLeeConfig:
     theta: np.ndarray
     screen: FrameSubspace
     screen_perp_basis: np.ndarray  # basis rows of (screen)^perp, contains A, B
+
+    @cached_property
+    def _first_split(self) -> tuple[FrameSubspace, np.ndarray]:
+        return _screen_split(self.form, self.B.reshape(1, -1),
+                             _kernel(self.omega, 2 * self.n))
+
+    @property
+    def first_screen(self) -> FrameSubspace:
+        return self._first_split[0]
+
+    @property
+    def first_screen_perp(self) -> np.ndarray:
+        """Row basis of the first screen's g-orthocomplement (contains B)."""
+        return self._first_split[1]
 
 
 def _apply_J(v: np.ndarray) -> np.ndarray:
@@ -111,28 +129,18 @@ def sample_null_config(n: int, s: int, rng: np.random.Generator) -> NullLeeConfi
     omega = form.gram @ B
     theta = form.gram @ A
     plane = FrameSubspace.from_vectors(form, [A, B])
-    # P-perp via kernel of the Gram constraints
+    # P-perp via kernel of the Gram constraints; span{A, B} is its radical
     perp_rows = _kernel(plane.basis @ form.gram, 2 * n)
-    # screen: Euclidean complement of span{A, B} inside P-perp
-    screen_rows = _complement_within(plane.basis, perp_rows)
-    screen = FrameSubspace.from_vectors(form, screen_rows)
-    sperp_rows = _kernel(screen_rows @ form.gram, 2 * n)
-    return NullLeeConfig(n=n, s=s, form=form, B=B, A=A, omega=omega,
-                         theta=theta, screen=screen,
-                         screen_perp_basis=sperp_rows)
-
-
-def first_screen_rows(cfg: NullLeeConfig) -> np.ndarray:
-    """Row basis of the first-foliation screen: the Euclidean complement
-    of the Lee line inside ker(omega)."""
-    return _complement_within(cfg.B.reshape(1, -1), _kernel(cfg.omega, 2 * cfg.n))
+    screen, sperp_rows = _screen_split(form, plane.basis, perp_rows)
+    return NullLeeConfig(n=n, s=s, form=form, B=B, A=A, omega=omega, theta=theta,
+                         screen=screen, screen_perp_basis=sperp_rows)
 
 
 def sample_complement_vector(cfg: NullLeeConfig, rng: np.random.Generator) -> np.ndarray:
     """Random vector spanning a complement of the Lee line inside the
     orthocomplement of the first-foliation screen (which is 2-dimensional
     and contains B)."""
-    sperp = _kernel(first_screen_rows(cfg) @ cfg.form.gram, 2 * cfg.n)
+    sperp = cfg.first_screen_perp
     for _ in range(_MAX_TRIES):
         coeff = rng.standard_normal(sperp.shape[0])
         V = coeff @ sperp

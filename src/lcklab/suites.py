@@ -28,7 +28,7 @@ from .models import (
 )
 from .report import SCHEMA, RunConfig, SuiteResult, VerificationReport
 from .sampling import (
-    first_screen_rows, sample_complement_vector, sample_flat, sample_hopf,
+    sample_complement_vector, sample_flat, sample_hopf,
     sample_null_config, sample_pair_frame, sample_pseudosphere, sample_tricerri,
     sample_unit_circle,
 )
@@ -59,6 +59,13 @@ def _hopf(cfg: RunConfig, region: str = "+") -> HopfModel:
     return HopfModel(n=cfg.n, s=cfg.s, lam=cfg.lam, region=region)
 
 
+def _hopf_sample(cfg: RunConfig, rng) -> tuple[HopfModel, np.ndarray]:
+    """A Hopf region drawn with even odds and a point sampled in it."""
+    region = "+" if rng.uniform() < 0.5 else "-"
+    model = _hopf(cfg, region)
+    return model, sample_hopf(model, rng)
+
+
 def _rand_real_vector(rng, n: int) -> TangentVector:
     return TangentVector.real(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
@@ -66,9 +73,8 @@ def _rand_real_vector(rng, n: int) -> TangentVector:
 def _chart_point(cfg: RunConfig, rng):
     """Model-appropriate (lck, point) pair."""
     if cfg.model == "hopf":
-        region = "+" if rng.uniform() < 0.5 else "-"
-        model = _hopf(cfg, region)
-        return hopf_chart(model), sample_hopf(model, rng)
+        model, z = _hopf_sample(cfg, rng)
+        return hopf_chart(model), z
     if cfg.model == "tricerri":
         return tricerri_chart(cfg.n, cfg.s), sample_tricerri(cfg.n, rng)
     if cfg.model == "flat":
@@ -88,10 +94,8 @@ def _pt_christoffel_oracle(cfg, rng):
 
 
 def _pt_prop1_lee(cfg, rng):
-    region = "+" if rng.uniform() < 0.5 else "-"
-    model = _hopf(cfg, region)
+    model, z = _hopf_sample(cfg, rng)
     lck = hopf_chart(model)
-    z = sample_hopf(model, rng)
     data = lee_data(lck, z)
     a = model.a(z)
     expect_hol = -2.0 * a * z
@@ -108,8 +112,7 @@ def _pt_prop1_lee(cfg, rng):
 
 
 def _pt_prop2_lee(cfg, rng):
-    lck = tricerri_chart(cfg.n, cfg.s)
-    p = sample_tricerri(cfg.n, rng)
+    lck, p = _chart_point(cfg, rng)
     data = lee_data(lck, p)
     expect = np.zeros(cfg.n + 1, dtype=complex)
     expect[0] = 1j * p[0].imag
@@ -123,15 +126,13 @@ def _pt_parallel_lee(cfg, rng):
 
 
 def _pt_nonparallel_lee(cfg, rng):
-    lck = tricerri_chart(cfg.n, cfg.s)
-    p = sample_tricerri(cfg.n, rng)
+    lck, p = _chart_point(cfg, rng)
     p[0] = p[0].real + 1j  # witness at Im(w) = 1
     return parallel_lee_residual(lck, p)
 
 
 def _pt_prop2_nabla_b(cfg, rng):
-    lck = tricerri_chart(cfg.n, cfg.s)
-    p = sample_tricerri(cfg.n, rng)
+    lck, p = _chart_point(cfg, rng)
     m = cfg.n + 1
     worst = 0.0
     Bf = lambda q: lee_data(lck, q).B
@@ -145,10 +146,8 @@ def _pt_prop2_nabla_b(cfg, rng):
 
 
 def _pt_thm1_geodesic(cfg, rng):
-    region = "+" if rng.uniform() < 0.5 else "-"
-    model = _hopf(cfg, region)
+    model, z = _hopf_sample(cfg, rng)
     lck = hopf_chart(model)
-    z = sample_hopf(model, rng)
     fib = fol.first_foliation_fibre(lck, z)
     k = fib.tangent.dim
     coeffs = rng.standard_normal((2, k))
@@ -159,21 +158,18 @@ def _pt_thm1_geodesic(cfg, rng):
 
 
 def _pt_eq1_signature(cfg, rng):
-    region = "+" if rng.uniform() < 0.5 else "-"
-    model = _hopf(cfg, region)
+    model, z = _hopf_sample(cfg, rng)
     lck = hopf_chart(model)
-    z = sample_hopf(model, rng)
     fib = fol.first_foliation_fibre(lck, z)
     sig = signature_of(fib.form, fib.tangent)
-    expect = 2 * cfg.s if region == "+" else 2 * cfg.s - 1
+    expect = 2 * cfg.s if model.region == "+" else 2 * cfg.s - 1
     return float(abs(sig.index - expect) + sig.null)
 
 
 def _pt_eq8_transversal(cfg, rng):
     c = sample_null_config(cfg.n, cfg.s, rng)
     V = sample_complement_vector(c, rng)
-    # first-foliation screen for the check
-    screen = _null_screen(c)
+    screen = c.first_screen
     N = fol.lightlike_transversal(c.form, c.omega, c.B, screen, V)
     resid = abs(inner(c.form, N, N))
     resid = max(resid, abs(float(c.omega @ N) - 1.0))
@@ -184,13 +180,9 @@ def _pt_eq8_transversal(cfg, rng):
     return resid
 
 
-def _null_screen(c) -> FrameSubspace:
-    return FrameSubspace.from_vectors(c.form, first_screen_rows(c))
-
-
 def _pt_eq5_invariance(cfg, rng):
     c = sample_null_config(cfg.n, cfg.s, rng)
-    screen = _null_screen(c)
+    screen = c.first_screen
     V = sample_complement_vector(c, rng)
     V2 = sample_complement_vector(c, rng)
     N = fol.lightlike_transversal(c.form, c.omega, c.B, screen, V)
@@ -217,10 +209,8 @@ def _pt_thm4_plane_gram(cfg, rng):
 
 
 def _pt_thm4_hp(cfg, rng):
-    region = "+" if rng.uniform() < 0.5 else "-"
-    model = _hopf(cfg, region)
+    model, z = _hopf_sample(cfg, rng)
     lck = hopf_chart(model)
-    z = sample_hopf(model, rng)
     resid = fol.h_P_residual(lck, z)
     # nabla_A A = 0 is part of the proof: check it in full, not just its
     # transversal part
@@ -268,7 +258,7 @@ def _pt_lemma6_invariance(cfg, rng):
 def _pt_screen_splits(cfg, rng):
     """Dimension and orthogonality bookkeeping of the null splittings."""
     c = sample_null_config(cfg.n, cfg.s, rng)
-    screen = _null_screen(c)
+    screen = c.first_screen
     resid = 0.0 if screen.dim == 2 * c.n - 2 else 1.0
     # screen orthogonal to the radical (the Lee line)
     resid = max(resid, float(np.abs(screen.basis @ c.form.gram @ c.B).max()))
@@ -375,19 +365,15 @@ def _pt_connection_identities(cfg, rng):
 
 
 def _pt_deck_pullback(cfg, rng):
-    region = "+" if rng.uniform() < 0.5 else "-"
-    model = _hopf(cfg, region)
+    model, z = _hopf_sample(cfg, rng)
     lck = hopf_chart(model)
-    z = sample_hopf(model, rng)
     H = lck.chart.hermitian(z)
     Hl = lck.chart.hermitian(model.lam * z)
     return float(np.abs(Hl * model.lam ** 2 - H).max())
 
 
 def _pt_diffeo_roundtrip(cfg, rng):
-    region = "+" if rng.uniform() < 0.5 else "-"
-    model = _hopf(cfg, region)
-    z = sample_hopf(model, rng)
+    model, z = _hopf_sample(cfg, rng)
     zeta, w = hopf_diffeo(model, z)
     back = hopf_diffeo_inv(model, zeta, w)
     m = deck_equivalent(model, z, back)
@@ -402,9 +388,7 @@ def _pt_diffeo_roundtrip(cfg, rng):
 
 
 def _pt_torus_isometry(cfg, rng):
-    region = "+" if rng.uniform() < 0.5 else "-"
-    model = _hopf(cfg, region)
-    z = sample_hopf(model, rng)
+    model, z = _hopf_sample(cfg, rng)
     t = complex(rng.standard_normal() * 0.5, rng.standard_normal() * 2.0)
     return torus_pullback_isometry_residual(model, t, z)
 
@@ -515,8 +499,7 @@ def _pt_prop4_null(cfg, rng):
     resid = abs(complex(lck.lee_hol(z) @ Z))        # Z is type (1,0) in ker omega
     resid = max(resid, abs(crmod.levi_form(lck, z, Z, Z)))
     fib = fol.first_foliation_fibre(lck, z)
-    plane = FrameSubspace.from_vectors(fib.form, [data.A.real_coords(),
-                                                  data.B.real_coords()])
+    plane = FrameSubspace.from_vectors(fib.form, [data.A_real, data.B_real])
     resid = max(resid, 0.0 if contains_span(fib.tangent, plane, 1e-9) else 1.0)
     if cfg.n == 2:
         cfib = crmod.cr_fibre(lck, z)

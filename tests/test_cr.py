@@ -65,6 +65,11 @@ class TestCRFibre:
         coeff, res, *_ = np.linalg.lstsq(fib.t10, Z, rcond=None)
         assert np.abs(fib.t10 @ coeff - Z).max() < 1e-10
 
+    def test_vanishing_lee_field_raises_singular_lee_error(self):
+        from lcklab.lck import SingularLeeError
+        with pytest.raises(SingularLeeError):
+            cr_fibre(flat_chart(2, 1), np.array([0.1, 0.2], dtype=complex))
+
 
 class TestTangentialCR:
     def test_holomorphic_restriction(self):

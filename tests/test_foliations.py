@@ -23,6 +23,7 @@ from lcklab.semieuclid import (
     SemiEuclideanForm,
     contains_span,
     inner,
+    orthogonal_complement,
     same_span,
     signature_of,
 )
@@ -80,6 +81,18 @@ class TestFirstFoliation:
             assert np.abs(fib.tangent.basis @ db).max() < 1e-9
 
 
+class TestNullConfigScreen:
+    @pytest.mark.parametrize("n,s", [(2, 1), (3, 1), (4, 2)])
+    def test_first_screen_is_the_foliation_screen(self, n, s):
+        cfg = sample_null_config(n, s, np.random.default_rng(n + s))
+        lck = synthetic_null_structure(n, s, B_hol=cfg.B[0::2] + 1j * cfg.B[1::2])
+        fib = first_foliation_fibre(lck, np.zeros(n, dtype=complex))
+        assert cfg.first_screen is cfg.first_screen
+        assert same_span(cfg.first_screen, fib.screen)
+        perp = FrameSubspace.from_vectors(cfg.form, cfg.first_screen_perp)
+        assert same_span(perp, orthogonal_complement(fib.form, fib.screen))
+
+
 class TestLightlikeTransversal:
     FORM = SemiEuclideanForm.standard(2, 4)
     B = np.array([1.0, 0.0, 1.0, 0.0])
@@ -134,6 +147,22 @@ class TestGaussWeingarten:
             sfd = gauss_weingarten(HOPF, fib, X, Y, fib.transversal.basis[0], z)
             assert np.abs(sfd.h).max() < 1e-6
             assert sfd.h_symmetry_residual < 1e-6
+
+    def test_builds_no_validated_form(self, monkeypatch):
+        lck = hopf_chart(MODEL)
+        z = sample_hopf(MODEL, np.random.default_rng(3))
+        fib = first_foliation_fibre(lck, z)
+        X, Y = fib.tangent.basis[0], fib.tangent.basis[1]
+        built = []
+        validate = SemiEuclideanForm.__post_init__
+
+        def counted(self):
+            built.append(1)
+            validate(self)
+
+        monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counted)
+        gauss_weingarten(lck, fib, X, Y, fib.transversal.basis[0], z)
+        assert built == []
 
     def test_zero_lee_field_rejected(self):
         flat = flat_chart(2, 1)

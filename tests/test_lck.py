@@ -12,13 +12,14 @@ from lcklab.charts import (
 )
 from lcklab.lck import (
     LCKStructure,
+    _non_null,
     lee_data,
     lee_form_components,
     nabla_J_defect,
     parallel_lee_residual,
     weyl_connection,
 )
-from lcklab.models import HopfModel, flat_chart, hopf_chart, tricerri_chart
+from lcklab.models import HopfModel, flat_chart, hopf_chart, synthetic_null_structure, tricerri_chart
 from lcklab.sampling import sample_hopf, sample_tricerri
 
 MODEL = HopfModel(n=2, s=1, lam=0.5)
@@ -115,8 +116,54 @@ class TestLeeData:
             assert len(calls) == attempt   # the failure was not memoized
 
 
+class TestRealMembers:
+    """LeeData's real-coordinate members equal what callers used to rebuild."""
+
+    CASES = {
+        "hopf+": (HOPF, np.array([0.3 + 0.1j, 1.2 - 0.4j])),
+        "hopf-": (HOPF_NEG, np.array([1.5 + 0.2j, 0.3 - 0.1j])),
+        "tricerri": (TRIC, np.array([0.4 + 0.9j, 0.3 - 0.2j, -0.5 + 0.1j])),
+        "synthetic-null": (synthetic_null_structure(3, 1), np.zeros(3, dtype=complex)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_members_equal_the_lowered_lee_field_exactly(self, case):
+        lck, z = self.CASES[case]
+        d = lee_data(lck, z)
+        gram = lck.chart.real_form(z).gram
+        assert np.array_equal(d.B_real, d.B.real_coords())
+        assert np.array_equal(d.A_real, d.A.real_coords())
+        assert np.array_equal(d.omega_real, gram @ d.B.real_coords())
+        assert np.array_equal(d.theta_real, gram @ d.A.real_coords())
+        assert np.array_equal(d.omega, lee_form_components(lck, z))
+        assert np.array_equal(d.G, lck.chart.gram_full(z))
+        assert d.non_null == _non_null(d.c, d.B.real_coords())
+        assert d.non_null == (case != "synthetic-null")
+
+    def test_members_are_computed_once_on_demand_and_read_only(self):
+        lck = hopf_chart(MODEL)
+        z = np.array([0.3 + 0.1j, 1.2 - 0.4j])
+        d = lee_data(lck, z)
+        names = ("real_gram", "B_real", "A_real", "omega_real", "theta_real")
+        assert not any(name in vars(d) for name in names)
+        for name in names:
+            arr = getattr(d, name)
+            assert getattr(lee_data(lck, z.copy()), name) is arr
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        for arr in (d.omega, d.H, d.G):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_constant_chart_metric_stays_writable(self):
+        flat = flat_chart(2, 1)
+        z = np.array([0.1 + 0.2j, -0.3j])
+        lee_data(flat, z)
+        assert flat.chart.hermitian(z).flags.writeable
+
+
 class TestPointMemo:
-    """lee_data and real_form memoize per point without callers noticing."""
+    """lee_data memoizes per point without callers noticing."""
 
     Z = np.array([0.3 + 0.1j, 1.2 - 0.4j])
 
@@ -131,10 +178,6 @@ class TestPointMemo:
                 assert np.array_equal(getattr(d, name), getattr(first, name))
             assert np.array_equal(d.B.components, first.B.components)
             assert np.array_equal(d.A.components, first.A.components)
-        forms = [lck.chart.real_form(self.Z), lck.chart.real_form(self.Z.copy()),
-                 hopf_chart(MODEL).chart.real_form(self.Z)]
-        for form in forms:
-            assert np.array_equal(form.gram, lck.chart.real_gram(self.Z))
 
     def test_repeat_skips_metric_evaluation(self):
         calls = []
@@ -147,10 +190,8 @@ class TestPointMemo:
         chart = MetricChart(n=2, s=1, metric_eval=counted, domain_pred=HOPF.chart.domain_pred)
         lck = LCKStructure(chart=chart, lee_form_eval=HOPF.lee_form_eval)
         lee_data(lck, self.Z)
-        chart.real_form(self.Z)
         done = len(calls)
         lee_data(lck, self.Z)
-        chart.real_form(self.Z)
         assert len(calls) == done
 
     def test_cached_arrays_are_read_only(self):
@@ -158,8 +199,6 @@ class TestPointMemo:
         for arr in (d.point, d.B.hol, d.B.antihol, d.A.hol, d.A.antihol, d.theta, d.Omega):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        with pytest.raises(ValueError):
-            HOPF.chart.real_form(self.Z).gram[0, 0] = 0.0
         assert np.array_equal(lee_data(HOPF, self.Z).point, self.Z)
 
     def test_caller_mutation_does_not_reach_the_cache(self):
