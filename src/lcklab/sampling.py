@@ -1,16 +1,17 @@
-"""Rejection samplers for domain points and synthetic null-Lee data.
+"""Seeded samplers for domain points and synthetic null-Lee data.
 
 Every sampler takes a numpy Generator so runs are reproducible from a
-seed.  Hopf samples keep a relative margin away from the null cone
-(metric components blow up there) which also keeps difference stencils
-inside the chart domain; half-space samples keep Im(w) bounded away
-from the boundary for the same reason.
+seed.  Hopf samples are exact draws that keep a relative margin away
+from the null cone (metric components blow up there) which also keeps
+difference stencils inside the chart domain; half-space samples keep
+Im(w) bounded away from the boundary for the same reason.  Only the
+null-Lee samplers reject degenerate draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,20 +33,33 @@ def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def sample_hopf(model: HopfModel, rng: np.random.Generator,
                 margin: float = CONE_MARGIN) -> np.ndarray:
-    """One point of the selected region with |b(z,z)| > margin * |z|^2."""
-    for _ in range(_MAX_TRIES):
-        z = _complex_normal(rng, model.n)
-        zz = float(np.vdot(z, z).real)
-        if zz < 0.1:
-            continue
-        if model.sign * model.b(z) > margin * zz:
-            return z
-    raise RuntimeError("rejection sampling failed for the Hopf region")
+    """One point of the selected region with |b(z,z)| > margin * |z|^2.
+
+    Exact draw z = r (sinh t u, cosh t v) for '+' and r (cosh t u, sinh t v)
+    for '-', with u, v uniform on the unit spheres of the negative and
+    positive blocks, so b(z,z) = +-r^2 and |b(z,z)| / |z|^2 = 1 / cosh 2t.
+    That ratio is uniform on (margin, 1] (its law for Gaussian draws in
+    C^2_1) shrunk by a thousandth of the interval, so rounding keeps the
+    inequality strict; r is uniform on [1, 2).  Fixed cost: one
+    complex-normal draw and two uniforms.
+    """
+    z = _complex_normal(rng, model.n)
+    ratio = 1.0 - 0.999 * (1.0 - margin) * rng.uniform()
+    t = 0.5 * np.arccosh(1.0 / ratio)
+    r = 1.0 + rng.uniform()
+    minor, major = r * np.sinh(t), r * np.cosh(t)
+    if model.region == "-":
+        minor, major = major, minor
+    s = model.s
+    z[:s] *= minor / np.linalg.norm(z[:s])
+    z[s:] *= major / np.linalg.norm(z[s:])
+    return z
 
 
 def sample_pseudosphere(n: int, s: int, rng: np.random.Generator,
                         margin: float = CONE_MARGIN) -> np.ndarray:
-    """One point with b(z, z) = 1 (unit pseudosphere)."""
+    """One point with b(z, z) = 1 (unit pseudosphere): the r = 1 point of
+    the same draw as `sample_hopf` in region '+'."""
     model = HopfModel(n=n, s=s, lam=0.5)
     z = sample_hopf(model, rng, margin=margin)
     return z / model.norm_sn(z)
@@ -110,11 +124,20 @@ def _apply_J(v: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _standard_form(n: int, s: int) -> SemiEuclideanForm:
+    """C^n_s as R^2n of index 2s, built and validated once per (n, s).
+    Every configuration shares it, so its gram is read-only."""
+    form = SemiEuclideanForm.standard(2 * s, 2 * n)
+    form.gram.setflags(write=False)
+    return form
+
+
 def sample_null_config(n: int, s: int, rng: np.random.Generator) -> NullLeeConfig:
     """Random null-Lee configuration in real dimension 2n, index 2s."""
     if not 0 < s < n:
         raise ValueError("need 0 < s < n")
-    form = SemiEuclideanForm.standard(2 * s, 2 * n)
+    form = _standard_form(n, s)
     for _ in range(_MAX_TRIES):
         neg = rng.standard_normal(2 * s)
         pos = rng.standard_normal(2 * (n - s))

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from lcklab import suites as suites_mod
 from lcklab.report import RunConfig, VerificationReport, to_csv, to_json
 from lcklab.suites import SUITES, Suite, UsageError, _run_suite, run_config, suites_for
 
@@ -94,6 +95,17 @@ class TestRunConfig:
         residuals = {r.results[0].max_residual for r in reports}
         assert len(residuals) > 1  # different samples
 
+    def test_registry_insert_keeps_other_seeds(self, monkeypatch):
+        cfg = RunConfig(model="hopf", points=2, seed=4, suites=("all",))
+        before = {r.name: r.max_residual for r in run_config(cfg).results}
+        dummy = Suite(name="dummy-first", anchor="none", models=frozenset({"hopf"}),
+                      tolerance=lambda cfg: 1.0, point_fn=lambda cfg, rng: rng.uniform())
+        monkeypatch.setattr(suites_mod, "SUITES", (dummy,) + SUITES)
+        monkeypatch.setattr(suites_mod, "_BY_NAME", {s.name: s for s in suites_mod.SUITES})
+        after = {r.name: r.max_residual for r in run_config(cfg).results}
+        assert after.pop("dummy-first") < 1.0
+        assert after == before
+
     @pytest.mark.parametrize("direction, values", [
         ("le", [0.0, math.nan, 0.0]),
         ("ge", [1.0, math.nan, 1.0]),
@@ -106,7 +118,7 @@ class TestRunConfig:
                       tolerance=lambda cfg: 0.5, point_fn=lambda cfg, rng: next(it),
                       direction=direction)
         cfg = RunConfig(model="hopf", points=len(values), seed=0)
-        result = _run_suite(cfg, suite, 0)
+        result = _run_suite(cfg, suite)
         assert result.verdict == "fail"
         assert result.points == len(values)
         assert not math.isfinite(result.max_residual)

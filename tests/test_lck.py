@@ -248,15 +248,20 @@ class TestWeylConnection:
         from lcklab.charts import fd_step, wirtinger_derivative
         rng = np.random.default_rng(7)
         z = sample_hopf(MODEL, rng)
-        X = TangentVector.real([1.0, 0.0])
         Y = TangentVector.real([0.0, 1.0])
         gYY = lambda p: np.array([Y.components @ HOPF.chart.gram_full(p) @ Y.components])
         d_dz, d_dzb = wirtinger_derivative(gYY, z, fd_step(z))
         df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
-        lhs = complex(df @ X.components)
-        DY = weyl_connection(HOPF, X, Y, z)
-        rhs = 2.0 * complex(DY.components @ HOPF.chart.gram_full(z) @ Y.components)
-        assert abs(lhs - rhs) > 1e-3
+        # the defect is a covector in X: witness it over all 2n real
+        # coordinate directions, since one direction can sit near its kernel
+        defects = []
+        for hol in np.vstack([np.eye(2), 1j * np.eye(2)]):
+            X = TangentVector.real(hol)
+            lhs = complex(df @ X.components)
+            DY = weyl_connection(HOPF, X, Y, z)
+            rhs = 2.0 * complex(DY.components @ HOPF.chart.gram_full(z) @ Y.components)
+            defects.append(abs(lhs - rhs))
+        assert max(defects) > 1e-3
 
 
 class TestNablaJ:
