@@ -21,6 +21,22 @@ Conventions
   z^j = x_j + i y_j, so d/dx_j = Z_j + Zbar_j and d/dy_j = i(Z_j - Zbar_j).
 * Index order in Gamma[A, B, C] and all frame-indexed arrays:
   0..n-1 holomorphic, n..2n-1 antiholomorphic.
+* Stacked callables: wirtinger_derivative evaluates its whole stencil,
+  the 8n points z + t e_l and z + i t e_l for t = +-h, +-h/2, as one
+  (8n, n) array in a single call, and requires a result whose leading
+  axis has length 8n.  So every callable that gets differentiated takes
+  points of shape (..., n) and returns one value per point: a chart's
+  metric_eval ((..., n, n)) and domain_pred ((...) booleans), a Lee
+  form, a scalar or matrix function, and vector fields, which return a
+  TangentVector whose hol and antihol have shape (..., n).  Constant
+  evaluators broadcast over the stack.  The same callables are still
+  evaluated at the single base point, shape (n,).  lck.lee_data accepts
+  either shape and memoizes per stack, keyed by its shape and bytes, so
+  the derivatives taken at one base point share one stacked evaluation.
+* Stacked evaluators give each row the bits of a single-point call:
+  they use elementwise arithmetic, np.vecdot and np.matvec, which round
+  per row as a 1-D product does, and never a 2-D matrix product such as
+  stack @ vector, which rounds differently.
 """
 
 from __future__ import annotations
@@ -68,7 +84,8 @@ class SingularMetricError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class TangentVector:
-    """Complexified tangent vector in the frame {Z_j, Zbar_j}."""
+    """Complexified tangent vector in the frame {Z_j, Zbar_j}; hol and
+    antihol may carry a leading stack axis, shape (..., n)."""
 
     hol: np.ndarray
     antihol: np.ndarray
@@ -86,22 +103,22 @@ class TangentVector:
     @classmethod
     def from_components(cls, comps) -> "TangentVector":
         comps = np.asarray(comps, dtype=complex)
-        n = comps.size // 2
-        return cls(hol=comps[:n], antihol=comps[n:])
+        n = comps.shape[-1] // 2
+        return cls(hol=comps[..., :n], antihol=comps[..., n:])
 
     @classmethod
     def from_real_coords(cls, x) -> "TangentVector":
         """Interleaved real coordinates (x_1, y_1, ...) to a real vector."""
         x = np.asarray(x, dtype=float)
-        return cls.real(x[0::2] + 1j * x[1::2])
+        return cls.real(x[..., 0::2] + 1j * x[..., 1::2])
 
     @property
     def n(self) -> int:
-        return self.hol.size
+        return self.hol.shape[-1]
 
     @property
     def components(self) -> np.ndarray:
-        return np.concatenate([self.hol, self.antihol])
+        return np.concatenate([self.hol, self.antihol], axis=-1)
 
     @property
     def is_real(self) -> bool:
@@ -112,9 +129,9 @@ class TangentVector:
         """Interleaved real coordinates; only meaningful for real vectors."""
         if not self.is_real:
             raise ValueError("vector is not real")
-        out = np.empty(2 * self.n)
-        out[0::2] = self.hol.real
-        out[1::2] = self.hol.imag
+        out = np.empty(self.hol.shape[:-1] + (2 * self.n,))
+        out[..., 0::2] = self.hol.real
+        out[..., 1::2] = self.hol.imag
         return out
 
     def j(self) -> "TangentVector":
@@ -152,7 +169,9 @@ class MetricChart:
     """Hermitian metric chart on a domain in C^n.
 
     metric_eval(z) returns the n x n Hermitian matrix H with
-    H[j, k] = g(Z_j, Zbar_k).  metric_deriv(z), when present, returns
+    H[j, k] = g(Z_j, Zbar_k), and domain_pred(z) whether z lies in the
+    domain; both take a stack of points, shape (..., n), and return one
+    value per point.  metric_deriv(z), when present, returns
     (dH_dz, dH_dzbar) with dH_dz[l, j, k] = dH[j, k]/dz^l.
     christoffel_analytic(z), when present, returns the full (2n, 2n, 2n)
     coefficient array in the frame-index convention of this module.
@@ -186,32 +205,40 @@ class MetricChart:
 
 
 def _real_gram(H: np.ndarray) -> np.ndarray:
-    """Real Gram in interleaved coordinates of the Hermitian matrix H."""
-    n = H.shape[0]
-    G = np.empty((2 * n, 2 * n))
+    """Real Gram in interleaved coordinates of the Hermitian matrix H
+    (or of each matrix of a stack)."""
+    n = H.shape[-1]
+    G = np.empty(H.shape[:-2] + (2 * n, 2 * n))
     re, im = 2.0 * H.real, 2.0 * H.imag
-    G[0::2, 0::2] = re
-    G[1::2, 1::2] = re
-    G[0::2, 1::2] = im
-    G[1::2, 0::2] = -im
+    G[..., 0::2, 0::2] = re
+    G[..., 1::2, 1::2] = re
+    G[..., 0::2, 1::2] = im
+    G[..., 1::2, 0::2] = -im
     return G
 
 
 def _mixed_blocks(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Frame matrix [[0, upper], [lower, 0]]: only the mixed (hol, antihol)
-    and (antihol, hol) blocks are nonzero."""
-    n = upper.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = upper
-    out[n:, :n] = lower
+    """Frame matrix [[0, upper], [lower, 0]] (per matrix of a stack): only
+    the mixed (hol, antihol) and (antihol, hol) blocks are nonzero."""
+    n = upper.shape[-1]
+    out = np.zeros(upper.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, n:] = upper
+    out[..., n:, :n] = lower
     return out
 
 
+def _require_conditioned(G: np.ndarray, z: np.ndarray) -> None:
+    """Refuse a Gram matrix singular at z, or a stack of Gram matrices at
+    the points z (leading axes alike) any one of which is singular."""
+    ok = np.linalg.cond(G) <= GRAM_COND_MAX   # False for an infinite or NaN cond
+    if not ok.all():
+        raise SingularMetricError(f"metric Gram singular at {np.asarray(z)[~ok][0]}")
+
+
 def _solve_gram(G: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Solve G x = rhs, refusing a Gram matrix that is singular at z."""
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > GRAM_COND_MAX:
-        raise SingularMetricError(f"metric Gram singular at {z}")
+    """Solve G x = rhs (np.linalg.solve, stacks included), refusing a Gram
+    matrix that is singular at z."""
+    _require_conditioned(G, z)
     return np.linalg.solve(G, rhs)
 
 
@@ -231,45 +258,52 @@ def fd_step(z: np.ndarray) -> float:
     return FD_STEP_BASE * max(1.0, float(np.linalg.norm(np.atleast_1d(z))))
 
 
-def _richardson(fn: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-    """4th-order derivative of fn at 0 from two central differences."""
-    d1 = (fn(h) - fn(-h)) / (2.0 * h)
-    d2 = (fn(h / 2.0) - fn(-h / 2.0)) / h
+def _steps(h: float) -> tuple[float, float, float, float]:
+    """Offsets of the two central differences that _richardson combines."""
+    return (h, -h, h / 2.0, -h / 2.0)
+
+
+def _richardson(f, h: float) -> np.ndarray:
+    """4th-order derivative at 0 from the values f[k] at t = _steps(h)[k]
+    (a sequence, or an array with those four rows on its leading axis)."""
+    d1 = (f[0] - f[1]) / (2.0 * h)
+    d2 = (f[2] - f[3]) / h
     return (4.0 * d2 - d1) / 3.0
+
+
+def _stencil(z: np.ndarray, h: float) -> np.ndarray:
+    """The points z + t e_l and z + i t e_l for t in _steps(h), indexed
+    [step, real/imaginary direction, l, coordinate]."""
+    steps = np.multiply.outer(_steps(h), (1.0, 1j))   # t and i t
+    return z + steps[..., None, None] * np.eye(z.size)
 
 
 def wirtinger_derivative(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
                          h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(d fn/dz^l, d fn/dzbar^l) for an array-valued function of z.
 
-    Returns arrays with a leading axis of length n indexing l.
+    fn is called once, on the whole (8n, n) stencil stack, and must
+    return its values with a leading axis of length 8n (see the module
+    docstring).  Returns arrays with a leading axis of length n indexing l.
     """
     z = np.asarray(z, dtype=complex)
     h = fd_step(z) if h is None else h
     n = z.size
-    f0 = np.asarray(fn(z))
-    d_dz = np.empty((n,) + f0.shape, dtype=complex)
-    d_dzb = np.empty((n,) + f0.shape, dtype=complex)
-    for l in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[l] = 1.0
-        dx = _richardson(lambda t: np.asarray(fn(z + t * e), dtype=complex), h)
-        dy = _richardson(lambda t: np.asarray(fn(z + 1j * t * e), dtype=complex), h)
-        d_dz[l] = 0.5 * (dx - 1j * dy)
-        d_dzb[l] = 0.5 * (dx + 1j * dy)
-    return d_dz, d_dzb
+    f = np.asarray(fn(_stencil(z, h).reshape(8 * n, n)), dtype=complex)
+    if f.ndim == 0 or f.shape[0] != 8 * n:
+        raise ValueError(f"fn must return one value per stencil point: leading axis "
+                         f"{8 * n} for an ({8 * n}, {n}) stack, got shape {f.shape}")
+    dx, dy = _richardson(f.reshape((4, 2, n) + f.shape[1:]), h)
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
 def _require_stencil_domain(chart: MetricChart, z: np.ndarray, h: float) -> None:
-    if not chart.domain_pred(z):
-        raise ChartDomainError(f"point {z} outside domain of {chart.name}")
-    for l in range(chart.n):
-        e = np.zeros(chart.n, dtype=complex)
-        e[l] = 1.0
-        for step in (h, -h, 1j * h, -1j * h):
-            if not chart.domain_pred(z + step * e):
-                raise ChartDomainError(
-                    f"stencil around {z} leaves domain of {chart.name}")
+    """One domain_pred call on z and its stencil; a second one, on z, only
+    words the error."""
+    if not np.all(chart.domain_pred(np.vstack([z, _stencil(z, h).reshape(-1, chart.n)]))):
+        if not chart.domain_pred(z):
+            raise ChartDomainError(f"point {z} outside domain of {chart.name}")
+        raise ChartDomainError(f"stencil around {z} leaves domain of {chart.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +432,7 @@ def gradient(chart: MetricChart, f: Callable[[np.ndarray], complex],
     z = np.asarray(z, dtype=complex)
     h = fd_step(z)
     _require_stencil_domain(chart, z, h)
-    d_dz, d_dzb = wirtinger_derivative(lambda p: np.asarray(f(p), dtype=complex), z, h)
+    d_dz, d_dzb = wirtinger_derivative(f, z, h)
     df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
     return TangentVector.from_components(_solve_gram(chart.gram_full(z), df, z))
 
@@ -424,7 +458,7 @@ def exterior_derivative_1form(alpha: Callable[[np.ndarray], np.ndarray],
     """
     z = np.asarray(z, dtype=complex)
     h = fd_step(z) if h is None else h
-    d_dz, d_dzb = wirtinger_derivative(lambda p: np.asarray(alpha(p), dtype=complex), z, h)
+    d_dz, d_dzb = wirtinger_derivative(alpha, z, h)
     grad = np.vstack([d_dz, d_dzb])  # grad[A, B] = Z_A(alpha_B)
     return grad - grad.T
 
@@ -438,7 +472,7 @@ def exterior_derivative_2form(omega: Callable[[np.ndarray], np.ndarray],
     """
     z = np.asarray(z, dtype=complex)
     h = fd_step(z) if h is None else h
-    d_dz, d_dzb = wirtinger_derivative(lambda p: np.asarray(omega(p), dtype=complex), z, h)
+    d_dz, d_dzb = wirtinger_derivative(omega, z, h)
     grad = np.concatenate([d_dz, d_dzb], axis=0)  # grad[E, A, B] = Z_E(Omega_AB)
     # (d Omega)_{ABC} = grad[A,B,C] - grad[B,A,C] + grad[C,A,B]
     return grad - grad.transpose(1, 0, 2) + grad.transpose(1, 2, 0)
@@ -466,7 +500,7 @@ def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray,
     base = covariant_derivative(chart, X, Y, z, gamma=gamma)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     h = fd_step(z)
-    d_dz, d_dzb = wirtinger_derivative(lambda p: np.asarray(f(p), dtype=complex), z, h)
+    d_dz, d_dzb = wirtinger_derivative(f, z, h)
     df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
     Xf = complex(df @ Xv.components)
     Yf = complex(df @ Yv.components)

@@ -63,7 +63,7 @@ def cr_fibre(lck: LCKStructure, z) -> CRFibre:
     z = np.asarray(z, dtype=complex)
     data = _nonsingular(lee_data(lck, z))
     t10 = _t10_basis(lck.lee_hol(z))
-    form = lck.chart.real_form(z)
+    form = data.form
     rows = []
     for k in range(t10.shape[1]):
         v = TangentVector.real(t10[:, k])
@@ -77,13 +77,14 @@ def cr_fibre(lck: LCKStructure, z) -> CRFibre:
 def tangential_cr_residual(lck: LCKStructure, z, f) -> float:
     """max |Zbar(f)| over a basis of the conjugate CR bundle at z.
 
-    f is an ambient function near z; its restriction to the leaf is CR
-    at z iff the residual vanishes.
+    f is an ambient function near z, taking a stack of points (see the
+    charts module docstring); its restriction to the leaf is CR at z iff
+    the residual vanishes.
     """
     z = np.asarray(z, dtype=complex)
     fib = cr_fibre(lck, z)
     h = fd_step(z)
-    _, d_dzb = wirtinger_derivative(lambda p: np.asarray(f(p), dtype=complex), z, h)
+    _, d_dzb = wirtinger_derivative(f, z, h)
     # T01 = conj(T10): Zbar(f) contracts conj components with dzbar
     vals = fib.t10.conj().T @ d_dzb.ravel()
     return float(np.abs(vals).max()) if vals.size else 0.0
@@ -94,8 +95,8 @@ def _t10_projected_field(lck: LCKStructure, v0: np.ndarray):
     projection onto ker(omega_hol) pointwise."""
     def field(p):
         w = lck.lee_hol(p)
-        denom = float(np.vdot(w, w).real)
-        v = v0 - (w @ v0) * w.conj() / denom
+        denom = np.vecdot(w, w).real[..., None]
+        v = v0 - np.vecdot(w.conj(), v0)[..., None] * w.conj() / denom
         return TangentVector.complexified(v, np.zeros_like(v))
     return field
 

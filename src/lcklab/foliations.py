@@ -23,9 +23,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .charts import (
-    GRAM_COND_MAX,
     TangentVector,
+    _require_conditioned,
     _richardson,
+    _solve_gram,
+    _steps,
     christoffel,
     covariant_derivative,
     fd_step,
@@ -67,16 +69,10 @@ class FoliationFibre:
     transversal: FrameSubspace
     form: SemiEuclideanForm
 
-    def split_residual(self) -> float:
-        """Max Gram residual of screen-perp-radical orthogonality."""
-        if self.screen.dim == 0 or self.radical.dim == 0:
-            return 0.0
-        cross = self.screen.basis @ self.form.gram @ self.radical.basis.T
-        return float(np.abs(cross).max())
-
 
 def _lck_point(lck: LCKStructure, z: np.ndarray) -> tuple[LeeData, SemiEuclideanForm]:
-    return _nonsingular(lee_data(lck, z)), lck.chart.real_form(z)
+    data = _nonsingular(lee_data(lck, z))
+    return data, data.form
 
 
 def _screen_split(form: SemiEuclideanForm, radical: np.ndarray,
@@ -159,16 +155,28 @@ class SecondFundamentalData:
 def _tangential_extension(lck: LCKStructure, vec: np.ndarray) -> Callable:
     """Extend a tangent vector to a section of ker(omega) by projecting a
     coordinate-constant field pointwise (g-projection along the Lee line
-    when c != 0, Euclidean kernel projection when c = 0)."""
+    where c != 0, Euclidean kernel projection where c = 0)."""
     def field(p):
         data = lee_data(lck, p)
         omega = data.omega_real
-        if data.non_null:
-            proj = vec - (float(omega @ vec) / data.c) * data.B_real
-        else:
-            proj = vec - (float(omega @ vec) / float(omega @ omega)) * omega
+        non_null = data.non_null
+        along = np.where(non_null[..., None], data.B_real, omega)
+        denom = np.where(non_null, data.c, np.vecdot(omega, omega))
+        proj = vec - (np.vecdot(omega, vec) / denom)[..., None] * along
         return TangentVector.from_real_coords(proj)
     return field
+
+
+def _null_transversal(data: LeeData) -> np.ndarray:
+    """N_V of the first foliation at null Lee data (per point of a stack),
+    in closed form: V = G_r^-1 B solves for the g-orthocomplement of the
+    screen (the Euclidean complement of B in ker omega) together with B,
+    and omega(V) = |B|^2, so N_V = (V - g(V,V)/(2|B|^2) B) / |B|^2 with
+    g(V, V) = V.B, the lightlike_transversal formula."""
+    B = data.B_real
+    V = _solve_gram(data.real_gram, B[..., None], data.point)[..., 0]
+    BB = np.vecdot(B, B)[..., None]
+    return (V - (np.vecdot(V, B)[..., None] / (2.0 * BB)) * B) / BB
 
 
 def _split_first(data: LeeData, fibre: FoliationFibre,
@@ -192,7 +200,8 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
     X, Y are tangent vectors at z (real interleaved coordinates or
     TangentVector), extended as sections of the tangent distribution by
     pointwise projection; V is a transversal vector extended likewise
-    along the transversal line.
+    along the transversal line: by the Lee field when c != 0 at z, by the
+    closed-form null transversal when c = 0.
     """
     z = np.asarray(z, dtype=complex)
     chart = lck.chart
@@ -203,9 +212,7 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
         return vec.real_coords() if isinstance(vec, TangentVector) else np.asarray(vec, dtype=float)
 
     Xr, Yr, Vr = as_real(X), as_real(Y), as_real(V)
-    cond = np.linalg.cond(fibre.form.gram)
-    if not np.isfinite(cond) or cond > GRAM_COND_MAX:
-        raise ValueError("fibre decomposition is ill-conditioned")
+    _require_conditioned(fibre.form.gram, z)
 
     Xfield = _tangential_extension(lck, Xr)
     Yfield = _tangential_extension(lck, Yr)
@@ -223,12 +230,12 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
     if gen_resid > ORTHO_TOL * max(1.0, np.abs(Vr).max()):
         raise ValueError("V is not a transversal vector at z")
 
-    def Vfield(p):
-        d = lee_data(lck, p)
-        if d.non_null:
-            return alpha * d.B
-        fb = first_foliation_fibre(lck, p)
-        return alpha * TangentVector.from_real_coords(fb.transversal.basis[0])
+    if data.non_null:
+        def Vfield(p):
+            return alpha * lee_data(lck, p).B
+    else:
+        def Vfield(p):
+            return alpha * TangentVector.from_real_coords(_null_transversal(lee_data(lck, p)))
 
     nXV = covariant_derivative(chart, Xfield, Vfield, z, gamma=gamma)
     tanXV, traXV = _split_first(data, fibre, nXV.real_coords())
@@ -377,7 +384,7 @@ class ComplexImmersion:
         if self.tangent is not None:
             return np.asarray(self.tangent(u), dtype=complex)
         h = fd_step(u)
-        cols = [_richardson(lambda t: self.chart_map(u + t * e), h)
+        cols = [_richardson([self.chart_map(u + t * e) for t in _steps(h)], h)
                 for e in np.eye(self.m, dtype=complex)]
         return np.stack(cols, axis=1)
 
@@ -461,7 +468,8 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
             hol = immersion.jacobian(u + t * xcoeff) @ ycoeff_u
             return TangentVector.real(1j * hol if y_is_j else hol).components
 
-        dY = _richardson(Yfield_param, fd_step(u))
+        h = fd_step(u)
+        dY = _richardson([Yfield_param(t) for t in _steps(h)], h)
         # X must also move the conjugate part: the parameter curve is
         # holomorphic, so the real curve velocity is X itself only when
         # X.hol lies in the column span of jac: guaranteed for tangent X.

@@ -29,6 +29,7 @@ from .charts import (
     fd_step,
     wirtinger_derivative,
 )
+from .semieuclid import SemiEuclideanForm
 
 __all__ = ["LCKStructure", "LeeData", "SingularLeeError", "lee_data", "weyl_connection",
            "nabla_J_defect", "parallel_lee_residual", "lee_form_components"]
@@ -48,8 +49,10 @@ class LCKStructure:
     lee_form_eval(z) returns the n holomorphic components (omega(Z_j))_j;
     the antiholomorphic components are their conjugates since omega is a
     real 1-form.  conformal_factor_eval, when present, is a local f with
-    omega = df.  parallel_lee marks charts whose Lee form is parallel, on
-    which c is a constant worth asserting.
+    omega = df.  Both take a stack of points, shape (..., n), and return
+    one value per point (see the charts module docstring).  parallel_lee
+    marks charts whose Lee form is parallel, on which c is a constant
+    worth asserting.
     """
 
     chart: MetricChart
@@ -57,7 +60,7 @@ class LCKStructure:
     conformal_factor_eval: Optional[Callable[[np.ndarray], float]] = None
     parallel_lee: bool = False
     name: str = "lck"
-    # lee_data memo: point bytes -> read-only LeeData (see lee_data)
+    # lee_data memo: (shape, bytes) of a point or stack -> read-only LeeData
     _lee_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lee_hol(self, z: np.ndarray) -> np.ndarray:
@@ -67,7 +70,7 @@ class LCKStructure:
 def lee_form_components(lck: LCKStructure, z: np.ndarray) -> np.ndarray:
     """Full 2n frame components (omega(Z_A))_A of the Lee form."""
     hol = lck.lee_hol(z)
-    return np.concatenate([hol, hol.conj()])
+    return np.concatenate([hol, hol.conj()], axis=-1)
 
 
 def eval_form(components: np.ndarray, v: TangentVector) -> complex:
@@ -81,11 +84,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeeData:
-    """Pointwise Lee apparatus at z.
+    """Pointwise Lee apparatus at z, or at each point of a stack z of
+    shape (m, n), when every member gains a leading axis of length m.
 
     The cached members hold B and A in real interleaved coordinates, the
     real Gram, omega and theta as real covectors and the null test of c;
-    each is derived from H when first asked for, then kept.
+    each is derived from H when first asked for, then kept.  `form`, the
+    validated real form, exists for a single point only.
     """
 
     point: np.ndarray
@@ -94,9 +99,10 @@ class LeeData:
     omega: np.ndarray   # frame components of the Lee form
     theta: np.ndarray   # frame components of the anti-Lee form
     Omega: np.ndarray   # frame components Omega_{AB} of the Kahler 2-form
-    c: float            # g(B, B)
+    c: float            # g(B, B); an (m,) array for a stack
     H: np.ndarray       # metric components g_{j kbar}, as MetricChart.hermitian
     G: np.ndarray       # complexified Gram, as MetricChart.gram_full
+    s: int              # the chart's s: the real form has index 2s
 
     @cached_property
     def real_gram(self) -> np.ndarray:
@@ -112,21 +118,28 @@ class LeeData:
 
     @cached_property
     def omega_real(self) -> np.ndarray:
-        return _read_only(self.real_gram @ self.B_real)
+        return _read_only(np.matvec(self.real_gram, self.B_real))
 
     @cached_property
     def theta_real(self) -> np.ndarray:
-        return _read_only(self.real_gram @ self.A_real)
+        return _read_only(np.matvec(self.real_gram, self.A_real))
 
     @cached_property
     def non_null(self) -> bool:
         return _non_null(self.c, self.B_real)
 
+    @cached_property
+    def form(self) -> SemiEuclideanForm:
+        """The validated SemiEuclideanForm of the point, built from H as
+        MetricChart.real_form(point) builds it."""
+        return SemiEuclideanForm(dim=self.real_gram.shape[-1], index=2 * self.s,
+                                 gram=self.real_gram)
+
 
 def _non_null(c: float, Breal: np.ndarray) -> bool:
     """c = g(B, B) is nonzero relative to the Euclidean size max(1, |B|^2)
-    of the Lee field B in real interleaved coordinates."""
-    return abs(c) > NULL_C_TOL * max(1.0, float(Breal @ Breal))
+    of the Lee field B in real interleaved coordinates (per point)."""
+    return np.abs(c) > NULL_C_TOL * np.maximum(1.0, np.vecdot(Breal, Breal))
 
 
 def _nonsingular(data: LeeData) -> LeeData:
@@ -137,39 +150,39 @@ def _nonsingular(data: LeeData) -> LeeData:
 
 
 def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
-    """Raise the Lee form and assemble A, theta, Omega and c.
+    """Raise the Lee form and assemble A, theta, Omega and c at a point z,
+    shape (n,), or at every point of a stack, shape (m, n).
 
-    Memoized on the structure, one entry per distinct point: finite
-    difference stencils of projected fields revisit the same points many
-    times.  The returned arrays are read-only and `point` is a copy of z,
-    so a cached result cannot alias or be changed by any caller.  A point
-    whose Gram matrix is singular raises SingularMetricError on every call.
+    Memoized on the structure, one entry per distinct point or stack,
+    keyed by its shape and bytes: the derivatives taken at one base point
+    share one finite-difference stencil, so they share one stacked
+    evaluation.  Per point, a stack's rows equal what a single-point call
+    returns.  The returned arrays are read-only and `point` is a copy of
+    z, so a cached result cannot alias or be changed by any caller.  A
+    point or stack with a singular Gram matrix raises SingularMetricError
+    on every call.
     """
     z = np.asarray(z, dtype=complex)
-    key = z.tobytes()
+    key = (z.shape, z.tobytes())
     cached = lck._lee_cache.get(key)
     if cached is not None:
         return cached
     omega = lee_form_components(lck, z)
     H = lck.chart.hermitian(z)
     G = _mixed_blocks(H, H.conj())        # gram_full(z), sharing H with Omega
-    B = TangentVector.from_components(_solve_gram(G, omega, z))
+    B = TangentVector.from_components(_solve_gram(G, omega[..., None], z)[..., 0])
     A = -1.0 * B.j()                      # A = -J B
-    theta = G @ A.components              # theta(X) = g(X, A)
+    theta = np.matvec(G, A.components)    # theta(X) = g(X, A)
     Om = _mixed_blocks(-1j * H, 1j * H.conj())   # as in charts.kahler_form
-    c = float((omega @ B.components).real)
+    c = np.vecdot(omega.conj(), B.components).real   # omega(B), unconjugated
     data = LeeData(point=z.copy(), B=B, A=A, omega=omega, theta=theta, Omega=Om,
-                   c=c, H=H.view(), G=G)  # a view: a chart's constant H stays writable
+                   c=c, H=H.view(), G=G,  # a view: a chart's constant H stays writable
+                   s=lck.chart.s)
     for arr in (data.point, B.hol, B.antihol, A.hol, A.antihol, omega, theta, Om,
-                data.H, G):
+                data.H, G, np.asarray(c)):
         arr.setflags(write=False)
     lck._lee_cache[key] = data
     return data
-
-
-def lee_field(lck: LCKStructure) -> Callable[[np.ndarray], TangentVector]:
-    """The Lee field as a vector field."""
-    return lambda z: lee_data(lck, z).B
 
 
 def weyl_connection(lck: LCKStructure, X, Y, z: np.ndarray,

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import ChartDomainError, MetricChart, TangentVector, _richardson, metric_inner
+from .charts import ChartDomainError, MetricChart, TangentVector, _richardson, _steps, metric_inner
 from .lck import LCKStructure, lee_data
 from .semieuclid import FrameSubspace, orthogonal_complement, signature_of
 
@@ -99,12 +99,25 @@ class HopfModel:
         return 1.0 if b > 0 else -1.0
 
 
+def _constant(value: np.ndarray):
+    """Evaluator of a constant array: a writable copy per point of a stack."""
+    return lambda z: np.broadcast_to(value, np.shape(z)[:-1] + value.shape).copy()
+
+
+def _diagonal(d: np.ndarray) -> np.ndarray:
+    """Complex diagonal matrices (..., n, n) with diagonals d (..., n)."""
+    n = d.shape[-1]
+    out = np.zeros(d.shape + (n,), dtype=complex)
+    out.reshape(d.shape[:-1] + (n * n,))[..., ::n + 1] = d
+    return out
+
+
 def _hopf_metric_fns(n: int, s: int):
     eps = eps_signs(n, s)
 
     def metric(z):
-        b = float(np.sum(eps * np.abs(z) ** 2))
-        return np.diag(0.5 * eps / abs(b)).astype(complex)
+        b = (eps * np.abs(z) ** 2).sum(axis=-1, keepdims=True)
+        return _diagonal(0.5 * eps / np.abs(b))
 
     def deriv(z):
         b = float(np.sum(eps * np.abs(z) ** 2))
@@ -160,9 +173,9 @@ def hopf_chart(model: HopfModel) -> LCKStructure:
 
     def domain(z):
         z = np.asarray(z, dtype=complex)
-        b = float(np.sum(eps * np.abs(z) ** 2))
-        zz = float(np.vdot(z, z).real)
-        return zz > 0.0 and model.sign * b > 1e-12 * zz
+        b = (eps * np.abs(z) ** 2).sum(axis=-1)
+        zz = np.vecdot(z, z).real
+        return (zz > 0.0) & (model.sign * b > 1e-12 * zz)
 
     chart = MetricChart(n=n, s=s, metric_eval=metric, domain_pred=domain,
                         metric_deriv=deriv, christoffel_analytic=gamma,
@@ -170,13 +183,11 @@ def hopf_chart(model: HopfModel) -> LCKStructure:
 
     def lee(z):
         z = np.asarray(z, dtype=complex)
-        b = float(np.sum(eps * np.abs(z) ** 2))
-        a = 1.0 if b > 0 else -1.0
-        return -a * eps * z.conj() / abs(b)
+        b = (eps * np.abs(z) ** 2).sum(axis=-1, keepdims=True)
+        return np.where(b > 0, -eps, eps) * z.conj() / np.abs(b)   # -sign(b) eps zbar / |b|
 
     def factor(z):
-        b = float(np.sum(eps * np.abs(np.asarray(z)) ** 2))
-        return -float(np.log(abs(b)))
+        return -np.log(np.abs(np.sum(eps * np.abs(np.asarray(z)) ** 2, axis=-1)))
 
     return LCKStructure(chart=chart, lee_form_eval=lee,
                         conformal_factor_eval=factor, parallel_lee=True,
@@ -190,13 +201,13 @@ def flat_chart(n: int, s: int) -> LCKStructure:
     zero3 = np.zeros((n, n, n), dtype=complex)
     chart = MetricChart(
         n=n, s=s,
-        metric_eval=lambda z: H,
+        metric_eval=_constant(H),
         domain_pred=lambda z: True,
         metric_deriv=lambda z: (zero3, zero3),
         christoffel_analytic=lambda z: np.zeros((2 * n, 2 * n, 2 * n), dtype=complex),
         name=f"flat(n={n},s={s})")
-    return LCKStructure(chart=chart, lee_form_eval=lambda z: np.zeros(n, dtype=complex),
-                        conformal_factor_eval=lambda z: 0.0, parallel_lee=True,
+    return LCKStructure(chart=chart, lee_form_eval=_constant(np.zeros(n, dtype=complex)),
+                        conformal_factor_eval=_constant(np.zeros(())), parallel_lee=True,
                         name=chart.name)
 
 
@@ -219,7 +230,7 @@ def synthetic_null_structure(n: int, s: int, B_hol=None) -> LCKStructure:
     omega_hol = 0.5 * eps * B_hol.conj()   # lowering with H = diag(eps)/2
     base = flat_chart(n, s)
     return LCKStructure(chart=base.chart,
-                        lee_form_eval=lambda z: omega_hol,
+                        lee_form_eval=_constant(omega_hol),
                         conformal_factor_eval=None, parallel_lee=True,
                         name=f"synthetic-null(n={n},s={s})")
 
@@ -234,17 +245,17 @@ def halfplane_kahler_chart(n: int, s: int) -> LCKStructure:
     m = n + 1
 
     def metric(p):
-        v = float(p[0].imag)
-        H = np.zeros((m, m), dtype=complex)
-        H[0, 0] = 0.5 / v ** 3
-        H[1:, 1:] = np.diag(0.5 * eps)
-        return H
+        v = np.asarray(p)[..., 0].imag
+        d = np.empty(v.shape + (m,))
+        d[..., 0] = 0.5 / np.float_power(v, 3)
+        d[..., 1:] = 0.5 * eps
+        return _diagonal(d)
 
     chart = MetricChart(n=m, s=s, metric_eval=metric,
-                        domain_pred=lambda p: float(np.asarray(p)[0].imag) > 0.0,
+                        domain_pred=lambda p: np.asarray(p)[..., 0].imag > 0.0,
                         name=f"halfplane-kahler(n={n},s={s})")
     return LCKStructure(chart=chart,
-                        lee_form_eval=lambda p: np.zeros(m, dtype=complex),
+                        lee_form_eval=_constant(np.zeros(m, dtype=complex)),
                         parallel_lee=False, name=chart.name)
 
 
@@ -261,11 +272,13 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
     m = n + 1
 
     def metric(p):
-        v = float(p[0].imag)
-        H = np.zeros((m, m), dtype=complex)
-        H[0, 0] = 0.5 / v ** 2
-        H[1:, 1:] = np.diag(0.5 * v * eps)
-        return H
+        v = np.asarray(p)[..., 0].imag
+        d = np.empty(v.shape + (m,))
+        # float_power calls libm's pow, as a Python float's v ** 2 does;
+        # an array's v ** 2 squares, which differs in the last bit for some v
+        d[..., 0] = 0.5 / np.float_power(v, 2)
+        d[..., 1:] = 0.5 * v[..., None] * eps
+        return _diagonal(d)
 
     def deriv(p):
         v = float(p[0].imag)
@@ -296,17 +309,18 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
         return G
 
     chart = MetricChart(n=m, s=s, metric_eval=metric,
-                        domain_pred=lambda p: float(np.asarray(p)[0].imag) > 0.0,
+                        domain_pred=lambda p: np.asarray(p)[..., 0].imag > 0.0,
                         metric_deriv=deriv, christoffel_analytic=gamma_full,
                         name=f"tricerri(n={n},s={s})")
 
     def lee(p):
-        out = np.zeros(m, dtype=complex)
-        out[0] = 1.0 / (p[0] - np.conj(p[0]))    # = -i / (2 Im w)
+        p = np.asarray(p)
+        out = np.zeros(p.shape, dtype=complex)
+        out[..., 0] = 1.0 / (p[..., 0] - np.conj(p[..., 0]))    # = -i / (2 Im w)
         return out
 
     return LCKStructure(chart=chart, lee_form_eval=lee,
-                        conformal_factor_eval=lambda p: float(np.log(p[0].imag)),
+                        conformal_factor_eval=lambda p: np.log(np.asarray(p)[..., 0].imag),
                         parallel_lee=False, name=chart.name)
 
 
@@ -368,7 +382,7 @@ def fibration_split(model: HopfModel, z) -> tuple[FrameSubspace, FrameSubspace]:
         raise ValueError("point must satisfy b(z, z) = 1")
     lck = hopf_chart(model)
     data = lee_data(lck, z)
-    form = lck.chart.real_form(z)
+    form = data.form
     V0 = FrameSubspace.from_vectors(form, [data.A_real, data.B_real])
     sig = signature_of(form, V0)
     if sig.null:
@@ -404,7 +418,7 @@ def submersion_isometry_residual(model: HopfModel, z, u: TangentVector,
             ut = TangentVector(fac * u.hol, np.conj(fac) * u.antihol)
             vt = TangentVector(fac * v.hol, np.conj(fac) * v.antihol)
             return np.array([metric_inner(lck.chart, zt, ut, vt)])
-        return float(np.abs(_richardson(f, 1e-5)).max())
+        return float(np.abs(_richardson([f(t) for t in _steps(1e-5)], 1e-5)).max())
 
     return max(gram_along(1.0 + 0j), gram_along(1j))
 

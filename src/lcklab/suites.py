@@ -20,7 +20,10 @@ import numpy as np
 
 from . import cr as crmod
 from . import foliations as fol
-from .charts import TangentVector, christoffel, covariant_derivative, lie_bracket
+from .charts import (
+    TangentVector, christoffel, covariant_derivative, fd_step, lie_bracket,
+    wirtinger_derivative,
+)
 from .lck import lee_data, lee_form_components, nabla_J_defect, parallel_lee_residual, weyl_connection
 from .models import (
     HopfModel, cayley, deck_equivalent, eps_signs, fibration_split,
@@ -341,10 +344,8 @@ def _pt_connection_identities(cfg, rng):
     Y = _rand_real_vector(rng, n)
     W = _rand_real_vector(rng, n)
     # metric compatibility X(g(Y, W)) = g(nabla_X Y, W) + g(Y, nabla_X W)
-    from .charts import wirtinger_derivative, fd_step
-
-    def gYW(p):
-        return np.array([Y.components @ chart.gram_full(p) @ W.components])
+    def gYW(p):   # Y @ G @ W per point, rounded as at a single point
+        return np.vecdot(np.matmul(Y.components, chart.gram_full(p)).conj(), W.components)
 
     h = fd_step(z)
     d_dz, d_dzb = wirtinger_derivative(gYW, z, h)
@@ -358,8 +359,8 @@ def _pt_connection_identities(cfg, rng):
     # torsion on linear (z-dependent) fields
     M1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     M2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    F1 = lambda p: TangentVector.real(M1 @ p)
-    F2 = lambda p: TangentVector.real(M2 @ p)
+    F1 = lambda p: TangentVector.real(np.matvec(M1, p))
+    F2 = lambda p: TangentVector.real(np.matvec(M2, p))
     tors = covariant_derivative(chart, F1, F2, z, gamma=gamma).components \
         - covariant_derivative(chart, F2, F1, z, gamma=gamma).components \
         - lie_bracket(F1, F2, z).components
@@ -517,13 +518,13 @@ def _pt_cr_tangential(cfg, rng):
     coeffs = rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n)
 
     def holo(p):
-        return np.prod(p) + coeffs @ p
+        return np.prod(p, axis=-1) + np.vecdot(coeffs.conj(), p)
 
     resid = crmod.tangential_cr_residual(lck, z, holo)
     eps = eps_signs(cfg.n, cfg.s)
 
     def leaf_constant(p):
-        return abs(np.sum(eps * np.abs(p) ** 2))
+        return np.abs(np.sum(eps * np.abs(p) ** 2, axis=-1))
 
     return max(resid, crmod.tangential_cr_residual(lck, z, leaf_constant))
 

@@ -4,6 +4,7 @@ import pytest
 from lcklab.charts import (
     ChartDomainError,
     TangentVector,
+    _stencil,
     christoffel,
     conformal_connection_shift,
     covariant_derivative,
@@ -13,8 +14,9 @@ from lcklab.charts import (
     kahler_form,
     lie_bracket,
     metric_inner,
+    wirtinger_derivative,
 )
-from lcklab.lck import lee_data, lee_field
+from lcklab.lck import lee_data
 from lcklab.models import (
     HopfModel,
     flat_chart,
@@ -53,6 +55,53 @@ class TestTangentVector:
             lhs = u.real_coords() @ G @ v.real_coords()
             rhs = 2.0 * (u.hol @ H @ v.hol.conj()).real
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestStackedStencil:
+    """Every finite difference evaluates its stencil as one stack."""
+
+    Z = np.array([0.3 + 0.1j, -0.2 + 0.5j, 1.1j])
+
+    def test_fn_called_once_on_the_whole_stencil(self):
+        calls = []
+
+        def fn(p):
+            calls.append(p.shape)
+            return p ** 2
+
+        d_dz, d_dzb = wirtinger_derivative(fn, self.Z)
+        assert calls == [(24, 3)]
+        # d(z_k^2)/dz^l = 2 z_l delta_kl, and z_k^2 is holomorphic
+        assert np.abs(d_dz - np.diag(2.0 * self.Z)).max() < 1e-9
+        assert np.abs(d_dzb).max() < 1e-9
+
+    def test_stencil_points_are_the_coordinate_steps(self):
+        h = 1e-3
+        pts = _stencil(self.Z, h)
+        assert pts.shape == (4, 2, 3, 3)
+        for k, t in enumerate((h, -h, h / 2.0, -h / 2.0)):
+            for l, e in enumerate(np.eye(3, dtype=complex)):
+                assert np.array_equal(pts[k, 0, l], self.Z + t * e)
+                assert np.array_equal(pts[k, 1, l], self.Z + 1j * t * e)
+
+    @pytest.mark.parametrize("fn", [
+        lambda p: p[0],                 # pointwise: the first stencil point
+        lambda p: 1.0,                  # no stack axis at all
+        lambda p: p[..., 0][:-1],       # one value short
+    ])
+    def test_wrong_leading_axis_raises(self, fn):
+        with pytest.raises(ValueError, match="one value per stencil point"):
+            wirtinger_derivative(fn, self.Z)
+
+    def test_stencil_leaving_the_domain_raises(self):
+        # inside the positive region, but within one step of the cone
+        z = np.array([1.0, 1.0 + 1e-7], dtype=complex)
+        assert HOPF.chart.domain_pred(z)
+        B = lambda p: lee_data(HOPF, p).B
+        with pytest.raises(ChartDomainError, match="stencil"):
+            covariant_derivative(HOPF.chart, TangentVector.real([1.0, 0.0]), B, z)
+        with pytest.raises(ChartDomainError, match="stencil"):
+            christoffel(HOPF.chart, z, derivatives="fd")
 
 
 class TestChartInvariants:
@@ -144,7 +193,7 @@ class TestCovariantDerivative:
         assert np.abs(out.components).max() == 0.0
 
     def test_hopf_lee_field_parallel(self):
-        B = lee_field(HOPF)
+        B = lambda p: lee_data(HOPF, p).B
         rng = np.random.default_rng(14)
         z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
         for j in range(2):
@@ -153,7 +202,7 @@ class TestCovariantDerivative:
             assert np.abs(out.components).max() < 1e-8
 
     def test_tricerri_lee_derivative(self):
-        B = lee_field(TRIC)
+        B = lambda p: lee_data(TRIC, p).B
         p = np.array([0.4 + 1.1j, 0.2 + 0.5j, -0.6 + 0.1j])
         X = TangentVector.complexified(np.eye(3)[1], np.zeros(3))
         out = covariant_derivative(TRIC.chart, X, B, p)
@@ -165,13 +214,13 @@ class TestCovariantDerivative:
 class TestGradient:
     def test_flat_euclidean_coordinate(self):
         chart = flat_chart(1, 0).chart   # real plane as a 1-dim complex chart
-        g = gradient(chart, lambda p: p[0].real, np.array([0.2 + 0.1j]))
+        g = gradient(chart, lambda p: p[..., 0].real, np.array([0.2 + 0.1j]))
         assert np.allclose(g.real_coords(), [1.0, 0.0], atol=1e-10)
 
     def test_defining_identity_indefinite(self):
         rng = np.random.default_rng(15)
         z = np.array([0.4 - 0.3j, 1.2 + 0.5j])
-        f = lambda p: p[0].real
+        f = lambda p: p[..., 0].real
         g = gradient(FLAT.chart, f, z)
         for _ in range(10):
             X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
@@ -182,7 +231,7 @@ class TestGradient:
     def test_hopf_log_norm_gradient_is_minus_lee(self):
         rng = np.random.default_rng(16)
         z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
-        f = lambda p: np.log(abs(-abs(p[0]) ** 2 + abs(p[1]) ** 2))
+        f = lambda p: np.log(abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2))
         g = gradient(HOPF.chart, f, z)
         B = lee_data(HOPF, z).B
         assert np.abs(g.components + B.components).max() < 1e-8
@@ -197,8 +246,8 @@ class TestLieBracket:
 
     def test_plane_example(self):
         # X = x2 d/dx1, Y = d/dx2 on R^2: [X, Y] = -d/dx1
-        X = lambda p: TangentVector.real([p[0].imag])
-        Y = lambda p: TangentVector.real([1j])
+        X = lambda p: TangentVector.real(p[..., :1].imag)
+        Y = lambda p: TangentVector.real(np.full(p.shape, 1j))
         out = lie_bracket(X, Y, np.array([0.7 + 0.2j]))
         assert np.abs(out.components - TangentVector.real([-1.0]).components).max() < 1e-10
 
@@ -225,7 +274,7 @@ class TestExteriorDerivative:
 
     def test_conformal_rescaling_breaks_closedness(self):
         base = kahler_form(FLAT.chart)
-        scaled = lambda p: np.exp(p[0].real) * base(p)
+        scaled = lambda p: np.exp(p[..., 0].real)[..., None, None] * base(p)
         d = exterior_derivative_2form(scaled, np.array([1.0, 1.0], dtype=complex))
         assert np.abs(d).max() > 0.1
 
@@ -234,11 +283,11 @@ class TestExteriorDerivative:
         coeff = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 
         def alpha(p):
-            w = np.concatenate([p, p.conj()])
-            return coeff @ w + (w ** 2) @ coeff.T
+            w = np.concatenate([p, p.conj()], axis=-1)
+            return np.matvec(coeff, w) + np.matvec(coeff, w ** 2)
 
         def dalpha(p):
-            return exterior_derivative_1form(alpha, p)
+            return np.stack([exterior_derivative_1form(alpha, q) for q in p])
 
         z = np.array([0.3 - 0.2j, 0.6 + 0.4j])
         dd = exterior_derivative_2form(dalpha, z)
@@ -251,7 +300,8 @@ class TestConformalShift:
         X = TangentVector.real([1.0, 0.5j])
         Y = TangentVector.real([0.2, -1.0])
         base = covariant_derivative(HOPF.chart, X, Y, z)
-        shifted = conformal_connection_shift(HOPF.chart, lambda p: 3.7, X, Y, z)
+        shifted = conformal_connection_shift(
+            HOPF.chart, lambda p: np.full(p.shape[:-1], 3.7), X, Y, z)
         assert np.abs(base.components - shifted.components).max() < 1e-12
 
     def test_halfplane_rescaling_reproduces_family_connection(self):
@@ -261,7 +311,7 @@ class TestConformalShift:
         aux = halfplane_kahler_chart(2, 1)
         p = np.array([0.4 + 1.2j, 0.8 - 0.1j, 0.3 + 0.6j])
         rng = np.random.default_rng(18)
-        f = lambda q: -np.log(q[0].imag)
+        f = lambda q: -np.log(q[..., 0].imag)
         gam = christoffel(TRIC.chart, p).gamma
         for _ in range(5):
             X = TangentVector.real(rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -275,7 +325,7 @@ class TestConformalShift:
         # factor -log |z|^2 must kill the connection on constant fields
         rng = np.random.default_rng(19)
         z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
-        f = lambda p: -np.log(abs(-abs(p[0]) ** 2 + abs(p[1]) ** 2))
+        f = lambda p: -np.log(abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2))
         X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         Y = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         shifted = conformal_connection_shift(HOPF.chart, f, X, Y, z)
@@ -304,7 +354,8 @@ class TestMetricCompatibility:
             rhs = complex(nXY.components @ G @ W.components
                           + Y.components @ G @ nXW.components)
             # finite-difference lhs
-            gYW = lambda p: np.array([Y.components @ chart.gram_full(p) @ W.components])
+            gYW = lambda p: np.einsum("a,...ab,b->...", Y.components, chart.gram_full(p),
+                                      W.components)
             d_dz, d_dzb = wirtinger_derivative(gYW, z, fd_step(z))
             df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
             assert abs(complex(df @ X.components) - rhs) < 1e-6

@@ -73,16 +73,16 @@ class TestCRFibre:
 
 class TestTangentialCR:
     def test_holomorphic_restriction(self):
-        assert tangential_cr_residual(HOPF, Z01, lambda p: p[0] * p[1]) < 1e-8
+        assert tangential_cr_residual(HOPF, Z01, lambda p: p[..., 0] * p[..., 1]) < 1e-8
 
     def test_antiholomorphic_detected(self):
-        res = tangential_cr_residual(HOPF, Z01, lambda p: np.conj(p[0]))
+        res = tangential_cr_residual(HOPF, Z01, lambda p: np.conj(p[..., 0]))
         assert res == pytest.approx(1.0, abs=1e-8)
 
     def test_leaf_constant_function(self):
         rng = np.random.default_rng(2)
         z = sample_hopf(MODEL, rng)
-        f = lambda p: abs(-abs(p[0]) ** 2 + abs(p[1]) ** 2)
+        f = lambda p: abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2)
         assert tangential_cr_residual(HOPF, z, f) < 1e-8
 
 
@@ -118,7 +118,8 @@ class TestLeviForm:
         # chart are Levi-flat hyperplanes
         flat = flat_chart(2, 0)
         lck = LCKStructure(chart=flat.chart,
-                           lee_form_eval=lambda z: np.array([0.5, 0.0], dtype=complex),
+                           lee_form_eval=lambda z: np.broadcast_to(
+                               np.array([0.5, 0.0], dtype=complex), np.shape(z)),
                            parallel_lee=True, name="flat-spacelike")
         assert levi_flat_detector(lck, np.array([0.2 + 0.1j, -0.4j]))
 

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcklab.charts import TangentVector, christoffel, covariant_derivative
+from lcklab.charts import MetricChart, TangentVector, christoffel, covariant_derivative
+from lcklab.cr import cr_fibre
 from lcklab.foliations import (
     ComplexImmersion,
+    _null_transversal,
     complex_submanifold_mean_curvature,
     first_foliation_fibre,
     gauss_weingarten,
@@ -15,8 +17,8 @@ from lcklab.foliations import (
     lightlike_transversal,
     second_foliation_fibre,
 )
-from lcklab.lck import lee_data
-from lcklab.models import HopfModel, flat_chart, hopf_chart, synthetic_null_structure, tricerri_chart
+from lcklab.lck import LCKStructure, lee_data
+from lcklab.models import HopfModel, eps_signs, flat_chart, hopf_chart, synthetic_null_structure, tricerri_chart
 from lcklab.sampling import sample_hopf, sample_null_config, sample_pair_frame, sample_complement_vector
 from lcklab.semieuclid import (
     FrameSubspace,
@@ -61,7 +63,8 @@ class TestFirstFoliation:
         assert same_span(fib.radical, FrameSubspace.from_vectors(fib.form, [B]),
                          tol=1e-9)
         assert fib.screen.dim == 2
-        assert fib.split_residual() < 1e-10
+        cross = fib.screen.basis @ fib.form.gram @ fib.radical.basis.T
+        assert np.abs(cross).max() < 1e-10
         # transversal normalization
         omega = fib.form.gram @ B
         N = fib.transversal.basis[0]
@@ -164,6 +167,43 @@ class TestGaussWeingarten:
         gauss_weingarten(lck, fib, X, Y, fib.transversal.basis[0], z)
         assert built == []
 
+    def test_null_branch_builds_no_validated_form(self, monkeypatch):
+        syn = synthetic_null_structure(2, 1)
+        z = np.zeros(2, dtype=complex)
+        fib = first_foliation_fibre(syn, z)
+        X, Y = fib.tangent.basis[1], fib.tangent.basis[2]
+        built = []
+        validate = SemiEuclideanForm.__post_init__
+
+        def counted(self):
+            built.append(1)
+            validate(self)
+
+        monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counted)
+        gauss_weingarten(syn, fib, X, Y, fib.transversal.basis[0], z)
+        assert len(built) <= 1
+
+    @pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (4, 2), (5, 2)])
+    def test_closed_form_null_transversal_is_the_fibre_transversal(self, n, s):
+        rng = np.random.default_rng(10 * n + s)
+        c = sample_null_config(n, s, rng)
+        syn = synthetic_null_structure(n, s, B_hol=c.B[0::2] + 1j * c.B[1::2])
+        # a constant metric with unequal weights, where g(V, V) != 0
+        eps, w = eps_signs(n, s), rng.uniform(0.5, 2.0, n)
+        B_hol = c.B[0::2] + 1j * c.B[1::2]
+        B_hol = B_hol / np.sqrt(w)           # null for diag(eps w) / 2 as for diag(eps) / 2
+        H = np.diag(0.5 * eps * w).astype(complex)
+        chart = MetricChart(n=n, s=s, domain_pred=lambda p: True,
+                            metric_eval=lambda p: np.broadcast_to(H, np.shape(p)[:-1] + H.shape))
+        omega_hol = 0.5 * eps * w * B_hol.conj()
+        weighted = LCKStructure(chart=chart, lee_form_eval=lambda p: np.broadcast_to(
+            omega_hol, np.shape(p)))
+        z = np.zeros(n, dtype=complex)
+        for lck in (syn, weighted):
+            N = first_foliation_fibre(lck, z).transversal.basis[0]
+            closed = _null_transversal(lee_data(lck, z))
+            assert np.abs(closed - N).max() <= 1e-12 * np.abs(N).max()
+
     def test_zero_lee_field_rejected(self):
         flat = flat_chart(2, 1)
         with pytest.raises(ValueError):
@@ -183,17 +223,17 @@ class TestGaussWeingarten:
         def metric_ext(vec):
             def field(p):
                 dp = lee_data(HOPF, p)
-                om = HOPF.chart.real_form(p).gram @ dp.B.real_coords()
+                om = np.matvec(HOPF.chart.real_gram(p), dp.B.real_coords())
                 return TangentVector.from_real_coords(
-                    vec - (float(om @ vec) / dp.c) * dp.B.real_coords())
+                    vec - (np.vecdot(om, vec) / dp.c)[..., None] * dp.B.real_coords())
             return field
 
         def euclid_ext(vec):
             def field(p):
                 dp = lee_data(HOPF, p)
-                om = HOPF.chart.real_form(p).gram @ dp.B.real_coords()
+                om = np.matvec(HOPF.chart.real_gram(p), dp.B.real_coords())
                 return TangentVector.from_real_coords(
-                    vec - (float(om @ vec) / float(om @ om)) * om)
+                    vec - (np.vecdot(om, vec) / np.vecdot(om, om))[..., None] * om)
             return field
 
         def h_of(ext):
@@ -216,6 +256,25 @@ class TestGaussWeingarten:
         assert abs(C) < 1e-12       # flat synthetic data: h = 0
         fake = sfd.h + 0.3 * fib.transversal.basis[0]
         assert float(omega @ fake) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_fibres_share_one_validated_form_per_point(monkeypatch):
+    syn = synthetic_null_structure(3, 1)
+    z = np.zeros(3, dtype=complex)
+    built = []
+    validate = SemiEuclideanForm.__post_init__
+
+    def counted(self):
+        built.append(1)
+        validate(self)
+
+    monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counted)
+    first_foliation_fibre(syn, z)
+    second_foliation_fibre(syn, z)
+    cr_fibre(syn, z)
+    assert len(built) == 1
+    assert first_foliation_fibre(syn, z).form is lee_data(syn, z).form
+    assert np.array_equal(lee_data(syn, z).form.gram, syn.chart.real_form(z).gram)
 
 
 class TestSecondFoliation:

@@ -5,9 +5,11 @@ from lcklab.charts import (
     MetricChart,
     SingularMetricError,
     TangentVector,
+    _stencil,
     christoffel,
     exterior_derivative_1form,
     exterior_derivative_2form,
+    fd_step,
     kahler_form,
 )
 from lcklab.lck import (
@@ -162,6 +164,59 @@ class TestRealMembers:
         assert flat.chart.hermitian(z).flags.writeable
 
 
+class TestStackedLeeData:
+    """lee_data on a stack of points, as finite-difference stencils call it."""
+
+    CASES = dict(TestRealMembers.CASES, flat=(FLAT, np.array([0.1 + 0.2j, -0.3j])))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_equal_single_point_evaluations(self, case):
+        lck, z = self.CASES[case]
+        stack = _stencil(z, fd_step(z)).reshape(-1, z.size)
+        d = lee_data(lck, stack)
+        assert d.B.hol.shape == stack.shape and d.c.shape == stack.shape[:1]
+        for i, p in enumerate(stack):
+            single = lee_data(lck, p)
+            assert d.c[i] == single.c
+            for name in ("omega", "theta", "Omega", "H", "G", "B_real", "A_real",
+                         "omega_real", "theta_real", "non_null"):
+                assert np.array_equal(getattr(d, name)[i], getattr(single, name)), name
+            assert np.array_equal(d.B.components[i], single.B.components)
+            assert np.array_equal(d.A.components[i], single.A.components)
+
+    def test_stack_is_memoized_apart_from_its_rows(self):
+        calls = []
+        metric = HOPF.chart.metric_eval
+
+        def counted(z):
+            calls.append(np.shape(z))
+            return metric(z)
+
+        chart = MetricChart(n=2, s=1, metric_eval=counted, domain_pred=HOPF.chart.domain_pred)
+        lck = LCKStructure(chart=chart, lee_form_eval=HOPF.lee_form_eval)
+        z = np.array([0.3 + 0.1j, 1.2 - 0.4j])
+        stack = _stencil(z, fd_step(z)).reshape(-1, 2)
+        first = lee_data(lck, stack)
+        assert lee_data(lck, stack.copy()) is first
+        assert calls == [(16, 2)]
+        # a one-point stack is not the point itself
+        assert lee_data(lck, z[None]).B.hol.shape == (1, 2)
+        assert lee_data(lck, z).B.hol.shape == (2,)
+
+    def test_one_singular_gram_in_a_stack_raises(self):
+        def metric(z):   # diag(Re z1, 1) / 2: singular where Re z1 = 0
+            d = np.stack(np.broadcast_arrays(z[..., 0].real, 1.0), axis=-1)
+            return np.einsum("...j,jk->...jk", 0.5 * d, np.eye(2))
+
+        chart = MetricChart(n=2, s=0, metric_eval=metric, domain_pred=lambda z: True)
+        lck = LCKStructure(chart=chart, lee_form_eval=lambda z: np.ones(np.shape(z)))
+        stack = np.array([[1.0, 0.5], [0.5j, 0.2], [2.0, 1j]])
+        assert lee_data(lck, stack[[0, 2]]).c.shape == (2,)
+        with pytest.raises(SingularMetricError) as err:
+            lee_data(lck, stack)
+        assert str(stack[1]) in str(err.value)   # the singular point is named
+
+
 class TestPointMemo:
     """lee_data memoizes per point without callers noticing."""
 
@@ -249,7 +304,8 @@ class TestWeylConnection:
         rng = np.random.default_rng(7)
         z = sample_hopf(MODEL, rng)
         Y = TangentVector.real([0.0, 1.0])
-        gYY = lambda p: np.array([Y.components @ HOPF.chart.gram_full(p) @ Y.components])
+        gYY = lambda p: np.einsum("a,...ab,b->...", Y.components, HOPF.chart.gram_full(p),
+                                  Y.components)
         d_dz, d_dzb = wirtinger_derivative(gYY, z, fd_step(z))
         df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
         # the defect is a covector in X: witness it over all 2n real
@@ -309,6 +365,6 @@ def test_homothety_rigidity_witness():
     # conformally rescaling an (indefinite) Kahler metric by a nonconstant
     # factor always breaks closedness of the fundamental form
     base = kahler_form(FLAT.chart)
-    scaled = lambda p: np.exp(p[0].real) * base(p)
+    scaled = lambda p: np.exp(p[..., 0].real)[..., None, None] * base(p)
     d = exterior_derivative_2form(scaled, np.array([1.0, 1.0], dtype=complex))
     assert np.abs(d).max() > 1e-3
