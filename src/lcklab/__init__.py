@@ -14,6 +14,7 @@ from .charts import (
     exterior_derivative_2form,
     gradient,
     kahler_form,
+    koszul_christoffel,
     lie_bracket,
     metric_inner,
 )

@@ -8,10 +8,11 @@ coefficients are solved from the Koszul identity
     2 g_{AD} Gamma^A_{BC} = Z_B(g_{CD}) + Z_C(g_{BD}) - Z_D(g_{BC})
 
 with indices A,B,C,D running over both holomorphic and antiholomorphic
-slots.  Metric derivatives come from an analytic evaluator when the
-chart supplies one, otherwise from Richardson-extrapolated central
-differences, so every closed-form quantity has a finite-difference
-oracle.
+slots, and metric derivatives from Richardson-extrapolated central
+differences.  christoffel has two routes: a chart's closed-form
+coefficients when it carries them, otherwise this Koszul solve.
+koszul_christoffel is the solve alone, the finite-difference oracle
+against which every closed form is checked.
 
 Conventions
 -----------
@@ -56,6 +57,7 @@ __all__ = [
     "fd_step",
     "wirtinger_derivative",
     "christoffel",
+    "koszul_christoffel",
     "covariant_derivative",
     "gradient",
     "lie_bracket",
@@ -171,17 +173,16 @@ class MetricChart:
     metric_eval(z) returns the n x n Hermitian matrix H with
     H[j, k] = g(Z_j, Zbar_k), and domain_pred(z) whether z lies in the
     domain; both take a stack of points, shape (..., n), and return one
-    value per point.  metric_deriv(z), when present, returns
-    (dH_dz, dH_dzbar) with dH_dz[l, j, k] = dH[j, k]/dz^l.
-    christoffel_analytic(z), when present, returns the full (2n, 2n, 2n)
-    coefficient array in the frame-index convention of this module.
+    value per point.  christoffel_analytic(z), when present, returns the
+    closed-form (2n, 2n, 2n) coefficient array at a single point, in the
+    frame-index convention of this module; christoffel then returns it
+    in place of the Koszul solve.
     """
 
     n: int
     s: int
     metric_eval: Callable[[np.ndarray], np.ndarray]
     domain_pred: Callable[[np.ndarray], bool]
-    metric_deriv: Optional[Callable[[np.ndarray], tuple]] = None
     christoffel_analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "chart"
 
@@ -312,13 +313,9 @@ def _require_stencil_domain(chart: MetricChart, z: np.ndarray, h: float) -> None
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
-    """Gamma^A_{BC} at a point, with the numerically solved oracle kept
-    alongside whenever a closed form was returned."""
+    """Gamma^A_{BC} at a point."""
 
-    point: np.ndarray
     gamma: np.ndarray                 # (2n, 2n, 2n), gamma[A, B, C]
-    solved: Optional[np.ndarray]      # Koszul solve, None if gamma IS the solve
-    analytic: bool
 
     def symmetry_residual(self) -> float:
         return float(np.abs(self.gamma - self.gamma.transpose(0, 2, 1)).max())
@@ -330,18 +327,13 @@ class ConnectionCoefficients:
         return float(np.abs(self.gamma - flipped).max())
 
 
-def _metric_derivative_tensor(chart: MetricChart, z: np.ndarray,
-                              use_analytic: bool) -> np.ndarray:
-    """T[E, C, D] = Z_E(g_{CD}) over full frame indices E, C, D."""
+def _metric_derivative_tensor(chart: MetricChart, z: np.ndarray) -> np.ndarray:
+    """T[E, C, D] = Z_E(g_{CD}) over full frame indices E, C, D, by central
+    differences on a stencil that must stay in the domain."""
     n = chart.n
-    if use_analytic and chart.metric_deriv is not None:
-        dH_dz, dH_dzb = chart.metric_deriv(z)
-        dH_dz = np.asarray(dH_dz, dtype=complex)
-        dH_dzb = np.asarray(dH_dzb, dtype=complex)
-    else:
-        h = fd_step(z)
-        _require_stencil_domain(chart, z, h)
-        dH_dz, dH_dzb = wirtinger_derivative(chart.hermitian, z, h)
+    h = fd_step(z)
+    _require_stencil_domain(chart, z, h)
+    dH_dz, dH_dzb = wirtinger_derivative(chart.hermitian, z, h)
     T = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
     # g_{j kbar} = H[j, k]; g_{jbar k} = conj(H[k, j]); pure blocks vanish.
     for l in range(n):
@@ -352,9 +344,12 @@ def _metric_derivative_tensor(chart: MetricChart, z: np.ndarray,
     return T
 
 
-def _solve_koszul(chart: MetricChart, z: np.ndarray, use_analytic_deriv: bool) -> np.ndarray:
+def koszul_christoffel(chart: MetricChart, z: np.ndarray) -> np.ndarray:
+    """Gamma^A_{BC} at z, (2n, 2n, 2n), solved from the Koszul identity with
+    finite-difference metric derivatives: the oracle for closed forms."""
+    z = np.asarray(z, dtype=complex)
     n = chart.n
-    T = _metric_derivative_tensor(chart, z, use_analytic_deriv)
+    T = _metric_derivative_tensor(chart, z)
     # rhs[D, B, C] = Z_B g_{CD} + Z_C g_{BD} - Z_D g_{BC}
     rhs = np.empty((2 * n, 2 * n, 2 * n), dtype=complex)
     for D in range(2 * n):
@@ -363,30 +358,15 @@ def _solve_koszul(chart: MetricChart, z: np.ndarray, use_analytic_deriv: bool) -
     return 0.5 * solved.reshape(2 * n, 2 * n, 2 * n)
 
 
-def christoffel(chart: MetricChart, z: np.ndarray,
-                derivatives: str = "auto") -> ConnectionCoefficients:
-    """Connection coefficients at z.
-
-    derivatives: "auto" uses the chart's analytic metric derivatives when
-    available, "fd" forces the central-difference path (the independent
-    oracle for closed forms), "analytic" requires the analytic evaluator.
-
-    When the chart carries closed-form coefficients they are returned as
-    `gamma` and the Koszul solve is kept in `solved` for comparison.
-    """
+def christoffel(chart: MetricChart, z: np.ndarray) -> ConnectionCoefficients:
+    """Connection coefficients at z: the chart's closed form when it
+    carries one, otherwise koszul_christoffel."""
     z = np.asarray(z, dtype=complex)
     if not chart.domain_pred(z):
         raise ChartDomainError(f"point {z} outside domain of {chart.name}")
-    if derivatives not in ("auto", "fd", "analytic"):
-        raise ValueError(f"unknown derivatives mode {derivatives!r}")
-    if derivatives == "analytic" and chart.metric_deriv is None:
-        raise ValueError("chart has no analytic metric derivatives")
-    use_analytic = derivatives != "fd" and chart.metric_deriv is not None
-    solved = _solve_koszul(chart, z, use_analytic)
-    if chart.christoffel_analytic is not None:
-        gamma = np.asarray(chart.christoffel_analytic(z), dtype=complex)
-        return ConnectionCoefficients(point=z, gamma=gamma, solved=solved, analytic=True)
-    return ConnectionCoefficients(point=z, gamma=solved, solved=None, analytic=False)
+    if chart.christoffel_analytic is None:
+        return ConnectionCoefficients(gamma=koszul_christoffel(chart, z))
+    return ConnectionCoefficients(gamma=np.asarray(chart.christoffel_analytic(z), dtype=complex))
 
 
 def _as_field(obj) -> Callable[[np.ndarray], TangentVector]:
@@ -500,11 +480,13 @@ def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray,
     base = covariant_derivative(chart, X, Y, z, gamma=gamma)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     h = fd_step(z)
+    _require_stencil_domain(chart, z, h)
     d_dz, d_dzb = wirtinger_derivative(f, z, h)
     df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
     Xf = complex(df @ Xv.components)
     Yf = complex(df @ Yv.components)
-    gXY = Xv.components @ chart.gram_full(z) @ Yv.components
-    gradf = gradient(chart, f, z)
-    shift = Xf * Yv.components + Yf * Xv.components - gXY * gradf.components
+    G = chart.gram_full(z)
+    gXY = Xv.components @ G @ Yv.components
+    gradf = _solve_gram(G, df, z)   # grad f, as gradient() solves it
+    shift = Xf * Yv.components + Yf * Xv.components - gXY * gradf
     return TangentVector.from_components(base.components - 0.5 * shift)

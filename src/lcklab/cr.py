@@ -74,15 +74,14 @@ def cr_fibre(lck: LCKStructure, z) -> CRFibre:
     return CRFibre(point=z, t10=t10, levi_H=levi_H, characteristic=marker)
 
 
-def tangential_cr_residual(lck: LCKStructure, z, f) -> float:
-    """max |Zbar(f)| over a basis of the conjugate CR bundle at z.
+def tangential_cr_residual(fib: CRFibre, f) -> float:
+    """max |Zbar(f)| over a basis of the conjugate CR bundle at z = fib.point.
 
     f is an ambient function near z, taking a stack of points (see the
     charts module docstring); its restriction to the leaf is CR at z iff
     the residual vanishes.
     """
-    z = np.asarray(z, dtype=complex)
-    fib = cr_fibre(lck, z)
+    z = fib.point
     h = fd_step(z)
     _, d_dzb = wirtinger_derivative(f, z, h)
     # T01 = conj(T10): Zbar(f) contracts conj components with dzbar
@@ -101,18 +100,16 @@ def _t10_projected_field(lck: LCKStructure, v0: np.ndarray):
     return field
 
 
-def levi_form(lck: LCKStructure, z, V, W) -> complex:
+def levi_form(lck: LCKStructure, fib: CRFibre, V, W) -> complex:
     """Levi form L(V, Wbar) = i * (characteristic component of [V, Wbar]).
 
-    V, W are type-(1,0) vectors in the CR fibre at z (holomorphic
-    component arrays or TangentVectors); they are extended as CR
+    V, W are type-(1,0) vectors in the CR fibre fib of lck at z = fib.point
+    (holomorphic component arrays or TangentVectors); they are extended as CR
     sections by pointwise projection and the bracket is computed by
     central differences.  The value is taken against the fixed
     characteristic generator of the leaf tangent modulo the Levi
     distribution, so only signs and zeros are geometrically meaningful.
     """
-    z = np.asarray(z, dtype=complex)
-    fib = cr_fibre(lck, z)
     vh = V.hol if isinstance(V, TangentVector) else np.asarray(V, dtype=complex)
     wh = W.hol if isinstance(W, TangentVector) else np.asarray(W, dtype=complex)
     Vf = _t10_projected_field(lck, vh)
@@ -121,7 +118,7 @@ def levi_form(lck: LCKStructure, z, V, W) -> complex:
     def Wbar(p):
         return Wf(p).conj()
 
-    br = lie_bracket(Vf, Wbar, z)
+    br = lie_bracket(Vf, Wbar, fib.point)
     # decompose against (complexified) H basis + characteristic generator
     cols = [TangentVector.real(fib.t10[:, k]).components for k in range(fib.t10.shape[1])]
     cols += [TangentVector.real(fib.t10[:, k]).j().components for k in range(fib.t10.shape[1])]
@@ -138,7 +135,7 @@ def levi_flat_detector(lck: LCKStructure, z, tol: float = 1e-6) -> bool:
     worst = 0.0
     for a in range(fib.t10.shape[1]):
         for b in range(fib.t10.shape[1]):
-            worst = max(worst, abs(levi_form(lck, z, fib.t10[:, a], fib.t10[:, b])))
+            worst = max(worst, abs(levi_form(lck, fib, fib.t10[:, a], fib.t10[:, b])))
     return worst < tol
 
 

@@ -50,15 +50,12 @@ class LCKStructure:
     the antiholomorphic components are their conjugates since omega is a
     real 1-form.  conformal_factor_eval, when present, is a local f with
     omega = df.  Both take a stack of points, shape (..., n), and return
-    one value per point (see the charts module docstring).  parallel_lee
-    marks charts whose Lee form is parallel, on which c is a constant
-    worth asserting.
+    one value per point (see the charts module docstring).
     """
 
     chart: MetricChart
     lee_form_eval: Callable[[np.ndarray], np.ndarray]
     conformal_factor_eval: Optional[Callable[[np.ndarray], float]] = None
-    parallel_lee: bool = False
     name: str = "lck"
     # lee_data memo: (shape, bytes) of a point or stack -> read-only LeeData
     _lee_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -2,8 +2,8 @@
 
 * the indefinite Hermitian form b_{s,n} and its null cone,
 * the indefinite Hopf chart (deck-invariant metric on the quotient of
-  the off-cone region by z -> lambda z), with closed-form metric
-  derivatives, connection coefficients and Lee form,
+  the off-cone region by z -> lambda z), with closed-form connection
+  coefficients and Lee form,
 * the flat indefinite Kahler chart and the upper-half-space auxiliary
   Kahler chart,
 * the Tricerri-family chart on C_+ x C^n_s with nonparallel Lee form,
@@ -119,19 +119,6 @@ def _hopf_metric_fns(n: int, s: int):
         b = (eps * np.abs(z) ** 2).sum(axis=-1, keepdims=True)
         return _diagonal(0.5 * eps / np.abs(b))
 
-    def deriv(z):
-        b = float(np.sum(eps * np.abs(z) ** 2))
-        a = 1.0 if b > 0 else -1.0
-        r2 = abs(b)
-        base = 0.5 * eps  # diagonal of r2 * H
-        dH_dz = np.zeros((n, n, n), dtype=complex)
-        dH_dzb = np.zeros((n, n, n), dtype=complex)
-        for l in range(n):
-            fac = -a * eps[l] / r2 ** 2
-            dH_dz[l][np.diag_indices(n)] = base * fac * np.conj(z[l])
-            dH_dzb[l][np.diag_indices(n)] = base * fac * z[l]
-        return dH_dz, dH_dzb
-
     def gamma(z):
         z = np.asarray(z, dtype=complex)
         b = float(np.sum(eps * np.abs(z) ** 2))
@@ -158,18 +145,18 @@ def _hopf_metric_fns(n: int, s: int):
         G[n:, n:, n:] = G[:n, :n, :n].conj()
         return G
 
-    return metric, deriv, gamma
+    return metric, gamma
 
 
 def hopf_chart(model: HopfModel) -> LCKStructure:
-    """Chart of the deck-invariant metric with analytic derivative data.
+    """Chart of the deck-invariant metric with closed-form coefficients.
 
     Metric components g_{j kbar} = (1/2) |z|_{s,n}^{-2} eps_j delta_{jk};
     Lee form omega = -d log |z|^2_{s,n}.
     """
     n, s = model.n, model.s
     eps = eps_signs(n, s)
-    metric, deriv, gamma = _hopf_metric_fns(n, s)
+    metric, gamma = _hopf_metric_fns(n, s)
 
     def domain(z):
         z = np.asarray(z, dtype=complex)
@@ -178,7 +165,7 @@ def hopf_chart(model: HopfModel) -> LCKStructure:
         return (zz > 0.0) & (model.sign * b > 1e-12 * zz)
 
     chart = MetricChart(n=n, s=s, metric_eval=metric, domain_pred=domain,
-                        metric_deriv=deriv, christoffel_analytic=gamma,
+                        christoffel_analytic=gamma,
                         name=f"hopf(n={n},s={s},{model.region})")
 
     def lee(z):
@@ -190,25 +177,21 @@ def hopf_chart(model: HopfModel) -> LCKStructure:
         return -np.log(np.abs(np.sum(eps * np.abs(np.asarray(z)) ** 2, axis=-1)))
 
     return LCKStructure(chart=chart, lee_form_eval=lee,
-                        conformal_factor_eval=factor, parallel_lee=True,
-                        name=chart.name)
+                        conformal_factor_eval=factor, name=chart.name)
 
 
 def flat_chart(n: int, s: int) -> LCKStructure:
     """Flat indefinite Kahler chart: g_{j kbar} = (1/2) eps_j delta_{jk}."""
     eps = eps_signs(n, s)
     H = np.diag(0.5 * eps).astype(complex)
-    zero3 = np.zeros((n, n, n), dtype=complex)
     chart = MetricChart(
         n=n, s=s,
         metric_eval=_constant(H),
         domain_pred=lambda z: True,
-        metric_deriv=lambda z: (zero3, zero3),
         christoffel_analytic=lambda z: np.zeros((2 * n, 2 * n, 2 * n), dtype=complex),
         name=f"flat(n={n},s={s})")
     return LCKStructure(chart=chart, lee_form_eval=_constant(np.zeros(n, dtype=complex)),
-                        conformal_factor_eval=_constant(np.zeros(())), parallel_lee=True,
-                        name=chart.name)
+                        conformal_factor_eval=_constant(np.zeros(())), name=chart.name)
 
 
 def synthetic_null_structure(n: int, s: int, B_hol=None) -> LCKStructure:
@@ -216,8 +199,9 @@ def synthetic_null_structure(n: int, s: int, B_hol=None) -> LCKStructure:
 
     The default Lee field is d/dx_1 + d/dx_{s+1}, which is null for any
     0 < s < n.  The constant 1-form is closed and parallel, so the c = 0
-    branches of the foliation and CR machinery run on honest data even
-    though no model manifold with a parallel lightlike Lee field exists.
+    branches of the foliation and CR machinery run on it.  It is a flat
+    Kahler chart with a constant form, not an l.c.K. structure: its
+    Kahler form has d Omega = 0, while omega ^ Omega != 0.
     """
     if not 0 < s < n:
         raise ValueError("need 0 < s < n for a nonzero null vector")
@@ -229,9 +213,7 @@ def synthetic_null_structure(n: int, s: int, B_hol=None) -> LCKStructure:
     B_hol = np.asarray(B_hol, dtype=complex)
     omega_hol = 0.5 * eps * B_hol.conj()   # lowering with H = diag(eps)/2
     base = flat_chart(n, s)
-    return LCKStructure(chart=base.chart,
-                        lee_form_eval=_constant(omega_hol),
-                        conformal_factor_eval=None, parallel_lee=True,
+    return LCKStructure(chart=base.chart, lee_form_eval=_constant(omega_hol),
                         name=f"synthetic-null(n={n},s={s})")
 
 
@@ -256,7 +238,7 @@ def halfplane_kahler_chart(n: int, s: int) -> LCKStructure:
                         name=f"halfplane-kahler(n={n},s={s})")
     return LCKStructure(chart=chart,
                         lee_form_eval=_constant(np.zeros(m, dtype=complex)),
-                        parallel_lee=False, name=chart.name)
+                        name=chart.name)
 
 
 def tricerri_chart(n: int, s: int) -> LCKStructure:
@@ -280,17 +262,6 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
         d[..., 1:] = 0.5 * v[..., None] * eps
         return _diagonal(d)
 
-    def deriv(p):
-        v = float(p[0].imag)
-        dH_dz = np.zeros((m, m, m), dtype=complex)
-        dH_dzb = np.zeros((m, m, m), dtype=complex)
-        # d v/dw = -i/2, d v/dwbar = i/2
-        dH_dz[0, 0, 0] = 0.5 * (-2.0 / v ** 3) * (-0.5j)
-        dH_dzb[0, 0, 0] = 0.5 * (-2.0 / v ** 3) * (0.5j)
-        dH_dz[0, 1:, 1:] = np.diag(0.5 * eps * (-0.5j))
-        dH_dzb[0, 1:, 1:] = np.diag(0.5 * eps * (0.5j))
-        return dH_dz, dH_dzb
-
     def gamma_full(p):
         """All nonzero connection coefficients in closed form."""
         v = float(p[0].imag)
@@ -310,7 +281,7 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
 
     chart = MetricChart(n=m, s=s, metric_eval=metric,
                         domain_pred=lambda p: np.asarray(p)[..., 0].imag > 0.0,
-                        metric_deriv=deriv, christoffel_analytic=gamma_full,
+                        christoffel_analytic=gamma_full,
                         name=f"tricerri(n={n},s={s})")
 
     def lee(p):
@@ -321,7 +292,7 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
 
     return LCKStructure(chart=chart, lee_form_eval=lee,
                         conformal_factor_eval=lambda p: np.log(np.asarray(p)[..., 0].imag),
-                        parallel_lee=False, name=chart.name)
+                        name=chart.name)
 
 
 # ---------------------------------------------------------------------------

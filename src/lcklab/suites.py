@@ -21,8 +21,8 @@ import numpy as np
 from . import cr as crmod
 from . import foliations as fol
 from .charts import (
-    TangentVector, christoffel, covariant_derivative, fd_step, lie_bracket,
-    wirtinger_derivative,
+    TangentVector, christoffel, covariant_derivative, fd_step, koszul_christoffel,
+    lie_bracket, wirtinger_derivative,
 )
 from .lck import lee_data, lee_form_components, nabla_J_defect, parallel_lee_residual, weyl_connection
 from .models import (
@@ -44,6 +44,14 @@ __all__ = ["SUITES", "Suite", "suites_for", "run_config", "UsageError"]
 
 class UsageError(ValueError):
     """Invalid configuration or suite selection."""
+
+
+# Domain and numerical faults of a point, recorded as an "error" verdict:
+# ChartDomainError, SingularLeeError and SingularMetricError (a LinAlgError)
+# are ValueErrors, ZeroDivisionError is an ArithmeticError.  Anything else,
+# a TypeError, AttributeError, NameError or IndexError, is a programming
+# error and ends the run.
+_POINT_FAULTS = (ValueError, ArithmeticError, RuntimeError)
 
 
 @dataclass(frozen=True)
@@ -93,9 +101,9 @@ def _chart_point(cfg: RunConfig, rng):
 
 def _pt_christoffel_oracle(cfg, rng):
     lck, z = _chart_point(cfg, rng)
-    cc = christoffel(lck.chart, z, derivatives="fd")
-    scale = max(1.0, float(np.abs(cc.gamma).max()))
-    return float(np.abs(cc.gamma - cc.solved).max()) / scale
+    gamma = christoffel(lck.chart, z).gamma
+    scale = max(1.0, float(np.abs(gamma).max()))
+    return float(np.abs(gamma - koszul_christoffel(lck.chart, z)).max()) / scale
 
 
 def _pt_prop1_lee(cfg, rng):
@@ -488,7 +496,7 @@ def _pt_levi_hopf(cfg, rng):
     fib = crmod.cr_fibre(lck, z)
     worst = 0.0
     for k in range(fib.t10.shape[1]):
-        worst = max(worst, abs(crmod.levi_form(lck, z, fib.t10[:, k], fib.t10[:, k])))
+        worst = max(worst, abs(crmod.levi_form(lck, fib, fib.t10[:, k], fib.t10[:, k])))
     return worst
 
 
@@ -500,12 +508,12 @@ def _pt_prop4_null(cfg, rng):
     data = lee_data(lck, z)
     Z = data.B.hol + 1j * data.A.hol
     resid = abs(complex(lck.lee_hol(z) @ Z))        # Z is type (1,0) in ker omega
-    resid = max(resid, abs(crmod.levi_form(lck, z, Z, Z)))
+    cfib = crmod.cr_fibre(lck, z)
+    resid = max(resid, abs(crmod.levi_form(lck, cfib, Z, Z)))
     fib = fol.first_foliation_fibre(lck, z)
     plane = FrameSubspace.from_vectors(fib.form, [data.A_real, data.B_real])
     resid = max(resid, 0.0 if contains_span(fib.tangent, plane, 1e-9) else 1.0)
     if cfg.n == 2:
-        cfib = crmod.cr_fibre(lck, z)
         resid = max(resid, 0.0 if same_span(cfib.levi_H, plane, 1e-9) else 1.0)
         resid = max(resid, 0.0 if crmod.levi_flat_detector(lck, z) else 1.0)
     return resid
@@ -520,13 +528,14 @@ def _pt_cr_tangential(cfg, rng):
     def holo(p):
         return np.prod(p, axis=-1) + np.vecdot(coeffs.conj(), p)
 
-    resid = crmod.tangential_cr_residual(lck, z, holo)
+    fib = crmod.cr_fibre(lck, z)
+    resid = crmod.tangential_cr_residual(fib, holo)
     eps = eps_signs(cfg.n, cfg.s)
 
     def leaf_constant(p):
         return np.abs(np.sum(eps * np.abs(p) ** 2, axis=-1))
 
-    return max(resid, crmod.tangential_cr_residual(lck, z, leaf_constant))
+    return max(resid, crmod.tangential_cr_residual(fib, leaf_constant))
 
 
 def _pt_gab_invariance(cfg, rng):
@@ -670,7 +679,7 @@ def _run_suite(cfg: RunConfig, suite: Suite) -> SuiteResult:
 
     try:
         residuals = [one(i) for i in range(cfg.points)]
-    except Exception as exc:  # suite runtime error: recorded, not fatal
+    except _POINT_FAULTS as exc:  # recorded, not fatal
         return SuiteResult(name=suite.name, anchor=suite.anchor, points=0,
                            max_residual=float("nan"), tolerance=tol,
                            direction=suite.direction, verdict="error",

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from lcklab.charts import TangentVector, christoffel, covariant_derivative
+from lcklab.charts import TangentVector, christoffel, covariant_derivative, koszul_christoffel
 from lcklab.cr import (
     cayley_cr_residual,
     label_from_w,
@@ -72,15 +72,17 @@ def test_criterion_01_christoffel_oracle():
             model, lck = hopf_pair(n, s)
             for _ in range(100):
                 z = sample_hopf(model, rng)
-                cc = christoffel(lck.chart, z, derivatives="fd")
-                rel = np.abs(cc.gamma - cc.solved).max() / max(1.0, np.abs(cc.gamma).max())
+                gamma = christoffel(lck.chart, z).gamma
+                solved = koszul_christoffel(lck.chart, z)
+                rel = np.abs(gamma - solved).max() / max(1.0, np.abs(gamma).max())
                 worst = max(worst, float(rel))
     for n in (1, 2):
         lck = tricerri_chart(n, max(0, n - 1))
         for _ in range(100):
             p = sample_tricerri(n, rng)
-            cc = christoffel(lck.chart, p, derivatives="fd")
-            rel = np.abs(cc.gamma - cc.solved).max() / max(1.0, np.abs(cc.gamma).max())
+            gamma = christoffel(lck.chart, p).gamma
+            solved = koszul_christoffel(lck.chart, p)
+            rel = np.abs(gamma - solved).max() / max(1.0, np.abs(gamma).max())
             worst = max(worst, float(rel))
     elapsed = time.perf_counter() - start
     assert worst < 1e-6

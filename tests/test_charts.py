@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from lcklab import charts as charts_mod
 from lcklab.charts import (
     ChartDomainError,
+    MetricChart,
     TangentVector,
     _stencil,
     christoffel,
@@ -12,6 +14,7 @@ from lcklab.charts import (
     exterior_derivative_2form,
     gradient,
     kahler_form,
+    koszul_christoffel,
     lie_bracket,
     metric_inner,
     wirtinger_derivative,
@@ -101,7 +104,7 @@ class TestStackedStencil:
         with pytest.raises(ChartDomainError, match="stencil"):
             covariant_derivative(HOPF.chart, TangentVector.real([1.0, 0.0]), B, z)
         with pytest.raises(ChartDomainError, match="stencil"):
-            christoffel(HOPF.chart, z, derivatives="fd")
+            koszul_christoffel(HOPF.chart, z)
 
 
 class TestChartInvariants:
@@ -150,8 +153,9 @@ class TestChristoffel:
         model = HopfModel(n=2, s=1, lam=0.5)
         for _ in range(20):
             z = sample_hopf(model, rng)
-            cc = christoffel(HOPF.chart, z, derivatives="fd")
-            rel = np.abs(cc.gamma - cc.solved).max() / max(1.0, np.abs(cc.gamma).max())
+            gamma = christoffel(HOPF.chart, z).gamma
+            solved = koszul_christoffel(HOPF.chart, z)
+            rel = np.abs(gamma - solved).max() / max(1.0, np.abs(gamma).max())
             assert rel < 1e-6
 
     def test_tricerri_displayed_coefficients(self):
@@ -170,19 +174,42 @@ class TestChristoffel:
         rng = np.random.default_rng(12)
         for _ in range(10):
             p = sample_tricerri(2, rng)
-            cc = christoffel(TRIC.chart, p, derivatives="fd")
-            assert np.abs(cc.gamma - cc.solved).max() < 1e-6
+            gamma = christoffel(TRIC.chart, p).gamma
+            assert np.abs(gamma - koszul_christoffel(TRIC.chart, p)).max() < 1e-6
 
     def test_symmetry_and_conjugation(self):
         rng = np.random.default_rng(13)
         z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
-        cc = christoffel(HOPF.chart, z, derivatives="fd")
+        cc = christoffel(HOPF.chart, z)
         assert cc.symmetry_residual() < 1e-12
         assert cc.conjugation_residual() < 1e-12
 
     def test_domain_error(self):
         with pytest.raises(ChartDomainError):
             christoffel(HOPF.chart, np.array([1.0, 1.0], dtype=complex))
+
+    @pytest.mark.parametrize("lck,z", [
+        (HOPF, Z01),
+        (hopf_chart(HopfModel(n=2, s=1, lam=0.5, region="-")), np.array([1.3, 0.2j])),
+        (TRIC, np.array([0.7 + 1.4j, 0.3 - 0.2j, 1.1 + 0.9j])),
+        (FLAT, np.array([0.3 + 1j, -2.0])),
+    ])
+    def test_closed_form_route_solves_nothing(self, lck, z, monkeypatch):
+        calls = []
+        solve, hermitian = charts_mod._solve_gram, MetricChart.hermitian
+        monkeypatch.setattr(charts_mod, "_solve_gram",
+                            lambda *a: calls.append("solve") or solve(*a))
+        monkeypatch.setattr(MetricChart, "hermitian",
+                            lambda self, p: calls.append("metric") or hermitian(self, p))
+        christoffel(lck.chart, z)
+        assert calls == []
+
+    def test_koszul_route_without_closed_form(self):
+        aux = halfplane_kahler_chart(2, 1)
+        assert aux.chart.christoffel_analytic is None
+        p = np.array([0.4 + 1.2j, 0.8 - 0.1j, 0.3 + 0.6j])
+        assert np.array_equal(christoffel(aux.chart, p).gamma,
+                              koszul_christoffel(aux.chart, p))
 
 
 class TestCovariantDerivative:
@@ -295,6 +322,17 @@ class TestExteriorDerivative:
 
 
 class TestConformalShift:
+    def test_differentiates_f_once(self):
+        calls = []
+
+        def f(p):
+            calls.append(p.shape)
+            return -np.log(np.abs(-np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2))
+
+        X = TangentVector.real([1.0, 0.5j])
+        conformal_connection_shift(HOPF.chart, f, X, TangentVector.real([0.2, -1.0]), Z01)
+        assert len(calls) == 1
+
     def test_constant_factor_is_identity(self):
         z = np.array([0.5 + 0.2j, 1.1 - 0.7j])
         X = TangentVector.real([1.0, 0.5j])
@@ -339,7 +377,7 @@ class TestMetricCompatibility:
     ])
     def test_compatibility_and_torsion(self, lck, sampler):
         rng = np.random.default_rng(20)
-        from lcklab.charts import _metric_derivative_tensor, fd_step, wirtinger_derivative
+        from lcklab.charts import fd_step, wirtinger_derivative
         chart = lck.chart
         n = chart.n
         for _ in range(10):
@@ -359,8 +397,3 @@ class TestMetricCompatibility:
             d_dz, d_dzb = wirtinger_derivative(gYW, z, fd_step(z))
             df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
             assert abs(complex(df @ X.components) - rhs) < 1e-6
-            # analytic lhs from the chart's metric derivative tensor
-            T = _metric_derivative_tensor(chart, z, use_analytic=True)
-            lhs = complex(np.einsum("ecd,e,c,d->", T, X.components,
-                                    Y.components, W.components))
-            assert abs(lhs - rhs) < 1e-9

@@ -3,9 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lcklab import suites as suites_mod
+from lcklab.charts import ChartDomainError, SingularMetricError
+from lcklab.lck import SingularLeeError
 from lcklab.report import RunConfig, VerificationReport, to_csv, to_json
 from lcklab.suites import SUITES, Suite, UsageError, _run_suite, run_config, suites_for
 
@@ -122,6 +125,30 @@ class TestRunConfig:
         assert result.verdict == "fail"
         assert result.points == len(values)
         assert not math.isfinite(result.max_residual)
+
+    @staticmethod
+    def _raising_suite(exc_type):
+        def point_fn(cfg, rng):
+            raise exc_type("probe")
+        return Suite(name="raise-probe", anchor="none", models=frozenset({"hopf"}),
+                     tolerance=lambda cfg: 0.5, point_fn=point_fn)
+
+    @pytest.mark.parametrize("exc_type", [
+        ChartDomainError, SingularLeeError, SingularMetricError, np.linalg.LinAlgError,
+        ValueError, ZeroDivisionError, RuntimeError,
+    ])
+    def test_domain_or_numerical_fault_is_an_error_verdict(self, exc_type):
+        result = _run_suite(RunConfig(model="hopf", points=2, seed=0),
+                            self._raising_suite(exc_type))
+        assert result.verdict == "error"
+        assert result.points == 0
+        assert result.error == f"{exc_type.__name__}: probe"
+
+    @pytest.mark.parametrize("exc_type", [TypeError, AttributeError, NameError, IndexError])
+    def test_programming_error_propagates(self, exc_type):
+        with pytest.raises(exc_type, match="probe"):
+            _run_suite(RunConfig(model="hopf", points=2, seed=0),
+                       self._raising_suite(exc_type))
 
 
 class TestSerialization:

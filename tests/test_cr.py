@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lcklab import cr as crmod
 from lcklab.cr import (
     cayley_cr_residual,
     cr_fibre,
@@ -17,6 +18,8 @@ from lcklab.cr import (
 from lcklab.charts import ChartDomainError, TangentVector
 from lcklab.lck import LCKStructure, lee_data
 from lcklab.models import HopfModel, flat_chart, hopf_chart, synthetic_null_structure
+from lcklab.report import RunConfig
+from lcklab.suites import run_config
 from lcklab.sampling import sample_hopf, sample_pseudosphere
 from lcklab.semieuclid import FrameSubspace, same_span
 
@@ -73,23 +76,32 @@ class TestCRFibre:
 
 class TestTangentialCR:
     def test_holomorphic_restriction(self):
-        assert tangential_cr_residual(HOPF, Z01, lambda p: p[..., 0] * p[..., 1]) < 1e-8
+        assert tangential_cr_residual(cr_fibre(HOPF, Z01), lambda p: p[..., 0] * p[..., 1]) < 1e-8
 
     def test_antiholomorphic_detected(self):
-        res = tangential_cr_residual(HOPF, Z01, lambda p: np.conj(p[..., 0]))
+        res = tangential_cr_residual(cr_fibre(HOPF, Z01), lambda p: np.conj(p[..., 0]))
         assert res == pytest.approx(1.0, abs=1e-8)
 
     def test_leaf_constant_function(self):
         rng = np.random.default_rng(2)
         z = sample_hopf(MODEL, rng)
         f = lambda p: abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2)
-        assert tangential_cr_residual(HOPF, z, f) < 1e-8
+        assert tangential_cr_residual(cr_fibre(HOPF, z), f) < 1e-8
+
+
+    def test_suite_builds_one_fibre_per_point(self, monkeypatch):
+        built = []
+        build = crmod.cr_fibre
+        monkeypatch.setattr(crmod, "cr_fibre", lambda lck, z: built.append(1) or build(lck, z))
+        report = run_config(RunConfig(model="hopf", points=3, seed=0, suites=("cr-tangential",)))
+        assert report.results[0].verdict == "pass"
+        assert len(built) == 3
 
 
 class TestLeviForm:
     def test_hopf_leaf_not_levi_flat(self):
         fib = cr_fibre(HOPF, Z01)
-        val = levi_form(HOPF, Z01, fib.t10[:, 0], fib.t10[:, 0])
+        val = levi_form(HOPF, fib, fib.t10[:, 0], fib.t10[:, 0])
         assert abs(val) > 0.1
         assert val.real == pytest.approx(-0.5, abs=1e-6)
         assert not levi_flat_detector(HOPF, Z01)
@@ -101,8 +113,8 @@ class TestLeviForm:
         z = sample_hopf(model, rng)
         fib = cr_fibre(lck, z)
         V, W = fib.t10[:, 0], fib.t10[:, 1]
-        lvw = levi_form(lck, z, V, W)
-        lwv = levi_form(lck, z, W, V)
+        lvw = levi_form(lck, fib, V, W)
+        lwv = levi_form(lck, fib, W, V)
         assert lvw == pytest.approx(np.conj(lwv), abs=1e-6)
 
     def test_synthetic_null_direction(self):
@@ -110,7 +122,7 @@ class TestLeviForm:
         z = np.zeros(2, dtype=complex)
         d = lee_data(syn, z)
         Z = d.B.hol + 1j * d.A.hol
-        assert abs(levi_form(syn, z, Z, Z)) < 1e-10
+        assert abs(levi_form(syn, cr_fibre(syn, z), Z, Z)) < 1e-10
         assert levi_flat_detector(syn, z)
 
     def test_flat_spacelike_hyperplane_levi_flat(self):
@@ -120,7 +132,7 @@ class TestLeviForm:
         lck = LCKStructure(chart=flat.chart,
                            lee_form_eval=lambda z: np.broadcast_to(
                                np.array([0.5, 0.0], dtype=complex), np.shape(z)),
-                           parallel_lee=True, name="flat-spacelike")
+                           name="flat-spacelike")
         assert levi_flat_detector(lck, np.array([0.2 + 0.1j, -0.4j]))
 
 
