@@ -30,14 +30,23 @@ Conventions
   metric_eval ((..., n, n)) and domain_pred ((...) booleans), a Lee
   form, a scalar or matrix function, and vector fields, which return a
   TangentVector whose hol and antihol have shape (..., n).  Constant
-  evaluators broadcast over the stack.  The same callables are still
-  evaluated at the single base point, shape (n,).  lck.lee_data accepts
-  either shape and memoizes per stack, keyed by its shape and bytes, so
-  the derivatives taken at one base point share one stacked evaluation.
+  evaluators broadcast over the stack.  lck.lee_data memoizes per
+  stack, keyed by its shape and bytes, so the derivatives taken at one
+  base point share one stacked evaluation.
+* Stacks of base points: christoffel (and a chart's closed form),
+  koszul_christoffel, covariant_derivative, lie_bracket and
+  wirtinger_derivative take a point z (n,) or a stack (m, n) of base
+  points, with one step h per point; the stencil of a stack is
+  (8n, m, n), so per-point parameters of shape (m, ...) broadcast
+  against it, and derivatives come back indexed [m, l, ...].  Fixed
+  vectors may carry one vector per point.  Domain faults name the first
+  failing point in row order.
 * Stacked evaluators give each row the bits of a single-point call:
-  they use elementwise arithmetic, np.vecdot and np.matvec, which round
-  per row as a 1-D product does, and never a 2-D matrix product such as
-  stack @ vector, which rounds differently.
+  they use elementwise arithmetic, np.vecdot, np.matvec, einsum and
+  numpy's stacked linear algebra, which round per row as at a single
+  point, and never a 2-D matrix product such as stack @ vector, which
+  rounds differently; operands of a dot product are made contiguous, as
+  a strided operand rounds differently too.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .semieuclid import SemiEuclideanForm
+from .semieuclid import SemiEuclideanForm, _per_point
 
 __all__ = [
     "MetricChart",
@@ -174,9 +183,10 @@ class MetricChart:
     H[j, k] = g(Z_j, Zbar_k), and domain_pred(z) whether z lies in the
     domain; both take a stack of points, shape (..., n), and return one
     value per point.  christoffel_analytic(z), when present, returns the
-    closed-form (2n, 2n, 2n) coefficient array at a single point, in the
-    frame-index convention of this module; christoffel then returns it
-    in place of the Koszul solve.
+    closed-form coefficient array in the frame-index convention of this
+    module, (2n, 2n, 2n) at a point and (..., 2n, 2n, 2n) for a stack of
+    points (..., n); christoffel then returns it in place of the Koszul
+    solve.
     """
 
     n: int
@@ -228,19 +238,34 @@ def _mixed_blocks(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_conditioned(G: np.ndarray, z: np.ndarray) -> None:
+def _require_conditioned(S: np.ndarray, z: np.ndarray) -> None:
     """Refuse a Gram matrix singular at z, or a stack of Gram matrices at
-    the points z (leading axes alike) any one of which is singular."""
-    ok = np.linalg.cond(G) <= GRAM_COND_MAX   # False for an infinite or NaN cond
+    the points z (leading axes alike) any one of which is singular.
+
+    S is the Gram matrix itself when it is symmetric, or the Hermitian
+    block H of a complexified Gram [[0, H], [conj H, 0]], whose singular
+    values are those of H: either way the 2-norm condition number is
+    max |eigenvalue| / min |eigenvalue| of S, read from np.linalg.eigvalsh.
+    """
+    ev = np.abs(np.linalg.eigvalsh(S))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = ev.max(axis=-1) / ev.min(axis=-1) <= GRAM_COND_MAX   # False for inf or NaN
     if not ok.all():
         raise SingularMetricError(f"metric Gram singular at {np.asarray(z)[~ok][0]}")
 
 
-def _solve_gram(G: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _solve_gram(G: np.ndarray, rhs: np.ndarray, z: np.ndarray,
+                hermitian: np.ndarray | None = None) -> np.ndarray:
     """Solve G x = rhs (np.linalg.solve, stacks included), refusing a Gram
-    matrix that is singular at z."""
-    _require_conditioned(G, z)
+    matrix that is singular at z; a complexified Gram passes its
+    Hermitian block (see _require_conditioned)."""
+    _require_conditioned(G if hermitian is None else hermitian, z)
     return np.linalg.solve(G, rhs)
+
+
+def _bilinear(u: np.ndarray, M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u @ M @ v per point of a stack, rounded as the single-point product."""
+    return np.vecdot(np.matvec(M.swapaxes(-1, -2), u).conj(), v)
 
 
 def metric_inner(chart: MetricChart, z: np.ndarray, u: TangentVector, v: TangentVector):
@@ -255,16 +280,27 @@ def metric_inner(chart: MetricChart, z: np.ndarray, u: TangentVector, v: Tangent
 # finite differences
 # ---------------------------------------------------------------------------
 
-def fd_step(z: np.ndarray) -> float:
-    return FD_STEP_BASE * max(1.0, float(np.linalg.norm(np.atleast_1d(z))))
+def _norms(z: np.ndarray):
+    """np.linalg.norm of a point (a float), or of each point of a stack
+    (..., n), summed as np.linalg.norm sums."""
+    z = np.asarray(z)
+    if z.ndim <= 1:
+        return float(np.linalg.norm(np.atleast_1d(z)))
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 
-def _steps(h: float) -> tuple[float, float, float, float]:
+def fd_step(z: np.ndarray):
+    """Central-difference step of a point z (n,), or one per point of a
+    stack (..., n)."""
+    return FD_STEP_BASE * np.maximum(1.0, _norms(z))
+
+
+def _steps(h):
     """Offsets of the two central differences that _richardson combines."""
     return (h, -h, h / 2.0, -h / 2.0)
 
 
-def _richardson(f, h: float) -> np.ndarray:
+def _richardson(f, h) -> np.ndarray:
     """4th-order derivative at 0 from the values f[k] at t = _steps(h)[k]
     (a sequence, or an array with those four rows on its leading axis)."""
     d1 = (f[0] - f[1]) / (2.0 * h)
@@ -272,98 +308,145 @@ def _richardson(f, h: float) -> np.ndarray:
     return (4.0 * d2 - d1) / 3.0
 
 
-def _stencil(z: np.ndarray, h: float) -> np.ndarray:
+def _stencil(z: np.ndarray, h) -> np.ndarray:
     """The points z + t e_l and z + i t e_l for t in _steps(h), indexed
-    [step, real/imaginary direction, l, coordinate]."""
-    steps = np.multiply.outer(_steps(h), (1.0, 1j))   # t and i t
-    return z + steps[..., None, None] * np.eye(z.size)
+    [step, real/imaginary direction, l, ..., coordinate]: for a stack z of
+    shape (..., n), with one step h per point, the stack axes come after l."""
+    n = z.shape[-1]
+    lead = z.shape[:-1]
+    steps = np.multiply.outer(np.array(_steps(h)), (1.0, 1j))   # t and i t
+    if lead:
+        steps = np.moveaxis(steps, -1, 1)             # [step, re/im, ...]
+    eye = np.eye(n).reshape((n,) + (1,) * len(lead) + (n,))
+    return z + steps[:, :, None, ..., None] * eye
 
 
 def wirtinger_derivative(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-                         h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(d fn/dz^l, d fn/dzbar^l) for an array-valued function of z.
+                         h=None, chart: MetricChart | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(d fn/dz^l, d fn/dzbar^l) for an array-valued function of z, at a
+    point z (n,) or at every point of a stack z (..., n).
 
-    fn is called once, on the whole (8n, n) stencil stack, and must
-    return its values with a leading axis of length 8n (see the module
-    docstring).  Returns arrays with a leading axis of length n indexing l.
+    fn is called once, on the whole stencil: an (8n, n) array for a point
+    and an (8n, ..., n) array for a stack, which keeps the stack axes so
+    that per-point parameters of shape (..., k) broadcast against it.  It
+    must return its values with those leading axes (see the module
+    docstring).  With a chart, a point or stencil off its domain raises
+    ChartDomainError before fn is called.  Returns arrays indexed
+    [..., l, value axes].
     """
     z = np.asarray(z, dtype=complex)
     h = fd_step(z) if h is None else h
-    n = z.size
-    f = np.asarray(fn(_stencil(z, h).reshape(8 * n, n)), dtype=complex)
-    if f.ndim == 0 or f.shape[0] != 8 * n:
-        raise ValueError(f"fn must return one value per stencil point: leading axis "
-                         f"{8 * n} for an ({8 * n}, {n}) stack, got shape {f.shape}")
-    dx, dy = _richardson(f.reshape((4, 2, n) + f.shape[1:]), h)
+    n, lead = z.shape[-1], z.shape[:-1]
+    head = (8 * n,) + lead
+    stencil = _stencil(z, h).reshape(head + (n,))
+    if chart is not None:
+        _require_stencil_domain(chart, z, stencil)
+    f = np.asarray(fn(stencil), dtype=complex)
+    if f.shape[:len(head)] != head:
+        raise ValueError(f"fn must return one value per stencil point: leading axes "
+                         f"{head} for an {head + (n,)} stack, got shape {f.shape}")
+    hh = np.asarray(h, dtype=float)
+    if hh.ndim:
+        hh = hh.reshape(lead + (1,) * (f.ndim - len(head)))
+    dx, dy = _richardson(f.reshape((4, 2, n) + f.shape[1:]), hh)
+    if lead:   # l after the stack axes, contiguous as at a single point: a
+        # strided operand can change how a later dot product rounds
+        dx = np.ascontiguousarray(np.moveaxis(dx, 0, len(lead)))
+        dy = np.ascontiguousarray(np.moveaxis(dy, 0, len(lead)))
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
-def _require_stencil_domain(chart: MetricChart, z: np.ndarray, h: float) -> None:
-    """One domain_pred call on z and its stencil; a second one, on z, only
-    words the error."""
-    if not np.all(chart.domain_pred(np.vstack([z, _stencil(z, h).reshape(-1, chart.n)]))):
-        if not chart.domain_pred(z):
-            raise ChartDomainError(f"point {z} outside domain of {chart.name}")
-        raise ChartDomainError(f"stencil around {z} leaves domain of {chart.name}")
+def _first_fault(ok) -> Optional[tuple]:
+    """Index of the first False of a per-point boolean array, in draw
+    (row-major) order, or None when every point is fine."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(ok.ravel())), ok.shape))
+
+
+def _require_domain(chart: MetricChart, z: np.ndarray) -> None:
+    """Refuse a point, or the first point of a stack, off the chart domain."""
+    bad = _first_fault(np.broadcast_to(chart.domain_pred(z), z.shape[:-1]))
+    if bad is not None:
+        raise ChartDomainError(f"point {z[bad]} outside domain of {chart.name}")
+
+
+def _require_stencil_domain(chart: MetricChart, z: np.ndarray, stencil: np.ndarray) -> None:
+    """One domain_pred call on z and its stencil (8n, ..., n), a point or a
+    stack; the error names the first point in draw order whose own
+    position or stencil leaves the domain."""
+    pts = np.concatenate([z[None], stencil])
+    ok = np.broadcast_to(chart.domain_pred(pts), pts.shape[:-1])
+    bad = _first_fault(ok.all(axis=0))
+    if bad is not None:
+        if not ok[(0,) + bad]:
+            raise ChartDomainError(f"point {z[bad]} outside domain of {chart.name}")
+        raise ChartDomainError(f"stencil around {z[bad]} leaves domain of {chart.name}")
 
 
 # ---------------------------------------------------------------------------
 # connection
 # ---------------------------------------------------------------------------
 
+def _max_abs(x: np.ndarray, core: int):
+    """max |x| over the last `core` axes, per point (see _per_point)."""
+    return _per_point(np.abs(x).max(axis=tuple(range(-core, 0))))
+
+
 @dataclass(frozen=True)
 class ConnectionCoefficients:
-    """Gamma^A_{BC} at a point."""
+    """Gamma^A_{BC} at a point, or at each point of a stack."""
 
-    gamma: np.ndarray                 # (2n, 2n, 2n), gamma[A, B, C]
+    gamma: np.ndarray                 # (..., 2n, 2n, 2n), gamma[..., A, B, C]
 
-    def symmetry_residual(self) -> float:
-        return float(np.abs(self.gamma - self.gamma.transpose(0, 2, 1)).max())
+    def symmetry_residual(self):
+        return _max_abs(self.gamma - self.gamma.swapaxes(-1, -2), 3)
 
-    def conjugation_residual(self) -> float:
-        n = self.gamma.shape[0] // 2
+    def conjugation_residual(self):
+        n = self.gamma.shape[-1] // 2
         sw = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
-        flipped = self.gamma[np.ix_(sw, sw, sw)].conj()
-        return float(np.abs(self.gamma - flipped).max())
+        flipped = self.gamma[..., sw, :, :][..., sw, :][..., sw].conj()
+        return _max_abs(self.gamma - flipped, 3)
 
 
 def _metric_derivative_tensor(chart: MetricChart, z: np.ndarray) -> np.ndarray:
-    """T[E, C, D] = Z_E(g_{CD}) over full frame indices E, C, D, by central
-    differences on a stencil that must stay in the domain."""
+    """T[..., E, C, D] = Z_E(g_{CD}) over full frame indices E, C, D, by
+    central differences on a stencil that must stay in the domain."""
     n = chart.n
-    h = fd_step(z)
-    _require_stencil_domain(chart, z, h)
-    dH_dz, dH_dzb = wirtinger_derivative(chart.hermitian, z, h)
-    T = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
+    dH_dz, dH_dzb = wirtinger_derivative(chart.hermitian, z, chart=chart)
+    T = np.zeros(z.shape[:-1] + (2 * n, 2 * n, 2 * n), dtype=complex)
     # g_{j kbar} = H[j, k]; g_{jbar k} = conj(H[k, j]); pure blocks vanish.
-    for l in range(n):
-        T[l, :n, n:] = dH_dz[l]
-        T[l, n:, :n] = dH_dzb[l].conj().transpose()  # d(conj H[k,j])/dz^l
-        T[n + l, :n, n:] = dH_dzb[l]
-        T[n + l, n:, :n] = dH_dz[l].conj().transpose()
+    T[..., :n, :n, n:] = dH_dz
+    T[..., :n, n:, :n] = dH_dzb.conj().swapaxes(-1, -2)  # d(conj H[k,j])/dz^l
+    T[..., n:, :n, n:] = dH_dzb
+    T[..., n:, n:, :n] = dH_dz.conj().swapaxes(-1, -2)
     return T
 
 
 def koszul_christoffel(chart: MetricChart, z: np.ndarray) -> np.ndarray:
-    """Gamma^A_{BC} at z, (2n, 2n, 2n), solved from the Koszul identity with
-    finite-difference metric derivatives: the oracle for closed forms."""
+    """Gamma^A_{BC} at z, (..., 2n, 2n, 2n) for a point or a stack, solved
+    from the Koszul identity with finite-difference metric derivatives:
+    the oracle for closed forms.  A stack solves its Gram matrices in one
+    stacked call."""
     z = np.asarray(z, dtype=complex)
     n = chart.n
     T = _metric_derivative_tensor(chart, z)
     # rhs[D, B, C] = Z_B g_{CD} + Z_C g_{BD} - Z_D g_{BC}
-    rhs = np.empty((2 * n, 2 * n, 2 * n), dtype=complex)
-    for D in range(2 * n):
-        rhs[D] = T[:, :, D] + T[:, :, D].T - T[D]
-    solved = _solve_gram(chart.gram_full(z), rhs.reshape(2 * n, -1), z)
-    return 0.5 * solved.reshape(2 * n, 2 * n, 2 * n)
+    TB = np.moveaxis(T, -1, -3)                  # TB[D, B, C] = T[B, C, D]
+    rhs = TB + TB.swapaxes(-1, -2) - T
+    lead = z.shape[:-1]
+    H = chart.hermitian(z)
+    solved = _solve_gram(_mixed_blocks(H, H.conj()), rhs.reshape(lead + (2 * n, -1)), z, H)
+    return 0.5 * solved.reshape(lead + (2 * n, 2 * n, 2 * n))
 
 
 def christoffel(chart: MetricChart, z: np.ndarray) -> ConnectionCoefficients:
-    """Connection coefficients at z: the chart's closed form when it
-    carries one, otherwise koszul_christoffel."""
+    """Connection coefficients at a point z (n,) or at each point of a
+    stack (..., n): the chart's closed form when it carries one,
+    otherwise koszul_christoffel."""
     z = np.asarray(z, dtype=complex)
-    if not chart.domain_pred(z):
-        raise ChartDomainError(f"point {z} outside domain of {chart.name}")
+    _require_domain(chart, z)
     if chart.christoffel_analytic is None:
         return ConnectionCoefficients(gamma=koszul_christoffel(chart, z))
     return ConnectionCoefficients(gamma=np.asarray(chart.christoffel_analytic(z), dtype=complex))
@@ -375,21 +458,50 @@ def _as_field(obj) -> Callable[[np.ndarray], TangentVector]:
     return obj
 
 
-def _field_derivative_along(X: TangentVector,
-                            field: Callable[[np.ndarray], TangentVector],
-                            z: np.ndarray, h: float) -> np.ndarray:
-    """X(Y^A) for a possibly complexified direction X, via Wirtinger FD."""
-    d_dz, d_dzb = wirtinger_derivative(lambda p: field(p).components, z, h)
-    return np.einsum("l,la->a", X.hol, d_dz) + np.einsum("l,la->a", X.antihol, d_dzb)
+def _field_derivatives(fields, z: np.ndarray, h=None,
+                       chart: MetricChart | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(d Y^A/dz^l, d Y^A/dzbar^l) of each vector field Y, indexed
+    [..., l, A], from one stencil evaluation of all of them (on the
+    chart's domain, when a chart is given)."""
+    z = np.asarray(z, dtype=complex)
+    d_dz, d_dzb = wirtinger_derivative(
+        lambda p: np.concatenate([Y(p).components for Y in fields], axis=-1), z, h, chart)
+    w = d_dz.shape[-1] // len(fields)
+    return [(np.ascontiguousarray(d_dz[..., k * w:(k + 1) * w]),
+             np.ascontiguousarray(d_dzb[..., k * w:(k + 1) * w])) for k in range(len(fields))]
+
+
+def _along(X: TangentVector, dY: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """X(Y^A) for a possibly complexified direction X, from the Wirtinger
+    derivatives dY of Y."""
+    d_dz, d_dzb = dY
+    return np.einsum("...l,...la->...a", X.hol, d_dz) \
+        + np.einsum("...l,...la->...a", X.antihol, d_dzb)
+
+
+def _connection_term(gamma: ConnectionCoefficients, X: TangentVector,
+                     Y: TangentVector) -> np.ndarray:
+    """Gamma^A_{BC} X^B Y^C."""
+    return np.einsum("...abc,...b,...c->...a", gamma.gamma, X.components, Y.components)
+
+
+def _covariant_along(gamma: ConnectionCoefficients, X: TangentVector, Y: TangentVector,
+                    dY: tuple[np.ndarray, np.ndarray]) -> TangentVector:
+    """nabla_X Y from the value Y and the derivatives dY of the field at
+    the point (as _field_derivatives returns them): one derivative of Y
+    serves every direction X."""
+    return TangentVector.from_components(_along(X, dY) + _connection_term(gamma, X, Y))
 
 
 def covariant_derivative(chart: MetricChart, X, Y, z: np.ndarray,
                          gamma: ConnectionCoefficients | None = None) -> TangentVector:
-    """(nabla_X Y)^A = X(Y^A) + Gamma^A_{BC} X^B Y^C at z.
+    """(nabla_X Y)^A = X(Y^A) + Gamma^A_{BC} X^B Y^C at z, a point (n,) or
+    a stack (..., n).
 
     X may be a fixed TangentVector or a field; Y must be a field (a fixed
-    vector is treated as a constant field).  Directional derivatives use
-    central differences with one Richardson step unless Y is constant.
+    vector is treated as a constant field).  Fixed vectors may carry one
+    vector per point of a stack.  Directional derivatives use central
+    differences with one Richardson step unless Y is constant.
     """
     z = np.asarray(z, dtype=complex)
     Xf, Yf = _as_field(X), _as_field(Y)
@@ -397,36 +509,31 @@ def covariant_derivative(chart: MetricChart, X, Y, z: np.ndarray,
     if gamma is None:
         gamma = christoffel(chart, z)
     if isinstance(Y, TangentVector):
-        dY = np.zeros(2 * chart.n, dtype=complex)
-    else:
-        h = fd_step(z)
-        _require_stencil_domain(chart, z, h)
-        dY = _field_derivative_along(Xv, Yf, z, h)
-    out = dY + np.einsum("abc,b,c->a", gamma.gamma, Xv.components, Yv.components)
-    return TangentVector.from_components(out)
+        return TangentVector.from_components(_connection_term(gamma, Xv, Yv))
+    return _covariant_along(gamma, Xv, Yv, _field_derivatives([Yf], z, chart=chart)[0])
 
 
 def gradient(chart: MetricChart, f: Callable[[np.ndarray], complex],
              z: np.ndarray) -> TangentVector:
     """Index-raised differential: g(grad f, X) = X(f) for all X."""
     z = np.asarray(z, dtype=complex)
-    h = fd_step(z)
-    _require_stencil_domain(chart, z, h)
-    d_dz, d_dzb = wirtinger_derivative(f, z, h)
+    d_dz, d_dzb = wirtinger_derivative(f, z, chart=chart)
     df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
-    return TangentVector.from_components(_solve_gram(chart.gram_full(z), df, z))
+    H = chart.hermitian(z)
+    return TangentVector.from_components(_solve_gram(_mixed_blocks(H, H.conj()), df, z, H))
 
 
-def lie_bracket(X, Y, z: np.ndarray, h: float | None = None) -> TangentVector:
-    """[X, Y]^A = X(Y^A) - Y(X^A); metric independent."""
+def lie_bracket(X, Y, z: np.ndarray, h=None) -> TangentVector:
+    """[X, Y]^A = X(Y^A) - Y(X^A) at a point or a stack; metric independent.
+    The fields among X and Y share one stencil evaluation."""
     z = np.asarray(z, dtype=complex)
-    h = fd_step(z) if h is None else h
     Xf, Yf = _as_field(X), _as_field(Y)
     Xv, Yv = Xf(z), Yf(z)
-    dY = np.zeros(Xv.components.size, dtype=complex) if isinstance(Y, TangentVector) \
-        else _field_derivative_along(Xv, Yf, z, h)
-    dX = np.zeros(Yv.components.size, dtype=complex) if isinstance(X, TangentVector) \
-        else _field_derivative_along(Yv, Xf, z, h)
+    fields = [f for f, v in ((Yf, Y), (Xf, X)) if not isinstance(v, TangentVector)]
+    ds = iter(_field_derivatives(fields, z, h)) if fields else iter(())
+    zero = np.zeros(Xv.components.shape, dtype=complex)
+    dY = zero if isinstance(Y, TangentVector) else _along(Xv, next(ds))
+    dX = zero if isinstance(X, TangentVector) else _along(Yv, next(ds))
     return TangentVector.from_components(dY - dX)
 
 
@@ -479,14 +586,13 @@ def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray,
     z = np.asarray(z, dtype=complex)
     base = covariant_derivative(chart, X, Y, z, gamma=gamma)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
-    h = fd_step(z)
-    _require_stencil_domain(chart, z, h)
-    d_dz, d_dzb = wirtinger_derivative(f, z, h)
+    d_dz, d_dzb = wirtinger_derivative(f, z, chart=chart)
     df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
     Xf = complex(df @ Xv.components)
     Yf = complex(df @ Yv.components)
-    G = chart.gram_full(z)
+    H = chart.hermitian(z)
+    G = _mixed_blocks(H, H.conj())
     gXY = Xv.components @ G @ Yv.components
-    gradf = _solve_gram(G, df, z)   # grad f, as gradient() solves it
+    gradf = _solve_gram(G, df, z, H)   # grad f, as gradient() solves it
     shift = Xf * Yv.components + Yf * Xv.components - gXY * gradf
     return TangentVector.from_components(base.components - 0.5 * shift)

@@ -128,10 +128,9 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V, W) -> complex:
     return complex(1j * coeff[-1])
 
 
-def levi_flat_detector(lck: LCKStructure, z, tol: float = 1e-6) -> bool:
-    """True iff the Levi form vanishes on a full CR basis at z."""
-    z = np.asarray(z, dtype=complex)
-    fib = cr_fibre(lck, z)
+def levi_flat_detector(lck: LCKStructure, fib: CRFibre, tol: float = 1e-6) -> bool:
+    """True iff the Levi form vanishes on a full CR basis of the CR fibre
+    fib of lck (at z = fib.point)."""
     worst = 0.0
     for a in range(fib.t10.shape[1]):
         for b in range(fib.t10.shape[1]):

@@ -13,6 +13,14 @@ interleaved coordinates of the chart (semieuclid.FrameSubspace); vector
 fields entering covariant derivatives are extended off the fibre by
 pointwise projection, which is legitimate because second fundamental
 forms are tensorial in their arguments.
+
+Stacks: the fibres, gauss_weingarten, h_P_residual and
+integrability_residual take a point z (n,) or a stack of points (m, n).
+For a stack every member of the result gains a leading axis of length m
+(FoliationFibre holds stacked FrameSubspaces over a stacked form, scalar
+residuals become (m,) arrays), and each row carries the bits of the
+single-point call.  The points of one stack must share a Lee branch:
+all non-null or all null; a mixed stack raises ValueError.
 """
 
 from __future__ import annotations
@@ -23,13 +31,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .charts import (
+    ConnectionCoefficients,
     TangentVector,
+    _covariant_along,
+    _field_derivatives,
+    _max_abs,
+    _norms,
     _require_conditioned,
     _richardson,
     _solve_gram,
     _steps,
     christoffel,
-    covariant_derivative,
     fd_step,
     lie_bracket,
 )
@@ -38,8 +50,10 @@ from .semieuclid import (
     FrameSubspace,
     SemiEuclideanForm,
     _complement_within,
+    _every,
     _full_rank,
     _kernel,
+    _per_point,
     inner,
     orthogonal_complement,
 )
@@ -62,7 +76,7 @@ class FoliationFibre:
     """Pointwise data of a foliation: tangent fibre and its splitting."""
 
     point: np.ndarray
-    c: float
+    c: float            # an (m,) array for a stack
     tangent: FrameSubspace
     radical: FrameSubspace
     screen: FrameSubspace
@@ -73,6 +87,22 @@ class FoliationFibre:
 def _lck_point(lck: LCKStructure, z: np.ndarray) -> tuple[LeeData, SemiEuclideanForm]:
     data = _nonsingular(lee_data(lck, z))
     return data, data.form
+
+
+def _lee_branch(data: LeeData) -> bool:
+    """True when the Lee field is non-null at the point, or at every point
+    of the stack; False when it is null at every point."""
+    non_null = np.asarray(data.non_null)
+    if non_null.all():
+        return True
+    if non_null.any():
+        raise ValueError("stack mixes null and non-null Lee fields")
+    return False
+
+
+def _rows(*vectors: np.ndarray) -> np.ndarray:
+    """Vectors (..., N) as the rows of a basis (..., k, N)."""
+    return np.concatenate([v[..., None, :] for v in vectors], axis=-2)
 
 
 def _screen_split(form: SemiEuclideanForm, radical: np.ndarray,
@@ -86,7 +116,7 @@ def _screen_split(form: SemiEuclideanForm, radical: np.ndarray,
 
 
 def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
-    """Fibre of the hyperplane foliation omega = 0 at z.
+    """Fibre of the hyperplane foliation omega = 0 at z (a point or a stack).
 
     c != 0: the fibre is nondegenerate, the Lee line is transversal and
     the screen is the whole fibre.  c = 0: the Lee line is the radical,
@@ -96,20 +126,20 @@ def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     z = np.asarray(z, dtype=complex)
     data, form = _lck_point(lck, z)
     omega, Breal = data.omega_real, data.B_real
-    tangent = FrameSubspace.from_vectors(form, _kernel(omega, form.dim))
-    lee_line = FrameSubspace.from_vectors(form, [Breal])
-    if data.non_null:
+    tangent = FrameSubspace.from_vectors(form, _kernel(_rows(omega), form.dim))
+    lee_line = FrameSubspace.from_vectors(form, _rows(Breal))
+    if _lee_branch(data):
         return FoliationFibre(point=z, c=data.c, tangent=tangent,
                               radical=FrameSubspace.zero(form), screen=tangent,
                               transversal=lee_line, form=form)
     screen, screen_perp = _screen_split(form, lee_line.basis, tangent.basis)
     V_rows = _complement_within(lee_line.basis, screen_perp)
-    if V_rows.shape[0] != 1:
+    if V_rows.shape[-2] != 1:
         raise ValueError("could not isolate a complement of the Lee line")
-    N = lightlike_transversal(form, omega, Breal, screen, V_rows[0])
+    N = lightlike_transversal(form, omega, Breal, screen, V_rows[..., 0, :])
     return FoliationFibre(point=z, c=data.c, tangent=tangent, radical=lee_line,
                           screen=screen,
-                          transversal=FrameSubspace.from_vectors(form, [N]),
+                          transversal=FrameSubspace.from_vectors(form, _rows(N)),
                           form=form)
 
 
@@ -123,39 +153,42 @@ def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
     independent of B.  omega(V) != 0 then holds automatically for valid
     inputs; a vanishing value signals an invalid complement.  The output
     satisfies g(N_V, N_V) = 0 and omega(N_V) = 1 and does not depend on
-    the choice of V.
+    the choice of V.  All inputs may carry a stack axis, checked per point.
     """
     V = np.asarray(V, dtype=float)
     B = np.asarray(B, dtype=float)
     omega = np.asarray(omega, dtype=float)
+    vmax = np.abs(V).max(axis=-1)
     if screen.dim:
-        cross = np.abs(screen.basis @ form.gram @ V).max()
-        if cross > ORTHO_TOL * max(1.0, float(np.abs(V).max())):
+        cross = np.abs(np.matvec(screen.basis @ form.gram, V)).max(axis=-1)
+        if (cross > ORTHO_TOL * np.maximum(1.0, vmax)).any():
             raise ValueError("V is not orthogonal to the screen")
-    if not _full_rank(np.vstack([B, V])):
+    if not _every(_full_rank(_rows(B, V))):
         raise ValueError("V lies on the Lee line")
-    wV = float(omega @ V)
-    if abs(wV) <= 1e-12 * max(1.0, float(np.abs(omega).max()) * float(np.abs(V).max())):
+    wV = np.vecdot(omega, V)
+    if (np.abs(wV) <= 1e-12 * np.maximum(1.0, np.abs(omega).max(axis=-1) * vmax)).any():
         raise ValueError("omega(V) = 0: V does not span a valid complement")
     gVV = inner(form, V, V)
-    return (V - (gVV / (2.0 * wV)) * B) / wV
+    return (V - (gVV / (2.0 * wV))[..., None] * B) / wV[..., None]
 
 
 @dataclass(frozen=True)
 class SecondFundamentalData:
-    """Gauss-Weingarten split samples for one (X, Y, V) triple."""
+    """Gauss-Weingarten split samples for one (X, Y, V) triple (per point
+    of a stack)."""
 
     induced: np.ndarray          # tan(nabla_X Y)
     h: np.ndarray                # tra(nabla_X Y)
     shape_operator: np.ndarray   # A_V X = -tan(nabla_X V)
     transversal_connection: np.ndarray  # tra(nabla_X V)
-    h_symmetry_residual: float
+    h_symmetry_residual: float   # an (m,) array for a stack
 
 
 def _tangential_extension(lck: LCKStructure, vec: np.ndarray) -> Callable:
-    """Extend a tangent vector to a section of ker(omega) by projecting a
-    coordinate-constant field pointwise (g-projection along the Lee line
-    where c != 0, Euclidean kernel projection where c = 0)."""
+    """Extend a tangent vector (one per point of a stack) to a section of
+    ker(omega) by projecting a coordinate-constant field pointwise
+    (g-projection along the Lee line where c != 0, Euclidean kernel
+    projection where c = 0)."""
     def field(p):
         data = lee_data(lck, p)
         omega = data.omega_real
@@ -183,13 +216,9 @@ def _split_first(data: LeeData, fibre: FoliationFibre,
                  w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a real vector against tangent + transversal of the first
     foliation at data's point, using the omega-normalization of the
-    transversal."""
-    omega = data.omega_real
-    if data.non_null:
-        coeff = float(omega @ w) / fibre.c
-    else:
-        coeff = float(omega @ w)   # omega(N_V) = 1
-    tra = coeff * fibre.transversal.basis[0]
+    transversal (omega(N_V) = 1 where c = 0)."""
+    coeff = np.vecdot(data.omega_real, w) / np.where(data.non_null, fibre.c, 1.0)
+    tra = coeff[..., None] * fibre.transversal.basis[..., 0, :]
     return w - tra, tra
 
 
@@ -201,7 +230,9 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
     TangentVector), extended as sections of the tangent distribution by
     pointwise projection; V is a transversal vector extended likewise
     along the transversal line: by the Lee field when c != 0 at z, by the
-    closed-form null transversal when c = 0.
+    closed-form null transversal when c = 0.  z may be a stack, with one
+    X, Y and V per point and the stacked fibre; the three fields share
+    one stencil evaluation.
     """
     z = np.asarray(z, dtype=complex)
     chart = lck.chart
@@ -214,39 +245,41 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
     Xr, Yr, Vr = as_real(X), as_real(Y), as_real(V)
     _require_conditioned(fibre.form.gram, z)
 
-    Xfield = _tangential_extension(lck, Xr)
-    Yfield = _tangential_extension(lck, Yr)
-    nXY = covariant_derivative(chart, Xfield, Yfield, z, gamma=gamma)
-    nYX = covariant_derivative(chart, Yfield, Xfield, z, gamma=gamma)
-    tanXY, traXY = _split_first(data, fibre, nXY.real_coords())
-    _, traYX = _split_first(data, fibre, nYX.real_coords())
-
-    scale = max(1.0, float(np.abs(fibre.transversal.basis).max()))
-    # coefficient of V against the transversal generator, so the shape
-    # operator scales linearly with the supplied V
-    alpha = float(np.linalg.lstsq(fibre.transversal.basis.T,
-                                  Vr, rcond=None)[0][0])
-    gen_resid = np.abs(alpha * fibre.transversal.basis[0] - Vr).max()
-    if gen_resid > ORTHO_TOL * max(1.0, np.abs(Vr).max()):
+    trans = fibre.transversal.basis[..., 0, :]
+    scale = np.maximum(1.0, np.abs(fibre.transversal.basis).max(axis=(-2, -1)))
+    # coefficient of V against the transversal generator (its least-squares
+    # solution), so the shape operator scales linearly with the supplied V
+    alpha = np.vecdot(trans, Vr) / np.vecdot(trans, trans)
+    gen_resid = np.abs(alpha[..., None] * trans - Vr).max(axis=-1)
+    if np.any(gen_resid > ORTHO_TOL * np.maximum(1.0, np.abs(Vr).max(axis=-1))):
         raise ValueError("V is not a transversal vector at z")
 
-    if data.non_null:
+    a = alpha[..., None]
+    if _lee_branch(data):
         def Vfield(p):
-            return alpha * lee_data(lck, p).B
+            return lee_data(lck, p).B * a
     else:
         def Vfield(p):
-            return alpha * TangentVector.from_real_coords(_null_transversal(lee_data(lck, p)))
+            return TangentVector.from_real_coords(_null_transversal(lee_data(lck, p))) * a
 
-    nXV = covariant_derivative(chart, Xfield, Vfield, z, gamma=gamma)
+    Xfield = _tangential_extension(lck, Xr)
+    Yfield = _tangential_extension(lck, Yr)
+    dX, dY, dV = _field_derivatives([Xfield, Yfield, Vfield], z, chart=chart)
+    Xv, Yv, Vv = Xfield(z), Yfield(z), Vfield(z)
+    nXY = _covariant_along(gamma, Xv, Yv, dY)
+    nYX = _covariant_along(gamma, Yv, Xv, dX)
+    nXV = _covariant_along(gamma, Xv, Vv, dV)
+    tanXY, traXY = _split_first(data, fibre, nXY.real_coords())
+    _, traYX = _split_first(data, fibre, nYX.real_coords())
     tanXV, traXV = _split_first(data, fibre, nXV.real_coords())
     return SecondFundamentalData(
         induced=tanXY, h=traXY, shape_operator=-tanXV,
         transversal_connection=traXV,
-        h_symmetry_residual=float(np.abs(traXY - traYX).max()) / scale)
+        h_symmetry_residual=_max_abs(traXY - traYX, 1) / scale)
 
 
 def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
-    """Fibre of the Lee/anti-Lee plane foliation at z.
+    """Fibre of the Lee/anti-Lee plane foliation at z (a point or a stack).
 
     c != 0: a definite plane (sign c) with the orthocomplement as
     transversal.  c = 0: the plane is its own radical (isotropic for
@@ -257,9 +290,9 @@ def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     z = np.asarray(z, dtype=complex)
     data, form = _lck_point(lck, z)
     A, B = data.A_real, data.B_real
-    tangent = FrameSubspace.from_vectors(form, [A, B])
+    tangent = FrameSubspace.from_vectors(form, _rows(A, B))
     perp = orthogonal_complement(form, tangent)
-    if data.non_null:
+    if _lee_branch(data):
         return FoliationFibre(point=z, c=data.c, tangent=tangent,
                               radical=FrameSubspace.zero(form), screen=tangent,
                               transversal=perp, form=form)
@@ -267,26 +300,31 @@ def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     if lck.chart.n >= 3:
         E_rows = _complement_within(tangent.basis, sperp)
         pair = isotropic_transversal_pair(form, data.omega_real, data.theta_real,
-                                          A, B, screen, E_rows[0], E_rows[1])
-        trans_rows = np.vstack([pair.N1, pair.N2, screen.basis])
+                                          A, B, screen, E_rows[..., 0, :], E_rows[..., 1, :])
+        trans_rows = np.concatenate([_rows(pair.N1, pair.N2), screen.basis], axis=-2)
     else:
-        trans_rows = _complement_within(tangent.basis, np.eye(form.dim))
+        eye = np.broadcast_to(np.eye(form.dim), tangent.basis.shape[:-2] + (form.dim,) * 2)
+        trans_rows = _complement_within(tangent.basis, eye)
     return FoliationFibre(point=z, c=data.c, tangent=tangent, radical=tangent,
                           screen=FrameSubspace.zero(form),
                           transversal=FrameSubspace.from_vectors(form, trans_rows),
                           form=form)
 
 
-def integrability_residual(lck: LCKStructure, z) -> float:
-    """Euclidean norm of [A, B] after projecting out span{A, B}."""
+def _plane_projection_residual(plane: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v minus its Euclidean projection onto the span of the two plane rows."""
+    q, _ = np.linalg.qr(plane.swapaxes(-1, -2))
+    return v - np.matvec(q, np.matvec(q.swapaxes(-1, -2), v))
+
+
+def integrability_residual(lck: LCKStructure, z):
+    """Euclidean norm of [A, B] after projecting out span{A, B}, at a point
+    (a float) or at each point of a stack (an array)."""
     z = np.asarray(z, dtype=complex)
     data = _nonsingular(lee_data(lck, z))
     Afield, Bfield = (lambda p: lee_data(lck, p).A), (lambda p: lee_data(lck, p).B)
     br = lie_bracket(Afield, Bfield, z).real_coords()
-    plane = np.vstack([data.A_real, data.B_real])
-    q, _ = np.linalg.qr(plane.T)
-    resid = br - q @ (q.T @ br)
-    return float(np.linalg.norm(resid))
+    return _norms(_plane_projection_residual(_rows(data.A_real, data.B_real), br))
 
 
 @dataclass(frozen=True)
@@ -310,61 +348,76 @@ def isotropic_transversal_pair(form: SemiEuclideanForm, omega: np.ndarray,
     derived from the isotropy constraints g(N_i, N_j) = 0 with
     lam12 = lam21, giving lam11 = -g(W1,W1)/2, lam22 = -g(W2,W2)/2,
     lam12 = -g(W1,W2)/2.  The pair is invariant under frame changes of
-    {V1, V2}.
+    {V1, V2}.  All inputs may carry a stack axis, checked per point.
     """
     V1 = np.asarray(V1, dtype=float)
     V2 = np.asarray(V2, dtype=float)
+    V12 = _rows(V1, V2)
+    vmax = np.abs(V12).max(axis=-1)
     if screen.dim:
-        cross = np.abs(screen.basis @ form.gram @ np.vstack([V1, V2]).T).max()
-        if cross > ORTHO_TOL * max(1.0, float(np.abs(V1).max()), float(np.abs(V2).max())):
+        cross = np.abs(screen.basis @ form.gram @ V12.swapaxes(-1, -2)).max(axis=(-2, -1))
+        if (cross > ORTHO_TOL * np.maximum(1.0, vmax.max(axis=-1))).any():
             raise ValueError("V1, V2 must be orthogonal to the screen")
-    w1, w2 = float(omega @ V1), float(omega @ V2)
-    t1, t2 = float(theta @ V1), float(theta @ V2)
-    D = t1 * w2 - w1 * t2
-    scale = max(1.0, float(np.abs(omega).max()) * float(np.abs(V1).max()),
-                float(np.abs(theta).max()) * float(np.abs(V2).max()))
-    if abs(D) < 1e-10 * scale:
+    w = np.vecdot(V12, omega[..., None, :])      # omega(V1), omega(V2)
+    t = np.vecdot(V12, theta[..., None, :])
+    D = t[..., 0] * w[..., 1] - w[..., 0] * t[..., 1]
+    scale = np.maximum(np.maximum(1.0, np.abs(omega).max(axis=-1) * vmax[..., 0]),
+                       np.abs(theta).max(axis=-1) * vmax[..., 1])
+    if (np.abs(D) < 1e-10 * scale).any():
         raise ValueError("D = 0: {V1, V2} do not frame a valid complement")
-    W1 = (w2 * V1 - w1 * V2) / D
-    W2 = -(t2 * V1 - t1 * V2) / D
-    lam11 = -0.5 * inner(form, W1, W1)
-    lam22 = -0.5 * inner(form, W2, W2)
-    lam12 = -0.5 * inner(form, W1, W2)
-    N1 = lam11 * A + lam12 * B + W1
-    N2 = lam12 * A + lam22 * B + W2
-    return IsotropicTransversalPair(N1=N1, N2=N2,
-                                    lam=np.array([[lam11, lam12], [lam12, lam22]]))
+    w, t, D = w[..., None], t[..., None], D[..., None]
+    W1 = (w[..., 1, :] * V1 - w[..., 0, :] * V2) / D
+    W2 = -(t[..., 1, :] * V1 - t[..., 0, :] * V2) / D
+    lam = np.empty(D.shape[:-1] + (2, 2))
+    lam[..., 0, 0] = -0.5 * inner(form, W1, W1)
+    lam[..., 1, 1] = -0.5 * inner(form, W2, W2)
+    lam[..., 0, 1] = lam[..., 1, 0] = -0.5 * inner(form, W1, W2)
+    N1 = lam[..., 0, 0, None] * A + lam[..., 0, 1, None] * B + W1
+    N2 = lam[..., 0, 1, None] * A + lam[..., 1, 1, None] * B + W2
+    return IsotropicTransversalPair(N1=N1, N2=N2, lam=lam)
 
 
-def h_P_residual(lck: LCKStructure, z) -> float:
-    """Max transversal component of nabla_X Y over X, Y in {A, B}.
+def _lee_plane_connection(lck: LCKStructure, z: np.ndarray,
+                          gamma: ConnectionCoefficients) -> dict:
+    """nabla_X Y at z for X, Y in the Lee/anti-Lee pair, keyed "AA", "AB",
+    "BA", "BB": each of the fields A and B is differentiated once, both
+    in one stencil evaluation."""
+    Afield, Bfield = (lambda p: lee_data(lck, p).A), (lambda p: lee_data(lck, p).B)
+    derivs = dict(zip("AB", _field_derivatives([Afield, Bfield], z, chart=lck.chart)))
+    data = lee_data(lck, z)
+    at = {"A": data.A, "B": data.B}
+    return {X + Y: _covariant_along(gamma, at[X], at[Y], derivs[Y])
+            for X in "AB" for Y in "AB"}
+
+
+def h_P_residual(lck: LCKStructure, z, nabla: dict | None = None):
+    """Max transversal component of nabla_X Y over X, Y in {A, B}, at a
+    point (a float) or at each point of a stack (an array).
 
     On parallel-Lee charts with c != 0 this is the second fundamental
     form of the Lee/anti-Lee plane and must vanish; nabla_A A = 0 is part
     of the same bound since the full covariant derivatives are measured.
+    nabla, when given, holds those derivatives as _lee_plane_connection
+    returns them.
     """
     z = np.asarray(z, dtype=complex)
-    fibre = second_foliation_fibre(lck, z)
-    chart = lck.chart
-    gamma = christoffel(chart, z)
-    Afield, Bfield = (lambda p: lee_data(lck, p).A), (lambda p: lee_data(lck, p).B)
-
-    worst = 0.0
-    plane = fibre.tangent.basis
-    q, _ = np.linalg.qr(plane.T)
-    non_null = fibre.radical.dim == 0
-    for X in (Afield, Bfield):
-        for Y in (Afield, Bfield):
-            nXY = covariant_derivative(chart, X, Y, z, gamma=gamma).real_coords()
-            if non_null:
-                # g-projection onto the plane, remainder is transversal
-                coeffA = inner(fibre.form, nXY, fibre.tangent.basis[0]) / fibre.c
-                coeffB = inner(fibre.form, nXY, fibre.tangent.basis[1]) / fibre.c
-                resid = nXY - coeffA * fibre.tangent.basis[0] - coeffB * fibre.tangent.basis[1]
-            else:
-                resid = nXY - q @ (q.T @ nXY)
-            worst = max(worst, float(np.abs(resid).max()))
-    return worst
+    data, form = _lck_point(lck, z)     # the plane is the second foliation's fibre
+    if nabla is None:
+        nabla = _lee_plane_connection(lck, z, christoffel(lck.chart, z))
+    e0, e1 = data.A_real, data.B_real
+    non_null = _lee_branch(data)
+    worst = None
+    for nXY in (nabla[k].real_coords() for k in ("AA", "AB", "BA", "BB")):
+        if non_null:
+            # g-projection onto the plane, remainder is transversal
+            coeffA = np.asarray(inner(form, nXY, e0) / data.c)[..., None]
+            coeffB = np.asarray(inner(form, nXY, e1) / data.c)[..., None]
+            resid = nXY - coeffA * e0 - coeffB * e1
+        else:
+            resid = _plane_projection_residual(_rows(e0, e1), nXY)
+        r = np.abs(resid).max(axis=-1)
+        worst = r if worst is None else np.maximum(worst, r)
+    return _per_point(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +511,25 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
     # derivatives along the submanifold use the pulled-back fields.
     ucoeff = np.linalg.lstsq(jac, frame_cols, rcond=None)[0]
 
-    def h_of(Xi: TangentVector, Yi: TangentVector, ycoeff_u: np.ndarray,
-             y_is_j: bool) -> np.ndarray:
+    xcoeffs: dict = {}
+    h_values: dict = {}
+
+    def h_of(a: int, x_j: int, b: int, y_j: int) -> np.ndarray:
+        """h(X, Y) for X = reals[2a + x_j] (J X_a when x_j) and Y =
+        reals[2b + y_j]; each pair is computed once."""
+        key = (a, x_j, b, y_j)
+        if key in h_values:
+            return h_values[key]
+        Xi, Yi, ycoeff_u = reals[2 * a + x_j], reals[2 * b + y_j], ucoeff[:, b]
         # direction of X in parameter space
-        xcoeff = np.linalg.lstsq(jac, Xi.hol, rcond=None)[0]
+        if (a, x_j) not in xcoeffs:
+            xcoeffs[a, x_j] = np.linalg.lstsq(jac, Xi.hol, rcond=None)[0]
+        xcoeff = xcoeffs[a, x_j]
 
         # field along the submanifold with constant u-coefficients
         def Yfield_param(t):
             hol = immersion.jacobian(u + t * xcoeff) @ ycoeff_u
-            return TangentVector.real(1j * hol if y_is_j else hol).components
+            return TangentVector.real(1j * hol if y_j else hol).components
 
         h = fd_step(u)
         dY = _richardson([Yfield_param(t) for t in _steps(h)], h)
@@ -475,7 +538,8 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
         # X.hol lies in the column span of jac: guaranteed for tangent X.
         nabla = dY + np.einsum("abc,b,c->a", gamma.gamma, Xi.components,
                                Yi.components)
-        return nor(nabla)
+        h_values[key] = nor(nabla)
+        return h_values[key]
 
     Bperp = nor(data.B.components)
     eq_residual = 0.0
@@ -483,26 +547,22 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
         Ea = reals[2 * a]
         for b in range(m):
             Eb = reals[2 * b]
-            yc = ucoeff[:, b]
-            hXY = h_of(Ea, Eb, yc, False)
-            hJXJY = h_of(Ea.j(), Eb.j(), yc, True)
+            hXY = h_of(a, 0, b, 0)
+            hJXJY = h_of(a, 1, b, 1)
             gXY = float((Ea.components @ G @ Eb.components).real)
             resid = hJXJY + hXY + gXY * Bperp
             eq_residual = max(eq_residual, float(np.abs(resid).max()))
             # mixed pairs: substituting (X, JY) into the law and using
             # J^2 = -1 gives h(X, JY) - h(JX, Y) + g(X, JY) Bperp = 0
-            hXJY = h_of(Ea, Eb.j(), yc, True)
-            hJXY = h_of(Ea.j(), Eb, yc, False)
+            hXJY = h_of(a, 0, b, 1)
+            hJXY = h_of(a, 1, b, 0)
             gXJY = float((Ea.components @ G @ Eb.j().components).real)
             resid = hXJY - hJXY + gXJY * Bperp
             eq_residual = max(eq_residual, float(np.abs(resid).max()))
 
     Hmean = np.zeros(2 * chart.n, dtype=complex)
     for a in range(m):
-        Ea = reals[2 * a]
-        yc = ucoeff[:, a]
-        Hmean = Hmean + signs[a] * (h_of(Ea, Ea, yc, False)
-                                    + h_of(Ea.j(), Ea.j(), yc, True))
+        Hmean = Hmean + signs[a] * (h_of(a, 0, a, 0) + h_of(a, 1, a, 1))
     Hmean = Hmean / (2.0 * m)
     mean_offset = float(np.abs(Hmean + 0.5 * Bperp).max())
     return eq_residual, mean_offset

@@ -21,7 +21,11 @@ from .charts import (
     MetricChart,
     TangentVector,
     _as_field,
+    _bilinear,
+    _first_fault,
+    _max_abs,
     _mixed_blocks,
+    _norms,
     _real_gram,
     _solve_gram,
     christoffel,
@@ -70,10 +74,6 @@ def lee_form_components(lck: LCKStructure, z: np.ndarray) -> np.ndarray:
     return np.concatenate([hol, hol.conj()], axis=-1)
 
 
-def eval_form(components: np.ndarray, v: TangentVector) -> complex:
-    return complex(np.asarray(components) @ v.components)
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -86,8 +86,8 @@ class LeeData:
 
     The cached members hold B and A in real interleaved coordinates, the
     real Gram, omega and theta as real covectors and the null test of c;
-    each is derived from H when first asked for, then kept.  `form`, the
-    validated real form, exists for a single point only.
+    each is derived from H when first asked for, then kept, as is `form`,
+    the validated real form (a stacked form for a stack).
     """
 
     point: np.ndarray
@@ -140,9 +140,11 @@ def _non_null(c: float, Breal: np.ndarray) -> bool:
 
 
 def _nonsingular(data: LeeData) -> LeeData:
-    """data, unless its Lee field vanishes (SingularLeeError)."""
-    if data.B.norm() < SINGULAR_LEE_TOL:
-        raise SingularLeeError(f"Lee field vanishes at {data.point}")
+    """data, unless its Lee field vanishes at the point, or at a point of
+    the stack (SingularLeeError, naming the first such point)."""
+    bad = _first_fault(_norms(data.B.components) >= SINGULAR_LEE_TOL)
+    if bad is not None:
+        raise SingularLeeError(f"Lee field vanishes at {data.point[bad]}")
     return data
 
 
@@ -167,7 +169,7 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
     omega = lee_form_components(lck, z)
     H = lck.chart.hermitian(z)
     G = _mixed_blocks(H, H.conj())        # gram_full(z), sharing H with Omega
-    B = TangentVector.from_components(_solve_gram(G, omega[..., None], z)[..., 0])
+    B = TangentVector.from_components(_solve_gram(G, omega[..., None], z, H)[..., 0])
     A = -1.0 * B.j()                      # A = -J B
     theta = np.matvec(G, A.components)    # theta(X) = g(X, A)
     Om = _mixed_blocks(-1j * H, 1j * H.conj())   # as in charts.kahler_form
@@ -182,22 +184,29 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
     return data
 
 
+def _applied(form: np.ndarray, v: TangentVector) -> np.ndarray:
+    """form(v) from frame components, per point, shaped to scale vectors."""
+    return np.vecdot(form.conj(), v.components)[..., None]   # form @ v
+
+
 def weyl_connection(lck: LCKStructure, X, Y, z: np.ndarray,
                     gamma: ConnectionCoefficients | None = None) -> TangentVector:
-    """D_X Y = nabla_X Y - (1/2){omega(X) Y + omega(Y) X - g(X,Y) B}."""
+    """D_X Y = nabla_X Y - (1/2){omega(X) Y + omega(Y) X - g(X,Y) B}, at a
+    point or at each point of a stack."""
     z = np.asarray(z, dtype=complex)
     base = covariant_derivative(lck.chart, X, Y, z, gamma=gamma)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     data = lee_data(lck, z)
-    wX, wY = eval_form(data.omega, Xv), eval_form(data.omega, Yv)
-    gXY = Xv.components @ data.G @ Yv.components
-    shift = wX * Yv.components + wY * Xv.components - gXY * data.B.components
+    gXY = _bilinear(Xv.components, data.G, Yv.components)[..., None]
+    shift = _applied(data.omega, Xv) * Yv.components + _applied(data.omega, Yv) * Xv.components \
+        - gXY * data.B.components
     return TangentVector.from_components(base.components - 0.5 * shift)
 
 
 def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray,
                    gamma: ConnectionCoefficients | None = None) -> TangentVector:
-    """Defect of the closed-form expression for (nabla_X J) Y.
+    """Defect of the closed-form expression for (nabla_X J) Y, at a point
+    or at each point of a stack.
 
     Returns (nabla_X(JY) - J nabla_X Y)
       - (1/2){theta(Y) X - omega(Y) JX - g(X,Y) A - Omega(X,Y) B};
@@ -213,18 +222,18 @@ def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray,
         - covariant_derivative(chart, X, Y, z, gamma=gamma).j()
     Xv, Yv = Xf(z), Yf(z)
     data = lee_data(lck, z)
-    thY = eval_form(data.theta, Yv)
-    wY = eval_form(data.omega, Yv)
-    gXY = Xv.components @ data.G @ Yv.components
-    OmXY = Xv.components @ data.Omega @ Yv.components
-    rhs = 0.5 * (thY * Xv.components - wY * Xv.j().components
+    gXY = _bilinear(Xv.components, data.G, Yv.components)[..., None]
+    OmXY = _bilinear(Xv.components, data.Omega, Yv.components)[..., None]
+    rhs = 0.5 * (_applied(data.theta, Yv) * Xv.components
+                 - _applied(data.omega, Yv) * Xv.j().components
                  - gXY * data.A.components - OmXY * data.B.components)
     return TangentVector.from_components(lhs.components - rhs)
 
 
 def parallel_lee_residual(lck: LCKStructure, z: np.ndarray,
-                          gamma: ConnectionCoefficients | None = None) -> float:
-    """max_{A,B} |(nabla_{Z_A} omega)(Z_B)| over the coordinate frame.
+                          gamma: ConnectionCoefficients | None = None):
+    """max_{A,B} |(nabla_{Z_A} omega)(Z_B)| over the coordinate frame, at a
+    point (a float) or at each point of a stack (an array).
 
     (nabla_X omega)(Y) = X(omega(Y)) - omega(nabla_X Y); for frame fields
     the second term contracts the connection coefficients with omega.
@@ -235,7 +244,7 @@ def parallel_lee_residual(lck: LCKStructure, z: np.ndarray,
         gamma = christoffel(chart, z)
     h = fd_step(z)
     d_dz, d_dzb = wirtinger_derivative(lambda p: lee_form_components(lck, p), z, h)
-    grad = np.vstack([d_dz, d_dzb])             # grad[A, B] = Z_A(omega_B)
+    grad = np.concatenate([d_dz, d_dzb], axis=-2)   # grad[A, B] = Z_A(omega_B)
     omega = lee_form_components(lck, z)
-    contracted = np.einsum("cab,c->ab", gamma.gamma, omega)
-    return float(np.abs(grad - contracted).max())
+    contracted = np.einsum("...cab,...c->...ab", gamma.gamma, omega)
+    return _max_abs(grad - contracted, 2)

@@ -114,35 +114,34 @@ def _diagonal(d: np.ndarray) -> np.ndarray:
 
 def _hopf_metric_fns(n: int, s: int):
     eps = eps_signs(n, s)
+    d = np.eye(n)                    # d[l, j] = delta^l_j
+    eps_d = eps[:, None] * d         # eps_j delta_jk
 
     def metric(z):
         b = (eps * np.abs(z) ** 2).sum(axis=-1, keepdims=True)
         return _diagonal(0.5 * eps / np.abs(b))
 
     def gamma(z):
+        """Closed-form coefficients at a point or a stack of points."""
         z = np.asarray(z, dtype=complex)
-        b = float(np.sum(eps * np.abs(z) ** 2))
-        a = 1.0 if b > 0 else -1.0
-        r2 = abs(b)
-        q = a / (2.0 * r2)
-        G = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
+        b = np.sum(eps * np.abs(z) ** 2, axis=-1)
+        q = (np.where(b > 0, 1.0, -1.0) / (2.0 * np.abs(b)))[..., None, None, None]
         ez = eps * z.conj()          # eps_j zbar_j
-        for l in range(n):
-            for j in range(n):
-                for k in range(n):
-                    # Gamma^l_{jk} = -q (eps_j zbar_j d^l_k + eps_k zbar_k d^l_j)
-                    G[l, j, k] = -q * (ez[j] * (l == k) + ez[k] * (l == j))
-                    # Gamma^l_{j kbar} = q (eps_j d_{jk} z^l - eps_k z_k d^l_j)
-                    G[l, j, n + k] = q * (eps[j] * (j == k) * z[l]
-                                          - eps[k] * z[k] * (l == j))
-                    G[l, n + k, j] = G[l, j, n + k]
-                    # Gamma^lbar_{j kbar} = q (eps_j d_{jk} zbar^l - eps_j zbar_j d^l_k)
-                    G[n + l, j, n + k] = q * (eps[j] * (j == k) * np.conj(z[l])
-                                              - ez[j] * (l == k))
-                    G[n + l, n + k, j] = G[n + l, j, n + k]
+        ezj = ez[..., None, :, None]     # indexed [l, j, k]: the j factor
+        ezk = ez[..., None, None, :]     # the k factor
+        zl = z[..., :, None, None]
+        G = np.zeros(z.shape[:-1] + (2 * n, 2 * n, 2 * n), dtype=complex)
+        # Gamma^l_{jk} = -q (eps_j zbar_j d^l_k + eps_k zbar_k d^l_j)
+        G[..., :n, :n, :n] = -q * (ezj * d[:, None, :] + ezk * d[:, :, None])
+        # Gamma^l_{j kbar} = q (eps_j d_{jk} z^l - eps_k z_k d^l_j)
+        G[..., :n, :n, n:] = q * (eps_d * zl - (eps * z)[..., None, None, :] * d[:, :, None])
+        G[..., :n, n:, :n] = G[..., :n, :n, n:].swapaxes(-1, -2)
+        # Gamma^lbar_{j kbar} = q (eps_j d_{jk} zbar^l - eps_j zbar_j d^l_k)
+        G[..., n:, :n, n:] = q * (eps_d * zl.conj() - ezj * d[:, None, :])
+        G[..., n:, n:, :n] = G[..., n:, :n, n:].swapaxes(-1, -2)
         # conjugation symmetry fills the all-barred block; the remaining
         # blocks Gamma^lbar_{jk} and Gamma^l_{jbar kbar} vanish identically.
-        G[n:, n:, n:] = G[:n, :n, :n].conj()
+        G[..., n:, n:, n:] = G[..., :n, :n, :n].conj()
         return G
 
     return metric, gamma
@@ -188,7 +187,7 @@ def flat_chart(n: int, s: int) -> LCKStructure:
         n=n, s=s,
         metric_eval=_constant(H),
         domain_pred=lambda z: True,
-        christoffel_analytic=lambda z: np.zeros((2 * n, 2 * n, 2 * n), dtype=complex),
+        christoffel_analytic=_constant(np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)),
         name=f"flat(n={n},s={s})")
     return LCKStructure(chart=chart, lee_form_eval=_constant(np.zeros(n, dtype=complex)),
                         conformal_factor_eval=_constant(np.zeros(())), name=chart.name)
@@ -263,20 +262,24 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
         return _diagonal(d)
 
     def gamma_full(p):
-        """All nonzero connection coefficients in closed form."""
-        v = float(p[0].imag)
-        G = np.zeros((2 * m, 2 * m, 2 * m), dtype=complex)
+        """All nonzero connection coefficients in closed form, at a point
+        or a stack of points."""
+        v = np.asarray(p)[..., 0].imag
+        G = np.zeros(v.shape + (2 * m, 2 * m, 2 * m), dtype=complex)
         w, wb = 0, m
-        G[w, w, w] = 1j / v
-        G[wb, wb, wb] = -1j / v
-        for j in range(1, m):
-            jb = m + j
-            G[j, j, w] = G[j, w, j] = -0.25j / v
-            G[jb, jb, wb] = G[jb, wb, jb] = 0.25j / v
-            G[j, j, wb] = G[j, wb, j] = 0.25j / v
-            G[jb, jb, w] = G[jb, w, jb] = -0.25j / v
-            G[w, j, jb] = G[w, jb, j] = -0.25j * eps[j - 1] * v ** 2
-            G[wb, j, jb] = G[wb, jb, j] = 0.25j * eps[j - 1] * v ** 2
+        j = np.arange(1, m)
+        jb = m + j
+        quarter = (0.25 / v)[..., None]
+        # a real quotient times i, so each entry is c / v as for a scalar v
+        G[..., w, w, w] = 1j * (1.0 / v)
+        G[..., wb, wb, wb] = 1j * (-1.0 / v)
+        G[..., j, j, w] = G[..., j, w, j] = 1j * -quarter
+        G[..., jb, jb, wb] = G[..., jb, wb, jb] = 1j * quarter
+        G[..., j, j, wb] = G[..., j, wb, j] = 1j * quarter
+        G[..., jb, jb, w] = G[..., jb, w, jb] = 1j * -quarter
+        v2 = np.float_power(v, 2)[..., None]     # libm pow, as a Python float's v ** 2
+        G[..., w, j, jb] = G[..., w, jb, j] = 1j * ((-0.25 * eps) * v2)
+        G[..., wb, j, jb] = G[..., wb, jb, j] = 1j * ((0.25 * eps) * v2)
         return G
 
     chart = MetricChart(n=m, s=s, metric_eval=metric,

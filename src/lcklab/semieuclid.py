@@ -1,10 +1,19 @@
-"""Indefinite (semi-Euclidean) linear algebra at a single point.
+"""Indefinite (semi-Euclidean) linear algebra at a point.
 
 Inner products, orthogonal complements, radicals and signatures of
 subspaces of a real coordinate space carrying a nondegenerate symmetric
 bilinear form of arbitrary index.  Everything here is exact pointwise
 linear algebra; subspaces are represented by explicit (non-canonical)
 bases and compared by mutual span containment.
+
+Stacks: a form may carry one Gram matrix per point of a stack, gram of
+shape (..., N, N), and then a FrameSubspace carries one basis per point,
+basis (..., k, N), with k the same at every point.  The form validation,
+_full_rank, _kernel, _complement_within, inner, from_vectors,
+orthogonal_complement and signature_of work per point of such a stack,
+through numpy's stacked linear algebra, which gives each point the bits
+of a single-point call; a stack whose points disagree on a rank raises
+ValueError.  radical, contains_span and same_span take single points.
 """
 
 from __future__ import annotations
@@ -43,17 +52,21 @@ class SemiEuclideanForm:
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=float)
-        if g.shape != (self.dim, self.dim):
+        if g.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"gram must be {self.dim}x{self.dim}, got {g.shape}")
-        if not np.allclose(g, g.T, atol=1e-12 * max(1.0, np.abs(g).max())):
+        scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1), initial=0.0))[..., None, None]
+        gT = g.swapaxes(-1, -2)   # np.allclose(g, g.T, atol=1e-12 * scale), per matrix
+        if not (np.abs(g - gT) <= 1e-12 * scale + 1e-5 * np.abs(gT)).all():
             raise ValueError("gram matrix is not symmetric")
         evals = np.linalg.eigvalsh(g)
-        tol = 1e-12 * max(1.0, np.abs(evals).max())
-        neg = int(np.sum(evals < -tol))
-        pos = int(np.sum(evals > tol))
-        if neg != self.index or pos != self.dim - self.index:
+        tol = 1e-12 * np.maximum(1.0, np.abs(evals).max(axis=-1, initial=0.0))[..., None]
+        neg = np.sum(evals < -tol, axis=-1)
+        pos = np.sum(evals > tol, axis=-1)
+        bad = (neg != self.index) | (pos != self.dim - self.index)
+        if bad.any():
+            first = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise ValueError(
-                f"gram has signature ({pos},{neg}), expected "
+                f"gram has signature ({pos[first]},{neg[first]}), expected "
                 f"({self.dim - self.index},{self.index})"
             )
         object.__setattr__(self, "gram", g)
@@ -66,13 +79,27 @@ class SemiEuclideanForm:
         return cls(dim=dim, index=index, gram=np.diag(d))
 
 
-def inner(form: SemiEuclideanForm, u: np.ndarray, v: np.ndarray) -> float:
-    """Evaluate the bilinear form on a pair of vectors."""
+def _per_point(x):
+    """A Python scalar for a single point, the per-point array for a stack."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _every(ok) -> bool:
+    """True when a per-point test holds at the point, or at every point."""
+    return ok if isinstance(ok, bool) else bool(np.all(ok))
+
+
+def inner(form: SemiEuclideanForm, u: np.ndarray, v: np.ndarray):
+    """Evaluate the bilinear form on a pair of vectors (per point of a
+    stack: a float for one point, an array for a stack)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != (form.dim,) or v.shape != (form.dim,):
+    if u.shape[-1:] != (form.dim,) or v.shape[-1:] != (form.dim,):
         raise ValueError(f"vectors must have length {form.dim}")
-    return float(u @ form.gram @ v)
+    if u.ndim == v.ndim == form.gram.ndim - 1 == 1:
+        return float(u @ form.gram @ v)
+    # u @ gram @ v, rounded per point as the single-point product
+    return _per_point(np.vecdot(np.matvec(form.gram.swapaxes(-1, -2), u), v))
 
 
 @dataclass(frozen=True)
@@ -85,31 +112,35 @@ class FrameSubspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-2]
 
     @classmethod
     def from_vectors(cls, form: SemiEuclideanForm, vectors) -> "FrameSubspace":
-        """Build a subspace from spanning vectors, checking independence."""
-        b = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if b.size == 0:
-            b = b.reshape(0, form.dim)
-        if b.shape[1] != form.dim:
+        """Build a subspace from spanning vectors, checking independence:
+        rows (k, N), or (..., k, N) against a stacked form."""
+        lead = form.gram.shape[:-2]
+        b = np.asarray(vectors, dtype=float)
+        if b.ndim < len(lead) + 2:
+            b = b.reshape(lead + (-1, form.dim) if b.size else lead + (0, form.dim))
+        if b.shape[-1] != form.dim:
             raise ValueError(f"vectors must have length {form.dim}")
-        if not _full_rank(b):
+        if not _every(_full_rank(b)):
             raise DegenerateSubspaceError("basis vectors are not linearly independent")
-        gram = b @ form.gram @ b.T
+        gram = b @ form.gram @ b.swapaxes(-1, -2)
         return cls(ambient_dim=form.dim, basis=b, gram_restricted=gram)
 
     @classmethod
     def zero(cls, form: SemiEuclideanForm) -> "FrameSubspace":
+        lead = form.gram.shape[:-2]
         return cls(ambient_dim=form.dim,
-                   basis=np.zeros((0, form.dim)),
-                   gram_restricted=np.zeros((0, 0)))
+                   basis=np.zeros(lead + (0, form.dim)),
+                   gram_restricted=np.zeros(lead + (0, 0)))
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Eigenvalue sign counts (pos, neg, null) of a restricted Gram matrix."""
+    """Eigenvalue sign counts (pos, neg, null) of a restricted Gram matrix;
+    per-point arrays for a stack."""
 
     pos: int
     neg: int
@@ -124,37 +155,51 @@ class Signature:
         return self.neg
 
 
-def _full_rank(rows: np.ndarray) -> bool:
-    """True if the rows are linearly independent (no rows trivially are)."""
-    if rows.shape[0] > rows.shape[1]:
-        return False
-    if rows.shape[0] == 0:
-        return True
+def _full_rank(rows: np.ndarray):
+    """True if the rows are linearly independent (no rows trivially are);
+    per matrix of a stack (..., k, N)."""
+    k, ncols = rows.shape[-2:]
+    if k > ncols or k == 0:
+        return k == 0 if rows.ndim == 2 else np.full(rows.shape[:-2], k == 0)
     sv = np.linalg.svd(rows, compute_uv=False)
-    return bool(sv[-1] > _RANK_RTOL * max(sv[0], 1.0))
+    if rows.ndim == 2:
+        return bool(sv[-1] > _RANK_RTOL * max(sv[0], 1.0))
+    return sv[..., -1] > _RANK_RTOL * np.maximum(sv[..., 0], 1.0)
+
+
+def _uniform_rank(sv: np.ndarray) -> int:
+    """Numerical rank from singular values (..., k), the same at every point
+    of a stack."""
+    if sv.ndim == 1:
+        return int(np.sum(sv > _RANK_RTOL * max(sv[0] if sv.size else 0.0, 1.0)))
+    top = sv[..., :1] if sv.shape[-1] else np.zeros(sv.shape[:-1] + (1,))
+    ranks = np.sum(sv > _RANK_RTOL * np.maximum(top, 1.0), axis=-1)
+    if np.any(ranks != ranks.flat[0]):
+        raise ValueError("rank varies across the stack")
+    return int(ranks.flat[0])
 
 
 def _kernel(rows: np.ndarray, ncols: int) -> np.ndarray:
     """Orthonormal basis (rows) of the right null space of `rows` via SVD;
-    a single row may be given as a vector of length `ncols`."""
-    rows = rows.reshape(-1, ncols)
-    if rows.size == 0:
-        return np.eye(ncols)
+    a single row may be given as a vector of length `ncols`, and a stack
+    of row matrices (..., k, ncols) gives one kernel per matrix."""
+    if rows.ndim < 2:
+        rows = rows.reshape(-1, ncols)
+    if rows.shape[-2] == 0:
+        return np.broadcast_to(np.eye(ncols), rows.shape[:-2] + (ncols, ncols)).copy()
     _, sv, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(sv > _RANK_RTOL * max(sv[0], 1.0)))
-    return vt[rank:]
+    return vt[..., _uniform_rank(sv):, :]
 
 
 def _complement_within(space: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Basis of the Euclidean orthocomplement of span(space) inside
-    span(inside); both inputs are row bases."""
-    if space.size == 0:
+    span(inside); both inputs are row bases (stacks alike)."""
+    if space.shape[-2] == 0:
         return inside
-    q, _ = np.linalg.qr(space.T)
-    proj = inside - (inside @ q) @ q.T
+    q, _ = np.linalg.qr(space.swapaxes(-1, -2))
+    proj = inside - (inside @ q) @ q.swapaxes(-1, -2)
     _, sv, vt = np.linalg.svd(proj, full_matrices=False)
-    rank = int(np.sum(sv > _RANK_RTOL * max(sv[0] if sv.size else 0.0, 1.0)))
-    return vt[:rank]
+    return vt[..., :_uniform_rank(sv), :]
 
 
 def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSubspace:
@@ -166,11 +211,11 @@ def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSub
     """
     if W.ambient_dim != form.dim:
         raise ValueError("ambient dimension mismatch")
-    if not _full_rank(W.basis):
+    if not _every(_full_rank(W.basis)):
         raise DegenerateSubspaceError("rank-deficient subspace basis")
     constraints = W.basis @ form.gram
     ker = _kernel(constraints, form.dim)
-    return FrameSubspace.from_vectors(form, ker) if ker.shape[0] else FrameSubspace.zero(form)
+    return FrameSubspace.from_vectors(form, ker) if ker.shape[-2] else FrameSubspace.zero(form)
 
 
 def radical(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSubspace:
@@ -185,22 +230,25 @@ def radical(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSubspace:
 
 
 def signature_of(form: SemiEuclideanForm, W: FrameSubspace) -> Signature:
-    """Sign counts of the restricted Gram matrix.
+    """Sign counts of the restricted Gram matrix (per point of a stack,
+    when the counts are arrays).
 
     The zero threshold is scale invariant: tau = 1e-9 * max |eigenvalue|
     (or 1 if the Gram vanishes).  Eigenvalues in the shoulder region
     (tau/10, 10*tau) around zero set the ill_conditioned flag.
     """
     if W.dim == 0:
-        return Signature(0, 0, 0)
+        zero = _per_point(np.zeros(W.basis.shape[:-2], dtype=int))
+        return Signature(zero, zero, zero)
     evals = np.linalg.eigvalsh(W.gram_restricted)
-    largest = float(np.abs(evals).max())
-    tau = 1e-9 * (largest if largest > 0.0 else 1.0)
-    pos = int(np.sum(evals > tau))
-    neg = int(np.sum(evals < -tau))
+    largest = np.abs(evals).max(axis=-1, keepdims=True)
+    tau = 1e-9 * np.where(largest > 0.0, largest, 1.0)
+    pos = np.sum(evals > tau, axis=-1)
+    neg = np.sum(evals < -tau, axis=-1)
     null = W.dim - pos - neg
     shoulder = (np.abs(evals) > tau / 10.0) & (np.abs(evals) < 10.0 * tau)
-    return Signature(pos, neg, null, ill_conditioned=bool(shoulder.any()))
+    return Signature(_per_point(pos), _per_point(neg), _per_point(null),
+                     ill_conditioned=_per_point(shoulder.any(axis=-1)))
 
 
 def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float = 1e-10) -> bool:

@@ -7,6 +7,16 @@ nor on where the suite sits in the registry.
 Direction "le" means the aggregated maximum must stay below tolerance;
 "ge" marks witness suites whose aggregated minimum must exceed the
 threshold (e.g. exhibiting a nonparallel Lee form).
+
+Draw, then check: every point is drawn first, draw(cfg, rng), then
+check(cfg, draws) returns the residuals of all draws in draw order.  The
+finite-difference suites stack the draws that share a structure (the
+Hopf region) and, for the foliation suites, a Lee branch, evaluate each
+(m, n) stack through the stack-native layers and scatter the residuals
+back; stacked rows carry single-point bits, so checking all draws equals
+checking each alone.  The other suites share one per-draw adapter: their
+draw evaluates the point.  A batched check that meets a point fault is
+rerun one draw at a time, so the error names the first failing point.
 """
 
 from __future__ import annotations
@@ -14,17 +24,20 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import cr as crmod
 from . import foliations as fol
 from .charts import (
-    TangentVector, christoffel, covariant_derivative, fd_step, koszul_christoffel,
-    lie_bracket, wirtinger_derivative,
+    ChartDomainError, TangentVector, _along, _bilinear, _covariant_along, _field_derivatives,
+    christoffel, covariant_derivative, fd_step, koszul_christoffel, wirtinger_derivative,
 )
-from .lck import lee_data, lee_form_components, nabla_J_defect, parallel_lee_residual, weyl_connection
+from .lck import (
+    LCKStructure, lee_data, lee_form_components, nabla_J_defect, parallel_lee_residual,
+    weyl_connection,
+)
 from .models import (
     HopfModel, cayley, deck_equivalent, eps_signs, fibration_split,
     flat_chart, gab_invariance_residual, hopf_chart, hopf_diffeo,
@@ -54,18 +67,55 @@ class UsageError(ValueError):
 _POINT_FAULTS = (ValueError, ArithmeticError, RuntimeError)
 
 
+def _drawn(cfg: RunConfig, draws: list) -> list:
+    """The per-draw adapter's check: its draws are already residuals."""
+    return list(draws)
+
+
 @dataclass(frozen=True)
 class Suite:
+    """A named check: draw(cfg, rng) samples one point, check(cfg, draws)
+    returns the residuals of a list of draws in draw order (by default the
+    draws themselves, for suites whose draw evaluates its point), and
+    point_fn runs both over a run's generators."""
+
     name: str
     anchor: str
     models: frozenset
     tolerance: Callable[[RunConfig], float]
-    point_fn: Callable[[RunConfig, np.random.Generator], float]
+    draw: Callable[[RunConfig, np.random.Generator], object]
+    check: Callable[[RunConfig, list], Sequence[float]] = _drawn
     direction: str = "le"
     min_n: int = 1   # per-model dimension floors live in config validation
 
     def applicable(self, cfg: RunConfig) -> bool:
         return cfg.model in self.models and cfg.n >= self.min_n
+
+    def point_fn(self, cfg: RunConfig, rngs) -> list:
+        """Residuals of the points drawn from rngs, one generator per point,
+        in draw order: every point is drawn, then all are checked at once.
+        A fault while drawing point i is raised after points 0..i-1 are
+        checked, as a point-by-point run would meet it."""
+        draws, fault = [], None
+        for rng in rngs:
+            try:
+                draws.append(self.draw(cfg, rng))
+            except _POINT_FAULTS as exc:
+                fault = exc
+                break
+        residuals = self._checked(cfg, draws) if draws else []
+        if fault is not None:
+            raise fault
+        return residuals
+
+    def _checked(self, cfg: RunConfig, draws: list) -> list:
+        try:
+            return list(self.check(cfg, draws))
+        except _POINT_FAULTS:
+            if len(draws) == 1:
+                raise
+            # one point at a time: the first failing point in draw order raises
+            return [r for d in draws for r in self.check(cfg, [d])]
 
 
 def _hopf(cfg: RunConfig, region: str = "+") -> HopfModel:
@@ -79,50 +129,214 @@ def _hopf_sample(cfg: RunConfig, rng) -> tuple[HopfModel, np.ndarray]:
     return model, sample_hopf(model, rng)
 
 
-def _rand_real_vector(rng, n: int) -> TangentVector:
-    return TangentVector.real(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+def _rand_hol(rng, n: int) -> np.ndarray:
+    """Holomorphic components of a random real vector."""
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def _chart_point(cfg: RunConfig, rng):
     """Model-appropriate (lck, point) pair."""
+    key, z = _chart_draw(cfg, rng)
+    return _structure(cfg, key), z
+
+
+def _chart_draw(cfg: RunConfig, rng) -> tuple:
+    """A model-appropriate (structure key, point) pair: the Hopf region
+    drawn with even odds and a point in it, or a Tricerri or flat point."""
     if cfg.model == "hopf":
         model, z = _hopf_sample(cfg, rng)
-        return hopf_chart(model), z
+        return model.region, z
     if cfg.model == "tricerri":
-        return tricerri_chart(cfg.n, cfg.s), sample_tricerri(cfg.n, rng)
+        return None, sample_tricerri(cfg.n, rng)
     if cfg.model == "flat":
-        return flat_chart(cfg.n, cfg.s), sample_flat(cfg.n, rng)
+        return None, sample_flat(cfg.n, rng)
     raise UsageError(f"suite has no chart for model {cfg.model!r}")
 
 
+def _structure(cfg: RunConfig, key) -> LCKStructure:
+    """The structure a draw's key names (see _chart_draw)."""
+    if cfg.model == "hopf":
+        return hopf_chart(_hopf(cfg, key))
+    if cfg.model == "tricerri":
+        return tricerri_chart(cfg.n, cfg.s)
+    if cfg.model == "flat":
+        return flat_chart(cfg.n, cfg.s)
+    raise UsageError(f"suite has no chart for model {cfg.model!r}")
+
+
+def _chart_dim(cfg: RunConfig) -> int:
+    return cfg.n + 1 if cfg.model == "tricerri" else cfg.n
+
+
+def _stacked(cfg: RunConfig, draws: list, evaluate, branch: bool = False) -> list:
+    """Residuals of draws (key, z, *extras) in draw order.  Draws that share
+    a structure key, and with branch=True a Lee branch, are evaluated as
+    one stack: evaluate(key, lck, Z, *extras) gets the points stacked into
+    Z (m, n) and each extra stacked alike, and returns the m residuals."""
+    out = np.empty(len(draws))
+    groups: dict = {}
+    for i, d in enumerate(draws):
+        groups.setdefault(d[0], []).append(i)
+    for key, idx in groups.items():
+        lck = _structure(cfg, key)
+        idx = np.array(idx)
+        parts = [idx]
+        if branch:
+            non_null = np.broadcast_to(
+                lee_data(lck, np.stack([draws[i][1] for i in idx])).non_null, idx.shape)
+            parts = [idx[non_null == v] for v in (True, False) if np.any(non_null == v)]
+        for part in parts:
+            cols = [np.stack(col) for col in zip(*(draws[i][1:] for i in part))]
+            out[part] = evaluate(key, lck, *cols)
+    return [float(r) for r in out]
+
+
+def _per_draw_check(evaluate, branch: bool = False):
+    """A check that evaluates stacks of draws with evaluate (see _stacked)."""
+    return lambda cfg, draws: _stacked(cfg, draws, evaluate, branch)
+
+
+def _hopf_signs(lck: LCKStructure, Z: np.ndarray) -> np.ndarray:
+    """a = sign b(z, z) per point, refusing the null cone as HopfModel.a does."""
+    b = np.sum(eps_signs(lck.chart.n, lck.chart.s) * Z * Z.conj(), axis=-1).real
+    if np.any(b == 0.0):
+        raise ChartDomainError("point lies on the null cone")
+    return np.where(b > 0, 1.0, -1.0)
+
+
 # ---------------------------------------------------------------------------
-# point functions
+# point functions: batched draws and checks
 # ---------------------------------------------------------------------------
 
-def _pt_christoffel_oracle(cfg, rng):
-    lck, z = _chart_point(cfg, rng)
-    gamma = christoffel(lck.chart, z).gamma
-    scale = max(1.0, float(np.abs(gamma).max()))
-    return float(np.abs(gamma - koszul_christoffel(lck.chart, z)).max()) / scale
+def _draw_thm1(cfg, rng):
+    region, z = _chart_draw(cfg, rng)
+    return region, z, rng.standard_normal((2, 2 * cfg.n - 1))   # tangent: ker omega
 
 
-def _pt_prop1_lee(cfg, rng):
-    model, z = _hopf_sample(cfg, rng)
-    lck = hopf_chart(model)
-    data = lee_data(lck, z)
-    a = model.a(z)
-    expect_hol = -2.0 * a * z
-    resid = abs(data.c - 4.0 * a)
-    resid = max(resid, float(np.abs(data.B.hol - expect_hol).max()))
+def _draw_vectors(count: int):
+    """Draw a chart point, then `count` random real vectors (holomorphic
+    components), in that order."""
+    def draw(cfg, rng):
+        key, z = _chart_draw(cfg, rng)
+        return (key, z) + tuple(_rand_hol(rng, _chart_dim(cfg)) for _ in range(count))
+    return draw
+
+
+def _draw_connection(cfg, rng):
+    key, z, X, Y, W = _draw_vectors(3)(cfg, rng)
+    n = _chart_dim(cfg)
+    M1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return key, z, X, Y, W, M1, M2
+
+
+def _check_christoffel_oracle(key, lck, Z):
+    gamma = christoffel(lck.chart, Z).gamma
+    axes = (-3, -2, -1)
+    scale = np.maximum(1.0, np.abs(gamma).max(axis=axes))
+    return np.abs(gamma - koszul_christoffel(lck.chart, Z)).max(axis=axes) / scale
+
+
+def _check_prop1_lee(key, lck, Z):
+    data = lee_data(lck, Z)
+    a = _hopf_signs(lck, Z)
+    expect_hol = (-2.0 * a)[:, None] * Z
+    resid = np.maximum(np.abs(data.c - 4.0 * a), np.abs(data.B.hol - expect_hol).max(axis=-1))
     # raising round trip: lowering B reproduces omega
-    omega = lee_form_components(lck, z)
-    lowered = lck.chart.gram_full(z) @ data.B.components
-    resid = max(resid, float(np.abs(lowered - omega).max()))
+    omega = lee_form_components(lck, Z)
+    lowered = np.matvec(lck.chart.gram_full(Z), data.B.components)
+    resid = np.maximum(resid, np.abs(lowered - omega).max(axis=-1))
     # theta/omega identities
-    resid = max(resid, abs(complex(data.theta @ data.B.components)))
-    resid = max(resid, abs(complex(data.theta @ data.A.components) - data.c))
-    return resid
+    thB = np.vecdot(data.theta.conj(), data.B.components)
+    thA_c = np.vecdot(data.theta.conj(), data.A.components) - data.c
+    resid = np.maximum(resid, np.hypot(thB.real, thB.imag))   # abs() of a Python complex
+    return np.maximum(resid, np.hypot(thA_c.real, thA_c.imag))
 
+
+def _check_parallel_lee(key, lck, Z):
+    return parallel_lee_residual(lck, Z)
+
+
+def _check_thm1_geodesic(key, lck, Z, coeffs):
+    fib = fol.first_foliation_fibre(lck, Z)
+    basisT = fib.tangent.basis.swapaxes(-1, -2)
+    X = np.matvec(basisT, coeffs[:, 0])          # coeffs[0] @ basis, per point
+    Y = np.matvec(basisT, coeffs[:, 1])
+    sfd = fol.gauss_weingarten(lck, fib, X, Y, fib.transversal.basis[:, 0], Z)
+    return np.maximum(np.abs(sfd.h).max(axis=-1), sfd.h_symmetry_residual)
+
+
+def _check_eq1_signature(key, lck, Z):
+    fib = fol.first_foliation_fibre(lck, Z)
+    sig = signature_of(fib.form, fib.tangent)
+    s = lck.chart.s
+    expect = 2 * s if key == "+" else 2 * s - 1
+    return np.abs(sig.index - expect) + sig.null
+
+
+def _check_thm4_integrability(key, lck, Z):
+    return fol.integrability_residual(lck, Z)
+
+
+def _check_thm4_plane_gram(key, lck, Z):
+    fib = fol.second_foliation_fibre(lck, Z)
+    expect = fib.c[:, None, None] * np.eye(2)
+    return np.abs(fib.tangent.gram_restricted - expect).max(axis=(-2, -1))
+
+
+def _check_thm4_hp(key, lck, Z):
+    nabla = fol._lee_plane_connection(lck, Z, christoffel(lck.chart, Z))
+    resid = fol.h_P_residual(lck, Z, nabla=nabla)
+    # nabla_A A = 0 is part of the proof: check it in full, not just its
+    # transversal part
+    return np.maximum(resid, np.abs(nabla["AA"].components).max(axis=-1))
+
+
+def _check_eq20_nabla_j(key, lck, Z, X, Y):
+    X, Y = TangentVector.real(X), TangentVector.real(Y)
+    return np.abs(nabla_J_defect(lck, X, Y, Z).components).max(axis=-1)
+
+
+def _check_weyl_dj(key, lck, Z, X, Y):
+    X, Yv = TangentVector.real(X), TangentVector.real(Y)
+    gamma = christoffel(lck.chart, Z)
+    DJY = weyl_connection(lck, X, Yv.j(), Z, gamma=gamma)
+    JDY = weyl_connection(lck, X, Yv, Z, gamma=gamma).j()
+    return np.abs(DJY.components - JDY.components).max(axis=-1)
+
+
+def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
+    chart = lck.chart
+    X, Y, W = TangentVector.real(X), TangentVector.real(Y), TangentVector.real(W)
+    gamma = christoffel(chart, Z)
+    resid = np.maximum(gamma.symmetry_residual(), gamma.conjugation_residual())
+    # metric compatibility X(g(Y, W)) = g(nabla_X Y, W) + g(Y, nabla_X W)
+    def gYW(p):
+        return _bilinear(Y.components, chart.gram_full(p), W.components)
+
+    d_dz, d_dzb = wirtinger_derivative(gYW, Z, fd_step(Z))
+    df = np.concatenate([d_dz, d_dzb], axis=-1)
+    lhs = np.vecdot(df.conj(), X.components)
+    nXY = covariant_derivative(chart, X, Y, Z, gamma=gamma)
+    nXW = covariant_derivative(chart, X, W, Z, gamma=gamma)
+    G = chart.gram_full(Z)
+    rhs = _bilinear(nXY.components, G, W.components) + _bilinear(Y.components, G, nXW.components)
+    diff = lhs - rhs
+    resid = np.maximum(resid, np.hypot(diff.real, diff.imag))   # abs() of a Python complex
+    # torsion on linear (z-dependent) fields, each differentiated once
+    F1 = lambda p: TangentVector.real(np.matvec(M1, p))
+    F2 = lambda p: TangentVector.real(np.matvec(M2, p))
+    dF1, dF2 = _field_derivatives([F1, F2], Z, chart=chart)
+    F1v, F2v = F1(Z), F2(Z)
+    bracket = _along(F1v, dF2) - _along(F2v, dF1)
+    tors = _covariant_along(gamma, F1v, F2v, dF2).components \
+        - _covariant_along(gamma, F2v, F1v, dF1).components - bracket
+    return np.maximum(resid, np.abs(tors).max(axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# point functions: the per-draw adapter
+# ---------------------------------------------------------------------------
 
 def _pt_prop2_lee(cfg, rng):
     lck, p = _chart_point(cfg, rng)
@@ -131,11 +345,6 @@ def _pt_prop2_lee(cfg, rng):
     expect[0] = 1j * p[0].imag
     resid = abs(data.c - 1.0)
     return max(resid, float(np.abs(data.B.hol - expect).max()))
-
-
-def _pt_parallel_lee(cfg, rng):
-    lck, z = _chart_point(cfg, rng)
-    return parallel_lee_residual(lck, z)
 
 
 def _pt_nonparallel_lee(cfg, rng):
@@ -156,27 +365,6 @@ def _pt_prop2_nabla_b(cfg, rng):
         expect[j] = 0.5
         worst = max(worst, float(np.abs(out.components - expect).max()))
     return worst
-
-
-def _pt_thm1_geodesic(cfg, rng):
-    model, z = _hopf_sample(cfg, rng)
-    lck = hopf_chart(model)
-    fib = fol.first_foliation_fibre(lck, z)
-    k = fib.tangent.dim
-    coeffs = rng.standard_normal((2, k))
-    X = coeffs[0] @ fib.tangent.basis
-    Y = coeffs[1] @ fib.tangent.basis
-    sfd = fol.gauss_weingarten(lck, fib, X, Y, fib.transversal.basis[0], z)
-    return max(float(np.abs(sfd.h).max()), sfd.h_symmetry_residual)
-
-
-def _pt_eq1_signature(cfg, rng):
-    model, z = _hopf_sample(cfg, rng)
-    lck = hopf_chart(model)
-    fib = fol.first_foliation_fibre(lck, z)
-    sig = signature_of(fib.form, fib.tangent)
-    expect = 2 * cfg.s if model.region == "+" else 2 * cfg.s - 1
-    return float(abs(sig.index - expect) + sig.null)
 
 
 def _pt_eq8_transversal(cfg, rng):
@@ -207,30 +395,6 @@ def _pt_eq5_invariance(cfg, rng):
     resid = float(np.abs(N - Nscaled).max())
     resid = max(resid, float(np.abs(N - Nshift).max()))
     return max(resid, float(np.abs(N - Nother).max()))
-
-
-def _pt_thm4_integrability(cfg, rng):
-    lck, z = _chart_point(cfg, rng)
-    return fol.integrability_residual(lck, z)
-
-
-def _pt_thm4_plane_gram(cfg, rng):
-    lck, z = _chart_point(cfg, rng)
-    fib = fol.second_foliation_fibre(lck, z)
-    expect = fib.c * np.eye(2)
-    return float(np.abs(fib.tangent.gram_restricted - expect).max())
-
-
-def _pt_thm4_hp(cfg, rng):
-    model, z = _hopf_sample(cfg, rng)
-    lck = hopf_chart(model)
-    resid = fol.h_P_residual(lck, z)
-    # nabla_A A = 0 is part of the proof: check it in full, not just its
-    # transversal part
-    gamma = christoffel(lck.chart, z)
-    Af = lambda p: lee_data(lck, p).A
-    nAA = covariant_derivative(lck.chart, Af, Af, z, gamma=gamma)
-    return max(resid, float(np.abs(nAA.components).max()))
 
 
 def _pt_lemma6_pair(cfg, rng):
@@ -322,57 +486,6 @@ def _pt_eq18_mean_curvature(cfg, rng):
     through = fol.ComplexImmersion(m=1, chart_map=through_map, tangent=lambda uu: jac)
     _, mean_through = fol.complex_submanifold_mean_curvature(lck, through, [u])
     return max(eq_resid, mean_off, mean_through)
-
-
-def _pt_eq20_nabla_j(cfg, rng):
-    lck, z = _chart_point(cfg, rng)
-    X = _rand_real_vector(rng, lck.chart.n)
-    Y = _rand_real_vector(rng, lck.chart.n)
-    return float(np.abs(nabla_J_defect(lck, X, Y, z).components).max())
-
-
-def _pt_weyl_dj(cfg, rng):
-    lck, z = _chart_point(cfg, rng)
-    n = lck.chart.n
-    X = _rand_real_vector(rng, n)
-    Yv = _rand_real_vector(rng, n)
-    gamma = christoffel(lck.chart, z)
-    DJY = weyl_connection(lck, X, Yv.j(), z, gamma=gamma)
-    JDY = weyl_connection(lck, X, Yv, z, gamma=gamma).j()
-    return float(np.abs(DJY.components - JDY.components).max())
-
-
-def _pt_connection_identities(cfg, rng):
-    lck, z = _chart_point(cfg, rng)
-    chart = lck.chart
-    n = chart.n
-    gamma = christoffel(chart, z)
-    resid = max(gamma.symmetry_residual(), gamma.conjugation_residual())
-    X = _rand_real_vector(rng, n)
-    Y = _rand_real_vector(rng, n)
-    W = _rand_real_vector(rng, n)
-    # metric compatibility X(g(Y, W)) = g(nabla_X Y, W) + g(Y, nabla_X W)
-    def gYW(p):   # Y @ G @ W per point, rounded as at a single point
-        return np.vecdot(np.matmul(Y.components, chart.gram_full(p)).conj(), W.components)
-
-    h = fd_step(z)
-    d_dz, d_dzb = wirtinger_derivative(gYW, z, h)
-    df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
-    lhs = complex(df @ X.components)
-    nXY = covariant_derivative(chart, X, Y, z, gamma=gamma)
-    nXW = covariant_derivative(chart, X, W, z, gamma=gamma)
-    G = chart.gram_full(z)
-    rhs = complex(nXY.components @ G @ W.components + Y.components @ G @ nXW.components)
-    resid = max(resid, abs(lhs - rhs))
-    # torsion on linear (z-dependent) fields
-    M1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    M2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    F1 = lambda p: TangentVector.real(np.matvec(M1, p))
-    F2 = lambda p: TangentVector.real(np.matvec(M2, p))
-    tors = covariant_derivative(chart, F1, F2, z, gamma=gamma).components \
-        - covariant_derivative(chart, F2, F1, z, gamma=gamma).components \
-        - lie_bracket(F1, F2, z).components
-    return max(resid, float(np.abs(tors).max()))
 
 
 def _pt_deck_pullback(cfg, rng):
@@ -515,7 +628,7 @@ def _pt_prop4_null(cfg, rng):
     resid = max(resid, 0.0 if contains_span(fib.tangent, plane, 1e-9) else 1.0)
     if cfg.n == 2:
         resid = max(resid, 0.0 if same_span(cfib.levi_H, plane, 1e-9) else 1.0)
-        resid = max(resid, 0.0 if crmod.levi_flat_detector(lck, z) else 1.0)
+        resid = max(resid, 0.0 if crmod.levi_flat_detector(lck, cfib) else 1.0)
     return resid
 
 
@@ -552,21 +665,21 @@ def _fixed(value: float) -> Callable[[RunConfig], float]:
 SUITES: tuple[Suite, ...] = (
     Suite("christoffel-oracle", "Propositions 1-2 (proofs)",
           frozenset({"hopf", "tricerri", "flat"}), lambda c: c.tol_fd,
-          _pt_christoffel_oracle),
+          _chart_draw, _per_draw_check(_check_christoffel_oracle)),
     Suite("prop1-lee-field", "Proposition 1", frozenset({"hopf"}),
-          _fixed(1e-10), _pt_prop1_lee),
+          _fixed(1e-10), _chart_draw, _per_draw_check(_check_prop1_lee)),
     Suite("prop2-lee-field", "Proposition 2", frozenset({"tricerri"}),
           _fixed(1e-10), _pt_prop2_lee),
     Suite("parallel-lee", "Proposition 1", frozenset({"hopf", "flat"}),
-          lambda c: c.tol_fd, _pt_parallel_lee),
+          lambda c: c.tol_fd, _chart_draw, _per_draw_check(_check_parallel_lee)),
     Suite("nonparallel-lee", "Proposition 2", frozenset({"tricerri"}),
           _fixed(0.01), _pt_nonparallel_lee, direction="ge"),
     Suite("prop2-nabla-b", "Proposition 2 (proof)", frozenset({"tricerri"}),
           lambda c: c.tol_fd, _pt_prop2_nabla_b),
     Suite("thm1-totally-geodesic", "Theorem 1", frozenset({"hopf"}),
-          _fixed(1e-5), _pt_thm1_geodesic),
+          _fixed(1e-5), _draw_thm1, _per_draw_check(_check_thm1_geodesic, branch=True)),
     Suite("eq1-leaf-signature", "Equation (1)", frozenset({"hopf"}),
-          _fixed(0.0), _pt_eq1_signature),
+          _fixed(0.0), _chart_draw, _per_draw_check(_check_eq1_signature, branch=True)),
     Suite("eq8-transversal", "Equation (8)", frozenset({"synthetic-null"}),
           _fixed(1e-10), _pt_eq8_transversal),
     Suite("eq5-nv-invariance", "Lemma 1", frozenset({"synthetic-null"}),
@@ -574,11 +687,12 @@ SUITES: tuple[Suite, ...] = (
     Suite("screen-splits", "Equations (3)-(9), (21)-(26)",
           frozenset({"synthetic-null"}), _fixed(1e-9), _pt_screen_splits),
     Suite("thm4-integrability", "Theorem 4", frozenset({"hopf", "tricerri"}),
-          _fixed(1e-5), _pt_thm4_integrability),
+          _fixed(1e-5), _chart_draw, _per_draw_check(_check_thm4_integrability)),
     Suite("thm4-plane-gram", "Theorem 4", frozenset({"hopf", "tricerri"}),
-          lambda c: c.tol_analytic, _pt_thm4_plane_gram),
+          lambda c: c.tol_analytic, _chart_draw,
+          _per_draw_check(_check_thm4_plane_gram, branch=True)),
     Suite("thm4-hp", "Theorem 4", frozenset({"hopf"}), _fixed(1e-5),
-          _pt_thm4_hp),
+          _chart_draw, _per_draw_check(_check_thm4_hp, branch=True)),
     Suite("lemma6-pair", "Lemma 6", frozenset({"synthetic-null"}),
           _fixed(1e-10), _pt_lemma6_pair, min_n=3),
     Suite("lemma6-invariance", "Lemma 6", frozenset({"synthetic-null"}),
@@ -587,12 +701,12 @@ SUITES: tuple[Suite, ...] = (
           frozenset({"hopf"}), _fixed(1e-5), _pt_eq18_mean_curvature),
     Suite("eq20-nabla-j", "Equation (20)",
           frozenset({"hopf", "tricerri", "flat"}), lambda c: c.tol_fd,
-          _pt_eq20_nabla_j),
+          _draw_vectors(2), _per_draw_check(_check_eq20_nabla_j)),
     Suite("weyl-dj", "Weyl connection", frozenset({"hopf", "tricerri", "flat"}),
-          lambda c: c.tol_fd, _pt_weyl_dj),
+          lambda c: c.tol_fd, _draw_vectors(2), _per_draw_check(_check_weyl_dj)),
     Suite("connection-identities", "Levi-Civita connection",
           frozenset({"hopf", "tricerri", "flat"}), lambda c: c.tol_fd,
-          _pt_connection_identities),
+          _draw_connection, _per_draw_check(_check_connection_identities)),
     Suite("thm2-deck-pullback", "Theorem 2", frozenset({"hopf"}),
           _fixed(1e-12), _pt_deck_pullback),
     Suite("hopf-diffeo-roundtrip", "Theorem 2", frozenset({"hopf"}),
@@ -671,14 +785,10 @@ def _validate(cfg: RunConfig) -> None:
 def _run_suite(cfg: RunConfig, suite: Suite) -> SuiteResult:
     tol = float(suite.tolerance(cfg))
     key = int.from_bytes(hashlib.sha256(suite.name.encode()).digest()[:8], "big")
-
-    def one(i: int) -> float:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(key, i)))
-        return float(suite.point_fn(cfg, rng))
-
+    rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key, i)))
+            for i in range(cfg.points)]
     try:
-        residuals = [one(i) for i in range(cfg.points)]
+        residuals = [float(r) for r in suite.point_fn(cfg, rngs)]
     except _POINT_FAULTS as exc:  # recorded, not fatal
         return SuiteResult(name=suite.name, anchor=suite.anchor, points=0,
                            max_residual=float("nan"), tolerance=tol,

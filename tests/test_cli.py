@@ -102,7 +102,7 @@ class TestRunConfig:
         cfg = RunConfig(model="hopf", points=2, seed=4, suites=("all",))
         before = {r.name: r.max_residual for r in run_config(cfg).results}
         dummy = Suite(name="dummy-first", anchor="none", models=frozenset({"hopf"}),
-                      tolerance=lambda cfg: 1.0, point_fn=lambda cfg, rng: rng.uniform())
+                      tolerance=lambda cfg: 1.0, draw=lambda cfg, rng: rng.uniform())
         monkeypatch.setattr(suites_mod, "SUITES", (dummy,) + SUITES)
         monkeypatch.setattr(suites_mod, "_BY_NAME", {s.name: s for s in suites_mod.SUITES})
         after = {r.name: r.max_residual for r in run_config(cfg).results}
@@ -118,7 +118,7 @@ class TestRunConfig:
     def test_nonfinite_residual_fails(self, direction, values):
         it = iter(values)
         suite = Suite(name="nonfinite-probe", anchor="none", models=frozenset({"hopf"}),
-                      tolerance=lambda cfg: 0.5, point_fn=lambda cfg, rng: next(it),
+                      tolerance=lambda cfg: 0.5, draw=lambda cfg, rng: next(it),
                       direction=direction)
         cfg = RunConfig(model="hopf", points=len(values), seed=0)
         result = _run_suite(cfg, suite)
@@ -128,10 +128,10 @@ class TestRunConfig:
 
     @staticmethod
     def _raising_suite(exc_type):
-        def point_fn(cfg, rng):
+        def draw(cfg, rng):
             raise exc_type("probe")
         return Suite(name="raise-probe", anchor="none", models=frozenset({"hopf"}),
-                     tolerance=lambda cfg: 0.5, point_fn=point_fn)
+                     tolerance=lambda cfg: 0.5, draw=draw)
 
     @pytest.mark.parametrize("exc_type", [
         ChartDomainError, SingularLeeError, SingularMetricError, np.linalg.LinAlgError,

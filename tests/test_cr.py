@@ -104,7 +104,7 @@ class TestLeviForm:
         val = levi_form(HOPF, fib, fib.t10[:, 0], fib.t10[:, 0])
         assert abs(val) > 0.1
         assert val.real == pytest.approx(-0.5, abs=1e-6)
-        assert not levi_flat_detector(HOPF, Z01)
+        assert not levi_flat_detector(HOPF, fib)
 
     def test_hermitian_symmetry(self):
         model = HopfModel(n=3, s=1, lam=0.5)
@@ -123,7 +123,7 @@ class TestLeviForm:
         d = lee_data(syn, z)
         Z = d.B.hol + 1j * d.A.hol
         assert abs(levi_form(syn, cr_fibre(syn, z), Z, Z)) < 1e-10
-        assert levi_flat_detector(syn, z)
+        assert levi_flat_detector(syn, cr_fibre(syn, z))
 
     def test_flat_spacelike_hyperplane_levi_flat(self):
         # leaves x1 = const of a constant spacelike covector on the flat
@@ -133,7 +133,7 @@ class TestLeviForm:
                            lee_form_eval=lambda z: np.broadcast_to(
                                np.array([0.5, 0.0], dtype=complex), np.shape(z)),
                            name="flat-spacelike")
-        assert levi_flat_detector(lck, np.array([0.2 + 0.1j, -0.4j]))
+        assert levi_flat_detector(lck, cr_fibre(lck, np.array([0.2 + 0.1j, -0.4j])))
 
 
 class TestLeafLabels:
