@@ -479,18 +479,14 @@ def _along(X: TangentVector, dY: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         + np.einsum("...l,...la->...a", X.antihol, d_dzb)
 
 
-def _connection_term(gamma: ConnectionCoefficients, X: TangentVector,
-                     Y: TangentVector) -> np.ndarray:
-    """Gamma^A_{BC} X^B Y^C."""
-    return np.einsum("...abc,...b,...c->...a", gamma.gamma, X.components, Y.components)
-
-
 def _covariant_along(gamma: ConnectionCoefficients, X: TangentVector, Y: TangentVector,
-                    dY: tuple[np.ndarray, np.ndarray]) -> TangentVector:
-    """nabla_X Y from the value Y and the derivatives dY of the field at
-    the point (as _field_derivatives returns them): one derivative of Y
-    serves every direction X."""
-    return TangentVector.from_components(_along(X, dY) + _connection_term(gamma, X, Y))
+                     dY: tuple[np.ndarray, np.ndarray] | None = None) -> TangentVector:
+    """nabla_X Y = X(Y^A) + Gamma^A_{BC} X^B Y^C from the value Y and the
+    derivatives dY of the field at the point (as _field_derivatives
+    returns them; None for a constant field): one derivative of Y serves
+    every direction X."""
+    out = np.einsum("...abc,...b,...c->...a", gamma.gamma, X.components, Y.components)
+    return TangentVector.from_components(out if dY is None else _along(X, dY) + out)
 
 
 def covariant_derivative(chart: MetricChart, X, Y, z: np.ndarray,
@@ -508,9 +504,8 @@ def covariant_derivative(chart: MetricChart, X, Y, z: np.ndarray,
     Xv, Yv = Xf(z), Yf(z)
     if gamma is None:
         gamma = christoffel(chart, z)
-    if isinstance(Y, TangentVector):
-        return TangentVector.from_components(_connection_term(gamma, Xv, Yv))
-    return _covariant_along(gamma, Xv, Yv, _field_derivatives([Yf], z, chart=chart)[0])
+    dY = None if isinstance(Y, TangentVector) else _field_derivatives([Yf], z, chart=chart)[0]
+    return _covariant_along(gamma, Xv, Yv, dY)
 
 
 def gradient(chart: MetricChart, f: Callable[[np.ndarray], complex],
@@ -527,13 +522,12 @@ def lie_bracket(X, Y, z: np.ndarray, h=None) -> TangentVector:
     """[X, Y]^A = X(Y^A) - Y(X^A) at a point or a stack; metric independent.
     The fields among X and Y share one stencil evaluation."""
     z = np.asarray(z, dtype=complex)
-    Xf, Yf = _as_field(X), _as_field(Y)
-    Xv, Yv = Xf(z), Yf(z)
-    fields = [f for f, v in ((Yf, Y), (Xf, X)) if not isinstance(v, TangentVector)]
-    ds = iter(_field_derivatives(fields, z, h)) if fields else iter(())
+    Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
+    moving = [f for f in (Y, X) if not isinstance(f, TangentVector)]
+    derivs = iter(_field_derivatives(moving, z, h) if moving else ())
     zero = np.zeros(Xv.components.shape, dtype=complex)
-    dY = zero if isinstance(Y, TangentVector) else _along(Xv, next(ds))
-    dX = zero if isinstance(X, TangentVector) else _along(Yv, next(ds))
+    dY = zero if isinstance(Y, TangentVector) else _along(Xv, next(derivs))
+    dX = zero if isinstance(X, TangentVector) else _along(Yv, next(derivs))
     return TangentVector.from_components(dY - dX)
 
 

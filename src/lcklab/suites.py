@@ -31,8 +31,8 @@ import numpy as np
 from . import cr as crmod
 from . import foliations as fol
 from .charts import (
-    ChartDomainError, TangentVector, _along, _bilinear, _covariant_along, _field_derivatives,
-    christoffel, covariant_derivative, fd_step, koszul_christoffel, wirtinger_derivative,
+    TangentVector, _along, _bilinear, _covariant_along, _field_derivatives, christoffel,
+    covariant_derivative, fd_step, koszul_christoffel, wirtinger_derivative,
 )
 from .lck import (
     LCKStructure, lee_data, lee_form_components, nabla_J_defect, parallel_lee_residual,
@@ -93,26 +93,20 @@ class Suite:
 
     def point_fn(self, cfg: RunConfig, rngs) -> list:
         """Residuals of the points drawn from rngs, one generator per point,
-        in draw order: every point is drawn, then all are checked at once.
-        A fault while drawing point i is raised after points 0..i-1 are
-        checked, as a point-by-point run would meet it."""
-        draws, fault = [], None
-        for rng in rngs:
-            try:
+        in draw order: every point is drawn, then all are checked at once."""
+        draws = []
+        try:
+            for rng in rngs:
                 draws.append(self.draw(cfg, rng))
-            except _POINT_FAULTS as exc:
-                fault = exc
-                break
-        residuals = self._checked(cfg, draws) if draws else []
-        if fault is not None:
-            raise fault
+        finally:   # a fault drawing point i is raised after points 0..i-1 are checked
+            residuals = self._checked(cfg, draws)
         return residuals
 
     def _checked(self, cfg: RunConfig, draws: list) -> list:
         try:
             return list(self.check(cfg, draws))
         except _POINT_FAULTS:
-            if len(draws) == 1:
+            if len(draws) < 2:
                 raise
             # one point at a time: the first failing point in draw order raises
             return [r for d in draws for r in self.check(cfg, [d])]
@@ -168,40 +162,28 @@ def _chart_dim(cfg: RunConfig) -> int:
     return cfg.n + 1 if cfg.model == "tricerri" else cfg.n
 
 
-def _stacked(cfg: RunConfig, draws: list, evaluate, branch: bool = False) -> list:
-    """Residuals of draws (key, z, *extras) in draw order.  Draws that share
-    a structure key, and with branch=True a Lee branch, are evaluated as
-    one stack: evaluate(key, lck, Z, *extras) gets the points stacked into
-    Z (m, n) and each extra stacked alike, and returns the m residuals."""
-    out = np.empty(len(draws))
-    groups: dict = {}
-    for i, d in enumerate(draws):
-        groups.setdefault(d[0], []).append(i)
-    for key, idx in groups.items():
-        lck = _structure(cfg, key)
-        idx = np.array(idx)
-        parts = [idx]
-        if branch:
-            non_null = np.broadcast_to(
-                lee_data(lck, np.stack([draws[i][1] for i in idx])).non_null, idx.shape)
-            parts = [idx[non_null == v] for v in (True, False) if np.any(non_null == v)]
-        for part in parts:
-            cols = [np.stack(col) for col in zip(*(draws[i][1:] for i in part))]
-            out[part] = evaluate(key, lck, *cols)
-    return [float(r) for r in out]
-
-
-def _per_draw_check(evaluate, branch: bool = False):
-    """A check that evaluates stacks of draws with evaluate (see _stacked)."""
-    return lambda cfg, draws: _stacked(cfg, draws, evaluate, branch)
-
-
-def _hopf_signs(lck: LCKStructure, Z: np.ndarray) -> np.ndarray:
-    """a = sign b(z, z) per point, refusing the null cone as HopfModel.a does."""
-    b = np.sum(eps_signs(lck.chart.n, lck.chart.s) * Z * Z.conj(), axis=-1).real
-    if np.any(b == 0.0):
-        raise ChartDomainError("point lies on the null cone")
-    return np.where(b > 0, 1.0, -1.0)
+def _stacked(evaluate, branch: bool = False):
+    """A check of draws (key, z, *extras) that evaluates as one stack the
+    draws sharing a structure key, and with branch=True a Lee branch:
+    evaluate(key, lck, Z, *extras) gets their points stacked into Z (m, n)
+    and each extra stacked alike, and returns the m residuals, which the
+    check puts back in draw order."""
+    def check(cfg: RunConfig, draws: list) -> list:
+        out = np.empty(len(draws))
+        groups: dict = {}
+        for i, d in enumerate(draws):
+            groups.setdefault(d[0], []).append(i)
+        for key, idx in groups.items():
+            lck = _structure(cfg, key)
+            parts = [np.array(idx)]
+            if branch:
+                non_null = np.broadcast_to(
+                    lee_data(lck, np.stack([draws[i][1] for i in idx])).non_null, len(idx))
+                parts = [parts[0][non_null == v] for v in (True, False) if np.any(non_null == v)]
+            for part in parts:
+                out[part] = evaluate(key, lck, *(np.stack(c) for c in zip(*(draws[i][1:] for i in part))))
+        return [float(r) for r in out]
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +221,8 @@ def _check_christoffel_oracle(key, lck, Z):
 
 def _check_prop1_lee(key, lck, Z):
     data = lee_data(lck, Z)
-    a = _hopf_signs(lck, Z)
+    b = np.sum(eps_signs(lck.chart.n, lck.chart.s) * Z * Z.conj(), axis=-1).real
+    a = np.where(b > 0, 1.0, -1.0)    # sign b(z, z), as HopfModel.a reads it
     expect_hol = (-2.0 * a)[:, None] * Z
     resid = np.maximum(np.abs(data.c - 4.0 * a), np.abs(data.B.hol - expect_hol).max(axis=-1))
     # raising round trip: lowering B reproduces omega
@@ -665,21 +648,21 @@ def _fixed(value: float) -> Callable[[RunConfig], float]:
 SUITES: tuple[Suite, ...] = (
     Suite("christoffel-oracle", "Propositions 1-2 (proofs)",
           frozenset({"hopf", "tricerri", "flat"}), lambda c: c.tol_fd,
-          _chart_draw, _per_draw_check(_check_christoffel_oracle)),
+          _chart_draw, _stacked(_check_christoffel_oracle)),
     Suite("prop1-lee-field", "Proposition 1", frozenset({"hopf"}),
-          _fixed(1e-10), _chart_draw, _per_draw_check(_check_prop1_lee)),
+          _fixed(1e-10), _chart_draw, _stacked(_check_prop1_lee)),
     Suite("prop2-lee-field", "Proposition 2", frozenset({"tricerri"}),
           _fixed(1e-10), _pt_prop2_lee),
     Suite("parallel-lee", "Proposition 1", frozenset({"hopf", "flat"}),
-          lambda c: c.tol_fd, _chart_draw, _per_draw_check(_check_parallel_lee)),
+          lambda c: c.tol_fd, _chart_draw, _stacked(_check_parallel_lee)),
     Suite("nonparallel-lee", "Proposition 2", frozenset({"tricerri"}),
           _fixed(0.01), _pt_nonparallel_lee, direction="ge"),
     Suite("prop2-nabla-b", "Proposition 2 (proof)", frozenset({"tricerri"}),
           lambda c: c.tol_fd, _pt_prop2_nabla_b),
     Suite("thm1-totally-geodesic", "Theorem 1", frozenset({"hopf"}),
-          _fixed(1e-5), _draw_thm1, _per_draw_check(_check_thm1_geodesic, branch=True)),
+          _fixed(1e-5), _draw_thm1, _stacked(_check_thm1_geodesic, branch=True)),
     Suite("eq1-leaf-signature", "Equation (1)", frozenset({"hopf"}),
-          _fixed(0.0), _chart_draw, _per_draw_check(_check_eq1_signature, branch=True)),
+          _fixed(0.0), _chart_draw, _stacked(_check_eq1_signature, branch=True)),
     Suite("eq8-transversal", "Equation (8)", frozenset({"synthetic-null"}),
           _fixed(1e-10), _pt_eq8_transversal),
     Suite("eq5-nv-invariance", "Lemma 1", frozenset({"synthetic-null"}),
@@ -687,12 +670,12 @@ SUITES: tuple[Suite, ...] = (
     Suite("screen-splits", "Equations (3)-(9), (21)-(26)",
           frozenset({"synthetic-null"}), _fixed(1e-9), _pt_screen_splits),
     Suite("thm4-integrability", "Theorem 4", frozenset({"hopf", "tricerri"}),
-          _fixed(1e-5), _chart_draw, _per_draw_check(_check_thm4_integrability)),
+          _fixed(1e-5), _chart_draw, _stacked(_check_thm4_integrability)),
     Suite("thm4-plane-gram", "Theorem 4", frozenset({"hopf", "tricerri"}),
           lambda c: c.tol_analytic, _chart_draw,
-          _per_draw_check(_check_thm4_plane_gram, branch=True)),
+          _stacked(_check_thm4_plane_gram, branch=True)),
     Suite("thm4-hp", "Theorem 4", frozenset({"hopf"}), _fixed(1e-5),
-          _chart_draw, _per_draw_check(_check_thm4_hp, branch=True)),
+          _chart_draw, _stacked(_check_thm4_hp, branch=True)),
     Suite("lemma6-pair", "Lemma 6", frozenset({"synthetic-null"}),
           _fixed(1e-10), _pt_lemma6_pair, min_n=3),
     Suite("lemma6-invariance", "Lemma 6", frozenset({"synthetic-null"}),
@@ -701,12 +684,12 @@ SUITES: tuple[Suite, ...] = (
           frozenset({"hopf"}), _fixed(1e-5), _pt_eq18_mean_curvature),
     Suite("eq20-nabla-j", "Equation (20)",
           frozenset({"hopf", "tricerri", "flat"}), lambda c: c.tol_fd,
-          _draw_vectors(2), _per_draw_check(_check_eq20_nabla_j)),
+          _draw_vectors(2), _stacked(_check_eq20_nabla_j)),
     Suite("weyl-dj", "Weyl connection", frozenset({"hopf", "tricerri", "flat"}),
-          lambda c: c.tol_fd, _draw_vectors(2), _per_draw_check(_check_weyl_dj)),
+          lambda c: c.tol_fd, _draw_vectors(2), _stacked(_check_weyl_dj)),
     Suite("connection-identities", "Levi-Civita connection",
           frozenset({"hopf", "tricerri", "flat"}), lambda c: c.tol_fd,
-          _draw_connection, _per_draw_check(_check_connection_identities)),
+          _draw_connection, _stacked(_check_connection_identities)),
     Suite("thm2-deck-pullback", "Theorem 2", frozenset({"hopf"}),
           _fixed(1e-12), _pt_deck_pullback),
     Suite("hopf-diffeo-roundtrip", "Theorem 2", frozenset({"hopf"}),
