@@ -2,7 +2,8 @@
 
 Each batched suite draws every point first and checks the draws as
 stacks.  These tests pin that a check over all draws returns, bit for
-bit, what the check returns for each draw on its own, that a fault at
+bit, what the check returns for each draw on its own (and that the
+null Lee branch of the foliation layer stacks alike), that a fault at
 one point is reported as a point-by-point run reports it, and that the
 stacked Lee-plane derivatives and the CR fibre are computed once.
 """
@@ -15,7 +16,9 @@ import pytest
 
 from lcklab import charts as charts_mod
 from lcklab import cr as crmod
+from lcklab import foliations as fol
 from lcklab import suites as suites_mod
+from lcklab.models import synthetic_null_structure
 from lcklab.report import RunConfig
 from lcklab.suites import SUITES, _drawn, _run_suite, run_config
 
@@ -55,6 +58,27 @@ def test_check_of_all_draws_equals_check_of_each(model, n, s, seed):
         assert _bits(together) == _bits(alone), suite.name
         checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("n, s", [(2, 1), (3, 1)])
+def test_null_branch_stacks_equal_single_points(n, s):
+    syn = synthetic_null_structure(n, s)
+    rng = np.random.default_rng(n)
+    Z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    first, second = fol.first_foliation_fibre(syn, Z), fol.second_foliation_fibre(syn, Z)
+    X, Y, V = first.tangent.basis[:, 1], first.tangent.basis[:, 2], first.transversal.basis[:, 0]
+    sfd = fol.gauss_weingarten(syn, first, X, Y, V, Z)
+    h_P, bracket = fol.h_P_residual(syn, Z), fol.integrability_residual(syn, Z)
+    for i, z in enumerate(Z):
+        one, two = fol.first_foliation_fibre(syn, z), fol.second_foliation_fibre(syn, z)
+        for stacked, single in ((first, one), (second, two)):
+            for part in ("tangent", "radical", "screen", "transversal"):
+                assert np.array_equal(getattr(stacked, part).basis[i], getattr(single, part).basis)
+        alone = fol.gauss_weingarten(syn, one, X[i], Y[i], one.transversal.basis[0], z)
+        assert np.array_equal(sfd.h[i], alone.h)
+        assert sfd.h_symmetry_residual[i] == alone.h_symmetry_residual
+        assert h_P[i] == fol.h_P_residual(syn, z)
+        assert bracket[i] == fol.integrability_residual(syn, z)
 
 
 def _on_the_cone(z: np.ndarray) -> np.ndarray:
