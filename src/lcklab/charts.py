@@ -238,28 +238,18 @@ def _mixed_blocks(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_conditioned(S: np.ndarray, z: np.ndarray) -> None:
+def _require_conditioned(G: np.ndarray, z: np.ndarray) -> None:
     """Refuse a Gram matrix singular at z, or a stack of Gram matrices at
-    the points z (leading axes alike) any one of which is singular.
-
-    S is the Gram matrix itself when it is symmetric, or the Hermitian
-    block H of a complexified Gram [[0, H], [conj H, 0]], whose singular
-    values are those of H: either way the 2-norm condition number is
-    max |eigenvalue| / min |eigenvalue| of S, read from np.linalg.eigvalsh.
-    """
-    ev = np.abs(np.linalg.eigvalsh(S))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = ev.max(axis=-1) / ev.min(axis=-1) <= GRAM_COND_MAX   # False for inf or NaN
+    the points z (leading axes alike) any one of which is singular."""
+    ok = np.linalg.cond(G) <= GRAM_COND_MAX   # False for an infinite or NaN cond
     if not ok.all():
         raise SingularMetricError(f"metric Gram singular at {np.asarray(z)[~ok][0]}")
 
 
-def _solve_gram(G: np.ndarray, rhs: np.ndarray, z: np.ndarray,
-                hermitian: np.ndarray | None = None) -> np.ndarray:
+def _solve_gram(G: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Solve G x = rhs (np.linalg.solve, stacks included), refusing a Gram
-    matrix that is singular at z; a complexified Gram passes its
-    Hermitian block (see _require_conditioned)."""
-    _require_conditioned(G if hermitian is None else hermitian, z)
+    matrix that is singular at z."""
+    _require_conditioned(G, z)
     return np.linalg.solve(G, rhs)
 
 
@@ -281,11 +271,9 @@ def metric_inner(chart: MetricChart, z: np.ndarray, u: TangentVector, v: Tangent
 # ---------------------------------------------------------------------------
 
 def _norms(z: np.ndarray):
-    """np.linalg.norm of a point (a float), or of each point of a stack
-    (..., n), summed as np.linalg.norm sums."""
+    """np.linalg.norm of each point of a stack (..., n), or of a point
+    (a scalar), summed as np.linalg.norm sums."""
     z = np.asarray(z)
-    if z.ndim <= 1:
-        return float(np.linalg.norm(np.atleast_1d(z)))
     return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 
@@ -437,7 +425,7 @@ def koszul_christoffel(chart: MetricChart, z: np.ndarray) -> np.ndarray:
     rhs = TB + TB.swapaxes(-1, -2) - T
     lead = z.shape[:-1]
     H = chart.hermitian(z)
-    solved = _solve_gram(_mixed_blocks(H, H.conj()), rhs.reshape(lead + (2 * n, -1)), z, H)
+    solved = _solve_gram(_mixed_blocks(H, H.conj()), rhs.reshape(lead + (2 * n, -1)), z)
     return 0.5 * solved.reshape(lead + (2 * n, 2 * n, 2 * n))
 
 
@@ -515,7 +503,7 @@ def gradient(chart: MetricChart, f: Callable[[np.ndarray], complex],
     d_dz, d_dzb = wirtinger_derivative(f, z, chart=chart)
     df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
     H = chart.hermitian(z)
-    return TangentVector.from_components(_solve_gram(_mixed_blocks(H, H.conj()), df, z, H))
+    return TangentVector.from_components(_solve_gram(_mixed_blocks(H, H.conj()), df, z))
 
 
 def lie_bracket(X, Y, z: np.ndarray, h=None) -> TangentVector:
@@ -587,6 +575,6 @@ def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray,
     H = chart.hermitian(z)
     G = _mixed_blocks(H, H.conj())
     gXY = Xv.components @ G @ Yv.components
-    gradf = _solve_gram(G, df, z, H)   # grad f, as gradient() solves it
+    gradf = _solve_gram(G, df, z)   # grad f, as gradient() solves it
     shift = Xf * Yv.components + Yf * Xv.components - gXY * gradf
     return TangentVector.from_components(base.components - 0.5 * shift)

@@ -50,7 +50,6 @@ from .semieuclid import (
     FrameSubspace,
     SemiEuclideanForm,
     _complement_within,
-    _every,
     _full_rank,
     _kernel,
     _per_point,
@@ -163,7 +162,7 @@ def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
         cross = np.abs(np.matvec(screen.basis @ form.gram, V)).max(axis=-1)
         if (cross > ORTHO_TOL * np.maximum(1.0, vmax)).any():
             raise ValueError("V is not orthogonal to the screen")
-    if not _every(_full_rank(_rows(B, V))):
+    if not _full_rank(_rows(B, V)):
         raise ValueError("V lies on the Lee line")
     wV = np.vecdot(omega, V)
     if (np.abs(wV) <= 1e-12 * np.maximum(1.0, np.abs(omega).max(axis=-1) * vmax)).any():
@@ -511,25 +510,15 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
     # derivatives along the submanifold use the pulled-back fields.
     ucoeff = np.linalg.lstsq(jac, frame_cols, rcond=None)[0]
 
-    xcoeffs: dict = {}
-    h_values: dict = {}
-
-    def h_of(a: int, x_j: int, b: int, y_j: int) -> np.ndarray:
-        """h(X, Y) for X = reals[2a + x_j] (J X_a when x_j) and Y =
-        reals[2b + y_j]; each pair is computed once."""
-        key = (a, x_j, b, y_j)
-        if key in h_values:
-            return h_values[key]
-        Xi, Yi, ycoeff_u = reals[2 * a + x_j], reals[2 * b + y_j], ucoeff[:, b]
+    def h_of(Xi: TangentVector, Yi: TangentVector, ycoeff_u: np.ndarray,
+             y_is_j: bool) -> np.ndarray:
         # direction of X in parameter space
-        if (a, x_j) not in xcoeffs:
-            xcoeffs[a, x_j] = np.linalg.lstsq(jac, Xi.hol, rcond=None)[0]
-        xcoeff = xcoeffs[a, x_j]
+        xcoeff = np.linalg.lstsq(jac, Xi.hol, rcond=None)[0]
 
         # field along the submanifold with constant u-coefficients
         def Yfield_param(t):
             hol = immersion.jacobian(u + t * xcoeff) @ ycoeff_u
-            return TangentVector.real(1j * hol if y_j else hol).components
+            return TangentVector.real(1j * hol if y_is_j else hol).components
 
         h = fd_step(u)
         dY = _richardson([Yfield_param(t) for t in _steps(h)], h)
@@ -538,8 +527,7 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
         # X.hol lies in the column span of jac: guaranteed for tangent X.
         nabla = dY + np.einsum("abc,b,c->a", gamma.gamma, Xi.components,
                                Yi.components)
-        h_values[key] = nor(nabla)
-        return h_values[key]
+        return nor(nabla)
 
     Bperp = nor(data.B.components)
     eq_residual = 0.0
@@ -547,22 +535,26 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
         Ea = reals[2 * a]
         for b in range(m):
             Eb = reals[2 * b]
-            hXY = h_of(a, 0, b, 0)
-            hJXJY = h_of(a, 1, b, 1)
+            yc = ucoeff[:, b]
+            hXY = h_of(Ea, Eb, yc, False)
+            hJXJY = h_of(Ea.j(), Eb.j(), yc, True)
             gXY = float((Ea.components @ G @ Eb.components).real)
             resid = hJXJY + hXY + gXY * Bperp
             eq_residual = max(eq_residual, float(np.abs(resid).max()))
             # mixed pairs: substituting (X, JY) into the law and using
             # J^2 = -1 gives h(X, JY) - h(JX, Y) + g(X, JY) Bperp = 0
-            hXJY = h_of(a, 0, b, 1)
-            hJXY = h_of(a, 1, b, 0)
+            hXJY = h_of(Ea, Eb.j(), yc, True)
+            hJXY = h_of(Ea.j(), Eb, yc, False)
             gXJY = float((Ea.components @ G @ Eb.j().components).real)
             resid = hXJY - hJXY + gXJY * Bperp
             eq_residual = max(eq_residual, float(np.abs(resid).max()))
 
     Hmean = np.zeros(2 * chart.n, dtype=complex)
     for a in range(m):
-        Hmean = Hmean + signs[a] * (h_of(a, 0, a, 0) + h_of(a, 1, a, 1))
+        Ea = reals[2 * a]
+        yc = ucoeff[:, a]
+        Hmean = Hmean + signs[a] * (h_of(Ea, Ea, yc, False)
+                                    + h_of(Ea.j(), Ea.j(), yc, True))
     Hmean = Hmean / (2.0 * m)
     mean_offset = float(np.abs(Hmean + 0.5 * Bperp).max())
     return eq_residual, mean_offset

@@ -169,7 +169,7 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
     omega = lee_form_components(lck, z)
     H = lck.chart.hermitian(z)
     G = _mixed_blocks(H, H.conj())        # gram_full(z), sharing H with Omega
-    B = TangentVector.from_components(_solve_gram(G, omega[..., None], z, H)[..., 0])
+    B = TangentVector.from_components(_solve_gram(G, omega[..., None], z)[..., 0])
     A = -1.0 * B.j()                      # A = -J B
     theta = np.matvec(G, A.components)    # theta(X) = g(X, A)
     Om = _mixed_blocks(-1j * H, 1j * H.conj())   # as in charts.kahler_form

@@ -23,7 +23,7 @@ import numpy as np
 
 from .charts import ChartDomainError, MetricChart, TangentVector, _richardson, _steps, metric_inner
 from .lck import LCKStructure, lee_data
-from .semieuclid import FrameSubspace, orthogonal_complement, signature_of
+from .semieuclid import FrameSubspace, _per_point, orthogonal_complement, signature_of
 
 __all__ = [
     "HopfModel", "SiegelBoundaryPoint", "eps_signs", "b_form",
@@ -46,15 +46,16 @@ def eps_signs(n: int, s: int) -> np.ndarray:
     return eps
 
 
-def b_form(s: int, n: int, z, w) -> complex:
-    """Hermitian form -sum_{j<=s} z_j conj(w_j) + sum_{j>s} z_j conj(w_j)."""
+def b_form(s: int, n: int, z, w):
+    """Hermitian form -sum_{j<=s} z_j conj(w_j) + sum_{j>s} z_j conj(w_j):
+    a complex for one pair of vectors, an array per pair of a stack (..., n)."""
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if z.shape != (n,) or w.shape != (n,):
+    if z.shape[-1:] != (n,) or w.shape[-1:] != (n,):
         raise ValueError(f"arguments must be vectors of length {n}")
-    return complex(np.sum(eps_signs(n, s) * z * w.conj()))
+    return _per_point(np.sum(eps_signs(n, s) * z * w.conj(), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -84,19 +85,20 @@ class HopfModel:
     def sign(self) -> float:
         return 1.0 if self.region == "+" else -1.0
 
-    def b(self, z) -> float:
+    def b(self, z):
+        """b(z, z), per point of a stack."""
         return b_form(self.s, self.n, z, z).real
 
     def norm_sn(self, z) -> float:
         """|z|_{s,n} = |b(z,z)|^(1/2)."""
         return float(np.sqrt(abs(self.b(z))))
 
-    def a(self, z) -> float:
-        """Sign of b(z,z); raises on the null cone."""
+    def a(self, z):
+        """Sign of b(z,z), per point of a stack; raises on the null cone."""
         b = self.b(z)
-        if b == 0.0:
+        if np.any(b == 0.0):
             raise ChartDomainError("point lies on the null cone")
-        return 1.0 if b > 0 else -1.0
+        return _per_point(np.where(b > 0, 1.0, -1.0))
 
 
 def _constant(value: np.ndarray):

@@ -12,12 +12,14 @@ basis (..., k, N), with k the same at every point.  The form validation,
 _full_rank, _kernel, _complement_within, inner, from_vectors,
 orthogonal_complement and signature_of work per point of such a stack,
 through numpy's stacked linear algebra, which gives each point the bits
-of a single-point call; a stack whose points disagree on a rank raises
-ValueError.  radical, contains_span and same_span take single points.
+of a single-point call; _full_rank answers for the whole stack, and a
+stack whose points disagree on a rank raises ValueError.  radical,
+contains_span and same_span take single points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,22 +86,15 @@ def _per_point(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def _every(ok) -> bool:
-    """True when a per-point test holds at the point, or at every point."""
-    return ok if isinstance(ok, bool) else bool(np.all(ok))
-
-
 def inner(form: SemiEuclideanForm, u: np.ndarray, v: np.ndarray):
     """Evaluate the bilinear form on a pair of vectors (per point of a
-    stack: a float for one point, an array for a stack)."""
+    stack: a scalar for one point, an array for a stack)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[-1:] != (form.dim,) or v.shape[-1:] != (form.dim,):
         raise ValueError(f"vectors must have length {form.dim}")
-    if u.ndim == v.ndim == form.gram.ndim - 1 == 1:
-        return float(u @ form.gram @ v)
     # u @ gram @ v, rounded per point as the single-point product
-    return _per_point(np.vecdot(np.matvec(form.gram.swapaxes(-1, -2), u), v))
+    return np.vecdot(np.matvec(form.gram.swapaxes(-1, -2), u), v)
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,7 @@ class FrameSubspace:
             b = b.reshape(lead + (-1, form.dim) if b.size else lead + (0, form.dim))
         if b.shape[-1] != form.dim:
             raise ValueError(f"vectors must have length {form.dim}")
-        if not _every(_full_rank(b)):
+        if not _full_rank(b):
             raise DegenerateSubspaceError("basis vectors are not linearly independent")
         gram = b @ form.gram @ b.swapaxes(-1, -2)
         return cls(ambient_dim=form.dim, basis=b, gram_restricted=gram)
@@ -155,28 +150,34 @@ class Signature:
         return self.neg
 
 
-def _full_rank(rows: np.ndarray):
-    """True if the rows are linearly independent (no rows trivially are);
-    per matrix of a stack (..., k, N)."""
+def _ranks(sv: np.ndarray) -> list[int]:
+    """Numerical rank of each matrix of a stack from its singular values
+    (..., k), largest first: the count above _RANK_RTOL * max(largest, 1).
+    The cut runs on Python floats, one row per point of a stack, which
+    holds a handful of points."""
+    ranks = []
+    for s in sv.reshape(math.prod(sv.shape[:-1]), sv.shape[-1]).tolist():
+        cut = _RANK_RTOL * max(s[0] if s else 0.0, 1.0)
+        ranks.append(sum(1 for x in s if x > cut))
+    return ranks
+
+
+def _full_rank(rows: np.ndarray) -> bool:
+    """True if the rows are linearly independent (no rows trivially are),
+    in every matrix of a stack (..., k, N)."""
     k, ncols = rows.shape[-2:]
     if k > ncols or k == 0:
-        return k == 0 if rows.ndim == 2 else np.full(rows.shape[:-2], k == 0)
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if rows.ndim == 2:
-        return bool(sv[-1] > _RANK_RTOL * max(sv[0], 1.0))
-    return sv[..., -1] > _RANK_RTOL * np.maximum(sv[..., 0], 1.0)
+        return k == 0
+    return all(r == k for r in _ranks(np.linalg.svd(rows, compute_uv=False)))
 
 
 def _uniform_rank(sv: np.ndarray) -> int:
     """Numerical rank from singular values (..., k), the same at every point
     of a stack."""
-    if sv.ndim == 1:
-        return int(np.sum(sv > _RANK_RTOL * max(sv[0] if sv.size else 0.0, 1.0)))
-    top = sv[..., :1] if sv.shape[-1] else np.zeros(sv.shape[:-1] + (1,))
-    ranks = np.sum(sv > _RANK_RTOL * np.maximum(top, 1.0), axis=-1)
-    if np.any(ranks != ranks.flat[0]):
+    ranks = set(_ranks(sv))
+    if len(ranks) > 1:
         raise ValueError("rank varies across the stack")
-    return int(ranks.flat[0])
+    return ranks.pop() if ranks else 0
 
 
 def _kernel(rows: np.ndarray, ncols: int) -> np.ndarray:
@@ -211,7 +212,7 @@ def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSub
     """
     if W.ambient_dim != form.dim:
         raise ValueError("ambient dimension mismatch")
-    if not _every(_full_rank(W.basis)):
+    if not _full_rank(W.basis):
         raise DegenerateSubspaceError("rank-deficient subspace basis")
     constraints = W.basis @ form.gram
     ker = _kernel(constraints, form.dim)
@@ -241,12 +242,13 @@ def signature_of(form: SemiEuclideanForm, W: FrameSubspace) -> Signature:
         zero = _per_point(np.zeros(W.basis.shape[:-2], dtype=int))
         return Signature(zero, zero, zero)
     evals = np.linalg.eigvalsh(W.gram_restricted)
-    largest = np.abs(evals).max(axis=-1, keepdims=True)
+    mags = np.abs(evals)
+    largest = mags.max(axis=-1, keepdims=True)
     tau = 1e-9 * np.where(largest > 0.0, largest, 1.0)
-    pos = np.sum(evals > tau, axis=-1)
-    neg = np.sum(evals < -tau, axis=-1)
+    pos = (evals > tau).sum(axis=-1)
+    neg = (evals < -tau).sum(axis=-1)
     null = W.dim - pos - neg
-    shoulder = (np.abs(evals) > tau / 10.0) & (np.abs(evals) < 10.0 * tau)
+    shoulder = (mags > tau / 10.0) & (mags < 10.0 * tau)
     return Signature(_per_point(pos), _per_point(neg), _per_point(null),
                      ill_conditioned=_per_point(shoulder.any(axis=-1)))
 

@@ -9,7 +9,8 @@ Direction "le" means the aggregated maximum must stay below tolerance;
 threshold (e.g. exhibiting a nonparallel Lee form).
 
 Draw, then check: every point is drawn first, draw(cfg, rng), then
-check(cfg, draws) returns the residuals of all draws in draw order.  The
+check(cfg, draws) returns the residuals of all draws in draw order;
+Suite.point_fn runs once per point and checks at the last one.  The
 finite-difference suites stack the draws that share a structure (the
 Hopf region) and, for the foliation suites, a Lee branch, evaluate each
 (m, n) stack through the stack-native layers and scatter the residuals
@@ -77,7 +78,8 @@ class Suite:
     """A named check: draw(cfg, rng) samples one point, check(cfg, draws)
     returns the residuals of a list of draws in draw order (by default the
     draws themselves, for suites whose draw evaluates its point), and
-    point_fn runs both over a run's generators."""
+    point_fn, called once per point of a run, draws that point and, at the
+    run's last point, checks them all."""
 
     name: str
     anchor: str
@@ -91,16 +93,19 @@ class Suite:
     def applicable(self, cfg: RunConfig) -> bool:
         return cfg.model in self.models and cfg.n >= self.min_n
 
-    def point_fn(self, cfg: RunConfig, rngs) -> list:
-        """Residuals of the points drawn from rngs, one generator per point,
-        in draw order: every point is drawn, then all are checked at once."""
-        draws = []
+    def point_fn(self, cfg: RunConfig, rng: np.random.Generator, drawn: list):
+        """Draw one point from rng onto drawn, the run's earlier draws.  The
+        call that draws the run's last point checks every draw at once and
+        returns their residuals in draw order; earlier calls return None.
+        A point fault while drawing is raised after the earlier draws are
+        checked, so the first failing point in draw order raises."""
         try:
-            for rng in rngs:
-                draws.append(self.draw(cfg, rng))
-        finally:   # a fault drawing point i is raised after points 0..i-1 are checked
-            residuals = self._checked(cfg, draws)
-        return residuals
+            drawn.append(self.draw(cfg, rng))
+        except _POINT_FAULTS:
+            if drawn:
+                self._checked(cfg, drawn)
+            raise
+        return self._checked(cfg, drawn) if len(drawn) == cfg.points else None
 
     def _checked(self, cfg: RunConfig, draws: list) -> list:
         try:
@@ -135,11 +140,11 @@ def _chart_point(cfg: RunConfig, rng):
 
 
 def _chart_draw(cfg: RunConfig, rng) -> tuple:
-    """A model-appropriate (structure key, point) pair: the Hopf region
-    drawn with even odds and a point in it, or a Tricerri or flat point."""
+    """A model-appropriate (structure key, point) pair: the Hopf model of
+    a region drawn with even odds and a point in it, or None and a
+    Tricerri or flat point."""
     if cfg.model == "hopf":
-        model, z = _hopf_sample(cfg, rng)
-        return model.region, z
+        return _hopf_sample(cfg, rng)
     if cfg.model == "tricerri":
         return None, sample_tricerri(cfg.n, rng)
     if cfg.model == "flat":
@@ -150,7 +155,7 @@ def _chart_draw(cfg: RunConfig, rng) -> tuple:
 def _structure(cfg: RunConfig, key) -> LCKStructure:
     """The structure a draw's key names (see _chart_draw)."""
     if cfg.model == "hopf":
-        return hopf_chart(_hopf(cfg, key))
+        return hopf_chart(key)
     if cfg.model == "tricerri":
         return tricerri_chart(cfg.n, cfg.s)
     if cfg.model == "flat":
@@ -221,8 +226,7 @@ def _check_christoffel_oracle(key, lck, Z):
 
 def _check_prop1_lee(key, lck, Z):
     data = lee_data(lck, Z)
-    b = np.sum(eps_signs(lck.chart.n, lck.chart.s) * Z * Z.conj(), axis=-1).real
-    a = np.where(b > 0, 1.0, -1.0)    # sign b(z, z), as HopfModel.a reads it
+    a = key.a(Z)
     expect_hol = (-2.0 * a)[:, None] * Z
     resid = np.maximum(np.abs(data.c - 4.0 * a), np.abs(data.B.hol - expect_hol).max(axis=-1))
     # raising round trip: lowering B reproduces omega
@@ -253,7 +257,7 @@ def _check_eq1_signature(key, lck, Z):
     fib = fol.first_foliation_fibre(lck, Z)
     sig = signature_of(fib.form, fib.tangent)
     s = lck.chart.s
-    expect = 2 * s if key == "+" else 2 * s - 1
+    expect = 2 * s if key.region == "+" else 2 * s - 1
     return np.abs(sig.index - expect) + sig.null
 
 
@@ -768,10 +772,12 @@ def _validate(cfg: RunConfig) -> None:
 def _run_suite(cfg: RunConfig, suite: Suite) -> SuiteResult:
     tol = float(suite.tolerance(cfg))
     key = int.from_bytes(hashlib.sha256(suite.name.encode()).digest()[:8], "big")
-    rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key, i)))
-            for i in range(cfg.points)]
+    drawn: list = []
     try:
-        residuals = [float(r) for r in suite.point_fn(cfg, rngs)]
+        for i in range(cfg.points):
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key, i)))
+            residuals = suite.point_fn(cfg, rng, drawn)
+        residuals = [float(r) for r in residuals]
     except _POINT_FAULTS as exc:  # recorded, not fatal
         return SuiteResult(name=suite.name, anchor=suite.anchor, points=0,
                            max_residual=float("nan"), tolerance=tol,

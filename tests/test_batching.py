@@ -142,6 +142,52 @@ def test_a_fault_while_drawing_follows_the_earlier_points():
     assert result.error == "ZeroDivisionError: checking point 1"
 
 
+def test_a_programming_error_while_drawing_is_not_masked_by_an_earlier_fault():
+    draws = iter([0.5, 2.0, "bug", 0.1])
+    checked = []
+
+    def draw(cfg, rng):
+        d = next(draws)
+        if d == "bug":
+            raise TypeError("drawing point 2")
+        return d
+
+    def check(cfg, ds):
+        checked.append(list(ds))
+        if 2.0 in ds:
+            raise ZeroDivisionError("checking point 1")
+        return list(ds)
+
+    suite = suites_mod.Suite(name="draw-bug", anchor="none", models=frozenset({"hopf"}),
+                             tolerance=lambda cfg: 1.0, draw=draw, check=check)
+    with pytest.raises(TypeError, match="drawing point 2"):
+        _run_suite(RunConfig(model="hopf", points=4, seed=0), suite)
+    assert checked == []   # the earlier draws are checked only after a point fault
+
+
+def test_point_fn_runs_once_per_point_and_checks_once():
+    checks = []
+
+    def check(cfg, ds):
+        checks.append(len(ds))
+        return list(ds)
+
+    suite = suites_mod.Suite(name="count-probe", anchor="none", models=frozenset({"hopf"}),
+                             tolerance=lambda cfg: 1.0, draw=lambda cfg, rng: rng.uniform(),
+                             check=check)
+    calls = []
+
+    def point_fn(*args):
+        calls.append(1)
+        return suites_mod.Suite.point_fn(suite, *args)
+
+    object.__setattr__(suite, "point_fn", point_fn)
+    result = _run_suite(RunConfig(model="hopf", points=5, seed=0), suite)
+    assert result.verdict == "pass" and result.points == 5
+    assert len(calls) == 5
+    assert checks == [5]
+
+
 class TestDerivedOnce:
     def _counted(self, monkeypatch, module, name):
         calls = []
