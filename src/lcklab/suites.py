@@ -98,7 +98,8 @@ class Suite:
         call that draws the run's last point checks every draw at once and
         returns their residuals in draw order; earlier calls return None.
         A point fault while drawing is raised after the earlier draws are
-        checked, so the first failing point in draw order raises."""
+        checked, so the first failing point in draw order raises; any
+        other exception propagates at once."""
         try:
             drawn.append(self.draw(cfg, rng))
         except _POINT_FAULTS:
