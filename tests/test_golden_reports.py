@@ -9,6 +9,9 @@ than its registry position, and the eq18 offset scaled with s.  The
 flat digest did not move: every flat residual is exactly 0 at any seed.
 A change that alters any residual, verdict or serialized field changes a
 digest; such a change must say why and record the new digests here.
+
+GOLDEN_6 pins the Hopf reports at 6 points of every suite, at other seeds
+and dimensions, recorded before the per-draw Hopf suites were stacked.
 """
 
 import hashlib
@@ -26,9 +29,25 @@ GOLDEN = {
     ("synthetic-null", 3, 1): "dcba28b58b0037e6f6be604851091b1b9e586ab948451622bab38c61860128af",
 }
 
+GOLDEN_6 = {
+    ("hopf", 2, 1, 42): "9f65c1843cd7d6e835e2f2050484e89935094089d07d636d25d8adad37bf0ba2",
+    ("hopf", 2, 1, 1001): "d847f0c2b553f30007d0ad36aa9781a519e7966c7ccd1d698bace11b068d855b",
+    ("hopf", 3, 1, 7): "ebc5eeae93f7e6d22aec1b4eebbafefb51460ead296c45540c73689bf1536acc",
+    ("hopf", 8, 7, 42): "03dcb27fbf36e15a43e758f16f090c759794f80ded9b907637df593c0db51dd3",
+}
+
+
+def _digest(cfg: RunConfig) -> str:
+    return hashlib.sha256(to_json(run_config(cfg)).encode()).hexdigest()
+
 
 @pytest.mark.parametrize("model, n, s", sorted(GOLDEN))
 def test_report_digest(model, n, s):
     cfg = RunConfig(model=model, n=n, s=s, points=3, seed=42, suites=("all",))
-    text = to_json(run_config(cfg))
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(model, n, s)]
+    assert _digest(cfg) == GOLDEN[(model, n, s)]
+
+
+@pytest.mark.parametrize("model, n, s, seed", sorted(GOLDEN_6))
+def test_six_point_report_digest(model, n, s, seed):
+    cfg = RunConfig(model=model, n=n, s=s, points=6, seed=seed, suites=("all",))
+    assert _digest(cfg) == GOLDEN_6[(model, n, s, seed)]
