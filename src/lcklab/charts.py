@@ -404,11 +404,11 @@ def _metric_derivative_tensor(chart: MetricChart, z: np.ndarray) -> np.ndarray:
     n = chart.n
     dH_dz, dH_dzb = wirtinger_derivative(chart.hermitian, z, chart=chart)
     T = np.zeros(z.shape[:-1] + (2 * n, 2 * n, 2 * n), dtype=complex)
-    # g_{j kbar} = H[j, k]; g_{jbar k} = conj(H[k, j]); pure blocks vanish.
+    # g(Z_j, Zbar_k) = g(Zbar_k, Z_j) = H[j, k]; pure blocks vanish.
     T[..., :n, :n, n:] = dH_dz
-    T[..., :n, n:, :n] = dH_dzb.conj().swapaxes(-1, -2)  # d(conj H[k,j])/dz^l
+    T[..., :n, n:, :n] = dH_dz.swapaxes(-1, -2)   # T[l, n+k, j] = dH[j,k]/dz^l
     T[..., n:, :n, n:] = dH_dzb
-    T[..., n:, n:, :n] = dH_dz.conj().swapaxes(-1, -2)
+    T[..., n:, n:, :n] = dH_dzb.swapaxes(-1, -2)
     return T
 
 

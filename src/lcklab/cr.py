@@ -20,7 +20,7 @@ import numpy as np
 from .charts import ChartDomainError, TangentVector, lie_bracket, wirtinger_derivative, fd_step
 from .lck import LCKStructure, _nonsingular, lee_data
 from .models import HopfModel, cayley, eps_signs
-from .semieuclid import FrameSubspace, _kernel
+from .semieuclid import FrameSubspace, _kernel, _per_point
 
 __all__ = [
     "CRFibre", "LeafLabel", "cr_fibre", "tangential_cr_residual",
@@ -47,51 +47,50 @@ class CRFibre:
 
 
 def _t10_basis(omega_hol: np.ndarray) -> np.ndarray:
-    """Orthonormal (Euclidean) basis of {v : omega_hol . v = 0} as columns."""
-    return _kernel(omega_hol, omega_hol.size).conj().T
+    """Orthonormal (Euclidean) basis of {v : omega_hol . v = 0} as columns,
+    one (n, n-1) basis per point of a stack of covectors (..., n)."""
+    return _kernel(omega_hol[..., None, :], omega_hol.shape[-1]).conj().swapaxes(-1, -2)
 
 
 def cr_fibre(lck: LCKStructure, z) -> CRFibre:
-    """CR bundle, Levi distribution and characteristic direction at z.
+    """CR bundle, Levi distribution and characteristic direction at z, a
+    point or a stack of points.
 
     The characteristic generator is the anti-Lee vector when c != 0 (it
     lies in the leaf tangent and is g-orthogonal to the Levi
     distribution); for null Lee data the leaf tangent degenerates onto
     the Levi distribution plus the Lee line, and the Lee field itself is
-    used as the marker of the quotient direction.
+    used as the marker of the quotient direction, chosen per point.
     """
     z = np.asarray(z, dtype=complex)
     data = _nonsingular(lee_data(lck, z))
     t10 = _t10_basis(lck.lee_hol(z))
-    form = data.form
-    rows = []
-    for k in range(t10.shape[1]):
-        v = TangentVector.real(t10[:, k])
-        rows.append(v.real_coords())
-        rows.append(v.j().real_coords())
-    levi_H = FrameSubspace.from_vectors(form, rows)
-    marker = data.A if data.non_null else data.B
-    return CRFibre(point=z, t10=t10, levi_H=levi_H, characteristic=marker)
+    cr = TangentVector.real(t10.swapaxes(-1, -2))    # one row per CR vector
+    rows = np.stack([cr.real_coords(), cr.j().real_coords()], axis=-2)   # V_k, J V_k, ...
+    levi_H = FrameSubspace.from_vectors(data.form, rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1])))
+    marker = np.where(np.asarray(data.non_null)[..., None], data.A.components, data.B.components)
+    return CRFibre(point=z, t10=t10, levi_H=levi_H,
+                   characteristic=TangentVector.from_components(marker))
 
 
-def tangential_cr_residual(fib: CRFibre, f) -> float:
-    """max |Zbar(f)| over a basis of the conjugate CR bundle at z = fib.point.
+def tangential_cr_residual(fib: CRFibre, f):
+    """max |Zbar(f)| over a basis of the conjugate CR bundle at z = fib.point,
+    a float at a point and an array for a stacked fibre.
 
-    f is an ambient function near z, taking a stack of points (see the
-    charts module docstring); its restriction to the leaf is CR at z iff
-    the residual vanishes.
+    f is an ambient scalar function near z, taking a stack of points (see
+    the charts module docstring); its restriction to the leaf is CR at z
+    iff the residual vanishes.
     """
     z = fib.point
-    h = fd_step(z)
-    _, d_dzb = wirtinger_derivative(f, z, h)
+    _, d_dzb = wirtinger_derivative(f, z, fd_step(z))
     # T01 = conj(T10): Zbar(f) contracts conj components with dzbar
-    vals = fib.t10.conj().T @ d_dzb.ravel()
-    return float(np.abs(vals).max()) if vals.size else 0.0
+    vals = np.matvec(fib.t10.conj().swapaxes(-1, -2), d_dzb)
+    return _per_point(np.abs(vals).max(axis=-1, initial=0.0))
 
 
 def _t10_projected_field(lck: LCKStructure, v0: np.ndarray):
-    """Type-(1,0) section of the CR bundle through v0, by Euclidean
-    projection onto ker(omega_hol) pointwise."""
+    """Type-(1,0) section of the CR bundle through v0 (one per point of a
+    stack), by Euclidean projection onto ker(omega_hol) pointwise."""
     def field(p):
         w = lck.lee_hol(p)
         denom = np.vecdot(w, w).real[..., None]
@@ -100,15 +99,17 @@ def _t10_projected_field(lck: LCKStructure, v0: np.ndarray):
     return field
 
 
-def levi_form(lck: LCKStructure, fib: CRFibre, V, W) -> complex:
-    """Levi form L(V, Wbar) = i * (characteristic component of [V, Wbar]).
+def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
+    """Levi form L(V, Wbar) = i * (characteristic component of [V, Wbar]),
+    a complex at a point and an array for a stacked fibre.
 
     V, W are type-(1,0) vectors in the CR fibre fib of lck at z = fib.point
-    (holomorphic component arrays or TangentVectors); they are extended as CR
-    sections by pointwise projection and the bracket is computed by
-    central differences.  The value is taken against the fixed
-    characteristic generator of the leaf tangent modulo the Levi
-    distribution, so only signs and zeros are geometrically meaningful.
+    (holomorphic component arrays or TangentVectors, one per point of a
+    stack); they are extended as CR sections by pointwise projection and
+    the bracket is computed by central differences.  The value is taken
+    against the fixed characteristic generator of the leaf tangent modulo
+    the Levi distribution, so only signs and zeros are geometrically
+    meaningful.
     """
     vh = V.hol if isinstance(V, TangentVector) else np.asarray(V, dtype=complex)
     wh = W.hol if isinstance(W, TangentVector) else np.asarray(W, dtype=complex)
@@ -118,14 +119,15 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V, W) -> complex:
     def Wbar(p):
         return Wf(p).conj()
 
-    br = lie_bracket(Vf, Wbar, fib.point)
+    br = lie_bracket(Vf, Wbar, fib.point).components
     # decompose against (complexified) H basis + characteristic generator
-    cols = [TangentVector.real(fib.t10[:, k]).components for k in range(fib.t10.shape[1])]
-    cols += [TangentVector.real(fib.t10[:, k]).j().components for k in range(fib.t10.shape[1])]
-    cols.append(fib.characteristic.components)
-    M = np.stack(cols, axis=1)
-    coeff, *_ = np.linalg.lstsq(M, br.components, rcond=None)
-    return complex(1j * coeff[-1])
+    cr = TangentVector.real(fib.t10.swapaxes(-1, -2))
+    M = np.concatenate([cr.components, cr.j().components,
+                        fib.characteristic.components[..., None, :]], axis=-2).swapaxes(-1, -2)
+    # np.linalg.lstsq takes one matrix: solve the points of a stack in turn
+    coeff = [np.linalg.lstsq(Mi, bi, rcond=None)[0][-1]
+             for Mi, bi in zip(M.reshape((-1,) + M.shape[-2:]), br.reshape(-1, br.shape[-1]))]
+    return _per_point(1j * np.array(coeff).reshape(br.shape[:-1]))
 
 
 def levi_flat_detector(lck: LCKStructure, fib: CRFibre, tol: float = 1e-6) -> bool:

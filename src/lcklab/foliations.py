@@ -33,6 +33,7 @@ import numpy as np
 from .charts import (
     ConnectionCoefficients,
     TangentVector,
+    _bilinear,
     _covariant_along,
     _field_derivatives,
     _max_abs,
@@ -426,7 +427,9 @@ def h_P_residual(lck: LCKStructure, z, nabla: dict | None = None):
 @dataclass(frozen=True)
 class ComplexImmersion:
     """Holomorphic parametrization u in C^m -> z in C^n of a complex
-    submanifold; `tangent` returns the n x m Jacobian d z / d u."""
+    submanifold; `tangent` returns the n x m Jacobian d z / d u.  Both
+    maps take a parameter u (m,) or a stack of parameters (k, m) and
+    return one value per parameter: z (k, n) and (k, n, m) for a stack."""
 
     m: int
     chart_map: Callable[[np.ndarray], np.ndarray]
@@ -435,49 +438,62 @@ class ComplexImmersion:
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         if self.tangent is not None:
             return np.asarray(self.tangent(u), dtype=complex)
-        h = fd_step(u)
+        h = np.asarray(fd_step(u))[..., None]
         cols = [_richardson([self.chart_map(u + t * e) for t in _steps(h)], h)
                 for e in np.eye(self.m, dtype=complex)]
-        return np.stack(cols, axis=1)
+        return np.stack(cols, axis=-1)
 
 
 def _hermitian_orthonormal_frame(H: np.ndarray, cols: np.ndarray):
-    """Gram-Schmidt for the (indefinite) Hermitian pairing 2 v^T H conj(w).
+    """Gram-Schmidt for the (indefinite) Hermitian pairing 2 v^T H conj(w),
+    per point of a stack (H (..., n, n), cols (..., n, m)).
 
     Returns (frame columns, signs); raises if a pivot degenerates.
     """
-    m = cols.shape[1]
+    m = cols.shape[-1]
     frame = []
     signs = []
 
     def pair(v, w):
-        return 2.0 * complex(v @ H @ w.conj())
+        return 2.0 * _bilinear(v, H, w.conj())
 
     for a in range(m):
-        v = cols[:, a].astype(complex)
+        v = cols[..., a].astype(complex)
         for f, sgn in zip(frame, signs):
-            v = v - sgn * pair(v, f) * f
+            v = v - (sgn * pair(v, f))[..., None] * f
         nrm = pair(v, v).real
-        if abs(nrm) < 1e-10 * max(1.0, float(np.abs(v).max()) ** 2):
+        if np.any(np.abs(nrm) < 1e-10 * np.maximum(1.0, np.abs(v).max(axis=-1) ** 2)):
             raise ValueError("degenerate induced metric on the submanifold")
-        frame.append(v / np.sqrt(abs(nrm)))
-        signs.append(1.0 if nrm > 0 else -1.0)
-    return np.stack(frame, axis=1), np.array(signs)
+        frame.append(v / np.sqrt(np.abs(nrm))[..., None])
+        signs.append(np.where(nrm > 0, 1.0, -1.0))
+    return np.stack(frame, axis=-1), np.stack(signs, axis=-1)
+
+
+def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a, b) solution per point of a stack; lstsq takes one
+    matrix, so the points are solved in turn."""
+    lead = a.shape[:-2]
+    flat_a = a.reshape((-1,) + a.shape[-2:])
+    flat_b = b.reshape((len(flat_a),) + b.shape[len(lead):])
+    x = [np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(flat_a, flat_b)]
+    return np.array(x).reshape(lead + x[0].shape)
 
 
 def complex_submanifold_mean_curvature(lck: LCKStructure,
-                                       immersion: ComplexImmersion,
-                                       u) -> tuple[float, float]:
+                                       immersion: ComplexImmersion, u):
     """Second-fundamental-form law and mean curvature of a complex
-    submanifold.
+    submanifold, at a parameter u (m,) (floats) or at each parameter of a
+    stack (k, m) (arrays).
 
     Returns (eq_residual, mean_offset): the first is the worst residual
     of h(JX, JY) + h(X, Y) + g(X, Y) Bperp over frame pairs, the second
     is |H + Bperp/2| for the mean curvature vector H.  Both vanish for
     complex submanifolds of an l.c.K. ambient space; H = 0 exactly when
-    the submanifold is tangent to the Lee field.
+    the submanifold is tangent to the Lee field.  Each h(X, Y) is
+    evaluated once: the law's diagonal pairs feed the mean curvature.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    u = np.asarray(u, dtype=complex)
+    u = u.reshape(u.shape or (1,))
     z = immersion.chart_map(u)
     chart = lck.chart
     gamma = christoffel(chart, z)
@@ -489,7 +505,7 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
     # real orthonormal tangent frame {X_a, J X_a}
     reals = []
     for a in range(m):
-        E = TangentVector.real(frame_cols[:, a])
+        E = TangentVector.real(frame_cols[..., a])
         reals.extend([E, E.j()])
 
     G = data.G
@@ -498,8 +514,8 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
         out = np.zeros_like(vcomp)
         for a in range(m):
             for Xa in (reals[2 * a], reals[2 * a + 1]):
-                coeff = (vcomp @ G @ Xa.components) * signs[a]
-                out = out + coeff * Xa.components
+                coeff = _bilinear(vcomp, G, Xa.components) * signs[..., a]
+                out = out + coeff[..., None] * Xa.components
         return out
 
     def nor(vcomp: np.ndarray) -> np.ndarray:
@@ -508,53 +524,53 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
     # parameter-space frame fields (constant coefficients in u): the
     # second fundamental form is tensorial, so pointwise frames suffice;
     # derivatives along the submanifold use the pulled-back fields.
-    ucoeff = np.linalg.lstsq(jac, frame_cols, rcond=None)[0]
+    ucoeff = _lstsq_rows(jac, frame_cols)
+    h = np.asarray(fd_step(u))[..., None]
 
     def h_of(Xi: TangentVector, Yi: TangentVector, ycoeff_u: np.ndarray,
              y_is_j: bool) -> np.ndarray:
         # direction of X in parameter space
-        xcoeff = np.linalg.lstsq(jac, Xi.hol, rcond=None)[0]
+        xcoeff = _lstsq_rows(jac, Xi.hol)
 
         # field along the submanifold with constant u-coefficients
         def Yfield_param(t):
-            hol = immersion.jacobian(u + t * xcoeff) @ ycoeff_u
+            hol = np.matvec(immersion.jacobian(u + t * xcoeff), ycoeff_u)
             return TangentVector.real(1j * hol if y_is_j else hol).components
 
-        h = fd_step(u)
         dY = _richardson([Yfield_param(t) for t in _steps(h)], h)
         # X must also move the conjugate part: the parameter curve is
         # holomorphic, so the real curve velocity is X itself only when
         # X.hol lies in the column span of jac: guaranteed for tangent X.
-        nabla = dY + np.einsum("abc,b,c->a", gamma.gamma, Xi.components,
+        nabla = dY + np.einsum("...abc,...b,...c->...a", gamma.gamma, Xi.components,
                                Yi.components)
         return nor(nabla)
 
     Bperp = nor(data.B.components)
     eq_residual = 0.0
+    diagonal = []   # h(X_a, X_a) + h(J X_a, J X_a)
     for a in range(m):
         Ea = reals[2 * a]
         for b in range(m):
             Eb = reals[2 * b]
-            yc = ucoeff[:, b]
+            yc = ucoeff[..., b]
             hXY = h_of(Ea, Eb, yc, False)
             hJXJY = h_of(Ea.j(), Eb.j(), yc, True)
-            gXY = float((Ea.components @ G @ Eb.components).real)
+            if a == b:
+                diagonal.append(hXY + hJXJY)
+            gXY = _bilinear(Ea.components, G, Eb.components).real[..., None]
             resid = hJXJY + hXY + gXY * Bperp
-            eq_residual = max(eq_residual, float(np.abs(resid).max()))
+            eq_residual = np.maximum(eq_residual, np.abs(resid).max(axis=-1))
             # mixed pairs: substituting (X, JY) into the law and using
             # J^2 = -1 gives h(X, JY) - h(JX, Y) + g(X, JY) Bperp = 0
             hXJY = h_of(Ea, Eb.j(), yc, True)
             hJXY = h_of(Ea.j(), Eb, yc, False)
-            gXJY = float((Ea.components @ G @ Eb.j().components).real)
+            gXJY = _bilinear(Ea.components, G, Eb.j().components).real[..., None]
             resid = hXJY - hJXY + gXJY * Bperp
-            eq_residual = max(eq_residual, float(np.abs(resid).max()))
+            eq_residual = np.maximum(eq_residual, np.abs(resid).max(axis=-1))
 
-    Hmean = np.zeros(2 * chart.n, dtype=complex)
+    Hmean = np.zeros(Bperp.shape, dtype=complex)
     for a in range(m):
-        Ea = reals[2 * a]
-        yc = ucoeff[:, a]
-        Hmean = Hmean + signs[a] * (h_of(Ea, Ea, yc, False)
-                                    + h_of(Ea.j(), Ea.j(), yc, True))
+        Hmean = Hmean + signs[..., a, None] * diagonal[a]
     Hmean = Hmean / (2.0 * m)
-    mean_offset = float(np.abs(Hmean + 0.5 * Bperp).max())
-    return eq_residual, mean_offset
+    mean_offset = np.abs(Hmean + 0.5 * Bperp).max(axis=-1)
+    return _per_point(eq_residual), _per_point(mean_offset)

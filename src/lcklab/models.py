@@ -21,7 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import ChartDomainError, MetricChart, TangentVector, _richardson, _steps, metric_inner
+from .charts import (
+    ChartDomainError, MetricChart, TangentVector, _bilinear, _norms, _richardson, _steps,
+)
 from .lck import LCKStructure, lee_data
 from .semieuclid import FrameSubspace, _per_point, orthogonal_complement, signature_of
 
@@ -350,53 +352,51 @@ def torus_pullback_isometry_residual(model: HopfModel, t: complex, z) -> float:
     return float(np.abs(pullback - H).max())
 
 
-def fibration_split(model: HopfModel, z) -> tuple[FrameSubspace, FrameSubspace]:
+def fibration_split(model: HopfModel, z,
+                    lck: Optional[LCKStructure] = None) -> tuple[FrameSubspace, FrameSubspace]:
     """Vertical span{A, B} and its orthogonal complement at a pseudosphere
-    point (b(z,z) = 1)."""
+    point (b(z,z) = 1), or stacked FrameSubspaces over a stack of them.
+    lck is hopf_chart(model), when the caller already holds it."""
     z = np.asarray(z, dtype=complex)
-    if abs(model.b(z) - 1.0) > 1e-9:
+    if np.any(np.abs(model.b(z) - 1.0) > 1e-9):
         raise ValueError("point must satisfy b(z, z) = 1")
-    lck = hopf_chart(model)
-    data = lee_data(lck, z)
+    data = lee_data(hopf_chart(model) if lck is None else lck, z)
     form = data.form
-    V0 = FrameSubspace.from_vectors(form, [data.A_real, data.B_real])
-    sig = signature_of(form, V0)
-    if sig.null:
+    V0 = FrameSubspace.from_vectors(form, np.stack([data.A_real, data.B_real], axis=-2))
+    if np.any(signature_of(form, V0).null):
         raise ValueError("vertical space is degenerate")
     H0 = orthogonal_complement(form, V0)
     return V0, H0
 
 
 def submersion_isometry_residual(model: HopfModel, z, u: TangentVector,
-                                 v: TangentVector) -> float:
-    """Fibre-invariance of horizontal Gram entries.
+                                 v: TangentVector, lck: Optional[LCKStructure] = None):
+    """Fibre-invariance of horizontal Gram entries, at a point (a float) or
+    at each point of a stack (an array), with one u and v per point.
 
     Transports u, v by the differential of the torus flows z -> e^t z and
     z -> e^{it} z (whose orbit tangents span the vertical space) and
-    returns the larger |d/dt g(u_t, v_t)| at t = 0 by central differences.
-    Inputs must be horizontal: orthogonal to both A and B.
+    returns the larger |d/dt g(u_t, v_t)| at t = 0 by central differences,
+    all eight flowed points in one metric evaluation.  Inputs must be real
+    and horizontal: orthogonal to both A and B.  lck is hopf_chart(model),
+    when the caller already holds it.
     """
     z = np.asarray(z, dtype=complex)
-    lck = hopf_chart(model)
+    lck = hopf_chart(model) if lck is None else lck
     data = lee_data(lck, z)
-    gA = metric_inner(lck.chart, z, u, data.A)
-    gB = metric_inner(lck.chart, z, u, data.B)
-    gA2 = metric_inner(lck.chart, z, v, data.A)
-    gB2 = metric_inner(lck.chart, z, v, data.B)
-    scale = max(1.0, u.norm() * v.norm())
-    if max(abs(gA), abs(gB), abs(gA2), abs(gB2)) > 1e-6 * scale:
+    g = [_bilinear(a.components, data.G, b.components).real
+         for a in (u, v) for b in (data.A, data.B)]
+    scale = np.maximum(1.0, _norms(u.components) * _norms(v.components))
+    if np.any(np.max(np.abs(g), axis=0) > 1e-6 * scale):
         raise ValueError("inputs are not horizontal at z")
-
-    def gram_along(flow_dir: complex):
-        def f(t):
-            fac = np.exp(t * flow_dir)
-            zt = fac * z
-            ut = TangentVector(fac * u.hol, np.conj(fac) * u.antihol)
-            vt = TangentVector(fac * v.hol, np.conj(fac) * v.antihol)
-            return np.array([metric_inner(lck.chart, zt, ut, vt)])
-        return float(np.abs(_richardson([f(t) for t in _steps(1e-5)], 1e-5)).max())
-
-    return max(gram_along(1.0 + 0j), gram_along(1j))
+    # flow factors exp(t d) for d = 1, i (rows) and t in _steps (columns),
+    # each rounded as a Python scalar
+    fac = np.array([[np.exp(t * d) for t in _steps(1e-5)] for d in (1.0 + 0j, 1j)])
+    fac = fac.reshape(fac.shape + (1,) * z.ndim)
+    ut = TangentVector(fac * u.hol, np.conj(fac) * u.antihol)
+    vt = TangentVector(fac * v.hol, np.conj(fac) * v.antihol)
+    gram = _bilinear(ut.components, lck.chart.gram_full(fac * z), vt.components).real
+    return _per_point(np.abs(_richardson(np.moveaxis(gram, 1, 0), 1e-5)).max(axis=0))
 
 
 def retraction(model: HopfModel, t: float, z) -> np.ndarray:

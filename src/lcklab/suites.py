@@ -322,6 +322,86 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     return np.maximum(resid, np.abs(tors).max(axis=-1))
 
 
+def _draw_pseudosphere(cfg, rng):
+    return _hopf(cfg, "+"), sample_pseudosphere(cfg.n, cfg.s, rng)
+
+
+def _draw_submersion(cfg, rng):
+    model, z = _draw_pseudosphere(cfg, rng)
+    return model, z, rng.standard_normal((2, 2 * cfg.n - 2))   # horizontal coefficients
+
+
+def _draw_eq18(cfg, rng):
+    return _hopf(cfg, "+"), (0.9 + 0.6 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+
+
+def _draw_cr_tangential(cfg, rng):
+    model = _hopf(cfg, "+")
+    z = sample_hopf(model, rng)
+    return model, z, rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n)
+
+
+def _check_eq18_mean_curvature(model, lck, U):
+    n = model.n
+    jac = np.zeros((n, 1), dtype=complex)
+    jac[-1, 0] = 1.0
+
+    def line(c):
+        """The complex line u -> (c, ..., c, u)."""
+        def chart_map(uu):
+            z = np.full(uu.shape[:-1] + (n,), c, dtype=complex)
+            z[..., -1] = uu[..., 0]
+            return z
+        return fol.ComplexImmersion(
+            m=1, chart_map=chart_map,
+            tangent=lambda uu: np.broadcast_to(jac, uu.shape[:-1] + jac.shape))
+
+    c0 = 0.3 / math.sqrt(model.s)   # negative-block mass 0.09 < |u|^2 for every s
+    eq_resid, mean_off = fol.complex_submanifold_mean_curvature(lck, line(c0), U[:, None])
+    _, mean_through = fol.complex_submanifold_mean_curvature(lck, line(0.0), U[:, None])
+    return np.maximum(np.maximum(eq_resid, mean_off), mean_through)
+
+
+def _check_submersion(model, lck, Z, coeffs):
+    _, H0 = fibration_split(model, Z, lck)
+    u, v = (TangentVector.from_real_coords(np.vecmat(coeffs[:, i], H0.basis)) for i in (0, 1))
+    return submersion_isometry_residual(model, Z, u, v, lck)
+
+
+def _check_fibration_split(model, lck, Z):
+    V0, H0 = fibration_split(model, Z, lck)
+    resid = np.abs(V0.gram_restricted - 4.0 * np.eye(2)).max(axis=(-2, -1))
+    if V0.dim + H0.dim != 2 * model.n:
+        resid = np.maximum(resid, 1.0)
+    sig = signature_of(lee_data(lck, Z).form, H0)
+    n, s = model.n, model.s
+    ok = (sig.pos == 2 * (n - s) - 2) & (sig.neg == 2 * s) & (sig.null == 0)
+    return np.maximum(resid, np.where(ok, 0.0, 1.0))
+
+
+def _check_levi_hopf(model, lck, Z):
+    fib = crmod.cr_fibre(lck, Z)
+    worst = 0.0
+    for k in range(fib.t10.shape[-1]):
+        V = fib.t10[..., k]
+        worst = np.maximum(worst, np.abs(crmod.levi_form(lck, fib, V, V)))
+    return worst
+
+
+def _check_cr_tangential(model, lck, Z, coeffs):
+    def holo(p):
+        return np.prod(p, axis=-1) + np.vecdot(coeffs.conj(), p)
+
+    eps = eps_signs(model.n, model.s)
+
+    def leaf_constant(p):
+        return np.abs(np.sum(eps * np.abs(p) ** 2, axis=-1))
+
+    fib = crmod.cr_fibre(lck, Z)
+    return np.maximum(crmod.tangential_cr_residual(fib, holo),
+                      crmod.tangential_cr_residual(fib, leaf_constant))
+
+
 # ---------------------------------------------------------------------------
 # point functions: the per-draw adapter
 # ---------------------------------------------------------------------------
@@ -449,33 +529,6 @@ def _pt_screen_splits(cfg, rng):
     return resid
 
 
-def _pt_eq18_mean_curvature(cfg, rng):
-    model = _hopf(cfg, "+")
-    lck = hopf_chart(model)
-    n, s = cfg.n, cfg.s
-    c0 = 0.3 / math.sqrt(s)   # negative-block mass 0.09 < |u|^2 for every s
-    u = (0.9 + 0.6 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-
-    def offset_map(uu):
-        z = np.full(n, c0, dtype=complex)
-        z[-1] = uu[0]
-        return z
-
-    jac = np.zeros((n, 1), dtype=complex)
-    jac[-1, 0] = 1.0
-    offset = fol.ComplexImmersion(m=1, chart_map=offset_map, tangent=lambda uu: jac)
-    eq_resid, mean_off = fol.complex_submanifold_mean_curvature(lck, offset, [u])
-
-    def through_map(uu):
-        z = np.zeros(n, dtype=complex)
-        z[-1] = uu[0]
-        return z
-
-    through = fol.ComplexImmersion(m=1, chart_map=through_map, tangent=lambda uu: jac)
-    _, mean_through = fol.complex_submanifold_mean_curvature(lck, through, [u])
-    return max(eq_resid, mean_off, mean_through)
-
-
 def _pt_deck_pullback(cfg, rng):
     model, z = _hopf_sample(cfg, rng)
     lck = hopf_chart(model)
@@ -503,29 +556,6 @@ def _pt_torus_isometry(cfg, rng):
     model, z = _hopf_sample(cfg, rng)
     t = complex(rng.standard_normal() * 0.5, rng.standard_normal() * 2.0)
     return torus_pullback_isometry_residual(model, t, z)
-
-
-def _pt_submersion(cfg, rng):
-    model = _hopf(cfg, "+")
-    z = sample_pseudosphere(cfg.n, cfg.s, rng)
-    V0, H0 = fibration_split(model, z)
-    coeffs = rng.standard_normal((2, H0.dim))
-    u = TangentVector.from_real_coords(coeffs[0] @ H0.basis)
-    v = TangentVector.from_real_coords(coeffs[1] @ H0.basis)
-    return submersion_isometry_residual(model, z, u, v)
-
-
-def _pt_fibration_split(cfg, rng):
-    model = _hopf(cfg, "+")
-    z = sample_pseudosphere(cfg.n, cfg.s, rng)
-    V0, H0 = fibration_split(model, z)
-    resid = float(np.abs(V0.gram_restricted - 4.0 * np.eye(2)).max())
-    resid = max(resid, 0.0 if V0.dim + H0.dim == 2 * cfg.n else 1.0)
-    form = hopf_chart(model).chart.real_form(z)
-    sig = signature_of(form, H0)
-    expect = (2 * (cfg.n - cfg.s) - 2, 2 * cfg.s, 0)
-    resid = max(resid, 0.0 if sig.as_tuple() == expect else 1.0)
-    return resid
 
 
 def _pt_retraction(cfg, rng):
@@ -590,17 +620,6 @@ def _pt_levi_signature(cfg, rng):
     return 0.0 if sig == (cfg.s, cfg.n - cfg.s - 1) else 1.0
 
 
-def _pt_levi_hopf(cfg, rng):
-    model = _hopf(cfg, "+")
-    lck = hopf_chart(model)
-    z = sample_pseudosphere(cfg.n, cfg.s, rng)
-    fib = crmod.cr_fibre(lck, z)
-    worst = 0.0
-    for k in range(fib.t10.shape[1]):
-        worst = max(worst, abs(crmod.levi_form(lck, fib, fib.t10[:, k], fib.t10[:, k])))
-    return worst
-
-
 def _pt_prop4_null(cfg, rng):
     c = sample_null_config(cfg.n, cfg.s, rng)
     lck = synthetic_null_structure(cfg.n, cfg.s,
@@ -618,25 +637,6 @@ def _pt_prop4_null(cfg, rng):
         resid = max(resid, 0.0 if same_span(cfib.levi_H, plane, 1e-9) else 1.0)
         resid = max(resid, 0.0 if crmod.levi_flat_detector(lck, cfib) else 1.0)
     return resid
-
-
-def _pt_cr_tangential(cfg, rng):
-    model = _hopf(cfg, "+")
-    lck = hopf_chart(model)
-    z = sample_hopf(model, rng)
-    coeffs = rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n)
-
-    def holo(p):
-        return np.prod(p, axis=-1) + np.vecdot(coeffs.conj(), p)
-
-    fib = crmod.cr_fibre(lck, z)
-    resid = crmod.tangential_cr_residual(fib, holo)
-    eps = eps_signs(cfg.n, cfg.s)
-
-    def leaf_constant(p):
-        return np.abs(np.sum(eps * np.abs(p) ** 2, axis=-1))
-
-    return max(resid, crmod.tangential_cr_residual(fib, leaf_constant))
 
 
 def _pt_gab_invariance(cfg, rng):
@@ -686,7 +686,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("lemma6-invariance", "Lemma 6", frozenset({"synthetic-null"}),
           _fixed(1e-9), _pt_lemma6_invariance, min_n=3),
     Suite("eq18-mean-curvature", "Proposition 3 / Equation (18)",
-          frozenset({"hopf"}), _fixed(1e-5), _pt_eq18_mean_curvature),
+          frozenset({"hopf"}), _fixed(1e-5), _draw_eq18, _stacked(_check_eq18_mean_curvature)),
     Suite("eq20-nabla-j", "Equation (20)",
           frozenset({"hopf", "tricerri", "flat"}), lambda c: c.tol_fd,
           _draw_vectors(2), _stacked(_check_eq20_nabla_j)),
@@ -702,9 +702,9 @@ SUITES: tuple[Suite, ...] = (
     Suite("torus-isometry", "Lemma 4", frozenset({"hopf"}), _fixed(1e-12),
           _pt_torus_isometry),
     Suite("submersion-fibre-invariance", "Equation (17)", frozenset({"hopf"}),
-          lambda c: c.tol_fd, _pt_submersion),
+          lambda c: c.tol_fd, _draw_submersion, _stacked(_check_submersion)),
     Suite("fibration-split", "Lemma 3", frozenset({"hopf"}), _fixed(1e-9),
-          _pt_fibration_split),
+          _draw_pseudosphere, _stacked(_check_fibration_split)),
     Suite("retraction-monotonicity", "Theorem 3 (proof)", frozenset({"hopf"}),
           _fixed(1e-12), _pt_retraction),
     Suite("thm5-leaf-space", "Theorem 5 / Equation (28)", frozenset({"hopf"}),
@@ -719,11 +719,11 @@ SUITES: tuple[Suite, ...] = (
     # raw Levi value decays with the sample's Euclidean distance from the
     # cone, so the sharp 0.1 bound is asserted at a pinned point in tests
     Suite("levi-hopf-leaf", "Levi form", frozenset({"hopf"}), _fixed(1e-3),
-          _pt_levi_hopf, direction="ge"),
+          _draw_pseudosphere, _stacked(_check_levi_hopf), direction="ge"),
     Suite("prop4-null-leaf", "Proposition 4", frozenset({"synthetic-null"}),
           _fixed(1e-10), _pt_prop4_null),
     Suite("cr-tangential", "Tangential CR operator", frozenset({"hopf"}),
-          _fixed(1e-8), _pt_cr_tangential),
+          _fixed(1e-8), _draw_cr_tangential, _stacked(_check_cr_tangential)),
     Suite("gab-invariance", "Proposition 2", frozenset({"tricerri"}),
           _fixed(1e-12), _pt_gab_invariance),
 )

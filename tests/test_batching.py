@@ -17,13 +17,19 @@ import pytest
 from lcklab import charts as charts_mod
 from lcklab import cr as crmod
 from lcklab import foliations as fol
+from lcklab import models as models_mod
 from lcklab import suites as suites_mod
-from lcklab.models import synthetic_null_structure
+from lcklab.models import HopfModel, hopf_chart, synthetic_null_structure
 from lcklab.report import RunConfig
 from lcklab.suites import SUITES, _drawn, _run_suite, run_config
 
 BATCHED = [s for s in SUITES if s.check is not _drawn]
-CONFIGS = [("hopf", 2, 1), ("hopf", 4, 2), ("tricerri", 2, 1), ("flat", 2, 1)]
+HOPF = hopf_chart(HopfModel(n=2, s=1, lam=0.5))
+CONFIGS = [("hopf", 2, 1), ("hopf", 3, 1), ("hopf", 4, 2), ("hopf", 8, 7), ("tricerri", 2, 1),
+           ("flat", 2, 1)]
+# The batched suites that sample Hopf region "+" only, as one stack per run.
+POSITIVE_REGION = ("eq18-mean-curvature", "submersion-fibre-invariance", "levi-hopf-leaf",
+                   "fibration-split", "cr-tangential")
 
 
 def _draws(suite, cfg):
@@ -40,7 +46,7 @@ def test_the_finite_difference_suites_are_batched():
     assert {s.name for s in BATCHED} == {
         "christoffel-oracle", "prop1-lee-field", "parallel-lee", "thm1-totally-geodesic",
         "eq1-leaf-signature", "thm4-integrability", "thm4-plane-gram", "thm4-hp",
-        "eq20-nabla-j", "weyl-dj", "connection-identities"}
+        "eq20-nabla-j", "weyl-dj", "connection-identities", *POSITIVE_REGION}
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -99,7 +105,8 @@ def _point_by_point(suite, cfg, draws):
     return residuals, None, None
 
 
-@pytest.mark.parametrize("suite", BATCHED, ids=lambda s: s.name)
+@pytest.mark.parametrize("suite", [s for s in BATCHED if s.name not in POSITIVE_REGION],
+                         ids=lambda s: s.name)
 def test_a_fault_at_draw_3_is_named_as_point_by_point(suite):
     cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
     calls = []
@@ -119,6 +126,66 @@ def test_a_fault_at_draw_3_is_named_as_point_by_point(suite):
     assert result.verdict == "error"
     assert result.error == expected
     assert str(bad[1]) in result.error
+
+
+class _NaNUniform:
+    """A generator whose uniform() draws are NaN."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def uniform(self, *args, **kwargs):
+        return np.full_like(self._rng.uniform(*args, **kwargs), np.nan)[()]
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+# The fault planted at draw 3 of each positive-region suite (a sampler and
+# what it returns there) and the error a point-by-point run reported for it,
+# recorded before these suites were stacked.
+POSITIVE_REGION_FAULTS = {
+    "eq18-mean-curvature": (
+        None, "ChartDomainError: point [0.3 +0.j nan+nanj] outside domain of hopf(n=2,s=1,+)"),
+    "submersion-fibre-invariance": (
+        ("sample_pseudosphere", lambda z: 2.0 * z), "ValueError: point must satisfy b(z, z) = 1"),
+    "fibration-split": (
+        ("sample_pseudosphere", lambda z: 2.0 * z), "ValueError: point must satisfy b(z, z) = 1"),
+    "levi-hopf-leaf": (
+        ("sample_pseudosphere", _on_the_cone),
+        "SingularMetricError: metric Gram singular at [1.+0.j 1.+0.j]"),
+    "cr-tangential": (
+        ("sample_hopf", _on_the_cone), "SingularMetricError: metric Gram singular at [1.+0.j 1.+0.j]"),
+}
+
+
+@pytest.mark.parametrize("name", POSITIVE_REGION)
+def test_a_fault_at_draw_3_of_a_positive_region_suite_keeps_its_message(monkeypatch, name):
+    suite = suites_mod._BY_NAME[name]
+    cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
+    sampler, expected = POSITIVE_REGION_FAULTS[name]
+    calls = []
+    if sampler is None:   # eq18 draws its parameter u from two uniforms
+        draw = suite.draw
+
+        def planted(cfg, rng):
+            calls.append(1)
+            return draw(cfg, _NaNUniform(rng) if len(calls) == 4 else rng)
+
+        suite = replace(suite, draw=planted)
+    else:
+        sampler_name, fault = sampler
+        original = getattr(suites_mod, sampler_name)
+
+        def planted(*args):
+            z = original(*args)
+            calls.append(1)
+            return fault(z) if len(calls) == 4 else z
+
+        monkeypatch.setattr(suites_mod, sampler_name, planted)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = _run_suite(cfg, suite)
+    assert (result.verdict, result.error) == ("error", expected)
 
 
 def test_a_fault_while_drawing_follows_the_earlier_points():
@@ -211,6 +278,37 @@ class TestDerivedOnce:
         suite.check(cfg, draws)
         assert len(calls) == len({d[0] for d in draws})   # one per Hopf region
 
+    def test_submersion_builds_one_chart_and_one_lee_data_per_run(self, monkeypatch):
+        builds, misses = [], []
+        build, derive = models_mod.hopf_chart, models_mod.lee_data
+
+        def counted_build(model):
+            builds.append(1)
+            return build(model)
+
+        def counted_lee_data(lck, z):
+            z = np.asarray(z, dtype=complex)
+            if (z.shape, z.tobytes()) not in lck._lee_cache:
+                misses.append(1)
+            return derive(lck, z)
+
+        for module in (models_mod, suites_mod):
+            monkeypatch.setattr(module, "hopf_chart", counted_build)
+        monkeypatch.setattr(models_mod, "lee_data", counted_lee_data)
+        report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
+                                      suites=("submersion-fibre-invariance",)))
+        assert report.results[0].verdict == "pass"
+        assert (len(builds), len(misses)) == (1, 1)   # 12 and 12 point by point
+
+    def test_eq18_evaluates_each_second_fundamental_form_once(self, monkeypatch):
+        # each h(X, Y) takes one Richardson derivative of its pulled-back field
+        calls = self._counted(monkeypatch, fol, "_richardson")
+        jac = np.array([[0.0], [1.0]], dtype=complex)
+        line = fol.ComplexImmersion(m=1, chart_map=lambda u: np.array([0.3, u[0]]),
+                                    tangent=lambda u: jac)
+        fol.complex_submanifold_mean_curvature(HOPF, line, [1.1 - 0.2j])
+        assert len(calls) == 4   # 6 while the mean curvature recomputed h(E, E), h(JE, JE)
+
     def test_prop4_builds_one_cr_fibre_per_point(self, monkeypatch):
         calls = self._counted(monkeypatch, crmod, "cr_fibre")
         report = run_config(RunConfig(model="synthetic-null", n=2, s=1, points=6, seed=42,
@@ -233,7 +331,6 @@ MISSED = {
 
 
 def _mutated_hopf(monkeypatch, closed_form):
-    from lcklab import models as models_mod
     if closed_form == "gamma":
         fns = models_mod._hopf_metric_fns
 

@@ -204,6 +204,28 @@ class TestChristoffel:
         christoffel(lck.chart, z)
         assert calls == []
 
+    @pytest.mark.parametrize("n, s", [(2, 1), (4, 2)])
+    def test_koszul_on_a_chart_with_complex_off_diagonal_metric(self, n, s):
+        # Hopf pulled back by z -> A z: H'(z) = A^T H(A z) conj(A) has complex
+        # off-diagonal entries, and its connection is M^-1 Gamma(A z) M M
+        # with M = diag(A, conj(A)), since the map is linear
+        rng = np.random.default_rng(3)
+        A = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        model = HopfModel(n=n, s=s, lam=0.5)
+        base = hopf_chart(model).chart
+        twisted = MetricChart(
+            n=n, s=s, metric_eval=lambda z: A.T @ base.metric_eval(np.matvec(A, z)) @ A.conj(),
+            domain_pred=lambda z: base.domain_pred(np.matvec(A, z)), name="twisted hopf")
+        w = sample_hopf(model, rng)
+        z = np.linalg.solve(A, w)
+        T = charts_mod._metric_derivative_tensor(twisted, z)   # T[E, C, D] = Z_E g_CD
+        assert np.array_equal(T, T.swapaxes(-1, -2))
+        M = np.zeros((2 * n, 2 * n), dtype=complex)
+        M[:n, :n], M[n:, n:] = A, A.conj()
+        closed = np.einsum("ad,def,eb,fc->abc", np.linalg.inv(M), christoffel(base, w).gamma, M, M)
+        rel = np.abs(koszul_christoffel(twisted, z) - closed).max() / max(1.0, np.abs(closed).max())
+        assert rel < 1e-9
+
     def test_koszul_route_without_closed_form(self):
         aux = halfplane_kahler_chart(2, 1)
         assert aux.chart.christoffel_analytic is None

@@ -89,13 +89,13 @@ class TestTangentialCR:
         assert tangential_cr_residual(cr_fibre(HOPF, z), f) < 1e-8
 
 
-    def test_suite_builds_one_fibre_per_point(self, monkeypatch):
+    def test_suite_builds_one_fibre_per_run(self, monkeypatch):
         built = []
         build = crmod.cr_fibre
         monkeypatch.setattr(crmod, "cr_fibre", lambda lck, z: built.append(1) or build(lck, z))
         report = run_config(RunConfig(model="hopf", points=3, seed=0, suites=("cr-tangential",)))
         assert report.results[0].verdict == "pass"
-        assert len(built) == 3
+        assert len(built) == 1   # one stacked fibre for the run's three points
 
 
 class TestLeviForm:
