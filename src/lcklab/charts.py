@@ -46,7 +46,10 @@ Conventions
   numpy's stacked linear algebra, which round per row as at a single
   point, and never a 2-D matrix product such as stack @ vector, which
   rounds differently; operands of a dot product are made contiguous, as
-  a strided operand rounds differently too.
+  a strided operand rounds differently too.  A real row vector times a
+  matrix, c @ M, is np.vecmat(c, M); a complex u @ M @ v is _bilinear,
+  through np.matvec(M^T, u), since np.vecmat conjugates its vector and
+  rounds a complex product differently from u @ M.
 """
 
 from __future__ import annotations

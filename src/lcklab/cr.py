@@ -9,6 +9,12 @@ explicit leaf bookkeeping on the positive Hopf region: leaf labels on
 the unit circle, chart-image radii inside the fundamental annulus, and
 the Cayley picture of the leaves as Siegel-domain boundaries with their
 Levi signature.
+
+Stacks: cr_fibre takes a point z (n,) or a stack (m, n); a stacked
+CRFibre gains a leading axis of length m on every member, and
+tangential_cr_residual and levi_form then return one value per point
+(V and W one vector per point).  Each row carries the bits of the
+single-point call.  The other functions take single points.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from .charts import ChartDomainError, TangentVector, lie_bracket, wirtinger_derivative, fd_step
 from .lck import LCKStructure, _nonsingular, lee_data
 from .models import HopfModel, cayley, eps_signs
-from .semieuclid import FrameSubspace, _kernel, _per_point
+from .semieuclid import FrameSubspace, _kernel, _lstsq_rows, _per_point
 
 __all__ = [
     "CRFibre", "LeafLabel", "cr_fibre", "tangential_cr_residual",
@@ -32,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CRFibre:
-    """Pointwise CR data of the leaf through z.
+    """Pointwise CR data of the leaf through z (per point of a stack).
 
     t10 columns are holomorphic components of a basis of the CR bundle
     (complex dimension n-1); levi_H is the real (2n-2)-dimensional
@@ -124,10 +130,7 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
     cr = TangentVector.real(fib.t10.swapaxes(-1, -2))
     M = np.concatenate([cr.components, cr.j().components,
                         fib.characteristic.components[..., None, :]], axis=-2).swapaxes(-1, -2)
-    # np.linalg.lstsq takes one matrix: solve the points of a stack in turn
-    coeff = [np.linalg.lstsq(Mi, bi, rcond=None)[0][-1]
-             for Mi, bi in zip(M.reshape((-1,) + M.shape[-2:]), br.reshape(-1, br.shape[-1]))]
-    return _per_point(1j * np.array(coeff).reshape(br.shape[:-1]))
+    return _per_point(1j * _lstsq_rows(M, br)[..., -1])
 
 
 def levi_flat_detector(lck: LCKStructure, fib: CRFibre, tol: float = 1e-6) -> bool:

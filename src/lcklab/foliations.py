@@ -15,10 +15,11 @@ pointwise projection, which is legitimate because second fundamental
 forms are tensorial in their arguments.
 
 Stacks: the fibres, gauss_weingarten, h_P_residual and
-integrability_residual take a point z (n,) or a stack of points (m, n).
-For a stack every member of the result gains a leading axis of length m
+integrability_residual take a point z (n,) or a stack of points (m, n),
+and complex_submanifold_mean_curvature a parameter or a stack of them.
+For a stack every member of the result gains a leading stack axis
 (FoliationFibre holds stacked FrameSubspaces over a stacked form, scalar
-residuals become (m,) arrays), and each row carries the bits of the
+residuals become arrays), and each row carries the bits of the
 single-point call.  The points of one stack must share a Lee branch:
 all non-null or all null; a mixed stack raises ValueError.
 """
@@ -53,6 +54,7 @@ from .semieuclid import (
     _complement_within,
     _full_rank,
     _kernel,
+    _lstsq_rows,
     _per_point,
     inner,
     orthogonal_complement,
@@ -467,16 +469,6 @@ def _hermitian_orthonormal_frame(H: np.ndarray, cols: np.ndarray):
         frame.append(v / np.sqrt(np.abs(nrm))[..., None])
         signs.append(np.where(nrm > 0, 1.0, -1.0))
     return np.stack(frame, axis=-1), np.stack(signs, axis=-1)
-
-
-def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.lstsq(a, b) solution per point of a stack; lstsq takes one
-    matrix, so the points are solved in turn."""
-    lead = a.shape[:-2]
-    flat_a = a.reshape((-1,) + a.shape[-2:])
-    flat_b = b.reshape((len(flat_a),) + b.shape[len(lead):])
-    x = [np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(flat_a, flat_b)]
-    return np.array(x).reshape(lead + x[0].shape)
 
 
 def complex_submanifold_mean_curvature(lck: LCKStructure,

@@ -12,6 +12,12 @@
   the vertical/horizontal split over the pseudosphere, fibre-invariance
   residuals for the projective-space submersion, the block retraction
   and the Cayley transform onto the Siegel-domain boundary.
+
+Stacks: the charts and HopfModel.b / HopfModel.a take a point (n,) or a
+stack (m, n), as do fibration_split (stacked FrameSubspaces) and
+submersion_isometry_residual (one u and v per point, one residual per
+point), each row with the bits of the single-point call.  The other
+quotient maps take single points.
 """
 
 from __future__ import annotations

@@ -192,6 +192,17 @@ def _kernel(rows: np.ndarray, ncols: int) -> np.ndarray:
     return vt[..., _uniform_rank(sv):, :]
 
 
+def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a, b) solution per point of a stack (a (..., M, N),
+    b (..., M) or (..., M, K)); lstsq takes one matrix, so the points are
+    solved in turn."""
+    lead = a.shape[:-2]
+    flat_a = a.reshape((-1,) + a.shape[-2:])
+    flat_b = b.reshape((len(flat_a),) + b.shape[len(lead):])
+    x = [np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(flat_a, flat_b)]
+    return np.array(x).reshape(lead + x[0].shape)
+
+
 def _complement_within(space: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Basis of the Euclidean orthocomplement of span(space) inside
     span(inside); both inputs are row bases (stacks alike)."""

@@ -11,10 +11,11 @@ threshold (e.g. exhibiting a nonparallel Lee form).
 Draw, then check: every point is drawn first, draw(cfg, rng), then
 check(cfg, draws) returns the residuals of all draws in draw order;
 Suite.point_fn runs once per point and checks at the last one.  The
-finite-difference suites stack the draws that share a structure (the
-Hopf region) and, for the foliation suites, a Lee branch, evaluate each
-(m, n) stack through the stack-native layers and scatter the residuals
-back; stacked rows carry single-point bits, so checking all draws equals
+finite-difference suites and the positive-region Hopf suites (eq18, the
+fibration split and submersion, the Levi form and the tangential CR
+operator) stack the draws that share a structure (the Hopf region) and,
+for the foliation suites, a Lee branch, evaluate each (m, n) stack
+through the stack-native layers and scatter the residuals back; stacked rows carry single-point bits, so checking all draws equals
 checking each alone.  The other suites share one per-draw adapter: their
 draw evaluates the point.  A batched check that meets a point fault is
 rerun one draw at a time, so the error names the first failing point.
