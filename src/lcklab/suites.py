@@ -15,9 +15,10 @@ finite-difference suites and the positive-region Hopf suites (eq18, the
 fibration split and submersion, the Levi form and the tangential CR
 operator) stack the draws that share a structure (the Hopf region) and,
 for the foliation suites, a Lee branch, evaluate each (m, n) stack
-through the stack-native layers and scatter the residuals back; stacked rows carry single-point bits, so checking all draws equals
-checking each alone.  The other suites share one per-draw adapter: their
-draw evaluates the point.  A batched check that meets a point fault is
+through the stack-native layers and scatter the residuals back; stacked
+rows carry single-point bits, so checking all draws equals checking each
+alone.  The other suites share one per-draw adapter: their draw
+evaluates the point.  A batched check that meets a point fault is
 rerun one draw at a time, so the error names the first failing point.
 """
 

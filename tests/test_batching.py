@@ -4,8 +4,11 @@ Each batched suite draws every point first and checks the draws as
 stacks.  These tests pin that a check over all draws returns, bit for
 bit, what the check returns for each draw on its own (and that the
 null Lee branch of the foliation layer stacks alike), that a fault at
-one point is reported as a point-by-point run reports it, and that the
-stacked Lee-plane derivatives and the CR fibre are computed once.
+one point is reported as a point-by-point run reports it (for the
+positive-region Hopf suites, with the message their point-by-point
+versions gave), and that the stacked Lee-plane derivatives, the CR fibre,
+the submersion's chart and Lee data and each h(X, Y) of eq18 are
+computed once.
 """
 
 import hashlib
@@ -155,7 +158,8 @@ POSITIVE_REGION_FAULTS = {
         ("sample_pseudosphere", _on_the_cone),
         "SingularMetricError: metric Gram singular at [1.+0.j 1.+0.j]"),
     "cr-tangential": (
-        ("sample_hopf", _on_the_cone), "SingularMetricError: metric Gram singular at [1.+0.j 1.+0.j]"),
+        ("sample_hopf", _on_the_cone),
+        "SingularMetricError: metric Gram singular at [1.+0.j 1.+0.j]"),
 }
 
 
