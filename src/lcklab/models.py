@@ -388,6 +388,8 @@ def submersion_isometry_residual(model: HopfModel, z, u: TangentVector,
     when the caller already holds it.
     """
     z = np.asarray(z, dtype=complex)
+    if not (u.is_real and v.is_real):
+        raise ValueError("inputs must be real tangent vectors")
     lck = hopf_chart(model) if lck is None else lck
     data = lee_data(lck, z)
     g = [_bilinear(a.components, data.G, b.components).real

@@ -191,6 +191,12 @@ class TestSubmersion:
             v = TangentVector.from_real_coords(rng.standard_normal(2) @ H0.basis)
             assert submersion_isometry_residual(MODEL, z, u, v) < 1e-6
 
+    def test_complex_vectors_rejected(self):
+        z = np.array([0.0, 1.0], dtype=complex)
+        u = TangentVector.complexified([1.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="real"):
+            submersion_isometry_residual(MODEL, z, u, u)
+
     def test_non_horizontal_rejected(self):
         z = np.array([0.0, 1.0], dtype=complex)
         B = lee_data(hopf_chart(MODEL), z).B
