@@ -16,7 +16,6 @@ from .charts import (
     kahler_form,
     koszul_christoffel,
     lie_bracket,
-    metric_inner,
 )
 from .cr import (
     CRFibre,

@@ -76,7 +76,6 @@ __all__ = [
     "exterior_derivative_1form",
     "exterior_derivative_2form",
     "conformal_connection_shift",
-    "metric_inner",
     "kahler_form",
 ]
 
@@ -259,14 +258,6 @@ def _solve_gram(G: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _bilinear(u: np.ndarray, M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u @ M @ v per point of a stack, rounded as the single-point product."""
     return np.vecdot(np.matvec(M.swapaxes(-1, -2), u).conj(), v)
-
-
-def metric_inner(chart: MetricChart, z: np.ndarray, u: TangentVector, v: TangentVector):
-    """g(u, v) at z; real (float) for real arguments, complex otherwise."""
-    val = u.components @ chart.gram_full(z) @ v.components
-    if u.is_real and v.is_real:
-        return float(val.real)
-    return complex(val)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ Levi signature.
 
 Stacks: cr_fibre takes a point z (n,) or a stack (m, n); a stacked
 CRFibre gains a leading axis of length m on every member, and
-tangential_cr_residual and levi_form then return one value per point
-(V and W one vector per point).  Each row carries the bits of the
-single-point call.  The other functions take single points.
+tangential_cr_residual, levi_form and levi_flat_detector then return one
+value per point (V and W one vector per point).  Each row carries the
+bits of the single-point call.  The other functions take single points.
 """
 
 from __future__ import annotations
@@ -134,14 +134,15 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
     return _per_point(1j * _lstsq_rows(M, br)[..., -1])
 
 
-def levi_flat_detector(lck: LCKStructure, fib: CRFibre, tol: float = 1e-6) -> bool:
+def levi_flat_detector(lck: LCKStructure, fib: CRFibre, tol: float = 1e-6):
     """True iff the Levi form vanishes on a full CR basis of the CR fibre
-    fib of lck (at z = fib.point)."""
+    fib of lck (at z = fib.point; per point of a stacked fibre)."""
     worst = 0.0
-    for a in range(fib.t10.shape[1]):
-        for b in range(fib.t10.shape[1]):
-            worst = max(worst, abs(levi_form(lck, fib, fib.t10[:, a], fib.t10[:, b])))
-    return worst < tol
+    for a in range(fib.t10.shape[-1]):
+        for b in range(fib.t10.shape[-1]):
+            worst = np.maximum(worst, np.abs(levi_form(lck, fib, fib.t10[..., a],
+                                                       fib.t10[..., b])))
+    return _per_point(worst < tol)
 
 
 # ---------------------------------------------------------------------------

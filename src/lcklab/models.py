@@ -211,6 +211,10 @@ def synthetic_null_structure(n: int, s: int, B_hol=None) -> LCKStructure:
     branches of the foliation and CR machinery run on it.  It is a flat
     Kahler chart with a constant form, not an l.c.K. structure: its
     Kahler form has d Omega = 0, while omega ^ Omega != 0.
+
+    B_hol may be a stack (m, n) of Lee fields: the structure is then
+    evaluated at stacks of m points (..., m, n), point i carrying Lee
+    field i, as m single structures would be at each point.
     """
     if not 0 < s < n:
         raise ValueError("need 0 < s < n for a nonzero null vector")
@@ -222,7 +226,8 @@ def synthetic_null_structure(n: int, s: int, B_hol=None) -> LCKStructure:
     B_hol = np.asarray(B_hol, dtype=complex)
     omega_hol = 0.5 * eps * B_hol.conj()   # lowering with H = diag(eps)/2
     base = flat_chart(n, s)
-    return LCKStructure(chart=base.chart, lee_form_eval=_constant(omega_hol),
+    return LCKStructure(chart=base.chart,
+                        lee_form_eval=lambda z: np.broadcast_to(omega_hol, np.shape(z)).copy(),
                         name=f"synthetic-null(n={n},s={s})")
 
 

@@ -6,12 +6,19 @@ from the null cone (metric components blow up there) which also keeps
 difference stencils inside the chart domain; half-space samples keep
 Im(w) bounded away from the boundary for the same reason.  Only the
 null-Lee samplers reject degenerate draws.
+
+A null-Lee configuration is drawn in two steps: sample_null_lee_vector
+draws its Lee vector B, and sample_null_config builds the configuration
+of B, or of a stack of Lee vectors at once, through the stack-native
+semieuclid layer.  The complement vectors and frames are then drawn
+against the built configuration of their point (NullLeeConfig.point for
+a stack), since their acceptance tests read its screens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +28,7 @@ from .semieuclid import FrameSubspace, SemiEuclideanForm, _kernel
 
 __all__ = [
     "sample_hopf", "sample_pseudosphere", "sample_tricerri", "sample_flat",
-    "sample_unit_circle", "NullLeeConfig", "sample_null_config",
+    "sample_unit_circle", "NullLeeConfig", "sample_null_lee_vector", "sample_null_config",
 ]
 
 _MAX_TRIES = 10_000
@@ -82,14 +89,15 @@ def sample_unit_circle(rng: np.random.Generator) -> complex:
 
 @dataclass(frozen=True)
 class NullLeeConfig:
-    """Synthetic pointwise data with a null Lee vector in C^n_s.
+    """Synthetic pointwise data with a null Lee vector in C^n_s, at one
+    point or at each point of a stack, when every member but the shared
+    form gains a leading stack axis of length m.
 
     Real interleaved coordinates; B and A = -JB are null and mutually
     orthogonal, omega and theta are their metric duals, and the screen
     is the Euclidean orthocomplement of span{A, B} inside its own
-    g-orthocomplement.  The first-foliation screen (the Euclidean
-    complement of the Lee line inside ker(omega)) and its
-    g-orthocomplement are computed once, when first asked for.
+    g-orthocomplement.  first_screen is the first-foliation screen (the
+    Euclidean complement of the Lee line inside ker(omega)).
     """
 
     n: int
@@ -101,26 +109,25 @@ class NullLeeConfig:
     theta: np.ndarray
     screen: FrameSubspace
     screen_perp_basis: np.ndarray  # basis rows of (screen)^perp, contains A, B
+    first_screen: FrameSubspace
+    first_screen_perp: np.ndarray  # basis rows of (first_screen)^perp, contains B
 
-    @cached_property
-    def _first_split(self) -> tuple[FrameSubspace, np.ndarray]:
-        return _screen_split(self.form, self.B.reshape(1, -1),
-                             _kernel(self.omega, 2 * self.n))
+    def point(self, i: int) -> "NullLeeConfig":
+        """The configuration at point i of a stack."""
+        def at(W: FrameSubspace) -> FrameSubspace:
+            return FrameSubspace(W.ambient_dim, W.basis[i], W.gram_restricted[i])
 
-    @property
-    def first_screen(self) -> FrameSubspace:
-        return self._first_split[0]
-
-    @property
-    def first_screen_perp(self) -> np.ndarray:
-        """Row basis of the first screen's g-orthocomplement (contains B)."""
-        return self._first_split[1]
+        return replace(self, B=self.B[i], A=self.A[i], omega=self.omega[i],
+                       theta=self.theta[i], screen=at(self.screen),
+                       screen_perp_basis=self.screen_perp_basis[i],
+                       first_screen=at(self.first_screen),
+                       first_screen_perp=self.first_screen_perp[i])
 
 
 def _apply_J(v: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
-    out[0::2] = -v[1::2]
-    out[1::2] = v[0::2]
+    out[..., 0::2] = -v[..., 1::2]
+    out[..., 1::2] = v[..., 0::2]
     return out
 
 
@@ -133,30 +140,41 @@ def _standard_form(n: int, s: int) -> SemiEuclideanForm:
     return form
 
 
-def sample_null_config(n: int, s: int, rng: np.random.Generator) -> NullLeeConfig:
-    """Random null-Lee configuration in real dimension 2n, index 2s."""
+def sample_null_lee_vector(n: int, s: int, rng: np.random.Generator) -> np.ndarray:
+    """Random null vector of R^2n with index 2s: unit negative and positive
+    blocks, each drawn with Euclidean norm at least 0.3 before scaling."""
     if not 0 < s < n:
         raise ValueError("need 0 < s < n")
-    form = _standard_form(n, s)
     for _ in range(_MAX_TRIES):
         neg = rng.standard_normal(2 * s)
         pos = rng.standard_normal(2 * (n - s))
         nn, pn = np.linalg.norm(neg), np.linalg.norm(pos)
-        if nn < 0.3 or pn < 0.3:
-            continue
-        B = np.concatenate([neg / nn, pos / pn])
-        break
-    else:
-        raise RuntimeError("could not sample a null Lee vector")
+        if nn >= 0.3 and pn >= 0.3:
+            return np.concatenate([neg / nn, pos / pn])
+    raise RuntimeError("could not sample a null Lee vector")
+
+
+def sample_null_config(n: int, s: int, B: np.ndarray) -> NullLeeConfig:
+    """Null-Lee configuration in real dimension 2n, index 2s, for a null
+    Lee vector B (2n,) (sample_null_lee_vector), or for each vector of a
+    stack (m, 2n) in one stacked build whose rows carry the bits of the
+    single-vector builds."""
+    if not 0 < s < n:
+        raise ValueError("need 0 < s < n")
+    form = _standard_form(n, s)
+    B = np.asarray(B, dtype=float)
     A = -_apply_J(B)
-    omega = form.gram @ B
-    theta = form.gram @ A
-    plane = FrameSubspace.from_vectors(form, [A, B])
+    omega = np.matvec(form.gram, B)
+    theta = np.matvec(form.gram, A)
+    plane = FrameSubspace.from_vectors(form, np.stack([A, B], axis=-2))
     # P-perp via kernel of the Gram constraints; span{A, B} is its radical
-    perp_rows = _kernel(plane.basis @ form.gram, 2 * n)
-    screen, sperp_rows = _screen_split(form, plane.basis, perp_rows)
+    screen, sperp_rows = _screen_split(form, plane.basis,
+                                       _kernel(plane.basis @ form.gram, 2 * n))
+    first_screen, first_perp = _screen_split(form, B[..., None, :],
+                                             _kernel(omega[..., None, :], 2 * n))
     return NullLeeConfig(n=n, s=s, form=form, B=B, A=A, omega=omega, theta=theta,
-                         screen=screen, screen_perp_basis=sperp_rows)
+                         screen=screen, screen_perp_basis=sperp_rows,
+                         first_screen=first_screen, first_screen_perp=first_perp)
 
 
 def sample_complement_vector(cfg: NullLeeConfig, rng: np.random.Generator) -> np.ndarray:
@@ -189,3 +207,12 @@ def sample_pair_frame(cfg: NullLeeConfig, rng: np.random.Generator
         if abs(D) > 0.05 * scale:
             return V1, V2
     raise RuntimeError("could not sample a complement frame")
+
+
+def sample_frame_change(rng: np.random.Generator) -> np.ndarray:
+    """Random 2x2 frame change f with |det f| > 0.1."""
+    for _ in range(_MAX_TRIES):
+        f = rng.standard_normal((2, 2))
+        if abs(np.linalg.det(f)) > 0.1:
+            return f
+    raise RuntimeError("could not sample a frame change")

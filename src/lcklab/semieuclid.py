@@ -10,11 +10,12 @@ Stacks: a form may carry one Gram matrix per point of a stack, gram of
 shape (..., N, N), and then a FrameSubspace carries one basis per point,
 basis (..., k, N), with k the same at every point.  The form validation,
 _full_rank, _kernel, _complement_within, inner, from_vectors,
-orthogonal_complement and signature_of work per point of such a stack,
-through numpy's stacked linear algebra, which gives each point the bits
-of a single-point call; _full_rank answers for the whole stack, and a
-stack whose points disagree on a rank raises ValueError.  radical,
-contains_span and same_span take single points.
+orthogonal_complement, signature_of, contains_span and same_span work per
+point of such a stack, through numpy's stacked linear algebra (and
+_lstsq_rows, the one home of the least-squares solve, which solves point
+by point), which gives each point the bits of a single-point call;
+_full_rank answers for the whole stack, and a stack whose points disagree
+on a rank raises ValueError.  radical takes single points.
 """
 
 from __future__ import annotations
@@ -264,18 +265,23 @@ def signature_of(form: SemiEuclideanForm, W: FrameSubspace) -> Signature:
                      ill_conditioned=_per_point(shoulder.any(axis=-1)))
 
 
-def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float = 1e-10) -> bool:
-    """True if span(small) lies inside span(big), by least-squares residual."""
+def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float = 1e-10):
+    """True if span(small) lies inside span(big), by least-squares residual
+    (per point of a stack: a bool array for stacked bases)."""
+    lead = small.basis.shape[:-2]
     if small.dim == 0:
-        return True
+        return _per_point(np.ones(lead, dtype=bool))
+    size = np.abs(small.basis).max(axis=(-2, -1))
     if big.dim == 0:
-        return bool(np.abs(small.basis).max() <= tol)
-    sol, *_ = np.linalg.lstsq(big.basis.T, small.basis.T, rcond=None)
-    resid = big.basis.T @ sol - small.basis.T
-    scale = max(float(np.abs(small.basis).max()), 1.0)
-    return bool(np.abs(resid).max() <= tol * scale)
+        return _per_point(size <= tol)
+    bigT, smallT = big.basis.swapaxes(-1, -2), small.basis.swapaxes(-1, -2)
+    resid = bigT @ _lstsq_rows(bigT, smallT) - smallT
+    return _per_point(np.abs(resid).max(axis=(-2, -1)) <= tol * np.maximum(size, 1.0))
 
 
-def same_span(a: FrameSubspace, b: FrameSubspace, tol: float = 1e-10) -> bool:
-    """Subspace equality by mutual containment (bases are non-canonical)."""
-    return a.dim == b.dim and contains_span(a, b, tol) and contains_span(b, a, tol)
+def same_span(a: FrameSubspace, b: FrameSubspace, tol: float = 1e-10):
+    """Subspace equality by mutual containment (bases are non-canonical),
+    per point of a stack."""
+    if a.dim != b.dim:
+        return False
+    return _per_point(np.logical_and(contains_span(a, b, tol), contains_span(b, a, tol)))

@@ -15,11 +15,16 @@ finite-difference suites and the positive-region Hopf suites (eq18, the
 fibration split and submersion, the Levi form and the tangential CR
 operator) stack the draws that share a structure (the Hopf region) and,
 for the foliation suites, a Lee branch, evaluate each (m, n) stack
-through the stack-native layers and scatter the residuals back; stacked
-rows carry single-point bits, so checking all draws equals checking each
-alone.  The other suites share one per-draw adapter: their draw
-evaluates the point.  A batched check that meets a point fault is
-rerun one draw at a time, so the error names the first failing point.
+through the stack-native layers and scatter the residuals back.  The
+synthetic-null suites draw a null Lee vector and keep the point's
+generator with its state; their check builds one stacked configuration
+(m, 2n) for all draws, then resets each generator and draws the rest of
+its point in the order a point-by-point run did, and evaluates the
+stack.  Stacked rows carry single-point bits, so checking all draws
+equals checking each alone.  The other suites share one per-draw
+adapter: their draw evaluates the point.  A batched check that meets a
+point fault is rerun one draw at a time, so the error names the first
+failing point.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ from .models import (
 )
 from .report import SCHEMA, RunConfig, SuiteResult, VerificationReport
 from .sampling import (
-    sample_complement_vector, sample_flat, sample_hopf,
-    sample_null_config, sample_pair_frame, sample_pseudosphere, sample_tricerri,
-    sample_unit_circle,
+    sample_complement_vector, sample_flat, sample_frame_change, sample_hopf,
+    sample_null_config, sample_null_lee_vector, sample_pair_frame, sample_pseudosphere,
+    sample_tricerri, sample_unit_circle,
 )
 from .semieuclid import FrameSubspace, contains_span, inner, same_span, signature_of
 
@@ -405,6 +410,149 @@ def _check_cr_tangential(model, lck, Z, coeffs):
 
 
 # ---------------------------------------------------------------------------
+# point functions: the synthetic-null suites
+# ---------------------------------------------------------------------------
+
+def _draw_null(cfg, rng):
+    """A null Lee vector, then the point's generator and its state after
+    that vector: the check draws the rest of the point from that state."""
+    B = sample_null_lee_vector(cfg.n, cfg.s, rng)
+    return B, rng, rng.bit_generator.state
+
+
+def _null_stacked(evaluate, draw=None):
+    """A check of _draw_null draws: one configuration build for the stack
+    of their Lee vectors, then, when given, draw(point config, rng) for
+    each point in draw order, from its generator reset to the state after
+    its Lee vector, so each point's numbers come in the order of a
+    point-by-point run and a rerun of the same draws sees them again.
+    evaluate(c, *extras) gets the stacked configuration and each extra of
+    draw stacked alike, and returns the m residuals."""
+    def check(cfg: RunConfig, draws: list) -> list:
+        c = sample_null_config(cfg.n, cfg.s, np.stack([d[0] for d in draws]))
+        extras = []
+        if draw is not None:
+            for i, (_, rng, state) in enumerate(draws):
+                rng.bit_generator.state = state
+                extras.append(draw(c.point(i), rng))
+        return [float(r) for r in evaluate(c, *(np.stack(x) for x in zip(*extras)))]
+    return check
+
+
+def _transversal(c, V):
+    return fol.lightlike_transversal(c.form, c.omega, c.B, c.first_screen, V)
+
+
+def _isotropic_pair(c, V1, V2):
+    return fol.isotropic_transversal_pair(c.form, c.omega, c.theta, c.A, c.B, c.screen, V1, V2)
+
+
+def _off_screen(screen: FrameSubspace, form, V):
+    """max |g(e, V)| over the screen's basis rows e, per point."""
+    return np.abs(np.matvec(screen.basis @ form.gram, V)).max(axis=-1, initial=0.0)
+
+
+def _draw_complement(c, rng):
+    return (sample_complement_vector(c, rng),)
+
+
+def _check_eq8_transversal(c, V):
+    N = _transversal(c, V)
+    resid = np.maximum(np.abs(inner(c.form, N, N)), np.abs(np.vecdot(c.omega, N) - 1.0))
+    # Lee line and transversal line span the screen orthocomplement
+    return np.maximum(resid, _off_screen(c.first_screen, c.form, N))
+
+
+def _draw_eq5(c, rng):
+    V, V2 = sample_complement_vector(c, rng), sample_complement_vector(c, rng)
+    scale = rng.uniform(0.2, 5.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
+    return V, V2, scale, rng.standard_normal()
+
+
+def _check_eq5_invariance(c, V, V2, scale, shift):
+    N = _transversal(c, V)
+    resid = np.abs(N - _transversal(c, scale[:, None] * V)).max(axis=-1)
+    resid = np.maximum(resid, np.abs(N - _transversal(c, V + shift[:, None] * c.B)).max(axis=-1))
+    return np.maximum(resid, np.abs(N - _transversal(c, V2)).max(axis=-1))
+
+
+def _check_lemma6_pair(c, V1, V2):
+    pair = _isotropic_pair(c, V1, V2)
+    N1, N2 = pair.N1, pair.N2
+    resid = np.abs(np.vecdot(c.theta, N1) - 1.0)
+    resid = np.maximum(resid, np.abs(np.vecdot(c.omega, N2) - 1.0))
+    resid = np.maximum(resid, np.abs(np.vecdot(c.theta, N2)))
+    resid = np.maximum(resid, np.abs(np.vecdot(c.omega, N1)))
+    for u in (N1, N2):
+        for v in (N1, N2):
+            resid = np.maximum(resid, np.abs(inner(c.form, u, v)))
+    cross = c.screen.basis @ c.form.gram @ np.stack([N1, N2], axis=-2).swapaxes(-1, -2)
+    return np.maximum(resid, np.abs(cross).max(axis=(-2, -1), initial=0.0))
+
+
+def _draw_lemma6_invariance(c, rng):
+    return (*sample_pair_frame(c, rng), sample_frame_change(rng))
+
+
+def _check_lemma6_invariance(c, V1, V2, f):
+    pair = _isotropic_pair(c, V1, V2)
+    other = _isotropic_pair(c, f[:, 0, 0, None] * V1 + f[:, 0, 1, None] * V2,
+                            f[:, 1, 0, None] * V1 + f[:, 1, 1, None] * V2)
+    return np.maximum(np.abs(pair.N1 - other.N1).max(axis=-1),
+                      np.abs(pair.N2 - other.N2).max(axis=-1))
+
+
+def _draw_screen_splits(c, rng):
+    V = sample_complement_vector(c, rng)
+    return (V, *sample_pair_frame(c, rng)) if c.n >= 3 else (V,)
+
+
+def _check_screen_splits(c, V, *frame):
+    """Dimension and orthogonality bookkeeping of the null splittings."""
+    form, screen = c.form, c.first_screen
+    resid = np.full(len(V), 0.0 if screen.dim == 2 * c.n - 2 else 1.0)
+    # screen orthogonal to the radical (the Lee line)
+    resid = np.maximum(resid, _off_screen(screen, form, c.B))
+    # span{B} + span{N_V} is the screen orthocomplement and meets trivially
+    N = _transversal(c, V)
+    pairsp = FrameSubspace.from_vectors(form, np.stack([c.B, N], axis=-2))
+    full = FrameSubspace.from_vectors(form, np.concatenate([screen.basis, pairsp.basis], axis=-2))
+    resid = np.maximum(resid, 0.0 if (pairsp.dim, full.dim) == (2, 2 * c.n) else 1.0)
+    if c.n >= 3:
+        # S(P-perp)-perp has rank 4 and contains the plane
+        resid = np.maximum(resid, 0.0 if c.screen_perp_basis.shape[-2] == 4 else 1.0)
+        plane = FrameSubspace.from_vectors(form, np.stack([c.A, c.B], axis=-2))
+        sperp = FrameSubspace.from_vectors(form, c.screen_perp_basis)
+        resid = np.maximum(resid, np.where(contains_span(sperp, plane, 1e-9), 0.0, 1.0))
+        pair = _isotropic_pair(c, *frame)
+        rebuilt = FrameSubspace.from_vectors(
+            form, np.stack([c.A, c.B, pair.N1, pair.N2], axis=-2))
+        resid = np.maximum(resid, np.where(same_span(rebuilt, sperp, 1e-8), 0.0, 1.0))
+    return resid
+
+
+def _check_prop4_null(c):
+    """Proposition 4 on the flat chart with each point's Lee covector,
+    evaluated at the origin of every point of the stack."""
+    lck = synthetic_null_structure(c.n, c.s, B_hol=c.B[:, 0::2] + 1j * c.B[:, 1::2])
+    z = np.zeros((len(c.B), c.n), dtype=complex)
+    data = lee_data(lck, z)
+    Z = data.B.hol + 1j * data.A.hol
+    along = np.vecdot(lck.lee_hol(z).conj(), Z)    # Z is type (1,0) in ker omega
+    resid = np.hypot(along.real, along.imag)        # abs() of a Python complex
+    cfib = crmod.cr_fibre(lck, z)
+    levi = crmod.levi_form(lck, cfib, Z, Z)
+    resid = np.maximum(resid, np.hypot(levi.real, levi.imag))
+    fib = fol.first_foliation_fibre(lck, z)
+    plane = FrameSubspace.from_vectors(fib.form, np.stack([data.A_real, data.B_real], axis=-2))
+    resid = np.maximum(resid, np.where(contains_span(fib.tangent, plane, 1e-9), 0.0, 1.0))
+    if c.n == 2:
+        resid = np.maximum(resid, np.where(same_span(cfib.levi_H, plane, 1e-9), 0.0, 1.0))
+        resid = np.maximum(resid, np.where(crmod.levi_flat_detector(lck, cfib), 0.0, 1.0))
+    return resid
+
+
+# ---------------------------------------------------------------------------
 # point functions: the per-draw adapter
 # ---------------------------------------------------------------------------
 
@@ -435,100 +583,6 @@ def _pt_prop2_nabla_b(cfg, rng):
         expect[j] = 0.5
         worst = max(worst, float(np.abs(out.components - expect).max()))
     return worst
-
-
-def _pt_eq8_transversal(cfg, rng):
-    c = sample_null_config(cfg.n, cfg.s, rng)
-    V = sample_complement_vector(c, rng)
-    screen = c.first_screen
-    N = fol.lightlike_transversal(c.form, c.omega, c.B, screen, V)
-    resid = abs(inner(c.form, N, N))
-    resid = max(resid, abs(float(c.omega @ N) - 1.0))
-    # Lee line and transversal line span the screen orthocomplement
-    if screen.dim:
-        cross = np.abs(screen.basis @ c.form.gram @ N).max()
-        resid = max(resid, float(cross))
-    return resid
-
-
-def _pt_eq5_invariance(cfg, rng):
-    c = sample_null_config(cfg.n, cfg.s, rng)
-    screen = c.first_screen
-    V = sample_complement_vector(c, rng)
-    V2 = sample_complement_vector(c, rng)
-    N = fol.lightlike_transversal(c.form, c.omega, c.B, screen, V)
-    scale = rng.uniform(0.2, 5.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    Nscaled = fol.lightlike_transversal(c.form, c.omega, c.B, screen, scale * V)
-    Nshift = fol.lightlike_transversal(c.form, c.omega, c.B, screen,
-                                       V + rng.standard_normal() * c.B)
-    Nother = fol.lightlike_transversal(c.form, c.omega, c.B, screen, V2)
-    resid = float(np.abs(N - Nscaled).max())
-    resid = max(resid, float(np.abs(N - Nshift).max()))
-    return max(resid, float(np.abs(N - Nother).max()))
-
-
-def _pt_lemma6_pair(cfg, rng):
-    c = sample_null_config(cfg.n, cfg.s, rng)
-    V1, V2 = sample_pair_frame(c, rng)
-    pair = fol.isotropic_transversal_pair(c.form, c.omega, c.theta, c.A, c.B,
-                                          c.screen, V1, V2)
-    resid = abs(float(c.theta @ pair.N1) - 1.0)
-    resid = max(resid, abs(float(c.omega @ pair.N2) - 1.0))
-    resid = max(resid, abs(float(c.theta @ pair.N2)))
-    resid = max(resid, abs(float(c.omega @ pair.N1)))
-    for u in (pair.N1, pair.N2):
-        for v in (pair.N1, pair.N2):
-            resid = max(resid, abs(inner(c.form, u, v)))
-    if c.screen.dim:
-        cross = np.abs(c.screen.basis @ c.form.gram @ np.vstack([pair.N1, pair.N2]).T)
-        resid = max(resid, float(cross.max()))
-    return resid
-
-
-def _pt_lemma6_invariance(cfg, rng):
-    c = sample_null_config(cfg.n, cfg.s, rng)
-    V1, V2 = sample_pair_frame(c, rng)
-    pair = fol.isotropic_transversal_pair(c.form, c.omega, c.theta, c.A, c.B,
-                                          c.screen, V1, V2)
-    for _ in range(50):
-        f = rng.standard_normal((2, 2))
-        if abs(np.linalg.det(f)) > 0.1:
-            break
-    W1 = f[0, 0] * V1 + f[0, 1] * V2
-    W2 = f[1, 0] * V1 + f[1, 1] * V2
-    other = fol.isotropic_transversal_pair(c.form, c.omega, c.theta, c.A, c.B,
-                                           c.screen, W1, W2)
-    return float(max(np.abs(pair.N1 - other.N1).max(),
-                     np.abs(pair.N2 - other.N2).max()))
-
-
-def _pt_screen_splits(cfg, rng):
-    """Dimension and orthogonality bookkeeping of the null splittings."""
-    c = sample_null_config(cfg.n, cfg.s, rng)
-    screen = c.first_screen
-    resid = 0.0 if screen.dim == 2 * c.n - 2 else 1.0
-    # screen orthogonal to the radical (the Lee line)
-    resid = max(resid, float(np.abs(screen.basis @ c.form.gram @ c.B).max()))
-    # span{B} + span{N_V} is the screen orthocomplement and meets trivially
-    V = sample_complement_vector(c, rng)
-    N = fol.lightlike_transversal(c.form, c.omega, c.B, screen, V)
-    pairsp = FrameSubspace.from_vectors(c.form, [c.B, N])
-    resid = max(resid, 0.0 if pairsp.dim == 2 else 1.0)
-    full = FrameSubspace.from_vectors(c.form, np.vstack([screen.basis, c.B, N]))
-    resid = max(resid, 0.0 if full.dim == 2 * c.n else 1.0)
-    if cfg.n >= 3:
-        # S(P-perp)-perp has rank 4 and contains the plane
-        resid = max(resid, 0.0 if c.screen_perp_basis.shape[0] == 4 else 1.0)
-        plane = FrameSubspace.from_vectors(c.form, [c.A, c.B])
-        sperp = FrameSubspace.from_vectors(c.form, c.screen_perp_basis)
-        resid = max(resid, 0.0 if contains_span(sperp, plane, 1e-9) else 1.0)
-        V1, V2 = sample_pair_frame(c, rng)
-        pair = fol.isotropic_transversal_pair(c.form, c.omega, c.theta, c.A,
-                                              c.B, c.screen, V1, V2)
-        rebuilt = FrameSubspace.from_vectors(
-            c.form, np.vstack([c.A, c.B, pair.N1, pair.N2]))
-        resid = max(resid, 0.0 if same_span(rebuilt, sperp, 1e-8) else 1.0)
-    return resid
 
 
 def _pt_deck_pullback(cfg, rng):
@@ -622,25 +676,6 @@ def _pt_levi_signature(cfg, rng):
     return 0.0 if sig == (cfg.s, cfg.n - cfg.s - 1) else 1.0
 
 
-def _pt_prop4_null(cfg, rng):
-    c = sample_null_config(cfg.n, cfg.s, rng)
-    lck = synthetic_null_structure(cfg.n, cfg.s,
-                                   B_hol=c.B[0::2] + 1j * c.B[1::2])
-    z = np.zeros(cfg.n, dtype=complex)
-    data = lee_data(lck, z)
-    Z = data.B.hol + 1j * data.A.hol
-    resid = abs(complex(lck.lee_hol(z) @ Z))        # Z is type (1,0) in ker omega
-    cfib = crmod.cr_fibre(lck, z)
-    resid = max(resid, abs(crmod.levi_form(lck, cfib, Z, Z)))
-    fib = fol.first_foliation_fibre(lck, z)
-    plane = FrameSubspace.from_vectors(fib.form, [data.A_real, data.B_real])
-    resid = max(resid, 0.0 if contains_span(fib.tangent, plane, 1e-9) else 1.0)
-    if cfg.n == 2:
-        resid = max(resid, 0.0 if same_span(cfib.levi_H, plane, 1e-9) else 1.0)
-        resid = max(resid, 0.0 if crmod.levi_flat_detector(lck, cfib) else 1.0)
-    return resid
-
-
 def _pt_gab_invariance(cfg, rng):
     p = sample_tricerri(cfg.n, rng)
     alpha = 1.0 + 3.0 * rng.uniform()
@@ -671,11 +706,12 @@ SUITES: tuple[Suite, ...] = (
     Suite("eq1-leaf-signature", "Equation (1)", frozenset({"hopf"}),
           _fixed(0.0), _chart_draw, _stacked(_check_eq1_signature, branch=True)),
     Suite("eq8-transversal", "Equation (8)", frozenset({"synthetic-null"}),
-          _fixed(1e-10), _pt_eq8_transversal),
+          _fixed(1e-10), _draw_null, _null_stacked(_check_eq8_transversal, _draw_complement)),
     Suite("eq5-nv-invariance", "Lemma 1", frozenset({"synthetic-null"}),
-          _fixed(1e-9), _pt_eq5_invariance),
+          _fixed(1e-9), _draw_null, _null_stacked(_check_eq5_invariance, _draw_eq5)),
     Suite("screen-splits", "Equations (3)-(9), (21)-(26)",
-          frozenset({"synthetic-null"}), _fixed(1e-9), _pt_screen_splits),
+          frozenset({"synthetic-null"}), _fixed(1e-9), _draw_null,
+          _null_stacked(_check_screen_splits, _draw_screen_splits)),
     Suite("thm4-integrability", "Theorem 4", frozenset({"hopf", "tricerri"}),
           _fixed(1e-5), _chart_draw, _stacked(_check_thm4_integrability)),
     Suite("thm4-plane-gram", "Theorem 4", frozenset({"hopf", "tricerri"}),
@@ -684,9 +720,11 @@ SUITES: tuple[Suite, ...] = (
     Suite("thm4-hp", "Theorem 4", frozenset({"hopf"}), _fixed(1e-5),
           _chart_draw, _stacked(_check_thm4_hp, branch=True)),
     Suite("lemma6-pair", "Lemma 6", frozenset({"synthetic-null"}),
-          _fixed(1e-10), _pt_lemma6_pair, min_n=3),
+          _fixed(1e-10), _draw_null, _null_stacked(_check_lemma6_pair, sample_pair_frame),
+          min_n=3),
     Suite("lemma6-invariance", "Lemma 6", frozenset({"synthetic-null"}),
-          _fixed(1e-9), _pt_lemma6_invariance, min_n=3),
+          _fixed(1e-9), _draw_null,
+          _null_stacked(_check_lemma6_invariance, _draw_lemma6_invariance), min_n=3),
     Suite("eq18-mean-curvature", "Proposition 3 / Equation (18)",
           frozenset({"hopf"}), _fixed(1e-5), _draw_eq18, _stacked(_check_eq18_mean_curvature)),
     Suite("eq20-nabla-j", "Equation (20)",
@@ -723,7 +761,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("levi-hopf-leaf", "Levi form", frozenset({"hopf"}), _fixed(1e-3),
           _draw_pseudosphere, _stacked(_check_levi_hopf), direction="ge"),
     Suite("prop4-null-leaf", "Proposition 4", frozenset({"synthetic-null"}),
-          _fixed(1e-10), _pt_prop4_null),
+          _fixed(1e-10), _draw_null, _null_stacked(_check_prop4_null)),
     Suite("cr-tangential", "Tangential CR operator", frozenset({"hopf"}),
           _fixed(1e-8), _draw_cr_tangential, _stacked(_check_cr_tangential)),
     Suite("gab-invariance", "Proposition 2", frozenset({"tricerri"}),

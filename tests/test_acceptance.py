@@ -46,6 +46,7 @@ from lcklab.sampling import (
     sample_complement_vector,
     sample_hopf,
     sample_null_config,
+    sample_null_lee_vector,
     sample_pair_frame,
     sample_pseudosphere,
     sample_tricerri,
@@ -162,7 +163,7 @@ def test_criterion_05_lightlike_transversal():
     dims = [(2, 1), (3, 1), (4, 2)]
     for i in range(1000):
         n, s = dims[i % 3]
-        cfg = sample_null_config(n, s, rng)
+        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
         tangent_rows = _kernel(cfg.omega.reshape(1, -1), 2 * n)
         qB, _ = np.linalg.qr(cfg.B.reshape(-1, 1))
         proj = tangent_rows - (tangent_rows @ qB) @ qB.T
@@ -212,7 +213,7 @@ def test_criterion_07_isotropic_pair():
     worst_eq, worst_inv = 0.0, 0.0
     for i in range(1000):
         n, s = (3, 1) if i % 2 == 0 else (4, 2)
-        cfg = sample_null_config(n, s, rng)
+        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
         V1, V2 = sample_pair_frame(cfg, rng)
         pair = isotropic_transversal_pair(cfg.form, cfg.omega, cfg.theta,
                                           cfg.A, cfg.B, cfg.screen, V1, V2)

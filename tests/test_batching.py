@@ -3,12 +3,13 @@
 Each batched suite draws every point first and checks the draws as
 stacks.  These tests pin that a check over all draws returns, bit for
 bit, what the check returns for each draw on its own (and that the
-null Lee branch of the foliation layer stacks alike), that a fault at
-one point is reported as a point-by-point run reports it (for the
-positive-region Hopf suites, with the message their point-by-point
-versions gave), and that the stacked Lee-plane derivatives, the CR fibre,
-the submersion's chart and Lee data and each h(X, Y) of eq18 are
-computed once.
+null Lee branch of the foliation layer and the null-Lee configurations
+stack alike), that a fault at one point is reported as a point-by-point
+run reports it (for the positive-region Hopf suites, with the message
+their point-by-point versions gave), that a synthetic-null check reads
+its points' numbers afresh each time it runs, and that the stacked
+Lee-plane derivatives, the CR fibre, the submersion's chart and Lee data
+and each h(X, Y) of eq18 are computed once.
 """
 
 import hashlib
@@ -24,15 +25,18 @@ from lcklab import models as models_mod
 from lcklab import suites as suites_mod
 from lcklab.models import HopfModel, hopf_chart, synthetic_null_structure
 from lcklab.report import RunConfig
+from lcklab.sampling import sample_null_config, sample_null_lee_vector
 from lcklab.suites import SUITES, _drawn, _run_suite, run_config
 
 BATCHED = [s for s in SUITES if s.check is not _drawn]
 HOPF = hopf_chart(HopfModel(n=2, s=1, lam=0.5))
 CONFIGS = [("hopf", 2, 1), ("hopf", 3, 1), ("hopf", 4, 2), ("hopf", 8, 7), ("tricerri", 2, 1),
-           ("flat", 2, 1)]
+           ("flat", 2, 1), ("synthetic-null", 3, 1), ("synthetic-null", 4, 2),
+           ("synthetic-null", 6, 1)]
 # The batched suites that sample Hopf region "+" only, as one stack per run.
 POSITIVE_REGION = ("eq18-mean-curvature", "submersion-fibre-invariance", "levi-hopf-leaf",
                    "fibration-split", "cr-tangential")
+NULL = [s for s in SUITES if s.models == {"synthetic-null"}]
 
 
 def _draws(suite, cfg):
@@ -49,7 +53,9 @@ def test_the_finite_difference_suites_are_batched():
     assert {s.name for s in BATCHED} == {
         "christoffel-oracle", "prop1-lee-field", "parallel-lee", "thm1-totally-geodesic",
         "eq1-leaf-signature", "thm4-integrability", "thm4-plane-gram", "thm4-hp",
-        "eq20-nabla-j", "weyl-dj", "connection-identities", *POSITIVE_REGION}
+        "eq20-nabla-j", "weyl-dj", "connection-identities", *POSITIVE_REGION,
+        "eq8-transversal", "eq5-nv-invariance", "screen-splits", "lemma6-pair",
+        "lemma6-invariance", "prop4-null-leaf"}
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -90,6 +96,30 @@ def test_null_branch_stacks_equal_single_points(n, s):
         assert bracket[i] == fol.integrability_residual(syn, z)
 
 
+@pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (4, 2), (6, 1)])
+def test_stacked_null_config_equals_single_builds(n, s):
+    rng = np.random.default_rng(10 * n + s)
+    B = np.stack([sample_null_lee_vector(n, s, rng) for _ in range(5)])
+    stacked = sample_null_config(n, s, B)
+    for i, b in enumerate(B):
+        one, at = sample_null_config(n, s, b), stacked.point(i)
+        assert at.form is one.form
+        for name in ("B", "A", "omega", "theta", "screen_perp_basis", "first_screen_perp"):
+            assert _bits(getattr(at, name)) == _bits(getattr(one, name)), name
+        for name in ("screen", "first_screen"):
+            for part in ("basis", "gram_restricted"):
+                assert _bits(getattr(getattr(at, name), part)) == \
+                    _bits(getattr(getattr(one, name), part)), (name, part)
+
+
+@pytest.mark.parametrize("suite", NULL, ids=lambda s: s.name)
+def test_a_null_check_run_twice_reads_the_same_numbers(suite):
+    # each check resets every generator to its state after the Lee vector
+    cfg = RunConfig(model="synthetic-null", n=3, s=1, points=6, seed=42)
+    draws = _draws(suite, cfg)
+    assert _bits(suite.check(cfg, draws)) == _bits(suite.check(cfg, draws))
+
+
 def _on_the_cone(z: np.ndarray) -> np.ndarray:
     """A point of the Hopf null cone b(z, z) = 0: off every chart domain,
     with an infinite metric."""
@@ -108,8 +138,8 @@ def _point_by_point(suite, cfg, draws):
     return residuals, None, None
 
 
-@pytest.mark.parametrize("suite", [s for s in BATCHED if s.name not in POSITIVE_REGION],
-                         ids=lambda s: s.name)
+@pytest.mark.parametrize("suite", [s for s in BATCHED if "hopf" in s.models
+                                   and s.name not in POSITIVE_REGION], ids=lambda s: s.name)
 def test_a_fault_at_draw_3_is_named_as_point_by_point(suite):
     cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
     calls = []
@@ -190,6 +220,33 @@ def test_a_fault_at_draw_3_of_a_positive_region_suite_keeps_its_message(monkeypa
     with np.errstate(divide="ignore", invalid="ignore"):
         result = _run_suite(cfg, suite)
     assert (result.verdict, result.error) == ("error", expected)
+
+
+@pytest.mark.parametrize("suite", NULL, ids=lambda s: s.name)
+def test_a_fault_at_draw_3_of_a_null_suite_is_named_as_point_by_point(suite):
+    # a zero Lee vector at draw 3 and a NaN one at draw 5: the stacked
+    # build meets the NaN first, the rerun one draw at a time names draw 3
+    cfg = RunConfig(model="synthetic-null", n=3, s=1, points=6, seed=42)
+    calls = []
+
+    def planted(cfg, rng):
+        B, *rest = suite.draw(cfg, rng)
+        calls.append(1)
+        bad = {4: np.zeros_like(B), 6: np.full_like(B, np.nan)}
+        return (bad.get(len(calls), B), *rest)
+
+    faulty = replace(suite, draw=planted)
+    with np.errstate(invalid="ignore"):
+        result = _run_suite(cfg, faulty)
+        calls.clear()
+        draws = _draws(faulty, cfg)
+        with pytest.raises(np.linalg.LinAlgError):
+            suite.check(cfg, draws)
+        _, expected, bad = _point_by_point(suite, cfg, draws)
+    assert result.verdict == "error"
+    assert expected == "DegenerateSubspaceError: basis vectors are not linearly independent"
+    assert result.error == expected
+    assert not bad[0].any()
 
 
 def test_a_fault_while_drawing_follows_the_earlier_points():
@@ -313,12 +370,12 @@ class TestDerivedOnce:
         fol.complex_submanifold_mean_curvature(HOPF, line, [1.1 - 0.2j])
         assert len(calls) == 4   # 6 while the mean curvature recomputed h(E, E), h(JE, JE)
 
-    def test_prop4_builds_one_cr_fibre_per_point(self, monkeypatch):
+    def test_prop4_builds_one_cr_fibre_per_run(self, monkeypatch):
         calls = self._counted(monkeypatch, crmod, "cr_fibre")
         report = run_config(RunConfig(model="synthetic-null", n=2, s=1, points=6, seed=42,
                                       suites=("prop4-null-leaf",)))
         assert report.results[0].verdict == "pass"
-        assert len(calls) == 6          # 12 while levi_flat_detector rebuilt it
+        assert len(calls) == 1          # one per point before the null suites were stacked
 
 
 # A 1e-6 relative perturbation of each stacked Hopf closed form.  The

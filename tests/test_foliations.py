@@ -19,7 +19,10 @@ from lcklab.foliations import (
 )
 from lcklab.lck import LCKStructure, lee_data
 from lcklab.models import HopfModel, eps_signs, flat_chart, hopf_chart, synthetic_null_structure, tricerri_chart
-from lcklab.sampling import sample_hopf, sample_null_config, sample_pair_frame, sample_complement_vector
+from lcklab.sampling import (
+    sample_complement_vector, sample_hopf, sample_null_config, sample_null_lee_vector,
+    sample_pair_frame,
+)
 from lcklab.semieuclid import (
     FrameSubspace,
     SemiEuclideanForm,
@@ -87,7 +90,7 @@ class TestFirstFoliation:
 class TestNullConfigScreen:
     @pytest.mark.parametrize("n,s", [(2, 1), (3, 1), (4, 2)])
     def test_first_screen_is_the_foliation_screen(self, n, s):
-        cfg = sample_null_config(n, s, np.random.default_rng(n + s))
+        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, np.random.default_rng(n + s)))
         lck = synthetic_null_structure(n, s, B_hol=cfg.B[0::2] + 1j * cfg.B[1::2])
         fib = first_foliation_fibre(lck, np.zeros(n, dtype=complex))
         assert cfg.first_screen is cfg.first_screen
@@ -186,7 +189,7 @@ class TestGaussWeingarten:
     @pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (4, 2), (5, 2)])
     def test_closed_form_null_transversal_is_the_fibre_transversal(self, n, s):
         rng = np.random.default_rng(10 * n + s)
-        c = sample_null_config(n, s, rng)
+        c = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
         syn = synthetic_null_structure(n, s, B_hol=c.B[0::2] + 1j * c.B[1::2])
         # a constant metric with unequal weights, where g(V, V) != 0
         eps, w = eps_signs(n, s), rng.uniform(0.5, 2.0, n)
@@ -364,7 +367,7 @@ class TestIsotropicPair:
     def test_randomized_constraints(self, seed, dims):
         n, s = dims
         rng = np.random.default_rng(seed)
-        cfg = sample_null_config(n, s, rng)
+        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
         V1, V2 = sample_pair_frame(cfg, rng)
         pair = isotropic_transversal_pair(cfg.form, cfg.omega, cfg.theta,
                                           cfg.A, cfg.B, cfg.screen, V1, V2)
@@ -385,7 +388,7 @@ class TestIsotropicPair:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         s = int(rng.integers(1, n))
-        cfg = sample_null_config(n, s, rng)
+        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
         V = sample_complement_vector(cfg, rng)
         # first-foliation screen
         from lcklab.sampling import _kernel

@@ -10,8 +10,11 @@ flat digest did not move: every flat residual is exactly 0 at any seed.
 A change that alters any residual, verdict or serialized field changes a
 digest; such a change must say why and record the new digests here.
 
-GOLDEN_6 pins the Hopf reports at 6 points of every suite, at other seeds
-and dimensions, recorded before the per-draw Hopf suites were stacked.
+GOLDEN_6 pins reports at 6 points of every suite, at other seeds and
+dimensions: the Hopf ones recorded before the per-draw Hopf suites were
+stacked, the synthetic-null ones (n = 2 runs the n = 2 branch of
+prop4-null-leaf and skips the two lemma6 suites) before the null suites
+were stacked.
 """
 
 import hashlib
@@ -34,6 +37,12 @@ GOLDEN_6 = {
     ("hopf", 2, 1, 1001): "d847f0c2b553f30007d0ad36aa9781a519e7966c7ccd1d698bace11b068d855b",
     ("hopf", 3, 1, 7): "ebc5eeae93f7e6d22aec1b4eebbafefb51460ead296c45540c73689bf1536acc",
     ("hopf", 8, 7, 42): "03dcb27fbf36e15a43e758f16f090c759794f80ded9b907637df593c0db51dd3",
+    ("synthetic-null", 2, 1, 42):
+        "721ff56d06f36798a5b7c495d00b81109417ccce1142bae21339c44ce055e3a2",
+    ("synthetic-null", 3, 1, 1001):
+        "e10fe37bf2c3bf477b10e9ca1f93a231054913f2ed70bb4c3e6bb2f6852a8d5e",
+    ("synthetic-null", 4, 2, 7):
+        "b460dd1f98d6d35df3b680261e4a2b4a82bec3b75be66ba075e06b11584f6987",
 }
 
 

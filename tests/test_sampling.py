@@ -3,7 +3,9 @@ import pytest
 
 from lcklab.models import CONE_MARGIN, HopfModel
 from lcklab.report import RunConfig
-from lcklab.sampling import sample_hopf, sample_null_config, sample_pseudosphere
+from lcklab.sampling import (
+    sample_hopf, sample_null_config, sample_null_lee_vector, sample_pseudosphere,
+)
 from lcklab.semieuclid import SemiEuclideanForm
 from lcklab.suites import run_config
 
@@ -50,7 +52,7 @@ class TestHopfSampler:
 class TestNullConfigForm:
     def test_standard_form_validated_once(self, monkeypatch):
         rng = np.random.default_rng(2)
-        first = sample_null_config(3, 1, rng)
+        first = sample_null_config(3, 1, sample_null_lee_vector(3, 1, rng))
         validations = []
         original = SemiEuclideanForm.__post_init__
 
@@ -59,12 +61,12 @@ class TestNullConfigForm:
             original(self)
 
         monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counting)
-        configs = [sample_null_config(3, 1, rng) for _ in range(20)]
+        configs = [sample_null_config(3, 1, sample_null_lee_vector(3, 1, rng)) for _ in range(20)]
         assert validations == []
         assert all(c.form is first.form for c in configs)
 
     def test_shared_gram_is_read_only(self):
-        cfg = sample_null_config(3, 1, np.random.default_rng(2))
+        cfg = sample_null_config(3, 1, sample_null_lee_vector(3, 1, np.random.default_rng(2)))
         with pytest.raises(ValueError):
             cfg.form.gram[0, 0] = 1.0
 
