@@ -13,8 +13,12 @@ Levi signature.
 Stacks: cr_fibre takes a point z (n,) or a stack (m, n); a stacked
 CRFibre gains a leading axis of length m on every member, and
 tangential_cr_residual, levi_form and levi_flat_detector then return one
-value per point (V and W one vector per point).  Each row carries the
-bits of the single-point call.  The other functions take single points.
+value per point (V and W one vector per point).  The leaf bookkeeping
+takes stacks too: leaf_label and label_from_w give a LeafLabel whose
+fields hold one value per point, leaf_chart_image_check one w and one
+set of samples per point, and cayley_cr_residual one residual per point.
+Each row carries the bits of the single-point call.  The Siegel-boundary
+Levi data are constants of (n, s).
 """
 
 from __future__ import annotations
@@ -151,27 +155,26 @@ def levi_flat_detector(lck: LCKStructure, fib: CRFibre, tol: float = 1e-6):
 
 @dataclass(frozen=True)
 class LeafLabel:
-    """Circle label of a leaf, with its chart-image radius data.
+    """Circle label of a leaf, with its chart-image radius data (each field
+    one value per point for a stacked label).
 
-    Labels are deck invariant; two labels name the same leaf iff they
-    differ by a rotation exp(2 pi i m log(lambda)).
+    Labels are deck invariant: two labels name the same leaf iff their w
+    agree.
     """
 
     w: complex
     a: float
     chart_radius: float
-    lam: float
 
-    def same_leaf(self, other: "LeafLabel", m_max: int = 8,
-                  tol: float = 1e-9) -> bool:
-        for m in range(-m_max, m_max + 1):
-            if abs(self.w * np.exp(2j * np.pi * m * np.log(self.lam)) - other.w) <= tol:
-                return True
-        return False
+    def same_leaf(self, other: "LeafLabel", tol: float = 1e-9):
+        """True iff |w - w'| <= tol, per point of stacked labels."""
+        d = np.asarray(self.w - other.w)
+        return _per_point(np.hypot(d.real, d.imag) <= tol)
 
 
 def leaf_label(model: HopfModel, z) -> LeafLabel:
-    """Label of the leaf through z: w = exp(2 pi i log|z|_{s,n} / log lambda).
+    """Label of the leaf through z: w = exp(2 pi i log|z|_{s,n} / log lambda),
+    at a point or per point of a stack.
 
     a = arg(w) / (2 pi log lambda) and the chart radius is
     lambda^{-floor(a)} e^{arg(w)/(2 pi)}, the radius of the pseudosphere
@@ -179,26 +182,29 @@ def leaf_label(model: HopfModel, z) -> LeafLabel:
     """
     z = np.asarray(z, dtype=complex)
     b = model.b(z)
-    if b <= 0.0:
+    if np.any(b <= 0.0):
         raise ChartDomainError("leaf labels require b(z, z) > 0")
     r = np.sqrt(b)
-    return label_from_w(model, np.exp(2j * np.pi * np.log(r) / np.log(model.lam)))
+    # the phase as a real quotient, rounded as Python's complex division
+    return label_from_w(model, np.exp(1j * ((2 * np.pi * np.log(r)) / np.log(model.lam))))
 
 
-def label_from_w(model: HopfModel, w: complex) -> LeafLabel:
-    """Label built directly from a unit-circle value."""
-    w = complex(w)
-    if abs(abs(w) - 1.0) > 1e-9:
+def label_from_w(model: HopfModel, w) -> LeafLabel:
+    """Label built directly from a unit-circle value, or from each of a
+    stack of them."""
+    w = np.asarray(w, dtype=complex)
+    if np.any(np.abs(np.hypot(w.real, w.imag) - 1.0) > 1e-9):
         raise ValueError("leaf labels lie on the unit circle")
-    arg = float(np.angle(w)) % (2.0 * np.pi)
+    arg = np.angle(w) % (2.0 * np.pi)
     a = arg / (2.0 * np.pi * np.log(model.lam))
-    radius = model.lam ** (-np.floor(a)) * np.exp(arg / (2.0 * np.pi))
-    return LeafLabel(w=w, a=float(a), chart_radius=float(radius), lam=model.lam)
+    radius = np.float_power(model.lam, -np.floor(a)) * np.exp(arg / (2.0 * np.pi))
+    return LeafLabel(w=_per_point(w), a=_per_point(a), chart_radius=_per_point(radius))
 
 
-def leaf_chart_image_check(model: HopfModel, w: complex, samples,
-                           tol_excluded: float = 1e-9) -> float:
-    """Max residual of the chart-image radius over pseudosphere samples.
+def leaf_chart_image_check(model: HopfModel, w, samples, tol_excluded: float = 1e-9):
+    """Max residual of the chart-image radius over pseudosphere samples:
+    for one w and samples (k, n) or (n,), or per point of a stack of w
+    (m,) with samples (m, k, n).
 
     For each unit-pseudosphere sample zeta, the representative
     (chart_radius * zeta) must have |.|_{s,n} equal to the radius and lie
@@ -207,17 +213,17 @@ def leaf_chart_image_check(model: HopfModel, w: complex, samples,
     excluded: that leaf needs the shifted-annulus chart instead.
     """
     label = label_from_w(model, w)
-    a, radius = label.a, label.chart_radius
-    if min(a - np.floor(a), np.ceil(a) - a) <= tol_excluded:
+    a, radius = np.asarray(label.a), np.asarray(label.chart_radius)
+    if np.any(np.minimum(a - np.floor(a), np.ceil(a) - a) <= tol_excluded):
         raise ValueError("excluded leaf: use the shifted annulus chart "
                          "(integer chart index)")
-    worst = 0.0
-    for zeta in np.atleast_2d(np.asarray(samples, dtype=complex)):
-        x = radius * zeta
-        worst = max(worst, abs(model.norm_sn(x) - radius))
-        if not model.lam < model.norm_sn(x) < 1.0:
-            worst = max(worst, 1.0)
-    return worst
+    samples = np.asarray(samples, dtype=complex)
+    if a.ndim == 0:
+        samples = np.atleast_2d(samples)
+    norms = model.norm_sn(radius[..., None, None] * samples)
+    worst = np.abs(norms - radius[..., None]).max(axis=-1)
+    inside = (model.lam < norms) & (norms < 1.0)
+    return _per_point(np.where(inside.all(axis=-1), worst, np.maximum(worst, 1.0)))
 
 
 def leaf_extension_hypothesis(n: int, s: int) -> bool:
@@ -255,8 +261,9 @@ def siegel_levi_signature(n: int, s: int) -> tuple[int, int]:
     return int(np.sum(evals < 0)), int(np.sum(evals > 0))
 
 
-def cayley_cr_residual(model: HopfModel, r: float, z) -> float:
-    """CR compatibility of the Cayley transform at a pseudosphere point.
+def cayley_cr_residual(model: HopfModel, r: float, z):
+    """CR compatibility of the Cayley transform at a pseudosphere point, or
+    per point of a stack.
 
     Pushes every CR-fibre generator at z through the holomorphic
     Jacobian of the transform and measures how far the image is from
@@ -265,26 +272,29 @@ def cayley_cr_residual(model: HopfModel, r: float, z) -> float:
     """
     z = np.asarray(z, dtype=complex)
     n = model.n
-    if abs(model.b(z) - r * r) > 1e-8:
+    if np.any(np.abs(model.b(z) - r * r) > 1e-8):
         raise ValueError("point must lie on the pseudosphere of radius r")
     lck_omega = eps_signs(n, model.s) * z.conj()   # proportional to the Lee form
     t10 = _t10_basis(lck_omega)
-    denom = r + z[-1]
-    if abs(denom) <= 1e-9:
+    denom = r + z[..., -1]
+    if np.any(np.abs(denom) <= 1e-9):
         raise ZeroDivisionError("Cayley pole: z_n + r = 0")
-    jac = np.zeros((n, n), dtype=complex)
-    for a in range(n - 1):
-        jac[a, a] = 1.0 / denom
-        jac[a, -1] = -z[a] / denom ** 2
-    jac[-1, -1] = -2j * r / denom ** 2
+    # np.power, not **: an array's ** 2 squares, which rounds otherwise
+    denom2 = np.power(denom, 2)[..., None]
+    jac = np.zeros(z.shape + (n,), dtype=complex)
+    diag = np.arange(n - 1)
+    jac[..., diag, diag] = (1.0 / denom)[..., None]
+    jac[..., diag, -1] = -z[..., :-1] / denom2
+    jac[..., -1, -1] = -2j * r / denom2[..., 0]
     zeta = cayley(model.s, r, z).zeta
     eps = eps_signs(n, model.s)
     # d rho in holomorphic components: rho = Im(zeta_n) - sum eps_a |zeta_a|^2
-    drho = np.empty(n, dtype=complex)
-    drho[:-1] = -eps[:-1] * zeta[:-1].conj()
-    drho[-1] = -0.5j
-    worst = 0.0
-    for k in range(t10.shape[1]):
-        pushed = jac @ t10[:, k]
-        worst = max(worst, abs(complex(drho @ pushed)))
-    return worst
+    drho = np.empty(z.shape, dtype=complex)
+    drho[..., :-1] = -eps[:-1] * zeta[..., :-1].conj()
+    drho[..., -1] = -0.5j
+    worst = np.zeros(z.shape[:-1])
+    for k in range(n - 1):   # one generator at a time: a product over all
+        # of them at once sums in another order
+        val = np.vecdot(drho.conj(), np.matvec(jac, t10[..., k]))
+        worst = np.maximum(worst, np.hypot(val.real, val.imag))   # abs() of a Python complex
+    return _per_point(worst)

@@ -13,11 +13,16 @@
   residuals for the projective-space submersion, the block retraction
   and the Cayley transform onto the Siegel-domain boundary.
 
-Stacks: the charts and HopfModel.b / HopfModel.a take a point (n,) or a
-stack (m, n), as do fibration_split (stacked FrameSubspaces) and
-submersion_isometry_residual (one u and v per point, one residual per
-point), each row with the bits of the single-point call.  The other
-quotient maps take single points.
+Stacks: the charts, HopfModel.b / .a / .norm_sn and every quotient map
+take a point (n,) or a stack (m, n) and return one value per point of a
+stack, each row with the bits of the single-point call: fibration_split
+(stacked FrameSubspaces), submersion_isometry_residual (one u and v per
+point), deck_equivalent (NaN where no power matches), hopf_diffeo and
+its inverse, torus_pullback_isometry_residual and retraction (one t per
+point, or one for all), cayley (one residual per point) and
+gab_invariance_residual (one alpha, beta and w per point).  Powers of
+lambda go through np.float_power, which rounds as a Python float's **
+(libm pow), where an array's np.power may not.
 """
 
 from __future__ import annotations
@@ -97,9 +102,9 @@ class HopfModel:
         """b(z, z), per point of a stack."""
         return b_form(self.s, self.n, z, z).real
 
-    def norm_sn(self, z) -> float:
-        """|z|_{s,n} = |b(z,z)|^(1/2)."""
-        return float(np.sqrt(abs(self.b(z))))
+    def norm_sn(self, z):
+        """|z|_{s,n} = |b(z,z)|^(1/2), per point of a stack."""
+        return _per_point(np.sqrt(np.abs(self.b(z))))
 
     def a(self, z):
         """Sign of b(z,z), per point of a stack; raises on the null cone."""
@@ -317,50 +322,61 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
 # quotient structure
 # ---------------------------------------------------------------------------
 
-def deck_equivalent(model: HopfModel, z, zp, tol: float = 1e-9) -> Optional[int]:
-    """Integer m with zp = lambda^m z componentwise, or None."""
+def deck_equivalent(model: HopfModel, z, zp, tol: float = 1e-9):
+    """Integer m with zp = lambda^m z componentwise, or None; per point of
+    stacks z, zp (m, n), a float array of the powers with NaN for None."""
     z = np.asarray(z, dtype=complex)
     zp = np.asarray(zp, dtype=complex)
-    nz, nzp = np.linalg.norm(z), np.linalg.norm(zp)
-    if nz == 0.0 or nzp == 0.0:
-        return None
-    m0 = np.log(nzp / nz) / np.log(model.lam)
-    for m in {int(np.floor(m0)), int(np.ceil(m0)), int(round(m0))}:
-        if np.abs(zp - model.lam ** m * z).max() <= tol * max(1.0, nzp):
-            return m
-    return None
+    nz, nzp = _norms(z), _norms(zp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m0 = np.log(nzp / nz) / np.log(model.lam)
+    found = np.full(np.shape(m0), np.nan)
+    for m in (np.floor(m0), np.ceil(m0)):   # round(m0) is one of the two
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(zp - np.float_power(model.lam, m)[..., None] * z).max(axis=-1)
+        found = np.where(np.isnan(found) & (gap <= tol * np.maximum(1.0, nzp)), m, found)
+    found = np.where((nz == 0.0) | (nzp == 0.0), np.nan, found)
+    if found.ndim:
+        return found
+    return None if np.isnan(found) else int(found)
 
 
-def hopf_diffeo(model: HopfModel, z) -> tuple[np.ndarray, complex]:
-    """Representative z -> (zeta, w) on Sigma^{2n-1} x S^1."""
+def hopf_diffeo(model: HopfModel, z):
+    """Representative z -> (zeta, w) on Sigma^{2n-1} x S^1: zeta (..., n)
+    and w a complex, or one w per point of a stack."""
     z = np.asarray(z, dtype=complex)
-    r = model.norm_sn(z)
-    if r == 0.0:
+    r = np.asarray(model.norm_sn(z))
+    if np.any(r == 0.0):
         raise ChartDomainError("point lies on the null cone")
-    zeta = z / r
-    w = np.exp(2j * np.pi * np.log(r) / np.log(model.lam))
-    return zeta, complex(w)
+    zeta = z / r[..., None]
+    # the phase as a real quotient, rounded as Python's complex division
+    w = np.exp(1j * ((2 * np.pi * np.log(r)) / np.log(model.lam)))
+    return zeta, _per_point(w)
 
 
 def hopf_diffeo_inv(model: HopfModel, zeta, w) -> np.ndarray:
-    """Orbit representative lambda^(arg(w)/2pi) zeta, arg in [0, 2pi)."""
+    """Orbit representative lambda^(arg(w)/2pi) zeta, arg in [0, 2pi), per
+    point of a stack."""
     zeta = np.asarray(zeta, dtype=complex)
-    arg = float(np.angle(w)) % (2.0 * np.pi)
-    return model.lam ** (arg / (2.0 * np.pi)) * zeta
+    arg = np.angle(w) % (2.0 * np.pi)
+    return np.float_power(model.lam, arg / (2.0 * np.pi))[..., None] * zeta
 
 
-def torus_pullback_isometry_residual(model: HopfModel, t: complex, z) -> float:
+def torus_pullback_isometry_residual(model: HopfModel, t, z,
+                                     lck: Optional[LCKStructure] = None):
     """Max component difference between the metric and its pullback under
-    the torus translation z -> exp(t) z."""
+    the torus translation z -> exp(t) z, per point of a stack with one t
+    per point.  lck is hopf_chart(model), when the caller already holds it."""
     z = np.asarray(z, dtype=complex)
-    lck = hopf_chart(model)
-    zt = np.exp(t) * z
-    if not lck.chart.domain_pred(zt):
+    lck = hopf_chart(model) if lck is None else lck
+    e = np.exp(np.asarray(t, dtype=complex))[..., None]
+    zt = e * z
+    if not np.all(lck.chart.domain_pred(zt)):
         raise ChartDomainError("translated point leaves the chart domain")
     H = lck.chart.hermitian(z)
     Ht = lck.chart.hermitian(zt)
-    pullback = Ht * np.exp(t) * np.conj(np.exp(t))
-    return float(np.abs(pullback - H).max())
+    pullback = Ht * e[..., None] * np.conj(e)[..., None]
+    return _per_point(np.abs(pullback - H).max(axis=(-2, -1)))
 
 
 def fibration_split(model: HopfModel, z,
@@ -412,15 +428,17 @@ def submersion_isometry_residual(model: HopfModel, z, u: TangentVector,
     return _per_point(np.abs(_richardson(np.moveaxis(gram, 1, 0), 1e-5)).max(axis=0))
 
 
-def retraction(model: HopfModel, t: float, z) -> np.ndarray:
-    """Block retraction F_t(z) = ((1-t) z', z'') on the positive region."""
+def retraction(model: HopfModel, t, z) -> np.ndarray:
+    """Block retraction F_t(z) = ((1-t) z', z'') on the positive region, per
+    point of a stack with one t per point or one for all."""
     z = np.asarray(z, dtype=complex)
-    if model.b(z) <= 0.0:
+    if np.any(model.b(z) <= 0.0):
         raise ChartDomainError("retraction is defined on the positive region only")
-    if not 0.0 <= t <= 1.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError("need 0 <= t <= 1")
     out = z.copy()
-    out[:model.s] = (1.0 - t) * out[:model.s]
+    out[..., :model.s] = (1.0 - t)[..., None] * out[..., :model.s]
     return out
 
 
@@ -430,45 +448,50 @@ class SiegelBoundaryPoint:
     Im(zeta_n) - sum_{a<n} eps_a |zeta_a|^2."""
 
     zeta: np.ndarray
-    residual: float
+    residual: float   # one per point of a stack
 
 
 def cayley(s: int, r: float, z) -> SiegelBoundaryPoint:
-    """Cayley transform (z', z_n) -> (z'/(r+z_n), i(r-z_n)/(r+z_n)).
+    """Cayley transform (z', z_n) -> (z'/(r+z_n), i(r-z_n)/(r+z_n)), at a
+    point or per point of a stack.
 
     For z on the pseudosphere b(z,z) = r^2 the image lies on the boundary
     of the Siegel domain: Im(zeta_n) = sum eps_a |zeta_a|^2.
     """
     z = np.asarray(z, dtype=complex)
-    n = z.size
-    if abs(z[-1] + r) <= 1e-9:
+    n = z.shape[-1]
+    denom = r + z[..., -1]
+    if np.any(np.abs(denom) <= 1e-9):
         raise ZeroDivisionError("Cayley pole: z_n + r = 0")
-    denom = r + z[-1]
-    zeta = np.empty(n, dtype=complex)
-    zeta[:-1] = z[:-1] / denom
-    zeta[-1] = 1j * (r - z[-1]) / denom
+    zeta = np.empty(z.shape, dtype=complex)
+    zeta[..., :-1] = z[..., :-1] / denom[..., None]
+    zeta[..., -1] = 1j * (r - z[..., -1]) / denom
     eps = eps_signs(n, s)[:-1]
-    residual = float(zeta[-1].imag - np.sum(eps * np.abs(zeta[:-1]) ** 2))
-    return SiegelBoundaryPoint(zeta=zeta, residual=residual)
+    residual = zeta[..., -1].imag - np.sum(eps * np.abs(zeta[..., :-1]) ** 2, axis=-1)
+    return SiegelBoundaryPoint(zeta=zeta, residual=_per_point(residual))
 
 
-def gab_invariance_residual(n: int, s: int, alpha: float, beta: complex,
-                            w: complex, z) -> float:
-    """Pullback residual of the family metric under F_0(w, z) = (alpha w, beta z).
+def gab_invariance_residual(n: int, s: int, alpha, beta, w, z):
+    """Pullback residual of the family metric under F_0(w, z) = (alpha w, beta z),
+    per point of a stack z (m, n) with one alpha, beta and w per point.
 
     Requires alpha |beta|^2 = 1, the relation that makes the metric
     invariant under the generated group.
     """
-    if abs(alpha * abs(beta) ** 2 - 1.0) > 1e-12:
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=complex)
+    if np.any(np.abs(alpha * np.hypot(beta.real, beta.imag) ** 2 - 1.0) > 1e-12):
         raise ValueError("invariance requires alpha |beta|^2 = 1")
     z = np.asarray(z, dtype=complex)
     lck = tricerri_chart(n, s)
-    p = np.concatenate([[complex(w)], z])
-    if not lck.chart.domain_pred(p):
+    w = np.asarray(w, dtype=complex)[..., None]
+    p = np.concatenate([w, z], axis=-1)
+    if not np.all(lck.chart.domain_pred(p)):
         raise ChartDomainError("need Im(w) > 0")
-    pt = np.concatenate([[alpha * complex(w)], beta * z])
+    pt = np.concatenate([alpha[..., None] * w, beta[..., None] * z], axis=-1)
     H = lck.chart.hermitian(p)
     Ht = lck.chart.hermitian(pt)
-    jac = np.concatenate([[alpha], np.full(n, beta)])
-    pullback = Ht * np.outer(jac, jac.conj())
-    return float(np.abs(pullback - H).max())
+    jac = np.concatenate([alpha[..., None], np.broadcast_to(beta[..., None], z.shape)],
+                         axis=-1).astype(complex)
+    pullback = Ht * (jac[..., :, None] * jac.conj()[..., None, :])
+    return _per_point(np.abs(pullback - H).max(axis=(-2, -1)))

@@ -8,23 +8,22 @@ Direction "le" means the aggregated maximum must stay below tolerance;
 "ge" marks witness suites whose aggregated minimum must exceed the
 threshold (e.g. exhibiting a nonparallel Lee form).
 
-Draw, then check: every point is drawn first, draw(cfg, rng), then
-check(cfg, draws) returns the residuals of all draws in draw order;
-Suite.point_fn runs once per point and checks at the last one.  The
-finite-difference suites and the positive-region Hopf suites (eq18, the
-fibration split and submersion, the Levi form and the tangential CR
-operator) stack the draws that share a structure (the Hopf region) and,
-for the foliation suites, a Lee branch, evaluate each (m, n) stack
-through the stack-native layers and scatter the residuals back.  The
-synthetic-null suites draw a null Lee vector and keep the point's
-generator with its state; their check builds one stacked configuration
-(m, 2n) for all draws, then resets each generator and draws the rest of
-its point in the order a point-by-point run did, and evaluates the
-stack.  Stacked rows carry single-point bits, so checking all draws
-equals checking each alone.  The other suites share one per-draw
-adapter: their draw evaluates the point.  A batched check that meets a
-point fault is rerun one draw at a time, so the error names the first
-failing point.
+Draw, then check: every suite has one contract.  Every point is drawn
+first, draw(cfg, rng), which consumes that point's generator in a fixed
+order and evaluates nothing, then check(cfg, draws) returns the
+residuals of all draws in draw order; Suite.point_fn runs once per point
+and checks at the last one.  The chart, quotient, leaf and Tricerri
+suites stack the draws that share a structure (the Hopf region, or the
+one Tricerri chart) and, for the foliation suites, a Lee branch,
+evaluate each (m, n) stack through the stack-native layers and scatter
+the residuals back.  The synthetic-null suites draw a null Lee vector
+and keep the point's generator with its state; their check builds one
+stacked configuration (m, 2n) for all draws, then resets each generator
+and draws the rest of its point in the order a point-by-point run did,
+and evaluates the stack.  levi-signature checks a constant of (n, s).
+Stacked rows carry single-point bits, so checking all draws equals
+checking each alone.  A batched check that meets a point fault is rerun
+one draw at a time, so the error names the first failing point.
 """
 
 from __future__ import annotations
@@ -75,25 +74,19 @@ class UsageError(ValueError):
 _POINT_FAULTS = (ValueError, ArithmeticError, RuntimeError)
 
 
-def _drawn(cfg: RunConfig, draws: list) -> list:
-    """The per-draw adapter's check: its draws are already residuals."""
-    return list(draws)
-
-
 @dataclass(frozen=True)
 class Suite:
     """A named check: draw(cfg, rng) samples one point, check(cfg, draws)
-    returns the residuals of a list of draws in draw order (by default the
-    draws themselves, for suites whose draw evaluates its point), and
-    point_fn, called once per point of a run, draws that point and, at the
-    run's last point, checks them all."""
+    returns the residuals of a list of draws in draw order, and point_fn,
+    called once per point of a run, draws that point and, at the run's
+    last point, checks them all."""
 
     name: str
     anchor: str
     models: frozenset
     tolerance: Callable[[RunConfig], float]
     draw: Callable[[RunConfig, np.random.Generator], object]
-    check: Callable[[RunConfig, list], Sequence[float]] = _drawn
+    check: Callable[[RunConfig, list], Sequence[float]]
     direction: str = "le"
     min_n: int = 1   # per-model dimension floors live in config validation
 
@@ -136,15 +129,15 @@ def _hopf_sample(cfg: RunConfig, rng) -> tuple[HopfModel, np.ndarray]:
     return model, sample_hopf(model, rng)
 
 
+def _draw_positive(cfg, rng):
+    """A point of Hopf region "+"."""
+    model = _hopf(cfg, "+")
+    return model, sample_hopf(model, rng)
+
+
 def _rand_hol(rng, n: int) -> np.ndarray:
     """Holomorphic components of a random real vector."""
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _chart_point(cfg: RunConfig, rng):
-    """Model-appropriate (lck, point) pair."""
-    key, z = _chart_draw(cfg, rng)
-    return _structure(cfg, key), z
 
 
 def _chart_draw(cfg: RunConfig, rng) -> tuple:
@@ -175,19 +168,20 @@ def _chart_dim(cfg: RunConfig) -> int:
     return cfg.n + 1 if cfg.model == "tricerri" else cfg.n
 
 
-def _stacked(evaluate, branch: bool = False):
+def _stacked(evaluate, branch: bool = False, chart: bool = True):
     """A check of draws (key, z, *extras) that evaluates as one stack the
     draws sharing a structure key, and with branch=True a Lee branch:
     evaluate(key, lck, Z, *extras) gets their points stacked into Z (m, n)
     and each extra stacked alike, and returns the m residuals, which the
-    check puts back in draw order."""
+    check puts back in draw order.  With chart=False lck is None, for the
+    suites that build no chart."""
     def check(cfg: RunConfig, draws: list) -> list:
         out = np.empty(len(draws))
         groups: dict = {}
         for i, d in enumerate(draws):
             groups.setdefault(d[0], []).append(i)
         for key, idx in groups.items():
-            lck = _structure(cfg, key)
+            lck = _structure(cfg, key) if chart else None
             parts = [np.array(idx)]
             if branch:
                 non_null = np.broadcast_to(
@@ -343,9 +337,7 @@ def _draw_eq18(cfg, rng):
 
 
 def _draw_cr_tangential(cfg, rng):
-    model = _hopf(cfg, "+")
-    z = sample_hopf(model, rng)
-    return model, z, rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n)
+    return (*_draw_positive(cfg, rng), _rand_hol(rng, cfg.n))
 
 
 def _check_eq18_mean_curvature(model, lck, U):
@@ -553,134 +545,146 @@ def _check_prop4_null(c):
 
 
 # ---------------------------------------------------------------------------
-# point functions: the per-draw adapter
+# point functions: the closed-form Hopf suites
 # ---------------------------------------------------------------------------
 
-def _pt_prop2_lee(cfg, rng):
-    lck, p = _chart_point(cfg, rng)
-    data = lee_data(lck, p)
-    expect = np.zeros(cfg.n + 1, dtype=complex)
-    expect[0] = 1j * p[0].imag
-    resid = abs(data.c - 1.0)
-    return max(resid, float(np.abs(data.B.hol - expect).max()))
-
-
-def _pt_nonparallel_lee(cfg, rng):
-    lck, p = _chart_point(cfg, rng)
-    p[0] = p[0].real + 1j  # witness at Im(w) = 1
-    return parallel_lee_residual(lck, p)
-
-
-def _pt_prop2_nabla_b(cfg, rng):
-    lck, p = _chart_point(cfg, rng)
-    m = cfg.n + 1
-    worst = 0.0
-    Bf = lambda q: lee_data(lck, q).B
-    for j in range(1, m):   # z-block frame fields only (coordinate 0 is w)
-        X = TangentVector.complexified(np.eye(m)[j], np.zeros(m))
-        out = covariant_derivative(lck.chart, X, Bf, p)
-        expect = np.zeros(2 * m, dtype=complex)
-        expect[j] = 0.5
-        worst = max(worst, float(np.abs(out.components - expect).max()))
-    return worst
-
-
-def _pt_deck_pullback(cfg, rng):
+def _draw_torus(cfg, rng):
     model, z = _hopf_sample(cfg, rng)
-    lck = hopf_chart(model)
-    H = lck.chart.hermitian(z)
-    Hl = lck.chart.hermitian(model.lam * z)
-    return float(np.abs(Hl * model.lam ** 2 - H).max())
+    return model, z, complex(rng.standard_normal() * 0.5, rng.standard_normal() * 2.0)
 
 
-def _pt_diffeo_roundtrip(cfg, rng):
-    model, z = _hopf_sample(cfg, rng)
-    zeta, w = hopf_diffeo(model, z)
-    back = hopf_diffeo_inv(model, zeta, w)
-    m = deck_equivalent(model, z, back)
-    if m is None:
-        return 1.0
-    resid = float(np.abs(back - model.lam ** m * z).max())
-    # forward round trip on the product side
-    zeta2, w2 = hopf_diffeo(model, back)
-    resid = max(resid, float(np.abs(zeta2 - zeta).max()), abs(w2 - w))
-    resid = max(resid, abs(abs(w) - 1.0), abs(model.b(zeta) - model.sign))
-    return resid
+def _draw_retraction(cfg, rng):
+    return (*_draw_positive(cfg, rng), rng.uniform())
 
 
-def _pt_torus_isometry(cfg, rng):
-    model, z = _hopf_sample(cfg, rng)
-    t = complex(rng.standard_normal() * 0.5, rng.standard_normal() * 2.0)
-    return torus_pullback_isometry_residual(model, t, z)
-
-
-def _pt_retraction(cfg, rng):
-    model = _hopf(cfg, "+")
-    z = sample_hopf(model, rng)
-    t = rng.uniform()
-    zt = retraction(model, t, z)
-    resid = max(0.0, model.b(z) - model.b(zt))
-    resid = max(resid, float(np.abs(retraction(model, 0.0, z) - z).max()))
-    resid = max(resid, float(np.abs(retraction(model, 1.0, z)[:cfg.s]).max()))
-    return resid
-
-
-def _pt_leaf_space(cfg, rng):
-    model = _hopf(cfg, "+")
-    z = sample_hopf(model, rng)
-    lab = crmod.leaf_label(model, z)
-    resid = 0.0
-    for m in range(-3, 4):
-        lab_m = crmod.leaf_label(model, model.lam ** m * z)
-        resid = max(resid, abs(lab_m.w - lab.w))
-        if not lab.same_leaf(lab_m):
-            resid = max(resid, 1.0)
-    other = crmod.leaf_label(model, np.exp(0.1) * z)
-    if lab.same_leaf(other):
-        resid = max(resid, 1.0)
-    return resid
-
-
-def _pt_leaf_radius(cfg, rng):
-    model = _hopf(cfg, "+")
+def _draw_leaf_radius(cfg, rng):
+    """A leaf label w, nudged off the excluded leaves, then three
+    pseudosphere samples."""
     w = sample_unit_circle(rng)
     arg = float(np.angle(w)) % (2 * np.pi)
-    a = arg / (2 * np.pi * np.log(model.lam))
+    a = arg / (2 * np.pi * np.log(cfg.lam))
     if min(a - np.floor(a), np.ceil(a) - a) < 1e-3:
         w = complex(np.exp(1j * (arg + 0.5)))  # nudge off the excluded leaf
-        arg = float(np.angle(w)) % (2 * np.pi)
-        a = arg / (2 * np.pi * np.log(model.lam))
-    label = crmod.label_from_w(model, w)
-    # independent oracle: deck-reduce the sample-point norm into the annulus
-    x = float(np.exp(arg / (2 * np.pi)))
-    while x >= 1.0:
-        x *= model.lam
-    while x <= model.lam:
-        x /= model.lam
-    resid = abs(x - label.chart_radius)
-    zetas = [sample_pseudosphere(cfg.n, cfg.s, rng) for _ in range(3)]
-    return max(resid, crmod.leaf_chart_image_check(model, w, zetas))
+    zetas = np.stack([sample_pseudosphere(cfg.n, cfg.s, rng) for _ in range(3)])
+    return _hopf(cfg, "+"), w, zetas
 
 
-def _pt_cayley_boundary(cfg, rng):
-    model = _hopf(cfg, "+")
+def _draw_cayley(cfg, rng):
     z = sample_pseudosphere(cfg.n, cfg.s, rng)
     if abs(z[-1] + 1.0) < 1e-6:   # dodge the transform's pole
         z = -z
-    point = cayley(cfg.s, 1.0, z)
-    return max(abs(point.residual), crmod.cayley_cr_residual(model, 1.0, z))
+    return _hopf(cfg, "+"), z
 
 
-def _pt_levi_signature(cfg, rng):
+def _check_deck_pullback(model, lck, Z):
+    H = lck.chart.hermitian(Z)
+    Hl = lck.chart.hermitian(model.lam * Z)
+    return np.abs(Hl * model.lam ** 2 - H).max(axis=(-2, -1))
+
+
+def _check_diffeo_roundtrip(model, _, Z):
+    zeta, w = hopf_diffeo(model, Z)
+    back = hopf_diffeo_inv(model, zeta, w)
+    m = deck_equivalent(model, Z, back)
+    resid = np.abs(back - np.float_power(model.lam, m)[:, None] * Z).max(axis=-1)
+    # forward round trip on the product side
+    zeta2, w2 = hopf_diffeo(model, back)
+    dw = w2 - w
+    resid = np.maximum(resid, np.abs(zeta2 - zeta).max(axis=-1))
+    resid = np.maximum(resid, np.hypot(dw.real, dw.imag))   # abs() of a Python complex
+    resid = np.maximum(resid, np.abs(np.hypot(w.real, w.imag) - 1.0))
+    resid = np.maximum(resid, np.abs(model.b(zeta) - model.sign))
+    return np.where(np.isnan(m), 1.0, resid)
+
+
+def _check_torus_isometry(model, lck, Z, T):
+    return torus_pullback_isometry_residual(model, T, Z, lck)
+
+
+def _check_retraction(model, _, Z, T):
+    resid = np.maximum(0.0, model.b(Z) - model.b(retraction(model, T, Z)))
+    resid = np.maximum(resid, np.abs(retraction(model, 0.0, Z) - Z).max(axis=-1))
+    return np.maximum(resid, np.abs(retraction(model, 1.0, Z)[:, :model.s]).max(axis=-1))
+
+
+def _check_leaf_space(model, _, Z):
+    lab = crmod.leaf_label(model, Z)
+    powers = np.array([model.lam ** m for m in range(-3, 4)])
+    deck = crmod.leaf_label(model, powers[:, None, None] * Z)   # one row per power
+    dw = deck.w - lab.w
+    resid = np.hypot(dw.real, dw.imag).max(axis=0)   # abs() of a Python complex
+    resid = np.where(lab.same_leaf(deck).all(axis=0), resid, np.maximum(resid, 1.0))
+    other = crmod.leaf_label(model, np.exp(0.1) * Z)
+    return np.where(lab.same_leaf(other), np.maximum(resid, 1.0), resid)
+
+
+def _check_leaf_radius(model, _, W, zetas):
+    label = crmod.label_from_w(model, W)
+    # independent oracle: deck-reduce the sample-point norm into the annulus
+    x = np.exp((np.angle(W) % (2 * np.pi)) / (2 * np.pi))
+    while np.any(x >= 1.0):
+        x = np.where(x >= 1.0, x * model.lam, x)
+    while np.any(x <= model.lam):
+        x = np.where(x <= model.lam, x / model.lam, x)
+    return np.maximum(np.abs(x - label.chart_radius),
+                      crmod.leaf_chart_image_check(model, W, zetas))
+
+
+def _check_cayley_boundary(model, _, Z):
+    return np.maximum(np.abs(cayley(model.s, 1.0, Z).residual),
+                      crmod.cayley_cr_residual(model, 1.0, Z))
+
+
+def _check_levi_signature(cfg: RunConfig, draws: list) -> list:
+    """One constant of (n, s) for every draw: its draw consumes nothing."""
     sig = crmod.siegel_levi_signature(cfg.n, cfg.s)
-    return 0.0 if sig == (cfg.s, cfg.n - cfg.s - 1) else 1.0
+    return [0.0 if sig == (cfg.s, cfg.n - cfg.s - 1) else 1.0] * len(draws)
 
 
-def _pt_gab_invariance(cfg, rng):
+# ---------------------------------------------------------------------------
+# point functions: the Tricerri suites
+# ---------------------------------------------------------------------------
+
+def _draw_witness(cfg, rng):
+    key, p = _chart_draw(cfg, rng)
+    p[0] = p[0].real + 1j  # witness at Im(w) = 1
+    return key, p
+
+
+def _draw_gab(cfg, rng):
     p = sample_tricerri(cfg.n, rng)
     alpha = 1.0 + 3.0 * rng.uniform()
     beta = np.exp(2j * np.pi * rng.uniform()) / np.sqrt(alpha)
-    return gab_invariance_residual(cfg.n, cfg.s, alpha, beta, p[0], p[1:])
+    return (cfg.n, cfg.s), p, alpha, beta
+
+
+def _check_prop2_lee(_, lck, P):
+    data = lee_data(lck, P)
+    expect = np.zeros(P.shape, dtype=complex)
+    expect[:, 0] = 1j * P[:, 0].imag
+    return np.maximum(np.abs(data.c - 1.0), np.abs(data.B.hol - expect).max(axis=-1))
+
+
+def _check_prop2_nabla_b(_, lck, P):
+    """nabla_{Z_j} B = Z_j / 2 along the z-block frame fields (coordinate
+    0 is w), from one derivative of B."""
+    m = P.shape[-1]
+    Bf = lambda q: lee_data(lck, q).B
+    gamma = christoffel(lck.chart, P)
+    dB = _field_derivatives([Bf], P, chart=lck.chart)[0]
+    B = Bf(P)
+    worst = 0.0
+    for j in range(1, m):
+        X = TangentVector.complexified(np.eye(m)[j], np.zeros(m))
+        expect = np.zeros(2 * m, dtype=complex)
+        expect[j] = 0.5
+        out = _covariant_along(gamma, X, B, dB)
+        worst = np.maximum(worst, np.abs(out.components - expect).max(axis=-1))
+    return worst
+
+
+def _check_gab_invariance(dims, _, P, alpha, beta):
+    return gab_invariance_residual(*dims, alpha, beta, P[:, 0], P[:, 1:])
 
 
 def _fixed(value: float) -> Callable[[RunConfig], float]:
@@ -694,13 +698,13 @@ SUITES: tuple[Suite, ...] = (
     Suite("prop1-lee-field", "Proposition 1", frozenset({"hopf"}),
           _fixed(1e-10), _chart_draw, _stacked(_check_prop1_lee)),
     Suite("prop2-lee-field", "Proposition 2", frozenset({"tricerri"}),
-          _fixed(1e-10), _pt_prop2_lee),
+          _fixed(1e-10), _chart_draw, _stacked(_check_prop2_lee)),
     Suite("parallel-lee", "Proposition 1", frozenset({"hopf", "flat"}),
           lambda c: c.tol_fd, _chart_draw, _stacked(_check_parallel_lee)),
     Suite("nonparallel-lee", "Proposition 2", frozenset({"tricerri"}),
-          _fixed(0.01), _pt_nonparallel_lee, direction="ge"),
+          _fixed(0.01), _draw_witness, _stacked(_check_parallel_lee), direction="ge"),
     Suite("prop2-nabla-b", "Proposition 2 (proof)", frozenset({"tricerri"}),
-          lambda c: c.tol_fd, _pt_prop2_nabla_b),
+          lambda c: c.tol_fd, _chart_draw, _stacked(_check_prop2_nabla_b)),
     Suite("thm1-totally-geodesic", "Theorem 1", frozenset({"hopf"}),
           _fixed(1e-5), _draw_thm1, _stacked(_check_thm1_geodesic, branch=True)),
     Suite("eq1-leaf-signature", "Equation (1)", frozenset({"hopf"}),
@@ -736,25 +740,25 @@ SUITES: tuple[Suite, ...] = (
           frozenset({"hopf", "tricerri", "flat"}), lambda c: c.tol_fd,
           _draw_connection, _stacked(_check_connection_identities)),
     Suite("thm2-deck-pullback", "Theorem 2", frozenset({"hopf"}),
-          _fixed(1e-12), _pt_deck_pullback),
+          _fixed(1e-12), _chart_draw, _stacked(_check_deck_pullback)),
     Suite("hopf-diffeo-roundtrip", "Theorem 2", frozenset({"hopf"}),
-          _fixed(1e-9), _pt_diffeo_roundtrip),
+          _fixed(1e-9), _chart_draw, _stacked(_check_diffeo_roundtrip, chart=False)),
     Suite("torus-isometry", "Lemma 4", frozenset({"hopf"}), _fixed(1e-12),
-          _pt_torus_isometry),
+          _draw_torus, _stacked(_check_torus_isometry)),
     Suite("submersion-fibre-invariance", "Equation (17)", frozenset({"hopf"}),
           lambda c: c.tol_fd, _draw_submersion, _stacked(_check_submersion)),
     Suite("fibration-split", "Lemma 3", frozenset({"hopf"}), _fixed(1e-9),
           _draw_pseudosphere, _stacked(_check_fibration_split)),
     Suite("retraction-monotonicity", "Theorem 3 (proof)", frozenset({"hopf"}),
-          _fixed(1e-12), _pt_retraction),
+          _fixed(1e-12), _draw_retraction, _stacked(_check_retraction, chart=False)),
     Suite("thm5-leaf-space", "Theorem 5 / Equation (28)", frozenset({"hopf"}),
-          _fixed(1e-9), _pt_leaf_space),
+          _fixed(1e-9), _draw_positive, _stacked(_check_leaf_space, chart=False)),
     Suite("lemma7-leaf-radius", "Lemma 7", frozenset({"hopf"}), _fixed(1e-9),
-          _pt_leaf_radius),
+          _draw_leaf_radius, _stacked(_check_leaf_radius, chart=False)),
     Suite("cayley-boundary", "Cayley transform", frozenset({"hopf"}),
-          _fixed(1e-9), _pt_cayley_boundary),
+          _fixed(1e-9), _draw_cayley, _stacked(_check_cayley_boundary, chart=False)),
     Suite("levi-signature", "Theorem 5 (proof)", frozenset({"hopf"}),
-          _fixed(0.0), _pt_levi_signature),
+          _fixed(0.0), lambda cfg, rng: None, _check_levi_signature),
     # witness threshold sits three decades above the flatness cutoff; the
     # raw Levi value decays with the sample's Euclidean distance from the
     # cone, so the sharp 0.1 bound is asserted at a pinned point in tests
@@ -765,7 +769,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("cr-tangential", "Tangential CR operator", frozenset({"hopf"}),
           _fixed(1e-8), _draw_cr_tangential, _stacked(_check_cr_tangential)),
     Suite("gab-invariance", "Proposition 2", frozenset({"tricerri"}),
-          _fixed(1e-12), _pt_gab_invariance),
+          _fixed(1e-12), _draw_gab, _stacked(_check_gab_invariance, chart=False)),
 )
 
 _BY_NAME = {s.name: s for s in SUITES}

@@ -1,15 +1,19 @@
 """Draw-then-check suites: batched checks equal point-by-point checks.
 
-Each batched suite draws every point first and checks the draws as
-stacks.  These tests pin that a check over all draws returns, bit for
-bit, what the check returns for each draw on its own (and that the
-null Lee branch of the foliation layer and the null-Lee configurations
-stack alike), that a fault at one point is reported as a point-by-point
-run reports it (for the positive-region Hopf suites, with the message
-their point-by-point versions gave), that a synthetic-null check reads
-its points' numbers afresh each time it runs, and that the stacked
-Lee-plane derivatives, the CR fibre, the submersion's chart and Lee data
-and each h(X, Y) of eq18 are computed once.
+Every suite draws every point first and checks the draws as stacks.
+These tests pin that a check over all draws returns, bit for bit, what
+the check returns for each draw on its own (and that the null Lee
+branch of the foliation layer, the null-Lee configurations, the
+quotient maps, the leaf labels and radii, the Cayley layer and the
+family-metric invariance stack alike), that a fault at one point is
+reported as a point-by-point run reports it (for the positive-region
+Hopf suites, with the message their point-by-point versions gave; for
+the closed-form suites, at its own draw even when the stack meets a
+later fault first), that a synthetic-null check reads its points'
+numbers afresh each time it runs, and that the stacked Lee-plane
+derivatives, the CR fibre, the submersion's chart and Lee data, each
+h(X, Y) of eq18 and the charts of the closed-form Hopf suites are
+computed once.
 """
 
 import hashlib
@@ -23,20 +27,35 @@ from lcklab import cr as crmod
 from lcklab import foliations as fol
 from lcklab import models as models_mod
 from lcklab import suites as suites_mod
-from lcklab.models import HopfModel, hopf_chart, synthetic_null_structure
+from lcklab.models import (
+    HopfModel, cayley, deck_equivalent, gab_invariance_residual, hopf_chart, hopf_diffeo,
+    hopf_diffeo_inv, retraction, synthetic_null_structure, torus_pullback_isometry_residual,
+)
 from lcklab.report import RunConfig
-from lcklab.sampling import sample_null_config, sample_null_lee_vector
-from lcklab.suites import SUITES, _drawn, _run_suite, run_config
+from lcklab.sampling import (
+    sample_hopf, sample_null_config, sample_null_lee_vector, sample_pseudosphere,
+    sample_tricerri, sample_unit_circle,
+)
+from lcklab.suites import SUITES, _run_suite, run_config
 
-BATCHED = [s for s in SUITES if s.check is not _drawn]
 HOPF = hopf_chart(HopfModel(n=2, s=1, lam=0.5))
 CONFIGS = [("hopf", 2, 1), ("hopf", 3, 1), ("hopf", 4, 2), ("hopf", 8, 7), ("tricerri", 2, 1),
            ("flat", 2, 1), ("synthetic-null", 3, 1), ("synthetic-null", 4, 2),
            ("synthetic-null", 6, 1)]
+# The finite-difference suites that run on Hopf charts, each stacked by
+# region and, where it reads the foliations, by Lee branch.
+FD_HOPF = ("christoffel-oracle", "prop1-lee-field", "parallel-lee", "thm1-totally-geodesic",
+           "eq1-leaf-signature", "thm4-integrability", "thm4-plane-gram", "thm4-hp",
+           "eq20-nabla-j", "weyl-dj", "connection-identities")
 # The batched suites that sample Hopf region "+" only, as one stack per run.
 POSITIVE_REGION = ("eq18-mean-curvature", "submersion-fibre-invariance", "levi-hopf-leaf",
                    "fibration-split", "cr-tangential")
 NULL = [s for s in SUITES if s.models == {"synthetic-null"}]
+# The closed-form Hopf suites and the Tricerri-only suites, stacked last.
+CLOSED_FORM_HOPF = ("thm2-deck-pullback", "hopf-diffeo-roundtrip", "torus-isometry",
+                    "retraction-monotonicity", "thm5-leaf-space", "lemma7-leaf-radius",
+                    "cayley-boundary", "levi-signature")
+TRICERRI = ("prop2-lee-field", "nonparallel-lee", "prop2-nabla-b", "gab-invariance")
 
 
 def _draws(suite, cfg):
@@ -49,13 +68,17 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _cbits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
 def test_the_finite_difference_suites_are_batched():
-    assert {s.name for s in BATCHED} == {
-        "christoffel-oracle", "prop1-lee-field", "parallel-lee", "thm1-totally-geodesic",
-        "eq1-leaf-signature", "thm4-integrability", "thm4-plane-gram", "thm4-hp",
-        "eq20-nabla-j", "weyl-dj", "connection-identities", *POSITIVE_REGION,
-        "eq8-transversal", "eq5-nv-invariance", "screen-splits", "lemma6-pair",
-        "lemma6-invariance", "prop4-null-leaf"}
+    # one suite contract: every check takes the stacked draws of a run
+    assert {s.name for s in SUITES} == {*FD_HOPF, *POSITIVE_REGION, *CLOSED_FORM_HOPF,
+                                        *TRICERRI, *(s.name for s in NULL)}
+    stacked = {"_stacked.<locals>.check", "_null_stacked.<locals>.check",
+               "_check_levi_signature"}
+    assert {s.check.__qualname__ for s in SUITES} == stacked
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -63,7 +86,7 @@ def test_the_finite_difference_suites_are_batched():
 def test_check_of_all_draws_equals_check_of_each(model, n, s, seed):
     cfg = RunConfig(model=model, n=n, s=s, points=6, seed=seed)
     checked = 0
-    for suite in BATCHED:
+    for suite in SUITES:
         if not suite.applicable(cfg):
             continue
         draws = _draws(suite, cfg)
@@ -120,6 +143,74 @@ def test_a_null_check_run_twice_reads_the_same_numbers(suite):
     assert _bits(suite.check(cfg, draws)) == _bits(suite.check(cfg, draws))
 
 
+STACK_DIMS = [(2, 1), (4, 2), (8, 7)]
+
+
+@pytest.mark.parametrize("n, s", STACK_DIMS)
+def test_stacked_quotient_maps_equal_single_points(n, s):
+    rng = np.random.default_rng(100 * n + s)
+    model = HopfModel(n=n, s=s, lam=0.3)
+    Z = np.stack([sample_hopf(model, rng) for _ in range(5)])
+    T = 0.5 * rng.standard_normal(5) + 2j * rng.standard_normal(5)
+    t = rng.uniform(size=5)
+    # deck powers -2, 0, 1 and 3 of Z, and one point on no deck orbit of its Z
+    Zp = np.array([0.3 ** -2, 1.0, 0.3, 0.3 ** 3, 1.1])[:, None] * Z
+    lck = hopf_chart(model)
+    zeta, w = hopf_diffeo(model, Z)
+    back = hopf_diffeo_inv(model, zeta, w)
+    deck = deck_equivalent(model, Z, Zp)
+    assert list(deck[:4]) == [-2, 0, 1, 3] and np.isnan(deck[4])
+    torus = torus_pullback_isometry_residual(model, T, Z, lck)
+    pulled = retraction(model, t, Z)
+    norms = model.norm_sn(Z)
+    for i, z in enumerate(Z):
+        zeta_i, w_i = hopf_diffeo(model, z)
+        assert (_cbits(zeta[i]), _cbits(w[i])) == (_cbits(zeta_i), _cbits(w_i))
+        assert _cbits(back[i]) == _cbits(hopf_diffeo_inv(model, zeta_i, w_i))
+        single = deck_equivalent(model, z, Zp[i])
+        assert single is None if i == 4 else single == deck[i]
+        assert _bits(torus[i]) == _bits(torus_pullback_isometry_residual(model, T[i], z))
+        assert _cbits(pulled[i]) == _cbits(retraction(model, t[i], z))
+        assert _bits(norms[i]) == _bits(model.norm_sn(z))
+
+
+@pytest.mark.parametrize("n, s", STACK_DIMS)
+def test_stacked_leaf_and_cayley_layers_equal_single_points(n, s):
+    rng = np.random.default_rng(10 * n + s)
+    model = HopfModel(n=n, s=s, lam=0.3)
+    Z = np.stack([sample_hopf(model, rng) for _ in range(5)])
+    W = np.array([sample_unit_circle(rng) for _ in range(5)])
+    zetas = np.stack([[sample_pseudosphere(n, s, rng) for _ in range(3)] for _ in range(5)])
+    pseudo = zetas[:, 0]
+    labels, from_w = crmod.leaf_label(model, Z), crmod.label_from_w(model, W)
+    image = crmod.leaf_chart_image_check(model, W, zetas)
+    boundary = cayley(s, 1.0, pseudo)
+    cr_resid = crmod.cayley_cr_residual(model, 1.0, pseudo)
+    for i in range(5):
+        for stacked, single in ((labels, crmod.leaf_label(model, Z[i])),
+                                (from_w, crmod.label_from_w(model, W[i]))):
+            assert _cbits(stacked.w[i]) == _cbits(single.w)
+            assert _bits([stacked.a[i], stacked.chart_radius[i]]) == \
+                _bits([single.a, single.chart_radius])
+        assert _bits(image[i]) == _bits(crmod.leaf_chart_image_check(model, W[i], zetas[i]))
+        one = cayley(s, 1.0, pseudo[i])
+        assert (_cbits(boundary.zeta[i]), _bits(boundary.residual[i])) == \
+            (_cbits(one.zeta), _bits(one.residual))
+        assert _bits(cr_resid[i]) == _bits(crmod.cayley_cr_residual(model, 1.0, pseudo[i]))
+
+
+@pytest.mark.parametrize("n, s", STACK_DIMS)
+def test_stacked_gab_invariance_equals_single_points(n, s):
+    rng = np.random.default_rng(n + s)
+    P = np.stack([sample_tricerri(n, rng) for _ in range(5)])
+    alpha = 1.0 + 3.0 * rng.uniform(size=5)
+    beta = np.exp(2j * np.pi * rng.uniform(size=5)) / np.sqrt(alpha)
+    stacked = gab_invariance_residual(n, s, alpha, beta, P[:, 0], P[:, 1:])
+    for i, p in enumerate(P):
+        single = gab_invariance_residual(n, s, alpha[i], beta[i], p[0], p[1:])
+        assert _bits(stacked[i]) == _bits(single)
+
+
 def _on_the_cone(z: np.ndarray) -> np.ndarray:
     """A point of the Hopf null cone b(z, z) = 0: off every chart domain,
     with an infinite metric."""
@@ -138,8 +229,8 @@ def _point_by_point(suite, cfg, draws):
     return residuals, None, None
 
 
-@pytest.mark.parametrize("suite", [s for s in BATCHED if "hopf" in s.models
-                                   and s.name not in POSITIVE_REGION], ids=lambda s: s.name)
+@pytest.mark.parametrize("suite", [s for s in SUITES if s.name in FD_HOPF],
+                         ids=lambda s: s.name)
 def test_a_fault_at_draw_3_is_named_as_point_by_point(suite):
     cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
     calls = []
@@ -220,6 +311,49 @@ def test_a_fault_at_draw_3_of_a_positive_region_suite_keeps_its_message(monkeypa
     with np.errstate(divide="ignore", invalid="ignore"):
         result = _run_suite(cfg, suite)
     assert (result.verdict, result.error) == ("error", expected)
+
+
+def _planted(suite, faults: dict):
+    """The suite with draw k replaced by faults[k](draw) for each k in faults."""
+    calls = []
+
+    def draw(cfg, rng):
+        d = suite.draw(cfg, rng)
+        calls.append(1)
+        return faults.get(len(calls) - 1, lambda x: x)(d)
+
+    return replace(suite, draw=draw)
+
+
+# A fault planted at draw k, another at draw k + 2 that the stacked check
+# meets first, and the error of draw k.
+STACKED_FAULTS = {
+    "cayley-boundary": (
+        lambda d: (d[0], 2.0 * d[1]),                                 # off the pseudosphere
+        lambda d: (d[0], -np.eye(len(d[1]), dtype=complex)[-1]),      # the Cayley pole
+        "ValueError: point must lie on the pseudosphere of radius r"),
+    "gab-invariance": (
+        lambda d: (d[0], np.concatenate([[d[1][0].conj()], d[1][1:]]), *d[2:]),   # Im(w) < 0
+        lambda d: (*d[:2], 2.0 * d[2], d[3]),                         # alpha |beta|^2 = 2
+        "ChartDomainError: need Im(w) > 0"),
+}
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("name", sorted(STACKED_FAULTS))
+def test_a_fault_at_draw_k_of_a_closed_form_suite_is_reported_at_k(name, k):
+    suite = suites_mod._BY_NAME[name]
+    first, later, expected = STACKED_FAULTS[name]
+    cfg = RunConfig(model="hopf" if "hopf" in suite.models else "tricerri", n=3, s=1,
+                    points=6, seed=42)
+    draws = _draws(_planted(suite, {k: first, k + 2: later}), cfg)
+    with pytest.raises(suites_mod._POINT_FAULTS) as stacked:
+        suite.check(cfg, draws)
+    assert f"{type(stacked.value).__name__}: {stacked.value}" != expected
+    _, message, bad = _point_by_point(suite, cfg, draws)
+    assert message == expected and bad is draws[k]
+    result = _run_suite(cfg, _planted(suite, {k: first, k + 2: later}))
+    assert (result.verdict, result.points, result.error) == ("error", 0, expected)
 
 
 @pytest.mark.parametrize("suite", NULL, ids=lambda s: s.name)
@@ -376,6 +510,21 @@ class TestDerivedOnce:
                                       suites=("prop4-null-leaf",)))
         assert report.results[0].verdict == "pass"
         assert len(calls) == 1          # one per point before the null suites were stacked
+
+    def test_closed_form_hopf_suites_build_a_chart_per_region_or_none(self, monkeypatch):
+        builds = []
+        for module in (models_mod, suites_mod):
+            builds.append(self._counted(monkeypatch, module, "hopf_chart"))
+        # one per point before these suites were stacked; the metric suites
+        # sample both regions
+        for name, allowed in (("thm2-deck-pullback", {1, 2}), ("torus-isometry", {1, 2}),
+                              ("hopf-diffeo-roundtrip", {0}), ("thm5-leaf-space", {0})):
+            report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
+                                          suites=(name,)))
+            assert report.results[0].verdict == "pass"
+            assert sum(map(len, builds)) in allowed, name
+            for calls in builds:
+                calls.clear()
 
 
 # A 1e-6 relative perturbation of each stacked Hopf closed form.  The

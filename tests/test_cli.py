@@ -13,6 +13,11 @@ from lcklab.report import RunConfig, VerificationReport, to_csv, to_json
 from lcklab.suites import SUITES, Suite, UsageError, _run_suite, run_config, suites_for
 
 
+def _residuals(cfg, draws):
+    """A probe suite's check: each draw is its own residual."""
+    return list(draws)
+
+
 def run_cli(args, env=None):
     import os
     full_env = dict(os.environ)
@@ -102,7 +107,8 @@ class TestRunConfig:
         cfg = RunConfig(model="hopf", points=2, seed=4, suites=("all",))
         before = {r.name: r.max_residual for r in run_config(cfg).results}
         dummy = Suite(name="dummy-first", anchor="none", models=frozenset({"hopf"}),
-                      tolerance=lambda cfg: 1.0, draw=lambda cfg, rng: rng.uniform())
+                      tolerance=lambda cfg: 1.0, draw=lambda cfg, rng: rng.uniform(),
+                      check=_residuals)
         monkeypatch.setattr(suites_mod, "SUITES", (dummy,) + SUITES)
         monkeypatch.setattr(suites_mod, "_BY_NAME", {s.name: s for s in suites_mod.SUITES})
         after = {r.name: r.max_residual for r in run_config(cfg).results}
@@ -119,7 +125,7 @@ class TestRunConfig:
         it = iter(values)
         suite = Suite(name="nonfinite-probe", anchor="none", models=frozenset({"hopf"}),
                       tolerance=lambda cfg: 0.5, draw=lambda cfg, rng: next(it),
-                      direction=direction)
+                      check=_residuals, direction=direction)
         cfg = RunConfig(model="hopf", points=len(values), seed=0)
         result = _run_suite(cfg, suite)
         assert result.verdict == "fail"
@@ -131,7 +137,7 @@ class TestRunConfig:
         def draw(cfg, rng):
             raise exc_type("probe")
         return Suite(name="raise-probe", anchor="none", models=frozenset({"hopf"}),
-                     tolerance=lambda cfg: 0.5, draw=draw)
+                     tolerance=lambda cfg: 0.5, draw=draw, check=_residuals)
 
     @pytest.mark.parametrize("exc_type", [
         ChartDomainError, SingularLeeError, SingularMetricError, np.linalg.LinAlgError,

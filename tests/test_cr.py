@@ -17,7 +17,9 @@ from lcklab.cr import (
 )
 from lcklab.charts import ChartDomainError, TangentVector
 from lcklab.lck import LCKStructure, lee_data
-from lcklab.models import HopfModel, flat_chart, hopf_chart, synthetic_null_structure
+from lcklab.models import (
+    HopfModel, deck_equivalent, flat_chart, hopf_chart, synthetic_null_structure,
+)
 from lcklab.report import RunConfig
 from lcklab.suites import run_config
 from lcklab.sampling import sample_hopf, sample_pseudosphere
@@ -177,6 +179,29 @@ class TestLeafLabels:
     def test_negative_region_rejected(self):
         with pytest.raises(ChartDomainError):
             leaf_label(MODEL, np.array([1.0, 0.2], dtype=complex))
+
+    def test_leaves_that_are_not_deck_equivalent_are_not_the_same_leaf(self):
+        # the radii of z and z exp((log lambda)^2) differ by lambda^-0.693,
+        # no integer power of lambda; a rotation exp(2 pi i m log lambda)
+        # of w once joined them (|dw| = 1.64)
+        model = HopfModel(n=3, s=1, lam=0.5)
+        z = sample_hopf(model, np.random.default_rng(3))
+        other = np.exp(np.log(model.lam) ** 2) * z
+        assert deck_equivalent(model, z, other) is None
+        assert not leaf_label(model, z).same_leaf(leaf_label(model, other))
+
+    @pytest.mark.xfail(strict=True, reason="leaf_label writes w = exp(2 pi i log r / log lambda), "
+                       "label_from_w reads w as exp(2 pi i log r) (CHANGES.md FOUND)")
+    def test_chart_radius_of_a_label_is_the_deck_reduced_radius(self):
+        model = HopfModel(n=3, s=1, lam=0.5)
+        z = sample_hopf(model, np.random.default_rng(3))
+        r = model.norm_sn(z)
+        while r >= 1.0:
+            r *= model.lam
+        while r <= model.lam:
+            r /= model.lam
+        # 0.5488 against 0.5799
+        assert leaf_label(model, z).chart_radius == pytest.approx(r, rel=1e-9)
 
 
 class TestLeafChartImage:

@@ -14,7 +14,10 @@ GOLDEN_6 pins reports at 6 points of every suite, at other seeds and
 dimensions: the Hopf ones recorded before the per-draw Hopf suites were
 stacked, the synthetic-null ones (n = 2 runs the n = 2 branch of
 prop4-null-leaf and skips the two lemma6 suites) before the null suites
-were stacked.
+were stacked.  GOLDEN_6_LAMBDA, recorded before the closed-form Hopf and
+the Tricerri suites were stacked, adds Tricerri at two more seeds and
+dimensions and Hopf at lambda other than 0.5, on which the leaf, diffeo
+and deck suites depend.
 """
 
 import hashlib
@@ -46,6 +49,16 @@ GOLDEN_6 = {
 }
 
 
+GOLDEN_6_LAMBDA = {
+    ("tricerri", 2, 1, 0.5, 1001):
+        "0f3c79f10185eeb7b18c5ab78467d0792809708425ca06d99ad3519ad8398b3d",
+    ("tricerri", 3, 0, 0.5, 7):
+        "dc9bc2fedd78aedc5f93013cd8140d4b15f39a63598c5f366c66486d34430e2f",
+    ("hopf", 3, 1, 0.9, 42): "f9de44effdf6845cc816f7e44f3d7064a4711691ac2fa025039c41c3d21a0f62",
+    ("hopf", 5, 2, 0.1, 1001): "9a2d2df43df4f19fce55b491bbee48ef9c24cd8ca2422cf6f9484f5cc69724eb",
+}
+
+
 def _digest(cfg: RunConfig) -> str:
     return hashlib.sha256(to_json(run_config(cfg)).encode()).hexdigest()
 
@@ -60,3 +73,9 @@ def test_report_digest(model, n, s):
 def test_six_point_report_digest(model, n, s, seed):
     cfg = RunConfig(model=model, n=n, s=s, points=6, seed=seed, suites=("all",))
     assert _digest(cfg) == GOLDEN_6[(model, n, s, seed)]
+
+
+@pytest.mark.parametrize("model, n, s, lam, seed", sorted(GOLDEN_6_LAMBDA))
+def test_six_point_report_digest_at_lambda(model, n, s, lam, seed):
+    cfg = RunConfig(model=model, n=n, s=s, lam=lam, points=6, seed=seed, suites=("all",))
+    assert _digest(cfg) == GOLDEN_6_LAMBDA[(model, n, s, lam, seed)]
