@@ -23,7 +23,8 @@ Conventions
 * Index order in Gamma[A, B, C] and all frame-indexed arrays:
   0..n-1 holomorphic, n..2n-1 antiholomorphic.
 * Stacked callables: wirtinger_derivative evaluates its whole stencil,
-  the 8n points z + t e_l and z + i t e_l for t = +-h, +-h/2, as one
+  the 8n points z + t e_l and z + i t e_l for t = +-h, +-h/2 with the
+  one step h = fd_step(z) that every derivative here uses, as one
   (8n, n) array in a single call, and requires a result whose leading
   axis has length 8n.  So every callable that gets differentiated takes
   points of shape (..., n) and returns one value per point: a chart's
@@ -36,7 +37,7 @@ Conventions
 * Stacks of base points: christoffel (and a chart's closed form),
   koszul_christoffel, covariant_derivative, lie_bracket and
   wirtinger_derivative take a point z (n,) or a stack (m, n) of base
-  points, with one step h per point; the stencil of a stack is
+  points, with one step fd_step per point; the stencil of a stack is
   (8n, m, n), so per-point parameters of shape (m, ...) broadcast
   against it, and derivatives come back indexed [m, l, ...].  Fixed
   vectors may carry one vector per point.  Domain faults name the first
@@ -303,21 +304,22 @@ def _stencil(z: np.ndarray, h) -> np.ndarray:
     return z + steps[:, :, None, ..., None] * eye
 
 
-def wirtinger_derivative(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-                         h=None, chart: MetricChart | None = None) -> tuple[np.ndarray, np.ndarray]:
+def wirtinger_derivative(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, *,
+                         chart: MetricChart | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(d fn/dz^l, d fn/dzbar^l) for an array-valued function of z, at a
-    point z (n,) or at every point of a stack z (..., n).
+    point z (n,) or at every point of a stack z (..., n), with the step
+    fd_step(z), one per point.
 
     fn is called once, on the whole stencil: an (8n, n) array for a point
     and an (8n, ..., n) array for a stack, which keeps the stack axes so
     that per-point parameters of shape (..., k) broadcast against it.  It
     must return its values with those leading axes (see the module
-    docstring).  With a chart, a point or stencil off its domain raises
-    ChartDomainError before fn is called.  Returns arrays indexed
-    [..., l, value axes].
+    docstring).  With a chart (keyword only), a point or stencil off its
+    domain raises ChartDomainError before fn is called.  Returns arrays
+    indexed [..., l, value axes].
     """
     z = np.asarray(z, dtype=complex)
-    h = fd_step(z) if h is None else h
+    h = fd_step(z)
     n, lead = z.shape[-1], z.shape[:-1]
     head = (8 * n,) + lead
     stencil = _stencil(z, h).reshape(head + (n,))
@@ -440,14 +442,14 @@ def _as_field(obj) -> Callable[[np.ndarray], TangentVector]:
     return obj
 
 
-def _field_derivatives(fields, z: np.ndarray, h=None,
+def _field_derivatives(fields, z: np.ndarray, *,
                        chart: MetricChart | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """(d Y^A/dz^l, d Y^A/dzbar^l) of each vector field Y, indexed
     [..., l, A], from one stencil evaluation of all of them (on the
     chart's domain, when a chart is given)."""
     z = np.asarray(z, dtype=complex)
     d_dz, d_dzb = wirtinger_derivative(
-        lambda p: np.concatenate([Y(p).components for Y in fields], axis=-1), z, h, chart)
+        lambda p: np.concatenate([Y(p).components for Y in fields], axis=-1), z, chart=chart)
     w = d_dz.shape[-1] // len(fields)
     return [(np.ascontiguousarray(d_dz[..., k * w:(k + 1) * w]),
              np.ascontiguousarray(d_dzb[..., k * w:(k + 1) * w])) for k in range(len(fields))]
@@ -500,13 +502,13 @@ def gradient(chart: MetricChart, f: Callable[[np.ndarray], complex],
     return TangentVector.from_components(_solve_gram(_mixed_blocks(H, H.conj()), df, z))
 
 
-def lie_bracket(X, Y, z: np.ndarray, h=None) -> TangentVector:
+def lie_bracket(X, Y, z: np.ndarray) -> TangentVector:
     """[X, Y]^A = X(Y^A) - Y(X^A) at a point or a stack; metric independent.
     The fields among X and Y share one stencil evaluation."""
     z = np.asarray(z, dtype=complex)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     moving = [f for f in (Y, X) if not isinstance(f, TangentVector)]
-    derivs = iter(_field_derivatives(moving, z, h) if moving else ())
+    derivs = iter(_field_derivatives(moving, z) if moving else ())
     zero = np.zeros(Xv.components.shape, dtype=complex)
     dY = zero if isinstance(Y, TangentVector) else _along(Xv, next(derivs))
     dX = zero if isinstance(X, TangentVector) else _along(Yv, next(derivs))
@@ -514,28 +516,24 @@ def lie_bracket(X, Y, z: np.ndarray, h=None) -> TangentVector:
 
 
 def exterior_derivative_1form(alpha: Callable[[np.ndarray], np.ndarray],
-                              z: np.ndarray, h: float | None = None) -> np.ndarray:
+                              z: np.ndarray) -> np.ndarray:
     """(d alpha)_{AB} = Z_A(alpha_B) - Z_B(alpha_A) on frame pairs.
 
     alpha(z) returns the 2n frame components (alpha(Z_A))_A.
     """
-    z = np.asarray(z, dtype=complex)
-    h = fd_step(z) if h is None else h
-    d_dz, d_dzb = wirtinger_derivative(alpha, z, h)
+    d_dz, d_dzb = wirtinger_derivative(alpha, z)
     grad = np.vstack([d_dz, d_dzb])  # grad[A, B] = Z_A(alpha_B)
     return grad - grad.T
 
 
 def exterior_derivative_2form(omega: Callable[[np.ndarray], np.ndarray],
-                              z: np.ndarray, h: float | None = None) -> np.ndarray:
+                              z: np.ndarray) -> np.ndarray:
     """(d Omega)_{ABC} by the alternating sum over coordinate triples.
 
     omega(z) returns the antisymmetric 2n x 2n frame component matrix.
     Coordinate frame fields commute, so no bracket terms appear.
     """
-    z = np.asarray(z, dtype=complex)
-    h = fd_step(z) if h is None else h
-    d_dz, d_dzb = wirtinger_derivative(omega, z, h)
+    d_dz, d_dzb = wirtinger_derivative(omega, z)
     grad = np.concatenate([d_dz, d_dzb], axis=0)  # grad[E, A, B] = Z_E(Omega_AB)
     # (d Omega)_{ABC} = grad[A,B,C] - grad[B,A,C] + grad[C,A,B]
     return grad - grad.transpose(1, 0, 2) + grad.transpose(1, 2, 0)
@@ -552,15 +550,14 @@ def kahler_form(chart: MetricChart) -> Callable[[np.ndarray], np.ndarray]:
     return omega
 
 
-def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray,
-                               gamma: ConnectionCoefficients | None = None) -> TangentVector:
+def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> TangentVector:
     """Levi-Civita connection of the rescaled metric exp(-f) g.
 
     Returns nabla_X Y - (1/2){X(f) Y + Y(f) X - g(X,Y) grad f}, the
     conformal-change law written with the base metric's gradient.
     """
     z = np.asarray(z, dtype=complex)
-    base = covariant_derivative(chart, X, Y, z, gamma=gamma)
+    base = covariant_derivative(chart, X, Y, z)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     d_dz, d_dzb = wirtinger_derivative(f, z, chart=chart)
     df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])

@@ -88,8 +88,6 @@ def main(argv=None) -> int:
     try:
         seed = _resolve_seed(args.seed)
         names = tuple(x.strip() for x in args.suites.split(",") if x.strip())
-        if not names:
-            raise UsageError("empty suite selection")
         cfg = RunConfig(model=args.model, n=args.n, s=args.s, lam=args.lam,
                         points=args.points, tol_analytic=args.tol_analytic,
                         tol_fd=args.tol_fd, seed=seed, suites=names)

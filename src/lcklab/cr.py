@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartDomainError, TangentVector, lie_bracket, wirtinger_derivative, fd_step
+from .charts import ChartDomainError, TangentVector, lie_bracket, wirtinger_derivative
 from .lck import LCKStructure, _nonsingular, lee_data
 from .models import HopfModel, cayley, eps_signs
 from .semieuclid import FrameSubspace, _kernel, _lstsq_rows, _per_point
@@ -38,6 +38,10 @@ __all__ = [
     "leaf_chart_image_check", "siegel_levi_matrix", "siegel_levi_signature",
     "cayley_cr_residual", "leaf_extension_hypothesis",
 ]
+
+LEVI_FLAT_TOL = 1e-6      # Levi form values below this count as zero
+SAME_LEAF_TOL = 1e-9      # labels this close on the unit circle name one leaf
+EXCLUDED_LEAF_TOL = 1e-9  # chart index a this close to an integer is excluded
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class CRFibre:
 def _t10_basis(omega_hol: np.ndarray) -> np.ndarray:
     """Orthonormal (Euclidean) basis of {v : omega_hol . v = 0} as columns,
     one (n, n-1) basis per point of a stack of covectors (..., n)."""
-    return _kernel(omega_hol[..., None, :], omega_hol.shape[-1]).conj().swapaxes(-1, -2)
+    return _kernel(omega_hol[..., None, :]).conj().swapaxes(-1, -2)
 
 
 def cr_fibre(lck: LCKStructure, z) -> CRFibre:
@@ -92,8 +96,7 @@ def tangential_cr_residual(fib: CRFibre, f):
     the charts module docstring); its restriction to the leaf is CR at z
     iff the residual vanishes.
     """
-    z = fib.point
-    _, d_dzb = wirtinger_derivative(f, z, fd_step(z))
+    _, d_dzb = wirtinger_derivative(f, fib.point)
     # T01 = conj(T10): Zbar(f) contracts conj components with dzbar
     vals = np.matvec(fib.t10.conj().swapaxes(-1, -2), d_dzb)
     return _per_point(np.abs(vals).max(axis=-1, initial=0.0))
@@ -138,15 +141,16 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
     return _per_point(1j * _lstsq_rows(M, br)[..., -1])
 
 
-def levi_flat_detector(lck: LCKStructure, fib: CRFibre, tol: float = 1e-6):
-    """True iff the Levi form vanishes on a full CR basis of the CR fibre
-    fib of lck (at z = fib.point; per point of a stacked fibre)."""
+def levi_flat_detector(lck: LCKStructure, fib: CRFibre):
+    """True iff the Levi form stays below LEVI_FLAT_TOL on a full CR basis
+    of the CR fibre fib of lck (at z = fib.point; per point of a stacked
+    fibre)."""
     worst = 0.0
     for a in range(fib.t10.shape[-1]):
         for b in range(fib.t10.shape[-1]):
             worst = np.maximum(worst, np.abs(levi_form(lck, fib, fib.t10[..., a],
                                                        fib.t10[..., b])))
-    return _per_point(worst < tol)
+    return _per_point(worst < LEVI_FLAT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +170,10 @@ class LeafLabel:
     a: float
     chart_radius: float
 
-    def same_leaf(self, other: "LeafLabel", tol: float = 1e-9):
-        """True iff |w - w'| <= tol, per point of stacked labels."""
+    def same_leaf(self, other: "LeafLabel"):
+        """True iff |w - w'| <= SAME_LEAF_TOL, per point of stacked labels."""
         d = np.asarray(self.w - other.w)
-        return _per_point(np.hypot(d.real, d.imag) <= tol)
+        return _per_point(np.hypot(d.real, d.imag) <= SAME_LEAF_TOL)
 
 
 def leaf_label(model: HopfModel, z) -> LeafLabel:
@@ -201,7 +205,7 @@ def label_from_w(model: HopfModel, w) -> LeafLabel:
     return LeafLabel(w=_per_point(w), a=_per_point(a), chart_radius=_per_point(radius))
 
 
-def leaf_chart_image_check(model: HopfModel, w, samples, tol_excluded: float = 1e-9):
+def leaf_chart_image_check(model: HopfModel, w, samples):
     """Max residual of the chart-image radius over pseudosphere samples:
     for one w and samples (k, n) or (n,), or per point of a stack of w
     (m,) with samples (m, k, n).
@@ -209,12 +213,13 @@ def leaf_chart_image_check(model: HopfModel, w, samples, tol_excluded: float = 1
     For each unit-pseudosphere sample zeta, the representative
     (chart_radius * zeta) must have |.|_{s,n} equal to the radius and lie
     strictly inside the fundamental annulus lambda < |.|_{s,n} < 1.
-    Labels with integer a (the leaf of the unit pseudosphere itself) are
-    excluded: that leaf needs the shifted-annulus chart instead.
+    Labels with integer a, to within EXCLUDED_LEAF_TOL (the leaf of the
+    unit pseudosphere itself), are excluded: that leaf needs the
+    shifted-annulus chart instead.
     """
     label = label_from_w(model, w)
     a, radius = np.asarray(label.a), np.asarray(label.chart_radius)
-    if np.any(np.minimum(a - np.floor(a), np.ceil(a) - a) <= tol_excluded):
+    if np.any(np.minimum(a - np.floor(a), np.ceil(a) - a) <= EXCLUDED_LEAF_TOL):
         raise ValueError("excluded leaf: use the shifted annulus chart "
                          "(integer chart index)")
     samples = np.asarray(samples, dtype=complex)

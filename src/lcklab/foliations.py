@@ -27,7 +27,7 @@ all non-null or all null; a mixed stack raises ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def _screen_split(form: SemiEuclideanForm, radical: np.ndarray,
     g-orthocomplement, which contains the radical.  Both inputs are row
     bases, the radical's rows lying in span(space)."""
     screen = FrameSubspace.from_vectors(form, _complement_within(radical, space))
-    return screen, _kernel(screen.basis @ form.gram, form.dim)
+    return screen, _kernel(screen.basis @ form.gram)
 
 
 def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
@@ -128,7 +128,7 @@ def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     z = np.asarray(z, dtype=complex)
     data, form = _lck_point(lck, z)
     omega, Breal = data.omega_real, data.B_real
-    tangent = FrameSubspace.from_vectors(form, _kernel(_rows(omega), form.dim))
+    tangent = FrameSubspace.from_vectors(form, _kernel(_rows(omega)))
     lee_line = FrameSubspace.from_vectors(form, _rows(Breal))
     if _lee_branch(data):
         return FoliationFibre(point=z, c=data.c, tangent=tangent,
@@ -429,21 +429,17 @@ def h_P_residual(lck: LCKStructure, z, nabla: dict | None = None):
 @dataclass(frozen=True)
 class ComplexImmersion:
     """Holomorphic parametrization u in C^m -> z in C^n of a complex
-    submanifold; `tangent` returns the n x m Jacobian d z / d u.  Both
-    maps take a parameter u (m,) or a stack of parameters (k, m) and
-    return one value per parameter: z (k, n) and (k, n, m) for a stack."""
+    submanifold with its closed-form n x m Jacobian d z / d u, `tangent`
+    (required).  Both maps take a parameter u (m,) or a stack of
+    parameters (k, m) and return one value per parameter: z (k, n) and
+    (k, n, m) for a stack."""
 
     m: int
     chart_map: Callable[[np.ndarray], np.ndarray]
-    tangent: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    tangent: Callable[[np.ndarray], np.ndarray]
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
-        if self.tangent is not None:
-            return np.asarray(self.tangent(u), dtype=complex)
-        h = np.asarray(fd_step(u))[..., None]
-        cols = [_richardson([self.chart_map(u + t * e) for t in _steps(h)], h)
-                for e in np.eye(self.m, dtype=complex)]
-        return np.stack(cols, axis=-1)
+        return np.asarray(self.tangent(u), dtype=complex)
 
 
 def _hermitian_orthonormal_frame(H: np.ndarray, cols: np.ndarray):

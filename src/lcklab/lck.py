@@ -30,7 +30,6 @@ from .charts import (
     _solve_gram,
     christoffel,
     covariant_derivative,
-    fd_step,
     wirtinger_derivative,
 )
 from .semieuclid import SemiEuclideanForm
@@ -203,8 +202,7 @@ def weyl_connection(lck: LCKStructure, X, Y, z: np.ndarray,
     return TangentVector.from_components(base.components - 0.5 * shift)
 
 
-def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray,
-                   gamma: ConnectionCoefficients | None = None) -> TangentVector:
+def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray) -> TangentVector:
     """Defect of the closed-form expression for (nabla_X J) Y, at a point
     or at each point of a stack.
 
@@ -214,8 +212,7 @@ def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray,
     """
     z = np.asarray(z, dtype=complex)
     chart = lck.chart
-    if gamma is None:
-        gamma = christoffel(chart, z)
+    gamma = christoffel(chart, z)
     Xf, Yf = _as_field(X), _as_field(Y)
     JY = Yf(z).j() if isinstance(Y, TangentVector) else (lambda p: Yf(p).j())
     lhs = covariant_derivative(chart, X, JY, z, gamma=gamma) \
@@ -230,8 +227,7 @@ def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray,
     return TangentVector.from_components(lhs.components - rhs)
 
 
-def parallel_lee_residual(lck: LCKStructure, z: np.ndarray,
-                          gamma: ConnectionCoefficients | None = None):
+def parallel_lee_residual(lck: LCKStructure, z: np.ndarray):
     """max_{A,B} |(nabla_{Z_A} omega)(Z_B)| over the coordinate frame, at a
     point (a float) or at each point of a stack (an array).
 
@@ -239,11 +235,8 @@ def parallel_lee_residual(lck: LCKStructure, z: np.ndarray,
     the second term contracts the connection coefficients with omega.
     """
     z = np.asarray(z, dtype=complex)
-    chart = lck.chart
-    if gamma is None:
-        gamma = christoffel(chart, z)
-    h = fd_step(z)
-    d_dz, d_dzb = wirtinger_derivative(lambda p: lee_form_components(lck, p), z, h)
+    gamma = christoffel(lck.chart, z)
+    d_dz, d_dzb = wirtinger_derivative(lambda p: lee_form_components(lck, p), z)
     grad = np.concatenate([d_dz, d_dzb], axis=-2)   # grad[A, B] = Z_A(omega_B)
     omega = lee_form_components(lck, z)
     contracted = np.einsum("...cab,...c->...ab", gamma.gamma, omega)

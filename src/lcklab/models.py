@@ -50,6 +50,8 @@ __all__ = [
 # Samplers stay clear of the null cone: |b(z,z)| must exceed this times
 # the Euclidean |z|^2.  Charts themselves only exclude the cone.
 CONE_MARGIN = 0.05
+# Relative gap below which zp = lambda^m z counts as deck equivalence.
+DECK_TOL = 1e-9
 
 
 def eps_signs(n: int, s: int) -> np.ndarray:
@@ -322,9 +324,10 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
 # quotient structure
 # ---------------------------------------------------------------------------
 
-def deck_equivalent(model: HopfModel, z, zp, tol: float = 1e-9):
-    """Integer m with zp = lambda^m z componentwise, or None; per point of
-    stacks z, zp (m, n), a float array of the powers with NaN for None."""
+def deck_equivalent(model: HopfModel, z, zp):
+    """Integer m with zp = lambda^m z componentwise (to within DECK_TOL
+    relative to max(1, |zp|)), or None; per point of stacks z, zp (m, n), a
+    float array of the powers with NaN for None."""
     z = np.asarray(z, dtype=complex)
     zp = np.asarray(zp, dtype=complex)
     nz, nzp = _norms(z), _norms(zp)
@@ -334,7 +337,7 @@ def deck_equivalent(model: HopfModel, z, zp, tol: float = 1e-9):
     for m in (np.floor(m0), np.ceil(m0)):   # round(m0) is one of the two
         with np.errstate(invalid="ignore"):
             gap = np.abs(zp - np.float_power(model.lam, m)[..., None] * z).max(axis=-1)
-        found = np.where(np.isnan(found) & (gap <= tol * np.maximum(1.0, nzp)), m, found)
+        found = np.where(np.isnan(found) & (gap <= DECK_TOL * np.maximum(1.0, nzp)), m, found)
     found = np.where((nz == 0.0) | (nzp == 0.0), np.nan, found)
     if found.ndim:
         return found

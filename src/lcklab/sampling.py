@@ -32,26 +32,26 @@ __all__ = [
 ]
 
 _MAX_TRIES = 10_000
+TRICERRI_MIN_IM = 0.2   # Tricerri samples keep Im(w) at least this far from the boundary
 
 
 def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def sample_hopf(model: HopfModel, rng: np.random.Generator,
-                margin: float = CONE_MARGIN) -> np.ndarray:
-    """One point of the selected region with |b(z,z)| > margin * |z|^2.
+def sample_hopf(model: HopfModel, rng: np.random.Generator) -> np.ndarray:
+    """One point of the selected region with |b(z,z)| > CONE_MARGIN * |z|^2.
 
     Exact draw z = r (sinh t u, cosh t v) for '+' and r (cosh t u, sinh t v)
     for '-', with u, v uniform on the unit spheres of the negative and
     positive blocks, so b(z,z) = +-r^2 and |b(z,z)| / |z|^2 = 1 / cosh 2t.
-    That ratio is uniform on (margin, 1] (its law for Gaussian draws in
+    That ratio is uniform on (CONE_MARGIN, 1] (its law for Gaussian draws in
     C^2_1) shrunk by a thousandth of the interval, so rounding keeps the
     inequality strict; r is uniform on [1, 2).  Fixed cost: one
     complex-normal draw and two uniforms.
     """
     z = _complex_normal(rng, model.n)
-    ratio = 1.0 - 0.999 * (1.0 - margin) * rng.uniform()
+    ratio = 1.0 - 0.999 * (1.0 - CONE_MARGIN) * rng.uniform()
     t = 0.5 * np.arccosh(1.0 / ratio)
     r = 1.0 + rng.uniform()
     minor, major = r * np.sinh(t), r * np.cosh(t)
@@ -63,19 +63,17 @@ def sample_hopf(model: HopfModel, rng: np.random.Generator,
     return z
 
 
-def sample_pseudosphere(n: int, s: int, rng: np.random.Generator,
-                        margin: float = CONE_MARGIN) -> np.ndarray:
+def sample_pseudosphere(n: int, s: int, rng: np.random.Generator) -> np.ndarray:
     """One point with b(z, z) = 1 (unit pseudosphere): the r = 1 point of
     the same draw as `sample_hopf` in region '+'."""
     model = HopfModel(n=n, s=s, lam=0.5)
-    z = sample_hopf(model, rng, margin=margin)
+    z = sample_hopf(model, rng)
     return z / model.norm_sn(z)
 
 
-def sample_tricerri(n: int, rng: np.random.Generator,
-                    min_im: float = 0.2) -> np.ndarray:
-    """One point (w, z^1..z^n) with Im(w) >= min_im."""
-    w = rng.standard_normal() + 1j * (min_im + abs(rng.standard_normal()))
+def sample_tricerri(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One point (w, z^1..z^n) with Im(w) >= TRICERRI_MIN_IM."""
+    w = rng.standard_normal() + 1j * (TRICERRI_MIN_IM + abs(rng.standard_normal()))
     return np.concatenate([[w], _complex_normal(rng, n)])
 
 
@@ -169,9 +167,9 @@ def sample_null_config(n: int, s: int, B: np.ndarray) -> NullLeeConfig:
     plane = FrameSubspace.from_vectors(form, np.stack([A, B], axis=-2))
     # P-perp via kernel of the Gram constraints; span{A, B} is its radical
     screen, sperp_rows = _screen_split(form, plane.basis,
-                                       _kernel(plane.basis @ form.gram, 2 * n))
+                                       _kernel(plane.basis @ form.gram))
     first_screen, first_perp = _screen_split(form, B[..., None, :],
-                                             _kernel(omega[..., None, :], 2 * n))
+                                             _kernel(omega[..., None, :]))
     return NullLeeConfig(n=n, s=s, form=form, B=B, A=A, omega=omega, theta=theta,
                          screen=screen, screen_perp_basis=sperp_rows,
                          first_screen=first_screen, first_screen_perp=first_perp)

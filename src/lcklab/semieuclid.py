@@ -20,7 +20,6 @@ on a rank raises ValueError.  radical takes single points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,16 +150,11 @@ class Signature:
         return self.neg
 
 
-def _ranks(sv: np.ndarray) -> list[int]:
+def _ranks(sv: np.ndarray) -> np.ndarray:
     """Numerical rank of each matrix of a stack from its singular values
-    (..., k), largest first: the count above _RANK_RTOL * max(largest, 1).
-    The cut runs on Python floats, one row per point of a stack, which
-    holds a handful of points."""
-    ranks = []
-    for s in sv.reshape(math.prod(sv.shape[:-1]), sv.shape[-1]).tolist():
-        cut = _RANK_RTOL * max(s[0] if s else 0.0, 1.0)
-        ranks.append(sum(1 for x in s if x > cut))
-    return ranks
+    (..., k), largest first: the count above _RANK_RTOL * max(largest, 1),
+    an array of the stack's shape (0 where k = 0)."""
+    return (sv > _RANK_RTOL * np.maximum(sv[..., :1], 1.0)).sum(axis=-1)
 
 
 def _full_rank(rows: np.ndarray) -> bool:
@@ -169,24 +163,25 @@ def _full_rank(rows: np.ndarray) -> bool:
     k, ncols = rows.shape[-2:]
     if k > ncols or k == 0:
         return k == 0
-    return all(r == k for r in _ranks(np.linalg.svd(rows, compute_uv=False)))
+    return bool((_ranks(np.linalg.svd(rows, compute_uv=False)) == k).all())
 
 
 def _uniform_rank(sv: np.ndarray) -> int:
     """Numerical rank from singular values (..., k), the same at every point
     of a stack."""
-    ranks = set(_ranks(sv))
-    if len(ranks) > 1:
+    ranks = _ranks(sv).ravel()
+    if not ranks.size:
+        return 0
+    if (ranks != ranks[0]).any():   # not np.unique, which imports numpy.ma
         raise ValueError("rank varies across the stack")
-    return ranks.pop() if ranks else 0
+    return int(ranks[0])
 
 
-def _kernel(rows: np.ndarray, ncols: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the right null space of `rows` via SVD;
-    a single row may be given as a vector of length `ncols`, and a stack
-    of row matrices (..., k, ncols) gives one kernel per matrix."""
-    if rows.ndim < 2:
-        rows = rows.reshape(-1, ncols)
+def _kernel(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the right null space of the rows
+    (k, ncols) via SVD; a stack of row matrices (..., k, ncols) gives one
+    kernel per matrix."""
+    ncols = rows.shape[-1]
     if rows.shape[-2] == 0:
         return np.broadcast_to(np.eye(ncols), rows.shape[:-2] + (ncols, ncols)).copy()
     _, sv, vt = np.linalg.svd(rows, full_matrices=True)
@@ -227,7 +222,7 @@ def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSub
     if not _full_rank(W.basis):
         raise DegenerateSubspaceError("rank-deficient subspace basis")
     constraints = W.basis @ form.gram
-    ker = _kernel(constraints, form.dim)
+    ker = _kernel(constraints)
     return FrameSubspace.from_vectors(form, ker) if ker.shape[-2] else FrameSubspace.zero(form)
 
 
@@ -236,7 +231,7 @@ def radical(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSubspace:
     if W.dim == 0:
         return FrameSubspace.zero(form)
     scale = max(float(np.abs(W.gram_restricted).max()), 1.0)
-    ker = _kernel(W.gram_restricted / scale, W.dim)
+    ker = _kernel(W.gram_restricted / scale)
     if ker.shape[0] == 0:
         return FrameSubspace.zero(form)
     return FrameSubspace.from_vectors(form, ker @ W.basis)

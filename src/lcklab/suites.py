@@ -14,13 +14,16 @@ order and evaluates nothing, then check(cfg, draws) returns the
 residuals of all draws in draw order; Suite.point_fn runs once per point
 and checks at the last one.  The chart, quotient, leaf and Tricerri
 suites stack the draws that share a structure (the Hopf region, or the
-one Tricerri chart) and, for the foliation suites, a Lee branch,
-evaluate each (m, n) stack through the stack-native layers and scatter
-the residuals back.  The synthetic-null suites draw a null Lee vector
-and keep the point's generator with its state; their check builds one
-stacked configuration (m, 2n) for all draws, then resets each generator
-and draws the rest of its point in the order a point-by-point run did,
-and evaluates the stack.  levi-signature checks a constant of (n, s).
+one Tricerri or flat chart), evaluate each (m, n) stack through the
+stack-native layers with that structure's chart and scatter the
+residuals back.  The foliation suites run on Hopf and Tricerri only,
+where c = +-4 or 1 is never null, so a stack never mixes Lee branches
+(the foliation layer would refuse one that did).  The synthetic-null
+suites draw a null Lee vector and keep the point's generator with its
+state; their check builds one stacked configuration (m, 2n) for all
+draws, then resets each generator and draws the rest of its point in
+the order a point-by-point run did, and evaluates the stack.
+levi-signature checks a constant of (n, s).
 Stacked rows carry single-point bits, so checking all draws equals
 checking each alone.  A batched check that meets a point fault is rerun
 one draw at a time, so the error names the first failing point.
@@ -39,7 +42,7 @@ from . import cr as crmod
 from . import foliations as fol
 from .charts import (
     TangentVector, _along, _bilinear, _covariant_along, _field_derivatives, christoffel,
-    covariant_derivative, fd_step, koszul_christoffel, wirtinger_derivative,
+    covariant_derivative, koszul_christoffel, wirtinger_derivative,
 )
 from .lck import (
     LCKStructure, lee_data, lee_form_components, nabla_J_defect, parallel_lee_residual,
@@ -168,27 +171,20 @@ def _chart_dim(cfg: RunConfig) -> int:
     return cfg.n + 1 if cfg.model == "tricerri" else cfg.n
 
 
-def _stacked(evaluate, branch: bool = False, chart: bool = True):
+def _stacked(evaluate):
     """A check of draws (key, z, *extras) that evaluates as one stack the
-    draws sharing a structure key, and with branch=True a Lee branch:
-    evaluate(key, lck, Z, *extras) gets their points stacked into Z (m, n)
-    and each extra stacked alike, and returns the m residuals, which the
-    check puts back in draw order.  With chart=False lck is None, for the
-    suites that build no chart."""
+    draws sharing a structure key: evaluate(key, lck, Z, *extras) gets the
+    key's structure (which the quotient and leaf suites ignore), their
+    points stacked into Z (m, n) and each extra stacked alike, and returns
+    the m residuals, which the check puts back in draw order."""
     def check(cfg: RunConfig, draws: list) -> list:
         out = np.empty(len(draws))
         groups: dict = {}
         for i, d in enumerate(draws):
             groups.setdefault(d[0], []).append(i)
         for key, idx in groups.items():
-            lck = _structure(cfg, key) if chart else None
-            parts = [np.array(idx)]
-            if branch:
-                non_null = np.broadcast_to(
-                    lee_data(lck, np.stack([draws[i][1] for i in idx])).non_null, len(idx))
-                parts = [parts[0][non_null == v] for v in (True, False) if np.any(non_null == v)]
-            for part in parts:
-                out[part] = evaluate(key, lck, *(np.stack(c) for c in zip(*(draws[i][1:] for i in part))))
+            out[idx] = evaluate(key, _structure(cfg, key),
+                                *(np.stack(c) for c in zip(*(draws[i][1:] for i in idx))))
         return [float(r) for r in out]
     return check
 
@@ -303,7 +299,7 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     def gYW(p):
         return _bilinear(Y.components, chart.gram_full(p), W.components)
 
-    d_dz, d_dzb = wirtinger_derivative(gYW, Z, fd_step(Z))
+    d_dz, d_dzb = wirtinger_derivative(gYW, Z)
     df = np.concatenate([d_dz, d_dzb], axis=-1)
     lhs = np.vecdot(df.conj(), X.components)
     nXY = covariant_derivative(chart, X, Y, Z, gamma=gamma)
@@ -706,9 +702,9 @@ SUITES: tuple[Suite, ...] = (
     Suite("prop2-nabla-b", "Proposition 2 (proof)", frozenset({"tricerri"}),
           lambda c: c.tol_fd, _chart_draw, _stacked(_check_prop2_nabla_b)),
     Suite("thm1-totally-geodesic", "Theorem 1", frozenset({"hopf"}),
-          _fixed(1e-5), _draw_thm1, _stacked(_check_thm1_geodesic, branch=True)),
+          _fixed(1e-5), _draw_thm1, _stacked(_check_thm1_geodesic)),
     Suite("eq1-leaf-signature", "Equation (1)", frozenset({"hopf"}),
-          _fixed(0.0), _chart_draw, _stacked(_check_eq1_signature, branch=True)),
+          _fixed(0.0), _chart_draw, _stacked(_check_eq1_signature)),
     Suite("eq8-transversal", "Equation (8)", frozenset({"synthetic-null"}),
           _fixed(1e-10), _draw_null, _null_stacked(_check_eq8_transversal, _draw_complement)),
     Suite("eq5-nv-invariance", "Lemma 1", frozenset({"synthetic-null"}),
@@ -720,9 +716,9 @@ SUITES: tuple[Suite, ...] = (
           _fixed(1e-5), _chart_draw, _stacked(_check_thm4_integrability)),
     Suite("thm4-plane-gram", "Theorem 4", frozenset({"hopf", "tricerri"}),
           lambda c: c.tol_analytic, _chart_draw,
-          _stacked(_check_thm4_plane_gram, branch=True)),
+          _stacked(_check_thm4_plane_gram)),
     Suite("thm4-hp", "Theorem 4", frozenset({"hopf"}), _fixed(1e-5),
-          _chart_draw, _stacked(_check_thm4_hp, branch=True)),
+          _chart_draw, _stacked(_check_thm4_hp)),
     Suite("lemma6-pair", "Lemma 6", frozenset({"synthetic-null"}),
           _fixed(1e-10), _draw_null, _null_stacked(_check_lemma6_pair, sample_pair_frame),
           min_n=3),
@@ -742,7 +738,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("thm2-deck-pullback", "Theorem 2", frozenset({"hopf"}),
           _fixed(1e-12), _chart_draw, _stacked(_check_deck_pullback)),
     Suite("hopf-diffeo-roundtrip", "Theorem 2", frozenset({"hopf"}),
-          _fixed(1e-9), _chart_draw, _stacked(_check_diffeo_roundtrip, chart=False)),
+          _fixed(1e-9), _chart_draw, _stacked(_check_diffeo_roundtrip)),
     Suite("torus-isometry", "Lemma 4", frozenset({"hopf"}), _fixed(1e-12),
           _draw_torus, _stacked(_check_torus_isometry)),
     Suite("submersion-fibre-invariance", "Equation (17)", frozenset({"hopf"}),
@@ -750,13 +746,13 @@ SUITES: tuple[Suite, ...] = (
     Suite("fibration-split", "Lemma 3", frozenset({"hopf"}), _fixed(1e-9),
           _draw_pseudosphere, _stacked(_check_fibration_split)),
     Suite("retraction-monotonicity", "Theorem 3 (proof)", frozenset({"hopf"}),
-          _fixed(1e-12), _draw_retraction, _stacked(_check_retraction, chart=False)),
+          _fixed(1e-12), _draw_retraction, _stacked(_check_retraction)),
     Suite("thm5-leaf-space", "Theorem 5 / Equation (28)", frozenset({"hopf"}),
-          _fixed(1e-9), _draw_positive, _stacked(_check_leaf_space, chart=False)),
+          _fixed(1e-9), _draw_positive, _stacked(_check_leaf_space)),
     Suite("lemma7-leaf-radius", "Lemma 7", frozenset({"hopf"}), _fixed(1e-9),
-          _draw_leaf_radius, _stacked(_check_leaf_radius, chart=False)),
+          _draw_leaf_radius, _stacked(_check_leaf_radius)),
     Suite("cayley-boundary", "Cayley transform", frozenset({"hopf"}),
-          _fixed(1e-9), _draw_cayley, _stacked(_check_cayley_boundary, chart=False)),
+          _fixed(1e-9), _draw_cayley, _stacked(_check_cayley_boundary)),
     Suite("levi-signature", "Theorem 5 (proof)", frozenset({"hopf"}),
           _fixed(0.0), lambda cfg, rng: None, _check_levi_signature),
     # witness threshold sits three decades above the flatness cutoff; the
@@ -769,14 +765,17 @@ SUITES: tuple[Suite, ...] = (
     Suite("cr-tangential", "Tangential CR operator", frozenset({"hopf"}),
           _fixed(1e-8), _draw_cr_tangential, _stacked(_check_cr_tangential)),
     Suite("gab-invariance", "Proposition 2", frozenset({"tricerri"}),
-          _fixed(1e-12), _draw_gab, _stacked(_check_gab_invariance, chart=False)),
+          _fixed(1e-12), _draw_gab, _stacked(_check_gab_invariance)),
 )
 
 _BY_NAME = {s.name: s for s in SUITES}
 
 
 def suites_for(cfg: RunConfig) -> tuple[Suite, ...]:
-    """Resolve the configured suite names against the registry."""
+    """Resolve the configured suite names against the registry; an empty
+    selection is a UsageError."""
+    if not cfg.suites:
+        raise UsageError("empty suite selection")
     if len(cfg.suites) == 1 and cfg.suites[0] == "all":
         chosen = tuple(s for s in SUITES if s.applicable(cfg))
         if not chosen:
@@ -799,8 +798,10 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"unknown model {cfg.model!r}")
     if cfg.points < 1:
         raise UsageError("points must be >= 1")
-    if cfg.tol_analytic <= 0 or cfg.tol_fd <= 0:
-        raise UsageError("tolerances must be positive")
+    if not (0 < cfg.tol_analytic < math.inf and 0 < cfg.tol_fd < math.inf):
+        raise UsageError("tolerances must be positive and finite")
+    if cfg.seed < 0:
+        raise UsageError("seed must be non-negative")
     if cfg.model == "hopf":
         if cfg.n < 2 or not 0 < cfg.s < cfg.n:
             raise UsageError("hopf model needs n >= 2 and 0 < s < n")

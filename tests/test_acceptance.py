@@ -164,7 +164,7 @@ def test_criterion_05_lightlike_transversal():
     for i in range(1000):
         n, s = dims[i % 3]
         cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
-        tangent_rows = _kernel(cfg.omega.reshape(1, -1), 2 * n)
+        tangent_rows = _kernel(cfg.omega.reshape(1, -1))
         qB, _ = np.linalg.qr(cfg.B.reshape(-1, 1))
         proj = tangent_rows - (tangent_rows @ qB) @ qB.T
         _, sv, vt = np.linalg.svd(proj, full_matrices=False)

@@ -511,14 +511,14 @@ class TestDerivedOnce:
         assert report.results[0].verdict == "pass"
         assert len(calls) == 1          # one per point before the null suites were stacked
 
-    def test_closed_form_hopf_suites_build_a_chart_per_region_or_none(self, monkeypatch):
+    def test_closed_form_hopf_suites_build_one_chart_per_region(self, monkeypatch):
         builds = []
         for module in (models_mod, suites_mod):
             builds.append(self._counted(monkeypatch, module, "hopf_chart"))
-        # one per point before these suites were stacked; the metric suites
-        # sample both regions
+        # one per point before these suites were stacked; every stacked check
+        # builds its region's chart, used or not, and thm5 samples region "+"
         for name, allowed in (("thm2-deck-pullback", {1, 2}), ("torus-isometry", {1, 2}),
-                              ("hopf-diffeo-roundtrip", {0}), ("thm5-leaf-space", {0})):
+                              ("hopf-diffeo-roundtrip", {1, 2}), ("thm5-leaf-space", {1})):
             report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
                                           suites=(name,)))
             assert report.results[0].verdict == "pass"

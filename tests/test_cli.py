@@ -56,6 +56,14 @@ class TestRegistry:
         with pytest.raises(UsageError):
             suites_for(cfg)
 
+    def test_empty_selection_rejected(self):
+        # RunConfig defaults to no suites: that is a usage error, not a
+        # passing report with zero suites
+        with pytest.raises(UsageError, match="empty suite selection"):
+            suites_for(RunConfig(model="hopf"))
+        with pytest.raises(UsageError, match="empty suite selection"):
+            run_config(RunConfig(model="hopf"))
+
     def test_inapplicable_suite_rejected(self):
         cfg = RunConfig(model="flat", suites=("thm1-totally-geodesic",))
         with pytest.raises(UsageError):
@@ -94,6 +102,14 @@ class TestRunConfig:
             run_config(RunConfig(model="hopf", n=2, s=2, suites=("all",)))
         with pytest.raises(UsageError):
             run_config(RunConfig(model="hopf", lam=1.5, suites=("all",)))
+
+    @pytest.mark.parametrize("bad", [
+        {"tol_fd": math.nan}, {"tol_fd": math.inf}, {"tol_fd": -math.inf},
+        {"tol_analytic": math.nan}, {"tol_analytic": math.inf}, {"seed": -1},
+    ])
+    def test_nonfinite_tolerance_or_negative_seed_rejected(self, bad):
+        with pytest.raises(UsageError):
+            run_config(RunConfig(model="hopf", points=2, suites=("prop1-lee-field",), **bad))
 
     def test_seed_changes_points_not_verdicts(self):
         reports = [run_config(RunConfig(model="hopf", points=10, seed=seed,
@@ -208,6 +224,18 @@ class TestCommandLine:
         assert out.returncode == 2
         out = run_cli(["--model", "hopf", "--suites", "nope"])
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("args,env", [
+        (["--tol-fd", "nan"], None),
+        (["--tol-fd", "inf"], None),
+        (["--tol-analytic", "inf"], None),
+        (["--seed", "-1"], None),
+        ([], {"LCKLAB_SEED": "-1"}),
+        (["--suites", ","], None),
+    ])
+    def test_bad_tolerance_seed_or_selection_exits_2(self, args, env):
+        out = run_cli(["--model", "hopf", "--points", "2", *args], env=env)
+        assert out.returncode == 2, out.stderr
 
     def test_env_seed_fallback(self):
         args = ["--model", "hopf", "--points", "4", "--suites", "prop1-lee-field"]

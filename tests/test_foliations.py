@@ -392,7 +392,7 @@ class TestIsotropicPair:
         V = sample_complement_vector(cfg, rng)
         # first-foliation screen
         from lcklab.sampling import _kernel
-        tangent_rows = _kernel(cfg.omega.reshape(1, -1), 2 * n)
+        tangent_rows = _kernel(cfg.omega.reshape(1, -1))
         qB, _ = np.linalg.qr(cfg.B.reshape(-1, 1))
         proj = tangent_rows - (tangent_rows @ qB) @ qB.T
         _, sv, vt = np.linalg.svd(proj, full_matrices=False)
@@ -468,14 +468,6 @@ class TestMeanCurvature:
             tangent=lambda u: np.array([[1.0], [1.0]], dtype=complex))
         with pytest.raises(ValueError):
             complex_submanifold_mean_curvature(flat, bad, [0.5])
-
-    def test_fd_jacobian_path(self):
-        # immersion without an analytic tangent map goes through central
-        # differences and must agree
-        line = ComplexImmersion(m=1, chart_map=lambda u: np.array([0.3 + 0j, u[0]]))
-        eq, mean = complex_submanifold_mean_curvature(HOPF, line, [1.1 - 0.2j])
-        assert eq < 1e-5
-        assert mean < 1e-5
 
 
 def test_torus_fibre_minimality():

@@ -83,10 +83,9 @@ class TestLeeData:
             domega = exterior_derivative_1form(lambda p: lee_form_components(lck, p), z)
             assert np.abs(domega).max() < 1e-6
             # omega = df for the chart's conformal factor
-            from lcklab.charts import wirtinger_derivative, fd_step
+            from lcklab.charts import wirtinger_derivative
             f = lck.conformal_factor_eval
-            d_dz, d_dzb = wirtinger_derivative(
-                lambda p: np.asarray(f(p), dtype=complex), z, fd_step(z))
+            d_dz, d_dzb = wirtinger_derivative(lambda p: np.asarray(f(p), dtype=complex), z)
             df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
             assert np.abs(df - lee_form_components(lck, z)).max() < 1e-9
 
@@ -300,13 +299,13 @@ class TestWeylConnection:
 
     def test_not_metric_compatible(self):
         # the shifted connection preserves J but not g: witness the defect
-        from lcklab.charts import fd_step, wirtinger_derivative
+        from lcklab.charts import wirtinger_derivative
         rng = np.random.default_rng(7)
         z = sample_hopf(MODEL, rng)
         Y = TangentVector.real([0.0, 1.0])
         gYY = lambda p: np.einsum("a,...ab,b->...", Y.components, HOPF.chart.gram_full(p),
                                   Y.components)
-        d_dz, d_dzb = wirtinger_derivative(gYY, z, fd_step(z))
+        d_dz, d_dzb = wirtinger_derivative(gYY, z)
         df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
         # the defect is a covector in X: witness it over all 2n real
         # coordinate directions, since one direction can sit near its kernel
