@@ -29,7 +29,7 @@ import numpy as np
 
 from .charts import ChartDomainError, TangentVector, lie_bracket, wirtinger_derivative
 from .lck import LCKStructure, _nonsingular, lee_data
-from .models import HopfModel, cayley, eps_signs
+from .models import CAYLEY_POLE_TOL, HopfModel, cayley, eps_signs
 from .semieuclid import FrameSubspace, _kernel, _lstsq_rows, _per_point
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
 LEVI_FLAT_TOL = 1e-6      # Levi form values below this count as zero
 SAME_LEAF_TOL = 1e-9      # labels this close on the unit circle name one leaf
 EXCLUDED_LEAF_TOL = 1e-9  # chart index a this close to an integer is excluded
+UNIT_CIRCLE_TOL = 1e-9    # leaf labels w lie this close to the unit circle
+CAYLEY_SPHERE_TOL = 1e-8  # cayley_cr_residual's points lie this close to b(z, z) = r^2
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ def label_from_w(model: HopfModel, w) -> LeafLabel:
     """Label built directly from a unit-circle value, or from each of a
     stack of them."""
     w = np.asarray(w, dtype=complex)
-    if np.any(np.abs(np.hypot(w.real, w.imag) - 1.0) > 1e-9):
+    if np.any(np.abs(np.hypot(w.real, w.imag) - 1.0) > UNIT_CIRCLE_TOL):
         raise ValueError("leaf labels lie on the unit circle")
     arg = np.angle(w) % (2.0 * np.pi)
     a = arg / (2.0 * np.pi * np.log(model.lam))
@@ -277,12 +279,12 @@ def cayley_cr_residual(model: HopfModel, r: float, z):
     """
     z = np.asarray(z, dtype=complex)
     n = model.n
-    if np.any(np.abs(model.b(z) - r * r) > 1e-8):
+    if np.any(np.abs(model.b(z) - r * r) > CAYLEY_SPHERE_TOL):
         raise ValueError("point must lie on the pseudosphere of radius r")
     lck_omega = eps_signs(n, model.s) * z.conj()   # proportional to the Lee form
     t10 = _t10_basis(lck_omega)
     denom = r + z[..., -1]
-    if np.any(np.abs(denom) <= 1e-9):
+    if np.any(np.abs(denom) <= CAYLEY_POLE_TOL):
         raise ZeroDivisionError("Cayley pole: z_n + r = 0")
     # np.power, not **: an array's ** 2 squares, which rounds otherwise
     denom2 = np.power(denom, 2)[..., None]

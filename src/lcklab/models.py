@@ -28,7 +28,6 @@ lambda go through np.float_power, which rounds as a Python float's **
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,6 +51,13 @@ __all__ = [
 CONE_MARGIN = 0.05
 # Relative gap below which zp = lambda^m z counts as deck equivalence.
 DECK_TOL = 1e-9
+# fibration_split accepts a pseudosphere point with |b(z,z) - 1| up to this.
+FIBRATION_SPHERE_TOL = 1e-9
+# submersion_isometry_residual's inputs count as horizontal while every
+# g(., A) and g(., B) stays below this times max(1, |u| |v|).
+HORIZONTAL_TOL = 1e-6
+# The Cayley transform refuses a point with |r + z_n| at most this: its pole.
+CAYLEY_POLE_TOL = 1e-9
 
 
 def eps_signs(n: int, s: int) -> np.ndarray:
@@ -365,13 +371,11 @@ def hopf_diffeo_inv(model: HopfModel, zeta, w) -> np.ndarray:
     return np.float_power(model.lam, arg / (2.0 * np.pi))[..., None] * zeta
 
 
-def torus_pullback_isometry_residual(model: HopfModel, t, z,
-                                     lck: Optional[LCKStructure] = None):
+def torus_pullback_isometry_residual(model: HopfModel, t, z, lck: LCKStructure):
     """Max component difference between the metric and its pullback under
     the torus translation z -> exp(t) z, per point of a stack with one t
-    per point.  lck is hopf_chart(model), when the caller already holds it."""
+    per point.  lck is hopf_chart(model)."""
     z = np.asarray(z, dtype=complex)
-    lck = hopf_chart(model) if lck is None else lck
     e = np.exp(np.asarray(t, dtype=complex))[..., None]
     zt = e * z
     if not np.all(lck.chart.domain_pred(zt)):
@@ -383,14 +387,14 @@ def torus_pullback_isometry_residual(model: HopfModel, t, z,
 
 
 def fibration_split(model: HopfModel, z,
-                    lck: Optional[LCKStructure] = None) -> tuple[FrameSubspace, FrameSubspace]:
+                    lck: LCKStructure) -> tuple[FrameSubspace, FrameSubspace]:
     """Vertical span{A, B} and its orthogonal complement at a pseudosphere
     point (b(z,z) = 1), or stacked FrameSubspaces over a stack of them.
-    lck is hopf_chart(model), when the caller already holds it."""
+    lck is hopf_chart(model)."""
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(model.b(z) - 1.0) > 1e-9):
+    if np.any(np.abs(model.b(z) - 1.0) > FIBRATION_SPHERE_TOL):
         raise ValueError("point must satisfy b(z, z) = 1")
-    data = lee_data(hopf_chart(model) if lck is None else lck, z)
+    data = lee_data(lck, z)
     form = data.form
     V0 = FrameSubspace.from_vectors(form, np.stack([data.A_real, data.B_real], axis=-2))
     if np.any(signature_of(form, V0).null):
@@ -400,7 +404,7 @@ def fibration_split(model: HopfModel, z,
 
 
 def submersion_isometry_residual(model: HopfModel, z, u: TangentVector,
-                                 v: TangentVector, lck: Optional[LCKStructure] = None):
+                                 v: TangentVector, lck: LCKStructure):
     """Fibre-invariance of horizontal Gram entries, at a point (a float) or
     at each point of a stack (an array), with one u and v per point.
 
@@ -408,18 +412,16 @@ def submersion_isometry_residual(model: HopfModel, z, u: TangentVector,
     z -> e^{it} z (whose orbit tangents span the vertical space) and
     returns the larger |d/dt g(u_t, v_t)| at t = 0 by central differences,
     all eight flowed points in one metric evaluation.  Inputs must be real
-    and horizontal: orthogonal to both A and B.  lck is hopf_chart(model),
-    when the caller already holds it.
+    and horizontal: orthogonal to both A and B.  lck is hopf_chart(model).
     """
     z = np.asarray(z, dtype=complex)
     if not (u.is_real and v.is_real):
         raise ValueError("inputs must be real tangent vectors")
-    lck = hopf_chart(model) if lck is None else lck
     data = lee_data(lck, z)
     g = [_bilinear(a.components, data.G, b.components).real
          for a in (u, v) for b in (data.A, data.B)]
     scale = np.maximum(1.0, _norms(u.components) * _norms(v.components))
-    if np.any(np.max(np.abs(g), axis=0) > 1e-6 * scale):
+    if np.any(np.max(np.abs(g), axis=0) > HORIZONTAL_TOL * scale):
         raise ValueError("inputs are not horizontal at z")
     # flow factors exp(t d) for d = 1, i (rows) and t in _steps (columns),
     # each rounded as a Python scalar
@@ -464,7 +466,7 @@ def cayley(s: int, r: float, z) -> SiegelBoundaryPoint:
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
     denom = r + z[..., -1]
-    if np.any(np.abs(denom) <= 1e-9):
+    if np.any(np.abs(denom) <= CAYLEY_POLE_TOL):
         raise ZeroDivisionError("Cayley pole: z_n + r = 0")
     zeta = np.empty(z.shape, dtype=complex)
     zeta[..., :-1] = z[..., :-1] / denom[..., None]
@@ -474,9 +476,10 @@ def cayley(s: int, r: float, z) -> SiegelBoundaryPoint:
     return SiegelBoundaryPoint(zeta=zeta, residual=_per_point(residual))
 
 
-def gab_invariance_residual(n: int, s: int, alpha, beta, w, z):
+def gab_invariance_residual(alpha, beta, w, z, lck: LCKStructure):
     """Pullback residual of the family metric under F_0(w, z) = (alpha w, beta z),
     per point of a stack z (m, n) with one alpha, beta and w per point.
+    lck is tricerri_chart(n, s).
 
     Requires alpha |beta|^2 = 1, the relation that makes the metric
     invariant under the generated group.
@@ -486,7 +489,6 @@ def gab_invariance_residual(n: int, s: int, alpha, beta, w, z):
     if np.any(np.abs(alpha * np.hypot(beta.real, beta.imag) ** 2 - 1.0) > 1e-12):
         raise ValueError("invariance requires alpha |beta|^2 = 1")
     z = np.asarray(z, dtype=complex)
-    lck = tricerri_chart(n, s)
     w = np.asarray(w, dtype=complex)[..., None]
     p = np.concatenate([w, z], axis=-1)
     if not np.all(lck.chart.domain_pred(p)):

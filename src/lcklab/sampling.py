@@ -13,6 +13,13 @@ of B, or of a stack of Lee vectors at once, through the stack-native
 semieuclid layer.  The complement vectors and frames are then drawn
 against the built configuration of their point (NullLeeConfig.point for
 a stack), since their acceptance tests read its screens.
+
+point_states seeds every point generator of a run in one pass: the PCG64
+seed words that numpy's SeedSequence of entropy seed and spawn key
+(key, i) gives, for every suite key and point index i at once, bit for
+bit.  _Words
+hands one row of them to PCG64, so a point's generator is
+Generator(PCG64(_Words(row))).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .foliations import _screen_split
 from .models import CONE_MARGIN, HopfModel
@@ -29,10 +37,118 @@ from .semieuclid import FrameSubspace, SemiEuclideanForm, _kernel
 __all__ = [
     "sample_hopf", "sample_pseudosphere", "sample_tricerri", "sample_flat",
     "sample_unit_circle", "NullLeeConfig", "sample_null_lee_vector", "sample_null_config",
+    "point_states",
 ]
 
 _MAX_TRIES = 10_000
 TRICERRI_MIN_IM = 0.2   # Tricerri samples keep Im(w) at least this far from the boundary
+
+
+# numpy's SeedSequence, the seed_seq_fe of O'Neill's PCG work, whose
+# constants numpy's stream-compatibility policy freezes
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_XSHIFT = 16
+
+
+def _uint32_words(x: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, least significant
+    first, as SeedSequence reads it; 0 is one word."""
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _hashmix(value, h):
+    """SeedSequence's hashmix on a word (an int, or a uint64 array of
+    words): the mixed word and the advanced hash constant."""
+    value = (value ^ h) & _MASK32
+    h = (h * _MULT_A) & _MASK32
+    value = (value * h) & _MASK32
+    return value ^ (value >> _XSHIFT), h
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return out ^ (out >> _XSHIFT)
+
+
+def _mix_words(pool: list, h, words) -> tuple[list, object]:
+    """SeedSequence's mixing of entropy words past the pool size into the
+    pool: each word into every pool word.  Returns the pool and the
+    advanced hash constant."""
+    pool = list(pool)
+    for w in words:
+        for dst in range(_POOL_SIZE):
+            v, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], v)
+    return pool, h
+
+
+def _seed_pool(words: list[int]) -> tuple[list[int], int]:
+    """SeedSequence's pool after its first pool-size entropy words, mixed
+    together, and its remaining words, with the hash constant it leaves."""
+    h, pool = _INIT_A, []
+    for w in words[:_POOL_SIZE]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    return _mix_words(pool, h, words[_POOL_SIZE:])
+
+
+def point_states(seed: int, keys, points: int) -> np.ndarray:
+    """PCG64 seed words (len(keys), points, 4) uint64: row [k, i] is
+    generate_state(4, np.uint64) of numpy's SeedSequence of entropy seed
+    and spawn key (keys[k], i).
+
+    The entropy is the seed's words, padded to the pool size because a
+    spawn key follows, then the key's words, then the point index.  The
+    seed words fill the pool, so they are mixed once per run, each key's
+    words once per key, and the index and generate_state for every
+    (key, point) at once.
+    """
+    if points > 2**32:   # one 32-bit word per point index
+        raise ValueError("need points <= 2**32")
+    run = _uint32_words(seed)
+    pool, h = _seed_pool(run + [0] * (_POOL_SIZE - len(run)))
+    pools, hs = zip(*(_mix_words(pool, h, _uint32_words(key)) for key in keys))
+    pool = list(np.array(pools, dtype=np.uint64).T[:, :, None])   # _POOL_SIZE x (k, 1)
+    pool, _ = _mix_words(pool, np.array(hs, dtype=np.uint64)[:, None],
+                         [np.arange(points, dtype=np.uint64)])
+    # generate_state(4, np.uint64): eight words cycled from the pool, read
+    # as little-endian pairs
+    words, h = [], _INIT_B
+    for dst in range(8):
+        v = pool[dst % _POOL_SIZE] ^ h
+        h = (h * _MULT_B) & _MASK32
+        v = (v * h) & _MASK32
+        words.append(v ^ (v >> _XSHIFT))
+    return np.stack([lo | (hi << 32) for lo, hi in zip(words[0::2], words[1::2])], axis=-1)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands PCG64 one precomputed row of
+    point_states, the only request PCG64 makes of it."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("_Words holds 4 uint64 words of one PCG64 seed")
+        return self.row
 
 
 def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:

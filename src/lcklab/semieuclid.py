@@ -260,7 +260,7 @@ def signature_of(form: SemiEuclideanForm, W: FrameSubspace) -> Signature:
                      ill_conditioned=_per_point(shoulder.any(axis=-1)))
 
 
-def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float = 1e-10):
+def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float):
     """True if span(small) lies inside span(big), by least-squares residual
     (per point of a stack: a bool array for stacked bases)."""
     lead = small.basis.shape[:-2]

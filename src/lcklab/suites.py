@@ -3,7 +3,12 @@
 Each suite draws its own sample from a per-point random generator seeded
 by (seed, suite name, point index) and returns one scalar residual, so
 a point's sample does not depend on which other points or suites ran,
-nor on where the suite sits in the registry.
+nor on where the suite sits in the registry.  run_config seeds every
+point generator of the run in one pass (sampling.point_states): the
+PCG64 seed words of numpy's SeedSequence of entropy seed and spawn key
+(first 8 bytes of the SHA-256 of the suite name, point index), bit for
+bit, and _run_suite builds a point's generator from its words when the
+run reaches that point.
 Direction "le" means the aggregated maximum must stay below tolerance;
 "ge" marks witness suites whose aggregated minimum must exceed the
 threshold (e.g. exhibiting a nonparallel Lee form).
@@ -56,9 +61,9 @@ from .models import (
 )
 from .report import SCHEMA, RunConfig, SuiteResult, VerificationReport
 from .sampling import (
-    sample_complement_vector, sample_flat, sample_frame_change, sample_hopf,
-    sample_null_config, sample_null_lee_vector, sample_pair_frame, sample_pseudosphere,
-    sample_tricerri, sample_unit_circle,
+    _Words, point_states, sample_complement_vector, sample_flat, sample_frame_change,
+    sample_hopf, sample_null_config, sample_null_lee_vector, sample_pair_frame,
+    sample_pseudosphere, sample_tricerri, sample_unit_circle,
 )
 from .semieuclid import FrameSubspace, contains_span, inner, same_span, signature_of
 
@@ -651,7 +656,7 @@ def _draw_gab(cfg, rng):
     p = sample_tricerri(cfg.n, rng)
     alpha = 1.0 + 3.0 * rng.uniform()
     beta = np.exp(2j * np.pi * rng.uniform()) / np.sqrt(alpha)
-    return (cfg.n, cfg.s), p, alpha, beta
+    return None, p, alpha, beta
 
 
 def _check_prop2_lee(_, lck, P):
@@ -679,8 +684,8 @@ def _check_prop2_nabla_b(_, lck, P):
     return worst
 
 
-def _check_gab_invariance(dims, _, P, alpha, beta):
-    return gab_invariance_residual(*dims, alpha, beta, P[:, 0], P[:, 1:])
+def _check_gab_invariance(_, lck, P, alpha, beta):
+    return gab_invariance_residual(alpha, beta, P[:, 0], P[:, 1:], lck)
 
 
 def _fixed(value: float) -> Callable[[RunConfig], float]:
@@ -815,13 +820,24 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("flat model needs 0 <= s <= n")
 
 
-def _run_suite(cfg: RunConfig, suite: Suite) -> SuiteResult:
+def _point_states(cfg: RunConfig, suites: Sequence[Suite]) -> np.ndarray:
+    """The PCG64 seed words (len(suites), points, 4) of every point
+    generator of a run: point i of a suite gets the words of numpy's
+    SeedSequence of entropy cfg.seed and spawn key (key, i), key the
+    first 8 bytes of the SHA-256 of the suite's name."""
+    keys = [int.from_bytes(hashlib.sha256(s.name.encode()).digest()[:8], "big")
+            for s in suites]
+    return point_states(cfg.seed, keys, cfg.points)
+
+
+def _run_suite(cfg: RunConfig, suite: Suite, states: np.ndarray) -> SuiteResult:
+    """Run a suite over cfg.points points, point i drawn from the
+    generator that states[i] seeds, built as the run reaches it."""
     tol = float(suite.tolerance(cfg))
-    key = int.from_bytes(hashlib.sha256(suite.name.encode()).digest()[:8], "big")
     drawn: list = []
     try:
-        for i in range(cfg.points):
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key, i)))
+        for row in states:
+            rng = np.random.Generator(np.random.PCG64(_Words(row)))
             residuals = suite.point_fn(cfg, rng, drawn)
         residuals = [float(r) for r in residuals]
     except _POINT_FAULTS as exc:  # recorded, not fatal
@@ -847,6 +863,7 @@ def run_config(cfg: RunConfig) -> VerificationReport:
     """Execute the configured suites and assemble the report."""
     _validate(cfg)
     chosen = suites_for(cfg)
-    results = tuple(_run_suite(cfg, s) for s in chosen)
+    results = tuple(_run_suite(cfg, s, states)
+                    for s, states in zip(chosen, _point_states(cfg, chosen)))
     expanded = replace(cfg, suites=tuple(s.name for s in chosen))
     return VerificationReport(schema=SCHEMA, config=expanded, results=results)

@@ -351,7 +351,7 @@ def test_criterion_11_quotient_structure():
     for _ in range(100):
         z = sample_hopf(model, rng)
         t = complex(0.5 * rng.standard_normal(), 2.0 * rng.standard_normal())
-        worst_torus = max(worst_torus, torus_pullback_isometry_residual(model, t, z))
+        worst_torus = max(worst_torus, torus_pullback_isometry_residual(model, t, z, lck))
     assert worst_torus < 1e-12
     worst_ret = 0.0
     for _ in range(200):
@@ -370,12 +370,13 @@ def test_criterion_12_submersion():
     worst = 0.0
     for n in (2, 3):
         model = HopfModel(n=n, s=1, lam=0.5)
+        lck = hopf_chart(model)
         for _ in range(100):
             z = sample_pseudosphere(n, 1, rng)
-            _, H0 = fibration_split(model, z)
+            _, H0 = fibration_split(model, z, lck)
             u = TangentVector.from_real_coords(rng.standard_normal(H0.dim) @ H0.basis)
             v = TangentVector.from_real_coords(rng.standard_normal(H0.dim) @ H0.basis)
-            worst = max(worst, submersion_isometry_residual(model, z, u, v))
+            worst = max(worst, submersion_isometry_residual(model, z, u, v, lck))
     assert worst < 1e-6
     report(12, f"horizontal Gram fibre-invariance {worst:.2e}")
 

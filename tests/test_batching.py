@@ -30,13 +30,14 @@ from lcklab import suites as suites_mod
 from lcklab.models import (
     HopfModel, cayley, deck_equivalent, gab_invariance_residual, hopf_chart, hopf_diffeo,
     hopf_diffeo_inv, retraction, synthetic_null_structure, torus_pullback_isometry_residual,
+    tricerri_chart,
 )
 from lcklab.report import RunConfig
 from lcklab.sampling import (
     sample_hopf, sample_null_config, sample_null_lee_vector, sample_pseudosphere,
     sample_tricerri, sample_unit_circle,
 )
-from lcklab.suites import SUITES, _run_suite, run_config
+from lcklab.suites import SUITES, _point_states, _run_suite, run_config
 
 HOPF = hopf_chart(HopfModel(n=2, s=1, lam=0.5))
 CONFIGS = [("hopf", 2, 1), ("hopf", 3, 1), ("hopf", 4, 2), ("hopf", 8, 7), ("tricerri", 2, 1),
@@ -169,7 +170,7 @@ def test_stacked_quotient_maps_equal_single_points(n, s):
         assert _cbits(back[i]) == _cbits(hopf_diffeo_inv(model, zeta_i, w_i))
         single = deck_equivalent(model, z, Zp[i])
         assert single is None if i == 4 else single == deck[i]
-        assert _bits(torus[i]) == _bits(torus_pullback_isometry_residual(model, T[i], z))
+        assert _bits(torus[i]) == _bits(torus_pullback_isometry_residual(model, T[i], z, lck))
         assert _cbits(pulled[i]) == _cbits(retraction(model, t[i], z))
         assert _bits(norms[i]) == _bits(model.norm_sn(z))
 
@@ -205,9 +206,10 @@ def test_stacked_gab_invariance_equals_single_points(n, s):
     P = np.stack([sample_tricerri(n, rng) for _ in range(5)])
     alpha = 1.0 + 3.0 * rng.uniform(size=5)
     beta = np.exp(2j * np.pi * rng.uniform(size=5)) / np.sqrt(alpha)
-    stacked = gab_invariance_residual(n, s, alpha, beta, P[:, 0], P[:, 1:])
+    lck = tricerri_chart(n, s)
+    stacked = gab_invariance_residual(alpha, beta, P[:, 0], P[:, 1:], lck)
     for i, p in enumerate(P):
-        single = gab_invariance_residual(n, s, alpha[i], beta[i], p[0], p[1:])
+        single = gab_invariance_residual(alpha[i], beta[i], p[0], p[1:], lck)
         assert _bits(stacked[i]) == _bits(single)
 
 
@@ -244,7 +246,7 @@ def test_a_fault_at_draw_3_is_named_as_point_by_point(suite):
 
     faulty = replace(suite, draw=planted)
     with np.errstate(divide="ignore", invalid="ignore"):
-        result = _run_suite(cfg, faulty)
+        result = _run_suite(cfg, faulty, _point_states(cfg, [faulty])[0])
         calls.clear()
         expected, bad = _point_by_point(suite, cfg, _draws(faulty, cfg))[1:]
     assert result.verdict == "error"
@@ -309,7 +311,7 @@ def test_a_fault_at_draw_3_of_a_positive_region_suite_keeps_its_message(monkeypa
 
         monkeypatch.setattr(suites_mod, sampler_name, planted)
     with np.errstate(divide="ignore", invalid="ignore"):
-        result = _run_suite(cfg, suite)
+        result = _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
     assert (result.verdict, result.error) == ("error", expected)
 
 
@@ -352,7 +354,8 @@ def test_a_fault_at_draw_k_of_a_closed_form_suite_is_reported_at_k(name, k):
     assert f"{type(stacked.value).__name__}: {stacked.value}" != expected
     _, message, bad = _point_by_point(suite, cfg, draws)
     assert message == expected and bad is draws[k]
-    result = _run_suite(cfg, _planted(suite, {k: first, k + 2: later}))
+    result = _run_suite(cfg, _planted(suite, {k: first, k + 2: later}),
+                        _point_states(cfg, [suite])[0])
     assert (result.verdict, result.points, result.error) == ("error", 0, expected)
 
 
@@ -371,7 +374,7 @@ def test_a_fault_at_draw_3_of_a_null_suite_is_named_as_point_by_point(suite):
 
     faulty = replace(suite, draw=planted)
     with np.errstate(invalid="ignore"):
-        result = _run_suite(cfg, faulty)
+        result = _run_suite(cfg, faulty, _point_states(cfg, [faulty])[0])
         calls.clear()
         draws = _draws(faulty, cfg)
         with pytest.raises(np.linalg.LinAlgError):
@@ -399,7 +402,8 @@ def test_a_fault_while_drawing_follows_the_earlier_points():
 
     suite = suites_mod.Suite(name="draw-fault", anchor="none", models=frozenset({"hopf"}),
                              tolerance=lambda cfg: 1.0, draw=draw, check=check)
-    result = _run_suite(RunConfig(model="hopf", points=4, seed=0), suite)
+    cfg = RunConfig(model="hopf", points=4, seed=0)
+    result = _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
     assert result.verdict == "error"
     assert result.error == "ZeroDivisionError: checking point 1"
 
@@ -422,8 +426,9 @@ def test_a_programming_error_while_drawing_is_not_masked_by_an_earlier_fault():
 
     suite = suites_mod.Suite(name="draw-bug", anchor="none", models=frozenset({"hopf"}),
                              tolerance=lambda cfg: 1.0, draw=draw, check=check)
+    cfg = RunConfig(model="hopf", points=4, seed=0)
     with pytest.raises(TypeError, match="drawing point 2"):
-        _run_suite(RunConfig(model="hopf", points=4, seed=0), suite)
+        _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
     assert checked == []   # the earlier draws are checked only after a point fault
 
 
@@ -444,7 +449,8 @@ def test_point_fn_runs_once_per_point_and_checks_once():
         return suites_mod.Suite.point_fn(suite, *args)
 
     object.__setattr__(suite, "point_fn", point_fn)
-    result = _run_suite(RunConfig(model="hopf", points=5, seed=0), suite)
+    cfg = RunConfig(model="hopf", points=5, seed=0)
+    result = _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
     assert result.verdict == "pass" and result.points == 5
     assert len(calls) == 5
     assert checks == [5]

@@ -10,7 +10,9 @@ from lcklab import suites as suites_mod
 from lcklab.charts import ChartDomainError, SingularMetricError
 from lcklab.lck import SingularLeeError
 from lcklab.report import RunConfig, VerificationReport, to_csv, to_json
-from lcklab.suites import SUITES, Suite, UsageError, _run_suite, run_config, suites_for
+from lcklab.suites import (
+    SUITES, Suite, UsageError, _point_states, _run_suite, run_config, suites_for,
+)
 
 
 def _residuals(cfg, draws):
@@ -143,7 +145,7 @@ class TestRunConfig:
                       tolerance=lambda cfg: 0.5, draw=lambda cfg, rng: next(it),
                       check=_residuals, direction=direction)
         cfg = RunConfig(model="hopf", points=len(values), seed=0)
-        result = _run_suite(cfg, suite)
+        result = _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
         assert result.verdict == "fail"
         assert result.points == len(values)
         assert not math.isfinite(result.max_residual)
@@ -160,17 +162,17 @@ class TestRunConfig:
         ValueError, ZeroDivisionError, RuntimeError,
     ])
     def test_domain_or_numerical_fault_is_an_error_verdict(self, exc_type):
-        result = _run_suite(RunConfig(model="hopf", points=2, seed=0),
-                            self._raising_suite(exc_type))
+        cfg, suite = RunConfig(model="hopf", points=2, seed=0), self._raising_suite(exc_type)
+        result = _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
         assert result.verdict == "error"
         assert result.points == 0
         assert result.error == f"{exc_type.__name__}: probe"
 
     @pytest.mark.parametrize("exc_type", [TypeError, AttributeError, NameError, IndexError])
     def test_programming_error_propagates(self, exc_type):
+        cfg, suite = RunConfig(model="hopf", points=2, seed=0), self._raising_suite(exc_type)
         with pytest.raises(exc_type, match="probe"):
-            _run_suite(RunConfig(model="hopf", points=2, seed=0),
-                       self._raising_suite(exc_type))
+            _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
 
 
 class TestSerialization:

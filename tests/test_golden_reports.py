@@ -14,7 +14,9 @@ GOLDEN_6 pins reports at 6 points of every suite, at other seeds and
 dimensions: the Hopf ones recorded before the per-draw Hopf suites were
 stacked, the synthetic-null ones (n = 2 runs the n = 2 branch of
 prop4-null-leaf and skips the two lemma6 suites) before the null suites
-were stacked.  GOLDEN_6_LAMBDA, recorded before the closed-form Hopf and
+were stacked, and the ones at seeds 2**32 + 5 and 2**64 + 1 (two and
+three seed words) before the point generators were seeded in one pass
+per run.  GOLDEN_6_LAMBDA, recorded before the closed-form Hopf and
 the Tricerri suites were stacked, adds Tricerri at two more seeds and
 dimensions and Hopf at lambda other than 0.5, on which the leaf, diffeo
 and deck suites depend.
@@ -40,10 +42,18 @@ GOLDEN_6 = {
     ("hopf", 2, 1, 1001): "d847f0c2b553f30007d0ad36aa9781a519e7966c7ccd1d698bace11b068d855b",
     ("hopf", 3, 1, 7): "ebc5eeae93f7e6d22aec1b4eebbafefb51460ead296c45540c73689bf1536acc",
     ("hopf", 8, 7, 42): "03dcb27fbf36e15a43e758f16f090c759794f80ded9b907637df593c0db51dd3",
+    ("hopf", 2, 1, 2**32 + 5):
+        "3968c05c2b2f64993a2734d0b77168cc695a18c181ed0c412d53e79bd1b3c079",
+    ("hopf", 2, 1, 2**64 + 1):
+        "f46eda9c6fd5a097194839404b189bba991586d88a829b4096ccddf6cb39e770",
     ("synthetic-null", 2, 1, 42):
         "721ff56d06f36798a5b7c495d00b81109417ccce1142bae21339c44ce055e3a2",
     ("synthetic-null", 3, 1, 1001):
         "e10fe37bf2c3bf477b10e9ca1f93a231054913f2ed70bb4c3e6bb2f6852a8d5e",
+    ("synthetic-null", 3, 1, 2**32 + 5):
+        "d38b4999f3bf1e469dff16c41da6ee233599698c1861a71be83d429ce2e9343c",
+    ("synthetic-null", 3, 1, 2**64 + 1):
+        "346aae7620e8fa6a9735a9794958ed78fce7af2eafcc86737dbe6471e30047db",
     ("synthetic-null", 4, 2, 7):
         "b460dd1f98d6d35df3b680261e4a2b4a82bec3b75be66ba075e06b11584f6987",
 }

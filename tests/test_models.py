@@ -143,20 +143,22 @@ class TestHopfDiffeo:
 class TestTorusAction:
     def test_identity_element(self):
         z = np.array([0.2, 1.1], dtype=complex)
-        assert torus_pullback_isometry_residual(MODEL, 0.0, z) == 0.0
+        assert torus_pullback_isometry_residual(MODEL, 0.0, z, hopf_chart(MODEL)) == 0.0
 
     def test_rotation(self):
         z = np.array([0.0, 1.0], dtype=complex)
-        assert torus_pullback_isometry_residual(MODEL, 1j * np.pi / 3, z) < 1e-12
+        assert torus_pullback_isometry_residual(MODEL, 1j * np.pi / 3, z,
+                                                hopf_chart(MODEL)) < 1e-12
 
     def test_scaling(self):
         z = np.array([0.0, 1.0], dtype=complex)
-        assert torus_pullback_isometry_residual(MODEL, np.log(2.0), z) < 1e-12
+        assert torus_pullback_isometry_residual(MODEL, np.log(2.0), z,
+                                                hopf_chart(MODEL)) < 1e-12
 
 
 class TestFibrationSplit:
     def test_reference_point(self):
-        V0, H0 = fibration_split(MODEL, np.array([0.0, 1.0]))
+        V0, H0 = fibration_split(MODEL, np.array([0.0, 1.0]), hopf_chart(MODEL))
         assert np.allclose(V0.gram_restricted, 4.0 * np.eye(2), atol=1e-12)
         # horizontal space is the z1 coordinate plane, negative definite
         lck = hopf_chart(MODEL)
@@ -166,42 +168,42 @@ class TestFibrationSplit:
     def test_vertical_spans_lee_plane(self):
         rng = np.random.default_rng(6)
         z = sample_pseudosphere(2, 1, rng)
-        V0, H0 = fibration_split(MODEL, z)
+        V0, H0 = fibration_split(MODEL, z, hopf_chart(MODEL))
         d = lee_data(hopf_chart(MODEL), z)
         gram = np.vstack([V0.basis, d.A.real_coords(), d.B.real_coords()])
         assert np.linalg.matrix_rank(gram, tol=1e-8) == 2
 
     def test_off_pseudosphere_rejected(self):
         with pytest.raises(ValueError):
-            fibration_split(MODEL, np.array([0.0, 2.0]))
+            fibration_split(MODEL, np.array([0.0, 2.0]), hopf_chart(MODEL))
 
 
 class TestSubmersion:
     def test_zero_vectors(self):
         z = np.array([0.0, 1.0], dtype=complex)
         u = TangentVector.real([0.0, 0.0])
-        assert submersion_isometry_residual(MODEL, z, u, u) == pytest.approx(0.0)
+        assert submersion_isometry_residual(MODEL, z, u, u, hopf_chart(MODEL)) == pytest.approx(0.0)
 
     def test_fibre_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             z = sample_pseudosphere(2, 1, rng)
-            _, H0 = fibration_split(MODEL, z)
+            _, H0 = fibration_split(MODEL, z, hopf_chart(MODEL))
             u = TangentVector.from_real_coords(rng.standard_normal(2) @ H0.basis)
             v = TangentVector.from_real_coords(rng.standard_normal(2) @ H0.basis)
-            assert submersion_isometry_residual(MODEL, z, u, v) < 1e-6
+            assert submersion_isometry_residual(MODEL, z, u, v, hopf_chart(MODEL)) < 1e-6
 
     def test_complex_vectors_rejected(self):
         z = np.array([0.0, 1.0], dtype=complex)
         u = TangentVector.complexified([1.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="real"):
-            submersion_isometry_residual(MODEL, z, u, u)
+            submersion_isometry_residual(MODEL, z, u, u, hopf_chart(MODEL))
 
     def test_non_horizontal_rejected(self):
         z = np.array([0.0, 1.0], dtype=complex)
         B = lee_data(hopf_chart(MODEL), z).B
         with pytest.raises(ValueError):
-            submersion_isometry_residual(MODEL, z, B, B)
+            submersion_isometry_residual(MODEL, z, B, B, hopf_chart(MODEL))
 
 
 class TestRetraction:
@@ -260,17 +262,17 @@ class TestCayley:
 
 class TestTricerriFamily:
     def test_invariance_worked_example(self):
-        res = gab_invariance_residual(2, 1, 4.0, 0.5j, 1j, np.array([0.0, 0.0]))
+        res = gab_invariance_residual(4.0, 0.5j, 1j, np.array([0.0, 0.0]), tricerri_chart(2, 1))
         assert res < 1e-12
 
     def test_identity_map(self):
-        res = gab_invariance_residual(2, 1, 1.0, 1.0, 0.3 + 1.1j,
-                                      np.array([0.5, -0.2j]))
+        res = gab_invariance_residual(1.0, 1.0, 0.3 + 1.1j, np.array([0.5, -0.2j]),
+                                      tricerri_chart(2, 1))
         assert res == pytest.approx(0.0, abs=1e-15)
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
-            gab_invariance_residual(2, 1, 2.0, 1.0, 1j, np.array([0.0, 0.0]))
+            gab_invariance_residual(2.0, 1.0, 1j, np.array([0.0, 0.0]), tricerri_chart(2, 1))
 
     def test_domain(self):
         lck = tricerri_chart(2, 1)

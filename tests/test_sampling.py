@@ -1,13 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from lcklab.models import CONE_MARGIN, HopfModel
 from lcklab.report import RunConfig
 from lcklab.sampling import (
-    sample_hopf, sample_null_config, sample_null_lee_vector, sample_pseudosphere,
+    _Words, point_states, sample_hopf, sample_null_config, sample_null_lee_vector,
+    sample_pseudosphere,
 )
 from lcklab.semieuclid import SemiEuclideanForm
-from lcklab.suites import run_config
+from lcklab.suites import SUITES, run_config
 
 
 class TestHopfSampler:
@@ -85,3 +88,34 @@ def test_mean_curvature_offset_stays_in_region(n, s):
     rep = run_config(RunConfig(model="hopf", n=n, s=s, points=12, seed=3,
                                suites=("eq18-mean-curvature",)))
     assert rep.results[0].verdict == "pass", rep.results[0].error
+
+
+# One-, two- and three-word seeds, and keys of one and two words (0 is one
+# word), the registered suites' keys among them.
+SEEDS = [0, 1, 42, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 1, 2**70 + 3]
+KEYS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+    int.from_bytes(hashlib.sha256(s.name.encode()).digest()[:8], "big") for s in SUITES]
+
+
+@pytest.mark.parametrize("points", [1, 6, 40])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_point_states_seed_generators_as_numpy_seed_sequence(seed, points):
+    states = point_states(seed, KEYS, points)
+    assert states.shape == (len(KEYS), points, 4) and states.dtype == np.uint64
+    for key, rows in zip(KEYS, states):
+        for i, row in enumerate(rows):
+            ours = np.random.Generator(np.random.PCG64(_Words(row)))
+            ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, i)))
+            assert ours.bit_generator.state == ref.bit_generator.state, (key, i)
+            assert ours.standard_normal(2).tobytes() == ref.standard_normal(2).tobytes()
+            assert ours.integers(2**62, size=2).tobytes() == \
+                ref.integers(2**62, size=2).tobytes()
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                            (8, np.uint64), (4, np.int64)])
+def test_words_refuse_any_request_but_one_pcg64_seed(n_words, dtype):
+    words = _Words(point_states(42, [0], 1)[0, 0])
+    with pytest.raises(ValueError):
+        words.generate_state(n_words, dtype)
+    assert words.generate_state(4, np.uint64) is words.row

@@ -61,7 +61,7 @@ class TestComplement:
         W = FrameSubspace.from_vectors(H24, [v])
         perp = orthogonal_complement(H24, W)
         assert perp.dim == 3
-        assert contains_span(perp, W)
+        assert contains_span(perp, W, tol=1e-10)
 
     def test_full_space_complement_is_zero(self):
         W = FrameSubspace.from_vectors(H24, np.eye(4))
