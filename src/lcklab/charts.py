@@ -185,11 +185,13 @@ class MetricChart:
     metric_eval(z) returns the n x n Hermitian matrix H with
     H[j, k] = g(Z_j, Zbar_k), and domain_pred(z) whether z lies in the
     domain; both take a stack of points, shape (..., n), and return one
-    value per point.  christoffel_analytic(z), when present, returns the
-    closed-form coefficient array in the frame-index convention of this
-    module, (2n, 2n, 2n) at a point and (..., 2n, 2n, 2n) for a stack of
-    points (..., n); christoffel then returns it in place of the Koszul
-    solve.
+    value per point.  A domain may differ per point of a stack (m, n), as
+    a Hopf chart's with one region per point does: domain_pred then takes
+    stacks (..., m, n), point i judged by domain i.  christoffel_analytic(z),
+    when present, returns the closed-form coefficient array in the
+    frame-index convention of this module, (2n, 2n, 2n) at a point and
+    (..., 2n, 2n, 2n) for a stack of points (..., n); christoffel then
+    returns it in place of the Koszul solve.
     """
 
     n: int

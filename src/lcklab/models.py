@@ -170,25 +170,33 @@ def _hopf_metric_fns(n: int, s: int):
     return metric, gamma
 
 
-def hopf_chart(model: HopfModel) -> LCKStructure:
+def hopf_chart(model: HopfModel, regions=None) -> LCKStructure:
     """Chart of the deck-invariant metric with closed-form coefficients.
 
     Metric components g_{j kbar} = (1/2) |z|_{s,n}^{-2} eps_j delta_{jk};
-    Lee form omega = -d log |z|^2_{s,n}.
+    Lee form omega = -d log |z|^2_{s,n}.  The domain is model.region's
+    component: sign b(z, z) > 1e-12 |z|^2.  regions may instead name one
+    region ('+' or '-') per point of a stack (m,): the structure is then
+    evaluated at stacks of m points (..., m, n), point i and its stencil
+    on region i's component, as m single-region charts would be.
     """
     n, s = model.n, model.s
     eps = eps_signs(n, s)
     metric, gamma = _hopf_metric_fns(n, s)
+    regions = np.asarray(model.region if regions is None else regions)
+    if not set(regions.flat) <= {"+", "-"}:
+        raise ValueError("region must be '+' or '-'")
+    sign = np.where(regions == "+", 1.0, -1.0)
 
     def domain(z):
         z = np.asarray(z, dtype=complex)
         b = (eps * np.abs(z) ** 2).sum(axis=-1)
         zz = np.vecdot(z, z).real
-        return (zz > 0.0) & (model.sign * b > 1e-12 * zz)
+        return (zz > 0.0) & (sign * b > 1e-12 * zz)
 
     chart = MetricChart(n=n, s=s, metric_eval=metric, domain_pred=domain,
                         christoffel_analytic=gamma,
-                        name=f"hopf(n={n},s={s},{model.region})")
+                        name=f"hopf(n={n},s={s},{''.join(sorted(set(regions.flat)))})")
 
     def lee(z):
         z = np.asarray(z, dtype=complex)

@@ -274,7 +274,7 @@ def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float):
     return _per_point(np.abs(resid).max(axis=(-2, -1)) <= tol * np.maximum(size, 1.0))
 
 
-def same_span(a: FrameSubspace, b: FrameSubspace, tol: float = 1e-10):
+def same_span(a: FrameSubspace, b: FrameSubspace, tol: float):
     """Subspace equality by mutual containment (bases are non-canonical),
     per point of a stack."""
     if a.dim != b.dim:

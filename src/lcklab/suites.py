@@ -18,16 +18,17 @@ first, draw(cfg, rng), which consumes that point's generator in a fixed
 order and evaluates nothing, then check(cfg, draws) returns the
 residuals of all draws in draw order; Suite.point_fn runs once per point
 and checks at the last one.  The chart, quotient, leaf and Tricerri
-suites stack the draws that share a structure (the Hopf region, or the
-one Tricerri or flat chart), evaluate each (m, n) stack through the
-stack-native layers with that structure's chart and scatter the
-residuals back.  The foliation suites run on Hopf and Tricerri only,
-where c = +-4 or 1 is never null, so a stack never mixes Lee branches
-(the foliation layer would refuse one that did).  The synthetic-null
-suites draw a null Lee vector and keep the point's generator with its
-state; their check builds one stacked configuration (m, 2n) for all
-draws, then resets each generator and draws the rest of its point in
-the order a point-by-point run did, and evaluates the stack.
+suites evaluate all their draws as one (m, n) stack through the
+stack-native layers with one structure per check.  A Hopf stack may mix
+the two regions: its chart carries each point's region, so point i and
+its stencil stay on region i's component.  The foliation suites run on
+Hopf and Tricerri only, where c = +-4 or 1 is never null, so even a
+stack mixing regions never mixes Lee branches (the foliation layer
+would refuse one that did).  The synthetic-null suites draw a null Lee
+vector and keep the point's generator with its state; their check
+builds one stacked configuration (m, 2n) for all draws, then resets
+each generator and draws the rest of its point in the order a
+point-by-point run did, and evaluates the stack.
 levi-signature checks a constant of (n, s).
 Stacked rows carry single-point bits, so checking all draws equals
 checking each alone.  A batched check that meets a point fault is rerun
@@ -137,6 +138,13 @@ def _hopf_sample(cfg: RunConfig, rng) -> tuple[HopfModel, np.ndarray]:
     return model, sample_hopf(model, rng)
 
 
+def _draw_region(cfg, rng):
+    """A Hopf draw (see _hopf_sample) with its region's sign as an extra,
+    for the checks that read the region of each point."""
+    model, z = _hopf_sample(cfg, rng)
+    return model, z, model.sign
+
+
 def _draw_positive(cfg, rng):
     """A point of Hopf region "+"."""
     model = _hopf(cfg, "+")
@@ -161,10 +169,11 @@ def _chart_draw(cfg: RunConfig, rng) -> tuple:
     raise UsageError(f"suite has no chart for model {cfg.model!r}")
 
 
-def _structure(cfg: RunConfig, key) -> LCKStructure:
-    """The structure a draw's key names (see _chart_draw)."""
+def _structure(cfg: RunConfig, keys: Sequence) -> LCKStructure:
+    """The one structure of a stack of draws with these keys (see
+    _chart_draw): for Hopf, the chart with each point's region."""
     if cfg.model == "hopf":
-        return hopf_chart(key)
+        return hopf_chart(keys[0], regions=[k.region for k in keys])
     if cfg.model == "tricerri":
         return tricerri_chart(cfg.n, cfg.s)
     if cfg.model == "flat":
@@ -177,20 +186,18 @@ def _chart_dim(cfg: RunConfig) -> int:
 
 
 def _stacked(evaluate):
-    """A check of draws (key, z, *extras) that evaluates as one stack the
-    draws sharing a structure key: evaluate(key, lck, Z, *extras) gets the
-    key's structure (which the quotient and leaf suites ignore), their
-    points stacked into Z (m, n) and each extra stacked alike, and returns
-    the m residuals, which the check puts back in draw order."""
+    """A check of draws (key, z, *extras) that evaluates all of them as one
+    stack: evaluate(key, lck, Z, *extras) gets the first draw's key, read
+    only for what every draw shares (a Hopf model's n, s and lambda, not
+    its region), the one structure of the stack (which the quotient and
+    leaf suites ignore), the points stacked into Z (m, n) and each extra
+    stacked alike, and returns the m residuals in draw order.  A Hopf
+    stack may mix regions: its chart carries each point's region, and a
+    check that reads the region draws it as an extra (_draw_region)."""
     def check(cfg: RunConfig, draws: list) -> list:
-        out = np.empty(len(draws))
-        groups: dict = {}
-        for i, d in enumerate(draws):
-            groups.setdefault(d[0], []).append(i)
-        for key, idx in groups.items():
-            out[idx] = evaluate(key, _structure(cfg, key),
-                                *(np.stack(c) for c in zip(*(draws[i][1:] for i in idx))))
-        return [float(r) for r in out]
+        keys, *columns = zip(*draws)
+        lck = _structure(cfg, keys)
+        return [float(r) for r in evaluate(keys[0], lck, *(np.stack(c) for c in columns))]
     return check
 
 
@@ -256,11 +263,11 @@ def _check_thm1_geodesic(key, lck, Z, coeffs):
     return np.maximum(np.abs(sfd.h).max(axis=-1), sfd.h_symmetry_residual)
 
 
-def _check_eq1_signature(key, lck, Z):
+def _check_eq1_signature(key, lck, Z, sign):
     fib = fol.first_foliation_fibre(lck, Z)
     sig = signature_of(fib.form, fib.tangent)
     s = lck.chart.s
-    expect = 2 * s if key.region == "+" else 2 * s - 1
+    expect = np.where(sign > 0, 2 * s, 2 * s - 1)
     return np.abs(sig.index - expect) + sig.null
 
 
@@ -583,7 +590,7 @@ def _check_deck_pullback(model, lck, Z):
     return np.abs(Hl * model.lam ** 2 - H).max(axis=(-2, -1))
 
 
-def _check_diffeo_roundtrip(model, _, Z):
+def _check_diffeo_roundtrip(model, _, Z, sign):
     zeta, w = hopf_diffeo(model, Z)
     back = hopf_diffeo_inv(model, zeta, w)
     m = deck_equivalent(model, Z, back)
@@ -594,7 +601,7 @@ def _check_diffeo_roundtrip(model, _, Z):
     resid = np.maximum(resid, np.abs(zeta2 - zeta).max(axis=-1))
     resid = np.maximum(resid, np.hypot(dw.real, dw.imag))   # abs() of a Python complex
     resid = np.maximum(resid, np.abs(np.hypot(w.real, w.imag) - 1.0))
-    resid = np.maximum(resid, np.abs(model.b(zeta) - model.sign))
+    resid = np.maximum(resid, np.abs(model.b(zeta) - sign))
     return np.where(np.isnan(m), 1.0, resid)
 
 
@@ -709,7 +716,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("thm1-totally-geodesic", "Theorem 1", frozenset({"hopf"}),
           _fixed(1e-5), _draw_thm1, _stacked(_check_thm1_geodesic)),
     Suite("eq1-leaf-signature", "Equation (1)", frozenset({"hopf"}),
-          _fixed(0.0), _chart_draw, _stacked(_check_eq1_signature)),
+          _fixed(0.0), _draw_region, _stacked(_check_eq1_signature)),
     Suite("eq8-transversal", "Equation (8)", frozenset({"synthetic-null"}),
           _fixed(1e-10), _draw_null, _null_stacked(_check_eq8_transversal, _draw_complement)),
     Suite("eq5-nv-invariance", "Lemma 1", frozenset({"synthetic-null"}),
@@ -743,7 +750,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("thm2-deck-pullback", "Theorem 2", frozenset({"hopf"}),
           _fixed(1e-12), _chart_draw, _stacked(_check_deck_pullback)),
     Suite("hopf-diffeo-roundtrip", "Theorem 2", frozenset({"hopf"}),
-          _fixed(1e-9), _chart_draw, _stacked(_check_diffeo_roundtrip)),
+          _fixed(1e-9), _draw_region, _stacked(_check_diffeo_roundtrip)),
     Suite("torus-isometry", "Lemma 4", frozenset({"hopf"}), _fixed(1e-12),
           _draw_torus, _stacked(_check_torus_isometry)),
     Suite("submersion-fibre-invariance", "Equation (17)", frozenset({"hopf"}),

@@ -2,18 +2,19 @@
 
 Every suite draws every point first and checks the draws as stacks.
 These tests pin that a check over all draws returns, bit for bit, what
-the check returns for each draw on its own (and that the null Lee
-branch of the foliation layer, the null-Lee configurations, the
-quotient maps, the leaf labels and radii, the Cayley layer and the
-family-metric invariance stack alike), that a fault at one point is
-reported as a point-by-point run reports it (for the positive-region
-Hopf suites, with the message their point-by-point versions gave; for
-the closed-form suites, at its own draw even when the stack meets a
-later fault first), that a synthetic-null check reads its points'
-numbers afresh each time it runs, and that the stacked Lee-plane
-derivatives, the CR fibre, the submersion's chart and Lee data, each
-h(X, Y) of eq18 and the charts of the closed-form Hopf suites are
-computed once.
+the check returns for each draw on its own (and that a stack mixing
+the Hopf regions, the null Lee branch of the foliation layer, the
+null-Lee configurations, the quotient maps, the leaf labels and radii,
+the Cayley layer and the family-metric invariance stack alike), that a
+stack mixing regions refuses a point, or a stencil, off its own draw's
+region, that a fault at one point is reported as a point-by-point run
+reports it (for the positive-region Hopf suites, with the message their
+point-by-point versions gave; for the closed-form suites, at its own
+draw even when the stack meets a later fault first), that a
+synthetic-null check reads its points' numbers afresh each time it
+runs, and that the stacked Lee-plane derivatives, the CR fibre, the
+submersion's chart and Lee data, each h(X, Y) of eq18 and the charts of
+the closed-form Hopf suites are computed once.
 """
 
 import hashlib
@@ -27,6 +28,7 @@ from lcklab import cr as crmod
 from lcklab import foliations as fol
 from lcklab import models as models_mod
 from lcklab import suites as suites_mod
+from lcklab.charts import ChartDomainError
 from lcklab.models import (
     HopfModel, cayley, deck_equivalent, gab_invariance_residual, hopf_chart, hopf_diffeo,
     hopf_diffeo_inv, retraction, synthetic_null_structure, torus_pullback_isometry_residual,
@@ -43,14 +45,16 @@ HOPF = hopf_chart(HopfModel(n=2, s=1, lam=0.5))
 CONFIGS = [("hopf", 2, 1), ("hopf", 3, 1), ("hopf", 4, 2), ("hopf", 8, 7), ("tricerri", 2, 1),
            ("flat", 2, 1), ("synthetic-null", 3, 1), ("synthetic-null", 4, 2),
            ("synthetic-null", 6, 1)]
-# The finite-difference suites that run on Hopf charts, each stacked by
-# region and, where it reads the foliations, by Lee branch.
+# The finite-difference suites that run on Hopf charts, each one stack
+# across both regions.
 FD_HOPF = ("christoffel-oracle", "prop1-lee-field", "parallel-lee", "thm1-totally-geodesic",
            "eq1-leaf-signature", "thm4-integrability", "thm4-plane-gram", "thm4-hp",
            "eq20-nabla-j", "weyl-dj", "connection-identities")
 # The batched suites that sample Hopf region "+" only, as one stack per run.
 POSITIVE_REGION = ("eq18-mean-curvature", "submersion-fibre-invariance", "levi-hopf-leaf",
                    "fibration-split", "cr-tangential")
+# The suites that draw each point's Hopf region with even odds.
+REGION_DRAWING = FD_HOPF + ("thm2-deck-pullback", "hopf-diffeo-roundtrip", "torus-isometry")
 NULL = [s for s in SUITES if s.models == {"synthetic-null"}]
 # The closed-form Hopf suites and the Tricerri-only suites, stacked last.
 CLOSED_FORM_HOPF = ("thm2-deck-pullback", "hopf-diffeo-roundtrip", "torus-isometry",
@@ -145,6 +149,55 @@ def test_a_null_check_run_twice_reads_the_same_numbers(suite):
 
 
 STACK_DIMS = [(2, 1), (4, 2), (8, 7)]
+
+
+@pytest.mark.parametrize("n, s", STACK_DIMS)
+@pytest.mark.parametrize("name", REGION_DRAWING)
+def test_a_stack_mixing_regions_equals_single_draws(name, n, s):
+    suite = suites_mod._BY_NAME[name]
+    cfg = RunConfig(model="hopf", n=n, s=s, points=8, seed=42)
+    draws = _draws(suite, cfg)
+    assert {d[0].region for d in draws} == {"+", "-"}
+    assert _bits(suite.check(cfg, draws)) == \
+        _bits([r for d in draws for r in suite.check(cfg, [d])])
+
+
+# The region-drawing suites whose checks apply the chart domain at their
+# base points, and those among them that difference the metric on it.
+DOMAIN_CHECKED = ("christoffel-oracle", "parallel-lee", "thm1-totally-geodesic", "thm4-hp",
+                  "eq20-nabla-j", "weyl-dj", "connection-identities")
+STENCIL_CHECKED = ("christoffel-oracle", "thm1-totally-geodesic", "thm4-hp",
+                   "connection-identities")
+
+
+MIXED = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
+
+
+def _mixed_with(name: str, region: str, z: np.ndarray) -> list:
+    """The MIXED draws of a suite, both regions among them, with the
+    point of the first draw of `region` replaced by z."""
+    draws = _draws(suites_mod._BY_NAME[name], MIXED)
+    assert {d[0].region for d in draws} == {"+", "-"}
+    k = next(i for i, d in enumerate(draws) if d[0].region == region)
+    draws[k] = (draws[k][0], z) + tuple(draws[k][2:])
+    return draws
+
+
+@pytest.mark.parametrize("region, z", [("+", np.array([1.3, 0.2j])),   # b < 0
+                                       ("-", np.array([0.2, 1.3 + 0j]))])   # b > 0
+@pytest.mark.parametrize("name", DOMAIN_CHECKED)
+def test_a_mixed_stack_refuses_a_point_off_its_draws_region(name, region, z):
+    with pytest.raises(ChartDomainError) as err:
+        suites_mod._BY_NAME[name].check(MIXED, _mixed_with(name, region, z))
+    assert str(err.value) == f"point {z} outside domain of hopf(n=2,s=1,+-)"
+
+
+@pytest.mark.parametrize("name", STENCIL_CHECKED)
+def test_a_mixed_stack_refuses_a_stencil_across_the_cone(name):
+    z = np.array([1.0, 1.0 + 1e-7], dtype=complex)   # region "+", one step from the cone
+    with pytest.raises(ChartDomainError) as err:
+        suites_mod._BY_NAME[name].check(MIXED, _mixed_with(name, "+", z))
+    assert str(err.value) == f"stencil around {z} leaves domain of hopf(n=2,s=1,+-)"
 
 
 @pytest.mark.parametrize("n, s", STACK_DIMS)
@@ -477,15 +530,16 @@ class TestDerivedOnce:
         assert len(calls) == 1          # A and B together; 5 per point before
         calls.clear()
         suite.check(cfg, draws)
-        assert len(calls) == len({d[0] for d in draws})   # one per Hopf region
+        assert {d[0].region for d in draws} == {"+", "-"}
+        assert len(calls) == 1          # both regions in one stack; one per region before
 
     def test_submersion_builds_one_chart_and_one_lee_data_per_run(self, monkeypatch):
         builds, misses = [], []
         build, derive = models_mod.hopf_chart, models_mod.lee_data
 
-        def counted_build(model):
+        def counted_build(*args, **kwargs):
             builds.append(1)
-            return build(model)
+            return build(*args, **kwargs)
 
         def counted_lee_data(lck, z):
             z = np.asarray(z, dtype=complex)
@@ -517,14 +571,15 @@ class TestDerivedOnce:
         assert report.results[0].verdict == "pass"
         assert len(calls) == 1          # one per point before the null suites were stacked
 
-    def test_closed_form_hopf_suites_build_one_chart_per_region(self, monkeypatch):
+    def test_closed_form_hopf_suites_build_one_chart_per_check(self, monkeypatch):
         builds = []
         for module in (models_mod, suites_mod):
             builds.append(self._counted(monkeypatch, module, "hopf_chart"))
-        # one per point before these suites were stacked; every stacked check
-        # builds its region's chart, used or not, and thm5 samples region "+"
-        for name, allowed in (("thm2-deck-pullback", {1, 2}), ("torus-isometry", {1, 2}),
-                              ("hopf-diffeo-roundtrip", {1, 2}), ("thm5-leaf-space", {1})):
+        # one per point before these suites were stacked and one per region
+        # before a stack mixed regions; every stacked check builds its
+        # chart, used or not
+        for name, allowed in (("thm2-deck-pullback", {1}), ("torus-isometry", {1}),
+                              ("hopf-diffeo-roundtrip", {1}), ("thm5-leaf-space", {1})):
             report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
                                           suites=(name,)))
             assert report.results[0].verdict == "pass"
@@ -558,8 +613,8 @@ def _mutated_hopf(monkeypatch, closed_form):
     else:
         build = suites_mod.hopf_chart
 
-        def perturbed_chart(model):
-            lck = build(model)
+        def perturbed_chart(*args, **kwargs):
+            lck = build(*args, **kwargs)
             lee = lck.lee_form_eval
             return replace(lck, lee_form_eval=lambda z: lee(z) * (1.0 + 1e-6))
 

@@ -54,7 +54,7 @@ class TestComplement:
         W = FrameSubspace.from_vectors(H24, [e(0)])
         perp = orthogonal_complement(H24, W)
         expect = FrameSubspace.from_vectors(H24, [e(1), e(2), e(3)])
-        assert same_span(perp, expect)
+        assert same_span(perp, expect, 1e-10)
 
     def test_null_line_contained_in_own_complement(self):
         v = e(0) + e(2)
@@ -101,7 +101,7 @@ class TestRadical:
         v = e(0) + e(2)
         W = FrameSubspace.from_vectors(H24, [v])
         rad = radical(H24, W)
-        assert same_span(rad, W)
+        assert same_span(rad, W, 1e-10)
         assert inner(H24, rad.basis[0], rad.basis[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_lee_kernel_radical(self):
