@@ -504,13 +504,14 @@ def gradient(chart: MetricChart, f: Callable[[np.ndarray], complex],
     return TangentVector.from_components(_solve_gram(_mixed_blocks(H, H.conj()), df, z))
 
 
-def lie_bracket(X, Y, z: np.ndarray) -> TangentVector:
+def lie_bracket(X, Y, z: np.ndarray, *, chart: MetricChart | None = None) -> TangentVector:
     """[X, Y]^A = X(Y^A) - Y(X^A) at a point or a stack; metric independent.
-    The fields among X and Y share one stencil evaluation."""
+    The fields among X and Y share one stencil evaluation (on the chart's
+    domain, when a chart is given)."""
     z = np.asarray(z, dtype=complex)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     moving = [f for f in (Y, X) if not isinstance(f, TangentVector)]
-    derivs = iter(_field_derivatives(moving, z) if moving else ())
+    derivs = iter(_field_derivatives(moving, z, chart=chart) if moving else ())
     zero = np.zeros(Xv.components.shape, dtype=complex)
     dY = zero if isinstance(Y, TangentVector) else _along(Xv, next(derivs))
     dX = zero if isinstance(X, TangentVector) else _along(Yv, next(derivs))

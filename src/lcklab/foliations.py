@@ -321,11 +321,12 @@ def _plane_projection_residual(plane: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def integrability_residual(lck: LCKStructure, z):
     """Euclidean norm of [A, B] after projecting out span{A, B}, at a point
-    (a float) or at each point of a stack (an array)."""
+    (a float) or at each point of a stack (an array), from a stencil on
+    the chart's domain."""
     z = np.asarray(z, dtype=complex)
     data = _nonsingular(lee_data(lck, z))
     Afield, Bfield = (lambda p: lee_data(lck, p).A), (lambda p: lee_data(lck, p).B)
-    br = lie_bracket(Afield, Bfield, z).real_coords()
+    br = lie_bracket(Afield, Bfield, z, chart=lck.chart).real_coords()
     return _norms(_plane_projection_residual(_rows(data.A_real, data.B_real), br))
 
 

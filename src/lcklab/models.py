@@ -102,10 +102,6 @@ class HopfModel:
         if self.region not in ("+", "-"):
             raise ValueError("region must be '+' or '-'")
 
-    @property
-    def sign(self) -> float:
-        return 1.0 if self.region == "+" else -1.0
-
     def b(self, z):
         """b(z, z), per point of a stack."""
         return b_form(self.s, self.n, z, z).real

@@ -1,8 +1,10 @@
 """Seeded samplers for domain points and synthetic null-Lee data.
 
-Every sampler takes a numpy Generator so runs are reproducible from a
-seed.  Hopf samples are exact draws that keep a relative margin away
-from the null cone (metric components blow up there) which also keeps
+Every sample comes from a numpy Generator, so runs are reproducible
+from a seed.  A Hopf point is drawn as its variates (hopf_variates),
+which sample_hopf or sample_pseudosphere maps, with a stack of others,
+in one pass.  Hopf points are exact and keep a relative margin away
+from the null cone (metric components blow up there), which also keeps
 difference stencils inside the chart domain; half-space samples keep
 Im(w) bounded away from the boundary for the same reason.  Only the
 null-Lee samplers reject degenerate draws.
@@ -30,12 +32,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .charts import _norms
 from .foliations import _screen_split
 from .models import CONE_MARGIN, HopfModel
 from .semieuclid import FrameSubspace, SemiEuclideanForm, _kernel
 
 __all__ = [
-    "sample_hopf", "sample_pseudosphere", "sample_tricerri", "sample_flat",
+    "hopf_variates", "sample_hopf", "sample_pseudosphere", "sample_tricerri", "sample_flat",
     "sample_unit_circle", "NullLeeConfig", "sample_null_lee_vector", "sample_null_config",
     "point_states",
 ]
@@ -155,36 +158,50 @@ def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def sample_hopf(model: HopfModel, rng: np.random.Generator) -> np.ndarray:
-    """One point of the selected region with |b(z,z)| > CONE_MARGIN * |z|^2.
+def hopf_variates(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The variates (2n + 2,) of one Hopf point: the real then the
+    imaginary parts of a complex-normal vector in C^n, then two uniforms
+    on [0, 1).  sample_hopf maps them, one row or a stack, to points."""
+    return np.concatenate([rng.standard_normal(2 * n), rng.random(2)])
 
-    Exact draw z = r (sinh t u, cosh t v) for '+' and r (cosh t u, sinh t v)
+
+def sample_hopf(model: HopfModel, variates, regions=None) -> np.ndarray:
+    """Points (..., n) with |b(z,z)| > CONE_MARGIN * |z|^2, one per row of
+    hopf_variates (..., 2n + 2), each in model.region or, when given, in
+    its own region of regions (...,) ('+' or '-', as hopf_chart takes
+    them).
+
+    Exact map z = r (sinh t u, cosh t v) for '+' and r (cosh t u, sinh t v)
     for '-', with u, v uniform on the unit spheres of the negative and
     positive blocks, so b(z,z) = +-r^2 and |b(z,z)| / |z|^2 = 1 / cosh 2t.
     That ratio is uniform on (CONE_MARGIN, 1] (its law for Gaussian draws in
     C^2_1) shrunk by a thousandth of the interval, so rounding keeps the
-    inequality strict; r is uniform on [1, 2).  Fixed cost: one
-    complex-normal draw and two uniforms.
+    inequality strict; r = 1 + u for a uniform u on [0, 1), so r lies in
+    [1, 2] (the sum rounds to 2 at u = 1 - 2^-53).  Fixed cost: 2n + 2
+    variates a point, never a retry, and one vectorized pass a stack, each
+    row with the bits of a 1-row call.
     """
-    z = _complex_normal(rng, model.n)
-    ratio = 1.0 - 0.999 * (1.0 - CONE_MARGIN) * rng.uniform()
+    v = np.asarray(variates, dtype=float)
+    n, s = model.n, model.s
+    z = v[..., :n] + 1j * v[..., n:2 * n]
+    ratio = 1.0 - 0.999 * (1.0 - CONE_MARGIN) * v[..., 2 * n]
     t = 0.5 * np.arccosh(1.0 / ratio)
-    r = 1.0 + rng.uniform()
-    minor, major = r * np.sinh(t), r * np.cosh(t)
-    if model.region == "-":
-        minor, major = major, minor
-    s = model.s
-    z[:s] *= minor / np.linalg.norm(z[:s])
-    z[s:] *= major / np.linalg.norm(z[s:])
+    r = 1.0 + v[..., 2 * n + 1]
+    sinh, cosh = r * np.sinh(t), r * np.cosh(t)
+    positive = np.asarray(model.region if regions is None else regions) == "+"
+    minor, major = np.where(positive, sinh, cosh), np.where(positive, cosh, sinh)
+    z[..., :s] *= (minor / _norms(z[..., :s]))[..., None]
+    z[..., s:] *= (major / _norms(z[..., s:]))[..., None]
     return z
 
 
-def sample_pseudosphere(n: int, s: int, rng: np.random.Generator) -> np.ndarray:
-    """One point with b(z, z) = 1 (unit pseudosphere): the r = 1 point of
-    the same draw as `sample_hopf` in region '+'."""
+def sample_pseudosphere(n: int, s: int, variates) -> np.ndarray:
+    """Points (..., n) with b(z, z) = 1 (unit pseudosphere), one per row of
+    hopf_variates (..., 2n + 2): the r = 1 points of sample_hopf's map in
+    region '+'."""
     model = HopfModel(n=n, s=s, lam=0.5)
-    z = sample_hopf(model, rng)
-    return z / model.norm_sn(z)
+    z = sample_hopf(model, variates)
+    return z / np.asarray(model.norm_sn(z))[..., None]
 
 
 def sample_tricerri(n: int, rng: np.random.Generator) -> np.ndarray:

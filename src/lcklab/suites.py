@@ -19,9 +19,12 @@ order and evaluates nothing, then check(cfg, draws) returns the
 residuals of all draws in draw order; Suite.point_fn runs once per point
 and checks at the last one.  The chart, quotient, leaf and Tricerri
 suites evaluate all their draws as one (m, n) stack through the
-stack-native layers with one structure per check.  A Hopf stack may mix
-the two regions: its chart carries each point's region, so point i and
-its stencil stay on region i's component.  The foliation suites run on
+stack-native layers with one structure per check.  A Hopf draw holds
+its region and the variates of its point (sampling.hopf_variates), and
+the check maps the stack of them to points in one sample_hopf or
+sample_pseudosphere call.  A Hopf stack may mix the two regions: its
+chart carries each point's region, so point i and its stencil stay on
+region i's component.  The foliation suites run on
 Hopf and Tricerri only, where c = +-4 or 1 is never null, so even a
 stack mixing regions never mixes Lee branches (the foliation layer
 would refuse one that did).  The synthetic-null suites draw a null Lee
@@ -47,8 +50,8 @@ import numpy as np
 from . import cr as crmod
 from . import foliations as fol
 from .charts import (
-    TangentVector, _along, _bilinear, _covariant_along, _field_derivatives, christoffel,
-    covariant_derivative, koszul_christoffel, wirtinger_derivative,
+    TangentVector, _along, _bilinear, _covariant_along, _field_derivatives, _require_domain,
+    christoffel, covariant_derivative, koszul_christoffel, wirtinger_derivative,
 )
 from .lck import (
     LCKStructure, lee_data, lee_form_components, nabla_J_defect, parallel_lee_residual,
@@ -62,9 +65,9 @@ from .models import (
 )
 from .report import SCHEMA, RunConfig, SuiteResult, VerificationReport
 from .sampling import (
-    _Words, point_states, sample_complement_vector, sample_flat, sample_frame_change,
-    sample_hopf, sample_null_config, sample_null_lee_vector, sample_pair_frame,
-    sample_pseudosphere, sample_tricerri, sample_unit_circle,
+    _Words, hopf_variates, point_states, sample_complement_vector, sample_flat,
+    sample_frame_change, sample_hopf, sample_null_config, sample_null_lee_vector,
+    sample_pair_frame, sample_pseudosphere, sample_tricerri, sample_unit_circle,
 )
 from .semieuclid import FrameSubspace, contains_span, inner, same_span, signature_of
 
@@ -127,28 +130,28 @@ class Suite:
             return [r for d in draws for r in self.check(cfg, [d])]
 
 
-def _hopf(cfg: RunConfig, region: str = "+") -> HopfModel:
-    return HopfModel(n=cfg.n, s=cfg.s, lam=cfg.lam, region=region)
+def _hopf(cfg: RunConfig) -> HopfModel:
+    return HopfModel(n=cfg.n, s=cfg.s, lam=cfg.lam)
 
 
-def _hopf_sample(cfg: RunConfig, rng) -> tuple[HopfModel, np.ndarray]:
-    """A Hopf region drawn with even odds and a point sampled in it."""
+def _hopf_sample(cfg: RunConfig, rng) -> tuple[str, np.ndarray]:
+    """A Hopf region drawn with even odds and the variates of a point in
+    it, which the check maps (see _stacked)."""
     region = "+" if rng.uniform() < 0.5 else "-"
-    model = _hopf(cfg, region)
-    return model, sample_hopf(model, rng)
+    return region, hopf_variates(cfg.n, rng)
 
 
 def _draw_region(cfg, rng):
     """A Hopf draw (see _hopf_sample) with its region's sign as an extra,
     for the checks that read the region of each point."""
-    model, z = _hopf_sample(cfg, rng)
-    return model, z, model.sign
+    region, v = _hopf_sample(cfg, rng)
+    return region, v, 1.0 if region == "+" else -1.0
 
 
 def _draw_positive(cfg, rng):
-    """A point of Hopf region "+"."""
-    model = _hopf(cfg, "+")
-    return model, sample_hopf(model, rng)
+    """The variates of a point of Hopf region "+", or of the pseudosphere
+    when the check maps them there (see _stacked)."""
+    return "+", hopf_variates(cfg.n, rng)
 
 
 def _rand_hol(rng, n: int) -> np.ndarray:
@@ -157,8 +160,8 @@ def _rand_hol(rng, n: int) -> np.ndarray:
 
 
 def _chart_draw(cfg: RunConfig, rng) -> tuple:
-    """A model-appropriate (structure key, point) pair: the Hopf model of
-    a region drawn with even odds and a point in it, or None and a
+    """A model-appropriate (structure key, point) pair: a Hopf region
+    drawn with even odds and the variates of a point in it, or None and a
     Tricerri or flat point."""
     if cfg.model == "hopf":
         return _hopf_sample(cfg, rng)
@@ -169,11 +172,8 @@ def _chart_draw(cfg: RunConfig, rng) -> tuple:
     raise UsageError(f"suite has no chart for model {cfg.model!r}")
 
 
-def _structure(cfg: RunConfig, keys: Sequence) -> LCKStructure:
-    """The one structure of a stack of draws with these keys (see
-    _chart_draw): for Hopf, the chart with each point's region."""
-    if cfg.model == "hopf":
-        return hopf_chart(keys[0], regions=[k.region for k in keys])
+def _structure(cfg: RunConfig) -> LCKStructure:
+    """The one structure of a stack of Tricerri or flat draws."""
     if cfg.model == "tricerri":
         return tricerri_chart(cfg.n, cfg.s)
     if cfg.model == "flat":
@@ -185,19 +185,29 @@ def _chart_dim(cfg: RunConfig) -> int:
     return cfg.n + 1 if cfg.model == "tricerri" else cfg.n
 
 
-def _stacked(evaluate):
+def _stacked(evaluate, points="hopf"):
     """A check of draws (key, z, *extras) that evaluates all of them as one
-    stack: evaluate(key, lck, Z, *extras) gets the first draw's key, read
-    only for what every draw shares (a Hopf model's n, s and lambda, not
-    its region), the one structure of the stack (which the quotient and
-    leaf suites ignore), the points stacked into Z (m, n) and each extra
-    stacked alike, and returns the m residuals in draw order.  A Hopf
-    stack may mix regions: its chart carries each point's region, and a
-    check that reads the region draws it as an extra (_draw_region)."""
+    stack: evaluate(key, lck, Z, *extras) gets the key, the one structure
+    of the stack (which the quotient and leaf suites ignore), the points
+    stacked into Z (m, n) and each extra stacked alike, and returns the m
+    residuals in draw order.  A Tricerri or flat draw's key is None and z
+    its point.  A Hopf draw's key is its region and z its variates: the
+    check passes on one model, read only for n, s and lambda, builds the
+    chart with each draw's region, and maps the variates to Z in one
+    sample_hopf call, or one sample_pseudosphere call with points
+    "pseudosphere"; with points None, z is passed on as drawn.  A check
+    that reads the region draws it as an extra (_draw_region)."""
     def check(cfg: RunConfig, draws: list) -> list:
         keys, *columns = zip(*draws)
-        lck = _structure(cfg, keys)
-        return [float(r) for r in evaluate(keys[0], lck, *(np.stack(c) for c in columns))]
+        columns = [np.stack(c) for c in columns]
+        if cfg.model != "hopf":
+            return [float(r) for r in evaluate(None, _structure(cfg), *columns)]
+        model = _hopf(cfg)
+        if points == "hopf":
+            columns[0] = sample_hopf(model, columns[0], keys)
+        elif points == "pseudosphere":
+            columns[0] = sample_pseudosphere(cfg.n, cfg.s, columns[0])
+        return [float(r) for r in evaluate(model, hopf_chart(model, regions=keys), *columns)]
     return check
 
 
@@ -235,6 +245,7 @@ def _check_christoffel_oracle(key, lck, Z):
 
 
 def _check_prop1_lee(key, lck, Z):
+    _require_domain(lck.chart, Z)
     data = lee_data(lck, Z)
     a = key.a(Z)
     expect_hol = (-2.0 * a)[:, None] * Z
@@ -276,6 +287,7 @@ def _check_thm4_integrability(key, lck, Z):
 
 
 def _check_thm4_plane_gram(key, lck, Z):
+    _require_domain(lck.chart, Z)
     fib = fol.second_foliation_fibre(lck, Z)
     expect = fib.c[:, None, None] * np.eye(2)
     return np.abs(fib.tangent.gram_restricted - expect).max(axis=(-2, -1))
@@ -331,17 +343,13 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     return np.maximum(resid, np.abs(tors).max(axis=-1))
 
 
-def _draw_pseudosphere(cfg, rng):
-    return _hopf(cfg, "+"), sample_pseudosphere(cfg.n, cfg.s, rng)
-
-
 def _draw_submersion(cfg, rng):
-    model, z = _draw_pseudosphere(cfg, rng)
-    return model, z, rng.standard_normal((2, 2 * cfg.n - 2))   # horizontal coefficients
+    return (*_draw_positive(cfg, rng),
+            rng.standard_normal((2, 2 * cfg.n - 2)))   # horizontal coefficients
 
 
 def _draw_eq18(cfg, rng):
-    return _hopf(cfg, "+"), (0.9 + 0.6 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    return "+", (0.9 + 0.6 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
 
 
 def _draw_cr_tangential(cfg, rng):
@@ -557,8 +565,8 @@ def _check_prop4_null(c):
 # ---------------------------------------------------------------------------
 
 def _draw_torus(cfg, rng):
-    model, z = _hopf_sample(cfg, rng)
-    return model, z, complex(rng.standard_normal() * 0.5, rng.standard_normal() * 2.0)
+    return (*_hopf_sample(cfg, rng),
+            complex(rng.standard_normal() * 0.5, rng.standard_normal() * 2.0))
 
 
 def _draw_retraction(cfg, rng):
@@ -566,27 +574,22 @@ def _draw_retraction(cfg, rng):
 
 
 def _draw_leaf_radius(cfg, rng):
-    """A leaf label w, nudged off the excluded leaves, then three
-    pseudosphere samples."""
+    """A leaf label w, nudged off the excluded leaves, then the variates
+    of three pseudosphere points."""
     w = sample_unit_circle(rng)
     arg = float(np.angle(w)) % (2 * np.pi)
     a = arg / (2 * np.pi * np.log(cfg.lam))
     if min(a - np.floor(a), np.ceil(a) - a) < 1e-3:
         w = complex(np.exp(1j * (arg + 0.5)))  # nudge off the excluded leaf
-    zetas = np.stack([sample_pseudosphere(cfg.n, cfg.s, rng) for _ in range(3)])
-    return _hopf(cfg, "+"), w, zetas
-
-
-def _draw_cayley(cfg, rng):
-    z = sample_pseudosphere(cfg.n, cfg.s, rng)
-    if abs(z[-1] + 1.0) < 1e-6:   # dodge the transform's pole
-        z = -z
-    return _hopf(cfg, "+"), z
+    return "+", w, np.stack([hopf_variates(cfg.n, rng) for _ in range(3)])
 
 
 def _check_deck_pullback(model, lck, Z):
+    lamZ = model.lam * Z
+    _require_domain(lck.chart, Z)
+    _require_domain(lck.chart, lamZ)
     H = lck.chart.hermitian(Z)
-    Hl = lck.chart.hermitian(model.lam * Z)
+    Hl = lck.chart.hermitian(lamZ)
     return np.abs(Hl * model.lam ** 2 - H).max(axis=(-2, -1))
 
 
@@ -626,7 +629,8 @@ def _check_leaf_space(model, _, Z):
     return np.where(lab.same_leaf(other), np.maximum(resid, 1.0), resid)
 
 
-def _check_leaf_radius(model, _, W, zetas):
+def _check_leaf_radius(model, _, W, V):
+    zetas = sample_pseudosphere(model.n, model.s, V)   # (m, 3, n) in one pass
     label = crmod.label_from_w(model, W)
     # independent oracle: deck-reduce the sample-point norm into the annulus
     x = np.exp((np.angle(W) % (2 * np.pi)) / (2 * np.pi))
@@ -639,6 +643,7 @@ def _check_leaf_radius(model, _, W, zetas):
 
 
 def _check_cayley_boundary(model, _, Z):
+    Z = np.where(np.abs(Z[:, -1:] + 1.0) < 1e-6, -Z, Z)   # dodge the transform's pole
     return np.maximum(np.abs(cayley(model.s, 1.0, Z).residual),
                       crmod.cayley_cr_residual(model, 1.0, Z))
 
@@ -738,7 +743,8 @@ SUITES: tuple[Suite, ...] = (
           _fixed(1e-9), _draw_null,
           _null_stacked(_check_lemma6_invariance, _draw_lemma6_invariance), min_n=3),
     Suite("eq18-mean-curvature", "Proposition 3 / Equation (18)",
-          frozenset({"hopf"}), _fixed(1e-5), _draw_eq18, _stacked(_check_eq18_mean_curvature)),
+          frozenset({"hopf"}), _fixed(1e-5), _draw_eq18,
+          _stacked(_check_eq18_mean_curvature, None)),
     Suite("eq20-nabla-j", "Equation (20)",
           frozenset({"hopf", "tricerri", "flat"}), lambda c: c.tol_fd,
           _draw_vectors(2), _stacked(_check_eq20_nabla_j)),
@@ -754,24 +760,25 @@ SUITES: tuple[Suite, ...] = (
     Suite("torus-isometry", "Lemma 4", frozenset({"hopf"}), _fixed(1e-12),
           _draw_torus, _stacked(_check_torus_isometry)),
     Suite("submersion-fibre-invariance", "Equation (17)", frozenset({"hopf"}),
-          lambda c: c.tol_fd, _draw_submersion, _stacked(_check_submersion)),
+          lambda c: c.tol_fd, _draw_submersion,
+          _stacked(_check_submersion, "pseudosphere")),
     Suite("fibration-split", "Lemma 3", frozenset({"hopf"}), _fixed(1e-9),
-          _draw_pseudosphere, _stacked(_check_fibration_split)),
+          _draw_positive, _stacked(_check_fibration_split, "pseudosphere")),
     Suite("retraction-monotonicity", "Theorem 3 (proof)", frozenset({"hopf"}),
           _fixed(1e-12), _draw_retraction, _stacked(_check_retraction)),
     Suite("thm5-leaf-space", "Theorem 5 / Equation (28)", frozenset({"hopf"}),
           _fixed(1e-9), _draw_positive, _stacked(_check_leaf_space)),
     Suite("lemma7-leaf-radius", "Lemma 7", frozenset({"hopf"}), _fixed(1e-9),
-          _draw_leaf_radius, _stacked(_check_leaf_radius)),
+          _draw_leaf_radius, _stacked(_check_leaf_radius, None)),
     Suite("cayley-boundary", "Cayley transform", frozenset({"hopf"}),
-          _fixed(1e-9), _draw_cayley, _stacked(_check_cayley_boundary)),
+          _fixed(1e-9), _draw_positive, _stacked(_check_cayley_boundary, "pseudosphere")),
     Suite("levi-signature", "Theorem 5 (proof)", frozenset({"hopf"}),
           _fixed(0.0), lambda cfg, rng: None, _check_levi_signature),
     # witness threshold sits three decades above the flatness cutoff; the
     # raw Levi value decays with the sample's Euclidean distance from the
     # cone, so the sharp 0.1 bound is asserted at a pinned point in tests
     Suite("levi-hopf-leaf", "Levi form", frozenset({"hopf"}), _fixed(1e-3),
-          _draw_pseudosphere, _stacked(_check_levi_hopf), direction="ge"),
+          _draw_positive, _stacked(_check_levi_hopf, "pseudosphere"), direction="ge"),
     Suite("prop4-null-leaf", "Proposition 4", frozenset({"synthetic-null"}),
           _fixed(1e-10), _draw_null, _null_stacked(_check_prop4_null)),
     Suite("cr-tangential", "Tangential CR operator", frozenset({"hopf"}),

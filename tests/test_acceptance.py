@@ -43,6 +43,7 @@ from lcklab.models import (
     tricerri_chart,
 )
 from lcklab.sampling import (
+    hopf_variates,
     sample_complement_vector,
     sample_hopf,
     sample_null_config,
@@ -72,7 +73,7 @@ def test_criterion_01_christoffel_oracle():
         for s in range(1, n):
             model, lck = hopf_pair(n, s)
             for _ in range(100):
-                z = sample_hopf(model, rng)
+                z = sample_hopf(model, hopf_variates(model.n, rng))
                 gamma = christoffel(lck.chart, z).gamma
                 solved = koszul_christoffel(lck.chart, z)
                 rel = np.abs(gamma - solved).max() / max(1.0, np.abs(gamma).max())
@@ -95,7 +96,7 @@ def test_criterion_01_christoffel_oracle():
 def test_criterion_02_parallel_lee():
     rng = np.random.default_rng(102)
     model, lck = hopf_pair(2, 1)
-    worst = max(parallel_lee_residual(lck, sample_hopf(model, rng))
+    worst = max(parallel_lee_residual(lck, sample_hopf(model, hopf_variates(model.n, rng)))
                 for _ in range(100))
     assert worst < 1e-6
     tric = tricerri_chart(2, 1)
@@ -124,7 +125,7 @@ def test_criterion_03_lee_norms():
     for region, expect in (("+", 4.0), ("-", -4.0)):
         model, lck = hopf_pair(2, 1, region)
         for _ in range(100):
-            z = sample_hopf(model, rng)
+            z = sample_hopf(model, hopf_variates(model.n, rng))
             worst = max(worst, abs(lee_data(lck, z).c - expect))
     tric = tricerri_chart(2, 1)
     for _ in range(100):
@@ -138,7 +139,7 @@ def test_criterion_04_totally_geodesic_and_signature():
     model, lck = hopf_pair(2, 1)
     worst = 0.0
     for _ in range(100):
-        z = sample_hopf(model, rng)
+        z = sample_hopf(model, hopf_variates(model.n, rng))
         fib = first_foliation_fibre(lck, z)
         coeff = rng.standard_normal((2, fib.tangent.dim))
         sfd = gauss_weingarten(lck, fib, coeff[0] @ fib.tangent.basis,
@@ -150,7 +151,7 @@ def test_criterion_04_totally_geodesic_and_signature():
         for region, expect in (("+", 2 * s), ("-", 2 * s - 1)):
             m, lc = hopf_pair(n, s, region)
             for _ in range(10):
-                fib = first_foliation_fibre(lc, sample_hopf(m, rng))
+                fib = first_foliation_fibre(lc, sample_hopf(m, hopf_variates(m.n, rng)))
                 sig = signature_of(fib.form, fib.tangent)
                 assert sig.index == expect and sig.null == 0
     report(4, f"leaf second fundamental form {worst:.2e}, indices match")
@@ -193,7 +194,7 @@ def test_criterion_06_second_foliation():
         model, lck = hopf_pair(2, 1, region)
         sign = 1.0 if region == "+" else -1.0
         for _ in range(50):
-            z = sample_hopf(model, rng)
+            z = sample_hopf(model, hopf_variates(model.n, rng))
             worst_br = max(worst_br, integrability_residual(lck, z))
             fib = second_foliation_fibre(lck, z)
             worst_gram = max(worst_gram, float(np.abs(
@@ -276,7 +277,7 @@ def test_criterion_09_leaf_space():
         n = (2, 3, 4)[i % 3]
         s = 1 + (i % (n - 1)) if n > 2 else 1
         m = HopfModel(n=n, s=s, lam=0.5)
-        z = sample_hopf(m, rng)
+        z = sample_hopf(m, hopf_variates(m.n, rng))
         lab = leaf_label(m, z)
         for k in range(-3, 4):
             lab_k = leaf_label(m, m.lam ** k * z)
@@ -299,7 +300,7 @@ def test_criterion_09_leaf_space():
         while x <= model.lam:
             x /= model.lam
         worst_r = max(worst_r, abs(x - lab.chart_radius))
-        zetas = [sample_pseudosphere(2, 1, rng) for _ in range(5)]
+        zetas = [sample_pseudosphere(2, 1, hopf_variates(2, rng)) for _ in range(5)]
         worst_r = max(worst_r, leaf_chart_image_check(model, w, zetas))
     assert worst_r < 1e-9
     frozen = label_from_w(model, 1j).chart_radius
@@ -314,7 +315,7 @@ def test_criterion_10_cayley_siegel():
     for n, s in ((2, 1), (3, 1), (3, 2)):
         model = HopfModel(n=n, s=s, lam=0.5)
         for _ in range(100):
-            z = sample_pseudosphere(n, s, rng)
+            z = sample_pseudosphere(n, s, hopf_variates(n, rng))
             if abs(z[-1] + 1.0) < 1e-6:
                 z = -z
             worst = max(worst, abs(cayley(s, 1.0, z).residual))
@@ -332,7 +333,7 @@ def test_criterion_11_quotient_structure():
     for _ in range(200):
         region = "+" if rng.uniform() < 0.5 else "-"
         m = HopfModel(n=2, s=1, lam=0.5, region=region)
-        z = sample_hopf(m, rng)
+        z = sample_hopf(m, hopf_variates(m.n, rng))
         zeta, w = hopf_diffeo(m, z)
         back = hopf_diffeo_inv(m, zeta, w)
         k = deck_equivalent(m, z, back)
@@ -341,7 +342,7 @@ def test_criterion_11_quotient_structure():
     assert worst_rt < 1e-9
     worst_deck = 0.0
     for _ in range(100):
-        z = sample_hopf(model, rng)
+        z = sample_hopf(model, hopf_variates(model.n, rng))
         H = lck.chart.hermitian(z)
         Hl = lck.chart.hermitian(model.lam * z)
         worst_deck = max(worst_deck, float(np.abs(Hl * model.lam ** 2 - H).max()))
@@ -349,13 +350,13 @@ def test_criterion_11_quotient_structure():
     from lcklab.models import torus_pullback_isometry_residual
     worst_torus = 0.0
     for _ in range(100):
-        z = sample_hopf(model, rng)
+        z = sample_hopf(model, hopf_variates(model.n, rng))
         t = complex(0.5 * rng.standard_normal(), 2.0 * rng.standard_normal())
         worst_torus = max(worst_torus, torus_pullback_isometry_residual(model, t, z, lck))
     assert worst_torus < 1e-12
     worst_ret = 0.0
     for _ in range(200):
-        z = sample_hopf(model, rng)
+        z = sample_hopf(model, hopf_variates(model.n, rng))
         t = rng.uniform()
         worst_ret = max(worst_ret, max(0.0, model.b(z) - model.b(retraction(model, t, z))))
         worst_ret = max(worst_ret, float(np.abs(retraction(model, 0.0, z) - z).max()))
@@ -372,7 +373,7 @@ def test_criterion_12_submersion():
         model = HopfModel(n=n, s=1, lam=0.5)
         lck = hopf_chart(model)
         for _ in range(100):
-            z = sample_pseudosphere(n, 1, rng)
+            z = sample_pseudosphere(n, 1, hopf_variates(n, rng))
             _, H0 = fibration_split(model, z, lck)
             u = TangentVector.from_real_coords(rng.standard_normal(H0.dim) @ H0.basis)
             v = TangentVector.from_real_coords(rng.standard_normal(H0.dim) @ H0.basis)

@@ -36,8 +36,8 @@ from lcklab.models import (
 )
 from lcklab.report import RunConfig
 from lcklab.sampling import (
-    sample_hopf, sample_null_config, sample_null_lee_vector, sample_pseudosphere,
-    sample_tricerri, sample_unit_circle,
+    hopf_variates, sample_hopf, sample_null_config, sample_null_lee_vector,
+    sample_pseudosphere, sample_tricerri, sample_unit_circle,
 )
 from lcklab.suites import SUITES, _point_states, _run_suite, run_config
 
@@ -157,46 +157,66 @@ def test_a_stack_mixing_regions_equals_single_draws(name, n, s):
     suite = suites_mod._BY_NAME[name]
     cfg = RunConfig(model="hopf", n=n, s=s, points=8, seed=42)
     draws = _draws(suite, cfg)
-    assert {d[0].region for d in draws} == {"+", "-"}
+    assert {d[0] for d in draws} == {"+", "-"}
     assert _bits(suite.check(cfg, draws)) == \
         _bits([r for d in draws for r in suite.check(cfg, [d])])
 
 
 # The region-drawing suites whose checks apply the chart domain at their
-# base points, and those among them that difference the metric on it.
-DOMAIN_CHECKED = ("christoffel-oracle", "parallel-lee", "thm1-totally-geodesic", "thm4-hp",
-                  "eq20-nabla-j", "weyl-dj", "connection-identities")
-STENCIL_CHECKED = ("christoffel-oracle", "thm1-totally-geodesic", "thm4-hp",
-                   "connection-identities")
+# base points, and those among them that difference on it.
+DOMAIN_CHECKED = ("christoffel-oracle", "prop1-lee-field", "parallel-lee",
+                  "thm1-totally-geodesic", "thm4-integrability", "thm4-plane-gram", "thm4-hp",
+                  "eq20-nabla-j", "weyl-dj", "connection-identities", "thm2-deck-pullback")
+STENCIL_CHECKED = ("christoffel-oracle", "thm1-totally-geodesic", "thm4-integrability",
+                   "thm4-hp", "connection-identities")
 
 
 MIXED = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
 
 
-def _mixed_with(name: str, region: str, z: np.ndarray) -> list:
+def _plant(monkeypatch, faults: dict) -> None:
+    """Have the suites' Hopf and pseudosphere maps put faults[v](z) in place
+    of the point z of each variates row v among faults (keyed by its
+    bytes), so that a stacked check and a rerun of single draws both meet
+    the planted point."""
+    for name, at in (("sample_hopf", 1), ("sample_pseudosphere", 2)):
+        def planted(*args, _original=getattr(suites_mod, name), _at=at):
+            Z, V = _original(*args), args[_at]
+            for i in np.ndindex(V.shape[:-1]):
+                fault = faults.get(V[i].tobytes())
+                if fault is not None:
+                    Z[i] = fault(Z[i])
+            return Z
+
+        monkeypatch.setattr(suites_mod, name, planted)
+
+
+def _mixed_with(monkeypatch, name: str, region: str, z: np.ndarray) -> list:
     """The MIXED draws of a suite, both regions among them, with the
-    point of the first draw of `region` replaced by z."""
+    point of the first draw of `region` planted as z."""
     draws = _draws(suites_mod._BY_NAME[name], MIXED)
-    assert {d[0].region for d in draws} == {"+", "-"}
-    k = next(i for i, d in enumerate(draws) if d[0].region == region)
-    draws[k] = (draws[k][0], z) + tuple(draws[k][2:])
+    assert {d[0] for d in draws} == {"+", "-"}
+    k = next(i for i, d in enumerate(draws) if d[0] == region)
+    _plant(monkeypatch, {draws[k][1].tobytes(): lambda _: z})
     return draws
 
 
 @pytest.mark.parametrize("region, z", [("+", np.array([1.3, 0.2j])),   # b < 0
                                        ("-", np.array([0.2, 1.3 + 0j]))])   # b > 0
 @pytest.mark.parametrize("name", DOMAIN_CHECKED)
-def test_a_mixed_stack_refuses_a_point_off_its_draws_region(name, region, z):
+def test_a_mixed_stack_refuses_a_point_off_its_draws_region(monkeypatch, name, region, z):
+    draws = _mixed_with(monkeypatch, name, region, z)
     with pytest.raises(ChartDomainError) as err:
-        suites_mod._BY_NAME[name].check(MIXED, _mixed_with(name, region, z))
+        suites_mod._BY_NAME[name].check(MIXED, draws)
     assert str(err.value) == f"point {z} outside domain of hopf(n=2,s=1,+-)"
 
 
 @pytest.mark.parametrize("name", STENCIL_CHECKED)
-def test_a_mixed_stack_refuses_a_stencil_across_the_cone(name):
+def test_a_mixed_stack_refuses_a_stencil_across_the_cone(monkeypatch, name):
     z = np.array([1.0, 1.0 + 1e-7], dtype=complex)   # region "+", one step from the cone
+    draws = _mixed_with(monkeypatch, name, "+", z)
     with pytest.raises(ChartDomainError) as err:
-        suites_mod._BY_NAME[name].check(MIXED, _mixed_with(name, "+", z))
+        suites_mod._BY_NAME[name].check(MIXED, draws)
     assert str(err.value) == f"stencil around {z} leaves domain of hopf(n=2,s=1,+-)"
 
 
@@ -204,7 +224,7 @@ def test_a_mixed_stack_refuses_a_stencil_across_the_cone(name):
 def test_stacked_quotient_maps_equal_single_points(n, s):
     rng = np.random.default_rng(100 * n + s)
     model = HopfModel(n=n, s=s, lam=0.3)
-    Z = np.stack([sample_hopf(model, rng) for _ in range(5)])
+    Z = np.stack([sample_hopf(model, hopf_variates(model.n, rng)) for _ in range(5)])
     T = 0.5 * rng.standard_normal(5) + 2j * rng.standard_normal(5)
     t = rng.uniform(size=5)
     # deck powers -2, 0, 1 and 3 of Z, and one point on no deck orbit of its Z
@@ -232,9 +252,10 @@ def test_stacked_quotient_maps_equal_single_points(n, s):
 def test_stacked_leaf_and_cayley_layers_equal_single_points(n, s):
     rng = np.random.default_rng(10 * n + s)
     model = HopfModel(n=n, s=s, lam=0.3)
-    Z = np.stack([sample_hopf(model, rng) for _ in range(5)])
+    Z = np.stack([sample_hopf(model, hopf_variates(model.n, rng)) for _ in range(5)])
     W = np.array([sample_unit_circle(rng) for _ in range(5)])
-    zetas = np.stack([[sample_pseudosphere(n, s, rng) for _ in range(3)] for _ in range(5)])
+    zetas = np.stack([[sample_pseudosphere(n, s, hopf_variates(n, rng)) for _ in range(3)]
+                      for _ in range(5)])
     pseudo = zetas[:, 0]
     labels, from_w = crmod.leaf_label(model, Z), crmod.label_from_w(model, W)
     image = crmod.leaf_chart_image_check(model, W, zetas)
@@ -286,25 +307,17 @@ def _point_by_point(suite, cfg, draws):
 
 @pytest.mark.parametrize("suite", [s for s in SUITES if s.name in FD_HOPF],
                          ids=lambda s: s.name)
-def test_a_fault_at_draw_3_is_named_as_point_by_point(suite):
+def test_a_fault_at_draw_3_is_named_as_point_by_point(monkeypatch, suite):
     cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
-    calls = []
-
-    def planted(cfg, rng):
-        d = suite.draw(cfg, rng)
-        calls.append(1)
-        if len(calls) == 4:   # draw 3 of 0..5
-            d = (d[0], _on_the_cone(d[1])) + tuple(d[2:])
-        return d
-
-    faulty = replace(suite, draw=planted)
+    draws = _draws(suite, cfg)
+    _plant(monkeypatch, {draws[3][1].tobytes(): _on_the_cone})   # draw 3 of 0..5
     with np.errstate(divide="ignore", invalid="ignore"):
-        result = _run_suite(cfg, faulty, _point_states(cfg, [faulty])[0])
-        calls.clear()
-        expected, bad = _point_by_point(suite, cfg, _draws(faulty, cfg))[1:]
+        result = _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
+        expected, bad = _point_by_point(suite, cfg, draws)[1:]
     assert result.verdict == "error"
     assert result.error == expected
-    assert str(bad[1]) in result.error
+    assert bad is draws[3]
+    assert str(_on_the_cone(np.zeros(2, dtype=complex))) in result.error
 
 
 class _NaNUniform:
@@ -320,22 +333,20 @@ class _NaNUniform:
         return getattr(self._rng, name)
 
 
-# The fault planted at draw 3 of each positive-region suite (a sampler and
-# what it returns there) and the error a point-by-point run reported for it,
-# recorded before these suites were stacked.
+# The fault planted at draw 3 of each positive-region suite (what its
+# point becomes there, see _plant) and the error a point-by-point run
+# reported for it, recorded before these suites were stacked.
 POSITIVE_REGION_FAULTS = {
     "eq18-mean-curvature": (
         None, "ChartDomainError: point [0.3 +0.j nan+nanj] outside domain of hopf(n=2,s=1,+)"),
     "submersion-fibre-invariance": (
-        ("sample_pseudosphere", lambda z: 2.0 * z), "ValueError: point must satisfy b(z, z) = 1"),
+        lambda z: 2.0 * z, "ValueError: point must satisfy b(z, z) = 1"),
     "fibration-split": (
-        ("sample_pseudosphere", lambda z: 2.0 * z), "ValueError: point must satisfy b(z, z) = 1"),
+        lambda z: 2.0 * z, "ValueError: point must satisfy b(z, z) = 1"),
     "levi-hopf-leaf": (
-        ("sample_pseudosphere", _on_the_cone),
-        "SingularMetricError: metric Gram singular at [1.+0.j 1.+0.j]"),
+        _on_the_cone, "SingularMetricError: metric Gram singular at [1.+0.j 1.+0.j]"),
     "cr-tangential": (
-        ("sample_hopf", _on_the_cone),
-        "SingularMetricError: metric Gram singular at [1.+0.j 1.+0.j]"),
+        _on_the_cone, "SingularMetricError: metric Gram singular at [1.+0.j 1.+0.j]"),
 }
 
 
@@ -343,10 +354,9 @@ POSITIVE_REGION_FAULTS = {
 def test_a_fault_at_draw_3_of_a_positive_region_suite_keeps_its_message(monkeypatch, name):
     suite = suites_mod._BY_NAME[name]
     cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
-    sampler, expected = POSITIVE_REGION_FAULTS[name]
-    calls = []
-    if sampler is None:   # eq18 draws its parameter u from two uniforms
-        draw = suite.draw
+    fault, expected = POSITIVE_REGION_FAULTS[name]
+    if fault is None:   # eq18 draws its parameter u from two uniforms
+        draw, calls = suite.draw, []
 
         def planted(cfg, rng):
             calls.append(1)
@@ -354,15 +364,7 @@ def test_a_fault_at_draw_3_of_a_positive_region_suite_keeps_its_message(monkeypa
 
         suite = replace(suite, draw=planted)
     else:
-        sampler_name, fault = sampler
-        original = getattr(suites_mod, sampler_name)
-
-        def planted(*args):
-            z = original(*args)
-            calls.append(1)
-            return fault(z) if len(calls) == 4 else z
-
-        monkeypatch.setattr(suites_mod, sampler_name, planted)
+        _plant(monkeypatch, {_draws(suite, cfg)[3][1].tobytes(): fault})
     with np.errstate(divide="ignore", invalid="ignore"):
         result = _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
     assert (result.verdict, result.error) == ("error", expected)
@@ -380,35 +382,54 @@ def _planted(suite, faults: dict):
     return replace(suite, draw=draw)
 
 
+def _cayley_faults(monkeypatch, suite, cfg, k: int) -> dict:
+    """Draw k's point off the pseudosphere, planted through the map, and
+    draw k + 2's at the Cayley pole, planted where the transform reads it:
+    the check negates a point near the pole before that."""
+    draws = _draws(suite, cfg)
+    _plant(monkeypatch, {draws[k][1].tobytes(): lambda z: 2.0 * z})
+    at_pole = sample_pseudosphere(cfg.n, cfg.s, draws[k + 2][1]).tobytes()
+    transform = suites_mod.cayley
+
+    def planted(s, r, Z):
+        pole = -np.eye(Z.shape[-1], dtype=complex)[-1]
+        return transform(s, r, np.array([pole if z.tobytes() == at_pole else z for z in Z]))
+
+    monkeypatch.setattr(suites_mod, "cayley", planted)
+    return {}
+
+
+def _gab_faults(monkeypatch, suite, cfg, k: int) -> dict:
+    """Draw k with Im(w) < 0 and draw k + 2 with alpha |beta|^2 = 2."""
+    return {k: lambda d: (d[0], np.concatenate([[d[1][0].conj()], d[1][1:]]), *d[2:]),
+            k + 2: lambda d: (*d[:2], 2.0 * d[2], d[3])}
+
+
 # A fault planted at draw k, another at draw k + 2 that the stacked check
-# meets first, and the error of draw k.
+# meets first (each planter returns the draws it replaces, see _planted),
+# and the error of draw k.
 STACKED_FAULTS = {
-    "cayley-boundary": (
-        lambda d: (d[0], 2.0 * d[1]),                                 # off the pseudosphere
-        lambda d: (d[0], -np.eye(len(d[1]), dtype=complex)[-1]),      # the Cayley pole
-        "ValueError: point must lie on the pseudosphere of radius r"),
-    "gab-invariance": (
-        lambda d: (d[0], np.concatenate([[d[1][0].conj()], d[1][1:]]), *d[2:]),   # Im(w) < 0
-        lambda d: (*d[:2], 2.0 * d[2], d[3]),                         # alpha |beta|^2 = 2
-        "ChartDomainError: need Im(w) > 0"),
+    "cayley-boundary": (_cayley_faults,
+                        "ValueError: point must lie on the pseudosphere of radius r"),
+    "gab-invariance": (_gab_faults, "ChartDomainError: need Im(w) > 0"),
 }
 
 
 @pytest.mark.parametrize("k", [0, 3])
 @pytest.mark.parametrize("name", sorted(STACKED_FAULTS))
-def test_a_fault_at_draw_k_of_a_closed_form_suite_is_reported_at_k(name, k):
+def test_a_fault_at_draw_k_of_a_closed_form_suite_is_reported_at_k(monkeypatch, name, k):
     suite = suites_mod._BY_NAME[name]
-    first, later, expected = STACKED_FAULTS[name]
+    plant, expected = STACKED_FAULTS[name]
     cfg = RunConfig(model="hopf" if "hopf" in suite.models else "tricerri", n=3, s=1,
                     points=6, seed=42)
-    draws = _draws(_planted(suite, {k: first, k + 2: later}), cfg)
+    faults = plant(monkeypatch, suite, cfg, k)
+    draws = _draws(_planted(suite, faults), cfg)
     with pytest.raises(suites_mod._POINT_FAULTS) as stacked:
         suite.check(cfg, draws)
     assert f"{type(stacked.value).__name__}: {stacked.value}" != expected
     _, message, bad = _point_by_point(suite, cfg, draws)
     assert message == expected and bad is draws[k]
-    result = _run_suite(cfg, _planted(suite, {k: first, k + 2: later}),
-                        _point_states(cfg, [suite])[0])
+    result = _run_suite(cfg, _planted(suite, faults), _point_states(cfg, [suite])[0])
     assert (result.verdict, result.points, result.error) == ("error", 0, expected)
 
 
@@ -530,7 +551,7 @@ class TestDerivedOnce:
         assert len(calls) == 1          # A and B together; 5 per point before
         calls.clear()
         suite.check(cfg, draws)
-        assert {d[0].region for d in draws} == {"+", "-"}
+        assert {d[0] for d in draws} == {"+", "-"}
         assert len(calls) == 1          # both regions in one stack; one per region before
 
     def test_submersion_builds_one_chart_and_one_lee_data_per_run(self, monkeypatch):

@@ -26,7 +26,7 @@ from lcklab.models import (
     hopf_chart,
     tricerri_chart,
 )
-from lcklab.sampling import sample_hopf, sample_tricerri
+from lcklab.sampling import hopf_variates, sample_hopf, sample_tricerri
 
 HOPF = hopf_chart(HopfModel(n=2, s=1, lam=0.5))
 FLAT = flat_chart(2, 1)
@@ -48,7 +48,7 @@ class TestTangentVector:
 
     def test_real_gram_matches_hermitian_pairing(self):
         rng = np.random.default_rng(5)
-        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
+        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
         G = HOPF.chart.real_gram(z)
         H = HOPF.chart.hermitian(z)
         for _ in range(10):
@@ -108,7 +108,7 @@ class TestStackedStencil:
 
 class TestChartInvariants:
     @pytest.mark.parametrize("lck,sampler", [
-        (HOPF, lambda rng: sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)),
+        (HOPF, lambda rng: sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))),
         (TRIC, lambda rng: sample_tricerri(2, rng)),
         (FLAT, lambda rng: rng.standard_normal(2) + 1j * rng.standard_normal(2)),
     ])
@@ -122,13 +122,13 @@ class TestChartInvariants:
     def test_real_signature_at_samples(self):
         rng = np.random.default_rng(32)
         for _ in range(10):
-            z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
+            z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
             HOPF.chart.real_form(z)  # constructor asserts signature (2, 2)
 
     def test_real_vector_pairs_real_with_real_form(self):
         rng = np.random.default_rng(33)
         from lcklab.lck import lee_form_components
-        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
+        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
         omega = lee_form_components(HOPF, z)
         for _ in range(10):
             v = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
@@ -151,7 +151,7 @@ class TestChristoffel:
         rng = np.random.default_rng(11)
         model = HopfModel(n=2, s=1, lam=0.5)
         for _ in range(20):
-            z = sample_hopf(model, rng)
+            z = sample_hopf(model, hopf_variates(model.n, rng))
             gamma = christoffel(HOPF.chart, z).gamma
             solved = koszul_christoffel(HOPF.chart, z)
             rel = np.abs(gamma - solved).max() / max(1.0, np.abs(gamma).max())
@@ -178,7 +178,7 @@ class TestChristoffel:
 
     def test_symmetry_and_conjugation(self):
         rng = np.random.default_rng(13)
-        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
+        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
         cc = christoffel(HOPF.chart, z)
         assert cc.symmetry_residual() < 1e-12
         assert cc.conjugation_residual() < 1e-12
@@ -215,7 +215,7 @@ class TestChristoffel:
         twisted = MetricChart(
             n=n, s=s, metric_eval=lambda z: A.T @ base.metric_eval(np.matvec(A, z)) @ A.conj(),
             domain_pred=lambda z: base.domain_pred(np.matvec(A, z)), name="twisted hopf")
-        w = sample_hopf(model, rng)
+        w = sample_hopf(model, hopf_variates(model.n, rng))
         z = np.linalg.solve(A, w)
         T = charts_mod._metric_derivative_tensor(twisted, z)   # T[E, C, D] = Z_E g_CD
         assert np.array_equal(T, T.swapaxes(-1, -2))
@@ -243,7 +243,7 @@ class TestCovariantDerivative:
     def test_hopf_lee_field_parallel(self):
         B = lambda p: lee_data(HOPF, p).B
         rng = np.random.default_rng(14)
-        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
+        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
         for j in range(2):
             X = TangentVector.complexified(np.eye(2)[j], np.zeros(2))
             out = covariant_derivative(HOPF.chart, X, B, z)
@@ -278,7 +278,7 @@ class TestGradient:
 
     def test_hopf_log_norm_gradient_is_minus_lee(self):
         rng = np.random.default_rng(16)
-        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
+        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
         f = lambda p: np.log(abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2))
         g = gradient(HOPF.chart, f, z)
         B = lee_data(HOPF, z).B
@@ -383,7 +383,7 @@ class TestConformalShift:
         # |z|^2 g is the flat metric, so shifting with the local conformal
         # factor -log |z|^2 must kill the connection on constant fields
         rng = np.random.default_rng(19)
-        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)
+        z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
         f = lambda p: -np.log(abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2))
         X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         Y = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
@@ -393,7 +393,7 @@ class TestConformalShift:
 
 class TestMetricCompatibility:
     @pytest.mark.parametrize("lck,sampler", [
-        (HOPF, lambda rng: sample_hopf(HopfModel(n=2, s=1, lam=0.5), rng)),
+        (HOPF, lambda rng: sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))),
         (TRIC, lambda rng: sample_tricerri(2, rng)),
     ])
     def test_compatibility_and_torsion(self, lck, sampler):

@@ -22,7 +22,7 @@ from lcklab.models import (
 )
 from lcklab.report import RunConfig
 from lcklab.suites import run_config
-from lcklab.sampling import sample_hopf, sample_pseudosphere
+from lcklab.sampling import hopf_variates, sample_hopf, sample_pseudosphere
 from lcklab.semieuclid import FrameSubspace, same_span
 
 MODEL = HopfModel(n=2, s=1, lam=0.5)
@@ -44,7 +44,7 @@ class TestCRFibre:
         for n, s in ((2, 1), (3, 1), (3, 2)):
             model = HopfModel(n=n, s=s, lam=0.5)
             lck = hopf_chart(model)
-            z = sample_hopf(model, rng)
+            z = sample_hopf(model, hopf_variates(model.n, rng))
             fib = cr_fibre(lck, z)
             assert fib.levi_H.dim == 2 * n - 2
             # J stabilizes the Levi distribution
@@ -55,7 +55,7 @@ class TestCRFibre:
 
     def test_t10_annihilates_lee_form(self):
         rng = np.random.default_rng(1)
-        z = sample_hopf(MODEL, rng)
+        z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         fib = cr_fibre(HOPF, z)
         omega_hol = HOPF.lee_hol(z)
         assert np.abs(omega_hol @ fib.t10).max() < 1e-9
@@ -86,7 +86,7 @@ class TestTangentialCR:
 
     def test_leaf_constant_function(self):
         rng = np.random.default_rng(2)
-        z = sample_hopf(MODEL, rng)
+        z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         f = lambda p: abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2)
         assert tangential_cr_residual(cr_fibre(HOPF, z), f) < 1e-8
 
@@ -112,7 +112,7 @@ class TestLeviForm:
         model = HopfModel(n=3, s=1, lam=0.5)
         lck = hopf_chart(model)
         rng = np.random.default_rng(3)
-        z = sample_hopf(model, rng)
+        z = sample_hopf(model, hopf_variates(model.n, rng))
         fib = cr_fibre(lck, z)
         V, W = fib.t10[:, 0], fib.t10[:, 1]
         lvw = levi_form(lck, fib, V, W)
@@ -168,7 +168,7 @@ class TestLeafLabels:
     def test_deck_invariance_and_separation(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             lab = leaf_label(MODEL, z)
             for m in range(-3, 4):
                 lab_m = leaf_label(MODEL, MODEL.lam ** m * z)
@@ -185,7 +185,7 @@ class TestLeafLabels:
         # no integer power of lambda; a rotation exp(2 pi i m log lambda)
         # of w once joined them (|dw| = 1.64)
         model = HopfModel(n=3, s=1, lam=0.5)
-        z = sample_hopf(model, np.random.default_rng(3))
+        z = sample_hopf(model, hopf_variates(model.n, np.random.default_rng(3)))
         other = np.exp(np.log(model.lam) ** 2) * z
         assert deck_equivalent(model, z, other) is None
         assert not leaf_label(model, z).same_leaf(leaf_label(model, other))
@@ -194,7 +194,7 @@ class TestLeafLabels:
                        "label_from_w reads w as exp(2 pi i log r) (CHANGES.md FOUND)")
     def test_chart_radius_of_a_label_is_the_deck_reduced_radius(self):
         model = HopfModel(n=3, s=1, lam=0.5)
-        z = sample_hopf(model, np.random.default_rng(3))
+        z = sample_hopf(model, hopf_variates(model.n, np.random.default_rng(3)))
         r = model.norm_sn(z)
         while r >= 1.0:
             r *= model.lam
@@ -207,7 +207,7 @@ class TestLeafLabels:
 class TestLeafChartImage:
     def test_quarter_turn_samples(self):
         rng = np.random.default_rng(5)
-        zetas = [sample_pseudosphere(2, 1, rng) for _ in range(20)]
+        zetas = [sample_pseudosphere(2, 1, hopf_variates(2, rng)) for _ in range(20)]
         assert leaf_chart_image_check(MODEL, 1j, zetas) < 1e-9
 
     def test_half_turn_radius_value(self):
@@ -217,7 +217,7 @@ class TestLeafChartImage:
 
     def test_excluded_leaf(self):
         rng = np.random.default_rng(6)
-        zetas = [sample_pseudosphere(2, 1, rng)]
+        zetas = [sample_pseudosphere(2, 1, hopf_variates(2, rng))]
         with pytest.raises(ValueError):
             leaf_chart_image_check(MODEL, 1.0, zetas)
 
@@ -236,7 +236,7 @@ class TestSiegel:
         model = HopfModel(n=n, s=s, lam=0.5)
         rng = np.random.default_rng(7)
         for _ in range(10):
-            z = sample_pseudosphere(n, s, rng)
+            z = sample_pseudosphere(n, s, hopf_variates(n, rng))
             if abs(z[-1] + 1.0) < 1e-6:
                 z = -z
             assert cayley_cr_residual(model, 1.0, z) < 1e-6

@@ -20,8 +20,8 @@ from lcklab.foliations import (
 from lcklab.lck import LCKStructure, lee_data
 from lcklab.models import HopfModel, eps_signs, flat_chart, hopf_chart, synthetic_null_structure, tricerri_chart
 from lcklab.sampling import (
-    sample_complement_vector, sample_hopf, sample_null_config, sample_null_lee_vector,
-    sample_pair_frame,
+    hopf_variates, sample_complement_vector, sample_hopf, sample_null_config,
+    sample_null_lee_vector, sample_pair_frame,
 )
 from lcklab.semieuclid import (
     FrameSubspace,
@@ -78,7 +78,7 @@ class TestFirstFoliation:
         # the fibre annihilates the differential of |z|^2_{s,n}
         rng = np.random.default_rng(0)
         for _ in range(10):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             fib = first_foliation_fibre(HOPF, z)
             db = np.empty(4)
             eps = np.array([-1.0, 1.0])
@@ -145,7 +145,7 @@ class TestGaussWeingarten:
     def test_hopf_totally_geodesic(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             fib = first_foliation_fibre(HOPF, z)
             coeff = rng.standard_normal((2, 3))
             X = coeff[0] @ fib.tangent.basis
@@ -156,7 +156,7 @@ class TestGaussWeingarten:
 
     def test_builds_no_validated_form(self, monkeypatch):
         lck = hopf_chart(MODEL)
-        z = sample_hopf(MODEL, np.random.default_rng(3))
+        z = sample_hopf(MODEL, hopf_variates(MODEL.n, np.random.default_rng(3)))
         fib = first_foliation_fibre(lck, z)
         X, Y = fib.tangent.basis[0], fib.tangent.basis[1]
         built = []
@@ -216,7 +216,7 @@ class TestGaussWeingarten:
         # tensoriality: the transversal part of nabla_X Y is the same for
         # the metric projection extension and a Euclidean kernel extension
         rng = np.random.default_rng(9)
-        z = sample_hopf(MODEL, rng)
+        z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         fib = first_foliation_fibre(HOPF, z)
         d = lee_data(HOPF, z)
         omega_z = fib.form.gram @ d.B.real_coords()
@@ -308,7 +308,7 @@ class TestSecondFoliation:
     def test_integrability(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             assert integrability_residual(HOPF, z) < 1e-5
         # out-of-hypothesis diagnostic on the nonparallel chart: reported,
         # and in fact small because the bracket closes there too
@@ -407,7 +407,7 @@ class TestHP:
     def test_hopf_vanishing(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             assert h_P_residual(HOPF, z) < 1e-5
 
     def test_lee_derivatives_vanish_exactly(self):
@@ -475,7 +475,7 @@ def test_torus_fibre_minimality():
     # contains the Lee field, so the mean-curvature law forces H = 0: the
     # Lee-tangent complex line realizes a fibre direction through the point
     rng = np.random.default_rng(6)
-    z = sample_hopf(MODEL, rng)
+    z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
     d = lee_data(HOPF, z)
     fib = second_foliation_fibre(HOPF, z)
     B = FrameSubspace.from_vectors(fib.form, [d.B.real_coords()])

@@ -22,7 +22,7 @@ from lcklab.lck import (
     weyl_connection,
 )
 from lcklab.models import HopfModel, flat_chart, hopf_chart, synthetic_null_structure, tricerri_chart
-from lcklab.sampling import sample_hopf, sample_tricerri
+from lcklab.sampling import hopf_variates, sample_hopf, sample_tricerri
 
 MODEL = HopfModel(n=2, s=1, lam=0.5)
 MODEL_NEG = HopfModel(n=2, s=1, lam=0.5, region="-")
@@ -55,14 +55,14 @@ class TestLeeData:
     def test_raising_round_trip(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             d = lee_data(HOPF, z)
             lowered = HOPF.chart.gram_full(z) @ d.B.components
             assert np.abs(lowered - lee_form_components(HOPF, z)).max() < 1e-10
 
     def test_anti_lee_identities(self):
         rng = np.random.default_rng(1)
-        for lck, sampler in ((HOPF, lambda r: sample_hopf(MODEL, r)),
+        for lck, sampler in ((HOPF, lambda r: sample_hopf(MODEL, hopf_variates(MODEL.n, r))),
                              (TRIC, lambda r: sample_tricerri(2, r))):
             z = sampler(rng)
             d = lee_data(lck, z)
@@ -77,7 +77,7 @@ class TestLeeData:
 
     def test_omega_closed_and_exact(self):
         rng = np.random.default_rng(2)
-        for lck, sampler in ((HOPF, lambda r: sample_hopf(MODEL, r)),
+        for lck, sampler in ((HOPF, lambda r: sample_hopf(MODEL, hopf_variates(MODEL.n, r))),
                              (TRIC, lambda r: sample_tricerri(2, r))):
             z = sampler(rng)
             domega = exterior_derivative_1form(lambda p: lee_form_components(lck, p), z)
@@ -91,7 +91,7 @@ class TestLeeData:
 
     def test_kahler_form_j_invariance(self):
         rng = np.random.default_rng(3)
-        z = sample_hopf(MODEL, rng)
+        z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         d = lee_data(HOPF, z)
         for _ in range(5):
             X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
@@ -281,7 +281,7 @@ class TestWeylConnection:
     def test_dj_vanishes_on_hopf(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             gam = christoffel(HOPF.chart, z)
             X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
             Y = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
@@ -301,7 +301,7 @@ class TestWeylConnection:
         # the shifted connection preserves J but not g: witness the defect
         from lcklab.charts import wirtinger_derivative
         rng = np.random.default_rng(7)
-        z = sample_hopf(MODEL, rng)
+        z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         Y = TangentVector.real([0.0, 1.0])
         gYY = lambda p: np.einsum("a,...ab,b->...", Y.components, HOPF.chart.gram_full(p),
                                   Y.components)
@@ -328,8 +328,8 @@ class TestNablaJ:
         assert np.abs(out.components).max() < 1e-14
 
     @pytest.mark.parametrize("lck,sampler,n", [
-        (HOPF, lambda r: sample_hopf(MODEL, r), 2),
-        (HOPF_NEG, lambda r: sample_hopf(MODEL_NEG, r), 2),
+        (HOPF, lambda r: sample_hopf(MODEL, hopf_variates(MODEL.n, r)), 2),
+        (HOPF_NEG, lambda r: sample_hopf(MODEL_NEG, hopf_variates(MODEL_NEG.n, r)), 2),
         (TRIC, lambda r: sample_tricerri(2, r), 3),
     ])
     def test_closed_form_identity(self, lck, sampler, n):
@@ -346,7 +346,7 @@ class TestParallelLee:
     def test_hopf_parallel(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             assert parallel_lee_residual(HOPF, z) < 1e-6
 
     def test_flat_trivially_parallel(self):

@@ -19,7 +19,7 @@ from lcklab.models import (
     tricerri_chart,
 )
 from lcklab.lck import lee_data
-from lcklab.sampling import sample_hopf, sample_pseudosphere
+from lcklab.sampling import hopf_variates, sample_hopf, sample_pseudosphere
 from lcklab.semieuclid import signature_of
 
 MODEL = HopfModel(n=2, s=1, lam=0.5)
@@ -50,7 +50,7 @@ class TestBForm:
     def test_norm_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             assert MODEL.a(z) * MODEL.norm_sn(z) ** 2 == pytest.approx(
                 MODEL.b(z), abs=1e-12)
 
@@ -68,7 +68,7 @@ class TestHopfChart:
     def test_real_signature(self):
         lck = hopf_chart(MODEL)
         rng = np.random.default_rng(2)
-        z = sample_hopf(MODEL, rng)
+        z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         form = lck.chart.real_form(z)   # validates signature (2, 2)
         assert form.index == 2
 
@@ -76,7 +76,7 @@ class TestHopfChart:
         lck = hopf_chart(MODEL)
         rng = np.random.default_rng(3)
         for _ in range(100):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             H = lck.chart.hermitian(z)
             Hl = lck.chart.hermitian(MODEL.lam * z)
             assert np.abs(Hl * MODEL.lam ** 2 - H).max() < 1e-12
@@ -120,7 +120,7 @@ class TestHopfDiffeo:
     def test_round_trips(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             zeta, w = hopf_diffeo(MODEL, z)
             assert abs(abs(w) - 1.0) < 1e-12
             assert MODEL.b(zeta) == pytest.approx(1.0, abs=1e-12)
@@ -134,8 +134,8 @@ class TestHopfDiffeo:
     def test_pseudosphere_dichotomy(self):
         rng = np.random.default_rng(5)
         neg = HopfModel(n=2, s=1, lam=0.5, region="-")
-        zp = sample_hopf(MODEL, rng)
-        zm = sample_hopf(neg, rng)
+        zp = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
+        zm = sample_hopf(neg, hopf_variates(neg.n, rng))
         assert MODEL.b(zp / MODEL.norm_sn(zp)) == pytest.approx(1.0, abs=1e-12)
         assert neg.b(zm / neg.norm_sn(zm)) == pytest.approx(-1.0, abs=1e-12)
 
@@ -167,7 +167,7 @@ class TestFibrationSplit:
 
     def test_vertical_spans_lee_plane(self):
         rng = np.random.default_rng(6)
-        z = sample_pseudosphere(2, 1, rng)
+        z = sample_pseudosphere(2, 1, hopf_variates(2, rng))
         V0, H0 = fibration_split(MODEL, z, hopf_chart(MODEL))
         d = lee_data(hopf_chart(MODEL), z)
         gram = np.vstack([V0.basis, d.A.real_coords(), d.B.real_coords()])
@@ -187,7 +187,7 @@ class TestSubmersion:
     def test_fibre_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            z = sample_pseudosphere(2, 1, rng)
+            z = sample_pseudosphere(2, 1, hopf_variates(2, rng))
             _, H0 = fibration_split(MODEL, z, hopf_chart(MODEL))
             u = TangentVector.from_real_coords(rng.standard_normal(2) @ H0.basis)
             v = TangentVector.from_real_coords(rng.standard_normal(2) @ H0.basis)
@@ -223,7 +223,7 @@ class TestRetraction:
     def test_monotone_at_random_samples(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            z = sample_hopf(MODEL, rng)
+            z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             t = rng.uniform()
             assert MODEL.b(retraction(MODEL, t, z)) >= MODEL.b(z) - 1e-12
 
@@ -250,7 +250,7 @@ class TestCayley:
     def test_pseudosphere_samples_land_on_boundary(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            z = sample_pseudosphere(2, 1, rng)
+            z = sample_pseudosphere(2, 1, hopf_variates(2, rng))
             if abs(z[-1] + 1.0) < 1e-6:
                 z = -z
             assert abs(cayley(1, 1.0, z).residual) < 1e-9

@@ -2,26 +2,37 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lcklab import sampling as sampling_mod
+from lcklab import suites as suites_mod
 from lcklab.models import CONE_MARGIN, HopfModel
 from lcklab.report import RunConfig
 from lcklab.sampling import (
-    _Words, point_states, sample_hopf, sample_null_config, sample_null_lee_vector,
-    sample_pseudosphere,
+    _Words, hopf_variates, point_states, sample_hopf, sample_null_config,
+    sample_null_lee_vector, sample_pseudosphere,
 )
 from lcklab.semieuclid import SemiEuclideanForm
 from lcklab.suites import SUITES, run_config
+
+
+def _variates(n: int, rng, m: int) -> np.ndarray:
+    return np.stack([hopf_variates(n, rng) for _ in range(m)])
+
+
+# Mixed-region stacks of these shapes map row for row as 1-row calls do.
+SHAPES = [(2, 1), (3, 1), (4, 2), (5, 2), (8, 7), (16, 15), (16, 1), (32, 5)]
 
 
 class TestHopfSampler:
     @pytest.mark.parametrize("region", ["+", "-"])
     def test_every_sample_keeps_margin_region_and_norm(self, region):
         model = HopfModel(n=8, s=7, lam=0.5, region=region)
-        rng = np.random.default_rng(11)
-        zs = np.array([sample_hopf(model, rng) for _ in range(1000)])
-        b = np.array([model.b(z) for z in zs])
+        zs = sample_hopf(model, _variates(8, np.random.default_rng(11), 1000))
+        b = model.b(zs)
         zz = np.einsum("ij,ij->i", zs.conj(), zs).real
-        assert np.all(model.sign * b > CONE_MARGIN * zz)
+        assert np.all((1.0 if region == "+" else -1.0) * b > CONE_MARGIN * zz)
         assert np.all(zz >= 0.1)
 
     @pytest.mark.parametrize("region", ["+", "-"])
@@ -29,27 +40,99 @@ class TestHopfSampler:
         model = HopfModel(n=8, s=7, lam=0.5, region=region)
 
         def draw():
-            rng = np.random.default_rng(4)
-            return np.array([sample_hopf(model, rng) for _ in range(1000)]).tobytes()
+            return sample_hopf(model, _variates(8, np.random.default_rng(4), 1000)).tobytes()
 
         assert draw() == draw()
 
     @pytest.mark.parametrize("n, s", [(2, 1), (8, 7), (12, 11), (16, 15)])
     def test_fixed_rng_cost(self, n, s):
-        # one complex-normal draw and two uniforms per sample, never a retry
+        # a draw reads what two n-vectors of normals and two uniforms read,
+        # never a retry, and leaves the generator where they leave it
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(50):
-            sample_hopf(HopfModel(n=n, s=s, lam=0.5), rng)
-            ref.standard_normal(2 * n)
-            ref.uniform(size=2)
+            v = hopf_variates(n, rng)
+            expect = [ref.standard_normal(n), ref.standard_normal(n), [ref.uniform()],
+                      [ref.uniform()]]
+            assert v.tobytes() == np.concatenate(expect).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.uniform() == ref.uniform()
 
     def test_pseudosphere_is_unit(self):
         rng = np.random.default_rng(8)
         for n, s in ((2, 1), (8, 7), (16, 15)):
             model = HopfModel(n=n, s=s, lam=0.5)
-            for _ in range(200):
-                assert abs(model.b(sample_pseudosphere(n, s, rng)) - 1.0) < 1e-12
+            b = model.b(sample_pseudosphere(n, s, _variates(n, rng, 200)))
+            assert np.abs(b - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n, s", SHAPES)
+    def test_stacked_rows_equal_one_row_calls(self, n, s):
+        rng = np.random.default_rng(10 * n + s)
+        regions = np.where(rng.uniform(size=400) < 0.5, "+", "-")
+        assert set(regions) == {"+", "-"}
+        V, P = _variates(n, rng, 400), _variates(n, rng, 100).reshape(50, 2, -1)
+        Z = sample_hopf(HopfModel(n=n, s=s, lam=0.5), V, regions)
+        for v, region, z in zip(V, regions, Z):
+            model = HopfModel(n=n, s=s, lam=0.5, region=region)
+            assert sample_hopf(model, v[None])[0].tobytes() == z.tobytes()
+            assert sample_hopf(model, v).tobytes() == z.tobytes()
+        S = sample_pseudosphere(n, s, P)   # a (50, 2) stack of rows
+        assert S.shape == (50, 2, n)
+        for v, z in zip(P.reshape(100, -1), S.reshape(100, n)):
+            assert sample_pseudosphere(n, s, v[None])[0].tobytes() == z.tobytes()
+
+
+@st.composite
+def _hopf_stacks(draw):
+    """(n, s, regions, variates) with seeded normals and hypothesis-chosen
+    uniforms, the ends of [0, 1) among them."""
+    n = draw(st.integers(2, 12))
+    s = draw(st.integers(1, n - 1))
+    m = draw(st.integers(1, 6))
+    regions = draw(st.lists(st.sampled_from("+-"), min_size=m, max_size=m))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    uniforms = draw(st.lists(st.tuples(unit, unit), min_size=m, max_size=m))
+    normals = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal((m, 2 * n))
+    return n, s, np.array(regions), np.concatenate([normals, np.array(uniforms)], axis=-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hopf_stacks())
+def test_every_row_keeps_its_region_margin_and_radius(stack):
+    n, s, regions, V = stack
+    model = HopfModel(n=n, s=s, lam=0.5)
+    Z = sample_hopf(model, V, regions)
+    b, zz = model.b(Z), np.vecdot(Z, Z).real
+    sign = np.where(regions == "+", 1.0, -1.0)
+    assert np.all(sign * b > CONE_MARGIN * zz)
+    r = 1.0 + V[:, -1]   # rounds to 2 at the largest uniform below 1
+    assert np.all((1.0 <= r) & (r <= 2.0))
+    assert np.abs(np.abs(b) - r * r).max() <= 1e-12 * (r * r).max()
+    assert np.abs(model.b(sample_pseudosphere(n, s, V)) - 1.0).max() <= 1e-12
+
+
+# The hopf-sampler benchmark workload: ten closed-form suites at n=8 s=7.
+SAMPLER_SUITES = ("thm2-deck-pullback", "hopf-diffeo-roundtrip", "torus-isometry",
+                  "retraction-monotonicity", "thm5-leaf-space", "lemma7-leaf-radius",
+                  "cayley-boundary", "fibration-split", "prop1-lee-field", "eq1-leaf-signature")
+
+
+def test_a_hopf_run_maps_each_checks_points_in_one_call(monkeypatch):
+    calls = []
+    original = sampling_mod.sample_hopf
+
+    def counted(model, variates, regions=None):
+        calls.append(np.shape(variates))
+        return original(model, variates, regions)
+
+    for module in (sampling_mod, suites_mod):
+        monkeypatch.setattr(module, "sample_hopf", counted)
+    cfg = RunConfig(model="hopf", n=8, s=7, lam=0.5, points=8, seed=42, suites=SAMPLER_SUITES)
+    report = run_config(cfg)
+    assert [r.verdict for r in report.results] == ["pass"] * len(SAMPLER_SUITES)
+    # one call per check, each on the whole stack: lemma7-leaf-radius maps
+    # its three pseudosphere points per draw as one (8, 3) stack
+    assert len(calls) == len(SAMPLER_SUITES)
+    assert sorted(calls) == sorted([(8, 18)] * 9 + [(8, 3, 18)])
 
 
 class TestNullConfigForm:
