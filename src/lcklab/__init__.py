@@ -12,7 +12,6 @@ from .charts import (
     covariant_derivative,
     exterior_derivative_1form,
     exterior_derivative_2form,
-    gradient,
     kahler_form,
     koszul_christoffel,
     lie_bracket,
@@ -64,7 +63,6 @@ from .models import (
     fibration_split,
     flat_chart,
     gab_invariance_residual,
-    halfplane_kahler_chart,
     hopf_chart,
     hopf_diffeo,
     hopf_diffeo_inv,

@@ -72,7 +72,6 @@ __all__ = [
     "christoffel",
     "koszul_christoffel",
     "covariant_derivative",
-    "gradient",
     "lie_bracket",
     "exterior_derivative_1form",
     "exterior_derivative_2form",
@@ -154,10 +153,6 @@ class TangentVector:
 
     def conj(self) -> "TangentVector":
         return TangentVector(hol=self.antihol.conj(), antihol=self.hol.conj())
-
-    def norm(self) -> float:
-        """Euclidean norm of the component vector (not the metric norm)."""
-        return float(np.linalg.norm(self.components))
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         return TangentVector(self.hol + other.hol, self.antihol + other.antihol)
@@ -494,16 +489,6 @@ def covariant_derivative(chart: MetricChart, X, Y, z: np.ndarray,
     return _covariant_along(gamma, Xv, Yv, dY)
 
 
-def gradient(chart: MetricChart, f: Callable[[np.ndarray], complex],
-             z: np.ndarray) -> TangentVector:
-    """Index-raised differential: g(grad f, X) = X(f) for all X."""
-    z = np.asarray(z, dtype=complex)
-    d_dz, d_dzb = wirtinger_derivative(f, z, chart=chart)
-    df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
-    H = chart.hermitian(z)
-    return TangentVector.from_components(_solve_gram(_mixed_blocks(H, H.conj()), df, z))
-
-
 def lie_bracket(X, Y, z: np.ndarray, *, chart: MetricChart | None = None) -> TangentVector:
     """[X, Y]^A = X(Y^A) - Y(X^A) at a point or a stack; metric independent.
     The fields among X and Y share one stencil evaluation (on the chart's
@@ -569,6 +554,6 @@ def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> Ta
     H = chart.hermitian(z)
     G = _mixed_blocks(H, H.conj())
     gXY = Xv.components @ G @ Yv.components
-    gradf = _solve_gram(G, df, z)   # grad f, as gradient() solves it
+    gradf = _solve_gram(G, df, z)   # grad f: g(grad f, X) = X(f)
     shift = Xf * Yv.components + Yf * Xv.components - gXY * gradf
     return TangentVector.from_components(base.components - 0.5 * shift)

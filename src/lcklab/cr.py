@@ -29,7 +29,7 @@ import numpy as np
 
 from .charts import ChartDomainError, TangentVector, lie_bracket, wirtinger_derivative
 from .lck import LCKStructure, _nonsingular, lee_data
-from .models import CAYLEY_POLE_TOL, HopfModel, cayley, eps_signs
+from .models import HopfModel, cayley, eps_signs
 from .semieuclid import FrameSubspace, _kernel, _lstsq_rows, _per_point
 
 __all__ = [
@@ -283,9 +283,8 @@ def cayley_cr_residual(model: HopfModel, r: float, z):
         raise ValueError("point must lie on the pseudosphere of radius r")
     lck_omega = eps_signs(n, model.s) * z.conj()   # proportional to the Lee form
     t10 = _t10_basis(lck_omega)
+    zeta = cayley(model.s, r, z).zeta   # raises at the pole z_n + r = 0
     denom = r + z[..., -1]
-    if np.any(np.abs(denom) <= CAYLEY_POLE_TOL):
-        raise ZeroDivisionError("Cayley pole: z_n + r = 0")
     # np.power, not **: an array's ** 2 squares, which rounds otherwise
     denom2 = np.power(denom, 2)[..., None]
     jac = np.zeros(z.shape + (n,), dtype=complex)
@@ -293,7 +292,6 @@ def cayley_cr_residual(model: HopfModel, r: float, z):
     jac[..., diag, diag] = (1.0 / denom)[..., None]
     jac[..., diag, -1] = -z[..., :-1] / denom2
     jac[..., -1, -1] = -2j * r / denom2[..., 0]
-    zeta = cayley(model.s, r, z).zeta
     eps = eps_signs(n, model.s)
     # d rho in holomorphic components: rho = Im(zeta_n) - sum eps_a |zeta_a|^2
     drho = np.empty(z.shape, dtype=complex)

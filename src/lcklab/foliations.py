@@ -41,7 +41,6 @@ from .charts import (
     _norms,
     _require_conditioned,
     _richardson,
-    _solve_gram,
     _steps,
     christoffel,
     fd_step,
@@ -69,7 +68,7 @@ __all__ = [
 ]
 
 # Relative tolerance of the checks that caller-supplied vectors are
-# g-orthogonal to a screen or lie on a transversal generator.
+# g-orthogonal to a screen.
 ORTHO_TOL = 1e-8
 
 
@@ -176,13 +175,10 @@ def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
 
 @dataclass(frozen=True)
 class SecondFundamentalData:
-    """Gauss-Weingarten split samples for one (X, Y, V) triple (per point
-    of a stack)."""
+    """Second fundamental form sample for one (X, Y) pair (per point of a
+    stack)."""
 
-    induced: np.ndarray          # tan(nabla_X Y)
     h: np.ndarray                # tra(nabla_X Y)
-    shape_operator: np.ndarray   # A_V X = -tan(nabla_X V)
-    transversal_connection: np.ndarray  # tra(nabla_X V)
     h_symmetry_residual: float   # an (m,) array for a stack
 
 
@@ -202,39 +198,22 @@ def _tangential_extension(lck: LCKStructure, vec: np.ndarray) -> Callable:
     return field
 
 
-def _null_transversal(data: LeeData) -> np.ndarray:
-    """N_V of the first foliation at null Lee data (per point of a stack),
-    in closed form: V = G_r^-1 B solves for the g-orthocomplement of the
-    screen (the Euclidean complement of B in ker omega) together with B,
-    and omega(V) = |B|^2, so N_V = (V - g(V,V)/(2|B|^2) B) / |B|^2 with
-    g(V, V) = V.B, the lightlike_transversal formula."""
-    B = data.B_real
-    V = _solve_gram(data.real_gram, B[..., None], data.point)[..., 0]
-    BB = np.vecdot(B, B)[..., None]
-    return (V - (np.vecdot(V, B)[..., None] / (2.0 * BB)) * B) / BB
-
-
-def _split_first(data: LeeData, fibre: FoliationFibre,
-                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a real vector against tangent + transversal of the first
-    foliation at data's point, using the omega-normalization of the
-    transversal (omega(N_V) = 1 where c = 0)."""
+def _transversal_part(data: LeeData, fibre: FoliationFibre, w: np.ndarray) -> np.ndarray:
+    """The transversal part of a real vector against tangent + transversal
+    of the first foliation at data's point, using the omega-normalization
+    of the transversal (omega(N_V) = 1 where c = 0)."""
     coeff = np.vecdot(data.omega_real, w) / np.where(data.non_null, fibre.c, 1.0)
-    tra = coeff[..., None] * fibre.transversal.basis[..., 0, :]
-    return w - tra, tra
+    return coeff[..., None] * fibre.transversal.basis[..., 0, :]
 
 
-def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
+def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y,
                      z) -> SecondFundamentalData:
-    """Split nabla_X Y and nabla_X V against the fibre decomposition.
+    """The transversal part h of nabla_X Y against the fibre decomposition.
 
     X, Y are tangent vectors at z (real interleaved coordinates or
     TangentVector), extended as sections of the tangent distribution by
-    pointwise projection; V is a transversal vector extended likewise
-    along the transversal line: by the Lee field when c != 0 at z, by the
-    closed-form null transversal when c = 0.  z may be a stack, with one
-    X, Y and V per point and the stacked fibre; the three fields share
-    one stencil evaluation.
+    pointwise projection.  z may be a stack, with one X and Y per point
+    and the stacked fibre; the two fields share one stencil evaluation.
     """
     z = np.asarray(z, dtype=complex)
     chart = lck.chart
@@ -244,40 +223,16 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y, V,
     def as_real(vec) -> np.ndarray:
         return vec.real_coords() if isinstance(vec, TangentVector) else np.asarray(vec, dtype=float)
 
-    Xr, Yr, Vr = as_real(X), as_real(Y), as_real(V)
     _require_conditioned(fibre.form.gram, z)
-
-    trans = fibre.transversal.basis[..., 0, :]
     scale = np.maximum(1.0, np.abs(fibre.transversal.basis).max(axis=(-2, -1)))
-    # coefficient of V against the transversal generator (its least-squares
-    # solution), so the shape operator scales linearly with the supplied V
-    alpha = np.vecdot(trans, Vr) / np.vecdot(trans, trans)
-    gen_resid = np.abs(alpha[..., None] * trans - Vr).max(axis=-1)
-    if np.any(gen_resid > ORTHO_TOL * np.maximum(1.0, np.abs(Vr).max(axis=-1))):
-        raise ValueError("V is not a transversal vector at z")
-
-    a = alpha[..., None]
-    if _lee_branch(data):
-        def Vfield(p):
-            return lee_data(lck, p).B * a
-    else:
-        def Vfield(p):
-            return TangentVector.from_real_coords(_null_transversal(lee_data(lck, p))) * a
-
-    Xfield = _tangential_extension(lck, Xr)
-    Yfield = _tangential_extension(lck, Yr)
-    dX, dY, dV = _field_derivatives([Xfield, Yfield, Vfield], z, chart=chart)
-    Xv, Yv, Vv = Xfield(z), Yfield(z), Vfield(z)
-    nXY = _covariant_along(gamma, Xv, Yv, dY)
-    nYX = _covariant_along(gamma, Yv, Xv, dX)
-    nXV = _covariant_along(gamma, Xv, Vv, dV)
-    tanXY, traXY = _split_first(data, fibre, nXY.real_coords())
-    _, traYX = _split_first(data, fibre, nYX.real_coords())
-    tanXV, traXV = _split_first(data, fibre, nXV.real_coords())
-    return SecondFundamentalData(
-        induced=tanXY, h=traXY, shape_operator=-tanXV,
-        transversal_connection=traXV,
-        h_symmetry_residual=_max_abs(traXY - traYX, 1) / scale)
+    Xfield = _tangential_extension(lck, as_real(X))
+    Yfield = _tangential_extension(lck, as_real(Y))
+    dX, dY = _field_derivatives([Xfield, Yfield], z, chart=chart)
+    Xv, Yv = Xfield(z), Yfield(z)
+    traXY = _transversal_part(data, fibre, _covariant_along(gamma, Xv, Yv, dY).real_coords())
+    traYX = _transversal_part(data, fibre, _covariant_along(gamma, Yv, Xv, dX).real_coords())
+    return SecondFundamentalData(h=traXY,
+                                 h_symmetry_residual=_max_abs(traXY - traYX, 1) / scale)
 
 
 def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
@@ -332,11 +287,10 @@ def integrability_residual(lck: LCKStructure, z):
 
 @dataclass(frozen=True)
 class IsotropicTransversalPair:
-    """Null transversal pair with its derived combination coefficients."""
+    """Null transversal pair normalized by theta(N1) = omega(N2) = 1."""
 
     N1: np.ndarray
     N2: np.ndarray
-    lam: np.ndarray  # 2x2, lam[0,0]=lam11, lam[0,1]=lam12=lam21, lam[1,1]=lam22
 
 
 def isotropic_transversal_pair(form: SemiEuclideanForm, omega: np.ndarray,
@@ -371,13 +325,11 @@ def isotropic_transversal_pair(form: SemiEuclideanForm, omega: np.ndarray,
     w, t, D = w[..., None], t[..., None], D[..., None]
     W1 = (w[..., 1, :] * V1 - w[..., 0, :] * V2) / D
     W2 = -(t[..., 1, :] * V1 - t[..., 0, :] * V2) / D
-    lam = np.empty(D.shape[:-1] + (2, 2))
-    lam[..., 0, 0] = -0.5 * inner(form, W1, W1)
-    lam[..., 1, 1] = -0.5 * inner(form, W2, W2)
-    lam[..., 0, 1] = lam[..., 1, 0] = -0.5 * inner(form, W1, W2)
-    N1 = lam[..., 0, 0, None] * A + lam[..., 0, 1, None] * B + W1
-    N2 = lam[..., 0, 1, None] * A + lam[..., 1, 1, None] * B + W2
-    return IsotropicTransversalPair(N1=N1, N2=N2, lam=lam)
+    lam11, lam22, lam12 = ((-0.5 * inner(form, U, V))[..., None]
+                           for U, V in ((W1, W1), (W2, W2), (W1, W2)))
+    N1 = lam11 * A + lam12 * B + W1
+    N2 = lam12 * A + lam22 * B + W2
+    return IsotropicTransversalPair(N1=N1, N2=N2)
 
 
 def _lee_plane_connection(lck: LCKStructure, z: np.ndarray,

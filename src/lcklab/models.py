@@ -4,8 +4,7 @@
 * the indefinite Hopf chart (deck-invariant metric on the quotient of
   the off-cone region by z -> lambda z), with closed-form connection
   coefficients and Lee form,
-* the flat indefinite Kahler chart and the upper-half-space auxiliary
-  Kahler chart,
+* the flat indefinite Kahler chart,
 * the Tricerri-family chart on C_+ x C^n_s with nonparallel Lee form,
 * quotient bookkeeping: deck equivalence, the diffeomorphism onto
   Sigma^{2n-1} x S^1 and its inverse, torus-action isometry residuals,
@@ -39,7 +38,7 @@ from .semieuclid import FrameSubspace, _per_point, orthogonal_complement, signat
 
 __all__ = [
     "HopfModel", "SiegelBoundaryPoint", "eps_signs", "b_form",
-    "hopf_chart", "flat_chart", "halfplane_kahler_chart", "tricerri_chart",
+    "hopf_chart", "flat_chart", "tricerri_chart",
     "synthetic_null_structure", "deck_equivalent", "hopf_diffeo",
     "hopf_diffeo_inv", "torus_pullback_isometry_residual", "fibration_split",
     "submersion_isometry_residual", "retraction", "cayley",
@@ -84,23 +83,20 @@ class HopfModel:
     """Quotient of the off-cone region of C^n_s by z -> lambda^m z.
 
     Points are represented by covering-space representatives; deck
-    equivalence is the identification oracle.  region '+' selects the
-    component where b_{s,n}(z,z) > 0, region '-' the one where it is
-    negative.
+    equivalence is the identification oracle.  The model names no
+    component: hopf_chart and sample_hopf take the region, '+' where
+    b_{s,n}(z,z) > 0 and '-' where it is negative.
     """
 
     n: int
     s: int
     lam: float
-    region: str = "+"
 
     def __post_init__(self):
         if self.n < 2 or not 0 < self.s < self.n:
             raise ValueError("need n >= 2 and 0 < s < n")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("need 0 < lambda < 1")
-        if self.region not in ("+", "-"):
-            raise ValueError("region must be '+' or '-'")
 
     def b(self, z):
         """b(z, z), per point of a stack."""
@@ -166,20 +162,20 @@ def _hopf_metric_fns(n: int, s: int):
     return metric, gamma
 
 
-def hopf_chart(model: HopfModel, regions=None) -> LCKStructure:
+def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
     """Chart of the deck-invariant metric with closed-form coefficients.
 
     Metric components g_{j kbar} = (1/2) |z|_{s,n}^{-2} eps_j delta_{jk};
-    Lee form omega = -d log |z|^2_{s,n}.  The domain is model.region's
-    component: sign b(z, z) > 1e-12 |z|^2.  regions may instead name one
-    region ('+' or '-') per point of a stack (m,): the structure is then
+    Lee form omega = -d log |z|^2_{s,n}.  The domain is the component of
+    regions ('+' or '-'): sign b(z, z) > 1e-12 |z|^2.  regions may instead
+    name one region per point of a stack (m,): the structure is then
     evaluated at stacks of m points (..., m, n), point i and its stencil
     on region i's component, as m single-region charts would be.
     """
     n, s = model.n, model.s
     eps = eps_signs(n, s)
     metric, gamma = _hopf_metric_fns(n, s)
-    regions = np.asarray(model.region if regions is None else regions)
+    regions = np.asarray(regions)
     if not set(regions.flat) <= {"+", "-"}:
         raise ValueError("region must be '+' or '-'")
     sign = np.where(regions == "+", 1.0, -1.0)
@@ -246,30 +242,6 @@ def synthetic_null_structure(n: int, s: int, B_hol=None) -> LCKStructure:
     return LCKStructure(chart=base.chart,
                         lee_form_eval=lambda z: np.broadcast_to(omega_hol, np.shape(z)).copy(),
                         name=f"synthetic-null(n={n},s={s})")
-
-
-def halfplane_kahler_chart(n: int, s: int) -> LCKStructure:
-    """Auxiliary Kahler metric Im(w)^{-3} dw.dwbar + sum eps_j dz.dzbar.
-
-    Coordinates (w, z^1..z^n) with Im(w) > 0; chart dimension n + 1.
-    Rescaling by Im(w) produces the Tricerri-family metric.
-    """
-    eps = eps_signs(n, s)
-    m = n + 1
-
-    def metric(p):
-        v = np.asarray(p)[..., 0].imag
-        d = np.empty(v.shape + (m,))
-        d[..., 0] = 0.5 / np.float_power(v, 3)
-        d[..., 1:] = 0.5 * eps
-        return _diagonal(d)
-
-    chart = MetricChart(n=m, s=s, metric_eval=metric,
-                        domain_pred=lambda p: np.asarray(p)[..., 0].imag > 0.0,
-                        name=f"halfplane-kahler(n={n},s={s})")
-    return LCKStructure(chart=chart,
-                        lee_form_eval=_constant(np.zeros(m, dtype=complex)),
-                        name=chart.name)
 
 
 def tricerri_chart(n: int, s: int) -> LCKStructure:

@@ -165,11 +165,10 @@ def hopf_variates(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([rng.standard_normal(2 * n), rng.random(2)])
 
 
-def sample_hopf(model: HopfModel, variates, regions=None) -> np.ndarray:
+def sample_hopf(model: HopfModel, variates, regions="+") -> np.ndarray:
     """Points (..., n) with |b(z,z)| > CONE_MARGIN * |z|^2, one per row of
-    hopf_variates (..., 2n + 2), each in model.region or, when given, in
-    its own region of regions (...,) ('+' or '-', as hopf_chart takes
-    them).
+    hopf_variates (..., 2n + 2), all in region regions ('+' or '-') or each
+    in its own region of regions (...,), as hopf_chart takes them.
 
     Exact map z = r (sinh t u, cosh t v) for '+' and r (cosh t u, sinh t v)
     for '-', with u, v uniform on the unit spheres of the negative and
@@ -188,7 +187,7 @@ def sample_hopf(model: HopfModel, variates, regions=None) -> np.ndarray:
     t = 0.5 * np.arccosh(1.0 / ratio)
     r = 1.0 + v[..., 2 * n + 1]
     sinh, cosh = r * np.sinh(t), r * np.cosh(t)
-    positive = np.asarray(model.region if regions is None else regions) == "+"
+    positive = np.asarray(regions) == "+"
     minor, major = np.where(positive, sinh, cosh), np.where(positive, cosh, sinh)
     z[..., :s] *= (minor / _norms(z[..., :s]))[..., None]
     z[..., s:] *= (major / _norms(z[..., s:]))[..., None]

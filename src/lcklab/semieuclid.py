@@ -20,7 +20,7 @@ on a rank raises ValueError.  radical takes single points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class Signature:
     pos: int
     neg: int
     null: int
-    ill_conditioned: bool = field(default=False, compare=False)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.pos, self.neg, self.null)
@@ -242,22 +241,18 @@ def signature_of(form: SemiEuclideanForm, W: FrameSubspace) -> Signature:
     when the counts are arrays).
 
     The zero threshold is scale invariant: tau = 1e-9 * max |eigenvalue|
-    (or 1 if the Gram vanishes).  Eigenvalues in the shoulder region
-    (tau/10, 10*tau) around zero set the ill_conditioned flag.
+    (or 1 if the Gram vanishes).
     """
     if W.dim == 0:
         zero = _per_point(np.zeros(W.basis.shape[:-2], dtype=int))
         return Signature(zero, zero, zero)
     evals = np.linalg.eigvalsh(W.gram_restricted)
-    mags = np.abs(evals)
-    largest = mags.max(axis=-1, keepdims=True)
+    largest = np.abs(evals).max(axis=-1, keepdims=True)
     tau = 1e-9 * np.where(largest > 0.0, largest, 1.0)
     pos = (evals > tau).sum(axis=-1)
     neg = (evals < -tau).sum(axis=-1)
     null = W.dim - pos - neg
-    shoulder = (mags > tau / 10.0) & (mags < 10.0 * tau)
-    return Signature(_per_point(pos), _per_point(neg), _per_point(null),
-                     ill_conditioned=_per_point(shoulder.any(axis=-1)))
+    return Signature(_per_point(pos), _per_point(neg), _per_point(null))
 
 
 def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float):

@@ -54,7 +54,7 @@ from .charts import (
     christoffel, covariant_derivative, koszul_christoffel, wirtinger_derivative,
 )
 from .lck import (
-    LCKStructure, lee_data, lee_form_components, nabla_J_defect, parallel_lee_residual,
+    LCKStructure, lee_data, nabla_J_defect, parallel_lee_residual,
     weyl_connection,
 )
 from .models import (
@@ -141,13 +141,6 @@ def _hopf_sample(cfg: RunConfig, rng) -> tuple[str, np.ndarray]:
     return region, hopf_variates(cfg.n, rng)
 
 
-def _draw_region(cfg, rng):
-    """A Hopf draw (see _hopf_sample) with its region's sign as an extra,
-    for the checks that read the region of each point."""
-    region, v = _hopf_sample(cfg, rng)
-    return region, v, 1.0 if region == "+" else -1.0
-
-
 def _draw_positive(cfg, rng):
     """The variates of a point of Hopf region "+", or of the pseudosphere
     when the check maps them there (see _stacked)."""
@@ -196,7 +189,8 @@ def _stacked(evaluate, points="hopf"):
     chart with each draw's region, and maps the variates to Z in one
     sample_hopf call, or one sample_pseudosphere call with points
     "pseudosphere"; with points None, z is passed on as drawn.  A check
-    that reads the region draws it as an extra (_draw_region)."""
+    that reads each point's region checks the chart domain, then reads
+    the region's sign as model.a(Z)."""
     def check(cfg: RunConfig, draws: list) -> list:
         keys, *columns = zip(*draws)
         columns = [np.stack(c) for c in columns]
@@ -251,9 +245,8 @@ def _check_prop1_lee(key, lck, Z):
     expect_hol = (-2.0 * a)[:, None] * Z
     resid = np.maximum(np.abs(data.c - 4.0 * a), np.abs(data.B.hol - expect_hol).max(axis=-1))
     # raising round trip: lowering B reproduces omega
-    omega = lee_form_components(lck, Z)
     lowered = np.matvec(lck.chart.gram_full(Z), data.B.components)
-    resid = np.maximum(resid, np.abs(lowered - omega).max(axis=-1))
+    resid = np.maximum(resid, np.abs(lowered - data.omega).max(axis=-1))
     # theta/omega identities
     thB = np.vecdot(data.theta.conj(), data.B.components)
     thA_c = np.vecdot(data.theta.conj(), data.A.components) - data.c
@@ -270,15 +263,16 @@ def _check_thm1_geodesic(key, lck, Z, coeffs):
     basisT = fib.tangent.basis.swapaxes(-1, -2)
     X = np.matvec(basisT, coeffs[:, 0])          # coeffs[0] @ basis, per point
     Y = np.matvec(basisT, coeffs[:, 1])
-    sfd = fol.gauss_weingarten(lck, fib, X, Y, fib.transversal.basis[:, 0], Z)
+    sfd = fol.gauss_weingarten(lck, fib, X, Y, Z)
     return np.maximum(np.abs(sfd.h).max(axis=-1), sfd.h_symmetry_residual)
 
 
-def _check_eq1_signature(key, lck, Z, sign):
+def _check_eq1_signature(model, lck, Z):
+    _require_domain(lck.chart, Z)
     fib = fol.first_foliation_fibre(lck, Z)
     sig = signature_of(fib.form, fib.tangent)
     s = lck.chart.s
-    expect = np.where(sign > 0, 2 * s, 2 * s - 1)
+    expect = np.where(model.a(Z) > 0, 2 * s, 2 * s - 1)
     return np.abs(sig.index - expect) + sig.null
 
 
@@ -593,7 +587,8 @@ def _check_deck_pullback(model, lck, Z):
     return np.abs(Hl * model.lam ** 2 - H).max(axis=(-2, -1))
 
 
-def _check_diffeo_roundtrip(model, _, Z, sign):
+def _check_diffeo_roundtrip(model, lck, Z):
+    _require_domain(lck.chart, Z)
     zeta, w = hopf_diffeo(model, Z)
     back = hopf_diffeo_inv(model, zeta, w)
     m = deck_equivalent(model, Z, back)
@@ -604,7 +599,7 @@ def _check_diffeo_roundtrip(model, _, Z, sign):
     resid = np.maximum(resid, np.abs(zeta2 - zeta).max(axis=-1))
     resid = np.maximum(resid, np.hypot(dw.real, dw.imag))   # abs() of a Python complex
     resid = np.maximum(resid, np.abs(np.hypot(w.real, w.imag) - 1.0))
-    resid = np.maximum(resid, np.abs(model.b(zeta) - sign))
+    resid = np.maximum(resid, np.abs(model.b(zeta) - model.a(Z)))
     return np.where(np.isnan(m), 1.0, resid)
 
 
@@ -721,7 +716,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("thm1-totally-geodesic", "Theorem 1", frozenset({"hopf"}),
           _fixed(1e-5), _draw_thm1, _stacked(_check_thm1_geodesic)),
     Suite("eq1-leaf-signature", "Equation (1)", frozenset({"hopf"}),
-          _fixed(0.0), _draw_region, _stacked(_check_eq1_signature)),
+          _fixed(0.0), _hopf_sample, _stacked(_check_eq1_signature)),
     Suite("eq8-transversal", "Equation (8)", frozenset({"synthetic-null"}),
           _fixed(1e-10), _draw_null, _null_stacked(_check_eq8_transversal, _draw_complement)),
     Suite("eq5-nv-invariance", "Lemma 1", frozenset({"synthetic-null"}),
@@ -756,7 +751,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("thm2-deck-pullback", "Theorem 2", frozenset({"hopf"}),
           _fixed(1e-12), _chart_draw, _stacked(_check_deck_pullback)),
     Suite("hopf-diffeo-roundtrip", "Theorem 2", frozenset({"hopf"}),
-          _fixed(1e-9), _draw_region, _stacked(_check_diffeo_roundtrip)),
+          _fixed(1e-9), _hopf_sample, _stacked(_check_diffeo_roundtrip)),
     Suite("torus-isometry", "Lemma 4", frozenset({"hopf"}), _fixed(1e-12),
           _draw_torus, _stacked(_check_torus_isometry)),
     Suite("submersion-fibre-invariance", "Equation (17)", frozenset({"hopf"}),

@@ -61,8 +61,8 @@ def report(k: int, text: str) -> None:
 
 
 def hopf_pair(n, s, region="+"):
-    model = HopfModel(n=n, s=s, lam=0.5, region=region)
-    return model, hopf_chart(model)
+    model = HopfModel(n=n, s=s, lam=0.5)
+    return model, hopf_chart(model, regions=region)
 
 
 def test_criterion_01_christoffel_oracle():
@@ -125,7 +125,7 @@ def test_criterion_03_lee_norms():
     for region, expect in (("+", 4.0), ("-", -4.0)):
         model, lck = hopf_pair(2, 1, region)
         for _ in range(100):
-            z = sample_hopf(model, hopf_variates(model.n, rng))
+            z = sample_hopf(model, hopf_variates(model.n, rng), region)
             worst = max(worst, abs(lee_data(lck, z).c - expect))
     tric = tricerri_chart(2, 1)
     for _ in range(100):
@@ -143,15 +143,14 @@ def test_criterion_04_totally_geodesic_and_signature():
         fib = first_foliation_fibre(lck, z)
         coeff = rng.standard_normal((2, fib.tangent.dim))
         sfd = gauss_weingarten(lck, fib, coeff[0] @ fib.tangent.basis,
-                               coeff[1] @ fib.tangent.basis,
-                               fib.transversal.basis[0], z)
+                               coeff[1] @ fib.tangent.basis, z)
         worst = max(worst, float(np.abs(sfd.h).max()))
     assert worst < 1e-5
     for n, s in ((2, 1), (3, 1), (3, 2)):
         for region, expect in (("+", 2 * s), ("-", 2 * s - 1)):
             m, lc = hopf_pair(n, s, region)
             for _ in range(10):
-                fib = first_foliation_fibre(lc, sample_hopf(m, hopf_variates(m.n, rng)))
+                fib = first_foliation_fibre(lc, sample_hopf(m, hopf_variates(m.n, rng), region))
                 sig = signature_of(fib.form, fib.tangent)
                 assert sig.index == expect and sig.null == 0
     report(4, f"leaf second fundamental form {worst:.2e}, indices match")
@@ -194,7 +193,7 @@ def test_criterion_06_second_foliation():
         model, lck = hopf_pair(2, 1, region)
         sign = 1.0 if region == "+" else -1.0
         for _ in range(50):
-            z = sample_hopf(model, hopf_variates(model.n, rng))
+            z = sample_hopf(model, hopf_variates(model.n, rng), region)
             worst_br = max(worst_br, integrability_residual(lck, z))
             fib = second_foliation_fibre(lck, z)
             worst_gram = max(worst_gram, float(np.abs(
@@ -332,13 +331,12 @@ def test_criterion_11_quotient_structure():
     worst_rt = 0.0
     for _ in range(200):
         region = "+" if rng.uniform() < 0.5 else "-"
-        m = HopfModel(n=2, s=1, lam=0.5, region=region)
-        z = sample_hopf(m, hopf_variates(m.n, rng))
-        zeta, w = hopf_diffeo(m, z)
-        back = hopf_diffeo_inv(m, zeta, w)
-        k = deck_equivalent(m, z, back)
+        z = sample_hopf(model, hopf_variates(model.n, rng), region)
+        zeta, w = hopf_diffeo(model, z)
+        back = hopf_diffeo_inv(model, zeta, w)
+        k = deck_equivalent(model, z, back)
         assert k is not None
-        worst_rt = max(worst_rt, float(np.abs(back - m.lam ** k * z).max()))
+        worst_rt = max(worst_rt, float(np.abs(back - model.lam ** k * z).max()))
     assert worst_rt < 1e-9
     worst_deck = 0.0
     for _ in range(100):

@@ -109,15 +109,15 @@ def test_null_branch_stacks_equal_single_points(n, s):
     rng = np.random.default_rng(n)
     Z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     first, second = fol.first_foliation_fibre(syn, Z), fol.second_foliation_fibre(syn, Z)
-    X, Y, V = first.tangent.basis[:, 1], first.tangent.basis[:, 2], first.transversal.basis[:, 0]
-    sfd = fol.gauss_weingarten(syn, first, X, Y, V, Z)
+    X, Y = first.tangent.basis[:, 1], first.tangent.basis[:, 2]
+    sfd = fol.gauss_weingarten(syn, first, X, Y, Z)
     h_P, bracket = fol.h_P_residual(syn, Z), fol.integrability_residual(syn, Z)
     for i, z in enumerate(Z):
         one, two = fol.first_foliation_fibre(syn, z), fol.second_foliation_fibre(syn, z)
         for stacked, single in ((first, one), (second, two)):
             for part in ("tangent", "radical", "screen", "transversal"):
                 assert np.array_equal(getattr(stacked, part).basis[i], getattr(single, part).basis)
-        alone = fol.gauss_weingarten(syn, one, X[i], Y[i], one.transversal.basis[0], z)
+        alone = fol.gauss_weingarten(syn, one, X[i], Y[i], z)
         assert np.array_equal(sfd.h[i], alone.h)
         assert sfd.h_symmetry_residual[i] == alone.h_symmetry_residual
         assert h_P[i] == fol.h_P_residual(syn, z)
@@ -165,8 +165,9 @@ def test_a_stack_mixing_regions_equals_single_draws(name, n, s):
 # The region-drawing suites whose checks apply the chart domain at their
 # base points, and those among them that difference on it.
 DOMAIN_CHECKED = ("christoffel-oracle", "prop1-lee-field", "parallel-lee",
-                  "thm1-totally-geodesic", "thm4-integrability", "thm4-plane-gram", "thm4-hp",
-                  "eq20-nabla-j", "weyl-dj", "connection-identities", "thm2-deck-pullback")
+                  "thm1-totally-geodesic", "eq1-leaf-signature", "thm4-integrability",
+                  "thm4-plane-gram", "thm4-hp", "eq20-nabla-j", "weyl-dj",
+                  "connection-identities", "thm2-deck-pullback", "hopf-diffeo-roundtrip")
 STENCIL_CHECKED = ("christoffel-oracle", "thm1-totally-geodesic", "thm4-integrability",
                    "thm4-hp", "connection-identities")
 

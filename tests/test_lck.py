@@ -25,9 +25,8 @@ from lcklab.models import HopfModel, flat_chart, hopf_chart, synthetic_null_stru
 from lcklab.sampling import hopf_variates, sample_hopf, sample_tricerri
 
 MODEL = HopfModel(n=2, s=1, lam=0.5)
-MODEL_NEG = HopfModel(n=2, s=1, lam=0.5, region="-")
 HOPF = hopf_chart(MODEL)
-HOPF_NEG = hopf_chart(MODEL_NEG)
+HOPF_NEG = hopf_chart(MODEL, regions="-")
 FLAT = flat_chart(2, 1)
 TRIC = tricerri_chart(2, 1)
 
@@ -329,7 +328,7 @@ class TestNablaJ:
 
     @pytest.mark.parametrize("lck,sampler,n", [
         (HOPF, lambda r: sample_hopf(MODEL, hopf_variates(MODEL.n, r)), 2),
-        (HOPF_NEG, lambda r: sample_hopf(MODEL_NEG, hopf_variates(MODEL_NEG.n, r)), 2),
+        (HOPF_NEG, lambda r: sample_hopf(MODEL, hopf_variates(MODEL.n, r), "-"), 2),
         (TRIC, lambda r: sample_tricerri(2, r), 3),
     ])
     def test_closed_form_identity(self, lck, sampler, n):

@@ -28,8 +28,8 @@ SHAPES = [(2, 1), (3, 1), (4, 2), (5, 2), (8, 7), (16, 15), (16, 1), (32, 5)]
 class TestHopfSampler:
     @pytest.mark.parametrize("region", ["+", "-"])
     def test_every_sample_keeps_margin_region_and_norm(self, region):
-        model = HopfModel(n=8, s=7, lam=0.5, region=region)
-        zs = sample_hopf(model, _variates(8, np.random.default_rng(11), 1000))
+        model = HopfModel(n=8, s=7, lam=0.5)
+        zs = sample_hopf(model, _variates(8, np.random.default_rng(11), 1000), region)
         b = model.b(zs)
         zz = np.einsum("ij,ij->i", zs.conj(), zs).real
         assert np.all((1.0 if region == "+" else -1.0) * b > CONE_MARGIN * zz)
@@ -37,10 +37,10 @@ class TestHopfSampler:
 
     @pytest.mark.parametrize("region", ["+", "-"])
     def test_same_bytes_at_same_seed(self, region):
-        model = HopfModel(n=8, s=7, lam=0.5, region=region)
+        model = HopfModel(n=8, s=7, lam=0.5)
 
         def draw():
-            return sample_hopf(model, _variates(8, np.random.default_rng(4), 1000)).tobytes()
+            return sample_hopf(model, _variates(8, np.random.default_rng(4), 1000), region).tobytes()
 
         assert draw() == draw()
 
@@ -70,11 +70,11 @@ class TestHopfSampler:
         regions = np.where(rng.uniform(size=400) < 0.5, "+", "-")
         assert set(regions) == {"+", "-"}
         V, P = _variates(n, rng, 400), _variates(n, rng, 100).reshape(50, 2, -1)
-        Z = sample_hopf(HopfModel(n=n, s=s, lam=0.5), V, regions)
+        model = HopfModel(n=n, s=s, lam=0.5)
+        Z = sample_hopf(model, V, regions)
         for v, region, z in zip(V, regions, Z):
-            model = HopfModel(n=n, s=s, lam=0.5, region=region)
-            assert sample_hopf(model, v[None])[0].tobytes() == z.tobytes()
-            assert sample_hopf(model, v).tobytes() == z.tobytes()
+            assert sample_hopf(model, v[None], region)[0].tobytes() == z.tobytes()
+            assert sample_hopf(model, v, region).tobytes() == z.tobytes()
         S = sample_pseudosphere(n, s, P)   # a (50, 2) stack of rows
         assert S.shape == (50, 2, n)
         for v, z in zip(P.reshape(100, -1), S.reshape(100, n)):
@@ -120,7 +120,7 @@ def test_a_hopf_run_maps_each_checks_points_in_one_call(monkeypatch):
     calls = []
     original = sampling_mod.sample_hopf
 
-    def counted(model, variates, regions=None):
+    def counted(model, variates, regions="+"):
         calls.append(np.shape(variates))
         return original(model, variates, regions)
 
