@@ -32,7 +32,6 @@ from .cr import (
     tangential_cr_residual,
 )
 from .foliations import (
-    ComplexImmersion,
     FoliationFibre,
     IsotropicTransversalPair,
     SecondFundamentalData,
@@ -79,7 +78,6 @@ from .semieuclid import (
     Signature,
     inner,
     orthogonal_complement,
-    radical,
     same_span,
     signature_of,
 )

@@ -6,7 +6,8 @@ transversal construction when the Lee field is null.  Second foliation:
 the plane spanned by the Lee and anti-Lee fields, its integrability,
 the isotropic transversal pair for null Lee data, and the vanishing of
 second fundamental forms.  Also the complex-submanifold second
-fundamental form law and the mean curvature it forces.
+fundamental form law and the mean curvature it forces, on complex affine
+subspaces, where it takes no finite difference.
 
 Tangent/transversal decompositions at a point are done against the real
 interleaved coordinates of the chart (semieuclid.FrameSubspace); vector
@@ -14,9 +15,9 @@ fields entering covariant derivatives are extended off the fibre by
 pointwise projection, which is legitimate because second fundamental
 forms are tensorial in their arguments.
 
-Stacks: the fibres, gauss_weingarten, h_P_residual and
-integrability_residual take a point z (n,) or a stack of points (m, n),
-and complex_submanifold_mean_curvature a parameter or a stack of them.
+Stacks: the fibres, gauss_weingarten, h_P_residual,
+integrability_residual and complex_submanifold_mean_curvature take a
+point z (n,) or a stack of points (m, n).
 For a stack every member of the result gains a leading stack axis
 (FoliationFibre holds stacked FrameSubspaces over a stacked form, scalar
 residuals become arrays), and each row carries the bits of the
@@ -40,10 +41,7 @@ from .charts import (
     _max_abs,
     _norms,
     _require_conditioned,
-    _richardson,
-    _steps,
     christoffel,
-    fd_step,
     lie_bracket,
 )
 from .lck import LCKStructure, LeeData, _nonsingular, lee_data
@@ -53,7 +51,6 @@ from .semieuclid import (
     _complement_within,
     _full_rank,
     _kernel,
-    _lstsq_rows,
     _per_point,
     inner,
     orthogonal_complement,
@@ -63,8 +60,7 @@ __all__ = [
     "FoliationFibre", "SecondFundamentalData", "IsotropicTransversalPair",
     "first_foliation_fibre", "lightlike_transversal", "gauss_weingarten",
     "second_foliation_fibre", "integrability_residual",
-    "isotropic_transversal_pair", "h_P_residual", "ComplexImmersion",
-    "complex_submanifold_mean_curvature",
+    "isotropic_transversal_pair", "h_P_residual", "complex_submanifold_mean_curvature",
 ]
 
 # Relative tolerance of the checks that caller-supplied vectors are
@@ -379,22 +375,6 @@ def h_P_residual(lck: LCKStructure, z, nabla: dict | None = None):
 # complex submanifolds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexImmersion:
-    """Holomorphic parametrization u in C^m -> z in C^n of a complex
-    submanifold with its closed-form n x m Jacobian d z / d u, `tangent`
-    (required).  Both maps take a parameter u (m,) or a stack of
-    parameters (k, m) and return one value per parameter: z (k, n) and
-    (k, n, m) for a stack."""
-
-    m: int
-    chart_map: Callable[[np.ndarray], np.ndarray]
-    tangent: Callable[[np.ndarray], np.ndarray]
-
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.tangent(u), dtype=complex)
-
-
 def _hermitian_orthonormal_frame(H: np.ndarray, cols: np.ndarray):
     """Gram-Schmidt for the (indefinite) Hermitian pairing 2 v^T H conj(w),
     per point of a stack (H (..., n, n), cols (..., n, m)).
@@ -420,28 +400,27 @@ def _hermitian_orthonormal_frame(H: np.ndarray, cols: np.ndarray):
     return np.stack(frame, axis=-1), np.stack(signs, axis=-1)
 
 
-def complex_submanifold_mean_curvature(lck: LCKStructure,
-                                       immersion: ComplexImmersion, u):
-    """Second-fundamental-form law and mean curvature of a complex
-    submanifold, at a parameter u (m,) (floats) or at each parameter of a
-    stack (k, m) (arrays).
+def complex_submanifold_mean_curvature(lck: LCKStructure, z, jac):
+    """Second-fundamental-form law and mean curvature of the complex
+    affine subspace through z spanned by the columns of jac (n, m), at a
+    point z (n,) (floats) or at each point of a stack (k, n) (arrays).
 
     Returns (eq_residual, mean_offset): the first is the worst residual
     of h(JX, JY) + h(X, Y) + g(X, Y) Bperp over frame pairs, the second
     is |H + Bperp/2| for the mean curvature vector H.  Both vanish for
     complex submanifolds of an l.c.K. ambient space; H = 0 exactly when
-    the submanifold is tangent to the Lee field.  Each h(X, Y) is
-    evaluated once: the law's diagonal pairs feed the mean curvature.
+    the submanifold is tangent to the Lee field.  Frame fields with
+    constant coefficients have no ambient derivative along an affine
+    subspace, so h(X, Y) is the normal part of Gamma(X, Y); each is
+    evaluated once, the law's diagonal pairs feeding the mean curvature.
     """
-    u = np.asarray(u, dtype=complex)
-    u = u.reshape(u.shape or (1,))
-    z = immersion.chart_map(u)
-    chart = lck.chart
-    gamma = christoffel(chart, z)
+    z = np.asarray(z, dtype=complex)
+    jac = np.asarray(jac, dtype=complex)
+    gamma = christoffel(lck.chart, z)
     data = lee_data(lck, z)
-    jac = immersion.jacobian(u)
-    frame_cols, signs = _hermitian_orthonormal_frame(data.H, jac)
-    m = immersion.m
+    frame_cols, signs = _hermitian_orthonormal_frame(
+        data.H, np.broadcast_to(jac, z.shape[:-1] + jac.shape))
+    m = jac.shape[-1]
 
     # real orthonormal tangent frame {X_a, J X_a}
     reals = []
@@ -451,40 +430,16 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
 
     G = data.G
 
-    def tan(vcomp: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vcomp)
+    def nor(vcomp: np.ndarray) -> np.ndarray:
+        tan = np.zeros_like(vcomp)
         for a in range(m):
             for Xa in (reals[2 * a], reals[2 * a + 1]):
                 coeff = _bilinear(vcomp, G, Xa.components) * signs[..., a]
-                out = out + coeff[..., None] * Xa.components
-        return out
+                tan = tan + coeff[..., None] * Xa.components
+        return vcomp - tan
 
-    def nor(vcomp: np.ndarray) -> np.ndarray:
-        return vcomp - tan(vcomp)
-
-    # parameter-space frame fields (constant coefficients in u): the
-    # second fundamental form is tensorial, so pointwise frames suffice;
-    # derivatives along the submanifold use the pulled-back fields.
-    ucoeff = _lstsq_rows(jac, frame_cols)
-    h = np.asarray(fd_step(u))[..., None]
-
-    def h_of(Xi: TangentVector, Yi: TangentVector, ycoeff_u: np.ndarray,
-             y_is_j: bool) -> np.ndarray:
-        # direction of X in parameter space
-        xcoeff = _lstsq_rows(jac, Xi.hol)
-
-        # field along the submanifold with constant u-coefficients
-        def Yfield_param(t):
-            hol = np.matvec(immersion.jacobian(u + t * xcoeff), ycoeff_u)
-            return TangentVector.real(1j * hol if y_is_j else hol).components
-
-        dY = _richardson([Yfield_param(t) for t in _steps(h)], h)
-        # X must also move the conjugate part: the parameter curve is
-        # holomorphic, so the real curve velocity is X itself only when
-        # X.hol lies in the column span of jac: guaranteed for tangent X.
-        nabla = dY + np.einsum("...abc,...b,...c->...a", gamma.gamma, Xi.components,
-                               Yi.components)
-        return nor(nabla)
+    def h_of(X: TangentVector, Y: TangentVector) -> np.ndarray:
+        return nor(_covariant_along(gamma, X, Y).components)
 
     Bperp = nor(data.B.components)
     eq_residual = 0.0
@@ -493,9 +448,8 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
         Ea = reals[2 * a]
         for b in range(m):
             Eb = reals[2 * b]
-            yc = ucoeff[..., b]
-            hXY = h_of(Ea, Eb, yc, False)
-            hJXJY = h_of(Ea.j(), Eb.j(), yc, True)
+            hXY = h_of(Ea, Eb)
+            hJXJY = h_of(Ea.j(), Eb.j())
             if a == b:
                 diagonal.append(hXY + hJXJY)
             gXY = _bilinear(Ea.components, G, Eb.components).real[..., None]
@@ -503,8 +457,8 @@ def complex_submanifold_mean_curvature(lck: LCKStructure,
             eq_residual = np.maximum(eq_residual, np.abs(resid).max(axis=-1))
             # mixed pairs: substituting (X, JY) into the law and using
             # J^2 = -1 gives h(X, JY) - h(JX, Y) + g(X, JY) Bperp = 0
-            hXJY = h_of(Ea, Eb.j(), yc, True)
-            hJXY = h_of(Ea.j(), Eb, yc, False)
+            hXJY = h_of(Ea, Eb.j())
+            hJXY = h_of(Ea.j(), Eb)
             gXJY = _bilinear(Ea.components, G, Eb.j().components).real[..., None]
             resid = hXJY - hJXY + gXJY * Bperp
             eq_residual = np.maximum(eq_residual, np.abs(resid).max(axis=-1))

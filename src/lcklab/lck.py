@@ -2,10 +2,11 @@
 
 Bundles a chart with its Lee form and derives the pointwise data the
 foliation and CR layers consume: Lee field B (metric dual of the Lee
-form), anti-Lee field A = -JB, anti-Lee form theta = omega o J, Kahler
-2-form Omega(X, Y) = g(X, JY) and the causal character c = g(B, B).
-Also implements the Weyl connection shift, the closed-form identity for
-(nabla_X J)Y and the parallelism residual of the Lee form.
+form), anti-Lee field A = -JB, anti-Lee form theta = omega o J and the
+causal character c = g(B, B).  Also implements the Weyl connection
+shift, the closed-form identity for (nabla_X J)Y, which reads the Kahler
+2-form Omega(X, Y) = g(X, JY) from charts.kahler_form, and the
+parallelism residual of the Lee form.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .charts import (
     _solve_gram,
     christoffel,
     covariant_derivative,
+    kahler_form,
     wirtinger_derivative,
 )
 from .semieuclid import SemiEuclideanForm
@@ -94,7 +96,6 @@ class LeeData:
     A: TangentVector
     omega: np.ndarray   # frame components of the Lee form
     theta: np.ndarray   # frame components of the anti-Lee form
-    Omega: np.ndarray   # frame components Omega_{AB} of the Kahler 2-form
     c: float            # g(B, B); an (m,) array for a stack
     H: np.ndarray       # metric components g_{j kbar}, as MetricChart.hermitian
     G: np.ndarray       # complexified Gram, as MetricChart.gram_full
@@ -148,7 +149,7 @@ def _nonsingular(data: LeeData) -> LeeData:
 
 
 def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
-    """Raise the Lee form and assemble A, theta, Omega and c at a point z,
+    """Raise the Lee form and assemble A, theta and c at a point z,
     shape (n,), or at every point of a stack, shape (m, n).
 
     Memoized on the structure, one entry per distinct point or stack,
@@ -167,16 +168,15 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
         return cached
     omega = lee_form_components(lck, z)
     H = lck.chart.hermitian(z)
-    G = _mixed_blocks(H, H.conj())        # gram_full(z), sharing H with Omega
+    G = _mixed_blocks(H, H.conj())        # gram_full(z)
     B = TangentVector.from_components(_solve_gram(G, omega[..., None], z)[..., 0])
     A = -1.0 * B.j()                      # A = -J B
     theta = np.matvec(G, A.components)    # theta(X) = g(X, A)
-    Om = _mixed_blocks(-1j * H, 1j * H.conj())   # as in charts.kahler_form
     c = np.vecdot(omega.conj(), B.components).real   # omega(B), unconjugated
-    data = LeeData(point=z.copy(), B=B, A=A, omega=omega, theta=theta, Omega=Om,
-                   c=c, H=H.view(), G=G,  # a view: a chart's constant H stays writable
+    data = LeeData(point=z.copy(), B=B, A=A, omega=omega, theta=theta, c=c,
+                   H=H.view(), G=G,  # a view: a chart's constant H stays writable
                    s=lck.chart.s)
-    for arr in (data.point, B.hol, B.antihol, A.hol, A.antihol, omega, theta, Om,
+    for arr in (data.point, B.hol, B.antihol, A.hol, A.antihol, omega, theta,
                 data.H, G, np.asarray(c)):
         arr.setflags(write=False)
     lck._lee_cache[key] = data
@@ -220,7 +220,7 @@ def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray) -> TangentVector:
     Xv, Yv = Xf(z), Yf(z)
     data = lee_data(lck, z)
     gXY = _bilinear(Xv.components, data.G, Yv.components)[..., None]
-    OmXY = _bilinear(Xv.components, data.Omega, Yv.components)[..., None]
+    OmXY = _bilinear(Xv.components, kahler_form(chart)(z), Yv.components)[..., None]
     rhs = 0.5 * (_applied(data.theta, Yv) * Xv.components
                  - _applied(data.omega, Yv) * Xv.j().components
                  - gXY * data.A.components - OmXY * data.B.components)

@@ -162,6 +162,15 @@ def _hopf_metric_fns(n: int, s: int):
     return metric, gamma
 
 
+def _region_signs(regions) -> np.ndarray:
+    """+1.0 for each region '+' and -1.0 for each '-' of regions (a name or
+    an array of names); any other name raises ValueError."""
+    regions = np.asarray(regions)
+    if not set(regions.flat) <= {"+", "-"}:
+        raise ValueError("region must be '+' or '-'")
+    return np.where(regions == "+", 1.0, -1.0)
+
+
 def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
     """Chart of the deck-invariant metric with closed-form coefficients.
 
@@ -176,9 +185,7 @@ def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
     eps = eps_signs(n, s)
     metric, gamma = _hopf_metric_fns(n, s)
     regions = np.asarray(regions)
-    if not set(regions.flat) <= {"+", "-"}:
-        raise ValueError("region must be '+' or '-'")
-    sign = np.where(regions == "+", 1.0, -1.0)
+    sign = _region_signs(regions)
 
     def domain(z):
         z = np.asarray(z, dtype=complex)
@@ -373,7 +380,7 @@ def fibration_split(model: HopfModel, z,
     data = lee_data(lck, z)
     form = data.form
     V0 = FrameSubspace.from_vectors(form, np.stack([data.A_real, data.B_real], axis=-2))
-    if np.any(signature_of(form, V0).null):
+    if np.any(signature_of(V0).null):
         raise ValueError("vertical space is degenerate")
     H0 = orthogonal_complement(form, V0)
     return V0, H0

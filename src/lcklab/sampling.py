@@ -34,7 +34,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .charts import _norms
 from .foliations import _screen_split
-from .models import CONE_MARGIN, HopfModel
+from .models import CONE_MARGIN, HopfModel, _region_signs
 from .semieuclid import FrameSubspace, SemiEuclideanForm, _kernel
 
 __all__ = [
@@ -168,7 +168,8 @@ def hopf_variates(n: int, rng: np.random.Generator) -> np.ndarray:
 def sample_hopf(model: HopfModel, variates, regions="+") -> np.ndarray:
     """Points (..., n) with |b(z,z)| > CONE_MARGIN * |z|^2, one per row of
     hopf_variates (..., 2n + 2), all in region regions ('+' or '-') or each
-    in its own region of regions (...,), as hopf_chart takes them.
+    in its own region of regions (...,), as hopf_chart takes and checks
+    them.
 
     Exact map z = r (sinh t u, cosh t v) for '+' and r (cosh t u, sinh t v)
     for '-', with u, v uniform on the unit spheres of the negative and
@@ -187,7 +188,7 @@ def sample_hopf(model: HopfModel, variates, regions="+") -> np.ndarray:
     t = 0.5 * np.arccosh(1.0 / ratio)
     r = 1.0 + v[..., 2 * n + 1]
     sinh, cosh = r * np.sinh(t), r * np.cosh(t)
-    positive = np.asarray(regions) == "+"
+    positive = _region_signs(regions) > 0
     minor, major = np.where(positive, sinh, cosh), np.where(positive, cosh, sinh)
     z[..., :s] *= (minor / _norms(z[..., :s]))[..., None]
     z[..., s:] *= (major / _norms(z[..., s:]))[..., None]

@@ -1,10 +1,10 @@
 """Indefinite (semi-Euclidean) linear algebra at a point.
 
-Inner products, orthogonal complements, radicals and signatures of
-subspaces of a real coordinate space carrying a nondegenerate symmetric
-bilinear form of arbitrary index.  Everything here is exact pointwise
-linear algebra; subspaces are represented by explicit (non-canonical)
-bases and compared by mutual span containment.
+Inner products, orthogonal complements and signatures of subspaces of
+a real coordinate space carrying a nondegenerate symmetric bilinear form
+of arbitrary index.  Everything here is exact pointwise linear algebra;
+subspaces are represented by explicit (non-canonical) bases and compared
+by mutual span containment.
 
 Stacks: a form may carry one Gram matrix per point of a stack, gram of
 shape (..., N, N), and then a FrameSubspace carries one basis per point,
@@ -15,7 +15,7 @@ point of such a stack, through numpy's stacked linear algebra (and
 _lstsq_rows, the one home of the least-squares solve, which solves point
 by point), which gives each point the bits of a single-point call;
 _full_rank answers for the whole stack, and a stack whose points disagree
-on a rank raises ValueError.  radical takes single points.
+on a rank raises ValueError.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "Signature",
     "inner",
     "orthogonal_complement",
-    "radical",
     "signature_of",
     "same_span",
     "contains_span",
@@ -141,9 +140,6 @@ class Signature:
     neg: int
     null: int
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.pos, self.neg, self.null)
-
     @property
     def index(self) -> int:
         return self.neg
@@ -225,20 +221,10 @@ def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSub
     return FrameSubspace.from_vectors(form, ker) if ker.shape[-2] else FrameSubspace.zero(form)
 
 
-def radical(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSubspace:
-    """Radical W cap W-perp; W is nondegenerate iff this is zero."""
-    if W.dim == 0:
-        return FrameSubspace.zero(form)
-    scale = max(float(np.abs(W.gram_restricted).max()), 1.0)
-    ker = _kernel(W.gram_restricted / scale)
-    if ker.shape[0] == 0:
-        return FrameSubspace.zero(form)
-    return FrameSubspace.from_vectors(form, ker @ W.basis)
-
-
-def signature_of(form: SemiEuclideanForm, W: FrameSubspace) -> Signature:
-    """Sign counts of the restricted Gram matrix (per point of a stack,
-    when the counts are arrays).
+def signature_of(W: FrameSubspace) -> Signature:
+    """Sign counts of W's restricted Gram matrix (per point of a stack,
+    when the counts are arrays); null is the dimension of the radical
+    W cap W-perp.
 
     The zero threshold is scale invariant: tau = 1e-9 * max |eigenvalue|
     (or 1 if the Gram vanishes).

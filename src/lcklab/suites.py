@@ -270,7 +270,7 @@ def _check_thm1_geodesic(key, lck, Z, coeffs):
 def _check_eq1_signature(model, lck, Z):
     _require_domain(lck.chart, Z)
     fib = fol.first_foliation_fibre(lck, Z)
-    sig = signature_of(fib.form, fib.tangent)
+    sig = signature_of(fib.tangent)
     s = lck.chart.s
     expect = np.where(model.a(Z) > 0, 2 * s, 2 * s - 1)
     return np.abs(sig.index - expect) + sig.null
@@ -351,23 +351,17 @@ def _draw_cr_tangential(cfg, rng):
 
 
 def _check_eq18_mean_curvature(model, lck, U):
+    """The law on the complex lines u -> (c, ..., c, u) with c = c0 and
+    c = 0, through the points of U."""
     n = model.n
     jac = np.zeros((n, 1), dtype=complex)
     jac[-1, 0] = 1.0
-
-    def line(c):
-        """The complex line u -> (c, ..., c, u)."""
-        def chart_map(uu):
-            z = np.full(uu.shape[:-1] + (n,), c, dtype=complex)
-            z[..., -1] = uu[..., 0]
-            return z
-        return fol.ComplexImmersion(
-            m=1, chart_map=chart_map,
-            tangent=lambda uu: np.broadcast_to(jac, uu.shape[:-1] + jac.shape))
-
     c0 = 0.3 / math.sqrt(model.s)   # negative-block mass 0.09 < |u|^2 for every s
-    eq_resid, mean_off = fol.complex_submanifold_mean_curvature(lck, line(c0), U[:, None])
-    _, mean_through = fol.complex_submanifold_mean_curvature(lck, line(0.0), U[:, None])
+    offset = np.full((len(U), n), c0, dtype=complex)
+    through = np.zeros_like(offset)
+    offset[:, -1] = through[:, -1] = U
+    eq_resid, mean_off = fol.complex_submanifold_mean_curvature(lck, offset, jac)
+    _, mean_through = fol.complex_submanifold_mean_curvature(lck, through, jac)
     return np.maximum(np.maximum(eq_resid, mean_off), mean_through)
 
 
@@ -382,7 +376,7 @@ def _check_fibration_split(model, lck, Z):
     resid = np.abs(V0.gram_restricted - 4.0 * np.eye(2)).max(axis=(-2, -1))
     if V0.dim + H0.dim != 2 * model.n:
         resid = np.maximum(resid, 1.0)
-    sig = signature_of(lee_data(lck, Z).form, H0)
+    sig = signature_of(H0)
     n, s = model.n, model.s
     ok = (sig.pos == 2 * (n - s) - 2) & (sig.neg == 2 * s) & (sig.null == 0)
     return np.maximum(resid, np.where(ok, 0.0, 1.0))

@@ -26,7 +26,9 @@ import pytest
 from lcklab import charts as charts_mod
 from lcklab import cr as crmod
 from lcklab import foliations as fol
+from lcklab import lck as lck_mod
 from lcklab import models as models_mod
+from lcklab import semieuclid as semieuclid_mod
 from lcklab import suites as suites_mod
 from lcklab.charts import ChartDomainError
 from lcklab.models import (
@@ -578,13 +580,21 @@ class TestDerivedOnce:
         assert (len(builds), len(misses)) == (1, 1)   # 12 and 12 point by point
 
     def test_eq18_evaluates_each_second_fundamental_form_once(self, monkeypatch):
-        # each h(X, Y) takes one Richardson derivative of its pulled-back field
-        calls = self._counted(monkeypatch, fol, "_richardson")
-        jac = np.array([[0.0], [1.0]], dtype=complex)
-        line = fol.ComplexImmersion(m=1, chart_map=lambda u: np.array([0.3, u[0]]),
-                                    tangent=lambda u: jac)
-        fol.complex_submanifold_mean_curvature(HOPF, line, [1.1 - 0.2j])
-        assert len(calls) == 4   # 6 while the mean curvature recomputed h(E, E), h(JE, JE)
+        # each h(X, Y) is the normal part of one Gamma(X, Y) on an affine
+        # line: no finite difference and no least-squares solve
+        suite = suites_mod._BY_NAME["eq18-mean-curvature"]
+        cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
+        draws = _draws(suite, cfg)
+        names = ("_richardson", "wirtinger_derivative", "_lstsq_rows", "_covariant_along")
+        calls = {name: [self._counted(monkeypatch, module, name)
+                        for module in (charts_mod, semieuclid_mod, lck_mod, fol, models_mod)
+                        if hasattr(module, name)]
+                 for name in names}
+        suite.check(cfg, draws)
+        counts = {name: sum(map(len, lists)) for name, lists in calls.items()}
+        # two lines, four h(X, Y) each
+        assert counts == {"_richardson": 0, "wirtinger_derivative": 0, "_lstsq_rows": 0,
+                          "_covariant_along": 8}
 
     def test_prop4_builds_one_cr_fibre_per_run(self, monkeypatch):
         calls = self._counted(monkeypatch, crmod, "cr_fibre")

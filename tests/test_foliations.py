@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from lcklab.charts import MetricChart, TangentVector, christoffel, covariant_derivative
 from lcklab.cr import cr_fibre
 from lcklab.foliations import (
-    ComplexImmersion,
     complex_submanifold_mean_curvature,
     first_foliation_fibre,
     gauss_weingarten,
@@ -45,12 +44,12 @@ class TestFirstFoliation:
         d = lee_data(HOPF, np.array([0.0, 1.0]))
         B = FrameSubspace.from_vectors(fib.form, [d.B.real_coords()])
         assert not contains_span(fib.tangent, B, tol=1e-9)
-        assert signature_of(fib.form, fib.tangent).index == 2  # = 2s
+        assert signature_of(fib.tangent).index == 2  # = 2s
 
     def test_negative_region_index(self):
         z = np.array([1.3 + 0.4j, 0.2 - 0.1j])
         fib = first_foliation_fibre(HOPF_NEG, z)
-        assert signature_of(fib.form, fib.tangent).index == 1  # = 2s - 1
+        assert signature_of(fib.tangent).index == 1  # = 2s - 1
 
     def test_synthetic_null_fibre(self):
         syn = synthetic_null_structure(2, 1)
@@ -299,8 +298,8 @@ class TestSecondFoliation:
         fib = second_foliation_fibre(HOPF_NEG, z)
         assert np.allclose(fib.tangent.gram_restricted, -4.0 * np.eye(2), atol=1e-12)
         # with the metric flipped by sign(c) the plane is Riemannian
-        sig = signature_of(fib.form, fib.tangent)
-        assert sig.as_tuple() == (0, 2, 0)
+        sig = signature_of(fib.tangent)
+        assert (sig.pos, sig.neg, sig.null) == (0, 2, 0)
 
     def test_synthetic_null_plane_is_its_own_radical(self):
         syn = synthetic_null_structure(3, 1)
@@ -434,20 +433,13 @@ class TestHP:
 
 
 class TestMeanCurvature:
-    def line(self, c0, n=2):
-        def chart_map(u):
-            z = np.full(n, c0, dtype=complex)
-            z[-1] = u[0]
-            return z
-        jac = np.zeros((n, 1), dtype=complex)
-        jac[-1, 0] = 1.0
-        return ComplexImmersion(m=1, chart_map=chart_map, tangent=lambda u: jac)
+    LINE = np.array([[0.0], [1.0]], dtype=complex)   # the lines u -> (c, u)
 
     def test_lee_tangent_line_is_minimal(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             u = 0.8 + 0.8 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            eq, mean = complex_submanifold_mean_curvature(HOPF, self.line(0.0), [u])
+            eq, mean = complex_submanifold_mean_curvature(HOPF, np.array([0.0, u]), self.LINE)
             assert eq < 1e-5
             assert mean < 1e-5
 
@@ -455,27 +447,38 @@ class TestMeanCurvature:
         rng = np.random.default_rng(5)
         for _ in range(10):
             u = (0.9 + 0.6 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            eq, mean = complex_submanifold_mean_curvature(HOPF, self.line(0.3), [u])
+            eq, mean = complex_submanifold_mean_curvature(HOPF, np.array([0.3, u]), self.LINE)
             assert eq < 1e-5
             assert mean < 1e-5
 
+    def test_positive_block_plane_runs_the_mixed_pairs(self):
+        # m = 2: the planes z + span{e_2, e_3} at hopf n=3 s=1, offset and
+        # through the origin, where the a != b pairs of the law are read
+        lck = hopf_chart(HopfModel(n=3, s=1, lam=0.5))
+        jac = np.eye(3, dtype=complex)[:, 1:]
+        rng = np.random.default_rng(9)
+        for c in (0.3, 0.0):
+            radius, angle = 0.9 + 0.6 * rng.uniform(size=(8, 1)), rng.uniform(size=(8, 2))
+            u = radius * np.exp(2j * np.pi * angle)
+            Z = np.concatenate([np.full((8, 1), c, dtype=complex), u], axis=1)
+            eq, mean = complex_submanifold_mean_curvature(lck, Z, jac)
+            assert eq.max() < 1e-12
+            assert mean.max() < 1e-12
+
     def test_flat_linear_subspace(self):
         flat = flat_chart(2, 1)
-        lin = ComplexImmersion(
-            m=1, chart_map=lambda u: np.array([0.2 * u[0], u[0]]),
-            tangent=lambda u: np.array([[0.2], [1.0]], dtype=complex))
-        eq, mean = complex_submanifold_mean_curvature(flat, lin, [0.5 + 0.3j])
+        u = 0.5 + 0.3j
+        eq, mean = complex_submanifold_mean_curvature(
+            flat, np.array([0.2 * u, u]), np.array([[0.2], [1.0]], dtype=complex))
         assert eq == pytest.approx(0.0, abs=1e-12)
         assert mean == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_induced_metric_rejected(self):
         flat = flat_chart(2, 1)
         # the diagonal line through the cone direction has null tangent
-        bad = ComplexImmersion(
-            m=1, chart_map=lambda u: np.array([u[0], u[0]]),
-            tangent=lambda u: np.array([[1.0], [1.0]], dtype=complex))
         with pytest.raises(ValueError):
-            complex_submanifold_mean_curvature(flat, bad, [0.5])
+            complex_submanifold_mean_curvature(flat, np.array([0.5, 0.5]),
+                                               np.array([[1.0], [1.0]], dtype=complex))
 
 
 def test_torus_fibre_minimality():

@@ -91,11 +91,11 @@ class TestLeeData:
     def test_kahler_form_j_invariance(self):
         rng = np.random.default_rng(3)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
-        d = lee_data(HOPF, z)
+        Om = kahler_form(HOPF.chart)(z)
         for _ in range(5):
             X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
             Y = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            om = lambda u, v: complex(u.components @ d.Omega @ v.components)
+            om = lambda u, v: complex(u.components @ Om @ v.components)
             assert abs(om(X, Y) + om(Y, X)) < 1e-10
             assert abs(om(X.j(), Y.j()) - om(X, Y)) < 1e-10
 
@@ -172,11 +172,13 @@ class TestStackedLeeData:
         lck, z = self.CASES[case]
         stack = _stencil(z, fd_step(z)).reshape(-1, z.size)
         d = lee_data(lck, stack)
+        Om = kahler_form(lck.chart)(stack)
         assert d.B.hol.shape == stack.shape and d.c.shape == stack.shape[:1]
         for i, p in enumerate(stack):
             single = lee_data(lck, p)
             assert d.c[i] == single.c
-            for name in ("omega", "theta", "Omega", "H", "G", "B_real", "A_real",
+            assert np.array_equal(Om[i], kahler_form(lck.chart)(p))
+            for name in ("omega", "theta", "H", "G", "B_real", "A_real",
                          "omega_real", "theta_real", "non_null"):
                 assert np.array_equal(getattr(d, name)[i], getattr(single, name)), name
             assert np.array_equal(d.B.components[i], single.B.components)
@@ -227,7 +229,7 @@ class TestPointMemo:
         fresh = lee_data(hopf_chart(MODEL), self.Z)
         for d in (again, fresh):
             assert d.c == first.c
-            for name in ("point", "theta", "Omega"):
+            for name in ("point", "theta", "H"):
                 assert np.array_equal(getattr(d, name), getattr(first, name))
             assert np.array_equal(d.B.components, first.B.components)
             assert np.array_equal(d.A.components, first.A.components)
@@ -249,7 +251,7 @@ class TestPointMemo:
 
     def test_cached_arrays_are_read_only(self):
         d = lee_data(HOPF, self.Z)
-        for arr in (d.point, d.B.hol, d.B.antihol, d.A.hol, d.A.antihol, d.theta, d.Omega):
+        for arr in (d.point, d.B.hol, d.B.antihol, d.A.hol, d.A.antihol, d.theta, d.G):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         assert np.array_equal(lee_data(HOPF, self.Z).point, self.Z)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lcklab import sampling as sampling_mod
 from lcklab import suites as suites_mod
-from lcklab.models import CONE_MARGIN, HopfModel
+from lcklab.models import CONE_MARGIN, HopfModel, hopf_chart
 from lcklab.report import RunConfig
 from lcklab.sampling import (
     _Words, hopf_variates, point_states, sample_hopf, sample_null_config,
@@ -79,6 +79,15 @@ class TestHopfSampler:
         assert S.shape == (50, 2, n)
         for v, z in zip(P.reshape(100, -1), S.reshape(100, n)):
             assert sample_pseudosphere(n, s, v[None])[0].tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("regions", ["x", ["+", "-", "x"]])
+    def test_a_region_other_than_plus_or_minus_is_refused(self, regions):
+        # sample_hopf checks its regions as hopf_chart does
+        model = HopfModel(n=2, s=1, lam=0.5)
+        V = _variates(2, np.random.default_rng(1), 3)
+        for refuse in (lambda: sample_hopf(model, V, regions), lambda: hopf_chart(model, regions)):
+            with pytest.raises(ValueError, match="region must be '\\+' or '-'"):
+                refuse()
 
 
 @st.composite
