@@ -4,7 +4,6 @@ CR layers, and pointwise checks of the theorem-level identities."""
 
 from .charts import (
     ChartDomainError,
-    ConnectionCoefficients,
     MetricChart,
     TangentVector,
     christoffel,
@@ -33,8 +32,6 @@ from .cr import (
 )
 from .foliations import (
     FoliationFibre,
-    IsotropicTransversalPair,
-    SecondFundamentalData,
     complex_submanifold_mean_curvature,
     first_foliation_fibre,
     gauss_weingarten,
@@ -54,7 +51,6 @@ from .lck import (
 )
 from .models import (
     HopfModel,
-    SiegelBoundaryPoint,
     b_form,
     cayley,
     deck_equivalent,
@@ -75,7 +71,6 @@ from .report import RunConfig, SuiteResult, VerificationReport, to_csv, to_json
 from .semieuclid import (
     FrameSubspace,
     SemiEuclideanForm,
-    Signature,
     inner,
     orthogonal_complement,
     same_span,

@@ -25,15 +25,16 @@ Conventions
 * Stacked callables: wirtinger_derivative evaluates its whole stencil,
   the 8n points z + t e_l and z + i t e_l for t = +-h, +-h/2 with the
   one step h = fd_step(z) that every derivative here uses, as one
-  (8n, n) array in a single call, and requires a result whose leading
-  axis has length 8n.  So every callable that gets differentiated takes
-  points of shape (..., n) and returns one value per point: a chart's
-  metric_eval ((..., n, n)) and domain_pred ((...) booleans), a Lee
-  form, a scalar or matrix function, and vector fields, which return a
-  TangentVector whose hol and antihol have shape (..., n).  Constant
-  evaluators broadcast over the stack.  lck.lee_data memoizes per
-  stack, keyed by its shape and bytes, so the derivatives taken at one
-  base point share one stacked evaluation.
+  (8n, n) array in a single call, after one domain_pred call has kept
+  the point and its stencil on the chart's domain, and requires a
+  result whose leading axis has length 8n.  So every callable that gets
+  differentiated takes points of shape (..., n) and returns one value
+  per point: a chart's metric_eval ((..., n, n)) and domain_pred ((...)
+  booleans), a Lee form, a scalar or matrix function, and vector fields,
+  which return a TangentVector whose hol and antihol have shape (..., n).
+  Constant evaluators broadcast over the stack.  lck.lee_data memoizes
+  per stack, keyed by its shape and bytes, so the derivatives taken at
+  one base point share one stacked evaluation.
 * Stacks of base points: christoffel (and a chart's closed form),
   koszul_christoffel, covariant_derivative, lie_bracket and
   wirtinger_derivative take a point z (n,) or a stack (m, n) of base
@@ -65,7 +66,6 @@ from .semieuclid import SemiEuclideanForm, _per_point
 __all__ = [
     "MetricChart",
     "TangentVector",
-    "ConnectionCoefficients",
     "ChartDomainError",
     "fd_step",
     "wirtinger_derivative",
@@ -302,7 +302,7 @@ def _stencil(z: np.ndarray, h) -> np.ndarray:
 
 
 def wirtinger_derivative(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, *,
-                         chart: MetricChart | None = None) -> tuple[np.ndarray, np.ndarray]:
+                         chart: MetricChart) -> tuple[np.ndarray, np.ndarray]:
     """(d fn/dz^l, d fn/dzbar^l) for an array-valued function of z, at a
     point z (n,) or at every point of a stack z (..., n), with the step
     fd_step(z), one per point.
@@ -311,8 +311,8 @@ def wirtinger_derivative(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, 
     and an (8n, ..., n) array for a stack, which keeps the stack axes so
     that per-point parameters of shape (..., k) broadcast against it.  It
     must return its values with those leading axes (see the module
-    docstring).  With a chart (keyword only), a point or stencil off its
-    domain raises ChartDomainError before fn is called.  Returns arrays
+    docstring).  A point or stencil off the domain of chart (keyword
+    only) raises ChartDomainError before fn is called.  Returns arrays
     indexed [..., l, value axes].
     """
     z = np.asarray(z, dtype=complex)
@@ -320,8 +320,7 @@ def wirtinger_derivative(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, 
     n, lead = z.shape[-1], z.shape[:-1]
     head = (8 * n,) + lead
     stencil = _stencil(z, h).reshape(head + (n,))
-    if chart is not None:
-        _require_stencil_domain(chart, z, stencil)
+    _require_stencil_domain(chart, z, stencil)
     f = np.asarray(fn(stencil), dtype=complex)
     if f.shape[:len(head)] != head:
         raise ValueError(f"fn must return one value per stencil point: leading axes "
@@ -375,22 +374,6 @@ def _max_abs(x: np.ndarray, core: int):
     return _per_point(np.abs(x).max(axis=tuple(range(-core, 0))))
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Gamma^A_{BC} at a point, or at each point of a stack."""
-
-    gamma: np.ndarray                 # (..., 2n, 2n, 2n), gamma[..., A, B, C]
-
-    def symmetry_residual(self):
-        return _max_abs(self.gamma - self.gamma.swapaxes(-1, -2), 3)
-
-    def conjugation_residual(self):
-        n = self.gamma.shape[-1] // 2
-        sw = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
-        flipped = self.gamma[..., sw, :, :][..., sw, :][..., sw].conj()
-        return _max_abs(self.gamma - flipped, 3)
-
-
 def _metric_derivative_tensor(chart: MetricChart, z: np.ndarray) -> np.ndarray:
     """T[..., E, C, D] = Z_E(g_{CD}) over full frame indices E, C, D, by
     central differences on a stencil that must stay in the domain."""
@@ -422,15 +405,15 @@ def koszul_christoffel(chart: MetricChart, z: np.ndarray) -> np.ndarray:
     return 0.5 * solved.reshape(lead + (2 * n, 2 * n, 2 * n))
 
 
-def christoffel(chart: MetricChart, z: np.ndarray) -> ConnectionCoefficients:
-    """Connection coefficients at a point z (n,) or at each point of a
-    stack (..., n): the chart's closed form when it carries one,
-    otherwise koszul_christoffel."""
+def christoffel(chart: MetricChart, z: np.ndarray) -> np.ndarray:
+    """Gamma^A_{BC}, indexed [..., A, B, C], at a point z (n,) or at each
+    point of a stack (..., n): the chart's closed form when it carries
+    one, otherwise koszul_christoffel."""
     z = np.asarray(z, dtype=complex)
     _require_domain(chart, z)
     if chart.christoffel_analytic is None:
-        return ConnectionCoefficients(gamma=koszul_christoffel(chart, z))
-    return ConnectionCoefficients(gamma=np.asarray(chart.christoffel_analytic(z), dtype=complex))
+        return koszul_christoffel(chart, z)
+    return np.asarray(chart.christoffel_analytic(z), dtype=complex)
 
 
 def _as_field(obj) -> Callable[[np.ndarray], TangentVector]:
@@ -440,10 +423,10 @@ def _as_field(obj) -> Callable[[np.ndarray], TangentVector]:
 
 
 def _field_derivatives(fields, z: np.ndarray, *,
-                       chart: MetricChart | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+                       chart: MetricChart) -> list[tuple[np.ndarray, np.ndarray]]:
     """(d Y^A/dz^l, d Y^A/dzbar^l) of each vector field Y, indexed
-    [..., l, A], from one stencil evaluation of all of them (on the
-    chart's domain, when a chart is given)."""
+    [..., l, A], from one stencil evaluation of all of them on the
+    chart's domain."""
     z = np.asarray(z, dtype=complex)
     d_dz, d_dzb = wirtinger_derivative(
         lambda p: np.concatenate([Y(p).components for Y in fields], axis=-1), z, chart=chart)
@@ -460,18 +443,18 @@ def _along(X: TangentVector, dY: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         + np.einsum("...l,...la->...a", X.antihol, d_dzb)
 
 
-def _covariant_along(gamma: ConnectionCoefficients, X: TangentVector, Y: TangentVector,
+def _covariant_along(gamma: np.ndarray, X: TangentVector, Y: TangentVector,
                      dY: tuple[np.ndarray, np.ndarray] | None = None) -> TangentVector:
     """nabla_X Y = X(Y^A) + Gamma^A_{BC} X^B Y^C from the value Y and the
     derivatives dY of the field at the point (as _field_derivatives
     returns them; None for a constant field): one derivative of Y serves
     every direction X."""
-    out = np.einsum("...abc,...b,...c->...a", gamma.gamma, X.components, Y.components)
+    out = np.einsum("...abc,...b,...c->...a", gamma, X.components, Y.components)
     return TangentVector.from_components(out if dY is None else _along(X, dY) + out)
 
 
 def covariant_derivative(chart: MetricChart, X, Y, z: np.ndarray,
-                         gamma: ConnectionCoefficients | None = None) -> TangentVector:
+                         gamma: np.ndarray | None = None) -> TangentVector:
     """(nabla_X Y)^A = X(Y^A) + Gamma^A_{BC} X^B Y^C at z, a point (n,) or
     a stack (..., n).
 
@@ -489,10 +472,10 @@ def covariant_derivative(chart: MetricChart, X, Y, z: np.ndarray,
     return _covariant_along(gamma, Xv, Yv, dY)
 
 
-def lie_bracket(X, Y, z: np.ndarray, *, chart: MetricChart | None = None) -> TangentVector:
+def lie_bracket(X, Y, z: np.ndarray, *, chart: MetricChart) -> TangentVector:
     """[X, Y]^A = X(Y^A) - Y(X^A) at a point or a stack; metric independent.
-    The fields among X and Y share one stencil evaluation (on the chart's
-    domain, when a chart is given)."""
+    The fields among X and Y share one stencil evaluation on the chart's
+    domain."""
     z = np.asarray(z, dtype=complex)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     moving = [f for f in (Y, X) if not isinstance(f, TangentVector)]
@@ -504,38 +487,36 @@ def lie_bracket(X, Y, z: np.ndarray, *, chart: MetricChart | None = None) -> Tan
 
 
 def exterior_derivative_1form(alpha: Callable[[np.ndarray], np.ndarray],
-                              z: np.ndarray) -> np.ndarray:
-    """(d alpha)_{AB} = Z_A(alpha_B) - Z_B(alpha_A) on frame pairs.
+                              z: np.ndarray, *, chart: MetricChart) -> np.ndarray:
+    """(d alpha)_{AB} = Z_A(alpha_B) - Z_B(alpha_A) on frame pairs, from a
+    stencil on the chart's domain.
 
     alpha(z) returns the 2n frame components (alpha(Z_A))_A.
     """
-    d_dz, d_dzb = wirtinger_derivative(alpha, z)
+    d_dz, d_dzb = wirtinger_derivative(alpha, z, chart=chart)
     grad = np.vstack([d_dz, d_dzb])  # grad[A, B] = Z_A(alpha_B)
     return grad - grad.T
 
 
 def exterior_derivative_2form(omega: Callable[[np.ndarray], np.ndarray],
-                              z: np.ndarray) -> np.ndarray:
-    """(d Omega)_{ABC} by the alternating sum over coordinate triples.
+                              z: np.ndarray, *, chart: MetricChart) -> np.ndarray:
+    """(d Omega)_{ABC} by the alternating sum over coordinate triples, from
+    a stencil on the chart's domain.
 
     omega(z) returns the antisymmetric 2n x 2n frame component matrix.
     Coordinate frame fields commute, so no bracket terms appear.
     """
-    d_dz, d_dzb = wirtinger_derivative(omega, z)
+    d_dz, d_dzb = wirtinger_derivative(omega, z, chart=chart)
     grad = np.concatenate([d_dz, d_dzb], axis=0)  # grad[E, A, B] = Z_E(Omega_AB)
     # (d Omega)_{ABC} = grad[A,B,C] - grad[B,A,C] + grad[C,A,B]
     return grad - grad.transpose(1, 0, 2) + grad.transpose(1, 2, 0)
 
 
-def kahler_form(chart: MetricChart) -> Callable[[np.ndarray], np.ndarray]:
-    """Frame components of Omega(X, Y) = g(X, JY) as a matrix field."""
-
-    def omega(z):
-        H = chart.hermitian(z)
-        # Omega_{j kbar} = -i g_{j kbar}, Omega_{jbar k} = i conj(g_{j kbar})
-        return _mixed_blocks(-1j * H, 1j * H.conj())
-
-    return omega
+def kahler_form(H: np.ndarray) -> np.ndarray:
+    """Frame components of Omega(X, Y) = g(X, JY) from the metric
+    components H = MetricChart.hermitian(z), per matrix of a stack."""
+    # Omega_{j kbar} = -i g_{j kbar}, Omega_{jbar k} = i conj(g_{j kbar})
+    return _mixed_blocks(-1j * H, 1j * H.conj())
 
 
 def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> TangentVector:

@@ -90,15 +90,16 @@ def cr_fibre(lck: LCKStructure, z) -> CRFibre:
                    characteristic=TangentVector.from_components(marker))
 
 
-def tangential_cr_residual(fib: CRFibre, f):
+def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):
     """max |Zbar(f)| over a basis of the conjugate CR bundle at z = fib.point,
-    a float at a point and an array for a stacked fibre.
+    a float at a point and an array for a stacked fibre of lck.
 
     f is an ambient scalar function near z, taking a stack of points (see
     the charts module docstring); its restriction to the leaf is CR at z
-    iff the residual vanishes.
+    iff the residual vanishes.  The derivative's stencil must stay on the
+    chart's domain.
     """
-    _, d_dzb = wirtinger_derivative(f, fib.point)
+    _, d_dzb = wirtinger_derivative(f, fib.point, chart=lck.chart)
     # T01 = conj(T10): Zbar(f) contracts conj components with dzbar
     vals = np.matvec(fib.t10.conj().swapaxes(-1, -2), d_dzb)
     return _per_point(np.abs(vals).max(axis=-1, initial=0.0))
@@ -122,10 +123,10 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
     V, W are type-(1,0) vectors in the CR fibre fib of lck at z = fib.point
     (holomorphic component arrays or TangentVectors, one per point of a
     stack); they are extended as CR sections by pointwise projection and
-    the bracket is computed by central differences.  The value is taken
-    against the fixed characteristic generator of the leaf tangent modulo
-    the Levi distribution, so only signs and zeros are geometrically
-    meaningful.
+    the bracket is computed by central differences on the chart's domain.
+    The value is taken against the fixed characteristic generator of the
+    leaf tangent modulo the Levi distribution, so only signs and zeros are
+    geometrically meaningful.
     """
     vh = V.hol if isinstance(V, TangentVector) else np.asarray(V, dtype=complex)
     wh = W.hol if isinstance(W, TangentVector) else np.asarray(W, dtype=complex)
@@ -135,7 +136,7 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
     def Wbar(p):
         return Wf(p).conj()
 
-    br = lie_bracket(Vf, Wbar, fib.point).components
+    br = lie_bracket(Vf, Wbar, fib.point, chart=lck.chart).components
     # decompose against (complexified) H basis + characteristic generator
     cr = TangentVector.real(fib.t10.swapaxes(-1, -2))
     M = np.concatenate([cr.components, cr.j().components,
@@ -283,7 +284,7 @@ def cayley_cr_residual(model: HopfModel, r: float, z):
         raise ValueError("point must lie on the pseudosphere of radius r")
     lck_omega = eps_signs(n, model.s) * z.conj()   # proportional to the Lee form
     t10 = _t10_basis(lck_omega)
-    zeta = cayley(model.s, r, z).zeta   # raises at the pole z_n + r = 0
+    zeta, _ = cayley(model.s, r, z)   # raises at the pole z_n + r = 0
     denom = r + z[..., -1]
     # np.power, not **: an array's ** 2 squares, which rounds otherwise
     denom2 = np.power(denom, 2)[..., None]

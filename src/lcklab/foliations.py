@@ -33,14 +33,12 @@ from typing import Callable
 import numpy as np
 
 from .charts import (
-    ConnectionCoefficients,
     TangentVector,
     _bilinear,
     _covariant_along,
     _field_derivatives,
     _max_abs,
     _norms,
-    _require_conditioned,
     christoffel,
     lie_bracket,
 )
@@ -57,8 +55,7 @@ from .semieuclid import (
 )
 
 __all__ = [
-    "FoliationFibre", "SecondFundamentalData", "IsotropicTransversalPair",
-    "first_foliation_fibre", "lightlike_transversal", "gauss_weingarten",
+    "FoliationFibre", "first_foliation_fibre", "lightlike_transversal", "gauss_weingarten",
     "second_foliation_fibre", "integrability_residual",
     "isotropic_transversal_pair", "h_P_residual", "complex_submanifold_mean_curvature",
 ]
@@ -169,15 +166,6 @@ def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
     return (V - (gVV / (2.0 * wV))[..., None] * B) / wV[..., None]
 
 
-@dataclass(frozen=True)
-class SecondFundamentalData:
-    """Second fundamental form sample for one (X, Y) pair (per point of a
-    stack)."""
-
-    h: np.ndarray                # tra(nabla_X Y)
-    h_symmetry_residual: float   # an (m,) array for a stack
-
-
 def _tangential_extension(lck: LCKStructure, vec: np.ndarray) -> Callable:
     """Extend a tangent vector (one per point of a stack) to a section of
     ker(omega) by projecting a coordinate-constant field pointwise
@@ -203,8 +191,11 @@ def _transversal_part(data: LeeData, fibre: FoliationFibre, w: np.ndarray) -> np
 
 
 def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y,
-                     z) -> SecondFundamentalData:
-    """The transversal part h of nabla_X Y against the fibre decomposition.
+                     z) -> tuple[np.ndarray, float]:
+    """(h, h_symmetry_residual): the transversal part h = tra(nabla_X Y)
+    against the fibre decomposition, and max |h(X, Y) - h(Y, X)| relative
+    to the transversal's size (a float at a point, an (m,) array for a
+    stack).
 
     X, Y are tangent vectors at z (real interleaved coordinates or
     TangentVector), extended as sections of the tangent distribution by
@@ -219,7 +210,6 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y,
     def as_real(vec) -> np.ndarray:
         return vec.real_coords() if isinstance(vec, TangentVector) else np.asarray(vec, dtype=float)
 
-    _require_conditioned(fibre.form.gram, z)
     scale = np.maximum(1.0, np.abs(fibre.transversal.basis).max(axis=(-2, -1)))
     Xfield = _tangential_extension(lck, as_real(X))
     Yfield = _tangential_extension(lck, as_real(Y))
@@ -227,8 +217,7 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y,
     Xv, Yv = Xfield(z), Yfield(z)
     traXY = _transversal_part(data, fibre, _covariant_along(gamma, Xv, Yv, dY).real_coords())
     traYX = _transversal_part(data, fibre, _covariant_along(gamma, Yv, Xv, dX).real_coords())
-    return SecondFundamentalData(h=traXY,
-                                 h_symmetry_residual=_max_abs(traXY - traYX, 1) / scale)
+    return traXY, _max_abs(traXY - traYX, 1) / scale
 
 
 def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
@@ -252,9 +241,9 @@ def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     screen, sperp = _screen_split(form, tangent.basis, perp.basis)
     if lck.chart.n >= 3:
         E_rows = _complement_within(tangent.basis, sperp)
-        pair = isotropic_transversal_pair(form, data.omega_real, data.theta_real,
-                                          A, B, screen, E_rows[..., 0, :], E_rows[..., 1, :])
-        trans_rows = np.concatenate([_rows(pair.N1, pair.N2), screen.basis], axis=-2)
+        N1, N2 = isotropic_transversal_pair(form, data.omega_real, data.theta_real,
+                                            A, B, screen, E_rows[..., 0, :], E_rows[..., 1, :])
+        trans_rows = np.concatenate([_rows(N1, N2), screen.basis], axis=-2)
     else:
         eye = np.broadcast_to(np.eye(form.dim), tangent.basis.shape[:-2] + (form.dim,) * 2)
         trans_rows = _complement_within(tangent.basis, eye)
@@ -281,18 +270,11 @@ def integrability_residual(lck: LCKStructure, z):
     return _norms(_plane_projection_residual(_rows(data.A_real, data.B_real), br))
 
 
-@dataclass(frozen=True)
-class IsotropicTransversalPair:
-    """Null transversal pair normalized by theta(N1) = omega(N2) = 1."""
-
-    N1: np.ndarray
-    N2: np.ndarray
-
-
 def isotropic_transversal_pair(form: SemiEuclideanForm, omega: np.ndarray,
                                theta: np.ndarray, A: np.ndarray, B: np.ndarray,
-                               screen: FrameSubspace, V1, V2) -> IsotropicTransversalPair:
-    """Transversal pair normalized by theta(N1) = omega(N2) = 1.
+                               screen: FrameSubspace, V1, V2) -> tuple[np.ndarray, np.ndarray]:
+    """The null transversal pair (N1, N2) normalized by theta(N1) =
+    omega(N2) = 1.
 
     {V1, V2} must frame a complement of span{A, B} inside the
     orthocomplement of the screen's orthocomplement... i.e. inside
@@ -325,11 +307,10 @@ def isotropic_transversal_pair(form: SemiEuclideanForm, omega: np.ndarray,
                            for U, V in ((W1, W1), (W2, W2), (W1, W2)))
     N1 = lam11 * A + lam12 * B + W1
     N2 = lam12 * A + lam22 * B + W2
-    return IsotropicTransversalPair(N1=N1, N2=N2)
+    return N1, N2
 
 
-def _lee_plane_connection(lck: LCKStructure, z: np.ndarray,
-                          gamma: ConnectionCoefficients) -> dict:
+def _lee_plane_connection(lck: LCKStructure, z: np.ndarray, gamma: np.ndarray) -> dict:
     """nabla_X Y at z for X, Y in the Lee/anti-Lee pair, keyed "AA", "AB",
     "BA", "BB": each of the fields A and B is differentiated once, both
     in one stencil evaluation."""

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .charts import (
-    ConnectionCoefficients,
     MetricChart,
     TangentVector,
     _as_field,
@@ -61,7 +60,6 @@ class LCKStructure:
     chart: MetricChart
     lee_form_eval: Callable[[np.ndarray], np.ndarray]
     conformal_factor_eval: Optional[Callable[[np.ndarray], float]] = None
-    name: str = "lck"
     # lee_data memo: (shape, bytes) of a point or stack -> read-only LeeData
     _lee_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -189,7 +187,7 @@ def _applied(form: np.ndarray, v: TangentVector) -> np.ndarray:
 
 
 def weyl_connection(lck: LCKStructure, X, Y, z: np.ndarray,
-                    gamma: ConnectionCoefficients | None = None) -> TangentVector:
+                    gamma: np.ndarray | None = None) -> TangentVector:
     """D_X Y = nabla_X Y - (1/2){omega(X) Y + omega(Y) X - g(X,Y) B}, at a
     point or at each point of a stack."""
     z = np.asarray(z, dtype=complex)
@@ -220,7 +218,7 @@ def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray) -> TangentVector:
     Xv, Yv = Xf(z), Yf(z)
     data = lee_data(lck, z)
     gXY = _bilinear(Xv.components, data.G, Yv.components)[..., None]
-    OmXY = _bilinear(Xv.components, kahler_form(chart)(z), Yv.components)[..., None]
+    OmXY = _bilinear(Xv.components, kahler_form(data.H), Yv.components)[..., None]
     rhs = 0.5 * (_applied(data.theta, Yv) * Xv.components
                  - _applied(data.omega, Yv) * Xv.j().components
                  - gXY * data.A.components - OmXY * data.B.components)
@@ -232,12 +230,14 @@ def parallel_lee_residual(lck: LCKStructure, z: np.ndarray):
     point (a float) or at each point of a stack (an array).
 
     (nabla_X omega)(Y) = X(omega(Y)) - omega(nabla_X Y); for frame fields
-    the second term contracts the connection coefficients with omega.
+    the second term contracts the connection coefficients with omega.  The
+    derivative's stencil must stay on the chart's domain.
     """
     z = np.asarray(z, dtype=complex)
     gamma = christoffel(lck.chart, z)
-    d_dz, d_dzb = wirtinger_derivative(lambda p: lee_form_components(lck, p), z)
+    d_dz, d_dzb = wirtinger_derivative(lambda p: lee_form_components(lck, p), z,
+                                       chart=lck.chart)
     grad = np.concatenate([d_dz, d_dzb], axis=-2)   # grad[A, B] = Z_A(omega_B)
     omega = lee_form_components(lck, z)
-    contracted = np.einsum("...cab,...c->...ab", gamma.gamma, omega)
+    contracted = np.einsum("...cab,...c->...ab", gamma, omega)
     return _max_abs(grad - contracted, 2)

@@ -18,7 +18,7 @@ stack, each row with the bits of the single-point call: fibration_split
 (stacked FrameSubspaces), submersion_isometry_residual (one u and v per
 point), deck_equivalent (NaN where no power matches), hopf_diffeo and
 its inverse, torus_pullback_isometry_residual and retraction (one t per
-point, or one for all), cayley (one residual per point) and
+point, or one for all), cayley (one image and residual per point) and
 gab_invariance_residual (one alpha, beta and w per point).  Powers of
 lambda go through np.float_power, which rounds as a Python float's **
 (libm pow), where an array's np.power may not.
@@ -37,7 +37,7 @@ from .lck import LCKStructure, lee_data
 from .semieuclid import FrameSubspace, _per_point, orthogonal_complement, signature_of
 
 __all__ = [
-    "HopfModel", "SiegelBoundaryPoint", "eps_signs", "b_form",
+    "HopfModel", "eps_signs", "b_form",
     "hopf_chart", "flat_chart", "tricerri_chart",
     "synthetic_null_structure", "deck_equivalent", "hopf_diffeo",
     "hopf_diffeo_inv", "torus_pullback_isometry_residual", "fibration_split",
@@ -205,8 +205,7 @@ def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
     def factor(z):
         return -np.log(np.abs(np.sum(eps * np.abs(np.asarray(z)) ** 2, axis=-1)))
 
-    return LCKStructure(chart=chart, lee_form_eval=lee,
-                        conformal_factor_eval=factor, name=chart.name)
+    return LCKStructure(chart=chart, lee_form_eval=lee, conformal_factor_eval=factor)
 
 
 def flat_chart(n: int, s: int) -> LCKStructure:
@@ -220,7 +219,7 @@ def flat_chart(n: int, s: int) -> LCKStructure:
         christoffel_analytic=_constant(np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)),
         name=f"flat(n={n},s={s})")
     return LCKStructure(chart=chart, lee_form_eval=_constant(np.zeros(n, dtype=complex)),
-                        conformal_factor_eval=_constant(np.zeros(())), name=chart.name)
+                        conformal_factor_eval=_constant(np.zeros(())))
 
 
 def synthetic_null_structure(n: int, s: int, B_hol=None) -> LCKStructure:
@@ -247,8 +246,7 @@ def synthetic_null_structure(n: int, s: int, B_hol=None) -> LCKStructure:
     omega_hol = 0.5 * eps * B_hol.conj()   # lowering with H = diag(eps)/2
     base = flat_chart(n, s)
     return LCKStructure(chart=base.chart,
-                        lee_form_eval=lambda z: np.broadcast_to(omega_hol, np.shape(z)).copy(),
-                        name=f"synthetic-null(n={n},s={s})")
+                        lee_form_eval=lambda z: np.broadcast_to(omega_hol, np.shape(z)).copy())
 
 
 def tricerri_chart(n: int, s: int) -> LCKStructure:
@@ -305,8 +303,7 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
         return out
 
     return LCKStructure(chart=chart, lee_form_eval=lee,
-                        conformal_factor_eval=lambda p: np.log(np.asarray(p)[..., 0].imag),
-                        name=chart.name)
+                        conformal_factor_eval=lambda p: np.log(np.asarray(p)[..., 0].imag))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +377,8 @@ def fibration_split(model: HopfModel, z,
     data = lee_data(lck, z)
     form = data.form
     V0 = FrameSubspace.from_vectors(form, np.stack([data.A_real, data.B_real], axis=-2))
-    if np.any(signature_of(V0).null):
+    _, _, null = signature_of(V0)
+    if np.any(null):
         raise ValueError("vertical space is degenerate")
     H0 = orthogonal_complement(form, V0)
     return V0, H0
@@ -430,18 +428,10 @@ def retraction(model: HopfModel, t, z) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SiegelBoundaryPoint:
-    """Image point of the Cayley transform with its defining residual
-    Im(zeta_n) - sum_{a<n} eps_a |zeta_a|^2."""
-
-    zeta: np.ndarray
-    residual: float   # one per point of a stack
-
-
-def cayley(s: int, r: float, z) -> SiegelBoundaryPoint:
-    """Cayley transform (z', z_n) -> (z'/(r+z_n), i(r-z_n)/(r+z_n)), at a
-    point or per point of a stack.
+def cayley(s: int, r: float, z) -> tuple[np.ndarray, float]:
+    """(zeta, residual): the Cayley transform (z', z_n) -> (z'/(r+z_n),
+    i(r-z_n)/(r+z_n)) at a point or per point of a stack, and its defining
+    residual Im(zeta_n) - sum_{a<n} eps_a |zeta_a|^2 (one per point).
 
     For z on the pseudosphere b(z,z) = r^2 the image lies on the boundary
     of the Siegel domain: Im(zeta_n) = sum eps_a |zeta_a|^2.
@@ -456,7 +446,7 @@ def cayley(s: int, r: float, z) -> SiegelBoundaryPoint:
     zeta[..., -1] = 1j * (r - z[..., -1]) / denom
     eps = eps_signs(n, s)[:-1]
     residual = zeta[..., -1].imag - np.sum(eps * np.abs(zeta[..., :-1]) ** 2, axis=-1)
-    return SiegelBoundaryPoint(zeta=zeta, residual=_per_point(residual))
+    return zeta, _per_point(residual)
 
 
 def gab_invariance_residual(alpha, beta, w, z, lck: LCKStructure):

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "SemiEuclideanForm",
     "FrameSubspace",
-    "Signature",
     "inner",
     "orthogonal_complement",
     "signature_of",
@@ -131,20 +130,6 @@ class FrameSubspace:
                    gram_restricted=np.zeros(lead + (0, 0)))
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Eigenvalue sign counts (pos, neg, null) of a restricted Gram matrix;
-    per-point arrays for a stack."""
-
-    pos: int
-    neg: int
-    null: int
-
-    @property
-    def index(self) -> int:
-        return self.neg
-
-
 def _ranks(sv: np.ndarray) -> np.ndarray:
     """Numerical rank of each matrix of a stack from its singular values
     (..., k), largest first: the count above _RANK_RTOL * max(largest, 1),
@@ -221,24 +206,24 @@ def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSub
     return FrameSubspace.from_vectors(form, ker) if ker.shape[-2] else FrameSubspace.zero(form)
 
 
-def signature_of(W: FrameSubspace) -> Signature:
-    """Sign counts of W's restricted Gram matrix (per point of a stack,
-    when the counts are arrays); null is the dimension of the radical
-    W cap W-perp.
+def signature_of(W: FrameSubspace) -> tuple[int, int, int]:
+    """Eigenvalue sign counts (pos, neg, null) of W's restricted Gram
+    matrix (per point of a stack, when the counts are arrays); neg is the
+    index and null the dimension of the radical W cap W-perp.
 
     The zero threshold is scale invariant: tau = 1e-9 * max |eigenvalue|
     (or 1 if the Gram vanishes).
     """
     if W.dim == 0:
         zero = _per_point(np.zeros(W.basis.shape[:-2], dtype=int))
-        return Signature(zero, zero, zero)
+        return zero, zero, zero
     evals = np.linalg.eigvalsh(W.gram_restricted)
     largest = np.abs(evals).max(axis=-1, keepdims=True)
     tau = 1e-9 * np.where(largest > 0.0, largest, 1.0)
     pos = (evals > tau).sum(axis=-1)
     neg = (evals < -tau).sum(axis=-1)
     null = W.dim - pos - neg
-    return Signature(_per_point(pos), _per_point(neg), _per_point(null))
+    return _per_point(pos), _per_point(neg), _per_point(null)
 
 
 def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float):

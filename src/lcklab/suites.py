@@ -50,8 +50,8 @@ import numpy as np
 from . import cr as crmod
 from . import foliations as fol
 from .charts import (
-    TangentVector, _along, _bilinear, _covariant_along, _field_derivatives, _require_domain,
-    christoffel, covariant_derivative, koszul_christoffel, wirtinger_derivative,
+    TangentVector, _along, _bilinear, _covariant_along, _field_derivatives, _max_abs,
+    _require_domain, christoffel, covariant_derivative, koszul_christoffel, wirtinger_derivative,
 )
 from .lck import (
     LCKStructure, lee_data, nabla_J_defect, parallel_lee_residual,
@@ -232,7 +232,7 @@ def _draw_connection(cfg, rng):
 
 
 def _check_christoffel_oracle(key, lck, Z):
-    gamma = christoffel(lck.chart, Z).gamma
+    gamma = christoffel(lck.chart, Z)
     axes = (-3, -2, -1)
     scale = np.maximum(1.0, np.abs(gamma).max(axis=axes))
     return np.abs(gamma - koszul_christoffel(lck.chart, Z)).max(axis=axes) / scale
@@ -263,17 +263,17 @@ def _check_thm1_geodesic(key, lck, Z, coeffs):
     basisT = fib.tangent.basis.swapaxes(-1, -2)
     X = np.matvec(basisT, coeffs[:, 0])          # coeffs[0] @ basis, per point
     Y = np.matvec(basisT, coeffs[:, 1])
-    sfd = fol.gauss_weingarten(lck, fib, X, Y, Z)
-    return np.maximum(np.abs(sfd.h).max(axis=-1), sfd.h_symmetry_residual)
+    h, h_symmetry = fol.gauss_weingarten(lck, fib, X, Y, Z)
+    return np.maximum(np.abs(h).max(axis=-1), h_symmetry)
 
 
 def _check_eq1_signature(model, lck, Z):
     _require_domain(lck.chart, Z)
     fib = fol.first_foliation_fibre(lck, Z)
-    sig = signature_of(fib.tangent)
+    _, index, null = signature_of(fib.tangent)
     s = lck.chart.s
     expect = np.where(model.a(Z) > 0, 2 * s, 2 * s - 1)
-    return np.abs(sig.index - expect) + sig.null
+    return np.abs(index - expect) + null
 
 
 def _check_thm4_integrability(key, lck, Z):
@@ -312,12 +312,17 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     chart = lck.chart
     X, Y, W = TangentVector.real(X), TangentVector.real(Y), TangentVector.real(W)
     gamma = christoffel(chart, Z)
-    resid = np.maximum(gamma.symmetry_residual(), gamma.conjugation_residual())
+    # symmetry in B, C, and conjugation: swapping the holomorphic and
+    # antiholomorphic slots of all three indices conjugates Gamma
+    n = chart.n
+    sw = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    flipped = gamma[..., sw, :, :][..., sw, :][..., sw].conj()
+    resid = np.maximum(_max_abs(gamma - gamma.swapaxes(-1, -2), 3), _max_abs(gamma - flipped, 3))
     # metric compatibility X(g(Y, W)) = g(nabla_X Y, W) + g(Y, nabla_X W)
     def gYW(p):
         return _bilinear(Y.components, chart.gram_full(p), W.components)
 
-    d_dz, d_dzb = wirtinger_derivative(gYW, Z)
+    d_dz, d_dzb = wirtinger_derivative(gYW, Z, chart=chart)
     df = np.concatenate([d_dz, d_dzb], axis=-1)
     lhs = np.vecdot(df.conj(), X.components)
     nXY = covariant_derivative(chart, X, Y, Z, gamma=gamma)
@@ -376,9 +381,9 @@ def _check_fibration_split(model, lck, Z):
     resid = np.abs(V0.gram_restricted - 4.0 * np.eye(2)).max(axis=(-2, -1))
     if V0.dim + H0.dim != 2 * model.n:
         resid = np.maximum(resid, 1.0)
-    sig = signature_of(H0)
+    pos, neg, null = signature_of(H0)
     n, s = model.n, model.s
-    ok = (sig.pos == 2 * (n - s) - 2) & (sig.neg == 2 * s) & (sig.null == 0)
+    ok = (pos == 2 * (n - s) - 2) & (neg == 2 * s) & (null == 0)
     return np.maximum(resid, np.where(ok, 0.0, 1.0))
 
 
@@ -401,8 +406,8 @@ def _check_cr_tangential(model, lck, Z, coeffs):
         return np.abs(np.sum(eps * np.abs(p) ** 2, axis=-1))
 
     fib = crmod.cr_fibre(lck, Z)
-    return np.maximum(crmod.tangential_cr_residual(fib, holo),
-                      crmod.tangential_cr_residual(fib, leaf_constant))
+    return np.maximum(crmod.tangential_cr_residual(lck, fib, holo),
+                      crmod.tangential_cr_residual(lck, fib, leaf_constant))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +478,7 @@ def _check_eq5_invariance(c, V, V2, scale, shift):
 
 
 def _check_lemma6_pair(c, V1, V2):
-    pair = _isotropic_pair(c, V1, V2)
-    N1, N2 = pair.N1, pair.N2
+    N1, N2 = _isotropic_pair(c, V1, V2)
     resid = np.abs(np.vecdot(c.theta, N1) - 1.0)
     resid = np.maximum(resid, np.abs(np.vecdot(c.omega, N2) - 1.0))
     resid = np.maximum(resid, np.abs(np.vecdot(c.theta, N2)))
@@ -491,11 +495,10 @@ def _draw_lemma6_invariance(c, rng):
 
 
 def _check_lemma6_invariance(c, V1, V2, f):
-    pair = _isotropic_pair(c, V1, V2)
-    other = _isotropic_pair(c, f[:, 0, 0, None] * V1 + f[:, 0, 1, None] * V2,
-                            f[:, 1, 0, None] * V1 + f[:, 1, 1, None] * V2)
-    return np.maximum(np.abs(pair.N1 - other.N1).max(axis=-1),
-                      np.abs(pair.N2 - other.N2).max(axis=-1))
+    N1, N2 = _isotropic_pair(c, V1, V2)
+    M1, M2 = _isotropic_pair(c, f[:, 0, 0, None] * V1 + f[:, 0, 1, None] * V2,
+                             f[:, 1, 0, None] * V1 + f[:, 1, 1, None] * V2)
+    return np.maximum(np.abs(N1 - M1).max(axis=-1), np.abs(N2 - M2).max(axis=-1))
 
 
 def _draw_screen_splits(c, rng):
@@ -520,9 +523,8 @@ def _check_screen_splits(c, V, *frame):
         plane = FrameSubspace.from_vectors(form, np.stack([c.A, c.B], axis=-2))
         sperp = FrameSubspace.from_vectors(form, c.screen_perp_basis)
         resid = np.maximum(resid, np.where(contains_span(sperp, plane, 1e-9), 0.0, 1.0))
-        pair = _isotropic_pair(c, *frame)
         rebuilt = FrameSubspace.from_vectors(
-            form, np.stack([c.A, c.B, pair.N1, pair.N2], axis=-2))
+            form, np.stack([c.A, c.B, *_isotropic_pair(c, *frame)], axis=-2))
         resid = np.maximum(resid, np.where(same_span(rebuilt, sperp, 1e-8), 0.0, 1.0))
     return resid
 
@@ -633,8 +635,8 @@ def _check_leaf_radius(model, _, W, V):
 
 def _check_cayley_boundary(model, _, Z):
     Z = np.where(np.abs(Z[:, -1:] + 1.0) < 1e-6, -Z, Z)   # dodge the transform's pole
-    return np.maximum(np.abs(cayley(model.s, 1.0, Z).residual),
-                      crmod.cayley_cr_residual(model, 1.0, Z))
+    _, boundary = cayley(model.s, 1.0, Z)
+    return np.maximum(np.abs(boundary), crmod.cayley_cr_residual(model, 1.0, Z))
 
 
 def _check_levi_signature(cfg: RunConfig, draws: list) -> list:

@@ -112,16 +112,16 @@ def test_null_branch_stacks_equal_single_points(n, s):
     Z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     first, second = fol.first_foliation_fibre(syn, Z), fol.second_foliation_fibre(syn, Z)
     X, Y = first.tangent.basis[:, 1], first.tangent.basis[:, 2]
-    sfd = fol.gauss_weingarten(syn, first, X, Y, Z)
+    h, h_sym = fol.gauss_weingarten(syn, first, X, Y, Z)
     h_P, bracket = fol.h_P_residual(syn, Z), fol.integrability_residual(syn, Z)
     for i, z in enumerate(Z):
         one, two = fol.first_foliation_fibre(syn, z), fol.second_foliation_fibre(syn, z)
         for stacked, single in ((first, one), (second, two)):
             for part in ("tangent", "radical", "screen", "transversal"):
                 assert np.array_equal(getattr(stacked, part).basis[i], getattr(single, part).basis)
-        alone = fol.gauss_weingarten(syn, one, X[i], Y[i], z)
-        assert np.array_equal(sfd.h[i], alone.h)
-        assert sfd.h_symmetry_residual[i] == alone.h_symmetry_residual
+        h_one, h_sym_one = fol.gauss_weingarten(syn, one, X[i], Y[i], z)
+        assert np.array_equal(h[i], h_one)
+        assert h_sym[i] == h_sym_one
         assert h_P[i] == fol.h_P_residual(syn, z)
         assert bracket[i] == fol.integrability_residual(syn, z)
 
@@ -170,8 +170,8 @@ DOMAIN_CHECKED = ("christoffel-oracle", "prop1-lee-field", "parallel-lee",
                   "thm1-totally-geodesic", "eq1-leaf-signature", "thm4-integrability",
                   "thm4-plane-gram", "thm4-hp", "eq20-nabla-j", "weyl-dj",
                   "connection-identities", "thm2-deck-pullback", "hopf-diffeo-roundtrip")
-STENCIL_CHECKED = ("christoffel-oracle", "thm1-totally-geodesic", "thm4-integrability",
-                   "thm4-hp", "connection-identities")
+STENCIL_CHECKED = ("christoffel-oracle", "parallel-lee", "thm1-totally-geodesic",
+                   "thm4-integrability", "thm4-hp", "connection-identities")
 
 
 MIXED = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
@@ -262,7 +262,7 @@ def test_stacked_leaf_and_cayley_layers_equal_single_points(n, s):
     pseudo = zetas[:, 0]
     labels, from_w = crmod.leaf_label(model, Z), crmod.label_from_w(model, W)
     image = crmod.leaf_chart_image_check(model, W, zetas)
-    boundary = cayley(s, 1.0, pseudo)
+    zeta, residual = cayley(s, 1.0, pseudo)
     cr_resid = crmod.cayley_cr_residual(model, 1.0, pseudo)
     for i in range(5):
         for stacked, single in ((labels, crmod.leaf_label(model, Z[i])),
@@ -271,9 +271,8 @@ def test_stacked_leaf_and_cayley_layers_equal_single_points(n, s):
             assert _bits([stacked.a[i], stacked.chart_radius[i]]) == \
                 _bits([single.a, single.chart_radius])
         assert _bits(image[i]) == _bits(crmod.leaf_chart_image_check(model, W[i], zetas[i]))
-        one = cayley(s, 1.0, pseudo[i])
-        assert (_cbits(boundary.zeta[i]), _bits(boundary.residual[i])) == \
-            (_cbits(one.zeta), _bits(one.residual))
+        zeta_one, residual_one = cayley(s, 1.0, pseudo[i])
+        assert (_cbits(zeta[i]), _bits(residual[i])) == (_cbits(zeta_one), _bits(residual_one))
         assert _bits(cr_resid[i]) == _bits(crmod.cayley_cr_residual(model, 1.0, pseudo[i]))
 
 

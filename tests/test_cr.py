@@ -28,6 +28,7 @@ from lcklab.semieuclid import FrameSubspace, same_span
 MODEL = HopfModel(n=2, s=1, lam=0.5)
 HOPF = hopf_chart(MODEL)
 Z01 = np.array([0.0, 1.0], dtype=complex)
+NEAR_CONE = np.array([1.0, np.sqrt(1.0 + 2e-7)], dtype=complex)   # b(z, z) = 1e-7 |z|^2
 
 
 class TestCRFibre:
@@ -78,17 +79,23 @@ class TestCRFibre:
 
 class TestTangentialCR:
     def test_holomorphic_restriction(self):
-        assert tangential_cr_residual(cr_fibre(HOPF, Z01), lambda p: p[..., 0] * p[..., 1]) < 1e-8
+        f = lambda p: p[..., 0] * p[..., 1]
+        assert tangential_cr_residual(HOPF, cr_fibre(HOPF, Z01), f) < 1e-8
 
     def test_antiholomorphic_detected(self):
-        res = tangential_cr_residual(cr_fibre(HOPF, Z01), lambda p: np.conj(p[..., 0]))
+        res = tangential_cr_residual(HOPF, cr_fibre(HOPF, Z01), lambda p: np.conj(p[..., 0]))
         assert res == pytest.approx(1.0, abs=1e-8)
 
     def test_leaf_constant_function(self):
         rng = np.random.default_rng(2)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         f = lambda p: abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2)
-        assert tangential_cr_residual(cr_fibre(HOPF, z), f) < 1e-8
+        assert tangential_cr_residual(HOPF, cr_fibre(HOPF, z), f) < 1e-8
+
+    def test_stencil_across_the_cone_raises(self):
+        fib = cr_fibre(HOPF, NEAR_CONE)
+        with pytest.raises(ChartDomainError, match="^stencil around .* leaves domain"):
+            tangential_cr_residual(HOPF, fib, lambda p: p[..., 0] * p[..., 1])
 
 
     def test_suite_builds_one_fibre_per_run(self, monkeypatch):
@@ -119,6 +126,12 @@ class TestLeviForm:
         lwv = levi_form(lck, fib, W, V)
         assert lvw == pytest.approx(np.conj(lwv), abs=1e-6)
 
+    def test_stencil_across_the_cone_raises(self):
+        fib = cr_fibre(HOPF, NEAR_CONE)
+        V = fib.t10[:, 0]
+        with pytest.raises(ChartDomainError, match="^stencil around .* leaves domain"):
+            levi_form(HOPF, fib, V, V)
+
     def test_synthetic_null_direction(self):
         syn = synthetic_null_structure(2, 1)
         z = np.zeros(2, dtype=complex)
@@ -133,8 +146,7 @@ class TestLeviForm:
         flat = flat_chart(2, 0)
         lck = LCKStructure(chart=flat.chart,
                            lee_form_eval=lambda z: np.broadcast_to(
-                               np.array([0.5, 0.0], dtype=complex), np.shape(z)),
-                           name="flat-spacelike")
+                               np.array([0.5, 0.0], dtype=complex), np.shape(z)))
         assert levi_flat_detector(lck, cr_fibre(lck, np.array([0.2 + 0.1j, -0.4j])))
 
 

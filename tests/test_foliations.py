@@ -44,12 +44,12 @@ class TestFirstFoliation:
         d = lee_data(HOPF, np.array([0.0, 1.0]))
         B = FrameSubspace.from_vectors(fib.form, [d.B.real_coords()])
         assert not contains_span(fib.tangent, B, tol=1e-9)
-        assert signature_of(fib.tangent).index == 2  # = 2s
+        assert signature_of(fib.tangent)[1] == 2  # the index, 2s
 
     def test_negative_region_index(self):
         z = np.array([1.3 + 0.4j, 0.2 - 0.1j])
         fib = first_foliation_fibre(HOPF_NEG, z)
-        assert signature_of(fib.tangent).index == 1  # = 2s - 1
+        assert signature_of(fib.tangent)[1] == 1  # the index, 2s - 1
 
     def test_synthetic_null_fibre(self):
         syn = synthetic_null_structure(2, 1)
@@ -147,9 +147,9 @@ class TestGaussWeingarten:
             coeff = rng.standard_normal((2, 3))
             X = coeff[0] @ fib.tangent.basis
             Y = coeff[1] @ fib.tangent.basis
-            sfd = gauss_weingarten(HOPF, fib, X, Y, z)
-            assert np.abs(sfd.h).max() < 1e-6
-            assert sfd.h_symmetry_residual < 1e-6
+            h, h_sym = gauss_weingarten(HOPF, fib, X, Y, z)
+            assert np.abs(h).max() < 1e-6
+            assert h_sym < 1e-6
 
     def test_builds_no_validated_form(self, monkeypatch):
         lck = hopf_chart(MODEL)
@@ -260,11 +260,11 @@ class TestGaussWeingarten:
         fib = first_foliation_fibre(syn, z)
         X = fib.tangent.basis[1]
         Y = fib.tangent.basis[2]
-        sfd = gauss_weingarten(syn, fib, X, Y, z)
+        h, _ = gauss_weingarten(syn, fib, X, Y, z)
         omega = fib.form.gram @ lee_data(syn, z).B.real_coords()
-        C = float(omega @ sfd.h)
+        C = float(omega @ h)
         assert abs(C) < 1e-12       # flat synthetic data: h = 0
-        fake = sfd.h + 0.3 * fib.transversal.basis[0]
+        fake = h + 0.3 * fib.transversal.basis[0]
         assert float(omega @ fake) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -298,8 +298,7 @@ class TestSecondFoliation:
         fib = second_foliation_fibre(HOPF_NEG, z)
         assert np.allclose(fib.tangent.gram_restricted, -4.0 * np.eye(2), atol=1e-12)
         # with the metric flipped by sign(c) the plane is Riemannian
-        sig = signature_of(fib.tangent)
-        assert (sig.pos, sig.neg, sig.null) == (0, 2, 0)
+        assert signature_of(fib.tangent) == (0, 2, 0)
 
     def test_synthetic_null_plane_is_its_own_radical(self):
         syn = synthetic_null_structure(3, 1)
@@ -340,26 +339,26 @@ class TestIsotropicPair:
 
     def test_worked_example(self):
         form, B, A, omega, theta, screen = self._flat_config()
-        pair = isotropic_transversal_pair(form, omega, theta, A, B, screen,
-                                          np.eye(6)[0], np.eye(6)[1])
-        assert np.allclose(pair.N1, [0, 0.5, 0, -0.5, 0, 0], atol=1e-12)
-        assert np.allclose(pair.N2, [-0.5, 0, 0.5, 0, 0, 0], atol=1e-12)
-        assert float(theta @ pair.N1) == pytest.approx(1.0, abs=1e-12)
-        assert float(omega @ pair.N2) == pytest.approx(1.0, abs=1e-12)
-        assert float(theta @ pair.N2) == pytest.approx(0.0, abs=1e-12)
-        assert float(omega @ pair.N1) == pytest.approx(0.0, abs=1e-12)
-        for u in (pair.N1, pair.N2):
-            for v in (pair.N1, pair.N2):
+        N1, N2 = isotropic_transversal_pair(form, omega, theta, A, B, screen,
+                                             np.eye(6)[0], np.eye(6)[1])
+        assert np.allclose(N1, [0, 0.5, 0, -0.5, 0, 0], atol=1e-12)
+        assert np.allclose(N2, [-0.5, 0, 0.5, 0, 0, 0], atol=1e-12)
+        assert float(theta @ N1) == pytest.approx(1.0, abs=1e-12)
+        assert float(omega @ N2) == pytest.approx(1.0, abs=1e-12)
+        assert float(theta @ N2) == pytest.approx(0.0, abs=1e-12)
+        assert float(omega @ N1) == pytest.approx(0.0, abs=1e-12)
+        for u in (N1, N2):
+            for v in (N1, N2):
                 assert abs(inner(form, u, v)) < 1e-12
 
     def test_frame_change_invariance(self):
         form, B, A, omega, theta, screen = self._flat_config()
         V1, V2 = np.eye(6)[0], np.eye(6)[1]
-        pair = isotropic_transversal_pair(form, omega, theta, A, B, screen, V1, V2)
+        N1, N2 = isotropic_transversal_pair(form, omega, theta, A, B, screen, V1, V2)
         W1, W2 = 2.0 * V1 + V2, 3.0 * V2
-        other = isotropic_transversal_pair(form, omega, theta, A, B, screen, W1, W2)
-        assert np.allclose(pair.N1, other.N1, atol=1e-12)
-        assert np.allclose(pair.N2, other.N2, atol=1e-12)
+        M1, M2 = isotropic_transversal_pair(form, omega, theta, A, B, screen, W1, W2)
+        assert np.allclose(N1, M1, atol=1e-12)
+        assert np.allclose(N2, M2, atol=1e-12)
 
     def test_degenerate_complement_rejected(self):
         form, B, A, omega, theta, screen = self._flat_config()
@@ -376,17 +375,17 @@ class TestIsotropicPair:
         rng = np.random.default_rng(seed)
         cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
         V1, V2 = sample_pair_frame(cfg, rng)
-        pair = isotropic_transversal_pair(cfg.form, cfg.omega, cfg.theta,
-                                          cfg.A, cfg.B, cfg.screen, V1, V2)
-        assert abs(float(cfg.theta @ pair.N1) - 1.0) < 1e-10
-        assert abs(float(cfg.omega @ pair.N2) - 1.0) < 1e-10
-        assert abs(float(cfg.theta @ pair.N2)) < 1e-10
-        assert abs(float(cfg.omega @ pair.N1)) < 1e-10
-        for u in (pair.N1, pair.N2):
-            for v in (pair.N1, pair.N2):
+        N1, N2 = isotropic_transversal_pair(cfg.form, cfg.omega, cfg.theta,
+                                             cfg.A, cfg.B, cfg.screen, V1, V2)
+        assert abs(float(cfg.theta @ N1) - 1.0) < 1e-10
+        assert abs(float(cfg.omega @ N2) - 1.0) < 1e-10
+        assert abs(float(cfg.theta @ N2)) < 1e-10
+        assert abs(float(cfg.omega @ N1)) < 1e-10
+        for u in (N1, N2):
+            for v in (N1, N2):
                 assert abs(inner(cfg.form, u, v)) < 1e-10
         if cfg.screen.dim:
-            cross = cfg.screen.basis @ cfg.form.gram @ np.vstack([pair.N1, pair.N2]).T
+            cross = cfg.screen.basis @ cfg.form.gram @ np.vstack([N1, N2]).T
             assert np.abs(cross).max() < 1e-10
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))

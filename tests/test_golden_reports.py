@@ -20,14 +20,22 @@ per run.  GOLDEN_6_LAMBDA, recorded before the closed-form Hopf and
 the Tricerri suites were stacked, adds Tricerri at two more seeds and
 dimensions and Hopf at lambda other than 0.5, on which the leaf, diffeo
 and deck suites depend.
+
+A report keeps only each suite's aggregate, so PER_POINT pins every
+residual: per suite, the SHA-256 of its residuals at 6 points and seed
+42 as float64 bytes in draw order, recorded before the Gamma oracle,
+h, the isotropic pair, the Cayley image and the signatures were returned
+as arrays and tuples.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from lcklab.report import RunConfig, to_json
-from lcklab.suites import run_config
+from lcklab.sampling import _Words
+from lcklab.suites import _point_states, run_config, suites_for
 
 GOLDEN = {
     ("hopf", 2, 1): "460bf3a62ca273823769fb9c0b1d9da703d91278e820e2980b334d9b2e35e9fc",
@@ -68,6 +76,88 @@ GOLDEN_6_LAMBDA = {
     ("hopf", 5, 2, 0.1, 1001): "9a2d2df43df4f19fce55b491bbee48ef9c24cd8ca2422cf6f9484f5cc69724eb",
 }
 
+PER_POINT = {
+    ('hopf', 2, 1): {
+        'christoffel-oracle': 'cc65c4f425b5c12933d923959e944e90f809185c9b21a1c35511a310a91328f2',
+        'prop1-lee-field': 'aa5e56275dec09ef7a3db697486a504f174ff6210e9caf9d12b0e78d12732798',
+        'parallel-lee': '677a0a906fae986c8c7dd92a4574d52ab45f6ca849eb06dd38ea780809772b82',
+        'thm1-totally-geodesic': '4d8facfa2255c9c791f4c47a1b61e3900e1c37104b4c832211886c9f9c6b5974',
+        'eq1-leaf-signature': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'thm4-integrability': 'fa515647f329eb694020623cbd735bd2e49325b49a3701323efae4c59a7f229a',
+        'thm4-plane-gram': '04eb92a0af34101a7445171eae6c58fc2d4288ae1f7c94d25a614d00b1a28fc9',
+        'thm4-hp': 'b16fbed92edc071171649f717213dc0255fa11e64d61117574c5ed0c657e3e47',
+        'eq18-mean-curvature': 'cac244b0831aa8792145ae798528ebb667e8a710866f5a7a5fc0440a3e35bc37',
+        'eq20-nabla-j': '6bed56a983a371634cd8441add035a3bd61681cafa82eaf06ab57044c3cc6453',
+        'weyl-dj': '798b6d7fe8f1be4500ba7ad5929f7cf98dfdedac13616594090d785fe7980cba',
+        'connection-identities': '05fb2d5000882c1d925f1b46e388a9a19dc0356f278dd70acb14e5ed7d6e5c4d',
+        'thm2-deck-pullback': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'hopf-diffeo-roundtrip': '9b9328e0f12ccad09eb37120399039748dd84258c13700ee9a914e9c676a69fb',
+        'torus-isometry': '730a10ca95267528fb6d0f621a1dbc43397ee8f91a4921929f6a38e5bc7a06f8',
+        'submersion-fibre-invariance': '8f511857536f7c8b0b7c57f54006dbac5ff6e27a6f84c5e5c7ea70426cc5c8a6',
+        'fibration-split': '83ed560c2d74c6024d2c3bbf4a3d67d1720b6c5ffa7026d1ca723b559f75bdc5',
+        'retraction-monotonicity': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'thm5-leaf-space': '50332c12c655905e8b4bc4ad10b8c3dce278a56d4527dfb46fa93f70f9fb2513',
+        'lemma7-leaf-radius': '480799f7b620e6e300c89b37f9394ad38cf8503a05732e882664d8e9e4b8c09a',
+        'cayley-boundary': 'd1c04173741a6a3e99e6e57564b713387a0e4c7f3902c68369941fcd294dfe43',
+        'levi-signature': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'levi-hopf-leaf': '52e2357215b45f803343843abdafcce6f2abcc977b99b86510d41466d7092888',
+        'cr-tangential': 'e77abc20485e4129024e13a30ac5c447ab998da440bf24d9373265dbc45149df',
+    },
+    ('hopf', 4, 2): {
+        'christoffel-oracle': '9ee50c0fd715a9b20175645353cc2e6c2c9185e98cfd532b58fec093ddda912f',
+        'prop1-lee-field': 'd709f3e37d93efa0a299105721d56b39a89ab4ef9f22943963e7aee9f5c13fdc',
+        'parallel-lee': '5261155318411f6d49cfe477b4f02c74833c2c6f76b3b8f76b9447c5f9fff930',
+        'thm1-totally-geodesic': 'a7f8b9d3f809d190c30141793eefb9d78cd9bfa4919e66cd353a5921c86f95dc',
+        'eq1-leaf-signature': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'thm4-integrability': '2ca507584f2c5560c8e4d19e662444d30829fac61864a9a0d2a778ae92c66f93',
+        'thm4-plane-gram': '16cd0a8ac24b1cbc68271a3ce17b76d155fa6fbb41932e4a7bda6fecedab62fd',
+        'thm4-hp': 'bd5ddc7d01a4c62ec9389966efb53cba5c1dd9fd2c82f39aec9e3a654445574a',
+        'eq18-mean-curvature': 'a28db25b88fefb30a3632be9022cbf89b84f1534ea3109da266f672d7c11e8ed',
+        'eq20-nabla-j': '25029b559baad038f55f0111d10967d7b5231ac6ae0dcaeca2ade6639b6d5a9c',
+        'weyl-dj': '219e480096f87fef7733e250b32601b6201bddf0fe87aeea0387099dbda5c106',
+        'connection-identities': '132f1fdb2d7d9a2f5213ce9a17754b4e296ff9e41736479a3aeed0fe8c17004d',
+        'thm2-deck-pullback': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'hopf-diffeo-roundtrip': 'a24d4b9c46784c7b6dc138cc43d0302ab72a56665aff445155b933577b8b303a',
+        'torus-isometry': '826bbf9b8d9ce635713a3415cb0fc76b03fe20b70477a7979d91cd10beb31555',
+        'submersion-fibre-invariance': '0be6bea587939738f404a8ba8e819b381f2cd45dd56ebbecf1b9b9a86e0b9710',
+        'fibration-split': '4cd89b26fa885215376e2779ca5ada9dab6ab47588cf63d25081f86118105388',
+        'retraction-monotonicity': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'thm5-leaf-space': 'd4c0a1ebfd7a371f5d49852872135d60565fac9e372e6973f910154ecd3921b2',
+        'lemma7-leaf-radius': 'c5b568d130baae0f8a4198a77bbae9822529ec8347f0df495cb7f06d5cabb409',
+        'cayley-boundary': '2baaaf3f215960540f522eabd9f780093a8f75e74ce11a55624a4c0ba635606f',
+        'levi-signature': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'levi-hopf-leaf': '6b3967d41884e8d9e6a5764ab15765e34ef0882dba0c4640dc58bb535da39b06',
+        'cr-tangential': '525b2a6433bec9cd1e8124c0c03684e7d05c1431008b2d5045c9c8993e9e3c0e',
+    },
+    ('tricerri', 2, 1): {
+        'christoffel-oracle': '5f235e2a6941f7f32e53b9a9e729e8a5b61f644e67950f9bb36fc027d451d983',
+        'prop2-lee-field': '81c2bf87c15f3421548dbd9d307a07e9cd989c53a47c69b796c3450cb67f01bf',
+        'nonparallel-lee': 'aa6a9dd0b72a482239c29162393259637265fc20b0a02855a00e7bc9c19cb4da',
+        'prop2-nabla-b': 'fd01341229d5425fbe7da9823723669c90ed3f145aa7724ca24f7659bc19e438',
+        'thm4-integrability': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'thm4-plane-gram': '81c2bf87c15f3421548dbd9d307a07e9cd989c53a47c69b796c3450cb67f01bf',
+        'eq20-nabla-j': '7c59ddc2fe04ba5898bf585526edda3202608fe82e053556975cbbfd366859ed',
+        'weyl-dj': '58569603baf93aca555600ff58515e955a97d6fd2d787db2b64dfdacb2f4ad58',
+        'connection-identities': '58e6497a043d39bf1100eeb5583fbf8fc19f714c795d5c66d82a6bc901920d79',
+        'gab-invariance': '90144cb6ab7206c0f6dd9921fd27081dc64592ea41e246d47bc6d20fe087e678',
+    },
+    ('flat', 2, 1): {
+        'christoffel-oracle': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'parallel-lee': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'eq20-nabla-j': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'weyl-dj': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+        'connection-identities': '17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1',
+    },
+    ('synthetic-null', 3, 1): {
+        'eq8-transversal': '5ae8feaf993f75a54b41c1cd46e69a14df571dd3b33957c7f642df95b5da4eb4',
+        'eq5-nv-invariance': '20ed5c16a42957d38f1c885454930aa70cd771802092a55383f441c7bd8849ae',
+        'screen-splits': '51c18261928350780d0e6aca79965269d206b879a62369ecb0a68752aa850628',
+        'lemma6-pair': '2628393988a890122b79abfa73fa7e6514b2931e1630fc6f797e394c62929279',
+        'lemma6-invariance': 'd779c6b84c1861b3749d8cf3740a47e10a92f1d258a04d73db4a8fe2119d5fd9',
+        'prop4-null-leaf': '95332a75991f7331d277c702d2f00c61aeb9239ffd801d0515fba9bafb16d6bb',
+    },
+}
+
 
 def _digest(cfg: RunConfig) -> str:
     return hashlib.sha256(to_json(run_config(cfg)).encode()).hexdigest()
@@ -89,3 +179,16 @@ def test_six_point_report_digest(model, n, s, seed):
 def test_six_point_report_digest_at_lambda(model, n, s, lam, seed):
     cfg = RunConfig(model=model, n=n, s=s, lam=lam, points=6, seed=seed, suites=("all",))
     assert _digest(cfg) == GOLDEN_6_LAMBDA[(model, n, s, lam, seed)]
+
+
+@pytest.mark.parametrize("model, n, s", sorted(PER_POINT))
+def test_per_point_residual_digests(model, n, s):
+    cfg = RunConfig(model=model, n=n, s=s, points=6, seed=42, suites=("all",))
+    chosen = suites_for(cfg)
+    got = {}
+    for suite, states in zip(chosen, _point_states(cfg, chosen)):
+        drawn = []
+        for row in states:   # as _run_suite draws and checks, keeping every residual
+            residuals = suite.point_fn(cfg, np.random.Generator(np.random.PCG64(_Words(row))), drawn)
+        got[suite.name] = hashlib.sha256(np.asarray(residuals, dtype=np.float64).tobytes()).hexdigest()
+    assert got == PER_POINT[(model, n, s)]

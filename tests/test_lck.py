@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from lcklab import suites as suites_mod
 from lcklab.charts import (
+    ChartDomainError,
     MetricChart,
     SingularMetricError,
     TangentVector,
@@ -22,6 +24,7 @@ from lcklab.lck import (
     weyl_connection,
 )
 from lcklab.models import HopfModel, flat_chart, hopf_chart, synthetic_null_structure, tricerri_chart
+from lcklab.report import RunConfig
 from lcklab.sampling import hopf_variates, sample_hopf, sample_tricerri
 
 MODEL = HopfModel(n=2, s=1, lam=0.5)
@@ -29,6 +32,7 @@ HOPF = hopf_chart(MODEL)
 HOPF_NEG = hopf_chart(MODEL, regions="-")
 FLAT = flat_chart(2, 1)
 TRIC = tricerri_chart(2, 1)
+NEAR_CONE = np.array([1.0, np.sqrt(1.0 + 2e-7)], dtype=complex)   # b(z, z) = 1e-7 |z|^2
 
 
 class TestLeeData:
@@ -79,19 +83,21 @@ class TestLeeData:
         for lck, sampler in ((HOPF, lambda r: sample_hopf(MODEL, hopf_variates(MODEL.n, r))),
                              (TRIC, lambda r: sample_tricerri(2, r))):
             z = sampler(rng)
-            domega = exterior_derivative_1form(lambda p: lee_form_components(lck, p), z)
+            domega = exterior_derivative_1form(lambda p: lee_form_components(lck, p), z,
+                                               chart=lck.chart)
             assert np.abs(domega).max() < 1e-6
             # omega = df for the chart's conformal factor
             from lcklab.charts import wirtinger_derivative
             f = lck.conformal_factor_eval
-            d_dz, d_dzb = wirtinger_derivative(lambda p: np.asarray(f(p), dtype=complex), z)
+            d_dz, d_dzb = wirtinger_derivative(lambda p: np.asarray(f(p), dtype=complex), z,
+                                               chart=lck.chart)
             df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
             assert np.abs(df - lee_form_components(lck, z)).max() < 1e-9
 
     def test_kahler_form_j_invariance(self):
         rng = np.random.default_rng(3)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
-        Om = kahler_form(HOPF.chart)(z)
+        Om = kahler_form(HOPF.chart.hermitian(z))
         for _ in range(5):
             X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
             Y = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
@@ -172,12 +178,12 @@ class TestStackedLeeData:
         lck, z = self.CASES[case]
         stack = _stencil(z, fd_step(z)).reshape(-1, z.size)
         d = lee_data(lck, stack)
-        Om = kahler_form(lck.chart)(stack)
+        Om = kahler_form(lck.chart.hermitian(stack))
         assert d.B.hol.shape == stack.shape and d.c.shape == stack.shape[:1]
         for i, p in enumerate(stack):
             single = lee_data(lck, p)
             assert d.c[i] == single.c
-            assert np.array_equal(Om[i], kahler_form(lck.chart)(p))
+            assert np.array_equal(Om[i], kahler_form(lck.chart.hermitian(p)))
             for name in ("omega", "theta", "H", "G", "B_real", "A_real",
                          "omega_real", "theta_real", "non_null"):
                 assert np.array_equal(getattr(d, name)[i], getattr(single, name)), name
@@ -306,7 +312,7 @@ class TestWeylConnection:
         Y = TangentVector.real([0.0, 1.0])
         gYY = lambda p: np.einsum("a,...ab,b->...", Y.components, HOPF.chart.gram_full(p),
                                   Y.components)
-        d_dz, d_dzb = wirtinger_derivative(gYY, z)
+        d_dz, d_dzb = wirtinger_derivative(gYY, z, chart=HOPF.chart)
         df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
         # the defect is a covector in X: witness it over all 2n real
         # coordinate directions, since one direction can sit near its kernel
@@ -342,6 +348,17 @@ class TestNablaJ:
             out = nabla_J_defect(lck, X, Y, z)
             assert np.abs(out.components).max() < 1e-6
 
+    def test_reads_the_kahler_form_from_the_lee_data_metric(self, monkeypatch):
+        # constant X, Y take no derivative and Hopf's connection is closed
+        # form: the one metric evaluation is lee_data's
+        calls = []
+        hermitian = MetricChart.hermitian
+        monkeypatch.setattr(MetricChart, "hermitian",
+                            lambda self, p: calls.append(1) or hermitian(self, p))
+        X, Y = TangentVector.real([1.0, 0.5j]), TangentVector.real([0.2, -1.0])
+        nabla_J_defect(hopf_chart(MODEL), X, Y, np.array([0.2 - 0.5j, 1.4 + 0.3j]))
+        assert len(calls) == 1
+
 
 class TestParallelLee:
     def test_hopf_parallel(self):
@@ -360,11 +377,28 @@ class TestParallelLee:
         # analytic value: max |(nabla omega)(Z_j, Zbar_k)| = Im(w)/4
         assert res == pytest.approx(0.25, abs=1e-6)
 
+    def test_stencil_across_the_cone_raises(self):
+        # b(z, z) = 1e-7 |z|^2: inside region "+", its stencil is not
+        with pytest.raises(ChartDomainError, match="^stencil around .* leaves domain"):
+            parallel_lee_residual(HOPF, NEAR_CONE)
+
+    def test_suite_records_the_stencil_fault(self, monkeypatch):
+        monkeypatch.setattr(suites_mod, "_hopf_sample",
+                            lambda cfg, rng: ("+", hopf_variates(cfg.n, rng)))
+        monkeypatch.setattr(suites_mod, "sample_hopf",
+                            lambda model, V, regions: np.tile(NEAR_CONE, (len(V), 1)))
+        cfg = RunConfig(model="hopf", points=2, seed=42, suites=("parallel-lee",))
+        suite = suites_mod._BY_NAME["parallel-lee"]
+        result = suites_mod._run_suite(cfg, suite, suites_mod._point_states(cfg, [suite])[0])
+        assert result.verdict == "error"
+        assert result.error == (f"ChartDomainError: stencil around {NEAR_CONE} leaves domain "
+                                f"of hopf(n=2,s=1,+)")
+
 
 def test_homothety_rigidity_witness():
     # conformally rescaling an (indefinite) Kahler metric by a nonconstant
     # factor always breaks closedness of the fundamental form
-    base = kahler_form(FLAT.chart)
+    base = lambda p: kahler_form(FLAT.chart.hermitian(p))
     scaled = lambda p: np.exp(p[..., 0].real)[..., None, None] * base(p)
-    d = exterior_derivative_2form(scaled, np.array([1.0, 1.0], dtype=complex))
+    d = exterior_derivative_2form(scaled, np.array([1.0, 1.0], dtype=complex), chart=FLAT.chart)
     assert np.abs(d).max() > 1e-3
