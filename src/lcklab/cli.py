@@ -17,7 +17,7 @@ import sys
 import time
 
 from .report import RunConfig, to_csv, to_json
-from .suites import SUITES, UsageError, run_config
+from .suites import MODELS, SUITES, UsageError, run_config
 
 __all__ = ["main", "list_suites"]
 
@@ -25,7 +25,7 @@ __all__ = ["main", "list_suites"]
 def list_suites(stream=None) -> None:
     """Print the suite catalogue: name, anchor, default tolerance."""
     stream = stream or sys.stdout
-    defaults = RunConfig(model="hopf")
+    defaults = RunConfig(model="")   # no tolerance reads the model
     width = max(len(s.name) for s in SUITES)
     awidth = max(len(s.anchor) for s in SUITES)
     for s in SUITES:
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lcklab",
         description="Pointwise verification suites for indefinite locally "
                     "conformal Kahler model geometries.")
-    p.add_argument("--model", choices=["hopf", "flat", "tricerri", "synthetic-null"],
+    p.add_argument("--model", choices=list(MODELS),
                    help="model geometry the suites sample from")
     p.add_argument("--n", type=int, default=2, help="complex dimension (default 2)")
     p.add_argument("--s", type=int, default=1, help="index parameter (default 1)")

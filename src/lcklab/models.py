@@ -210,6 +210,8 @@ def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
 
 def flat_chart(n: int, s: int) -> LCKStructure:
     """Flat indefinite Kahler chart: g_{j kbar} = (1/2) eps_j delta_{jk}."""
+    if n < 1 or not 0 <= s <= n:
+        raise ValueError("need n >= 1 and 0 <= s <= n")
     eps = eps_signs(n, s)
     H = np.diag(0.5 * eps).astype(complex)
     chart = MetricChart(

@@ -13,6 +13,10 @@ Direction "le" means the aggregated maximum must stay below tolerance;
 "ge" marks witness suites whose aggregated minimum must exceed the
 threshold (e.g. exhibiting a nonparallel Lee form).
 
+One home per model: MODELS maps a model's name to its builder, whose
+ValueError is its range check, its (key, point) draw, the key and
+structure of a stack of its draws, and its chart dimension; no other
+code branches on a model's name.
 Draw, then check: every suite has one contract.  Every point is drawn
 first, draw(cfg, rng), which consumes that point's generator in a fixed
 order and evaluates nothing, then check(cfg, draws) returns the
@@ -21,7 +25,7 @@ and checks at the last one.  The chart, quotient, leaf and Tricerri
 suites evaluate all their draws as one (m, n) stack through the
 stack-native layers with one structure per check.  A Hopf draw holds
 its region and the variates of its point (sampling.hopf_variates), and
-the check maps the stack of them to points in one sample_hopf or
+the model's stack maps them to points in one sample_hopf or
 sample_pseudosphere call.  A Hopf stack may mix the two regions: its
 chart carries each point's region, so point i and its stencil stay on
 region i's component.  The foliation suites run on
@@ -43,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,10 +57,7 @@ from .charts import (
     TangentVector, _along, _bilinear, _covariant_along, _field_derivatives, _max_abs,
     _require_domain, christoffel, covariant_derivative, koszul_christoffel, wirtinger_derivative,
 )
-from .lck import (
-    LCKStructure, lee_data, nabla_J_defect, parallel_lee_residual,
-    weyl_connection,
-)
+from .lck import lee_data, nabla_J_defect, parallel_lee_residual, weyl_connection
 from .models import (
     HopfModel, cayley, deck_equivalent, eps_signs, fibration_split,
     flat_chart, gab_invariance_residual, hopf_chart, hopf_diffeo,
@@ -71,7 +72,7 @@ from .sampling import (
 )
 from .semieuclid import FrameSubspace, contains_span, inner, same_span, signature_of
 
-__all__ = ["SUITES", "Suite", "suites_for", "run_config", "UsageError"]
+__all__ = ["MODELS", "SUITES", "Suite", "suites_for", "run_config", "UsageError"]
 
 
 class UsageError(ValueError):
@@ -100,7 +101,7 @@ class Suite:
     draw: Callable[[RunConfig, np.random.Generator], object]
     check: Callable[[RunConfig, list], Sequence[float]]
     direction: str = "le"
-    min_n: int = 1   # per-model dimension floors live in config validation
+    min_n: int = 1   # each model's own floor is its MODELS build
 
     def applicable(self, cfg: RunConfig) -> bool:
         return cfg.model in self.models and cfg.n >= self.min_n
@@ -130,10 +131,6 @@ class Suite:
             return [r for d in draws for r in self.check(cfg, [d])]
 
 
-def _hopf(cfg: RunConfig) -> HopfModel:
-    return HopfModel(n=cfg.n, s=cfg.s, lam=cfg.lam)
-
-
 def _hopf_sample(cfg: RunConfig, rng) -> tuple[str, np.ndarray]:
     """A Hopf region drawn with even odds and the variates of a point in
     it, which the check maps (see _stacked)."""
@@ -152,56 +149,61 @@ def _rand_hol(rng, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _hopf_stack(model: HopfModel, keys, columns: list, points):
+    """The model as key and its chart with each draw's region; maps the
+    variates columns[0] to points as `points` says (see _stacked)."""
+    if points == "hopf":
+        columns[0] = sample_hopf(model, columns[0], keys)
+    elif points == "pseudosphere":
+        columns[0] = sample_pseudosphere(model.n, model.s, columns[0])
+    return model, hopf_chart(model, regions=keys)
+
+
+class _Model(NamedTuple):
+    build: Callable   # (n, s, lam) -> the model; its ValueError is the range check
+    draw: Callable | None    # (cfg, rng) -> (key, point)
+    stack: Callable | None   # (built, keys, columns, points) -> (key, structure)
+    dim: Callable[[int], int]   # chart dimension
+
+
+def _one_structure(lck, keys, columns, points):
+    return None, lck
+
+
+MODELS = {
+    "hopf": _Model(HopfModel, _hopf_sample, _hopf_stack, lambda n: n),
+    "flat": _Model(lambda n, s, lam: flat_chart(n, s),
+                   lambda cfg, rng: (None, sample_flat(cfg.n, rng)), _one_structure, lambda n: n),
+    "tricerri": _Model(lambda n, s, lam: tricerri_chart(n, s),
+                       lambda cfg, rng: (None, sample_tricerri(cfg.n, rng)), _one_structure,
+                       lambda n: n + 1),
+    "synthetic-null": _Model(lambda n, s, lam: synthetic_null_structure(n, s), None, None,
+                             lambda n: n),
+}
+
+
 def _chart_draw(cfg: RunConfig, rng) -> tuple:
-    """A model-appropriate (structure key, point) pair: a Hopf region
-    drawn with even odds and the variates of a point in it, or None and a
-    Tricerri or flat point."""
-    if cfg.model == "hopf":
-        return _hopf_sample(cfg, rng)
-    if cfg.model == "tricerri":
-        return None, sample_tricerri(cfg.n, rng)
-    if cfg.model == "flat":
-        return None, sample_flat(cfg.n, rng)
-    raise UsageError(f"suite has no chart for model {cfg.model!r}")
-
-
-def _structure(cfg: RunConfig) -> LCKStructure:
-    """The one structure of a stack of Tricerri or flat draws."""
-    if cfg.model == "tricerri":
-        return tricerri_chart(cfg.n, cfg.s)
-    if cfg.model == "flat":
-        return flat_chart(cfg.n, cfg.s)
-    raise UsageError(f"suite has no chart for model {cfg.model!r}")
-
-
-def _chart_dim(cfg: RunConfig) -> int:
-    return cfg.n + 1 if cfg.model == "tricerri" else cfg.n
+    """The model's (structure key, point) draw."""
+    return MODELS[cfg.model].draw(cfg, rng)
 
 
 def _stacked(evaluate, points="hopf"):
     """A check of draws (key, z, *extras) that evaluates all of them as one
-    stack: evaluate(key, lck, Z, *extras) gets the key, the one structure
-    of the stack (which the quotient and leaf suites ignore), the points
-    stacked into Z (m, n) and each extra stacked alike, and returns the m
-    residuals in draw order.  A Tricerri or flat draw's key is None and z
-    its point.  A Hopf draw's key is its region and z its variates: the
-    check passes on one model, read only for n, s and lambda, builds the
-    chart with each draw's region, and maps the variates to Z in one
+    stack: evaluate(key, lck, Z, *extras) gets the key and the one
+    structure that the model's stack returns, the points stacked into Z
+    (m, n) and each extra stacked alike, and returns the m residuals in
+    draw order.  A Tricerri or flat draw's key is None and z its point.  A
+    Hopf draw's key is its region and z its variates, mapped to Z by one
     sample_hopf call, or one sample_pseudosphere call with points
-    "pseudosphere"; with points None, z is passed on as drawn.  A check
-    that reads each point's region checks the chart domain, then reads
-    the region's sign as model.a(Z)."""
+    "pseudosphere"; with points None, z is passed on as drawn.  The Hopf
+    key passed on is the model: a check that reads each point's region
+    checks the chart domain, then reads the region's sign as key.a(Z)."""
     def check(cfg: RunConfig, draws: list) -> list:
         keys, *columns = zip(*draws)
         columns = [np.stack(c) for c in columns]
-        if cfg.model != "hopf":
-            return [float(r) for r in evaluate(None, _structure(cfg), *columns)]
-        model = _hopf(cfg)
-        if points == "hopf":
-            columns[0] = sample_hopf(model, columns[0], keys)
-        elif points == "pseudosphere":
-            columns[0] = sample_pseudosphere(cfg.n, cfg.s, columns[0])
-        return [float(r) for r in evaluate(model, hopf_chart(model, regions=keys), *columns)]
+        build, _, stack, _ = MODELS[cfg.model]
+        key, lck = stack(build(cfg.n, cfg.s, cfg.lam), keys, columns, points)
+        return [float(r) for r in evaluate(key, lck, *columns)]
     return check
 
 
@@ -219,13 +221,14 @@ def _draw_vectors(count: int):
     components), in that order."""
     def draw(cfg, rng):
         key, z = _chart_draw(cfg, rng)
-        return (key, z) + tuple(_rand_hol(rng, _chart_dim(cfg)) for _ in range(count))
+        n = MODELS[cfg.model].dim(cfg.n)
+        return (key, z) + tuple(_rand_hol(rng, n) for _ in range(count))
     return draw
 
 
 def _draw_connection(cfg, rng):
     key, z, X, Y, W = _draw_vectors(3)(cfg, rng)
-    n = _chart_dim(cfg)
+    n = len(X)   # the chart dimension
     M1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     M2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return key, z, X, Y, W, M1, M2
@@ -804,7 +807,7 @@ def suites_for(cfg: RunConfig) -> tuple[Suite, ...]:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.model not in ("hopf", "flat", "tricerri", "synthetic-null"):
+    if cfg.model not in MODELS:
         raise UsageError(f"unknown model {cfg.model!r}")
     if cfg.points < 1:
         raise UsageError("points must be >= 1")
@@ -812,17 +815,10 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("tolerances must be positive and finite")
     if cfg.seed < 0:
         raise UsageError("seed must be non-negative")
-    if cfg.model == "hopf":
-        if cfg.n < 2 or not 0 < cfg.s < cfg.n:
-            raise UsageError("hopf model needs n >= 2 and 0 < s < n")
-        if not 0.0 < cfg.lam < 1.0:
-            raise UsageError("hopf model needs 0 < lambda < 1")
-    if cfg.model == "tricerri" and not (cfg.n >= 1 and 0 <= cfg.s < cfg.n):
-        raise UsageError("tricerri model needs n >= 1 and 0 <= s < n")
-    if cfg.model == "synthetic-null" and not 0 < cfg.s < cfg.n:
-        raise UsageError("synthetic-null model needs 0 < s < n")
-    if cfg.model == "flat" and not 0 <= cfg.s <= cfg.n:
-        raise UsageError("flat model needs 0 <= s <= n")
+    try:
+        MODELS[cfg.model].build(cfg.n, cfg.s, cfg.lam)
+    except ValueError as exc:
+        raise UsageError(f"{cfg.model} model: {exc}") from exc
 
 
 def _point_states(cfg: RunConfig, suites: Sequence[Suite]) -> np.ndarray:

@@ -6,13 +6,24 @@ import sys
 import numpy as np
 import pytest
 
+from lcklab import cli
 from lcklab import suites as suites_mod
 from lcklab.charts import ChartDomainError, SingularMetricError
 from lcklab.lck import SingularLeeError
 from lcklab.report import RunConfig, VerificationReport, to_csv, to_json
 from lcklab.suites import (
-    SUITES, Suite, UsageError, _point_states, _run_suite, run_config, suites_for,
+    MODELS, SUITES, Suite, UsageError, _point_states, _run_suite, run_config, suites_for,
 )
+
+# Each model's parameter range at its edges, as (n, s, lambda): configs
+# just inside it, the smallest n first, then configs just outside it.
+RANGE_EDGES = {
+    "hopf": ([(2, 1, 0.5), (3, 2, 0.05), (3, 1, 0.99)],
+             [(1, 0, 0.5), (2, 0, 0.5), (2, 2, 0.5), (2, 1, 0.0), (2, 1, 1.0)]),
+    "flat": ([(1, 0, 0.5), (1, 1, 0.5), (2, 0, 5.0)], [(0, 0, 0.5), (1, 2, 0.5), (2, -1, 0.5)]),
+    "tricerri": ([(1, 0, 0.5), (2, 1, 5.0)], [(0, 0, 0.5), (2, 2, 0.5), (2, -1, 0.5)]),
+    "synthetic-null": ([(2, 1, 0.5), (3, 2, 5.0)], [(3, 0, 0.5), (3, 3, 0.5), (1, 1, 0.5)]),
+}
 
 
 def _residuals(cfg, draws):
@@ -73,6 +84,30 @@ class TestRegistry:
         cfg = RunConfig(model="synthetic-null", n=2, suites=("lemma6-pair",))
         with pytest.raises(UsageError):
             suites_for(cfg)
+
+
+class TestModels:
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_range_edges(self, model):
+        inside, outside = RANGE_EDGES[model]
+        for n, s, lam in inside:
+            rep = run_config(RunConfig(model=model, n=n, s=s, lam=lam, points=1, seed=1,
+                                       suites=("all",)))
+            assert rep.passed, (n, s, lam)
+        for n, s, lam in outside:
+            with pytest.raises(UsageError, match=f"^{model} model: "):
+                run_config(RunConfig(model=model, n=n, s=s, lam=lam, points=1,
+                                     suites=("all",)))
+
+    def test_every_model_name_is_a_table_key(self):
+        for suite in SUITES:
+            assert suite.models <= set(MODELS), suite.name
+        for model, (inside, _) in RANGE_EDGES.items():
+            n, s, lam = inside[0]
+            cfg = RunConfig(model=model, n=n, s=s, lam=lam)
+            assert any(suite.applicable(cfg) for suite in SUITES), model
+        choices = next(a.choices for a in cli._build_parser()._actions if a.dest == "model")
+        assert list(choices) == list(MODELS) == list(RANGE_EDGES)
 
 
 class TestRunConfig:

@@ -383,8 +383,8 @@ class TestParallelLee:
             parallel_lee_residual(HOPF, NEAR_CONE)
 
     def test_suite_records_the_stencil_fault(self, monkeypatch):
-        monkeypatch.setattr(suites_mod, "_hopf_sample",
-                            lambda cfg, rng: ("+", hopf_variates(cfg.n, rng)))
+        monkeypatch.setitem(suites_mod.MODELS, "hopf", suites_mod.MODELS["hopf"]._replace(
+            draw=lambda cfg, rng: ("+", hopf_variates(cfg.n, rng))))
         monkeypatch.setattr(suites_mod, "sample_hopf",
                             lambda model, V, regions: np.tile(NEAR_CONE, (len(V), 1)))
         cfg = RunConfig(model="hopf", points=2, seed=42, suites=("parallel-lee",))
