@@ -12,22 +12,24 @@ null-Lee samplers reject degenerate draws.
 A null-Lee configuration is drawn in two steps: sample_null_lee_vector
 draws its Lee vector B, and sample_null_config builds the configuration
 of B, or of a stack of Lee vectors at once, through the stack-native
-semieuclid layer.  The complement vectors and frames are then drawn
-against the built configuration of their point (NullLeeConfig.point for
-a stack), since their acceptance tests read its screens.
+semieuclid layer.  Each of its two screen splits is built once, on first
+read, so a check that reads neither builds none.  The complement vectors
+and frames are then drawn against a point's screen orthocomplement and
+Lee forms (row i of a stack's arrays), since their acceptance tests read
+them.
 
 point_states seeds every point generator of a run in one pass: the PCG64
 seed words that numpy's SeedSequence of entropy seed and spawn key
 (key, i) gives, for every suite key and point index i at once, bit for
-bit.  _Words
-hands one row of them to PCG64, so a point's generator is
+bit.  _Words hands one row of them to PCG64, so a point's generator is
 Generator(PCG64(_Words(row))).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -225,10 +227,11 @@ class NullLeeConfig:
     form gains a leading stack axis of length m.
 
     Real interleaved coordinates; B and A = -JB are null and mutually
-    orthogonal, omega and theta are their metric duals, and the screen
-    is the Euclidean orthocomplement of span{A, B} inside its own
-    g-orthocomplement.  first_screen is the first-foliation screen (the
-    Euclidean complement of the Lee line inside ker(omega)).
+    orthogonal, omega and theta are their metric duals, plane is their
+    span.  Each screen split is built once, on first read: the plane's
+    gives the screen (the Euclidean orthocomplement of the plane inside
+    its g-orthocomplement) and screen_perp_basis, the first-foliation one
+    first_screen (the Lee line's complement in ker(omega)) and its perp.
     """
 
     n: int
@@ -238,21 +241,22 @@ class NullLeeConfig:
     A: np.ndarray
     omega: np.ndarray
     theta: np.ndarray
-    screen: FrameSubspace
-    screen_perp_basis: np.ndarray  # basis rows of (screen)^perp, contains A, B
-    first_screen: FrameSubspace
-    first_screen_perp: np.ndarray  # basis rows of (first_screen)^perp, contains B
+    plane: FrameSubspace   # span{A, B}, whose build checks that B is not zero
 
-    def point(self, i: int) -> "NullLeeConfig":
-        """The configuration at point i of a stack."""
-        def at(W: FrameSubspace) -> FrameSubspace:
-            return FrameSubspace(W.ambient_dim, W.basis[i], W.gram_restricted[i])
+    @cached_property
+    def _plane_split(self) -> tuple[FrameSubspace, np.ndarray]:
+        # P-perp via kernel of the Gram constraints; span{A, B} is its radical
+        basis = self.plane.basis
+        return _screen_split(self.form, basis, _kernel(basis @ self.form.gram))
 
-        return replace(self, B=self.B[i], A=self.A[i], omega=self.omega[i],
-                       theta=self.theta[i], screen=at(self.screen),
-                       screen_perp_basis=self.screen_perp_basis[i],
-                       first_screen=at(self.first_screen),
-                       first_screen_perp=self.first_screen_perp[i])
+    @cached_property
+    def _first_split(self) -> tuple[FrameSubspace, np.ndarray]:
+        return _screen_split(self.form, self.B[..., None, :], _kernel(self.omega[..., None, :]))
+
+    screen = property(lambda self: self._plane_split[0])
+    screen_perp_basis = property(lambda self: self._plane_split[1])   # rows, contain A, B
+    first_screen = property(lambda self: self._first_split[0])
+    first_screen_perp = property(lambda self: self._first_split[1])   # rows, contain B
 
 
 def _apply_J(v: np.ndarray) -> np.ndarray:
@@ -279,7 +283,7 @@ def sample_null_lee_vector(n: int, s: int, rng: np.random.Generator) -> np.ndarr
     for _ in range(_MAX_TRIES):
         neg = rng.standard_normal(2 * s)
         pos = rng.standard_normal(2 * (n - s))
-        nn, pn = np.linalg.norm(neg), np.linalg.norm(pos)
+        nn, pn = math.sqrt(neg @ neg), math.sqrt(pos @ pos)
         if nn >= 0.3 and pn >= 0.3:
             return np.concatenate([neg / nn, pos / pn])
     raise RuntimeError("could not sample a null Lee vector")
@@ -289,52 +293,41 @@ def sample_null_config(n: int, s: int, B: np.ndarray) -> NullLeeConfig:
     """Null-Lee configuration in real dimension 2n, index 2s, for a null
     Lee vector B (2n,) (sample_null_lee_vector), or for each vector of a
     stack (m, 2n) in one stacked build whose rows carry the bits of the
-    single-vector builds."""
+    single-vector builds.  Its screen splits are built on first read."""
     if not 0 < s < n:
         raise ValueError("need 0 < s < n")
     form = _standard_form(n, s)
     B = np.asarray(B, dtype=float)
     A = -_apply_J(B)
-    omega = np.matvec(form.gram, B)
-    theta = np.matvec(form.gram, A)
-    plane = FrameSubspace.from_vectors(form, np.stack([A, B], axis=-2))
-    # P-perp via kernel of the Gram constraints; span{A, B} is its radical
-    screen, sperp_rows = _screen_split(form, plane.basis,
-                                       _kernel(plane.basis @ form.gram))
-    first_screen, first_perp = _screen_split(form, B[..., None, :],
-                                             _kernel(omega[..., None, :]))
-    return NullLeeConfig(n=n, s=s, form=form, B=B, A=A, omega=omega, theta=theta,
-                         screen=screen, screen_perp_basis=sperp_rows,
-                         first_screen=first_screen, first_screen_perp=first_perp)
+    return NullLeeConfig(n=n, s=s, form=form, B=B, A=A,
+                         omega=np.matvec(form.gram, B), theta=np.matvec(form.gram, A),
+                         plane=FrameSubspace.from_vectors(form, np.stack([A, B], axis=-2)))
 
 
-def sample_complement_vector(cfg: NullLeeConfig, rng: np.random.Generator) -> np.ndarray:
+def sample_complement_vector(sperp: np.ndarray, omega: np.ndarray,
+                             rng: np.random.Generator) -> np.ndarray:
     """Random vector spanning a complement of the Lee line inside the
-    orthocomplement of the first-foliation screen (which is 2-dimensional
-    and contains B)."""
-    sperp = cfg.first_screen_perp
+    orthocomplement sperp (rows (2, 2n), containing B) of the
+    first-foliation screen, with omega the Lee form."""
     for _ in range(_MAX_TRIES):
-        coeff = rng.standard_normal(sperp.shape[0])
-        V = coeff @ sperp
-        wV = float(cfg.omega @ V)
-        if abs(wV) > 0.1 * np.linalg.norm(V):
+        V = rng.standard_normal(sperp.shape[0]) @ sperp
+        if abs(float(omega @ V)) > 0.1 * math.sqrt(V @ V):
             return V
     raise RuntimeError("could not sample a complement vector")
 
 
-def sample_pair_frame(cfg: NullLeeConfig, rng: np.random.Generator
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def sample_pair_frame(sperp: np.ndarray, omega: np.ndarray, theta: np.ndarray,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random frame {V1, V2} of a complement of the plane inside
-    S(P-perp)-perp, rejecting frames with small normalization
-    determinant."""
-    sperp = cfg.screen_perp_basis
+    S(P-perp)-perp (rows sperp), with omega and theta the duals of B and
+    A, rejecting frames with small normalization determinant."""
     for _ in range(_MAX_TRIES):
         V1 = rng.standard_normal(sperp.shape[0]) @ sperp
         V2 = rng.standard_normal(sperp.shape[0]) @ sperp
-        t1, w1 = float(cfg.theta @ V1), float(cfg.omega @ V1)
-        t2, w2 = float(cfg.theta @ V2), float(cfg.omega @ V2)
+        t1, w1 = float(theta @ V1), float(omega @ V1)
+        t2, w2 = float(theta @ V2), float(omega @ V2)
         D = t1 * w2 - w1 * t2
-        scale = max(np.linalg.norm(V1) * np.linalg.norm(V2), 1e-30)
+        scale = max(math.sqrt(V1 @ V1) * math.sqrt(V2 @ V2), 1e-30)
         if abs(D) > 0.05 * scale:
             return V1, V2
     raise RuntimeError("could not sample a complement frame")

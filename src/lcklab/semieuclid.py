@@ -11,11 +11,11 @@ shape (..., N, N), and then a FrameSubspace carries one basis per point,
 basis (..., k, N), with k the same at every point.  The form validation,
 _full_rank, _kernel, _complement_within, inner, from_vectors,
 orthogonal_complement, signature_of, contains_span and same_span work per
-point of such a stack, through numpy's stacked linear algebra (and
-_lstsq_rows, the one home of the least-squares solve, which solves point
-by point), which gives each point the bits of a single-point call;
-_full_rank answers for the whole stack, and a stack whose points disagree
-on a rank raises ValueError.
+point of such a stack, through numpy's stacked linear algebra (one QR
+projection for a stack in contains_span), which gives each point the bits
+of a single-point call; only cr.levi_form reads _lstsq_rows, the one home
+of the least-squares solve, point by point.  _full_rank answers for the
+whole stack, and a stack whose points disagree on a rank raises ValueError.
 """
 
 from __future__ import annotations
@@ -227,16 +227,18 @@ def signature_of(W: FrameSubspace) -> tuple[int, int, int]:
 
 
 def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float):
-    """True if span(small) lies inside span(big), by least-squares residual
-    (per point of a stack: a bool array for stacked bases)."""
+    """True if span(small) lies inside span(big), by the residual of its
+    projection onto span(big), one stacked QR (in exact arithmetic the
+    least-squares residual; per point of a stack, a bool array)."""
     lead = small.basis.shape[:-2]
     if small.dim == 0:
         return _per_point(np.ones(lead, dtype=bool))
     size = np.abs(small.basis).max(axis=(-2, -1))
     if big.dim == 0:
         return _per_point(size <= tol)
-    bigT, smallT = big.basis.swapaxes(-1, -2), small.basis.swapaxes(-1, -2)
-    resid = bigT @ _lstsq_rows(bigT, smallT) - smallT
+    q, _ = np.linalg.qr(big.basis.swapaxes(-1, -2))
+    smallT = small.basis.swapaxes(-1, -2)
+    resid = smallT - q @ (q.swapaxes(-1, -2) @ smallT)
     return _per_point(np.abs(resid).max(axis=(-2, -1)) <= tol * np.maximum(size, 1.0))
 
 
@@ -244,5 +246,6 @@ def same_span(a: FrameSubspace, b: FrameSubspace, tol: float):
     """Subspace equality by mutual containment (bases are non-canonical),
     per point of a stack."""
     if a.dim != b.dim:
-        return False
+        lead = np.broadcast_shapes(a.basis.shape[:-2], b.basis.shape[:-2])
+        return _per_point(np.zeros(lead, dtype=bool))
     return _per_point(np.logical_and(contains_span(a, b, tol), contains_span(b, a, tol)))

@@ -33,9 +33,10 @@ Hopf and Tricerri only, where c = +-4 or 1 is never null, so even a
 stack mixing regions never mixes Lee branches (the foliation layer
 would refuse one that did).  The synthetic-null suites draw a null Lee
 vector and keep the point's generator with its state; their check
-builds one stacked configuration (m, 2n) for all draws, then resets
-each generator and draws the rest of its point in the order a
-point-by-point run did, and evaluates the stack.
+builds one stacked configuration (m, 2n) for all draws, whose screen
+splits are built on first read (prop4-null-leaf reads none), then resets
+each generator, draws the rest of its point from row i of the stack in
+the order a point-by-point run did, and evaluates the stack.
 levi-signature checks a constant of (n, s).
 Stacked rows carry single-point bits, so checking all draws equals
 checking each alone.  A batched check that meets a point fault is rerun
@@ -425,20 +426,20 @@ def _draw_null(cfg, rng):
 
 
 def _null_stacked(evaluate, draw=None):
-    """A check of _draw_null draws: one configuration build for the stack
-    of their Lee vectors, then, when given, draw(point config, rng) for
-    each point in draw order, from its generator reset to the state after
-    its Lee vector, so each point's numbers come in the order of a
-    point-by-point run and a rerun of the same draws sees them again.
-    evaluate(c, *extras) gets the stacked configuration and each extra of
-    draw stacked alike, and returns the m residuals."""
+    """A check of _draw_null draws: one configuration build c for the stack
+    of their Lee vectors, then, when given, draw(c, i, rng) for each point
+    i in draw order, reading row i of c, from its generator reset to the
+    state after its Lee vector, so each point's numbers come in the order
+    of a point-by-point run and a rerun of the same draws sees them again.
+    evaluate(c, *extras) gets c and each extra of draw stacked alike, and
+    returns the m residuals; c builds a screen split only if one is read."""
     def check(cfg: RunConfig, draws: list) -> list:
         c = sample_null_config(cfg.n, cfg.s, np.stack([d[0] for d in draws]))
         extras = []
         if draw is not None:
             for i, (_, rng, state) in enumerate(draws):
                 rng.bit_generator.state = state
-                extras.append(draw(c.point(i), rng))
+                extras.append(draw(c, i, rng))
         return [float(r) for r in evaluate(c, *(np.stack(x) for x in zip(*extras)))]
     return check
 
@@ -456,8 +457,12 @@ def _off_screen(screen: FrameSubspace, form, V):
     return np.abs(np.matvec(screen.basis @ form.gram, V)).max(axis=-1, initial=0.0)
 
 
-def _draw_complement(c, rng):
-    return (sample_complement_vector(c, rng),)
+def _draw_complement(c, i, rng):
+    return (sample_complement_vector(c.first_screen_perp[i], c.omega[i], rng),)
+
+
+def _pair_frame(c, i, rng):
+    return sample_pair_frame(c.screen_perp_basis[i], c.omega[i], c.theta[i], rng)
 
 
 def _check_eq8_transversal(c, V):
@@ -467,8 +472,8 @@ def _check_eq8_transversal(c, V):
     return np.maximum(resid, _off_screen(c.first_screen, c.form, N))
 
 
-def _draw_eq5(c, rng):
-    V, V2 = sample_complement_vector(c, rng), sample_complement_vector(c, rng)
+def _draw_eq5(c, i, rng):
+    (V,), (V2,) = _draw_complement(c, i, rng), _draw_complement(c, i, rng)
     scale = rng.uniform(0.2, 5.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
     return V, V2, scale, rng.standard_normal()
 
@@ -493,8 +498,8 @@ def _check_lemma6_pair(c, V1, V2):
     return np.maximum(resid, np.abs(cross).max(axis=(-2, -1), initial=0.0))
 
 
-def _draw_lemma6_invariance(c, rng):
-    return (*sample_pair_frame(c, rng), sample_frame_change(rng))
+def _draw_lemma6_invariance(c, i, rng):
+    return (*_pair_frame(c, i, rng), sample_frame_change(rng))
 
 
 def _check_lemma6_invariance(c, V1, V2, f):
@@ -504,9 +509,9 @@ def _check_lemma6_invariance(c, V1, V2, f):
     return np.maximum(np.abs(N1 - M1).max(axis=-1), np.abs(N2 - M2).max(axis=-1))
 
 
-def _draw_screen_splits(c, rng):
-    V = sample_complement_vector(c, rng)
-    return (V, *sample_pair_frame(c, rng)) if c.n >= 3 else (V,)
+def _draw_screen_splits(c, i, rng):
+    V = _draw_complement(c, i, rng)
+    return (*V, *_pair_frame(c, i, rng)) if c.n >= 3 else V
 
 
 def _check_screen_splits(c, V, *frame):
@@ -523,9 +528,8 @@ def _check_screen_splits(c, V, *frame):
     if c.n >= 3:
         # S(P-perp)-perp has rank 4 and contains the plane
         resid = np.maximum(resid, 0.0 if c.screen_perp_basis.shape[-2] == 4 else 1.0)
-        plane = FrameSubspace.from_vectors(form, np.stack([c.A, c.B], axis=-2))
         sperp = FrameSubspace.from_vectors(form, c.screen_perp_basis)
-        resid = np.maximum(resid, np.where(contains_span(sperp, plane, 1e-9), 0.0, 1.0))
+        resid = np.maximum(resid, np.where(contains_span(sperp, c.plane, 1e-9), 0.0, 1.0))
         rebuilt = FrameSubspace.from_vectors(
             form, np.stack([c.A, c.B, *_isotropic_pair(c, *frame)], axis=-2))
         resid = np.maximum(resid, np.where(same_span(rebuilt, sperp, 1e-8), 0.0, 1.0))
@@ -731,7 +735,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("thm4-hp", "Theorem 4", frozenset({"hopf"}), _fixed(1e-5),
           _chart_draw, _stacked(_check_thm4_hp)),
     Suite("lemma6-pair", "Lemma 6", frozenset({"synthetic-null"}),
-          _fixed(1e-10), _draw_null, _null_stacked(_check_lemma6_pair, sample_pair_frame),
+          _fixed(1e-10), _draw_null, _null_stacked(_check_lemma6_pair, _pair_frame),
           min_n=3),
     Suite("lemma6-invariance", "Lemma 6", frozenset({"synthetic-null"}),
           _fixed(1e-9), _draw_null,

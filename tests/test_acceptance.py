@@ -169,13 +169,13 @@ def test_criterion_05_lightlike_transversal():
         _, sv, vt = np.linalg.svd(proj, full_matrices=False)
         rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
         screen = FrameSubspace.from_vectors(cfg.form, vt[:rank])
-        V = sample_complement_vector(cfg, rng)
+        V = sample_complement_vector(cfg.first_screen_perp, cfg.omega, rng)
         N = lightlike_transversal(cfg.form, cfg.omega, cfg.B, screen, V)
         worst_eq = max(worst_eq, abs(inner(cfg.form, N, N)),
                        abs(float(cfg.omega @ N) - 1.0))
         scale = rng.uniform(0.5, 3.0)
         N2 = lightlike_transversal(cfg.form, cfg.omega, cfg.B, screen, scale * V)
-        V3 = sample_complement_vector(cfg, rng)
+        V3 = sample_complement_vector(cfg.first_screen_perp, cfg.omega, rng)
         N3 = lightlike_transversal(cfg.form, cfg.omega, cfg.B, screen, V3)
         worst_inv = max(worst_inv, float(np.abs(N - N2).max()),
                         float(np.abs(N - N3).max()))
@@ -213,7 +213,7 @@ def test_criterion_07_isotropic_pair():
     for i in range(1000):
         n, s = (3, 1) if i % 2 == 0 else (4, 2)
         cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
-        V1, V2 = sample_pair_frame(cfg, rng)
+        V1, V2 = sample_pair_frame(cfg.screen_perp_basis, cfg.omega, cfg.theta, rng)
         N1, N2 = isotropic_transversal_pair(cfg.form, cfg.omega, cfg.theta,
                                              cfg.A, cfg.B, cfg.screen, V1, V2)
         worst_eq = max(worst_eq,

@@ -28,6 +28,7 @@ from lcklab import cr as crmod
 from lcklab import foliations as fol
 from lcklab import lck as lck_mod
 from lcklab import models as models_mod
+from lcklab import sampling as sampling_mod
 from lcklab import semieuclid as semieuclid_mod
 from lcklab import suites as suites_mod
 from lcklab.charts import ChartDomainError
@@ -132,13 +133,14 @@ def test_stacked_null_config_equals_single_builds(n, s):
     B = np.stack([sample_null_lee_vector(n, s, rng) for _ in range(5)])
     stacked = sample_null_config(n, s, B)
     for i, b in enumerate(B):
-        one, at = sample_null_config(n, s, b), stacked.point(i)
-        assert at.form is one.form
+        one = sample_null_config(n, s, b)
+        assert stacked.form is one.form
+        # the screen splits are built on first read, here of the stack
         for name in ("B", "A", "omega", "theta", "screen_perp_basis", "first_screen_perp"):
-            assert _bits(getattr(at, name)) == _bits(getattr(one, name)), name
-        for name in ("screen", "first_screen"):
+            assert _bits(getattr(stacked, name)[i]) == _bits(getattr(one, name)), name
+        for name in ("plane", "screen", "first_screen"):
             for part in ("basis", "gram_restricted"):
-                assert _bits(getattr(getattr(at, name), part)) == \
+                assert _bits(getattr(getattr(stacked, name), part)[i]) == \
                     _bits(getattr(getattr(one, name), part)), (name, part)
 
 
@@ -601,6 +603,23 @@ class TestDerivedOnce:
                                       suites=("prop4-null-leaf",)))
         assert report.results[0].verdict == "pass"
         assert len(calls) == 1          # one per point before the null suites were stacked
+
+    # (screen splits of the configuration, _lstsq_rows calls) per check of
+    # a null suite at n = 3; every check built both splits before they
+    # were built on first read, and each span test called _lstsq_rows
+    @pytest.mark.parametrize("name, splits, solves", [
+        ("prop4-null-leaf", 0, 1), ("eq8-transversal", 1, 0), ("eq5-nv-invariance", 1, 0),
+        ("lemma6-pair", 1, 0), ("lemma6-invariance", 1, 0), ("screen-splits", 2, 0)])
+    def test_a_null_check_builds_only_the_screens_it_reads(self, monkeypatch, name, splits,
+                                                           solves):
+        # sampling's own name: first_foliation_fibre calls foliations'
+        built = self._counted(monkeypatch, sampling_mod, "_screen_split")
+        solved = [self._counted(monkeypatch, module, "_lstsq_rows")
+                  for module in (semieuclid_mod, crmod)]
+        report = run_config(RunConfig(model="synthetic-null", n=3, s=1, points=6, seed=42,
+                                      suites=(name,)))
+        assert report.results[0].verdict == "pass"
+        assert (len(built), sum(map(len, solved))) == (splits, solves)
 
     def test_closed_form_hopf_suites_build_one_chart_per_check(self, monkeypatch):
         builds = []

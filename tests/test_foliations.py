@@ -374,7 +374,7 @@ class TestIsotropicPair:
         n, s = dims
         rng = np.random.default_rng(seed)
         cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
-        V1, V2 = sample_pair_frame(cfg, rng)
+        V1, V2 = sample_pair_frame(cfg.screen_perp_basis, cfg.omega, cfg.theta, rng)
         N1, N2 = isotropic_transversal_pair(cfg.form, cfg.omega, cfg.theta,
                                              cfg.A, cfg.B, cfg.screen, V1, V2)
         assert abs(float(cfg.theta @ N1) - 1.0) < 1e-10
@@ -395,7 +395,7 @@ class TestIsotropicPair:
         n = int(rng.integers(2, 5))
         s = int(rng.integers(1, n))
         cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
-        V = sample_complement_vector(cfg, rng)
+        V = sample_complement_vector(cfg.first_screen_perp, cfg.omega, rng)
         # first-foliation screen
         from lcklab.sampling import _kernel
         tangent_rows = _kernel(cfg.omega.reshape(1, -1))

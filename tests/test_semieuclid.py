@@ -9,6 +9,7 @@ from lcklab.semieuclid import (
     DegenerateSubspaceError,
     FrameSubspace,
     SemiEuclideanForm,
+    _lstsq_rows,
     contains_span,
     inner,
     orthogonal_complement,
@@ -187,3 +188,58 @@ def test_gram_signature_invariant_enforced():
         SemiEuclideanForm(dim=2, index=2, gram=np.eye(2))
     with pytest.raises(ValueError):
         SemiEuclideanForm(dim=2, index=0, gram=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_same_span_of_different_dimensions_answers_per_point():
+    # one verdict per point of a stack, whether the dimensions agree or not
+    form = SemiEuclideanForm.standard(1, 3)
+    a = FrameSubspace.from_vectors(form, np.random.default_rng(7).standard_normal((4, 2, 3)))
+    b = FrameSubspace.from_vectors(form, a.basis[:, :1])
+    assert same_span(a, a, 1e-9).tolist() == [True] * 4
+    assert same_span(a, b, 1e-9).tolist() == [False] * 4
+    assert same_span(b, a, 1e-9).tolist() == [False] * 4
+    one = FrameSubspace.from_vectors(form, a.basis[0])
+    assert same_span(one, FrameSubspace.from_vectors(form, b.basis[0]), 1e-9) is False
+    assert same_span(one, one, 1e-9) is True
+
+
+SPAN_TOL = 1e-9
+
+
+def _lstsq_contains(big: FrameSubspace, small: FrameSubspace) -> list:
+    """The per-point least-squares residual test that contains_span's
+    stacked projection replaced, one verdict per point."""
+    bigT, smallT = big.basis.swapaxes(-1, -2), small.basis.swapaxes(-1, -2)
+    resid = bigT @ _lstsq_rows(bigT, smallT) - smallT
+    size = np.abs(small.basis).max(axis=(-2, -1))
+    return (np.abs(resid).max(axis=(-2, -1)) <= SPAN_TOL * np.maximum(size, 1.0)).tolist()
+
+
+def _span_case(case):
+    """(big, small, moved, expected): small's rows are combinations of
+    big's rows, and moved's a rotation of them, each shifted along the
+    unit vector q5, normal to span(big) unless big is all of R^6, by
+    0.1 tol at even points and 10 tol at odd ones; expected is the
+    verdict of both span tests at each point."""
+    form = SemiEuclideanForm.standard(2, 6)
+    rng = np.random.default_rng(11)
+    q = np.linalg.qr(rng.standard_normal((4, 6, 6)))[0].swapaxes(-1, -2)   # orthonormal rows
+    off = np.array([0.1, 10.0, 0.1, 10.0])[:, None, None] * SPAN_TOL * q[:, None, 5]
+    big, expected = q[:, :3], [True, False, True, False]
+    if case == "all of R^N":
+        big, expected = q, [True] * 4
+    small = rng.uniform(-0.15, 0.15, (4, 2, big.shape[1])) @ big + off
+    moved = np.linalg.qr(rng.standard_normal((4, big.shape[1], big.shape[1])))[0] @ big + off
+    if case == "one row":
+        small = small[:, :1]
+    elif case == "one point":
+        big, small, moved, expected = big[:1], small[:1], moved[:1], expected[:1]
+    return (*(FrameSubspace.from_vectors(form, x) for x in (big, small, moved)), expected)
+
+
+@pytest.mark.parametrize("case", ["near and far", "one row", "all of R^N", "one point"])
+def test_stacked_span_tests_give_each_point_the_lstsq_verdict(case):
+    big, small, moved, expected = _span_case(case)
+    assert contains_span(big, small, SPAN_TOL).tolist() == _lstsq_contains(big, small) == expected
+    mutual = np.logical_and(_lstsq_contains(big, moved), _lstsq_contains(moved, big)).tolist()
+    assert same_span(big, moved, SPAN_TOL).tolist() == mutual == expected
