@@ -61,7 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .semieuclid import SemiEuclideanForm, _per_point
+from .semieuclid import SemiEuclideanForm, _per_point, _self_adjoint
 
 __all__ = [
     "MetricChart",
@@ -80,7 +80,10 @@ __all__ = [
 ]
 
 FD_STEP_BASE = 1e-5  # relative central-difference step
-GRAM_COND_MAX = 1e12  # a Gram matrix of larger condition number counts as singular
+# A metric of larger condition number counts as singular; the condition
+# number of the components H equals that of the complexified Gram
+# [[0, H], [conj(H), 0]] and of the real Gram.
+GRAM_COND_MAX = 1e12
 
 
 class ChartDomainError(ValueError):
@@ -238,18 +241,33 @@ def _mixed_blocks(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_conditioned(G: np.ndarray, z: np.ndarray) -> None:
-    """Refuse a Gram matrix singular at z, or a stack of Gram matrices at
-    the points z (leading axes alike) any one of which is singular."""
-    ok = np.linalg.cond(G) <= GRAM_COND_MAX   # False for an infinite or NaN cond
-    if not ok.all():
-        raise SingularMetricError(f"metric Gram singular at {np.asarray(z)[~ok][0]}")
+def _require_conditioned(H: np.ndarray, z: np.ndarray) -> None:
+    """Refuse metric components H at z, or the first point of a stack of
+    them at the points z (leading axes alike), that are not Hermitian (by
+    SemiEuclideanForm's symmetry rule) or are singular: not finite, or of
+    condition number above GRAM_COND_MAX by one eigvalsh of H, which is
+    the condition number of the complexified and of the real Gram."""
+    finite = np.isfinite(H).all(axis=(-2, -1))
+    if not finite.all():   # LAPACK would stop on, or print about, a NaN or inf
+        H = np.where(finite[..., None, None], H, 0.0)
+    HT = H.conj().swapaxes(-1, -2)
+    hermitian = (H == HT).all(axis=(-2, -1))   # as chart metrics are: the rule's cheap case
+    if not hermitian.all():
+        hermitian = _self_adjoint(H, HT)
+    lam = np.abs(np.linalg.eigvalsh(H))
+    smallest = lam.min(axis=-1)
+    bad = _first_fault(hermitian & (smallest > 0.0)
+                       & (lam.max(axis=-1) <= GRAM_COND_MAX * smallest))
+    if bad is not None:
+        why = "Gram singular" if hermitian[bad] else "not Hermitian"
+        raise SingularMetricError(f"metric {why} at {np.asarray(z)[bad]}")
 
 
-def _solve_gram(G: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Solve G x = rhs (np.linalg.solve, stacks included), refusing a Gram
-    matrix that is singular at z."""
-    _require_conditioned(G, z)
+def _solve_gram(H: np.ndarray, G: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Solve G x = rhs (np.linalg.solve, stacks included) for the Gram
+    G = _mixed_blocks(H, H.conj()), refusing metric components H that are
+    singular at z (_require_conditioned)."""
+    _require_conditioned(H, z)
     return np.linalg.solve(G, rhs)
 
 
@@ -401,7 +419,7 @@ def koszul_christoffel(chart: MetricChart, z: np.ndarray) -> np.ndarray:
     rhs = TB + TB.swapaxes(-1, -2) - T
     lead = z.shape[:-1]
     H = chart.hermitian(z)
-    solved = _solve_gram(_mixed_blocks(H, H.conj()), rhs.reshape(lead + (2 * n, -1)), z)
+    solved = _solve_gram(H, _mixed_blocks(H, H.conj()), rhs.reshape(lead + (2 * n, -1)), z)
     return 0.5 * solved.reshape(lead + (2 * n, 2 * n, 2 * n))
 
 
@@ -535,6 +553,6 @@ def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> Ta
     H = chart.hermitian(z)
     G = _mixed_blocks(H, H.conj())
     gXY = Xv.components @ G @ Yv.components
-    gradf = _solve_gram(G, df, z)   # grad f: g(grad f, X) = X(f)
+    gradf = _solve_gram(H, G, df, z)   # grad f: g(grad f, X) = X(f)
     shift = Xf * Yv.components + Yf * Xv.components - gXY * gradf
     return TangentVector.from_components(base.components - 0.5 * shift)

@@ -84,7 +84,7 @@ def cr_fibre(lck: LCKStructure, z) -> CRFibre:
     cr = TangentVector.real(t10.swapaxes(-1, -2))    # one row per CR vector
     rows = np.stack([cr.real_coords(), cr.j().real_coords()], axis=-2)   # V_k, J V_k, ...
     rows = rows.reshape(z.shape[:-1] + (-1, 2 * z.shape[-1]))
-    levi_H = FrameSubspace.from_vectors(data.form, rows)
+    levi_H = FrameSubspace._orthonormal(data.form, rows)
     marker = np.where(np.asarray(data.non_null)[..., None], data.A.components, data.B.components)
     return CRFibre(point=z, t10=t10, levi_H=levi_H,
                    characteristic=TangentVector.from_components(marker))

@@ -105,7 +105,7 @@ def _screen_split(form: SemiEuclideanForm, radical: np.ndarray,
     complement of its radical inside it, and a row basis of the screen's
     g-orthocomplement, which contains the radical.  Both inputs are row
     bases, the radical's rows lying in span(space)."""
-    screen = FrameSubspace.from_vectors(form, _complement_within(radical, space))
+    screen = FrameSubspace._orthonormal(form, _complement_within(radical, space))
     return screen, _kernel(screen.basis @ form.gram)
 
 
@@ -120,7 +120,7 @@ def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     z = np.asarray(z, dtype=complex)
     data, form = _lck_point(lck, z)
     omega, Breal = data.omega_real, data.B_real
-    tangent = FrameSubspace.from_vectors(form, _kernel(_rows(omega)))
+    tangent = FrameSubspace._orthonormal(form, _kernel(_rows(omega)))
     lee_line = FrameSubspace.from_vectors(form, _rows(Breal))
     if _lee_branch(data):
         return FoliationFibre(point=z, c=data.c, tangent=tangent,

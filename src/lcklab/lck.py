@@ -167,7 +167,7 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
     omega = lee_form_components(lck, z)
     H = lck.chart.hermitian(z)
     G = _mixed_blocks(H, H.conj())        # gram_full(z)
-    B = TangentVector.from_components(_solve_gram(G, omega[..., None], z)[..., 0])
+    B = TangentVector.from_components(_solve_gram(H, G, omega[..., None], z)[..., 0])
     A = -1.0 * B.j()                      # A = -J B
     theta = np.matvec(G, A.components)    # theta(X) = g(X, A)
     c = np.vecdot(omega.conj(), B.components).real   # omega(B), unconjugated

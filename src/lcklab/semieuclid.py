@@ -16,6 +16,10 @@ projection for a stack in contains_span), which gives each point the bits
 of a single-point call; only cr.levi_form reads _lstsq_rows, the one home
 of the least-squares solve, point by point.  _full_rank answers for the
 whole stack, and a stack whose points disagree on a rank raises ValueError.
+
+Rank checks: from_vectors and orthogonal_complement prove by one SVD
+that the rows a caller gives are independent; FrameSubspace._orthonormal
+skips that SVD for rows orthonormal by construction.
 """
 
 from __future__ import annotations
@@ -54,9 +58,7 @@ class SemiEuclideanForm:
         g = np.asarray(self.gram, dtype=float)
         if g.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"gram must be {self.dim}x{self.dim}, got {g.shape}")
-        scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1), initial=0.0))[..., None, None]
-        gT = g.swapaxes(-1, -2)   # np.allclose(g, g.T, atol=1e-12 * scale), per matrix
-        if not (np.abs(g - gT) <= 1e-12 * scale + 1e-5 * np.abs(gT)).all():
+        if not _self_adjoint(g, g.swapaxes(-1, -2)).all():
             raise ValueError("gram matrix is not symmetric")
         evals = np.linalg.eigvalsh(g)
         tol = 1e-12 * np.maximum(1.0, np.abs(evals).max(axis=-1, initial=0.0))[..., None]
@@ -79,6 +81,14 @@ class SemiEuclideanForm:
         return cls(dim=dim, index=index, gram=np.diag(d))
 
 
+def _self_adjoint(g: np.ndarray, gT: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, np.allclose(g, gT, atol=1e-12 * max(1, max |g|))
+    for gT its (conjugate) transpose: the symmetry rule of a Gram matrix
+    and of a chart's Hermitian metric components."""
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1), initial=0.0))[..., None, None]
+    return (np.abs(g - gT) <= 1e-12 * scale + 1e-5 * np.abs(gT)).all(axis=(-2, -1))
+
+
 def _per_point(x):
     """A Python scalar for a single point, the per-point array for a stack."""
     return x.item() if np.ndim(x) == 0 else x
@@ -97,7 +107,10 @@ def inner(form: SemiEuclideanForm, u: np.ndarray, v: np.ndarray):
 
 @dataclass(frozen=True)
 class FrameSubspace:
-    """A subspace given by an ordered basis (rows of `basis`) of R^N."""
+    """A subspace given by an ordered basis (rows of `basis`) of R^N:
+    from_vectors checks a caller's rows for independence, _orthonormal
+    trusts rows that _kernel or _complement_within returned orthonormal
+    from an SVD, or a realified unitary frame."""
 
     ambient_dim: int
     basis: np.ndarray            # shape (k, N), rows linearly independent
@@ -119,8 +132,14 @@ class FrameSubspace:
             raise ValueError(f"vectors must have length {form.dim}")
         if not _full_rank(b):
             raise DegenerateSubspaceError("basis vectors are not linearly independent")
-        gram = b @ form.gram @ b.swapaxes(-1, -2)
-        return cls(ambient_dim=form.dim, basis=b, gram_restricted=gram)
+        return cls._orthonormal(form, b)
+
+    @classmethod
+    def _orthonormal(cls, form: SemiEuclideanForm, rows: np.ndarray) -> "FrameSubspace":
+        """The subspace of rows (..., k, N) orthonormal by construction,
+        hence independent: from_vectors without its rank check."""
+        gram = rows @ form.gram @ rows.swapaxes(-1, -2)
+        return cls(ambient_dim=form.dim, basis=rows, gram_restricted=gram)
 
     @classmethod
     def zero(cls, form: SemiEuclideanForm) -> "FrameSubspace":
@@ -203,7 +222,7 @@ def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSub
         raise DegenerateSubspaceError("rank-deficient subspace basis")
     constraints = W.basis @ form.gram
     ker = _kernel(constraints)
-    return FrameSubspace.from_vectors(form, ker) if ker.shape[-2] else FrameSubspace.zero(form)
+    return FrameSubspace._orthonormal(form, ker) if ker.shape[-2] else FrameSubspace.zero(form)
 
 
 def signature_of(W: FrameSubspace) -> tuple[int, int, int]:

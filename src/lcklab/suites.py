@@ -528,7 +528,7 @@ def _check_screen_splits(c, V, *frame):
     if c.n >= 3:
         # S(P-perp)-perp has rank 4 and contains the plane
         resid = np.maximum(resid, 0.0 if c.screen_perp_basis.shape[-2] == 4 else 1.0)
-        sperp = FrameSubspace.from_vectors(form, c.screen_perp_basis)
+        sperp = FrameSubspace._orthonormal(form, c.screen_perp_basis)
         resid = np.maximum(resid, np.where(contains_span(sperp, c.plane, 1e-9), 0.0, 1.0))
         rebuilt = FrameSubspace.from_vectors(
             form, np.stack([c.A, c.B, *_isotropic_pair(c, *frame)], axis=-2))

@@ -14,7 +14,8 @@ draw even when the stack meets a later fault first), that a
 synthetic-null check reads its points' numbers afresh each time it
 runs, and that the stacked Lee-plane derivatives, the CR fibre, the
 submersion's chart and Lee data, each h(X, Y) of eq18 and the charts of
-the closed-form Hopf suites are computed once.
+the closed-form Hopf suites are computed once, and that a screen split
+and a synthetic-null run take no SVD beyond those they need.
 """
 
 import hashlib
@@ -620,6 +621,29 @@ class TestDerivedOnce:
                                       suites=(name,)))
         assert report.results[0].verdict == "pass"
         assert (len(built), sum(map(len, solved))) == (splits, solves)
+
+    def test_a_screen_split_takes_two_svds(self, monkeypatch):
+        # the complement within the space and the kernel of the screen; the
+        # screen's rows come orthonormal from the first, so a third SVD no
+        # longer proves them independent
+        rng = np.random.default_rng(7)
+        B = np.stack([sample_null_lee_vector(3, 1, rng) for _ in range(6)])
+        c = sample_null_config(3, 1, B)
+        radical, space = c.plane.basis, semieuclid_mod._kernel(c.plane.basis @ c.form.gram)
+        svds = self._counted(monkeypatch, np.linalg, "svd")
+        fol._screen_split(c.form, radical, space)
+        assert len(svds) == 2
+
+    def test_a_null_algebra_run_takes_42_svds_and_no_cond(self, monkeypatch):
+        # 52 SVDs and one np.linalg.cond before rank checks stopped
+        # repeating the SVDs of orthonormal rows and the Gram conditioning
+        # became one eigvalsh
+        svds = self._counted(monkeypatch, np.linalg, "svd")
+        conds = self._counted(monkeypatch, np.linalg, "cond")
+        report = run_config(RunConfig(model="synthetic-null", n=3, s=1, points=40, seed=42,
+                                      suites=("all",)))
+        assert {r.verdict for r in report.results} == {"pass"}
+        assert (len(svds), len(conds)) == (42, 0)
 
     def test_closed_form_hopf_suites_build_one_chart_per_check(self, monkeypatch):
         builds = []

@@ -5,9 +5,13 @@ import pytest
 
 from lcklab import charts as charts_mod
 from lcklab.charts import (
+    GRAM_COND_MAX,
     ChartDomainError,
     MetricChart,
+    SingularMetricError,
     TangentVector,
+    _mixed_blocks,
+    _require_conditioned,
     _stencil,
     christoffel,
     conformal_connection_shift,
@@ -33,6 +37,16 @@ FLAT = flat_chart(2, 1)
 TRIC = tricerri_chart(2, 1)
 FLAT3 = flat_chart(3, 1).chart
 Z01 = np.array([0.0, 1.0], dtype=complex)
+
+
+def _twisted_hopf(model: HopfModel, A: np.ndarray) -> tuple[MetricChart, MetricChart]:
+    """The Hopf chart of model and its pullback by z -> A z, whose metric
+    H'(z) = A^T H(A z) conj(A) has complex off-diagonal entries."""
+    base = hopf_chart(model).chart
+    twisted = MetricChart(
+        n=model.n, s=model.s, metric_eval=lambda z: A.T @ base.metric_eval(np.matvec(A, z)) @ A.conj(),
+        domain_pred=lambda z: base.domain_pred(np.matvec(A, z)), name="twisted hopf")
+    return base, twisted
 
 
 class TestTangentVector:
@@ -207,16 +221,12 @@ class TestChristoffel:
 
     @pytest.mark.parametrize("n, s", [(2, 1), (4, 2)])
     def test_koszul_on_a_chart_with_complex_off_diagonal_metric(self, n, s):
-        # Hopf pulled back by z -> A z: H'(z) = A^T H(A z) conj(A) has complex
-        # off-diagonal entries, and its connection is M^-1 Gamma(A z) M M
-        # with M = diag(A, conj(A)), since the map is linear
+        # the twisted chart's connection is M^-1 Gamma(A z) M M with
+        # M = diag(A, conj(A)), since the map is linear
         rng = np.random.default_rng(3)
         A = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         model = HopfModel(n=n, s=s, lam=0.5)
-        base = hopf_chart(model).chart
-        twisted = MetricChart(
-            n=n, s=s, metric_eval=lambda z: A.T @ base.metric_eval(np.matvec(A, z)) @ A.conj(),
-            domain_pred=lambda z: base.domain_pred(np.matvec(A, z)), name="twisted hopf")
+        base, twisted = _twisted_hopf(model, A)
         w = sample_hopf(model, hopf_variates(model.n, rng))
         z = np.linalg.solve(A, w)
         T = charts_mod._metric_derivative_tensor(twisted, z)   # T[E, C, D] = Z_E g_CD
@@ -407,3 +417,52 @@ class TestMetricCompatibility:
             d_dz, d_dzb = wirtinger_derivative(gYW, z, chart=chart)
             df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
             assert abs(complex(df @ X.components) - rhs) < 1e-6
+
+
+class TestConditioning:
+    """One eigvalsh of H decides, point by point, what np.linalg.cond of
+    the complexified Gram decided."""
+
+    @staticmethod
+    def _accepts(H) -> bool:
+        try:
+            _require_conditioned(H, np.zeros(H.shape[-1]))
+        except SingularMetricError:
+            return False
+        return True
+
+    @staticmethod
+    def _cond_accepts(H) -> bool:
+        return bool(np.linalg.cond(_mixed_blocks(H, H.conj())) <= GRAM_COND_MAX)
+
+    @pytest.mark.parametrize("n, s", [(2, 1), (4, 2)])
+    def test_twisted_hopf_metrics_on_both_sides_of_the_bound(self, n, s):
+        # cond(H') grows as cond(A)^2: the last column's scale t puts the
+        # points on either side of GRAM_COND_MAX
+        rng = np.random.default_rng(5)
+        model = HopfModel(n=n, s=s, lam=0.5)
+        A0 = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        decisions = []
+        for t in (1.0, 1e-3, 10 ** -5.5, 10 ** -6.5, 1e-8):
+            A = A0 * np.append(np.ones(n - 1), t)
+            _, twisted = _twisted_hopf(model, A)
+            w = np.stack([sample_hopf(model, hopf_variates(n, rng)) for _ in range(6)])
+            for H in twisted.hermitian(np.linalg.solve(A, w[..., None])[..., 0]):
+                assert self._accepts(H) == self._cond_accepts(H)
+                decisions.append(self._accepts(H))
+        assert set(decisions) == {True, False}
+
+    @pytest.mark.parametrize("H, accepted", [
+        (np.diag([1.0, 1e-11]), True), (np.diag([1.0, 1e-13]), False),
+        (np.ones((2, 2)), False)])
+    def test_near_and_exactly_singular_metrics(self, H, accepted):
+        H = H.astype(complex)
+        assert self._accepts(H) == self._cond_accepts(H) == accepted
+
+    def test_a_metric_that_is_not_hermitian_is_refused_at_its_point(self):
+        H = np.diag([1.0, -1.0]).astype(complex)
+        H[0, 1] += 1e-6
+        z = np.array([0.3 + 0.1j, 1.2 - 0.4j])
+        with pytest.raises(SingularMetricError, match="not Hermitian") as err:
+            _require_conditioned(H, z)
+        assert str(z) in str(err.value)

@@ -222,6 +222,23 @@ class TestStackedLeeData:
             lee_data(lck, stack)
         assert str(stack[1]) in str(err.value)   # the singular point is named
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_a_non_finite_metric_in_a_stack_raises_quietly(self, capfd, entry):
+        # LAPACK stopped on a NaN ("SVD did not converge", no point named)
+        # and printed a DLASCL complaint about an inf
+        def metric(z):   # diag(1, 1) / 2, with one non-finite entry where Re z1 = 0
+            H = np.broadcast_to(0.5 * np.eye(2, dtype=complex), z.shape[:-1] + (2, 2)).copy()
+            H[..., 0, 1] = np.where(z[..., 0].real == 0.0, entry, 0.0)
+            return H
+
+        chart = MetricChart(n=2, s=0, metric_eval=metric, domain_pred=lambda z: True)
+        lck = LCKStructure(chart=chart, lee_form_eval=lambda z: np.ones(np.shape(z)))
+        stack = np.array([[1.0, 0.5], [0.5j, 0.2], [2.0, 1j]])
+        with pytest.raises(SingularMetricError) as err:
+            lee_data(lck, stack)
+        assert str(stack[1]) in str(err.value)
+        assert capfd.readouterr() == ("", "")
+
 
 class TestPointMemo:
     """lee_data memoizes per point without callers noticing."""

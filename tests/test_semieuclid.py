@@ -1,4 +1,5 @@
 import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -243,3 +244,41 @@ def test_stacked_span_tests_give_each_point_the_lstsq_verdict(case):
     assert contains_span(big, small, SPAN_TOL).tolist() == _lstsq_contains(big, small) == expected
     mutual = np.logical_and(_lstsq_contains(big, moved), _lstsq_contains(moved, big)).tolist()
     assert same_span(big, moved, SPAN_TOL).tolist() == mutual == expected
+
+
+# Every configuration whose checks build orthonormal subspaces: the Hopf
+# foliation and fibration layers, the CR fibres and the null splittings.
+ORTHONORMAL_CONFIGS = [("hopf", 2, 1), ("hopf", 4, 2), ("hopf", 8, 7), ("tricerri", 2, 1),
+                       ("flat", 2, 1), ("synthetic-null", 3, 1), ("synthetic-null", 6, 2)]
+
+
+def test_orthonormal_rows_need_no_rank_check(monkeypatch):
+    # _orthonormal skips from_vectors' rank SVD on the premise that its rows
+    # are orthonormal; every row stack it gets over all suites is, and its
+    # restricted Gram carries the bits from_vectors gives it
+    from lcklab.report import RunConfig
+    from lcklab.suites import run_config
+
+    build, seen, worst = FrameSubspace._orthonormal.__func__, set(), [0.0]
+
+    def checked(cls, form, rows):
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "from_vectors":   # past its rank check
+            return build(cls, form, rows)
+        seen.add(caller)
+        eye = np.eye(rows.shape[-2])
+        worst[0] = max(worst[0], np.abs(rows @ rows.swapaxes(-1, -2) - eye).max(initial=0.0))
+        built = build(cls, form, rows)
+        assert np.array_equal(built.gram_restricted,
+                              FrameSubspace.from_vectors(form, rows).gram_restricted)
+        return built
+
+    monkeypatch.setattr(FrameSubspace, "_orthonormal", classmethod(checked))
+    for model, n, s in ORTHONORMAL_CONFIGS:
+        for seed in range(5):
+            report = run_config(RunConfig(model=model, n=n, s=s, points=20, seed=seed,
+                                          suites=("all",)))
+            assert {r.verdict for r in report.results} == {"pass"}, (model, n, s, seed)
+    assert seen == {"_screen_split", "first_foliation_fibre", "orthogonal_complement",
+                    "cr_fibre", "_check_screen_splits"}
+    assert worst[0] <= 1e-13
