@@ -5,15 +5,19 @@ CR layers, and pointwise checks of the theorem-level identities."""
 from .charts import (
     ChartDomainError,
     MetricChart,
-    TangentVector,
+    apply_j,
     christoffel,
     conformal_connection_shift,
+    conj_vector,
     covariant_derivative,
     exterior_derivative_1form,
     exterior_derivative_2form,
+    hol_from_real_coords,
     kahler_form,
     koszul_christoffel,
     lie_bracket,
+    real_coords,
+    real_vector,
 )
 from .cr import (
     CRFibre,

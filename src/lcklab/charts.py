@@ -16,8 +16,9 @@ against which every closed form is checked.
 
 Conventions
 -----------
-* A complexified tangent vector is a pair (hol, antihol) of n complex
-  component arrays; real vectors have antihol = conj(hol).
+* A complexified tangent vector is the complex array of its 2n frame
+  components, holomorphic then antiholomorphic, shape (..., 2n) for a
+  stack; real vectors have antihol = conj(hol) (real_vector).
 * Real coordinates interleave: (x_1, y_1, ..., x_n, y_n) with
   z^j = x_j + i y_j, so d/dx_j = Z_j + Zbar_j and d/dy_j = i(Z_j - Zbar_j).
 * Index order in Gamma[A, B, C] and all frame-indexed arrays:
@@ -31,7 +32,7 @@ Conventions
   differentiated takes points of shape (..., n) and returns one value
   per point: a chart's metric_eval ((..., n, n)) and domain_pred ((...)
   booleans), a Lee form, a scalar or matrix function, and vector fields,
-  which return a TangentVector whose hol and antihol have shape (..., n).
+  which return frame components of shape (..., 2n).
   Constant evaluators broadcast over the stack.  lck.lee_data memoizes
   per stack, keyed by its shape and bytes, so the derivatives taken at
   one base point share one stacked evaluation.
@@ -65,7 +66,11 @@ from .semieuclid import SemiEuclideanForm, _per_point, _self_adjoint
 
 __all__ = [
     "MetricChart",
-    "TangentVector",
+    "real_vector",
+    "apply_j",
+    "conj_vector",
+    "real_coords",
+    "hol_from_real_coords",
     "ChartDomainError",
     "fd_step",
     "wirtinger_derivative",
@@ -84,6 +89,9 @@ FD_STEP_BASE = 1e-5  # relative central-difference step
 # number of the components H equals that of the complexified Gram
 # [[0, H], [conj(H), 0]] and of the real Gram.
 GRAM_COND_MAX = 1e12
+# |antihol - conj(hol)| up to this, relative to max(1, max |component|),
+# counts as a real vector
+REAL_VECTOR_TOL = 1e-12
 
 
 class ChartDomainError(ValueError):
@@ -98,78 +106,46 @@ class SingularMetricError(np.linalg.LinAlgError):
 # tangent vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Complexified tangent vector in the frame {Z_j, Zbar_j}; hol and
-    antihol may carry a leading stack axis, shape (..., n)."""
+def real_vector(hol) -> np.ndarray:
+    """Frame components (hol, conj(hol)) of the real vector whose
+    holomorphic components are hol, shape (..., n) -> (..., 2n)."""
+    h = np.asarray(hol, dtype=complex)
+    return np.concatenate([h, h.conj()], axis=-1)
 
-    hol: np.ndarray
-    antihol: np.ndarray
 
-    @classmethod
-    def real(cls, hol) -> "TangentVector":
-        h = np.asarray(hol, dtype=complex)
-        return cls(hol=h, antihol=h.conj())
+def apply_j(v: np.ndarray) -> np.ndarray:
+    """The standard complex structure on frame components: J Z_j = i Z_j."""
+    n = v.shape[-1] // 2
+    return np.concatenate([1j * v[..., :n], -1j * v[..., n:]], axis=-1)
 
-    @classmethod
-    def complexified(cls, hol, antihol) -> "TangentVector":
-        return cls(hol=np.asarray(hol, dtype=complex),
-                   antihol=np.asarray(antihol, dtype=complex))
 
-    @classmethod
-    def from_components(cls, comps) -> "TangentVector":
-        comps = np.asarray(comps, dtype=complex)
-        n = comps.shape[-1] // 2
-        return cls(hol=comps[..., :n], antihol=comps[..., n:])
+def conj_vector(v: np.ndarray) -> np.ndarray:
+    """The complex conjugate vector: Z_j and Zbar_j swap."""
+    n = v.shape[-1] // 2
+    return np.concatenate([v[..., n:].conj(), v[..., :n].conj()], axis=-1)
 
-    @classmethod
-    def from_real_coords(cls, x) -> "TangentVector":
-        """Interleaved real coordinates (x_1, y_1, ...) to a real vector."""
-        x = np.asarray(x, dtype=float)
-        return cls.real(x[..., 0::2] + 1j * x[..., 1::2])
 
-    @property
-    def n(self) -> int:
-        return self.hol.shape[-1]
+def real_coords(v) -> np.ndarray:
+    """Interleaved real coordinates (x_1, y_1, ...) of a real vector (per
+    point of a stack); a vector whose antiholomorphic half differs from
+    conj(hol) by more than REAL_VECTOR_TOL (relative) raises ValueError."""
+    v = np.asarray(v)
+    n = v.shape[-1] // 2
+    hol = v[..., :n]
+    scale = max(1.0, float(np.abs(v).max()))
+    if not np.abs(v[..., n:] - hol.conj()).max() <= REAL_VECTOR_TOL * scale:
+        raise ValueError("vector is not real")
+    out = np.empty(v.shape[:-1] + (2 * n,))
+    out[..., 0::2] = hol.real
+    out[..., 1::2] = hol.imag
+    return out
 
-    @property
-    def components(self) -> np.ndarray:
-        return np.concatenate([self.hol, self.antihol], axis=-1)
 
-    @property
-    def is_real(self) -> bool:
-        scale = max(1.0, float(np.abs(self.components).max()))
-        return bool(np.abs(self.antihol - self.hol.conj()).max() <= 1e-12 * scale)
-
-    def real_coords(self) -> np.ndarray:
-        """Interleaved real coordinates; only meaningful for real vectors."""
-        if not self.is_real:
-            raise ValueError("vector is not real")
-        out = np.empty(self.hol.shape[:-1] + (2 * self.n,))
-        out[..., 0::2] = self.hol.real
-        out[..., 1::2] = self.hol.imag
-        return out
-
-    def j(self) -> "TangentVector":
-        """Apply the standard complex structure: J Z_j = i Z_j."""
-        return TangentVector(hol=1j * self.hol, antihol=-1j * self.antihol)
-
-    def conj(self) -> "TangentVector":
-        return TangentVector(hol=self.antihol.conj(), antihol=self.hol.conj())
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.hol + other.hol, self.antihol + other.antihol)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.hol - other.hol, self.antihol - other.antihol)
-
-    def __mul__(self, c) -> "TangentVector":
-        return TangentVector(c * self.hol, c * self.antihol)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(-self.hol, -self.antihol)
+def hol_from_real_coords(x) -> np.ndarray:
+    """Holomorphic components x_j + i y_j of interleaved real coordinates
+    (..., 2n); real_vector of them is the vector."""
+    x = np.asarray(x, dtype=float)
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +410,9 @@ def christoffel(chart: MetricChart, z: np.ndarray) -> np.ndarray:
     return np.asarray(chart.christoffel_analytic(z), dtype=complex)
 
 
-def _as_field(obj) -> Callable[[np.ndarray], TangentVector]:
-    if isinstance(obj, TangentVector):
+def _as_field(obj) -> Callable[[np.ndarray], np.ndarray]:
+    """A field as it is; a fixed vector (an ndarray) as a constant field."""
+    if isinstance(obj, np.ndarray):
         return lambda _z, _v=obj: _v
     return obj
 
@@ -447,61 +424,63 @@ def _field_derivatives(fields, z: np.ndarray, *,
     chart's domain."""
     z = np.asarray(z, dtype=complex)
     d_dz, d_dzb = wirtinger_derivative(
-        lambda p: np.concatenate([Y(p).components for Y in fields], axis=-1), z, chart=chart)
+        lambda p: np.concatenate([Y(p) for Y in fields], axis=-1), z, chart=chart)
     w = d_dz.shape[-1] // len(fields)
     return [(np.ascontiguousarray(d_dz[..., k * w:(k + 1) * w]),
              np.ascontiguousarray(d_dzb[..., k * w:(k + 1) * w])) for k in range(len(fields))]
 
 
-def _along(X: TangentVector, dY: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _along(X: np.ndarray, dY: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """X(Y^A) for a possibly complexified direction X, from the Wirtinger
     derivatives dY of Y."""
     d_dz, d_dzb = dY
-    return np.einsum("...l,...la->...a", X.hol, d_dz) \
-        + np.einsum("...l,...la->...a", X.antihol, d_dzb)
+    n = d_dz.shape[-2]
+    return np.einsum("...l,...la->...a", np.ascontiguousarray(X[..., :n]), d_dz) \
+        + np.einsum("...l,...la->...a", np.ascontiguousarray(X[..., n:]), d_dzb)
 
 
-def _covariant_along(gamma: np.ndarray, X: TangentVector, Y: TangentVector,
-                     dY: tuple[np.ndarray, np.ndarray] | None = None) -> TangentVector:
+def _covariant_along(gamma: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                     dY: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """nabla_X Y = X(Y^A) + Gamma^A_{BC} X^B Y^C from the value Y and the
     derivatives dY of the field at the point (as _field_derivatives
     returns them; None for a constant field): one derivative of Y serves
     every direction X."""
-    out = np.einsum("...abc,...b,...c->...a", gamma, X.components, Y.components)
-    return TangentVector.from_components(out if dY is None else _along(X, dY) + out)
+    out = np.einsum("...abc,...b,...c->...a", gamma, X, Y)
+    return out if dY is None else _along(X, dY) + out
 
 
 def covariant_derivative(chart: MetricChart, X, Y, z: np.ndarray,
-                         gamma: np.ndarray | None = None) -> TangentVector:
+                         gamma: np.ndarray | None = None) -> np.ndarray:
     """(nabla_X Y)^A = X(Y^A) + Gamma^A_{BC} X^B Y^C at z, a point (n,) or
     a stack (..., n).
 
-    X may be a fixed TangentVector or a field; Y must be a field (a fixed
-    vector is treated as a constant field).  Fixed vectors may carry one
-    vector per point of a stack.  Directional derivatives use central
-    differences with one Richardson step unless Y is constant.
+    X may be a fixed vector (an ndarray of frame components) or a field;
+    Y must be a field (a fixed vector is treated as a constant field).
+    Fixed vectors may carry one vector per point of a stack.  Directional
+    derivatives use central differences with one Richardson step unless Y
+    is constant.
     """
     z = np.asarray(z, dtype=complex)
     Xf, Yf = _as_field(X), _as_field(Y)
     Xv, Yv = Xf(z), Yf(z)
     if gamma is None:
         gamma = christoffel(chart, z)
-    dY = None if isinstance(Y, TangentVector) else _field_derivatives([Yf], z, chart=chart)[0]
+    dY = None if isinstance(Y, np.ndarray) else _field_derivatives([Yf], z, chart=chart)[0]
     return _covariant_along(gamma, Xv, Yv, dY)
 
 
-def lie_bracket(X, Y, z: np.ndarray, *, chart: MetricChart) -> TangentVector:
+def lie_bracket(X, Y, z: np.ndarray, *, chart: MetricChart) -> np.ndarray:
     """[X, Y]^A = X(Y^A) - Y(X^A) at a point or a stack; metric independent.
     The fields among X and Y share one stencil evaluation on the chart's
     domain."""
     z = np.asarray(z, dtype=complex)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
-    moving = [f for f in (Y, X) if not isinstance(f, TangentVector)]
+    moving = [f for f in (Y, X) if not isinstance(f, np.ndarray)]
     derivs = iter(_field_derivatives(moving, z, chart=chart) if moving else ())
-    zero = np.zeros(Xv.components.shape, dtype=complex)
-    dY = zero if isinstance(Y, TangentVector) else _along(Xv, next(derivs))
-    dX = zero if isinstance(X, TangentVector) else _along(Yv, next(derivs))
-    return TangentVector.from_components(dY - dX)
+    zero = np.zeros(Xv.shape, dtype=complex)
+    dY = zero if isinstance(Y, np.ndarray) else _along(Xv, next(derivs))
+    dX = zero if isinstance(X, np.ndarray) else _along(Yv, next(derivs))
+    return dY - dX
 
 
 def exterior_derivative_1form(alpha: Callable[[np.ndarray], np.ndarray],
@@ -537,7 +516,7 @@ def kahler_form(H: np.ndarray) -> np.ndarray:
     return _mixed_blocks(-1j * H, 1j * H.conj())
 
 
-def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> TangentVector:
+def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> np.ndarray:
     """Levi-Civita connection of the rescaled metric exp(-f) g.
 
     Returns nabla_X Y - (1/2){X(f) Y + Y(f) X - g(X,Y) grad f}, the
@@ -548,11 +527,11 @@ def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> Ta
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     d_dz, d_dzb = wirtinger_derivative(f, z, chart=chart)
     df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
-    Xf = complex(df @ Xv.components)
-    Yf = complex(df @ Yv.components)
+    Xf = complex(df @ Xv)
+    Yf = complex(df @ Yv)
     H = chart.hermitian(z)
     G = _mixed_blocks(H, H.conj())
-    gXY = Xv.components @ G @ Yv.components
+    gXY = Xv @ G @ Yv
     gradf = _solve_gram(H, G, df, z)   # grad f: g(grad f, X) = X(f)
-    shift = Xf * Yv.components + Yf * Xv.components - gXY * gradf
-    return TangentVector.from_components(base.components - 0.5 * shift)
+    shift = Xf * Yv + Yf * Xv - gXY * gradf
+    return base - 0.5 * shift

@@ -27,7 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartDomainError, TangentVector, lie_bracket, wirtinger_derivative
+from .charts import (
+    ChartDomainError, apply_j, conj_vector, lie_bracket, real_coords, real_vector,
+    wirtinger_derivative,
+)
 from .lck import LCKStructure, _nonsingular, lee_data
 from .models import HopfModel, cayley, eps_signs
 from .semieuclid import FrameSubspace, _kernel, _lstsq_rows, _per_point
@@ -52,14 +55,14 @@ class CRFibre:
 
     t10 columns are holomorphic components of a basis of the CR bundle
     (complex dimension n-1); levi_H is the real (2n-2)-dimensional
-    maximal complex distribution; characteristic spans the line
-    complementing levi_H inside the leaf tangent.
+    maximal complex distribution; characteristic, frame components
+    (..., 2n), spans the line complementing levi_H inside the leaf tangent.
     """
 
     point: np.ndarray
     t10: np.ndarray
     levi_H: FrameSubspace
-    characteristic: TangentVector
+    characteristic: np.ndarray
 
 
 def _t10_basis(omega_hol: np.ndarray) -> np.ndarray:
@@ -81,13 +84,12 @@ def cr_fibre(lck: LCKStructure, z) -> CRFibre:
     z = np.asarray(z, dtype=complex)
     data = _nonsingular(lee_data(lck, z))
     t10 = _t10_basis(lck.lee_hol(z))
-    cr = TangentVector.real(t10.swapaxes(-1, -2))    # one row per CR vector
-    rows = np.stack([cr.real_coords(), cr.j().real_coords()], axis=-2)   # V_k, J V_k, ...
+    cr = real_vector(t10.swapaxes(-1, -2))    # one row per CR vector
+    rows = np.stack([real_coords(cr), real_coords(apply_j(cr))], axis=-2)   # V_k, J V_k, ...
     rows = rows.reshape(z.shape[:-1] + (-1, 2 * z.shape[-1]))
     levi_H = FrameSubspace._orthonormal(data.form, rows)
-    marker = np.where(np.asarray(data.non_null)[..., None], data.A.components, data.B.components)
-    return CRFibre(point=z, t10=t10, levi_H=levi_H,
-                   characteristic=TangentVector.from_components(marker))
+    marker = np.where(np.asarray(data.non_null)[..., None], data.A, data.B)
+    return CRFibre(point=z, t10=t10, levi_H=levi_H, characteristic=marker)
 
 
 def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):
@@ -112,7 +114,7 @@ def _t10_projected_field(lck: LCKStructure, v0: np.ndarray):
         w = lck.lee_hol(p)
         denom = np.vecdot(w, w).real[..., None]
         v = v0 - np.vecdot(w.conj(), v0)[..., None] * w.conj() / denom
-        return TangentVector.complexified(v, np.zeros_like(v))
+        return np.concatenate([v, np.zeros_like(v)], axis=-1)
     return field
 
 
@@ -121,26 +123,24 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
     a complex at a point and an array for a stacked fibre.
 
     V, W are type-(1,0) vectors in the CR fibre fib of lck at z = fib.point
-    (holomorphic component arrays or TangentVectors, one per point of a
-    stack); they are extended as CR sections by pointwise projection and
-    the bracket is computed by central differences on the chart's domain.
+    (holomorphic component arrays, one per point of a stack); they are
+    extended as CR sections by pointwise projection and the bracket is
+    computed by central differences on the chart's domain.
     The value is taken against the fixed characteristic generator of the
     leaf tangent modulo the Levi distribution, so only signs and zeros are
     geometrically meaningful.
     """
-    vh = V.hol if isinstance(V, TangentVector) else np.asarray(V, dtype=complex)
-    wh = W.hol if isinstance(W, TangentVector) else np.asarray(W, dtype=complex)
-    Vf = _t10_projected_field(lck, vh)
-    Wf = _t10_projected_field(lck, wh)
+    Vf = _t10_projected_field(lck, np.asarray(V, dtype=complex))
+    Wf = _t10_projected_field(lck, np.asarray(W, dtype=complex))
 
     def Wbar(p):
-        return Wf(p).conj()
+        return conj_vector(Wf(p))
 
-    br = lie_bracket(Vf, Wbar, fib.point, chart=lck.chart).components
+    br = lie_bracket(Vf, Wbar, fib.point, chart=lck.chart)
     # decompose against (complexified) H basis + characteristic generator
-    cr = TangentVector.real(fib.t10.swapaxes(-1, -2))
-    M = np.concatenate([cr.components, cr.j().components,
-                        fib.characteristic.components[..., None, :]], axis=-2).swapaxes(-1, -2)
+    cr = real_vector(fib.t10.swapaxes(-1, -2))
+    M = np.concatenate([cr, apply_j(cr), fib.characteristic[..., None, :]],
+                       axis=-2).swapaxes(-1, -2)
     return _per_point(1j * _lstsq_rows(M, br)[..., -1])
 
 

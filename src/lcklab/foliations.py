@@ -33,14 +33,17 @@ from typing import Callable
 import numpy as np
 
 from .charts import (
-    TangentVector,
     _bilinear,
     _covariant_along,
     _field_derivatives,
     _max_abs,
     _norms,
+    apply_j,
     christoffel,
+    hol_from_real_coords,
     lie_bracket,
+    real_coords,
+    real_vector,
 )
 from .lck import LCKStructure, LeeData, _nonsingular, lee_data
 from .semieuclid import (
@@ -178,7 +181,7 @@ def _tangential_extension(lck: LCKStructure, vec: np.ndarray) -> Callable:
         along = np.where(non_null[..., None], data.B_real, omega)
         denom = np.where(non_null, data.c, np.vecdot(omega, omega))
         proj = vec - (np.vecdot(omega, vec) / denom)[..., None] * along
-        return TangentVector.from_real_coords(proj)
+        return real_vector(hol_from_real_coords(proj))
     return field
 
 
@@ -197,9 +200,9 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y,
     to the transversal's size (a float at a point, an (m,) array for a
     stack).
 
-    X, Y are tangent vectors at z (real interleaved coordinates or
-    TangentVector), extended as sections of the tangent distribution by
-    pointwise projection.  z may be a stack, with one X and Y per point
+    X, Y are tangent vectors at z in real interleaved coordinates,
+    extended as sections of the tangent distribution by pointwise
+    projection.  z may be a stack, with one X and Y per point
     and the stacked fibre; the two fields share one stencil evaluation.
     """
     z = np.asarray(z, dtype=complex)
@@ -207,16 +210,13 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y,
     gamma = christoffel(chart, z)
     data = lee_data(lck, z)
 
-    def as_real(vec) -> np.ndarray:
-        return vec.real_coords() if isinstance(vec, TangentVector) else np.asarray(vec, dtype=float)
-
     scale = np.maximum(1.0, np.abs(fibre.transversal.basis).max(axis=(-2, -1)))
-    Xfield = _tangential_extension(lck, as_real(X))
-    Yfield = _tangential_extension(lck, as_real(Y))
+    Xfield = _tangential_extension(lck, np.asarray(X, dtype=float))
+    Yfield = _tangential_extension(lck, np.asarray(Y, dtype=float))
     dX, dY = _field_derivatives([Xfield, Yfield], z, chart=chart)
     Xv, Yv = Xfield(z), Yfield(z)
-    traXY = _transversal_part(data, fibre, _covariant_along(gamma, Xv, Yv, dY).real_coords())
-    traYX = _transversal_part(data, fibre, _covariant_along(gamma, Yv, Xv, dX).real_coords())
+    traXY = _transversal_part(data, fibre, real_coords(_covariant_along(gamma, Xv, Yv, dY)))
+    traYX = _transversal_part(data, fibre, real_coords(_covariant_along(gamma, Yv, Xv, dX)))
     return traXY, _max_abs(traXY - traYX, 1) / scale
 
 
@@ -266,7 +266,7 @@ def integrability_residual(lck: LCKStructure, z):
     z = np.asarray(z, dtype=complex)
     data = _nonsingular(lee_data(lck, z))
     Afield, Bfield = (lambda p: lee_data(lck, p).A), (lambda p: lee_data(lck, p).B)
-    br = lie_bracket(Afield, Bfield, z, chart=lck.chart).real_coords()
+    br = real_coords(lie_bracket(Afield, Bfield, z, chart=lck.chart))
     return _norms(_plane_projection_residual(_rows(data.A_real, data.B_real), br))
 
 
@@ -339,7 +339,7 @@ def h_P_residual(lck: LCKStructure, z, nabla: dict | None = None):
     e0, e1 = data.A_real, data.B_real
     non_null = _lee_branch(data)
     worst = None
-    for nXY in (nabla[k].real_coords() for k in ("AA", "AB", "BA", "BB")):
+    for nXY in (real_coords(nabla[k]) for k in ("AA", "AB", "BA", "BB")):
         if non_null:
             # g-projection onto the plane, remainder is transversal
             coeffA = np.asarray(inner(form, nXY, e0) / data.c)[..., None]
@@ -406,8 +406,8 @@ def complex_submanifold_mean_curvature(lck: LCKStructure, z, jac):
     # real orthonormal tangent frame {X_a, J X_a}
     reals = []
     for a in range(m):
-        E = TangentVector.real(frame_cols[..., a])
-        reals.extend([E, E.j()])
+        E = real_vector(frame_cols[..., a])
+        reals.extend([E, apply_j(E)])
 
     G = data.G
 
@@ -415,32 +415,32 @@ def complex_submanifold_mean_curvature(lck: LCKStructure, z, jac):
         tan = np.zeros_like(vcomp)
         for a in range(m):
             for Xa in (reals[2 * a], reals[2 * a + 1]):
-                coeff = _bilinear(vcomp, G, Xa.components) * signs[..., a]
-                tan = tan + coeff[..., None] * Xa.components
+                coeff = _bilinear(vcomp, G, Xa) * signs[..., a]
+                tan = tan + coeff[..., None] * Xa
         return vcomp - tan
 
-    def h_of(X: TangentVector, Y: TangentVector) -> np.ndarray:
-        return nor(_covariant_along(gamma, X, Y).components)
+    def h_of(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return nor(_covariant_along(gamma, X, Y))
 
-    Bperp = nor(data.B.components)
+    Bperp = nor(data.B)
     eq_residual = 0.0
     diagonal = []   # h(X_a, X_a) + h(J X_a, J X_a)
     for a in range(m):
-        Ea = reals[2 * a]
+        Ea, JEa = reals[2 * a], reals[2 * a + 1]
         for b in range(m):
-            Eb = reals[2 * b]
+            Eb, JEb = reals[2 * b], reals[2 * b + 1]
             hXY = h_of(Ea, Eb)
-            hJXJY = h_of(Ea.j(), Eb.j())
+            hJXJY = h_of(JEa, JEb)
             if a == b:
                 diagonal.append(hXY + hJXJY)
-            gXY = _bilinear(Ea.components, G, Eb.components).real[..., None]
+            gXY = _bilinear(Ea, G, Eb).real[..., None]
             resid = hJXJY + hXY + gXY * Bperp
             eq_residual = np.maximum(eq_residual, np.abs(resid).max(axis=-1))
             # mixed pairs: substituting (X, JY) into the law and using
             # J^2 = -1 gives h(X, JY) - h(JX, Y) + g(X, JY) Bperp = 0
-            hXJY = h_of(Ea, Eb.j())
-            hJXY = h_of(Ea.j(), Eb)
-            gXJY = _bilinear(Ea.components, G, Eb.j().components).real[..., None]
+            hXJY = h_of(Ea, JEb)
+            hJXY = h_of(JEa, Eb)
+            gXJY = _bilinear(Ea, G, JEb).real[..., None]
             resid = hXJY - hJXY + gXJY * Bperp
             eq_residual = np.maximum(eq_residual, np.abs(resid).max(axis=-1))
 

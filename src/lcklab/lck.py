@@ -19,7 +19,6 @@ import numpy as np
 
 from .charts import (
     MetricChart,
-    TangentVector,
     _as_field,
     _bilinear,
     _first_fault,
@@ -28,9 +27,12 @@ from .charts import (
     _norms,
     _real_gram,
     _solve_gram,
+    apply_j,
     christoffel,
     covariant_derivative,
     kahler_form,
+    real_coords,
+    real_vector,
     wirtinger_derivative,
 )
 from .semieuclid import SemiEuclideanForm
@@ -69,8 +71,7 @@ class LCKStructure:
 
 def lee_form_components(lck: LCKStructure, z: np.ndarray) -> np.ndarray:
     """Full 2n frame components (omega(Z_A))_A of the Lee form."""
-    hol = lck.lee_hol(z)
-    return np.concatenate([hol, hol.conj()], axis=-1)
+    return real_vector(lck.lee_hol(z))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -90,8 +91,8 @@ class LeeData:
     """
 
     point: np.ndarray
-    B: TangentVector
-    A: TangentVector
+    B: np.ndarray       # frame components of the Lee field
+    A: np.ndarray       # frame components of the anti-Lee field
     omega: np.ndarray   # frame components of the Lee form
     theta: np.ndarray   # frame components of the anti-Lee form
     c: float            # g(B, B); an (m,) array for a stack
@@ -105,11 +106,11 @@ class LeeData:
 
     @cached_property
     def B_real(self) -> np.ndarray:
-        return _read_only(self.B.real_coords())
+        return _read_only(real_coords(self.B))
 
     @cached_property
     def A_real(self) -> np.ndarray:
-        return _read_only(self.A.real_coords())
+        return _read_only(real_coords(self.A))
 
     @cached_property
     def omega_real(self) -> np.ndarray:
@@ -140,7 +141,7 @@ def _non_null(c: float, Breal: np.ndarray) -> bool:
 def _nonsingular(data: LeeData) -> LeeData:
     """data, unless its Lee field vanishes at the point, or at a point of
     the stack (SingularLeeError, naming the first such point)."""
-    bad = _first_fault(_norms(data.B.components) >= SINGULAR_LEE_TOL)
+    bad = _first_fault(_norms(data.B) >= SINGULAR_LEE_TOL)
     if bad is not None:
         raise SingularLeeError(f"Lee field vanishes at {data.point[bad]}")
     return data
@@ -167,40 +168,38 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
     omega = lee_form_components(lck, z)
     H = lck.chart.hermitian(z)
     G = _mixed_blocks(H, H.conj())        # gram_full(z)
-    B = TangentVector.from_components(_solve_gram(H, G, omega[..., None], z)[..., 0])
-    A = -1.0 * B.j()                      # A = -J B
-    theta = np.matvec(G, A.components)    # theta(X) = g(X, A)
-    c = np.vecdot(omega.conj(), B.components).real   # omega(B), unconjugated
+    B = _solve_gram(H, G, omega[..., None], z)[..., 0]
+    A = -1.0 * apply_j(B)                 # A = -J B
+    theta = np.matvec(G, A)               # theta(X) = g(X, A)
+    c = np.vecdot(omega.conj(), B).real   # omega(B), unconjugated
     data = LeeData(point=z.copy(), B=B, A=A, omega=omega, theta=theta, c=c,
                    H=H.view(), G=G,  # a view: a chart's constant H stays writable
                    s=lck.chart.s)
-    for arr in (data.point, B.hol, B.antihol, A.hol, A.antihol, omega, theta,
-                data.H, G, np.asarray(c)):
+    for arr in (data.point, B, A, omega, theta, data.H, G, np.asarray(c)):
         arr.setflags(write=False)
     lck._lee_cache[key] = data
     return data
 
 
-def _applied(form: np.ndarray, v: TangentVector) -> np.ndarray:
+def _applied(form: np.ndarray, v: np.ndarray) -> np.ndarray:
     """form(v) from frame components, per point, shaped to scale vectors."""
-    return np.vecdot(form.conj(), v.components)[..., None]   # form @ v
+    return np.vecdot(form.conj(), v)[..., None]   # form @ v
 
 
 def weyl_connection(lck: LCKStructure, X, Y, z: np.ndarray,
-                    gamma: np.ndarray | None = None) -> TangentVector:
+                    gamma: np.ndarray | None = None) -> np.ndarray:
     """D_X Y = nabla_X Y - (1/2){omega(X) Y + omega(Y) X - g(X,Y) B}, at a
     point or at each point of a stack."""
     z = np.asarray(z, dtype=complex)
     base = covariant_derivative(lck.chart, X, Y, z, gamma=gamma)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     data = lee_data(lck, z)
-    gXY = _bilinear(Xv.components, data.G, Yv.components)[..., None]
-    shift = _applied(data.omega, Xv) * Yv.components + _applied(data.omega, Yv) * Xv.components \
-        - gXY * data.B.components
-    return TangentVector.from_components(base.components - 0.5 * shift)
+    gXY = _bilinear(Xv, data.G, Yv)[..., None]
+    shift = _applied(data.omega, Xv) * Yv + _applied(data.omega, Yv) * Xv - gXY * data.B
+    return base - 0.5 * shift
 
 
-def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray) -> TangentVector:
+def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray) -> np.ndarray:
     """Defect of the closed-form expression for (nabla_X J) Y, at a point
     or at each point of a stack.
 
@@ -212,17 +211,16 @@ def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray) -> TangentVector:
     chart = lck.chart
     gamma = christoffel(chart, z)
     Xf, Yf = _as_field(X), _as_field(Y)
-    JY = Yf(z).j() if isinstance(Y, TangentVector) else (lambda p: Yf(p).j())
+    JY = apply_j(Y) if isinstance(Y, np.ndarray) else (lambda p: apply_j(Y(p)))
     lhs = covariant_derivative(chart, X, JY, z, gamma=gamma) \
-        - covariant_derivative(chart, X, Y, z, gamma=gamma).j()
+        - apply_j(covariant_derivative(chart, X, Y, z, gamma=gamma))
     Xv, Yv = Xf(z), Yf(z)
     data = lee_data(lck, z)
-    gXY = _bilinear(Xv.components, data.G, Yv.components)[..., None]
-    OmXY = _bilinear(Xv.components, kahler_form(data.H), Yv.components)[..., None]
-    rhs = 0.5 * (_applied(data.theta, Yv) * Xv.components
-                 - _applied(data.omega, Yv) * Xv.j().components
-                 - gXY * data.A.components - OmXY * data.B.components)
-    return TangentVector.from_components(lhs.components - rhs)
+    gXY = _bilinear(Xv, data.G, Yv)[..., None]
+    OmXY = _bilinear(Xv, kahler_form(data.H), Yv)[..., None]
+    rhs = 0.5 * (_applied(data.theta, Yv) * Xv - _applied(data.omega, Yv) * apply_j(Xv)
+                 - gXY * data.A - OmXY * data.B)
+    return lhs - rhs
 
 
 def parallel_lee_residual(lck: LCKStructure, z: np.ndarray):

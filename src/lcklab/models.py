@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import (
-    ChartDomainError, MetricChart, TangentVector, _bilinear, _norms, _richardson, _steps,
+    ChartDomainError, MetricChart, _bilinear, _norms, _richardson, _steps, real_coords,
 )
 from .lck import LCKStructure, lee_data
 from .semieuclid import FrameSubspace, _per_point, orthogonal_complement, signature_of
@@ -386,33 +386,33 @@ def fibration_split(model: HopfModel, z,
     return V0, H0
 
 
-def submersion_isometry_residual(model: HopfModel, z, u: TangentVector,
-                                 v: TangentVector, lck: LCKStructure):
+def submersion_isometry_residual(model: HopfModel, z, u: np.ndarray,
+                                 v: np.ndarray, lck: LCKStructure):
     """Fibre-invariance of horizontal Gram entries, at a point (a float) or
     at each point of a stack (an array), with one u and v per point.
 
     Transports u, v by the differential of the torus flows z -> e^t z and
     z -> e^{it} z (whose orbit tangents span the vertical space) and
     returns the larger |d/dt g(u_t, v_t)| at t = 0 by central differences,
-    all eight flowed points in one metric evaluation.  Inputs must be real
-    and horizontal: orthogonal to both A and B.  lck is hopf_chart(model).
+    all eight flowed points in one metric evaluation.  Inputs are frame
+    components and must be real (real_coords refuses others) and
+    horizontal: orthogonal to both A and B.  lck is hopf_chart(model).
     """
     z = np.asarray(z, dtype=complex)
-    if not (u.is_real and v.is_real):
-        raise ValueError("inputs must be real tangent vectors")
+    real_coords(u), real_coords(v)   # each refuses a vector that is not real
     data = lee_data(lck, z)
-    g = [_bilinear(a.components, data.G, b.components).real
-         for a in (u, v) for b in (data.A, data.B)]
-    scale = np.maximum(1.0, _norms(u.components) * _norms(v.components))
+    g = [_bilinear(a, data.G, b).real for a in (u, v) for b in (data.A, data.B)]
+    scale = np.maximum(1.0, _norms(u) * _norms(v))
     if np.any(np.max(np.abs(g), axis=0) > HORIZONTAL_TOL * scale):
         raise ValueError("inputs are not horizontal at z")
     # flow factors exp(t d) for d = 1, i (rows) and t in _steps (columns),
     # each rounded as a Python scalar
     fac = np.array([[np.exp(t * d) for t in _steps(1e-5)] for d in (1.0 + 0j, 1j)])
     fac = fac.reshape(fac.shape + (1,) * z.ndim)
-    ut = TangentVector(fac * u.hol, np.conj(fac) * u.antihol)
-    vt = TangentVector(fac * v.hol, np.conj(fac) * v.antihol)
-    gram = _bilinear(ut.components, lck.chart.gram_full(fac * z), vt.components).real
+    n = model.n
+    ut, vt = (np.concatenate([fac * w[..., :n], np.conj(fac) * w[..., n:]], axis=-1)
+              for w in (u, v))
+    gram = _bilinear(ut, lck.chart.gram_full(fac * z), vt).real
     return _per_point(np.abs(_richardson(np.moveaxis(gram, 1, 0), 1e-5)).max(axis=0))
 
 

@@ -17,9 +17,11 @@ of a single-point call; only cr.levi_form reads _lstsq_rows, the one home
 of the least-squares solve, point by point.  _full_rank answers for the
 whole stack, and a stack whose points disagree on a rank raises ValueError.
 
-Rank checks: from_vectors and orthogonal_complement prove by one SVD
-that the rows a caller gives are independent; FrameSubspace._orthonormal
-skips that SVD for rows orthonormal by construction.
+Rank checks: a FrameSubspace comes from from_vectors, which proves by
+one SVD that the rows a caller gives are independent, from
+FrameSubspace._orthonormal, whose rows are orthonormal by construction,
+or from zero; so its rows are independent, and orthogonal_complement
+takes them as they are.
 """
 
 from __future__ import annotations
@@ -82,11 +84,11 @@ class SemiEuclideanForm:
 
 
 def _self_adjoint(g: np.ndarray, gT: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack, np.allclose(g, gT, atol=1e-12 * max(1, max |g|))
+    """Per matrix of a stack, |g - gT| <= 1e-12 * max(1, max |g|) entrywise
     for gT its (conjugate) transpose: the symmetry rule of a Gram matrix
     and of a chart's Hermitian metric components."""
     scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1), initial=0.0))[..., None, None]
-    return (np.abs(g - gT) <= 1e-12 * scale + 1e-5 * np.abs(gT)).all(axis=(-2, -1))
+    return (np.abs(g - gT) <= 1e-12 * scale).all(axis=(-2, -1))
 
 
 def _per_point(x):
@@ -218,8 +220,6 @@ def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSub
     """
     if W.ambient_dim != form.dim:
         raise ValueError("ambient dimension mismatch")
-    if not _full_rank(W.basis):
-        raise DegenerateSubspaceError("rank-deficient subspace basis")
     constraints = W.basis @ form.gram
     ker = _kernel(constraints)
     return FrameSubspace._orthonormal(form, ker) if ker.shape[-2] else FrameSubspace.zero(form)

@@ -55,8 +55,9 @@ import numpy as np
 from . import cr as crmod
 from . import foliations as fol
 from .charts import (
-    TangentVector, _along, _bilinear, _covariant_along, _field_derivatives, _max_abs,
-    _require_domain, christoffel, covariant_derivative, koszul_christoffel, wirtinger_derivative,
+    _along, _bilinear, _covariant_along, _field_derivatives, _max_abs, _require_domain,
+    apply_j, christoffel, covariant_derivative, hol_from_real_coords, koszul_christoffel,
+    real_vector, wirtinger_derivative,
 )
 from .lck import lee_data, nabla_J_defect, parallel_lee_residual, weyl_connection
 from .models import (
@@ -247,13 +248,14 @@ def _check_prop1_lee(key, lck, Z):
     data = lee_data(lck, Z)
     a = key.a(Z)
     expect_hol = (-2.0 * a)[:, None] * Z
-    resid = np.maximum(np.abs(data.c - 4.0 * a), np.abs(data.B.hol - expect_hol).max(axis=-1))
+    resid = np.maximum(np.abs(data.c - 4.0 * a),
+                       np.abs(data.B[:, :Z.shape[-1]] - expect_hol).max(axis=-1))
     # raising round trip: lowering B reproduces omega
-    lowered = np.matvec(lck.chart.gram_full(Z), data.B.components)
+    lowered = np.matvec(lck.chart.gram_full(Z), data.B)
     resid = np.maximum(resid, np.abs(lowered - data.omega).max(axis=-1))
     # theta/omega identities
-    thB = np.vecdot(data.theta.conj(), data.B.components)
-    thA_c = np.vecdot(data.theta.conj(), data.A.components) - data.c
+    thB = np.vecdot(data.theta.conj(), data.B)
+    thA_c = np.vecdot(data.theta.conj(), data.A) - data.c
     resid = np.maximum(resid, np.hypot(thB.real, thB.imag))   # abs() of a Python complex
     return np.maximum(resid, np.hypot(thA_c.real, thA_c.imag))
 
@@ -296,25 +298,24 @@ def _check_thm4_hp(key, lck, Z):
     resid = fol.h_P_residual(lck, Z, nabla=nabla)
     # nabla_A A = 0 is part of the proof: check it in full, not just its
     # transversal part
-    return np.maximum(resid, np.abs(nabla["AA"].components).max(axis=-1))
+    return np.maximum(resid, np.abs(nabla["AA"]).max(axis=-1))
 
 
 def _check_eq20_nabla_j(key, lck, Z, X, Y):
-    X, Y = TangentVector.real(X), TangentVector.real(Y)
-    return np.abs(nabla_J_defect(lck, X, Y, Z).components).max(axis=-1)
+    return np.abs(nabla_J_defect(lck, real_vector(X), real_vector(Y), Z)).max(axis=-1)
 
 
 def _check_weyl_dj(key, lck, Z, X, Y):
-    X, Yv = TangentVector.real(X), TangentVector.real(Y)
+    X, Yv = real_vector(X), real_vector(Y)
     gamma = christoffel(lck.chart, Z)
-    DJY = weyl_connection(lck, X, Yv.j(), Z, gamma=gamma)
-    JDY = weyl_connection(lck, X, Yv, Z, gamma=gamma).j()
-    return np.abs(DJY.components - JDY.components).max(axis=-1)
+    DJY = weyl_connection(lck, X, apply_j(Yv), Z, gamma=gamma)
+    JDY = apply_j(weyl_connection(lck, X, Yv, Z, gamma=gamma))
+    return np.abs(DJY - JDY).max(axis=-1)
 
 
 def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     chart = lck.chart
-    X, Y, W = TangentVector.real(X), TangentVector.real(Y), TangentVector.real(W)
+    X, Y, W = real_vector(X), real_vector(Y), real_vector(W)
     gamma = christoffel(chart, Z)
     # symmetry in B, C, and conjugation: swapping the holomorphic and
     # antiholomorphic slots of all three indices conjugates Gamma
@@ -324,25 +325,25 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     resid = np.maximum(_max_abs(gamma - gamma.swapaxes(-1, -2), 3), _max_abs(gamma - flipped, 3))
     # metric compatibility X(g(Y, W)) = g(nabla_X Y, W) + g(Y, nabla_X W)
     def gYW(p):
-        return _bilinear(Y.components, chart.gram_full(p), W.components)
+        return _bilinear(Y, chart.gram_full(p), W)
 
     d_dz, d_dzb = wirtinger_derivative(gYW, Z, chart=chart)
     df = np.concatenate([d_dz, d_dzb], axis=-1)
-    lhs = np.vecdot(df.conj(), X.components)
+    lhs = np.vecdot(df.conj(), X)
     nXY = covariant_derivative(chart, X, Y, Z, gamma=gamma)
     nXW = covariant_derivative(chart, X, W, Z, gamma=gamma)
     G = chart.gram_full(Z)
-    rhs = _bilinear(nXY.components, G, W.components) + _bilinear(Y.components, G, nXW.components)
+    rhs = _bilinear(nXY, G, W) + _bilinear(Y, G, nXW)
     diff = lhs - rhs
     resid = np.maximum(resid, np.hypot(diff.real, diff.imag))   # abs() of a Python complex
     # torsion on linear (z-dependent) fields, each differentiated once
-    F1 = lambda p: TangentVector.real(np.matvec(M1, p))
-    F2 = lambda p: TangentVector.real(np.matvec(M2, p))
+    F1 = lambda p: real_vector(np.matvec(M1, p))
+    F2 = lambda p: real_vector(np.matvec(M2, p))
     dF1, dF2 = _field_derivatives([F1, F2], Z, chart=chart)
     F1v, F2v = F1(Z), F2(Z)
     bracket = _along(F1v, dF2) - _along(F2v, dF1)
-    tors = _covariant_along(gamma, F1v, F2v, dF2).components \
-        - _covariant_along(gamma, F2v, F1v, dF1).components - bracket
+    tors = _covariant_along(gamma, F1v, F2v, dF2) \
+        - _covariant_along(gamma, F2v, F1v, dF1) - bracket
     return np.maximum(resid, np.abs(tors).max(axis=-1))
 
 
@@ -376,7 +377,7 @@ def _check_eq18_mean_curvature(model, lck, U):
 
 def _check_submersion(model, lck, Z, coeffs):
     _, H0 = fibration_split(model, Z, lck)
-    u, v = (TangentVector.from_real_coords(np.vecmat(coeffs[:, i], H0.basis)) for i in (0, 1))
+    u, v = (real_vector(hol_from_real_coords(np.vecmat(coeffs[:, i], H0.basis))) for i in (0, 1))
     return submersion_isometry_residual(model, Z, u, v, lck)
 
 
@@ -539,10 +540,10 @@ def _check_screen_splits(c, V, *frame):
 def _check_prop4_null(c):
     """Proposition 4 on the flat chart with each point's Lee covector,
     evaluated at the origin of every point of the stack."""
-    lck = synthetic_null_structure(c.n, c.s, B_hol=c.B[:, 0::2] + 1j * c.B[:, 1::2])
+    lck = synthetic_null_structure(c.n, c.s, B_hol=hol_from_real_coords(c.B))
     z = np.zeros((len(c.B), c.n), dtype=complex)
     data = lee_data(lck, z)
-    Z = data.B.hol + 1j * data.A.hol
+    Z = data.B[:, :c.n] + 1j * data.A[:, :c.n]
     along = np.vecdot(lck.lee_hol(z).conj(), Z)    # Z is type (1,0) in ker omega
     resid = np.hypot(along.real, along.imag)        # abs() of a Python complex
     cfib = crmod.cr_fibre(lck, z)
@@ -673,7 +674,7 @@ def _check_prop2_lee(_, lck, P):
     data = lee_data(lck, P)
     expect = np.zeros(P.shape, dtype=complex)
     expect[:, 0] = 1j * P[:, 0].imag
-    return np.maximum(np.abs(data.c - 1.0), np.abs(data.B.hol - expect).max(axis=-1))
+    return np.maximum(np.abs(data.c - 1.0), np.abs(data.B[:, :P.shape[-1]] - expect).max(axis=-1))
 
 
 def _check_prop2_nabla_b(_, lck, P):
@@ -686,11 +687,10 @@ def _check_prop2_nabla_b(_, lck, P):
     B = Bf(P)
     worst = 0.0
     for j in range(1, m):
-        X = TangentVector.complexified(np.eye(m)[j], np.zeros(m))
-        expect = np.zeros(2 * m, dtype=complex)
-        expect[j] = 0.5
+        X = np.eye(2 * m, dtype=complex)[j]    # Z_j
+        expect = 0.5 * X
         out = _covariant_along(gamma, X, B, dB)
-        worst = np.maximum(worst, np.abs(out.components - expect).max(axis=-1))
+        worst = np.maximum(worst, np.abs(out - expect).max(axis=-1))
     return worst
 
 

@@ -645,6 +645,15 @@ class TestDerivedOnce:
         assert {r.verdict for r in report.results} == {"pass"}
         assert (len(svds), len(conds)) == (42, 0)
 
+    def test_a_hopf_run_takes_13_svds(self, monkeypatch):
+        # 16 before orthogonal_complement stopped re-checking the rank of a
+        # FrameSubspace, whose constructors already proved its rows independent
+        svds = self._counted(monkeypatch, np.linalg, "svd")
+        report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
+                                      suites=("all",)))
+        assert {r.verdict for r in report.results} == {"pass"}
+        assert len(svds) == 13
+
     def test_closed_form_hopf_suites_build_one_chart_per_check(self, monkeypatch):
         builds = []
         for module in (models_mod, suites_mod):

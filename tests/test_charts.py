@@ -8,19 +8,24 @@ from lcklab.charts import (
     GRAM_COND_MAX,
     ChartDomainError,
     MetricChart,
+    REAL_VECTOR_TOL,
     SingularMetricError,
-    TangentVector,
     _mixed_blocks,
     _require_conditioned,
     _stencil,
+    apply_j,
     christoffel,
     conformal_connection_shift,
+    conj_vector,
     covariant_derivative,
     exterior_derivative_1form,
     exterior_derivative_2form,
+    hol_from_real_coords,
     kahler_form,
     koszul_christoffel,
     lie_bracket,
+    real_coords,
+    real_vector,
     wirtinger_derivative,
 )
 from lcklab.lck import lee_data, lee_form_components
@@ -49,17 +54,48 @@ def _twisted_hopf(model: HopfModel, A: np.ndarray) -> tuple[MetricChart, MetricC
     return base, twisted
 
 
-class TestTangentVector:
+class TestVectorComponents:
     def test_real_coords_round_trip(self):
-        v = TangentVector.real([1 + 2j, -0.5j])
-        assert np.allclose(v.real_coords(), [1.0, 2.0, 0.0, -0.5])
-        back = TangentVector.from_real_coords(v.real_coords())
-        assert np.allclose(back.hol, v.hol)
+        v = real_vector([1 + 2j, -0.5j])
+        assert np.allclose(real_coords(v), [1.0, 2.0, 0.0, -0.5])
+        back = real_vector(hol_from_real_coords(real_coords(v)))
+        assert np.array_equal(back, v)
+
+    def test_real_coords_round_trip_on_a_stack(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((5, 6))
+        v = real_vector(hol_from_real_coords(x))
+        assert v.shape == (5, 6)
+        assert np.array_equal(real_coords(v), x)
+        assert np.array_equal(v[:, 3:], v[:, :3].conj())
 
     def test_j_squares_to_minus_one(self):
-        v = TangentVector.real([0.3 - 1j, 2.0])
-        jj = v.j().j()
-        assert np.allclose(jj.components, -v.components)
+        v = real_vector([0.3 - 1j, 2.0])
+        jj = apply_j(apply_j(v))
+        assert np.allclose(jj, -v)
+
+    def test_j_multiplies_the_halves_by_i_and_minus_i(self):
+        v = np.array([[1.0 + 2j, -0.5j, 3.0, 0.25 - 1j]])
+        expect = [[1j * v[0, 0], 1j * v[0, 1], -1j * v[0, 2], -1j * v[0, 3]]]
+        assert np.array_equal(apply_j(v), expect)
+        assert np.array_equal(real_coords(apply_j(real_vector([1.0, 2j]))), [0.0, 1.0, -2.0, 0.0])
+
+    def test_conjugation_swaps_the_halves(self):
+        v = np.array([1.0 + 2j, -0.5j, 3.0, 0.25 - 1j])
+        assert np.array_equal(conj_vector(v), [3.0, 0.25 + 1j, 1.0 - 2j, 0.5j])
+        assert np.array_equal(conj_vector(conj_vector(v)), v)
+        w = real_vector([0.3 - 1j, 2.0])
+        assert np.array_equal(conj_vector(w), w)
+
+    @pytest.mark.parametrize("factor, real", [(10.0, False), (0.1, True)])
+    def test_reality_check_uses_the_named_tolerance(self, factor, real):
+        v = real_vector([2.0, -0.5j])
+        v[2] += factor * REAL_VECTOR_TOL * 2.0   # relative to max(1, max |component|) = 2
+        if real:
+            assert np.array_equal(real_coords(v), [2.0, 0.0, 0.0, -0.5])
+        else:
+            with pytest.raises(ValueError, match="not real"):
+                real_coords(v)
 
     def test_real_gram_matches_hermitian_pairing(self):
         rng = np.random.default_rng(5)
@@ -67,10 +103,10 @@ class TestTangentVector:
         G = HOPF.chart.real_gram(z)
         H = HOPF.chart.hermitian(z)
         for _ in range(10):
-            u = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            v = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            lhs = u.real_coords() @ G @ v.real_coords()
-            rhs = 2.0 * (u.hol @ H @ v.hol.conj()).real
+            u = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            v = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            lhs = real_coords(u) @ G @ real_coords(v)
+            rhs = 2.0 * (u[:2] @ H @ v[:2].conj()).real
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -116,7 +152,7 @@ class TestStackedStencil:
         assert HOPF.chart.domain_pred(z)
         B = lambda p: lee_data(HOPF, p).B
         with pytest.raises(ChartDomainError, match="stencil"):
-            covariant_derivative(HOPF.chart, TangentVector.real([1.0, 0.0]), B, z)
+            covariant_derivative(HOPF.chart, real_vector([1.0, 0.0]), B, z)
         with pytest.raises(ChartDomainError, match="stencil"):
             koszul_christoffel(HOPF.chart, z)
 
@@ -146,8 +182,8 @@ class TestChartInvariants:
         z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
         omega = lee_form_components(HOPF, z)
         for _ in range(10):
-            v = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            assert abs(complex(omega @ v.components).imag) < 1e-12
+            v = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            assert abs(complex(omega @ v).imag) < 1e-12
 
 
 class TestChristoffel:
@@ -245,43 +281,43 @@ class TestChristoffel:
 
 class TestCovariantDerivative:
     def test_flat_constant_field(self):
-        Y = TangentVector.real([1.0, 2.0])
-        out = covariant_derivative(FLAT.chart, TangentVector.real([1, 0]), Y,
+        Y = real_vector([1.0, 2.0])
+        out = covariant_derivative(FLAT.chart, real_vector([1, 0]), Y,
                                    np.array([0.1, 0.2], dtype=complex))
-        assert np.abs(out.components).max() == 0.0
+        assert np.abs(out).max() == 0.0
 
     def test_hopf_lee_field_parallel(self):
         B = lambda p: lee_data(HOPF, p).B
         rng = np.random.default_rng(14)
         z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
         for j in range(2):
-            X = TangentVector.complexified(np.eye(2)[j], np.zeros(2))
+            X = np.eye(4, dtype=complex)[j]   # Z_j
             out = covariant_derivative(HOPF.chart, X, B, z)
-            assert np.abs(out.components).max() < 1e-8
+            assert np.abs(out).max() < 1e-8
 
     def test_tricerri_lee_derivative(self):
         B = lambda p: lee_data(TRIC, p).B
         p = np.array([0.4 + 1.1j, 0.2 + 0.5j, -0.6 + 0.1j])
-        X = TangentVector.complexified(np.eye(3)[1], np.zeros(3))
+        X = np.eye(6, dtype=complex)[1]   # Z_1
         out = covariant_derivative(TRIC.chart, X, B, p)
         expect = np.zeros(6, dtype=complex)
         expect[1] = 0.5
-        assert np.abs(out.components - expect).max() < 1e-9
+        assert np.abs(out - expect).max() < 1e-9
 
 
 class TestLieBracket:
     def test_constant_fields(self):
-        X = TangentVector.real([1.0, 0.0])
-        Y = TangentVector.real([0.0, 1.0])
+        X = real_vector([1.0, 0.0])
+        Y = real_vector([0.0, 1.0])
         out = lie_bracket(X, Y, np.array([0.3, 0.4], dtype=complex), chart=FLAT.chart)
-        assert np.abs(out.components).max() == 0.0
+        assert np.abs(out).max() == 0.0
 
     def test_plane_example(self):
         # X = x2 d/dx1, Y = d/dx2 on R^2: [X, Y] = -d/dx1
-        X = lambda p: TangentVector.real(p[..., :1].imag)
-        Y = lambda p: TangentVector.real(np.full(p.shape, 1j))
+        X = lambda p: real_vector(p[..., :1].imag)
+        Y = lambda p: real_vector(np.full(p.shape, 1j))
         out = lie_bracket(X, Y, np.array([0.7 + 0.2j]), chart=flat_chart(1, 0).chart)
-        assert np.abs(out.components - TangentVector.real([-1.0]).components).max() < 1e-10
+        assert np.abs(out - real_vector([-1.0])).max() < 1e-10
 
     def test_hopf_lee_plane_closed(self):
         z = np.array([0.1 + 0.2j, 1.3 - 0.1j])
@@ -289,7 +325,7 @@ class TestLieBracket:
         B = lambda p: lee_data(HOPF, p).B
         out = lie_bracket(A, B, z, chart=HOPF.chart)
         # bracket of the commuting scaling/rotation flows vanishes
-        assert np.abs(out.components).max() < 1e-8
+        assert np.abs(out).max() < 1e-8
 
 
 class TestExteriorDerivative:
@@ -347,18 +383,18 @@ class TestConformalShift:
             calls.append(p.shape)
             return -np.log(np.abs(-np.abs(p[..., 0]) ** 2 + np.abs(p[..., 1]) ** 2))
 
-        X = TangentVector.real([1.0, 0.5j])
-        conformal_connection_shift(HOPF.chart, f, X, TangentVector.real([0.2, -1.0]), Z01)
+        X = real_vector([1.0, 0.5j])
+        conformal_connection_shift(HOPF.chart, f, X, real_vector([0.2, -1.0]), Z01)
         assert len(calls) == 1
 
     def test_constant_factor_is_identity(self):
         z = np.array([0.5 + 0.2j, 1.1 - 0.7j])
-        X = TangentVector.real([1.0, 0.5j])
-        Y = TangentVector.real([0.2, -1.0])
+        X = real_vector([1.0, 0.5j])
+        Y = real_vector([0.2, -1.0])
         base = covariant_derivative(HOPF.chart, X, Y, z)
         shifted = conformal_connection_shift(
             HOPF.chart, lambda p: np.full(p.shape[:-1], 3.7), X, Y, z)
-        assert np.abs(base.components - shifted.components).max() < 1e-12
+        assert np.abs(base - shifted).max() < 1e-12
 
     @pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (4, 2)])
     @pytest.mark.parametrize("region", ["+", "-"])
@@ -372,11 +408,11 @@ class TestConformalShift:
         rng = np.random.default_rng(18)
         for _ in range(5):
             z = sample_hopf(model, hopf_variates(n, rng), region)
-            X = TangentVector.real(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            Y = TangentVector.real(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            X = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            Y = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
             shifted = conformal_connection_shift(flat_chart(n, s).chart, f, X, Y, z)
-            expect = np.einsum("abc,b,c->a", christoffel(hopf, z), X.components, Y.components)
-            assert np.abs(shifted.components - expect).max() < 1e-9 * np.abs(expect).max()
+            expect = np.einsum("abc,b,c->a", christoffel(hopf, z), X, Y)
+            assert np.abs(shifted - expect).max() < 1e-9 * np.abs(expect).max()
 
     def test_hopf_rescaling_flattens(self):
         # |z|^2 g is the flat metric, so shifting with the local conformal
@@ -384,10 +420,10 @@ class TestConformalShift:
         rng = np.random.default_rng(19)
         z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
         f = lambda p: -np.log(abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2))
-        X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        Y = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        X = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        Y = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         shifted = conformal_connection_shift(HOPF.chart, f, X, Y, z)
-        assert np.abs(shifted.components).max() < 1e-7
+        assert np.abs(shifted).max() < 1e-7
 
 
 class TestMetricCompatibility:
@@ -403,20 +439,20 @@ class TestMetricCompatibility:
         for _ in range(10):
             z = sampler(rng)
             gam = christoffel(chart, z)
-            X = TangentVector.real(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            Y = TangentVector.real(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            W = TangentVector.real(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            X = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            Y = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            W = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
             G = chart.gram_full(z)
             nXY = covariant_derivative(chart, X, Y, z, gamma=gam)
             nXW = covariant_derivative(chart, X, W, z, gamma=gam)
-            rhs = complex(nXY.components @ G @ W.components
-                          + Y.components @ G @ nXW.components)
+            rhs = complex(nXY @ G @ W
+                          + Y @ G @ nXW)
             # finite-difference lhs
-            gYW = lambda p: np.einsum("a,...ab,b->...", Y.components, chart.gram_full(p),
-                                      W.components)
+            gYW = lambda p: np.einsum("a,...ab,b->...", Y, chart.gram_full(p),
+                                      W)
             d_dz, d_dzb = wirtinger_derivative(gYW, z, chart=chart)
             df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
-            assert abs(complex(df @ X.components) - rhs) < 1e-6
+            assert abs(complex(df @ X) - rhs) < 1e-6
 
 
 class TestConditioning:
@@ -466,3 +502,12 @@ class TestConditioning:
         with pytest.raises(SingularMetricError, match="not Hermitian") as err:
             _require_conditioned(H, z)
         assert str(z) in str(err.value)
+
+    def test_an_asymmetry_within_a_relative_1e_5_of_an_entry_is_refused(self):
+        # np.allclose's default relative term let H01 - conj(H10) = 2e-6
+        # pass beside an entry 0.3; the rule's bound is 1e-12 * max(1, max |H|)
+        H = np.array([[1.0, 0.3 + 2e-6], [0.3, -1.0]], dtype=complex)
+        with pytest.raises(SingularMetricError, match="not Hermitian"):
+            _require_conditioned(H, np.zeros(2))
+        H[0, 1] = 0.3 + 1e-13
+        _require_conditioned(H, np.zeros(2))

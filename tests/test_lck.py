@@ -6,13 +6,15 @@ from lcklab.charts import (
     ChartDomainError,
     MetricChart,
     SingularMetricError,
-    TangentVector,
     _stencil,
+    apply_j,
     christoffel,
     exterior_derivative_1form,
     exterior_derivative_2form,
     fd_step,
     kahler_form,
+    real_coords,
+    real_vector,
 )
 from lcklab.lck import (
     LCKStructure,
@@ -40,27 +42,27 @@ class TestLeeData:
         z = np.array([0.3 + 0.1j, 1.2 - 0.4j])
         d = lee_data(HOPF, z)
         assert d.c == pytest.approx(4.0, abs=1e-12)
-        assert np.abs(d.B.hol + 2.0 * z).max() < 1e-12
+        assert np.abs(d.B[:2] + 2.0 * z).max() < 1e-12
 
     def test_hopf_negative_region(self):
         z = np.array([1.5 + 0.2j, 0.3 - 0.1j])
         d = lee_data(HOPF_NEG, z)
         assert d.c == pytest.approx(-4.0, abs=1e-12)
-        assert np.abs(d.B.hol - 2.0 * z).max() < 1e-12
+        assert np.abs(d.B[:2] - 2.0 * z).max() < 1e-12
 
     def test_tricerri_spacelike_unit(self):
         p = np.array([0.2 + 0.9j, 1.0 - 0.3j, 0.4 + 0.2j])
         d = lee_data(TRIC, p)
         assert d.c == pytest.approx(1.0, abs=1e-12)
-        assert d.B.hol[0] == pytest.approx(1j * 0.9, abs=1e-12)
-        assert np.abs(d.B.hol[1:]).max() < 1e-12
+        assert d.B[0] == pytest.approx(1j * 0.9, abs=1e-12)
+        assert np.abs(d.B[1:3]).max() < 1e-12
 
     def test_raising_round_trip(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             d = lee_data(HOPF, z)
-            lowered = HOPF.chart.gram_full(z) @ d.B.components
+            lowered = HOPF.chart.gram_full(z) @ d.B
             assert np.abs(lowered - lee_form_components(HOPF, z)).max() < 1e-10
 
     def test_anti_lee_identities(self):
@@ -71,12 +73,12 @@ class TestLeeData:
             d = lee_data(lck, z)
             omega = lee_form_components(lck, z)
             # A = -J B exactly
-            assert np.abs(d.A.components + d.B.j().components).max() == 0.0
+            assert np.abs(d.A + apply_j(d.B)).max() == 0.0
             # theta(B) = omega(A) = 0; theta(A) = omega(B) = c
-            assert abs(complex(d.theta @ d.B.components)) < 1e-9
-            assert abs(complex(omega @ d.A.components)) < 1e-9
-            assert abs(complex(d.theta @ d.A.components) - d.c) < 1e-9
-            assert abs(complex(omega @ d.B.components) - d.c) < 1e-9
+            assert abs(complex(d.theta @ d.B)) < 1e-9
+            assert abs(complex(omega @ d.A)) < 1e-9
+            assert abs(complex(d.theta @ d.A) - d.c) < 1e-9
+            assert abs(complex(omega @ d.B) - d.c) < 1e-9
 
     def test_omega_closed_and_exact(self):
         rng = np.random.default_rng(2)
@@ -99,11 +101,11 @@ class TestLeeData:
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         Om = kahler_form(HOPF.chart.hermitian(z))
         for _ in range(5):
-            X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            Y = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            om = lambda u, v: complex(u.components @ Om @ v.components)
+            X = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            Y = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            om = lambda u, v: complex(u @ Om @ v)
             assert abs(om(X, Y) + om(Y, X)) < 1e-10
-            assert abs(om(X.j(), Y.j()) - om(X, Y)) < 1e-10
+            assert abs(om(apply_j(X), apply_j(Y)) - om(X, Y)) < 1e-10
 
 
     def test_singular_gram_raises_typed_error_every_call(self):
@@ -137,13 +139,13 @@ class TestRealMembers:
         lck, z = self.CASES[case]
         d = lee_data(lck, z)
         gram = lck.chart.real_form(z).gram
-        assert np.array_equal(d.B_real, d.B.real_coords())
-        assert np.array_equal(d.A_real, d.A.real_coords())
-        assert np.array_equal(d.omega_real, gram @ d.B.real_coords())
-        assert np.array_equal(d.theta_real, gram @ d.A.real_coords())
+        assert np.array_equal(d.B_real, real_coords(d.B))
+        assert np.array_equal(d.A_real, real_coords(d.A))
+        assert np.array_equal(d.omega_real, gram @ real_coords(d.B))
+        assert np.array_equal(d.theta_real, gram @ real_coords(d.A))
         assert np.array_equal(d.omega, lee_form_components(lck, z))
         assert np.array_equal(d.G, lck.chart.gram_full(z))
-        assert d.non_null == _non_null(d.c, d.B.real_coords())
+        assert d.non_null == _non_null(d.c, real_coords(d.B))
         assert d.non_null == (case != "synthetic-null")
 
     def test_members_are_computed_once_on_demand_and_read_only(self):
@@ -179,7 +181,7 @@ class TestStackedLeeData:
         stack = _stencil(z, fd_step(z)).reshape(-1, z.size)
         d = lee_data(lck, stack)
         Om = kahler_form(lck.chart.hermitian(stack))
-        assert d.B.hol.shape == stack.shape and d.c.shape == stack.shape[:1]
+        assert d.B.shape == (len(stack), 2 * z.size) and d.c.shape == stack.shape[:1]
         for i, p in enumerate(stack):
             single = lee_data(lck, p)
             assert d.c[i] == single.c
@@ -187,8 +189,8 @@ class TestStackedLeeData:
             for name in ("omega", "theta", "H", "G", "B_real", "A_real",
                          "omega_real", "theta_real", "non_null"):
                 assert np.array_equal(getattr(d, name)[i], getattr(single, name)), name
-            assert np.array_equal(d.B.components[i], single.B.components)
-            assert np.array_equal(d.A.components[i], single.A.components)
+            assert np.array_equal(d.B[i], single.B)
+            assert np.array_equal(d.A[i], single.A)
 
     def test_stack_is_memoized_apart_from_its_rows(self):
         calls = []
@@ -206,8 +208,8 @@ class TestStackedLeeData:
         assert lee_data(lck, stack.copy()) is first
         assert calls == [(16, 2)]
         # a one-point stack is not the point itself
-        assert lee_data(lck, z[None]).B.hol.shape == (1, 2)
-        assert lee_data(lck, z).B.hol.shape == (2,)
+        assert lee_data(lck, z[None]).B.shape == (1, 4)
+        assert lee_data(lck, z).B.shape == (4,)
 
     def test_one_singular_gram_in_a_stack_raises(self):
         def metric(z):   # diag(Re z1, 1) / 2: singular where Re z1 = 0
@@ -254,8 +256,8 @@ class TestPointMemo:
             assert d.c == first.c
             for name in ("point", "theta", "H"):
                 assert np.array_equal(getattr(d, name), getattr(first, name))
-            assert np.array_equal(d.B.components, first.B.components)
-            assert np.array_equal(d.A.components, first.A.components)
+            assert np.array_equal(d.B, first.B)
+            assert np.array_equal(d.A, first.A)
 
     def test_repeat_skips_metric_evaluation(self):
         calls = []
@@ -274,7 +276,7 @@ class TestPointMemo:
 
     def test_cached_arrays_are_read_only(self):
         d = lee_data(HOPF, self.Z)
-        for arr in (d.point, d.B.hol, d.B.antihol, d.A.hol, d.A.antihol, d.theta, d.G):
+        for arr in (d.point, d.B, d.A, d.theta, d.G):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         assert np.array_equal(lee_data(HOPF, self.Z).point, self.Z)
@@ -287,31 +289,31 @@ class TestPointMemo:
         assert np.array_equal(d.point, self.Z)
         moved = lee_data(lck, z)
         assert np.array_equal(moved.point, z)
-        assert np.array_equal(moved.B.components,
-                              lee_data(hopf_chart(MODEL), z).B.components)
-        assert np.array_equal(lee_data(lck, self.Z).B.components, d.B.components)
+        assert np.array_equal(moved.B,
+                              lee_data(hopf_chart(MODEL), z).B)
+        assert np.array_equal(lee_data(lck, self.Z).B, d.B)
 
 
 class TestWeylConnection:
     def test_zero_lee_form_reduces_to_levi_civita(self):
         from lcklab.charts import covariant_derivative
         z = np.array([0.4 + 0.2j, -0.3 + 0.8j])
-        X = TangentVector.real([1.0, 0.3j])
-        Y = TangentVector.real([0.5, -0.2])
+        X = real_vector([1.0, 0.3j])
+        Y = real_vector([0.5, -0.2])
         D = weyl_connection(FLAT, X, Y, z)
         base = covariant_derivative(FLAT.chart, X, Y, z)
-        assert np.abs(D.components - base.components).max() < 1e-14
+        assert np.abs(D - base).max() < 1e-14
 
     def test_dj_vanishes_on_hopf(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             gam = christoffel(HOPF.chart, z)
-            X = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            Y = TangentVector.real(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            lhs = weyl_connection(HOPF, X, Y.j(), z, gamma=gam)
-            rhs = weyl_connection(HOPF, X, Y, z, gamma=gam).j()
-            assert np.abs(lhs.components - rhs.components).max() < 1e-6
+            X = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            Y = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            lhs = weyl_connection(HOPF, X, apply_j(Y), z, gamma=gam)
+            rhs = apply_j(weyl_connection(HOPF, X, Y, z, gamma=gam))
+            assert np.abs(lhs - rhs).max() < 1e-6
 
     def test_lee_direction_value(self):
         # D_B B = nabla_B B - (c/2) B = -2 B on the positive region
@@ -319,26 +321,26 @@ class TestWeylConnection:
         d = lee_data(HOPF, z)
         Bf = lambda p: lee_data(HOPF, p).B
         out = weyl_connection(HOPF, Bf, Bf, z)
-        assert np.abs(out.components + 2.0 * d.B.components).max() < 1e-8
+        assert np.abs(out + 2.0 * d.B).max() < 1e-8
 
     def test_not_metric_compatible(self):
         # the shifted connection preserves J but not g: witness the defect
         from lcklab.charts import wirtinger_derivative
         rng = np.random.default_rng(7)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
-        Y = TangentVector.real([0.0, 1.0])
-        gYY = lambda p: np.einsum("a,...ab,b->...", Y.components, HOPF.chart.gram_full(p),
-                                  Y.components)
+        Y = real_vector([0.0, 1.0])
+        gYY = lambda p: np.einsum("a,...ab,b->...", Y, HOPF.chart.gram_full(p),
+                                  Y)
         d_dz, d_dzb = wirtinger_derivative(gYY, z, chart=HOPF.chart)
         df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
         # the defect is a covector in X: witness it over all 2n real
         # coordinate directions, since one direction can sit near its kernel
         defects = []
         for hol in np.vstack([np.eye(2), 1j * np.eye(2)]):
-            X = TangentVector.real(hol)
-            lhs = complex(df @ X.components)
+            X = real_vector(hol)
+            lhs = complex(df @ X)
             DY = weyl_connection(HOPF, X, Y, z)
-            rhs = 2.0 * complex(DY.components @ HOPF.chart.gram_full(z) @ Y.components)
+            rhs = 2.0 * complex(DY @ HOPF.chart.gram_full(z) @ Y)
             defects.append(abs(lhs - rhs))
         assert max(defects) > 1e-3
 
@@ -346,10 +348,10 @@ class TestWeylConnection:
 class TestNablaJ:
     def test_flat_chart_vanishes(self):
         z = np.array([0.3, 0.7], dtype=complex)
-        X = TangentVector.real([1.0, 2.0])
-        Y = TangentVector.real([0.0, 1.0 - 1j])
+        X = real_vector([1.0, 2.0])
+        Y = real_vector([0.0, 1.0 - 1j])
         out = nabla_J_defect(FLAT, X, Y, z)
-        assert np.abs(out.components).max() < 1e-14
+        assert np.abs(out).max() < 1e-14
 
     @pytest.mark.parametrize("lck,sampler,n", [
         (HOPF, lambda r: sample_hopf(MODEL, hopf_variates(MODEL.n, r)), 2),
@@ -360,10 +362,10 @@ class TestNablaJ:
         rng = np.random.default_rng(5)
         for _ in range(25):
             z = sampler(rng)
-            X = TangentVector.real(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            Y = TangentVector.real(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            X = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            Y = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
             out = nabla_J_defect(lck, X, Y, z)
-            assert np.abs(out.components).max() < 1e-6
+            assert np.abs(out).max() < 1e-6
 
     def test_reads_the_kahler_form_from_the_lee_data_metric(self, monkeypatch):
         # constant X, Y take no derivative and Hopf's connection is closed
@@ -372,7 +374,7 @@ class TestNablaJ:
         hermitian = MetricChart.hermitian
         monkeypatch.setattr(MetricChart, "hermitian",
                             lambda self, p: calls.append(1) or hermitian(self, p))
-        X, Y = TangentVector.real([1.0, 0.5j]), TangentVector.real([0.2, -1.0])
+        X, Y = real_vector([1.0, 0.5j]), real_vector([0.2, -1.0])
         nabla_J_defect(hopf_chart(MODEL), X, Y, np.array([0.2 - 0.5j, 1.4 + 0.3j]))
         assert len(calls) == 1
 

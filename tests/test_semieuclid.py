@@ -50,6 +50,13 @@ class TestInner:
             inner(H24, np.ones(3), np.ones(4))
 
 
+def test_a_gram_asymmetric_by_2e_6_beside_an_entry_0_3_is_refused():
+    # the symmetry rule has no term relative to the entries
+    gram = np.array([[1.0, 0.3 + 2e-6], [0.3, -1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        SemiEuclideanForm(dim=2, index=1, gram=gram)
+
+
 class TestComplement:
     def test_axis_complement(self):
         W = FrameSubspace.from_vectors(H24, [e(0)])
