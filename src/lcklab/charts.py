@@ -128,13 +128,16 @@ def conj_vector(v: np.ndarray) -> np.ndarray:
 def real_coords(v) -> np.ndarray:
     """Interleaved real coordinates (x_1, y_1, ...) of a real vector (per
     point of a stack); a vector whose antiholomorphic half differs from
-    conj(hol) by more than REAL_VECTOR_TOL (relative) raises ValueError."""
+    conj(hol) by more than REAL_VECTOR_TOL times max(1, max |component|),
+    each point of a stack against its own scale, raises ValueError."""
     v = np.asarray(v)
     n = v.shape[-1] // 2
     hol = v[..., :n]
-    scale = max(1.0, float(np.abs(v).max()))
-    if not np.abs(v[..., n:] - hol.conj()).max() <= REAL_VECTOR_TOL * scale:
-        raise ValueError("vector is not real")
+    err = np.abs(v[..., n:] - hol.conj())
+    if not err.max() <= REAL_VECTOR_TOL:   # else every point passes: each scale is >= 1
+        scale = np.abs(v).max(axis=-1, initial=1.0)   # max(1, max |component|) per point
+        if not (err.max(axis=-1) <= REAL_VECTOR_TOL * scale).all():
+            raise ValueError("vector is not real")
     out = np.empty(v.shape[:-1] + (2 * n,))
     out[..., 0::2] = hol.real
     out[..., 1::2] = hol.imag

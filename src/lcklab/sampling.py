@@ -15,8 +15,13 @@ of B, or of a stack of Lee vectors at once, through the stack-native
 semieuclid layer.  Each of its two screen splits is built once, on first
 read, so a check that reads neither builds none.  The complement vectors
 and frames are then drawn against a point's screen orthocomplement and
-Lee forms (row i of a stack's arrays), since their acceptance tests read
-them.
+Lee forms, since their acceptance tests read them.
+
+The four null samplers (Lee vector, complement vector, pair frame,
+frame change) take one point with one generator, or a stack with one
+generator per row, the single point being the one-row stack (_reject).
+A synthetic-null draw holds its first Lee candidate's variates (see
+suites), and _null_lee_vectors finishes a stack of them.
 
 point_states seeds every point generator of a run in one pass: the PCG64
 seed words that numpy's SeedSequence of entropy seed and spawn key
@@ -27,7 +32,6 @@ Generator(PCG64(_Words(row))).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -275,18 +279,60 @@ def _standard_form(n: int, s: int) -> SemiEuclideanForm:
     return form
 
 
-def sample_null_lee_vector(n: int, s: int, rng: np.random.Generator) -> np.ndarray:
-    """Random null vector of R^2n with index 2s: unit negative and positive
-    blocks, each drawn with Euclidean norm at least 0.3 before scaling."""
+def _reject(rng, draw, accept, what: str) -> np.ndarray:
+    """Rejection sampling, one row per generator: rng is one generator
+    (one row, returned without its stack axis) or a sequence of them.  A
+    row's candidate is draw(rng_i), one generator call, and accept(x, rows)
+    maps the candidates x of the given rows, as one stack, to their values
+    and a mask of the accepted ones.  Only rejected rows draw again, each
+    from its own generator before any later draw of that row, as in a
+    row-by-row run, so each row gets the bits and leaves its generator in
+    the state of a one-row call."""
+    one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else rng
+    rows, out = np.arange(len(rngs)), None
+    for _ in range(_MAX_TRIES):
+        values, ok = accept(np.stack([draw(rngs[i]) for i in rows]), rows)
+        if out is None:
+            out = values
+        else:
+            out[rows[ok]] = values[ok]
+        rows = rows[~ok]
+        if not rows.size:
+            return out[0] if one else out
+    raise RuntimeError(f"could not sample {what}")
+
+
+def _unit_blocks(x: np.ndarray, s: int):
+    """Null Lee candidates x (m, 2n), the negative block then the positive,
+    with each block scaled to unit norm, and whether both norms were at
+    least 0.3."""
+    neg, pos = x[:, :2 * s], x[:, 2 * s:]
+    nn, pn = _norms(neg), _norms(pos)
+    return (np.concatenate([neg / nn[:, None], pos / pn[:, None]], axis=1),
+            (nn >= 0.3) & (pn >= 0.3))
+
+
+def sample_null_lee_vector(n: int, s: int, rng) -> np.ndarray:
+    """Random null vector (2n,) of R^2n with index 2s, or a stack (m, 2n)
+    with one row per generator of a sequence rng: unit negative and
+    positive blocks, each drawn with Euclidean norm at least 0.3 before
+    scaling.  A candidate is one standard_normal(2n) call."""
     if not 0 < s < n:
         raise ValueError("need 0 < s < n")
-    for _ in range(_MAX_TRIES):
-        neg = rng.standard_normal(2 * s)
-        pos = rng.standard_normal(2 * (n - s))
-        nn, pn = math.sqrt(neg @ neg), math.sqrt(pos @ pos)
-        if nn >= 0.3 and pn >= 0.3:
-            return np.concatenate([neg / nn, pos / pn])
-    raise RuntimeError("could not sample a null Lee vector")
+    return _reject(rng, lambda r: r.standard_normal(2 * n), lambda x, rows: _unit_blocks(x, s),
+                   "a null Lee vector")
+
+
+def _null_lee_vectors(n: int, s: int, first: np.ndarray, rngs) -> np.ndarray:
+    """sample_null_lee_vector's stack (m, 2n) from each row's first
+    candidate first[i], rngs[i] in the state after it: the candidates are
+    tested as one stack, and a rejected row is sampled afresh."""
+    B, ok = _unit_blocks(first, s)
+    redraw = np.flatnonzero(~ok)
+    if redraw.size:
+        B[redraw] = sample_null_lee_vector(n, s, [rngs[i] for i in redraw])
+    return B
 
 
 def sample_null_config(n: int, s: int, B: np.ndarray) -> NullLeeConfig:
@@ -304,39 +350,50 @@ def sample_null_config(n: int, s: int, B: np.ndarray) -> NullLeeConfig:
                          plane=FrameSubspace.from_vectors(form, np.stack([A, B], axis=-2)))
 
 
-def sample_complement_vector(sperp: np.ndarray, omega: np.ndarray,
-                             rng: np.random.Generator) -> np.ndarray:
+def _per_row(x, core: int) -> np.ndarray:
+    """x as a stack: one point's array (core axes) gains a stack axis."""
+    x = np.asarray(x)
+    return x.reshape((-1,) + x.shape[x.ndim - core:])
+
+
+def sample_complement_vector(sperp, omega, rng) -> np.ndarray:
     """Random vector spanning a complement of the Lee line inside the
     orthocomplement sperp (rows (2, 2n), containing B) of the
-    first-foliation screen, with omega the Lee form."""
-    for _ in range(_MAX_TRIES):
-        V = rng.standard_normal(sperp.shape[0]) @ sperp
-        if abs(float(omega @ V)) > 0.1 * math.sqrt(V @ V):
-            return V
-    raise RuntimeError("could not sample a complement vector")
+    first-foliation screen, with omega the Lee form; or one per row of
+    stacks sperp (m, 2, 2n) and omega (m, 2n) with a sequence of m
+    generators.  A candidate is one standard_normal(2) call, the
+    coefficients of sperp's rows."""
+    sperp, omega = _per_row(sperp, 2), _per_row(omega, 1)
+
+    def accept(c, rows):
+        V = np.vecmat(c, sperp[rows])
+        return V, np.abs(np.vecdot(omega[rows], V)) > 0.1 * _norms(V)
+    return _reject(rng, lambda r: r.standard_normal(sperp.shape[-2]), accept,
+                   "a complement vector")
 
 
-def sample_pair_frame(sperp: np.ndarray, omega: np.ndarray, theta: np.ndarray,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def sample_pair_frame(sperp, omega, theta, rng) -> tuple[np.ndarray, np.ndarray]:
     """Random frame {V1, V2} of a complement of the plane inside
     S(P-perp)-perp (rows sperp), with omega and theta the duals of B and
-    A, rejecting frames with small normalization determinant."""
-    for _ in range(_MAX_TRIES):
-        V1 = rng.standard_normal(sperp.shape[0]) @ sperp
-        V2 = rng.standard_normal(sperp.shape[0]) @ sperp
-        t1, w1 = float(theta @ V1), float(omega @ V1)
-        t2, w2 = float(theta @ V2), float(omega @ V2)
-        D = t1 * w2 - w1 * t2
-        scale = max(math.sqrt(V1 @ V1) * math.sqrt(V2 @ V2), 1e-30)
-        if abs(D) > 0.05 * scale:
-            return V1, V2
-    raise RuntimeError("could not sample a complement frame")
+    A, rejecting frames with small normalization determinant; or one
+    frame per row of stacks sperp (m, 4, 2n), omega and theta (m, 2n) with
+    a sequence of m generators.  A candidate is one standard_normal((2, k))
+    call: V1's coefficients of sperp's k rows, then V2's."""
+    sperp, omega, theta = _per_row(sperp, 2), _per_row(omega, 1), _per_row(theta, 1)
+
+    def accept(c, rows):
+        V = np.vecmat(c, sperp[rows, None])                   # (r, 2, 2n): V1, V2
+        t, w = np.vecdot(theta[rows, None], V), np.vecdot(omega[rows, None], V)
+        D = t[:, 0] * w[:, 1] - w[:, 0] * t[:, 1]
+        norm = _norms(V)
+        return V, np.abs(D) > 0.05 * np.maximum(norm[:, 0] * norm[:, 1], 1e-30)
+    V = _reject(rng, lambda r: r.standard_normal((2, sperp.shape[-2])), accept,
+                "a complement frame")
+    return V[..., 0, :], V[..., 1, :]
 
 
-def sample_frame_change(rng: np.random.Generator) -> np.ndarray:
-    """Random 2x2 frame change f with |det f| > 0.1."""
-    for _ in range(_MAX_TRIES):
-        f = rng.standard_normal((2, 2))
-        if abs(np.linalg.det(f)) > 0.1:
-            return f
-    raise RuntimeError("could not sample a frame change")
+def sample_frame_change(rng) -> np.ndarray:
+    """Random 2x2 frame change f with |det f| > 0.1, or a stack (m, 2, 2)
+    with one per generator of a sequence rng."""
+    return _reject(rng, lambda r: r.standard_normal((2, 2)),
+                   lambda f, rows: (f, np.abs(np.linalg.det(f)) > 0.1), "a frame change")

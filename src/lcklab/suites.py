@@ -31,12 +31,15 @@ chart carries each point's region, so point i and its stencil stay on
 region i's component.  The foliation suites run on
 Hopf and Tricerri only, where c = +-4 or 1 is never null, so even a
 stack mixing regions never mixes Lee branches (the foliation layer
-would refuse one that did).  The synthetic-null suites draw a null Lee
-vector and keep the point's generator with its state; their check
-builds one stacked configuration (m, 2n) for all draws, whose screen
-splits are built on first read (prop4-null-leaf reads none), then resets
-each generator, draws the rest of its point from row i of the stack in
-the order a point-by-point run did, and evaluates the stack.
+would refuse one that did).  A synthetic-null draw holds variates too:
+its first null Lee candidate (standard_normal(2n)), its generator and
+the state after that candidate.  The check resets every generator to
+that state, finishes the Lee vectors on the stack (only rejected rows
+draw again), builds one stacked configuration (m, 2n) for all draws,
+whose screen splits are built on first read (prop4-null-leaf reads
+none), then draws the rest of every point with one stacked sampler call
+per quantity (row i from point i's generator; eq5's scale and shift per
+point), in the order a point-by-point run did, and evaluates the stack.
 levi-signature checks a constant of (n, s).
 Stacked rows carry single-point bits, so checking all draws equals
 checking each alone.  A batched check that meets a point fault is rerun
@@ -68,9 +71,9 @@ from .models import (
 )
 from .report import SCHEMA, RunConfig, SuiteResult, VerificationReport
 from .sampling import (
-    _Words, hopf_variates, point_states, sample_complement_vector, sample_flat,
-    sample_frame_change, sample_hopf, sample_null_config, sample_null_lee_vector,
-    sample_pair_frame, sample_pseudosphere, sample_tricerri, sample_unit_circle,
+    _null_lee_vectors, _Words, hopf_variates, point_states, sample_complement_vector,
+    sample_flat, sample_frame_change, sample_hopf, sample_null_config, sample_pair_frame,
+    sample_pseudosphere, sample_tricerri, sample_unit_circle,
 )
 from .semieuclid import FrameSubspace, contains_span, inner, same_span, signature_of
 
@@ -420,28 +423,28 @@ def _check_cr_tangential(model, lck, Z, coeffs):
 # ---------------------------------------------------------------------------
 
 def _draw_null(cfg, rng):
-    """A null Lee vector, then the point's generator and its state after
-    that vector: the check draws the rest of the point from that state."""
-    B = sample_null_lee_vector(cfg.n, cfg.s, rng)
-    return B, rng, rng.bit_generator.state
+    """The variates of the point's first null Lee candidate, then its
+    generator and the state after them: the check finishes the Lee vector
+    and draws the rest of the point from that state."""
+    return rng.standard_normal(2 * cfg.n), rng, rng.bit_generator.state
 
 
 def _null_stacked(evaluate, draw=None):
-    """A check of _draw_null draws: one configuration build c for the stack
-    of their Lee vectors, then, when given, draw(c, i, rng) for each point
-    i in draw order, reading row i of c, from its generator reset to the
-    state after its Lee vector, so each point's numbers come in the order
-    of a point-by-point run and a rerun of the same draws sees them again.
-    evaluate(c, *extras) gets c and each extra of draw stacked alike, and
-    returns the m residuals; c builds a screen split only if one is read."""
+    """A check of _draw_null draws.  It resets every generator to its state
+    after the first Lee candidate, so a rerun of the same draws sees the
+    same numbers, finishes the Lee vectors on the stack (only rejected
+    rows redraw), builds one configuration c of them and then, when given,
+    calls draw(c, rngs), which draws the rest of every point on the stack,
+    row i from rngs[i], in the order a point-by-point run did.
+    evaluate(c, *extras) gets c and draw's stacked extras, and returns the
+    m residuals; c builds a screen split only if one is read."""
     def check(cfg: RunConfig, draws: list) -> list:
-        c = sample_null_config(cfg.n, cfg.s, np.stack([d[0] for d in draws]))
-        extras = []
-        if draw is not None:
-            for i, (_, rng, state) in enumerate(draws):
-                rng.bit_generator.state = state
-                extras.append(draw(c, i, rng))
-        return [float(r) for r in evaluate(c, *(np.stack(x) for x in zip(*extras)))]
+        first, rngs, states = zip(*draws)
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        c = sample_null_config(cfg.n, cfg.s, _null_lee_vectors(cfg.n, cfg.s, np.stack(first), rngs))
+        extras = () if draw is None else draw(c, rngs)
+        return [float(r) for r in evaluate(c, *extras)]
     return check
 
 
@@ -458,12 +461,12 @@ def _off_screen(screen: FrameSubspace, form, V):
     return np.abs(np.matvec(screen.basis @ form.gram, V)).max(axis=-1, initial=0.0)
 
 
-def _draw_complement(c, i, rng):
-    return (sample_complement_vector(c.first_screen_perp[i], c.omega[i], rng),)
+def _draw_complement(c, rngs):
+    return (sample_complement_vector(c.first_screen_perp, c.omega, rngs),)
 
 
-def _pair_frame(c, i, rng):
-    return sample_pair_frame(c.screen_perp_basis[i], c.omega[i], c.theta[i], rng)
+def _pair_frame(c, rngs):
+    return sample_pair_frame(c.screen_perp_basis, c.omega, c.theta, rngs)
 
 
 def _check_eq8_transversal(c, V):
@@ -473,10 +476,10 @@ def _check_eq8_transversal(c, V):
     return np.maximum(resid, _off_screen(c.first_screen, c.form, N))
 
 
-def _draw_eq5(c, i, rng):
-    (V,), (V2,) = _draw_complement(c, i, rng), _draw_complement(c, i, rng)
-    scale = rng.uniform(0.2, 5.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    return V, V2, scale, rng.standard_normal()
+def _draw_eq5(c, rngs):
+    (V,), (V2,) = _draw_complement(c, rngs), _draw_complement(c, rngs)
+    scale = [r.uniform(0.2, 5.0) * (1.0 if r.uniform() < 0.5 else -1.0) for r in rngs]
+    return V, V2, np.array(scale), np.array([r.standard_normal() for r in rngs])
 
 
 def _check_eq5_invariance(c, V, V2, scale, shift):
@@ -499,8 +502,8 @@ def _check_lemma6_pair(c, V1, V2):
     return np.maximum(resid, np.abs(cross).max(axis=(-2, -1), initial=0.0))
 
 
-def _draw_lemma6_invariance(c, i, rng):
-    return (*_pair_frame(c, i, rng), sample_frame_change(rng))
+def _draw_lemma6_invariance(c, rngs):
+    return (*_pair_frame(c, rngs), sample_frame_change(rngs))
 
 
 def _check_lemma6_invariance(c, V1, V2, f):
@@ -510,9 +513,9 @@ def _check_lemma6_invariance(c, V1, V2, f):
     return np.maximum(np.abs(N1 - M1).max(axis=-1), np.abs(N2 - M2).max(axis=-1))
 
 
-def _draw_screen_splits(c, i, rng):
-    V = _draw_complement(c, i, rng)
-    return (*V, *_pair_frame(c, i, rng)) if c.n >= 3 else V
+def _draw_screen_splits(c, rngs):
+    V = _draw_complement(c, rngs)
+    return (*V, *_pair_frame(c, rngs)) if c.n >= 3 else V
 
 
 def _check_screen_splits(c, V, *frame):

@@ -439,30 +439,32 @@ def test_a_fault_at_draw_k_of_a_closed_form_suite_is_reported_at_k(monkeypatch, 
 
 
 @pytest.mark.parametrize("suite", NULL, ids=lambda s: s.name)
-def test_a_fault_at_draw_3_of_a_null_suite_is_named_as_point_by_point(suite):
-    # a zero Lee vector at draw 3 and a NaN one at draw 5: the stacked
-    # build meets the NaN first, the rerun one draw at a time names draw 3
+def test_a_fault_at_draw_3_of_a_null_suite_is_named_as_point_by_point(monkeypatch, suite):
+    # a zero Lee vector at draw 3 and a NaN one at draw 5, planted where the
+    # stacked sampler finishes those draws' rows (a draw holds its first
+    # candidate's variates): the stacked build meets the NaN first, the
+    # rerun one draw at a time names draw 3
     cfg = RunConfig(model="synthetic-null", n=3, s=1, points=6, seed=42)
-    calls = []
+    draws = _draws(suite, cfg)
+    bad = {draws[3][0].tobytes(): 0.0, draws[5][0].tobytes(): np.nan}
+    finish = suites_mod._null_lee_vectors
 
-    def planted(cfg, rng):
-        B, *rest = suite.draw(cfg, rng)
-        calls.append(1)
-        bad = {4: np.zeros_like(B), 6: np.full_like(B, np.nan)}
-        return (bad.get(len(calls), B), *rest)
+    def planted(n, s, first, rngs):
+        B = finish(n, s, first, rngs)
+        for i, x in enumerate(first):
+            B[i] = bad.get(x.tobytes(), B[i])
+        return B
 
-    faulty = replace(suite, draw=planted)
+    monkeypatch.setattr(suites_mod, "_null_lee_vectors", planted)
     with np.errstate(invalid="ignore"):
-        result = _run_suite(cfg, faulty, _point_states(cfg, [faulty])[0])
-        calls.clear()
-        draws = _draws(faulty, cfg)
+        result = _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
         with pytest.raises(np.linalg.LinAlgError):
             suite.check(cfg, draws)
-        _, expected, bad = _point_by_point(suite, cfg, draws)
+        _, expected, named = _point_by_point(suite, cfg, draws)
     assert result.verdict == "error"
     assert expected == "DegenerateSubspaceError: basis vectors are not linearly independent"
     assert result.error == expected
-    assert not bad[0].any()
+    assert named is draws[3]
 
 
 def test_a_fault_while_drawing_follows_the_earlier_points():

@@ -87,7 +87,7 @@ class TestVectorComponents:
         w = real_vector([0.3 - 1j, 2.0])
         assert np.array_equal(conj_vector(w), w)
 
-    @pytest.mark.parametrize("factor, real", [(10.0, False), (0.1, True)])
+    @pytest.mark.parametrize("factor, real", [(10.0, False), (0.9, True), (0.1, True)])
     def test_reality_check_uses_the_named_tolerance(self, factor, real):
         v = real_vector([2.0, -0.5j])
         v[2] += factor * REAL_VECTOR_TOL * 2.0   # relative to max(1, max |component|) = 2
@@ -96,6 +96,19 @@ class TestVectorComponents:
         else:
             with pytest.raises(ValueError, match="not real"):
                 real_coords(v)
+
+    def test_each_point_of_a_stack_is_judged_against_its_own_scale(self):
+        v = real_vector([1.0, 0.0])
+        v[2:] += 1e-7                                  # off by 1e-7 at scale 1
+        with pytest.raises(ValueError, match="not real"):
+            real_coords(v)
+        # a large neighbour does not widen the point's tolerance
+        with pytest.raises(ValueError, match="not real"):
+            real_coords(np.stack([real_vector([1e6, 0.0]), v]))
+        # nor does a small one narrow its own: 1e-7 is within 1e-12 of 1e6
+        w = real_vector([1e6, 0.0])
+        w[2:] += 1e-7
+        assert real_coords(np.stack([w, real_vector([1.0, 0.0])])).shape == (2, 4)
 
     def test_real_gram_matches_hermitian_pairing(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from lcklab import suites as suites_mod
 from lcklab.models import CONE_MARGIN, HopfModel, hopf_chart
 from lcklab.report import RunConfig
 from lcklab.sampling import (
-    _Words, hopf_variates, point_states, sample_hopf, sample_null_config,
-    sample_null_lee_vector, sample_pseudosphere,
+    _Words, hopf_variates, point_states, sample_complement_vector, sample_frame_change,
+    sample_hopf, sample_null_config, sample_null_lee_vector, sample_pair_frame,
+    sample_pseudosphere,
 )
 from lcklab.semieuclid import SemiEuclideanForm
 from lcklab.suites import SUITES, run_config
@@ -164,6 +167,101 @@ class TestNullConfigForm:
         cfg = sample_null_config(3, 1, sample_null_lee_vector(3, 1, np.random.default_rng(2)))
         with pytest.raises(ValueError):
             cfg.form.gram[0, 0] = 1.0
+
+
+# The point-by-point rejection loops the stacked samplers replaced, as
+# the reference for their bits and generator states.
+def _loop_lee(n, s, rng):
+    while True:
+        neg, pos = rng.standard_normal(2 * s), rng.standard_normal(2 * (n - s))
+        nn, pn = math.sqrt(neg @ neg), math.sqrt(pos @ pos)
+        if nn >= 0.3 and pn >= 0.3:
+            return np.concatenate([neg / nn, pos / pn])
+
+
+def _loop_complement(sperp, omega, rng):
+    while True:
+        V = rng.standard_normal(sperp.shape[0]) @ sperp
+        if abs(float(omega @ V)) > 0.1 * math.sqrt(V @ V):
+            return V
+
+
+def _loop_pair_frame(sperp, omega, theta, rng):
+    while True:
+        V1 = rng.standard_normal(sperp.shape[0]) @ sperp
+        V2 = rng.standard_normal(sperp.shape[0]) @ sperp
+        t1, w1 = float(theta @ V1), float(omega @ V1)
+        t2, w2 = float(theta @ V2), float(omega @ V2)
+        scale = max(math.sqrt(V1 @ V1) * math.sqrt(V2 @ V2), 1e-30)
+        if abs(t1 * w2 - w1 * t2) > 0.05 * scale:
+            return np.stack([V1, V2])
+
+
+def _loop_frame_change(rng):
+    while True:
+        f = rng.standard_normal((2, 2))
+        if abs(np.linalg.det(f)) > 0.1:
+            return f
+
+
+# Row seeds [n, s, i]: i < 64, where each of the complement, pair-frame
+# and frame-change samplers rejects some row's first candidate, and one
+# more i, found by search, whose first null Lee candidate is rejected (at
+# (4, 2) both blocks have four components, so a block norm below 0.3 is
+# rare).
+LEE_REJECTED = {(2, 1): 7, (3, 1): 7, (4, 2): 198, (6, 5): 56}
+
+
+@pytest.mark.parametrize("n, s", LEE_REJECTED)
+def test_stacked_null_samplers_give_each_row_the_one_row_call(n, s):
+    rows = [*range(64), LEE_REJECTED[n, s]]
+    stacked = [np.random.default_rng([n, s, i]) for i in rows]
+    alone, loop = copy.deepcopy(stacked), copy.deepcopy(stacked)
+
+    def compare(name, sample, reference, first):
+        """sample(rngs, at) on the stack and on each row alone, against the
+        loop; returns the stack and the rows whose first candidate was
+        rejected."""
+        probes = copy.deepcopy(alone)
+        for g in probes:
+            first(g)
+        out = sample(stacked, slice(None))
+        assert out.shape[0] == len(rows)
+        for i, g in enumerate(alone):
+            one, ref = sample(g, i), reference(loop[i], i)
+            assert out[i].tobytes() == one.tobytes() == ref.tobytes(), (name, rows[i])
+            assert stacked[i].bit_generator.state == g.bit_generator.state == \
+                loop[i].bit_generator.state, (name, rows[i])
+        retried = [i for i, p, g in zip(rows, probes, alone)
+                   if p.bit_generator.state != g.bit_generator.state]
+        assert retried, name   # some row's first candidate was rejected
+        return out, retried
+
+    B, retried = compare("null Lee vector", lambda rng, at: sample_null_lee_vector(n, s, rng),
+                         lambda g, i: _loop_lee(n, s, g), lambda g: g.standard_normal(2 * n))
+    assert LEE_REJECTED[n, s] in retried
+    c = sample_null_config(n, s, B)
+    compare("complement vector",
+            lambda rng, at: sample_complement_vector(c.first_screen_perp[at], c.omega[at], rng),
+            lambda g, i: _loop_complement(c.first_screen_perp[i], c.omega[i], g),
+            lambda g: g.standard_normal(2))
+    compare("pair frame",
+            lambda rng, at: np.stack(sample_pair_frame(c.screen_perp_basis[at], c.omega[at],
+                                                       c.theta[at], rng), axis=-2),
+            lambda g, i: _loop_pair_frame(c.screen_perp_basis[i], c.omega[i], c.theta[i], g),
+            lambda g: g.standard_normal((2, c.screen_perp_basis.shape[-2])))
+    compare("frame change", lambda rng, at: sample_frame_change(rng),
+            lambda g, i: _loop_frame_change(g), lambda g: g.standard_normal((2, 2)))
+
+
+def test_a_single_point_keeps_its_call_and_shape():
+    rng = np.random.default_rng(5)
+    c = sample_null_config(3, 1, sample_null_lee_vector(3, 1, rng))
+    assert c.B.shape == (6,)
+    assert sample_complement_vector(c.first_screen_perp, c.omega, rng).shape == (6,)
+    V1, V2 = sample_pair_frame(c.screen_perp_basis, c.omega, c.theta, rng)
+    assert V1.shape == V2.shape == (6,)
+    assert sample_frame_change(rng).shape == (2, 2)
 
 
 @pytest.mark.parametrize("n, s", [(12, 11), (16, 15)])
