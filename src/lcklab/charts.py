@@ -36,14 +36,16 @@ Conventions
   Constant evaluators broadcast over the stack.  lck.lee_data memoizes
   per stack, keyed by its shape and bytes, so the derivatives taken at
   one base point share one stacked evaluation.
-* Stacks of base points: christoffel (and a chart's closed form),
-  koszul_christoffel, covariant_derivative, lie_bracket and
-  wirtinger_derivative take a point z (n,) or a stack (m, n) of base
-  points, with one step fd_step per point; the stencil of a stack is
-  (8n, m, n), so per-point parameters of shape (m, ...) broadcast
+* Stacks of base points: the leading axes of an array are its stack,
+  and a point z (n,) is a stack with no leading axes.  christoffel (and
+  a chart's closed form), koszul_christoffel, covariant_derivative,
+  lie_bracket and wirtinger_derivative take a stack (..., n) of base
+  points, with one step fd_step per point; the stencil of a stack (m, n)
+  is (8n, m, n), so per-point parameters of shape (m, ...) broadcast
   against it, and derivatives come back indexed [m, l, ...].  Fixed
-  vectors may carry one vector per point.  Domain faults name the first
-  failing point in row order.
+  vectors may carry one vector per point.  A per-point result is an
+  array of the stack's shape.  Domain faults name the first failing
+  point in row order.
 * Stacked evaluators give each row the bits of a single-point call:
   they use elementwise arithmetic, np.vecdot, np.matvec, einsum and
   numpy's stacked linear algebra, which round per row as at a single
@@ -62,7 +64,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .semieuclid import SemiEuclideanForm, _per_point, _self_adjoint
+from .semieuclid import SemiEuclideanForm, _self_adjoint
 
 __all__ = [
     "MetricChart",
@@ -292,17 +294,16 @@ def _stencil(z: np.ndarray, h) -> np.ndarray:
     n = z.shape[-1]
     lead = z.shape[:-1]
     steps = np.multiply.outer(np.array(_steps(h)), (1.0, 1j))   # t and i t
-    if lead:
-        steps = np.moveaxis(steps, -1, 1)             # [step, re/im, ...]
+    steps = np.moveaxis(steps, -1, 1)                 # [step, re/im, ...]
     eye = np.eye(n).reshape((n,) + (1,) * len(lead) + (n,))
     return z + steps[:, :, None, ..., None] * eye
 
 
 def wirtinger_derivative(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, *,
                          chart: MetricChart) -> tuple[np.ndarray, np.ndarray]:
-    """(d fn/dz^l, d fn/dzbar^l) for an array-valued function of z, at a
-    point z (n,) or at every point of a stack z (..., n), with the step
-    fd_step(z), one per point.
+    """(d fn/dz^l, d fn/dzbar^l) for an array-valued function of z, at
+    every point of a stack z (..., n), with the step fd_step(z), one per
+    point.
 
     fn is called once, on the whole stencil: an (8n, n) array for a point
     and an (8n, ..., n) array for a stack, which keeps the stack axes so
@@ -322,14 +323,11 @@ def wirtinger_derivative(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, 
     if f.shape[:len(head)] != head:
         raise ValueError(f"fn must return one value per stencil point: leading axes "
                          f"{head} for an {head + (n,)} stack, got shape {f.shape}")
-    hh = np.asarray(h, dtype=float)
-    if hh.ndim:
-        hh = hh.reshape(lead + (1,) * (f.ndim - len(head)))
-    dx, dy = _richardson(f.reshape((4, 2, n) + f.shape[1:]), hh)
-    if lead:   # l after the stack axes, contiguous as at a single point: a
-        # strided operand can change how a later dot product rounds
-        dx = np.ascontiguousarray(np.moveaxis(dx, 0, len(lead)))
-        dy = np.ascontiguousarray(np.moveaxis(dy, 0, len(lead)))
+    hh = np.reshape(h, lead + (1,) * (f.ndim - len(head)))
+    # l after the stack axes, contiguous as at a single point: a strided
+    # operand can change how a later dot product rounds
+    dx, dy = (np.ascontiguousarray(np.moveaxis(d, 0, len(lead)))
+              for d in _richardson(f.reshape((4, 2, n) + f.shape[1:]), hh))
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
@@ -367,8 +365,8 @@ def _require_stencil_domain(chart: MetricChart, z: np.ndarray, stencil: np.ndarr
 # ---------------------------------------------------------------------------
 
 def _max_abs(x: np.ndarray, core: int):
-    """max |x| over the last `core` axes, per point (see _per_point)."""
-    return _per_point(np.abs(x).max(axis=tuple(range(-core, 0))))
+    """max |x| over the last `core` axes, per point of a stack."""
+    return np.abs(x).max(axis=tuple(range(-core, 0)))
 
 
 def _metric_derivative_tensor(chart: MetricChart, z: np.ndarray) -> np.ndarray:

@@ -37,22 +37,25 @@ def list_suites(stream=None) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = RunConfig(model="")
     p = argparse.ArgumentParser(
         prog="lcklab",
         description="Pointwise verification suites for indefinite locally "
                     "conformal Kahler model geometries.")
     p.add_argument("--model", choices=list(MODELS),
                    help="model geometry the suites sample from")
-    p.add_argument("--n", type=int, default=2, help="complex dimension (default 2)")
-    p.add_argument("--s", type=int, default=1, help="index parameter (default 1)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                   help="deck scaling factor in (0, 1) (default 0.5)")
-    p.add_argument("--points", type=int, default=100,
-                   help="sample points per suite (default 100)")
-    p.add_argument("--tol-analytic", type=float, default=1e-9,
-                   help="tolerance for analytic identities (default 1e-9)")
-    p.add_argument("--tol-fd", type=float, default=1e-6,
-                   help="tolerance for finite-difference paths (default 1e-6)")
+    p.add_argument("--n", type=int, default=defaults.n,
+                   help="complex dimension (default %(default)s)")
+    p.add_argument("--s", type=int, default=defaults.s,
+                   help="index parameter (default %(default)s)")
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
+                   help="deck scaling factor in (0, 1) (default %(default)s)")
+    p.add_argument("--points", type=int, default=defaults.points,
+                   help="sample points per suite (default %(default)s)")
+    p.add_argument("--tol-analytic", type=float, default=defaults.tol_analytic,
+                   help="tolerance for analytic identities (default %(default)s)")
+    p.add_argument("--tol-fd", type=float, default=defaults.tol_fd,
+                   help="tolerance for finite-difference paths (default %(default)s)")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (fallback: LCKLAB_SEED, then 0)")
     p.add_argument("--suites", default="all",

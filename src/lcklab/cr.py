@@ -10,13 +10,14 @@ the unit circle, chart-image radii inside the fundamental annulus, and
 the Cayley picture of the leaves as Siegel-domain boundaries with their
 Levi signature.
 
-Stacks: cr_fibre takes a point z (n,) or a stack (m, n); a stacked
-CRFibre gains a leading axis of length m on every member, and
-tangential_cr_residual, levi_form and levi_flat_detector then return one
-value per point (V and W one vector per point).  The leaf bookkeeping
-takes stacks too: leaf_label and label_from_w give a LeafLabel whose
-fields hold one value per point, leaf_chart_image_check one w and one
-set of samples per point, and cayley_cr_residual one residual per point.
+Stacks: cr_fibre takes a stack of points (..., n), a point (n,) being a
+stack with no leading axes; every member of a CRFibre carries the
+stack's axes first, and tangential_cr_residual, levi_form and
+levi_flat_detector return one value per point, an array of the stack's
+shape (V and W one vector per point).  The leaf bookkeeping takes stacks
+too: leaf_label and label_from_w give a LeafLabel whose fields hold one
+value per point, leaf_chart_image_check one w and one set of samples
+(..., k, n) per point, and cayley_cr_residual one residual per point.
 Each row carries the bits of the single-point call.  The Siegel-boundary
 Levi data are constants of (n, s).
 """
@@ -33,7 +34,7 @@ from .charts import (
 )
 from .lck import LCKStructure, _nonsingular, lee_data
 from .models import HopfModel, cayley, eps_signs
-from .semieuclid import FrameSubspace, _kernel, _lstsq_rows, _per_point
+from .semieuclid import FrameSubspace, _kernel, _lstsq_rows
 
 __all__ = [
     "CRFibre", "LeafLabel", "cr_fibre", "tangential_cr_residual",
@@ -88,13 +89,13 @@ def cr_fibre(lck: LCKStructure, z) -> CRFibre:
     rows = np.stack([real_coords(cr), real_coords(apply_j(cr))], axis=-2)   # V_k, J V_k, ...
     rows = rows.reshape(z.shape[:-1] + (-1, 2 * z.shape[-1]))
     levi_H = FrameSubspace._orthonormal(data.form, rows)
-    marker = np.where(np.asarray(data.non_null)[..., None], data.A, data.B)
+    marker = np.where(data.non_null[..., None], data.A, data.B)
     return CRFibre(point=z, t10=t10, levi_H=levi_H, characteristic=marker)
 
 
 def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):
     """max |Zbar(f)| over a basis of the conjugate CR bundle at z = fib.point,
-    a float at a point and an array for a stacked fibre of lck.
+    per point of the fibre's stack.
 
     f is an ambient scalar function near z, taking a stack of points (see
     the charts module docstring); its restriction to the leaf is CR at z
@@ -104,7 +105,7 @@ def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):
     _, d_dzb = wirtinger_derivative(f, fib.point, chart=lck.chart)
     # T01 = conj(T10): Zbar(f) contracts conj components with dzbar
     vals = np.matvec(fib.t10.conj().swapaxes(-1, -2), d_dzb)
-    return _per_point(np.abs(vals).max(axis=-1, initial=0.0))
+    return np.abs(vals).max(axis=-1, initial=0.0)
 
 
 def _t10_projected_field(lck: LCKStructure, v0: np.ndarray):
@@ -120,7 +121,7 @@ def _t10_projected_field(lck: LCKStructure, v0: np.ndarray):
 
 def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
     """Levi form L(V, Wbar) = i * (characteristic component of [V, Wbar]),
-    a complex at a point and an array for a stacked fibre.
+    per point of the fibre's stack.
 
     V, W are type-(1,0) vectors in the CR fibre fib of lck at z = fib.point
     (holomorphic component arrays, one per point of a stack); they are
@@ -141,7 +142,7 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
     cr = real_vector(fib.t10.swapaxes(-1, -2))
     M = np.concatenate([cr, apply_j(cr), fib.characteristic[..., None, :]],
                        axis=-2).swapaxes(-1, -2)
-    return _per_point(1j * _lstsq_rows(M, br)[..., -1])
+    return 1j * _lstsq_rows(M, br)[..., -1]
 
 
 def levi_flat_detector(lck: LCKStructure, fib: CRFibre):
@@ -153,7 +154,7 @@ def levi_flat_detector(lck: LCKStructure, fib: CRFibre):
         for b in range(fib.t10.shape[-1]):
             worst = np.maximum(worst, np.abs(levi_form(lck, fib, fib.t10[..., a],
                                                        fib.t10[..., b])))
-    return _per_point(worst < LEVI_FLAT_TOL)
+    return worst < LEVI_FLAT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -162,26 +163,26 @@ def levi_flat_detector(lck: LCKStructure, fib: CRFibre):
 
 @dataclass(frozen=True)
 class LeafLabel:
-    """Circle label of a leaf, with its chart-image radius data (each field
-    one value per point for a stacked label).
+    """Circle label of a leaf, with its chart-image radius data, each
+    field one value per point of a stack.
 
     Labels are deck invariant: two labels name the same leaf iff their w
     agree.
     """
 
-    w: complex
-    a: float
-    chart_radius: float
+    w: np.ndarray              # complex
+    a: np.ndarray              # float
+    chart_radius: np.ndarray   # float
 
     def same_leaf(self, other: "LeafLabel"):
         """True iff |w - w'| <= SAME_LEAF_TOL, per point of stacked labels."""
-        d = np.asarray(self.w - other.w)
-        return _per_point(np.hypot(d.real, d.imag) <= SAME_LEAF_TOL)
+        d = self.w - other.w
+        return np.hypot(d.real, d.imag) <= SAME_LEAF_TOL
 
 
 def leaf_label(model: HopfModel, z) -> LeafLabel:
     """Label of the leaf through z: w = exp(2 pi i log|z|_{s,n} / log lambda),
-    at a point or per point of a stack.
+    per point of a stack.
 
     a = arg(w) / (2 pi log lambda) and the chart radius is
     lambda^{-floor(a)} e^{arg(w)/(2 pi)}, the radius of the pseudosphere
@@ -197,21 +198,20 @@ def leaf_label(model: HopfModel, z) -> LeafLabel:
 
 
 def label_from_w(model: HopfModel, w) -> LeafLabel:
-    """Label built directly from a unit-circle value, or from each of a
-    stack of them."""
+    """Label built directly from unit-circle values, one per point of a
+    stack."""
     w = np.asarray(w, dtype=complex)
     if np.any(np.abs(np.hypot(w.real, w.imag) - 1.0) > UNIT_CIRCLE_TOL):
         raise ValueError("leaf labels lie on the unit circle")
     arg = np.angle(w) % (2.0 * np.pi)
     a = arg / (2.0 * np.pi * np.log(model.lam))
     radius = np.float_power(model.lam, -np.floor(a)) * np.exp(arg / (2.0 * np.pi))
-    return LeafLabel(w=_per_point(w), a=_per_point(a), chart_radius=_per_point(radius))
+    return LeafLabel(w=w, a=a, chart_radius=radius)
 
 
 def leaf_chart_image_check(model: HopfModel, w, samples):
-    """Max residual of the chart-image radius over pseudosphere samples:
-    for one w and samples (k, n) or (n,), or per point of a stack of w
-    (m,) with samples (m, k, n).
+    """Max residual of the chart-image radius over pseudosphere samples,
+    per point of a stack of w (...) with samples (..., k, n).
 
     For each unit-pseudosphere sample zeta, the representative
     (chart_radius * zeta) must have |.|_{s,n} equal to the radius and lie
@@ -221,17 +221,15 @@ def leaf_chart_image_check(model: HopfModel, w, samples):
     shifted-annulus chart instead.
     """
     label = label_from_w(model, w)
-    a, radius = np.asarray(label.a), np.asarray(label.chart_radius)
+    a, radius = label.a, label.chart_radius
     if np.any(np.minimum(a - np.floor(a), np.ceil(a) - a) <= EXCLUDED_LEAF_TOL):
         raise ValueError("excluded leaf: use the shifted annulus chart "
                          "(integer chart index)")
     samples = np.asarray(samples, dtype=complex)
-    if a.ndim == 0:
-        samples = np.atleast_2d(samples)
     norms = model.norm_sn(radius[..., None, None] * samples)
     worst = np.abs(norms - radius[..., None]).max(axis=-1)
     inside = (model.lam < norms) & (norms < 1.0)
-    return _per_point(np.where(inside.all(axis=-1), worst, np.maximum(worst, 1.0)))
+    return np.where(inside.all(axis=-1), worst, np.maximum(worst, 1.0))
 
 
 def leaf_extension_hypothesis(n: int, s: int) -> bool:
@@ -270,8 +268,8 @@ def siegel_levi_signature(n: int, s: int) -> tuple[int, int]:
 
 
 def cayley_cr_residual(model: HopfModel, r: float, z):
-    """CR compatibility of the Cayley transform at a pseudosphere point, or
-    per point of a stack.
+    """CR compatibility of the Cayley transform, per point of a stack of
+    pseudosphere points.
 
     Pushes every CR-fibre generator at z through the holomorphic
     Jacobian of the transform and measures how far the image is from
@@ -303,4 +301,4 @@ def cayley_cr_residual(model: HopfModel, r: float, z):
         # of them at once sums in another order
         val = np.vecdot(drho.conj(), np.matvec(jac, t10[..., k]))
         worst = np.maximum(worst, np.hypot(val.real, val.imag))   # abs() of a Python complex
-    return _per_point(worst)
+    return worst

@@ -17,11 +17,11 @@ forms are tensorial in their arguments.
 
 Stacks: the fibres, gauss_weingarten, h_P_residual,
 integrability_residual and complex_submanifold_mean_curvature take a
-point z (n,) or a stack of points (m, n).
-For a stack every member of the result gains a leading stack axis
-(FoliationFibre holds stacked FrameSubspaces over a stacked form, scalar
-residuals become arrays), and each row carries the bits of the
-single-point call.  The points of one stack must share a Lee branch:
+stack of points (..., n), a point (n,) being a stack with no leading
+axes.  Every member of the result carries the stack's axes first
+(FoliationFibre holds stacked FrameSubspaces over a stacked form, and a
+residual is an array of the stack's shape), and each row carries the
+bits of the single-point call.  The points of one stack must share a Lee branch:
 all non-null or all null; a mixed stack raises ValueError.
 """
 
@@ -52,7 +52,6 @@ from .semieuclid import (
     _complement_within,
     _full_rank,
     _kernel,
-    _per_point,
     inner,
     orthogonal_complement,
 )
@@ -73,7 +72,7 @@ class FoliationFibre:
     """Pointwise data of a foliation: tangent fibre and its splitting."""
 
     point: np.ndarray
-    c: float            # an (m,) array for a stack
+    c: np.ndarray       # g(B, B), per point of the stack
     tangent: FrameSubspace
     radical: FrameSubspace
     screen: FrameSubspace
@@ -87,12 +86,11 @@ def _lck_point(lck: LCKStructure, z: np.ndarray) -> tuple[LeeData, SemiEuclidean
 
 
 def _lee_branch(data: LeeData) -> bool:
-    """True when the Lee field is non-null at the point, or at every point
-    of the stack; False when it is null at every point."""
-    non_null = np.asarray(data.non_null)
-    if non_null.all():
+    """True when the Lee field is non-null at every point of the stack,
+    False when it is null at every point."""
+    if data.non_null.all():
         return True
-    if non_null.any():
+    if data.non_null.any():
         raise ValueError("stack mixes null and non-null Lee fields")
     return False
 
@@ -194,11 +192,10 @@ def _transversal_part(data: LeeData, fibre: FoliationFibre, w: np.ndarray) -> np
 
 
 def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y,
-                     z) -> tuple[np.ndarray, float]:
+                     z) -> tuple[np.ndarray, np.ndarray]:
     """(h, h_symmetry_residual): the transversal part h = tra(nabla_X Y)
     against the fibre decomposition, and max |h(X, Y) - h(Y, X)| relative
-    to the transversal's size (a float at a point, an (m,) array for a
-    stack).
+    to the transversal's size, per point of the stack.
 
     X, Y are tangent vectors at z in real interleaved coordinates,
     extended as sections of the tangent distribution by pointwise
@@ -260,9 +257,8 @@ def _plane_projection_residual(plane: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def integrability_residual(lck: LCKStructure, z):
-    """Euclidean norm of [A, B] after projecting out span{A, B}, at a point
-    (a float) or at each point of a stack (an array), from a stencil on
-    the chart's domain."""
+    """Euclidean norm of [A, B] after projecting out span{A, B}, per point
+    of a stack, from a stencil on the chart's domain."""
     z = np.asarray(z, dtype=complex)
     data = _nonsingular(lee_data(lck, z))
     Afield, Bfield = (lambda p: lee_data(lck, p).A), (lambda p: lee_data(lck, p).B)
@@ -323,8 +319,8 @@ def _lee_plane_connection(lck: LCKStructure, z: np.ndarray, gamma: np.ndarray) -
 
 
 def h_P_residual(lck: LCKStructure, z, nabla: dict | None = None):
-    """Max transversal component of nabla_X Y over X, Y in {A, B}, at a
-    point (a float) or at each point of a stack (an array).
+    """Max transversal component of nabla_X Y over X, Y in {A, B}, per
+    point of a stack.
 
     On parallel-Lee charts with c != 0 this is the second fundamental
     form of the Lee/anti-Lee plane and must vanish; nabla_A A = 0 is part
@@ -342,14 +338,14 @@ def h_P_residual(lck: LCKStructure, z, nabla: dict | None = None):
     for nXY in (real_coords(nabla[k]) for k in ("AA", "AB", "BA", "BB")):
         if non_null:
             # g-projection onto the plane, remainder is transversal
-            coeffA = np.asarray(inner(form, nXY, e0) / data.c)[..., None]
-            coeffB = np.asarray(inner(form, nXY, e1) / data.c)[..., None]
+            coeffA = (inner(form, nXY, e0) / data.c)[..., None]
+            coeffB = (inner(form, nXY, e1) / data.c)[..., None]
             resid = nXY - coeffA * e0 - coeffB * e1
         else:
             resid = _plane_projection_residual(_rows(e0, e1), nXY)
         r = np.abs(resid).max(axis=-1)
         worst = r if worst is None else np.maximum(worst, r)
-    return _per_point(worst)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +379,8 @@ def _hermitian_orthonormal_frame(H: np.ndarray, cols: np.ndarray):
 
 def complex_submanifold_mean_curvature(lck: LCKStructure, z, jac):
     """Second-fundamental-form law and mean curvature of the complex
-    affine subspace through z spanned by the columns of jac (n, m), at a
-    point z (n,) (floats) or at each point of a stack (k, n) (arrays).
+    affine subspace through z spanned by the columns of jac (n, m), per
+    point of a stack z (..., n).
 
     Returns (eq_residual, mean_offset): the first is the worst residual
     of h(JX, JY) + h(X, Y) + g(X, Y) Bperp over frame pairs, the second
@@ -449,4 +445,4 @@ def complex_submanifold_mean_curvature(lck: LCKStructure, z, jac):
         Hmean = Hmean + signs[..., a, None] * diagonal[a]
     Hmean = Hmean / (2.0 * m)
     mean_offset = np.abs(Hmean + 0.5 * Bperp).max(axis=-1)
-    return _per_point(eq_residual), _per_point(mean_offset)
+    return eq_residual, mean_offset

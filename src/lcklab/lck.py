@@ -81,8 +81,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeeData:
-    """Pointwise Lee apparatus at z, or at each point of a stack z of
-    shape (m, n), when every member gains a leading axis of length m.
+    """Pointwise Lee apparatus at each point of a stack z (..., n): every
+    member carries the stack's axes first.
 
     The cached members hold B and A in real interleaved coordinates, the
     real Gram, omega and theta as real covectors and the null test of c;
@@ -95,7 +95,7 @@ class LeeData:
     A: np.ndarray       # frame components of the anti-Lee field
     omega: np.ndarray   # frame components of the Lee form
     theta: np.ndarray   # frame components of the anti-Lee form
-    c: float            # g(B, B); an (m,) array for a stack
+    c: np.ndarray       # g(B, B), per point
     H: np.ndarray       # metric components g_{j kbar}, as MetricChart.hermitian
     G: np.ndarray       # complexified Gram, as MetricChart.gram_full
     s: int              # the chart's s: the real form has index 2s
@@ -121,7 +121,7 @@ class LeeData:
         return _read_only(np.matvec(self.real_gram, self.A_real))
 
     @cached_property
-    def non_null(self) -> bool:
+    def non_null(self) -> np.ndarray:
         return _non_null(self.c, self.B_real)
 
     @cached_property
@@ -132,7 +132,7 @@ class LeeData:
                                  gram=self.real_gram)
 
 
-def _non_null(c: float, Breal: np.ndarray) -> bool:
+def _non_null(c: np.ndarray, Breal: np.ndarray) -> np.ndarray:
     """c = g(B, B) is nonzero relative to the Euclidean size max(1, |B|^2)
     of the Lee field B in real interleaved coordinates (per point)."""
     return np.abs(c) > NULL_C_TOL * np.maximum(1.0, np.vecdot(Breal, Breal))
@@ -148,8 +148,8 @@ def _nonsingular(data: LeeData) -> LeeData:
 
 
 def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
-    """Raise the Lee form and assemble A, theta and c at a point z,
-    shape (n,), or at every point of a stack, shape (m, n).
+    """Raise the Lee form and assemble A, theta and c at every point of a
+    stack z (..., n), a point (n,) being a stack with no leading axes.
 
     Memoized on the structure, one entry per distinct point or stack,
     keyed by its shape and bytes: the derivatives taken at one base point
@@ -224,8 +224,8 @@ def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray) -> np.ndarray:
 
 
 def parallel_lee_residual(lck: LCKStructure, z: np.ndarray):
-    """max_{A,B} |(nabla_{Z_A} omega)(Z_B)| over the coordinate frame, at a
-    point (a float) or at each point of a stack (an array).
+    """max_{A,B} |(nabla_{Z_A} omega)(Z_B)| over the coordinate frame, per
+    point of a stack.
 
     (nabla_X omega)(Y) = X(omega(Y)) - omega(nabla_X Y); for frame fields
     the second term contracts the connection coefficients with omega.  The

@@ -13,8 +13,9 @@
   and the Cayley transform onto the Siegel-domain boundary.
 
 Stacks: the charts, HopfModel.b / .a / .norm_sn and every quotient map
-take a point (n,) or a stack (m, n) and return one value per point of a
-stack, each row with the bits of the single-point call: fibration_split
+take a stack (..., n), a point (n,) being a stack with no leading axes,
+and return one value per point, an array of the stack's shape, each row
+with the bits of the single-point call: fibration_split
 (stacked FrameSubspaces), submersion_isometry_residual (one u and v per
 point), deck_equivalent (NaN where no power matches), hopf_diffeo and
 its inverse, torus_pullback_isometry_residual and retraction (one t per
@@ -31,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import (
-    ChartDomainError, MetricChart, _bilinear, _norms, _richardson, _steps, real_coords,
+    ChartDomainError, MetricChart, _bilinear, _norms, _require_domain, _richardson, _steps,
+    real_coords,
 )
 from .lck import LCKStructure, lee_data
-from .semieuclid import FrameSubspace, _per_point, orthogonal_complement, signature_of
+from .semieuclid import FrameSubspace, orthogonal_complement, signature_of
 
 __all__ = [
     "HopfModel", "eps_signs", "b_form",
@@ -67,15 +69,15 @@ def eps_signs(n: int, s: int) -> np.ndarray:
 
 
 def b_form(s: int, n: int, z, w):
-    """Hermitian form -sum_{j<=s} z_j conj(w_j) + sum_{j>s} z_j conj(w_j):
-    a complex for one pair of vectors, an array per pair of a stack (..., n)."""
+    """Hermitian form -sum_{j<=s} z_j conj(w_j) + sum_{j>s} z_j conj(w_j),
+    per pair of vectors of stacks (..., n)."""
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if z.shape[-1:] != (n,) or w.shape[-1:] != (n,):
         raise ValueError(f"arguments must be vectors of length {n}")
-    return _per_point(np.sum(eps_signs(n, s) * z * w.conj(), axis=-1))
+    return np.sum(eps_signs(n, s) * z * w.conj(), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -104,14 +106,14 @@ class HopfModel:
 
     def norm_sn(self, z):
         """|z|_{s,n} = |b(z,z)|^(1/2), per point of a stack."""
-        return _per_point(np.sqrt(np.abs(self.b(z))))
+        return np.sqrt(np.abs(self.b(z)))
 
     def a(self, z):
         """Sign of b(z,z), per point of a stack; raises on the null cone."""
         b = self.b(z)
         if np.any(b == 0.0):
             raise ChartDomainError("point lies on the null cone")
-        return _per_point(np.where(b > 0, 1.0, -1.0))
+        return np.where(b > 0, 1.0, -1.0)
 
 
 def _constant(value: np.ndarray):
@@ -313,9 +315,9 @@ def tricerri_chart(n: int, s: int) -> LCKStructure:
 # ---------------------------------------------------------------------------
 
 def deck_equivalent(model: HopfModel, z, zp):
-    """Integer m with zp = lambda^m z componentwise (to within DECK_TOL
-    relative to max(1, |zp|)), or None; per point of stacks z, zp (m, n), a
-    float array of the powers with NaN for None."""
+    """The power m with zp = lambda^m z componentwise (to within DECK_TOL
+    relative to max(1, |zp|)), or NaN where no power matches: a float
+    array with one value per point of stacks z, zp (..., n)."""
     z = np.asarray(z, dtype=complex)
     zp = np.asarray(zp, dtype=complex)
     nz, nzp = _norms(z), _norms(zp)
@@ -326,23 +328,20 @@ def deck_equivalent(model: HopfModel, z, zp):
         with np.errstate(invalid="ignore"):
             gap = np.abs(zp - np.float_power(model.lam, m)[..., None] * z).max(axis=-1)
         found = np.where(np.isnan(found) & (gap <= DECK_TOL * np.maximum(1.0, nzp)), m, found)
-    found = np.where((nz == 0.0) | (nzp == 0.0), np.nan, found)
-    if found.ndim:
-        return found
-    return None if np.isnan(found) else int(found)
+    return np.where((nz == 0.0) | (nzp == 0.0), np.nan, found)
 
 
 def hopf_diffeo(model: HopfModel, z):
     """Representative z -> (zeta, w) on Sigma^{2n-1} x S^1: zeta (..., n)
-    and w a complex, or one w per point of a stack."""
+    and w (...), per point of a stack."""
     z = np.asarray(z, dtype=complex)
-    r = np.asarray(model.norm_sn(z))
+    r = model.norm_sn(z)
     if np.any(r == 0.0):
         raise ChartDomainError("point lies on the null cone")
     zeta = z / r[..., None]
     # the phase as a real quotient, rounded as Python's complex division
     w = np.exp(1j * ((2 * np.pi * np.log(r)) / np.log(model.lam)))
-    return zeta, _per_point(w)
+    return zeta, w
 
 
 def hopf_diffeo_inv(model: HopfModel, zeta, w) -> np.ndarray:
@@ -360,12 +359,11 @@ def torus_pullback_isometry_residual(model: HopfModel, t, z, lck: LCKStructure):
     z = np.asarray(z, dtype=complex)
     e = np.exp(np.asarray(t, dtype=complex))[..., None]
     zt = e * z
-    if not np.all(lck.chart.domain_pred(zt)):
-        raise ChartDomainError("translated point leaves the chart domain")
+    _require_domain(lck.chart, zt)
     H = lck.chart.hermitian(z)
     Ht = lck.chart.hermitian(zt)
     pullback = Ht * e[..., None] * np.conj(e)[..., None]
-    return _per_point(np.abs(pullback - H).max(axis=(-2, -1)))
+    return np.abs(pullback - H).max(axis=(-2, -1))
 
 
 def fibration_split(model: HopfModel, z,
@@ -388,8 +386,8 @@ def fibration_split(model: HopfModel, z,
 
 def submersion_isometry_residual(model: HopfModel, z, u: np.ndarray,
                                  v: np.ndarray, lck: LCKStructure):
-    """Fibre-invariance of horizontal Gram entries, at a point (a float) or
-    at each point of a stack (an array), with one u and v per point.
+    """Fibre-invariance of horizontal Gram entries, per point of a stack,
+    with one u and v per point.
 
     Transports u, v by the differential of the torus flows z -> e^t z and
     z -> e^{it} z (whose orbit tangents span the vertical space) and
@@ -413,7 +411,7 @@ def submersion_isometry_residual(model: HopfModel, z, u: np.ndarray,
     ut, vt = (np.concatenate([fac * w[..., :n], np.conj(fac) * w[..., n:]], axis=-1)
               for w in (u, v))
     gram = _bilinear(ut, lck.chart.gram_full(fac * z), vt).real
-    return _per_point(np.abs(_richardson(np.moveaxis(gram, 1, 0), 1e-5)).max(axis=0))
+    return np.abs(_richardson(np.moveaxis(gram, 1, 0), 1e-5)).max(axis=0)
 
 
 def retraction(model: HopfModel, t, z) -> np.ndarray:
@@ -430,10 +428,10 @@ def retraction(model: HopfModel, t, z) -> np.ndarray:
     return out
 
 
-def cayley(s: int, r: float, z) -> tuple[np.ndarray, float]:
+def cayley(s: int, r: float, z) -> tuple[np.ndarray, np.ndarray]:
     """(zeta, residual): the Cayley transform (z', z_n) -> (z'/(r+z_n),
-    i(r-z_n)/(r+z_n)) at a point or per point of a stack, and its defining
-    residual Im(zeta_n) - sum_{a<n} eps_a |zeta_a|^2 (one per point).
+    i(r-z_n)/(r+z_n)) per point of a stack, and its defining residual
+    Im(zeta_n) - sum_{a<n} eps_a |zeta_a|^2 (one per point).
 
     For z on the pseudosphere b(z,z) = r^2 the image lies on the boundary
     of the Siegel domain: Im(zeta_n) = sum eps_a |zeta_a|^2.
@@ -448,7 +446,7 @@ def cayley(s: int, r: float, z) -> tuple[np.ndarray, float]:
     zeta[..., -1] = 1j * (r - z[..., -1]) / denom
     eps = eps_signs(n, s)[:-1]
     residual = zeta[..., -1].imag - np.sum(eps * np.abs(zeta[..., :-1]) ** 2, axis=-1)
-    return zeta, _per_point(residual)
+    return zeta, residual
 
 
 def gab_invariance_residual(alpha, beta, w, z, lck: LCKStructure):
@@ -466,12 +464,11 @@ def gab_invariance_residual(alpha, beta, w, z, lck: LCKStructure):
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)[..., None]
     p = np.concatenate([w, z], axis=-1)
-    if not np.all(lck.chart.domain_pred(p)):
-        raise ChartDomainError("need Im(w) > 0")
+    _require_domain(lck.chart, p)   # Im(w) > 0
     pt = np.concatenate([alpha[..., None] * w, beta[..., None] * z], axis=-1)
     H = lck.chart.hermitian(p)
     Ht = lck.chart.hermitian(pt)
     jac = np.concatenate([alpha[..., None], np.broadcast_to(beta[..., None], z.shape)],
                          axis=-1).astype(complex)
     pullback = Ht * (jac[..., :, None] * jac.conj()[..., None, :])
-    return _per_point(np.abs(pullback - H).max(axis=(-2, -1)))
+    return np.abs(pullback - H).max(axis=(-2, -1))

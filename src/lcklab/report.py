@@ -2,12 +2,15 @@
 
 Reports must be byte-identical across runs with the same configuration,
 so serialization is hand-rolled: fixed key order, floats rendered with
-17 significant digits, UTF-8, trailing newline.  Wall time is never part
-of the payload (the runner logs it to stderr instead).
+17 significant digits (a NaN or infinite float as null in JSON, which
+has no such number, and as nan or inf in CSV), UTF-8, trailing newline.
+Wall time is never part of the payload (the runner logs it to stderr
+instead).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,6 +60,11 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _jf(x: float) -> str:
+    """A JSON number: _f(x), or null for a NaN or infinite x."""
+    return _f(x) if math.isfinite(x) else "null"
+
+
 def _s(text: str) -> str:
     out = text.replace("\\", "\\\\").replace('"', '\\"')
     out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
@@ -71,10 +79,10 @@ def to_json(report: VerificationReport) -> str:
     lines.append(f'    "model": {_s(cfg.model)},')
     lines.append(f'    "n": {cfg.n},')
     lines.append(f'    "s": {cfg.s},')
-    lines.append(f'    "lambda": {_f(cfg.lam)},')
+    lines.append(f'    "lambda": {_jf(cfg.lam)},')
     lines.append(f'    "points": {cfg.points},')
-    lines.append(f'    "tol_analytic": {_f(cfg.tol_analytic)},')
-    lines.append(f'    "tol_fd": {_f(cfg.tol_fd)},')
+    lines.append(f'    "tol_analytic": {_jf(cfg.tol_analytic)},')
+    lines.append(f'    "tol_fd": {_jf(cfg.tol_fd)},')
     lines.append(f'    "seed": {cfg.seed},')
     suites = ", ".join(_s(name) for name in cfg.suites)
     lines.append(f'    "suites": [{suites}]')
@@ -85,8 +93,8 @@ def to_json(report: VerificationReport) -> str:
         parts = [f'      "name": {_s(r.name)}',
                  f'      "anchor": {_s(r.anchor)}',
                  f'      "points": {r.points}',
-                 f'      "max_residual": {_f(r.max_residual)}',
-                 f'      "tolerance": {_f(r.tolerance)}',
+                 f'      "max_residual": {_jf(r.max_residual)}',
+                 f'      "tolerance": {_jf(r.tolerance)}',
                  f'      "direction": {_s(r.direction)}',
                  f'      "verdict": {_s(r.verdict)}']
         if r.error is not None:

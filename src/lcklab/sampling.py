@@ -18,8 +18,8 @@ and frames are then drawn against a point's screen orthocomplement and
 Lee forms, since their acceptance tests read them.
 
 The four null samplers (Lee vector, complement vector, pair frame,
-frame change) take one point with one generator, or a stack with one
-generator per row, the single point being the one-row stack (_reject).
+frame change) take a stack and a sequence of generators, one per row,
+through one rejection loop (_reject); one point is the one-row stack.
 A synthetic-null draw holds its first Lee candidate's variates (see
 suites), and _null_lee_vectors finishes a stack of them.
 
@@ -207,7 +207,7 @@ def sample_pseudosphere(n: int, s: int, variates) -> np.ndarray:
     region '+'."""
     model = HopfModel(n=n, s=s, lam=0.5)
     z = sample_hopf(model, variates)
-    return z / np.asarray(model.norm_sn(z))[..., None]
+    return z / model.norm_sn(z)[..., None]
 
 
 def sample_tricerri(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -226,9 +226,9 @@ def sample_unit_circle(rng: np.random.Generator) -> complex:
 
 @dataclass(frozen=True)
 class NullLeeConfig:
-    """Synthetic pointwise data with a null Lee vector in C^n_s, at one
-    point or at each point of a stack, when every member but the shared
-    form gains a leading stack axis of length m.
+    """Synthetic pointwise data with a null Lee vector in C^n_s, at each
+    point of a stack: every member but the shared form carries the
+    stack's axes first.
 
     Real interleaved coordinates; B and A = -JB are null and mutually
     orthogonal, omega and theta are their metric duals, plane is their
@@ -279,17 +279,14 @@ def _standard_form(n: int, s: int) -> SemiEuclideanForm:
     return form
 
 
-def _reject(rng, draw, accept, what: str) -> np.ndarray:
-    """Rejection sampling, one row per generator: rng is one generator
-    (one row, returned without its stack axis) or a sequence of them.  A
-    row's candidate is draw(rng_i), one generator call, and accept(x, rows)
-    maps the candidates x of the given rows, as one stack, to their values
-    and a mask of the accepted ones.  Only rejected rows draw again, each
-    from its own generator before any later draw of that row, as in a
-    row-by-row run, so each row gets the bits and leaves its generator in
-    the state of a one-row call."""
-    one = isinstance(rng, np.random.Generator)
-    rngs = [rng] if one else rng
+def _reject(rngs, draw, accept, what: str) -> np.ndarray:
+    """Rejection sampling, one row per generator of the sequence rngs.  A
+    row's candidate is draw(rngs[i]), one generator call, and
+    accept(x, rows) maps the candidates x of the given rows, as one stack,
+    to their values and a mask of the accepted ones.  Only rejected rows
+    draw again, each from its own generator before any later draw of that
+    row, as in a row-by-row run, so each row gets the bits and leaves its
+    generator in the state of a one-row call."""
     rows, out = np.arange(len(rngs)), None
     for _ in range(_MAX_TRIES):
         values, ok = accept(np.stack([draw(rngs[i]) for i in rows]), rows)
@@ -299,7 +296,7 @@ def _reject(rng, draw, accept, what: str) -> np.ndarray:
             out[rows[ok]] = values[ok]
         rows = rows[~ok]
         if not rows.size:
-            return out[0] if one else out
+            return out
     raise RuntimeError(f"could not sample {what}")
 
 
@@ -313,14 +310,14 @@ def _unit_blocks(x: np.ndarray, s: int):
             (nn >= 0.3) & (pn >= 0.3))
 
 
-def sample_null_lee_vector(n: int, s: int, rng) -> np.ndarray:
-    """Random null vector (2n,) of R^2n with index 2s, or a stack (m, 2n)
-    with one row per generator of a sequence rng: unit negative and
-    positive blocks, each drawn with Euclidean norm at least 0.3 before
-    scaling.  A candidate is one standard_normal(2n) call."""
+def sample_null_lee_vector(n: int, s: int, rngs) -> np.ndarray:
+    """Random null vectors (m, 2n) of R^2n with index 2s, one row per
+    generator of the sequence rngs: unit negative and positive blocks,
+    each drawn with Euclidean norm at least 0.3 before scaling.  A
+    candidate is one standard_normal(2n) call."""
     if not 0 < s < n:
         raise ValueError("need 0 < s < n")
-    return _reject(rng, lambda r: r.standard_normal(2 * n), lambda x, rows: _unit_blocks(x, s),
+    return _reject(rngs, lambda r: r.standard_normal(2 * n), lambda x, rows: _unit_blocks(x, s),
                    "a null Lee vector")
 
 
@@ -336,10 +333,10 @@ def _null_lee_vectors(n: int, s: int, first: np.ndarray, rngs) -> np.ndarray:
 
 
 def sample_null_config(n: int, s: int, B: np.ndarray) -> NullLeeConfig:
-    """Null-Lee configuration in real dimension 2n, index 2s, for a null
-    Lee vector B (2n,) (sample_null_lee_vector), or for each vector of a
-    stack (m, 2n) in one stacked build whose rows carry the bits of the
-    single-vector builds.  Its screen splits are built on first read."""
+    """Null-Lee configuration in real dimension 2n, index 2s, for each
+    null Lee vector of a stack B (..., 2n) (sample_null_lee_vector), in
+    one stacked build whose rows carry the bits of the single-vector
+    builds.  Its screen splits are built on first read."""
     if not 0 < s < n:
         raise ValueError("need 0 < s < n")
     form = _standard_form(n, s)
@@ -350,50 +347,40 @@ def sample_null_config(n: int, s: int, B: np.ndarray) -> NullLeeConfig:
                          plane=FrameSubspace.from_vectors(form, np.stack([A, B], axis=-2)))
 
 
-def _per_row(x, core: int) -> np.ndarray:
-    """x as a stack: one point's array (core axes) gains a stack axis."""
-    x = np.asarray(x)
-    return x.reshape((-1,) + x.shape[x.ndim - core:])
-
-
-def sample_complement_vector(sperp, omega, rng) -> np.ndarray:
-    """Random vector spanning a complement of the Lee line inside the
-    orthocomplement sperp (rows (2, 2n), containing B) of the
-    first-foliation screen, with omega the Lee form; or one per row of
-    stacks sperp (m, 2, 2n) and omega (m, 2n) with a sequence of m
-    generators.  A candidate is one standard_normal(2) call, the
-    coefficients of sperp's rows."""
-    sperp, omega = _per_row(sperp, 2), _per_row(omega, 1)
-
+def sample_complement_vector(sperp: np.ndarray, omega: np.ndarray, rngs) -> np.ndarray:
+    """Random vectors (m, 2n), row i spanning a complement of the Lee line
+    inside the orthocomplement sperp[i] (rows (2, 2n), containing B) of
+    the first-foliation screen, with omega[i] the Lee form, drawn from
+    rngs[i].  A candidate is one standard_normal(2) call, the coefficients
+    of sperp's rows."""
     def accept(c, rows):
         V = np.vecmat(c, sperp[rows])
         return V, np.abs(np.vecdot(omega[rows], V)) > 0.1 * _norms(V)
-    return _reject(rng, lambda r: r.standard_normal(sperp.shape[-2]), accept,
+    return _reject(rngs, lambda r: r.standard_normal(sperp.shape[-2]), accept,
                    "a complement vector")
 
 
-def sample_pair_frame(sperp, omega, theta, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Random frame {V1, V2} of a complement of the plane inside
-    S(P-perp)-perp (rows sperp), with omega and theta the duals of B and
-    A, rejecting frames with small normalization determinant; or one
-    frame per row of stacks sperp (m, 4, 2n), omega and theta (m, 2n) with
-    a sequence of m generators.  A candidate is one standard_normal((2, k))
-    call: V1's coefficients of sperp's k rows, then V2's."""
-    sperp, omega, theta = _per_row(sperp, 2), _per_row(omega, 1), _per_row(theta, 1)
-
+def sample_pair_frame(sperp: np.ndarray, omega: np.ndarray, theta: np.ndarray,
+                      rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Random frames {V1, V2}, each (m, 2n): row i frames a complement of
+    the plane inside S(P-perp)-perp (rows sperp[i], (4, 2n)), with
+    omega[i] and theta[i] the duals of B and A, rejecting frames with
+    small normalization determinant, drawn from rngs[i].  A candidate is
+    one standard_normal((2, k)) call: V1's coefficients of sperp's k rows,
+    then V2's."""
     def accept(c, rows):
         V = np.vecmat(c, sperp[rows, None])                   # (r, 2, 2n): V1, V2
         t, w = np.vecdot(theta[rows, None], V), np.vecdot(omega[rows, None], V)
         D = t[:, 0] * w[:, 1] - w[:, 0] * t[:, 1]
         norm = _norms(V)
         return V, np.abs(D) > 0.05 * np.maximum(norm[:, 0] * norm[:, 1], 1e-30)
-    V = _reject(rng, lambda r: r.standard_normal((2, sperp.shape[-2])), accept,
+    V = _reject(rngs, lambda r: r.standard_normal((2, sperp.shape[-2])), accept,
                 "a complement frame")
-    return V[..., 0, :], V[..., 1, :]
+    return V[:, 0], V[:, 1]
 
 
-def sample_frame_change(rng) -> np.ndarray:
-    """Random 2x2 frame change f with |det f| > 0.1, or a stack (m, 2, 2)
-    with one per generator of a sequence rng."""
-    return _reject(rng, lambda r: r.standard_normal((2, 2)),
+def sample_frame_change(rngs) -> np.ndarray:
+    """Random 2x2 frame changes f (m, 2, 2) with |det f| > 0.1, one per
+    generator of the sequence rngs."""
+    return _reject(rngs, lambda r: r.standard_normal((2, 2)),
                    lambda f, rows: (f, np.abs(np.linalg.det(f)) > 0.1), "a frame change")

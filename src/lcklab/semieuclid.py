@@ -6,16 +6,19 @@ of arbitrary index.  Everything here is exact pointwise linear algebra;
 subspaces are represented by explicit (non-canonical) bases and compared
 by mutual span containment.
 
-Stacks: a form may carry one Gram matrix per point of a stack, gram of
-shape (..., N, N), and then a FrameSubspace carries one basis per point,
-basis (..., k, N), with k the same at every point.  The form validation,
-_full_rank, _kernel, _complement_within, inner, from_vectors,
-orthogonal_complement, signature_of, contains_span and same_span work per
-point of such a stack, through numpy's stacked linear algebra (one QR
-projection for a stack in contains_span), which gives each point the bits
-of a single-point call; only cr.levi_form reads _lstsq_rows, the one home
-of the least-squares solve, point by point.  _full_rank answers for the
-whole stack, and a stack whose points disagree on a rank raises ValueError.
+Stacks: the leading axes of an array are its stack, and a point is a
+stack with no leading axes.  A form may carry one Gram matrix per point,
+gram of shape (..., N, N), and then a FrameSubspace carries one basis
+per point, basis (..., k, N), with k the same at every point.  The form
+validation, _full_rank, _kernel, _complement_within, inner,
+from_vectors, orthogonal_complement, signature_of, contains_span and
+same_span work per point of such a stack, through numpy's stacked
+linear algebra (one QR projection for a stack in contains_span), which
+gives each point the bits of a single-point call, and return one value
+per point, an array of the stack's shape; only cr.levi_form reads
+_lstsq_rows, the one home of the least-squares solve, point by point.
+_full_rank answers for the whole stack, and a stack whose points
+disagree on a rank raises ValueError.
 
 Rank checks: a FrameSubspace comes from from_vectors, which proves by
 one SVD that the rows a caller gives are independent, from
@@ -91,14 +94,9 @@ def _self_adjoint(g: np.ndarray, gT: np.ndarray) -> np.ndarray:
     return (np.abs(g - gT) <= 1e-12 * scale).all(axis=(-2, -1))
 
 
-def _per_point(x):
-    """A Python scalar for a single point, the per-point array for a stack."""
-    return x.item() if np.ndim(x) == 0 else x
-
-
 def inner(form: SemiEuclideanForm, u: np.ndarray, v: np.ndarray):
-    """Evaluate the bilinear form on a pair of vectors (per point of a
-    stack: a scalar for one point, an array for a stack)."""
+    """Evaluate the bilinear form on a pair of vectors, per point of a
+    stack."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[-1:] != (form.dim,) or v.shape[-1:] != (form.dim,):
@@ -124,12 +122,9 @@ class FrameSubspace:
 
     @classmethod
     def from_vectors(cls, form: SemiEuclideanForm, vectors) -> "FrameSubspace":
-        """Build a subspace from spanning vectors, checking independence:
-        rows (k, N), or (..., k, N) against a stacked form."""
-        lead = form.gram.shape[:-2]
+        """Build a subspace from spanning vectors, rows (..., k, N),
+        checking independence."""
         b = np.asarray(vectors, dtype=float)
-        if b.ndim < len(lead) + 2:
-            b = b.reshape(lead + (-1, form.dim) if b.size else lead + (0, form.dim))
         if b.shape[-1] != form.dim:
             raise ValueError(f"vectors must have length {form.dim}")
         if not _full_rank(b):
@@ -225,16 +220,16 @@ def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSub
     return FrameSubspace._orthonormal(form, ker) if ker.shape[-2] else FrameSubspace.zero(form)
 
 
-def signature_of(W: FrameSubspace) -> tuple[int, int, int]:
+def signature_of(W: FrameSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalue sign counts (pos, neg, null) of W's restricted Gram
-    matrix (per point of a stack, when the counts are arrays); neg is the
-    index and null the dimension of the radical W cap W-perp.
+    matrix, per point of a stack; neg is the index and null the dimension
+    of the radical W cap W-perp.
 
     The zero threshold is scale invariant: tau = 1e-9 * max |eigenvalue|
     (or 1 if the Gram vanishes).
     """
     if W.dim == 0:
-        zero = _per_point(np.zeros(W.basis.shape[:-2], dtype=int))
+        zero = np.zeros(W.basis.shape[:-2], dtype=int)
         return zero, zero, zero
     evals = np.linalg.eigvalsh(W.gram_restricted)
     largest = np.abs(evals).max(axis=-1, keepdims=True)
@@ -242,23 +237,23 @@ def signature_of(W: FrameSubspace) -> tuple[int, int, int]:
     pos = (evals > tau).sum(axis=-1)
     neg = (evals < -tau).sum(axis=-1)
     null = W.dim - pos - neg
-    return _per_point(pos), _per_point(neg), _per_point(null)
+    return pos, neg, null
 
 
 def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float):
     """True if span(small) lies inside span(big), by the residual of its
     projection onto span(big), one stacked QR (in exact arithmetic the
-    least-squares residual; per point of a stack, a bool array)."""
+    least-squares residual), per point of a stack."""
     lead = small.basis.shape[:-2]
     if small.dim == 0:
-        return _per_point(np.ones(lead, dtype=bool))
+        return np.ones(lead, dtype=bool)
     size = np.abs(small.basis).max(axis=(-2, -1))
     if big.dim == 0:
-        return _per_point(size <= tol)
+        return size <= tol
     q, _ = np.linalg.qr(big.basis.swapaxes(-1, -2))
     smallT = small.basis.swapaxes(-1, -2)
     resid = smallT - q @ (q.swapaxes(-1, -2) @ smallT)
-    return _per_point(np.abs(resid).max(axis=(-2, -1)) <= tol * np.maximum(size, 1.0))
+    return np.abs(resid).max(axis=(-2, -1)) <= tol * np.maximum(size, 1.0)
 
 
 def same_span(a: FrameSubspace, b: FrameSubspace, tol: float):
@@ -266,5 +261,5 @@ def same_span(a: FrameSubspace, b: FrameSubspace, tol: float):
     per point of a stack."""
     if a.dim != b.dim:
         lead = np.broadcast_shapes(a.basis.shape[:-2], b.basis.shape[:-2])
-        return _per_point(np.zeros(lead, dtype=bool))
-    return _per_point(np.logical_and(contains_span(a, b, tol), contains_span(b, a, tol)))
+        return np.zeros(lead, dtype=bool)
+    return np.logical_and(contains_span(a, b, tol), contains_span(b, a, tol))

@@ -71,9 +71,9 @@ from .models import (
 )
 from .report import SCHEMA, RunConfig, SuiteResult, VerificationReport
 from .sampling import (
-    _null_lee_vectors, _Words, hopf_variates, point_states, sample_complement_vector,
-    sample_flat, sample_frame_change, sample_hopf, sample_null_config, sample_pair_frame,
-    sample_pseudosphere, sample_tricerri, sample_unit_circle,
+    _complex_normal, _null_lee_vectors, _Words, hopf_variates, point_states,
+    sample_complement_vector, sample_flat, sample_frame_change, sample_hopf, sample_null_config,
+    sample_pair_frame, sample_pseudosphere, sample_tricerri, sample_unit_circle,
 )
 from .semieuclid import FrameSubspace, contains_span, inner, same_span, signature_of
 
@@ -149,11 +149,6 @@ def _draw_positive(cfg, rng):
     return "+", hopf_variates(cfg.n, rng)
 
 
-def _rand_hol(rng, n: int) -> np.ndarray:
-    """Holomorphic components of a random real vector."""
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
 def _hopf_stack(model: HopfModel, keys, columns: list, points):
     """The model as key and its chart with each draw's region; maps the
     variates columns[0] to points as `points` says (see _stacked)."""
@@ -222,12 +217,12 @@ def _draw_thm1(cfg, rng):
 
 
 def _draw_vectors(count: int):
-    """Draw a chart point, then `count` random real vectors (holomorphic
-    components), in that order."""
+    """Draw a chart point, then `count` random real vectors (their
+    holomorphic components, complex normal), in that order."""
     def draw(cfg, rng):
         key, z = _chart_draw(cfg, rng)
         n = MODELS[cfg.model].dim(cfg.n)
-        return (key, z) + tuple(_rand_hol(rng, n) for _ in range(count))
+        return (key, z) + tuple(_complex_normal(rng, n) for _ in range(count))
     return draw
 
 
@@ -360,7 +355,7 @@ def _draw_eq18(cfg, rng):
 
 
 def _draw_cr_tangential(cfg, rng):
-    return (*_draw_positive(cfg, rng), _rand_hol(rng, cfg.n))
+    return (*_draw_positive(cfg, rng), _complex_normal(rng, cfg.n))
 
 
 def _check_eq18_mean_curvature(model, lck, U):

@@ -131,7 +131,7 @@ def test_null_branch_stacks_equal_single_points(n, s):
 @pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (4, 2), (6, 1)])
 def test_stacked_null_config_equals_single_builds(n, s):
     rng = np.random.default_rng(10 * n + s)
-    B = np.stack([sample_null_lee_vector(n, s, rng) for _ in range(5)])
+    B = np.concatenate([sample_null_lee_vector(n, s, [rng]) for _ in range(5)])
     stacked = sample_null_config(n, s, B)
     for i, b in enumerate(B):
         one = sample_null_config(n, s, b)
@@ -247,8 +247,7 @@ def test_stacked_quotient_maps_equal_single_points(n, s):
         zeta_i, w_i = hopf_diffeo(model, z)
         assert (_cbits(zeta[i]), _cbits(w[i])) == (_cbits(zeta_i), _cbits(w_i))
         assert _cbits(back[i]) == _cbits(hopf_diffeo_inv(model, zeta_i, w_i))
-        single = deck_equivalent(model, z, Zp[i])
-        assert single is None if i == 4 else single == deck[i]
+        assert np.array_equal(deck_equivalent(model, z, Zp[i]), deck[i], equal_nan=True)
         assert _bits(torus[i]) == _bits(torus_pullback_isometry_residual(model, T[i], z, lck))
         assert _cbits(pulled[i]) == _cbits(retraction(model, t[i], z))
         assert _bits(norms[i]) == _bits(model.norm_sn(z))
@@ -412,11 +411,12 @@ def _gab_faults(monkeypatch, suite, cfg, k: int) -> dict:
 
 # A fault planted at draw k, another at draw k + 2 that the stacked check
 # meets first (each planter returns the draws it replaces, see _planted),
-# and the error of draw k.
+# and the error of draw k, given that draw.
 STACKED_FAULTS = {
     "cayley-boundary": (_cayley_faults,
-                        "ValueError: point must lie on the pseudosphere of radius r"),
-    "gab-invariance": (_gab_faults, "ChartDomainError: need Im(w) > 0"),
+                        lambda d: "ValueError: point must lie on the pseudosphere of radius r"),
+    "gab-invariance": (_gab_faults, lambda d: f"ChartDomainError: point {d[1]} outside domain "
+                                              "of tricerri(n=3,s=1)"),
 }
 
 
@@ -429,6 +429,7 @@ def test_a_fault_at_draw_k_of_a_closed_form_suite_is_reported_at_k(monkeypatch, 
                     points=6, seed=42)
     faults = plant(monkeypatch, suite, cfg, k)
     draws = _draws(_planted(suite, faults), cfg)
+    expected = expected(draws[k])
     with pytest.raises(suites_mod._POINT_FAULTS) as stacked:
         suite.check(cfg, draws)
     assert f"{type(stacked.value).__name__}: {stacked.value}" != expected
@@ -629,7 +630,7 @@ class TestDerivedOnce:
         # screen's rows come orthonormal from the first, so a third SVD no
         # longer proves them independent
         rng = np.random.default_rng(7)
-        B = np.stack([sample_null_lee_vector(3, 1, rng) for _ in range(6)])
+        B = np.concatenate([sample_null_lee_vector(3, 1, [rng]) for _ in range(6)])
         c = sample_null_config(3, 1, B)
         radical, space = c.plane.basis, semieuclid_mod._kernel(c.plane.basis @ c.form.gram)
         svds = self._counted(monkeypatch, np.linalg, "svd")

@@ -232,6 +232,26 @@ class TestSerialization:
         assert lines[1].startswith("name,anchor,points")
         assert len(lines) == 4
 
+    def test_an_error_or_a_nonfinite_residual_is_null_in_json(self, monkeypatch):
+        # JSON has no NaN or infinity: the error verdict's NaN and an
+        # infinite residual are written as null, so the report parses; CSV
+        # keeps nan and inf
+        def fault(cfg, rng):
+            raise ValueError("probe")
+
+        probes = tuple(Suite(name=name, anchor="none", models=frozenset({"hopf"}),
+                             tolerance=lambda cfg: 0.5, draw=draw, check=_residuals)
+                       for name, draw in (("raise-probe", fault),
+                                          ("inf-probe", lambda cfg, rng: math.inf)))
+        monkeypatch.setattr(suites_mod, "SUITES", probes)
+        monkeypatch.setattr(suites_mod, "_BY_NAME", {s.name: s for s in probes})
+        rep = run_config(RunConfig(model="hopf", points=2, seed=0, suites=("all",)))
+        parsed = json.loads(to_json(rep))
+        assert [(r["verdict"], r["max_residual"]) for r in parsed["suites"]] == \
+            [("error", None), ("fail", None)]
+        assert parsed["suites"][0]["error"] == "ValueError: probe"
+        assert [row.split(",")[3] for row in to_csv(rep).splitlines()[2:]] == ["nan", "inf"]
+
     def test_csv_header_carries_report_schema(self):
         rep = VerificationReport(schema=7, config=RunConfig(model="hopf", seed=3),
                                  results=())
@@ -289,6 +309,12 @@ class TestCommandLine:
         text = path.read_text()
         assert text.splitlines()[1].startswith("name,")
         assert "parallel-lee" in text
+
+    def test_option_defaults_are_the_run_config_defaults(self):
+        args = cli._build_parser().parse_args(["--model", "hopf"])
+        defaults = RunConfig(model="hopf")
+        for name in ("n", "s", "lam", "points", "tol_analytic", "tol_fd"):
+            assert getattr(args, name) == getattr(defaults, name), name
 
     def test_threads_flag_is_gone(self):
         out = run_cli(["--model", "hopf", "--points", "2", "--threads", "2"])

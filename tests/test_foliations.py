@@ -89,7 +89,8 @@ class TestFirstFoliation:
 class TestNullConfigScreen:
     @pytest.mark.parametrize("n,s", [(2, 1), (3, 1), (4, 2)])
     def test_first_screen_is_the_foliation_screen(self, n, s):
-        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, np.random.default_rng(n + s)))
+        B = sample_null_lee_vector(n, s, [np.random.default_rng(n + s)])[0]
+        cfg = sample_null_config(n, s, B)
         lck = synthetic_null_structure(n, s, B_hol=cfg.B[0::2] + 1j * cfg.B[1::2])
         fib = first_foliation_fibre(lck, np.zeros(n, dtype=complex))
         assert cfg.first_screen is cfg.first_screen
@@ -198,7 +199,7 @@ class TestGaussWeingarten:
             return (V - (V @ B) / (2.0 * BB) * B) / BB
 
         rng = np.random.default_rng(10 * n + s)
-        c = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
+        c = sample_null_config(n, s, sample_null_lee_vector(n, s, [rng])[0])
         syn = synthetic_null_structure(n, s, B_hol=c.B[0::2] + 1j * c.B[1::2])
         # a constant metric with unequal weights, where g(V, V) != 0
         eps, w = eps_signs(n, s), rng.uniform(0.5, 2.0, n)
@@ -375,8 +376,9 @@ class TestIsotropicPair:
     def test_randomized_constraints(self, seed, dims):
         n, s = dims
         rng = np.random.default_rng(seed)
-        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
-        V1, V2 = sample_pair_frame(cfg.screen_perp_basis, cfg.omega, cfg.theta, rng)
+        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, [rng])[0])
+        (V1,), (V2,) = sample_pair_frame(cfg.screen_perp_basis[None], cfg.omega[None],
+                                         cfg.theta[None], [rng])
         N1, N2 = isotropic_transversal_pair(cfg.form, cfg.omega, cfg.theta,
                                              cfg.A, cfg.B, cfg.screen, V1, V2)
         assert abs(float(cfg.theta @ N1) - 1.0) < 1e-10
@@ -396,8 +398,8 @@ class TestIsotropicPair:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         s = int(rng.integers(1, n))
-        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, rng))
-        V = sample_complement_vector(cfg.first_screen_perp, cfg.omega, rng)
+        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, [rng])[0])
+        V = sample_complement_vector(cfg.first_screen_perp[None], cfg.omega[None], [rng])[0]
         # first-foliation screen
         from lcklab.sampling import _kernel
         tangent_rows = _kernel(cfg.omega.reshape(1, -1))

@@ -99,7 +99,7 @@ class TestDeckEquivalence:
         assert deck_equivalent(MODEL, [0, 1.0], [0, 0.25]) == 2
 
     def test_inequivalent(self):
-        assert deck_equivalent(MODEL, [0, 1.0], [0, 0.7]) is None
+        assert np.isnan(deck_equivalent(MODEL, [0, 1.0], [0, 0.7]))
 
 
 class TestHopfDiffeo:
@@ -125,8 +125,7 @@ class TestHopfDiffeo:
             assert abs(abs(w) - 1.0) < 1e-12
             assert MODEL.b(zeta) == pytest.approx(1.0, abs=1e-12)
             back = hopf_diffeo_inv(MODEL, zeta, w)
-            m = deck_equivalent(MODEL, z, back)
-            assert m is not None
+            assert not np.isnan(deck_equivalent(MODEL, z, back))
             zeta2, w2 = hopf_diffeo(MODEL, back)
             assert np.abs(zeta2 - zeta).max() < 1e-9
             assert abs(w2 - w) < 1e-9
@@ -153,6 +152,16 @@ class TestTorusAction:
         z = np.array([0.0, 1.0], dtype=complex)
         assert torus_pullback_isometry_residual(MODEL, np.log(2.0), z,
                                                 hopf_chart(MODEL)) < 1e-12
+
+    def test_an_off_region_point_is_named(self):
+        # point 1 lies in region '-', off the '+' chart; the translation
+        # keeps the sign of b, so its translate is the first failing point
+        Z = np.array([[0.2, 1.1], [1.1, 0.2], [1.2, 0.1]], dtype=complex)
+        t = np.array([0.1, 0.3j, -0.2])
+        with pytest.raises(ChartDomainError) as err:
+            torus_pullback_isometry_residual(MODEL, t, Z, hopf_chart(MODEL))
+        zt = np.exp(t)[:, None] * Z
+        assert str(err.value) == f"point {zt[1]} outside domain of hopf(n=2,s=1,+)"
 
 
 class TestFibrationSplit:

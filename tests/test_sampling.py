@@ -150,7 +150,7 @@ def test_a_hopf_run_maps_each_checks_points_in_one_call(monkeypatch):
 class TestNullConfigForm:
     def test_standard_form_validated_once(self, monkeypatch):
         rng = np.random.default_rng(2)
-        first = sample_null_config(3, 1, sample_null_lee_vector(3, 1, rng))
+        first = sample_null_config(3, 1, sample_null_lee_vector(3, 1, [rng])[0])
         validations = []
         original = SemiEuclideanForm.__post_init__
 
@@ -159,12 +159,13 @@ class TestNullConfigForm:
             original(self)
 
         monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counting)
-        configs = [sample_null_config(3, 1, sample_null_lee_vector(3, 1, rng)) for _ in range(20)]
+        configs = [sample_null_config(3, 1, sample_null_lee_vector(3, 1, [rng])[0])
+                   for _ in range(20)]
         assert validations == []
         assert all(c.form is first.form for c in configs)
 
     def test_shared_gram_is_read_only(self):
-        cfg = sample_null_config(3, 1, sample_null_lee_vector(3, 1, np.random.default_rng(2)))
+        cfg = sample_null_config(3, 1, sample_null_lee_vector(3, 1, [np.random.default_rng(2)])[0])
         with pytest.raises(ValueError):
             cfg.form.gram[0, 0] = 1.0
 
@@ -219,16 +220,16 @@ def test_stacked_null_samplers_give_each_row_the_one_row_call(n, s):
     alone, loop = copy.deepcopy(stacked), copy.deepcopy(stacked)
 
     def compare(name, sample, reference, first):
-        """sample(rngs, at) on the stack and on each row alone, against the
-        loop; returns the stack and the rows whose first candidate was
-        rejected."""
+        """sample(rngs, at) on the stack and on each row alone, as the
+        one-row stack at = slice(i, i + 1), against the loop; returns the
+        stack and the rows whose first candidate was rejected."""
         probes = copy.deepcopy(alone)
         for g in probes:
             first(g)
         out = sample(stacked, slice(None))
         assert out.shape[0] == len(rows)
         for i, g in enumerate(alone):
-            one, ref = sample(g, i), reference(loop[i], i)
+            one, ref = sample([g], slice(i, i + 1))[0], reference(loop[i], i)
             assert out[i].tobytes() == one.tobytes() == ref.tobytes(), (name, rows[i])
             assert stacked[i].bit_generator.state == g.bit_generator.state == \
                 loop[i].bit_generator.state, (name, rows[i])
@@ -237,31 +238,33 @@ def test_stacked_null_samplers_give_each_row_the_one_row_call(n, s):
         assert retried, name   # some row's first candidate was rejected
         return out, retried
 
-    B, retried = compare("null Lee vector", lambda rng, at: sample_null_lee_vector(n, s, rng),
+    B, retried = compare("null Lee vector", lambda rngs, at: sample_null_lee_vector(n, s, rngs),
                          lambda g, i: _loop_lee(n, s, g), lambda g: g.standard_normal(2 * n))
     assert LEE_REJECTED[n, s] in retried
     c = sample_null_config(n, s, B)
     compare("complement vector",
-            lambda rng, at: sample_complement_vector(c.first_screen_perp[at], c.omega[at], rng),
+            lambda rngs, at: sample_complement_vector(c.first_screen_perp[at], c.omega[at], rngs),
             lambda g, i: _loop_complement(c.first_screen_perp[i], c.omega[i], g),
             lambda g: g.standard_normal(2))
     compare("pair frame",
-            lambda rng, at: np.stack(sample_pair_frame(c.screen_perp_basis[at], c.omega[at],
-                                                       c.theta[at], rng), axis=-2),
+            lambda rngs, at: np.stack(sample_pair_frame(c.screen_perp_basis[at], c.omega[at],
+                                                        c.theta[at], rngs), axis=-2),
             lambda g, i: _loop_pair_frame(c.screen_perp_basis[i], c.omega[i], c.theta[i], g),
             lambda g: g.standard_normal((2, c.screen_perp_basis.shape[-2])))
-    compare("frame change", lambda rng, at: sample_frame_change(rng),
+    compare("frame change", lambda rngs, at: sample_frame_change(rngs),
             lambda g, i: _loop_frame_change(g), lambda g: g.standard_normal((2, 2)))
 
 
-def test_a_single_point_keeps_its_call_and_shape():
+def test_one_point_is_the_one_row_stack():
     rng = np.random.default_rng(5)
-    c = sample_null_config(3, 1, sample_null_lee_vector(3, 1, rng))
-    assert c.B.shape == (6,)
-    assert sample_complement_vector(c.first_screen_perp, c.omega, rng).shape == (6,)
-    V1, V2 = sample_pair_frame(c.screen_perp_basis, c.omega, c.theta, rng)
-    assert V1.shape == V2.shape == (6,)
-    assert sample_frame_change(rng).shape == (2, 2)
+    c = sample_null_config(3, 1, sample_null_lee_vector(3, 1, [rng]))
+    assert c.B.shape == (1, 6)
+    assert sample_complement_vector(c.first_screen_perp, c.omega, [rng]).shape == (1, 6)
+    V1, V2 = sample_pair_frame(c.screen_perp_basis, c.omega, c.theta, [rng])
+    assert V1.shape == V2.shape == (1, 6)
+    assert sample_frame_change([rng]).shape == (1, 2, 2)
+    with pytest.raises(TypeError):   # a sampler takes a sequence of generators
+        sample_frame_change(rng)
 
 
 @pytest.mark.parametrize("n, s", [(12, 11), (16, 15)])

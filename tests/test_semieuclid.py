@@ -206,9 +206,10 @@ def test_same_span_of_different_dimensions_answers_per_point():
     assert same_span(a, a, 1e-9).tolist() == [True] * 4
     assert same_span(a, b, 1e-9).tolist() == [False] * 4
     assert same_span(b, a, 1e-9).tolist() == [False] * 4
-    one = FrameSubspace.from_vectors(form, a.basis[0])
-    assert same_span(one, FrameSubspace.from_vectors(form, b.basis[0]), 1e-9) is False
-    assert same_span(one, one, 1e-9) is True
+    one = FrameSubspace.from_vectors(form, a.basis[0])   # a point: a stack with no leading axes
+    apart = same_span(one, FrameSubspace.from_vectors(form, b.basis[0]), 1e-9)
+    assert apart.shape == () and not apart
+    assert same_span(one, one, 1e-9)
 
 
 SPAN_TOL = 1e-9
