@@ -23,6 +23,9 @@ Conventions
   z^j = x_j + i y_j, so d/dx_j = Z_j + Zbar_j and d/dy_j = i(Z_j - Zbar_j).
 * Index order in Gamma[A, B, C] and all frame-indexed arrays:
   0..n-1 holomorphic, n..2n-1 antiholomorphic.
+* The metric is its n x n components H = MetricChart.hermitian(z): no
+  2n x 2n Gram is built.  _lower(H, v) is the covector g(., v), _g(H, u, v)
+  the pairing g(u, v), and _solve_gram raises by one n x n solve of H.
 * Stacked callables: wirtinger_derivative evaluates its whole stencil,
   the 8n points z + t e_l and z + i t e_l for t = +-h, +-h/2 with the
   one step h = fd_step(z) that every derivative here uses, as one
@@ -87,9 +90,8 @@ __all__ = [
 ]
 
 FD_STEP_BASE = 1e-5  # relative central-difference step
-# A metric of larger condition number counts as singular; the condition
-# number of the components H equals that of the complexified Gram
-# [[0, H], [conj(H), 0]] and of the real Gram.
+# Metric components H of larger condition number count as singular (the
+# real and the complexified Gram have the condition number of H).
 GRAM_COND_MAX = 1e12
 # |antihol - conj(hol)| up to this, relative to max(1, max |component|),
 # counts as a real vector
@@ -183,20 +185,11 @@ class MetricChart:
     def hermitian(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.metric_eval(np.asarray(z, dtype=complex)), dtype=complex)
 
-    def gram_full(self, z: np.ndarray) -> np.ndarray:
-        """Complexified 2n x 2n Gram matrix [[0, H], [conj(H), 0]]."""
-        H = self.hermitian(z)
-        return _mixed_blocks(H, H.conj())
-
-    def real_gram(self, z: np.ndarray) -> np.ndarray:
-        """Real 2n x 2n Gram in interleaved coordinates (x_1, y_1, ...)."""
-        return _real_gram(self.hermitian(z))
-
     def real_form(self, z: np.ndarray) -> SemiEuclideanForm:
         """Pointwise SemiEuclideanForm of signature (2(n-s), 2s), validated
         on every call: use it at base points, not inside stencils."""
         return SemiEuclideanForm(dim=2 * self.n, index=2 * self.s,
-                                 gram=self.real_gram(z))
+                                 gram=_real_gram(self.hermitian(z)))
 
 
 def _real_gram(H: np.ndarray) -> np.ndarray:
@@ -212,22 +205,11 @@ def _real_gram(H: np.ndarray) -> np.ndarray:
     return G
 
 
-def _mixed_blocks(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Frame matrix [[0, upper], [lower, 0]] (per matrix of a stack): only
-    the mixed (hol, antihol) and (antihol, hol) blocks are nonzero."""
-    n = upper.shape[-1]
-    out = np.zeros(upper.shape[:-2] + (2 * n, 2 * n), dtype=complex)
-    out[..., :n, n:] = upper
-    out[..., n:, :n] = lower
-    return out
-
-
 def _require_conditioned(H: np.ndarray, z: np.ndarray) -> None:
     """Refuse metric components H at z, or the first point of a stack of
     them at the points z (leading axes alike), that are not Hermitian (by
     SemiEuclideanForm's symmetry rule) or are singular: not finite, or of
-    condition number above GRAM_COND_MAX by one eigvalsh of H, which is
-    the condition number of the complexified and of the real Gram."""
+    condition number above GRAM_COND_MAX by one eigvalsh of H."""
     finite = np.isfinite(H).all(axis=(-2, -1))
     if not finite.all():   # LAPACK would stop on, or print about, a NaN or inf
         H = np.where(finite[..., None, None], H, 0.0)
@@ -244,12 +226,29 @@ def _require_conditioned(H: np.ndarray, z: np.ndarray) -> None:
         raise SingularMetricError(f"metric {why} at {np.asarray(z)[bad]}")
 
 
-def _solve_gram(H: np.ndarray, G: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Solve G x = rhs (np.linalg.solve, stacks included) for the Gram
-    G = _mixed_blocks(H, H.conj()), refusing metric components H that are
-    singular at z (_require_conditioned)."""
+def _solve_gram(H: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The x with g(., x) = rhs, frame components per point of a stack
+    (rhs (..., 2n, k), or (2n,) at a point), refusing H singular at z
+    (_require_conditioned).  g(., x) is (H x_antihol, conj(H) x_hol), so
+    one n x n solve of H against [rhs_hol | conj(rhs_antihol)] gives x."""
     _require_conditioned(H, z)
-    return np.linalg.solve(G, rhs)
+    n = H.shape[-1]
+    r = rhs[:, None] if rhs.ndim == 1 else rhs
+    k = r.shape[-1]
+    x = np.linalg.solve(H, np.concatenate([r[..., :n, :], r[..., n:, :].conj()], axis=-1))
+    x = np.concatenate([x[..., k:].conj(), x[..., :k]], axis=-2)
+    return x[:, 0] if rhs.ndim == 1 else x
+
+
+def _lower(H: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The covector g(., v): (H v_antihol, conj(H) v_hol) per point of a stack."""
+    n = H.shape[-1]
+    return np.concatenate([np.matvec(H, v[..., n:]), np.matvec(H.conj(), v[..., :n])], axis=-1)
+
+
+def _g(H: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g(u, v), complex bilinear, per point of a stack."""
+    return np.vecdot(_lower(H, u).conj(), v)
 
 
 def _bilinear(u: np.ndarray, M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -395,8 +394,7 @@ def koszul_christoffel(chart: MetricChart, z: np.ndarray) -> np.ndarray:
     TB = np.moveaxis(T, -1, -3)                  # TB[D, B, C] = T[B, C, D]
     rhs = TB + TB.swapaxes(-1, -2) - T
     lead = z.shape[:-1]
-    H = chart.hermitian(z)
-    solved = _solve_gram(H, _mixed_blocks(H, H.conj()), rhs.reshape(lead + (2 * n, -1)), z)
+    solved = _solve_gram(chart.hermitian(z), rhs.reshape(lead + (2 * n, -1)), z)
     return 0.5 * solved.reshape(lead + (2 * n, 2 * n, 2 * n))
 
 
@@ -514,7 +512,8 @@ def kahler_form(H: np.ndarray) -> np.ndarray:
     """Frame components of Omega(X, Y) = g(X, JY) from the metric
     components H = MetricChart.hermitian(z), per matrix of a stack."""
     # Omega_{j kbar} = -i g_{j kbar}, Omega_{jbar k} = i conj(g_{j kbar})
-    return _mixed_blocks(-1j * H, 1j * H.conj())
+    zero = np.zeros_like(H)
+    return np.block([[zero, -1j * H], [1j * H.conj(), zero]])
 
 
 def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> np.ndarray:
@@ -531,8 +530,7 @@ def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> np
     Xf = complex(df @ Xv)
     Yf = complex(df @ Yv)
     H = chart.hermitian(z)
-    G = _mixed_blocks(H, H.conj())
-    gXY = Xv @ G @ Yv
-    gradf = _solve_gram(H, G, df, z)   # grad f: g(grad f, X) = X(f)
+    gXY = _g(H, Xv, Yv)
+    gradf = _solve_gram(H, df, z)   # grad f: g(grad f, X) = X(f)
     shift = Xf * Yv + Yf * Xv - gXY * gradf
     return base - 0.5 * shift

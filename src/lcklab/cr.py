@@ -33,7 +33,7 @@ from .charts import (
     wirtinger_derivative,
 )
 from .lck import LCKStructure, _nonsingular, lee_data
-from .models import HopfModel, cayley, eps_signs
+from .models import HopfModel, cayley, eps_signs, hopf_diffeo
 from .semieuclid import FrameSubspace, _kernel, _lstsq_rows
 
 __all__ = [
@@ -181,8 +181,8 @@ class LeafLabel:
 
 
 def leaf_label(model: HopfModel, z) -> LeafLabel:
-    """Label of the leaf through z: w = exp(2 pi i log|z|_{s,n} / log lambda),
-    per point of a stack.
+    """Label of the leaf through z, per point of a stack: the phase
+    w = exp(2 pi i log|z|_{s,n} / log lambda) of models.hopf_diffeo.
 
     a = arg(w) / (2 pi log lambda) and the chart radius is
     lambda^{-floor(a)} e^{arg(w)/(2 pi)}, the radius of the pseudosphere
@@ -192,9 +192,7 @@ def leaf_label(model: HopfModel, z) -> LeafLabel:
     b = model.b(z)
     if np.any(b <= 0.0):
         raise ChartDomainError("leaf labels require b(z, z) > 0")
-    r = np.sqrt(b)
-    # the phase as a real quotient, rounded as Python's complex division
-    return label_from_w(model, np.exp(1j * ((2 * np.pi * np.log(r)) / np.log(model.lam))))
+    return label_from_w(model, hopf_diffeo(model, z)[1])
 
 
 def label_from_w(model: HopfModel, w) -> LeafLabel:

@@ -36,6 +36,7 @@ from .charts import (
     _bilinear,
     _covariant_along,
     _field_derivatives,
+    _g,
     _max_abs,
     _norms,
     apply_j,
@@ -405,13 +406,11 @@ def complex_submanifold_mean_curvature(lck: LCKStructure, z, jac):
         E = real_vector(frame_cols[..., a])
         reals.extend([E, apply_j(E)])
 
-    G = data.G
-
     def nor(vcomp: np.ndarray) -> np.ndarray:
         tan = np.zeros_like(vcomp)
         for a in range(m):
             for Xa in (reals[2 * a], reals[2 * a + 1]):
-                coeff = _bilinear(vcomp, G, Xa) * signs[..., a]
+                coeff = _g(data.H, vcomp, Xa) * signs[..., a]
                 tan = tan + coeff[..., None] * Xa
         return vcomp - tan
 
@@ -429,14 +428,14 @@ def complex_submanifold_mean_curvature(lck: LCKStructure, z, jac):
             hJXJY = h_of(JEa, JEb)
             if a == b:
                 diagonal.append(hXY + hJXJY)
-            gXY = _bilinear(Ea, G, Eb).real[..., None]
+            gXY = _g(data.H, Ea, Eb).real[..., None]
             resid = hJXJY + hXY + gXY * Bperp
             eq_residual = np.maximum(eq_residual, np.abs(resid).max(axis=-1))
             # mixed pairs: substituting (X, JY) into the law and using
             # J^2 = -1 gives h(X, JY) - h(JX, Y) + g(X, JY) Bperp = 0
             hXJY = h_of(Ea, JEb)
             hJXY = h_of(JEa, Eb)
-            gXJY = _bilinear(Ea, G, JEb).real[..., None]
+            gXJY = _g(data.H, Ea, JEb).real[..., None]
             resid = hXJY - hJXY + gXJY * Bperp
             eq_residual = np.maximum(eq_residual, np.abs(resid).max(axis=-1))
 

@@ -22,8 +22,9 @@ from .charts import (
     _as_field,
     _bilinear,
     _first_fault,
+    _g,
+    _lower,
     _max_abs,
-    _mixed_blocks,
     _norms,
     _real_gram,
     _solve_gram,
@@ -84,6 +85,7 @@ class LeeData:
     """Pointwise Lee apparatus at each point of a stack z (..., n): every
     member carries the stack's axes first.
 
+    The metric is H: charts._g pairs and charts._lower lowers through it.
     The cached members hold B and A in real interleaved coordinates, the
     real Gram, omega and theta as real covectors and the null test of c;
     each is derived from H when first asked for, then kept, as is `form`,
@@ -97,7 +99,6 @@ class LeeData:
     theta: np.ndarray   # frame components of the anti-Lee form
     c: np.ndarray       # g(B, B), per point
     H: np.ndarray       # metric components g_{j kbar}, as MetricChart.hermitian
-    G: np.ndarray       # complexified Gram, as MetricChart.gram_full
     s: int              # the chart's s: the real form has index 2s
 
     @cached_property
@@ -167,15 +168,14 @@ def lee_data(lck: LCKStructure, z: np.ndarray) -> LeeData:
         return cached
     omega = lee_form_components(lck, z)
     H = lck.chart.hermitian(z)
-    G = _mixed_blocks(H, H.conj())        # gram_full(z)
-    B = _solve_gram(H, G, omega[..., None], z)[..., 0]
+    B = _solve_gram(H, omega[..., None], z)[..., 0]
     A = -1.0 * apply_j(B)                 # A = -J B
-    theta = np.matvec(G, A)               # theta(X) = g(X, A)
+    theta = _lower(H, A)                  # theta(X) = g(X, A)
     c = np.vecdot(omega.conj(), B).real   # omega(B), unconjugated
     data = LeeData(point=z.copy(), B=B, A=A, omega=omega, theta=theta, c=c,
-                   H=H.view(), G=G,  # a view: a chart's constant H stays writable
+                   H=H.view(),  # a view: a chart's constant H stays writable
                    s=lck.chart.s)
-    for arr in (data.point, B, A, omega, theta, data.H, G, np.asarray(c)):
+    for arr in (data.point, B, A, omega, theta, data.H, np.asarray(c)):
         arr.setflags(write=False)
     lck._lee_cache[key] = data
     return data
@@ -194,7 +194,7 @@ def weyl_connection(lck: LCKStructure, X, Y, z: np.ndarray,
     base = covariant_derivative(lck.chart, X, Y, z, gamma=gamma)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     data = lee_data(lck, z)
-    gXY = _bilinear(Xv, data.G, Yv)[..., None]
+    gXY = _g(data.H, Xv, Yv)[..., None]
     shift = _applied(data.omega, Xv) * Yv + _applied(data.omega, Yv) * Xv - gXY * data.B
     return base - 0.5 * shift
 
@@ -216,7 +216,7 @@ def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray) -> np.ndarray:
         - apply_j(covariant_derivative(chart, X, Y, z, gamma=gamma))
     Xv, Yv = Xf(z), Yf(z)
     data = lee_data(lck, z)
-    gXY = _bilinear(Xv, data.G, Yv)[..., None]
+    gXY = _g(data.H, Xv, Yv)[..., None]
     OmXY = _bilinear(Xv, kahler_form(data.H), Yv)[..., None]
     rhs = 0.5 * (_applied(data.theta, Yv) * Xv - _applied(data.omega, Yv) * apply_j(Xv)
                  - gXY * data.A - OmXY * data.B)

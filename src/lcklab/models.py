@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import (
-    ChartDomainError, MetricChart, _bilinear, _norms, _require_domain, _richardson, _steps,
+    ChartDomainError, MetricChart, _g, _norms, _require_domain, _richardson, _steps,
     real_coords,
 )
 from .lck import LCKStructure, lee_data
@@ -399,7 +399,7 @@ def submersion_isometry_residual(model: HopfModel, z, u: np.ndarray,
     z = np.asarray(z, dtype=complex)
     real_coords(u), real_coords(v)   # each refuses a vector that is not real
     data = lee_data(lck, z)
-    g = [_bilinear(a, data.G, b).real for a in (u, v) for b in (data.A, data.B)]
+    g = [_g(data.H, a, b).real for a in (u, v) for b in (data.A, data.B)]
     scale = np.maximum(1.0, _norms(u) * _norms(v))
     if np.any(np.max(np.abs(g), axis=0) > HORIZONTAL_TOL * scale):
         raise ValueError("inputs are not horizontal at z")
@@ -410,7 +410,7 @@ def submersion_isometry_residual(model: HopfModel, z, u: np.ndarray,
     n = model.n
     ut, vt = (np.concatenate([fac * w[..., :n], np.conj(fac) * w[..., n:]], axis=-1)
               for w in (u, v))
-    gram = _bilinear(ut, lck.chart.gram_full(fac * z), vt).real
+    gram = _g(lck.chart.hermitian(fac * z), ut, vt).real
     return np.abs(_richardson(np.moveaxis(gram, 1, 0), 1e-5)).max(axis=0)
 
 

@@ -58,7 +58,7 @@ import numpy as np
 from . import cr as crmod
 from . import foliations as fol
 from .charts import (
-    _along, _bilinear, _covariant_along, _field_derivatives, _max_abs, _require_domain,
+    _along, _covariant_along, _field_derivatives, _g, _lower, _max_abs, _require_domain,
     apply_j, christoffel, covariant_derivative, hol_from_real_coords, koszul_christoffel,
     real_vector, wirtinger_derivative,
 )
@@ -249,7 +249,7 @@ def _check_prop1_lee(key, lck, Z):
     resid = np.maximum(np.abs(data.c - 4.0 * a),
                        np.abs(data.B[:, :Z.shape[-1]] - expect_hol).max(axis=-1))
     # raising round trip: lowering B reproduces omega
-    lowered = np.matvec(lck.chart.gram_full(Z), data.B)
+    lowered = _lower(data.H, data.B)
     resid = np.maximum(resid, np.abs(lowered - data.omega).max(axis=-1))
     # theta/omega identities
     thB = np.vecdot(data.theta.conj(), data.B)
@@ -323,15 +323,15 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     resid = np.maximum(_max_abs(gamma - gamma.swapaxes(-1, -2), 3), _max_abs(gamma - flipped, 3))
     # metric compatibility X(g(Y, W)) = g(nabla_X Y, W) + g(Y, nabla_X W)
     def gYW(p):
-        return _bilinear(Y, chart.gram_full(p), W)
+        return _g(chart.hermitian(p), Y, W)
 
     d_dz, d_dzb = wirtinger_derivative(gYW, Z, chart=chart)
     df = np.concatenate([d_dz, d_dzb], axis=-1)
     lhs = np.vecdot(df.conj(), X)
     nXY = covariant_derivative(chart, X, Y, Z, gamma=gamma)
     nXW = covariant_derivative(chart, X, W, Z, gamma=gamma)
-    G = chart.gram_full(Z)
-    rhs = _bilinear(nXY, G, W) + _bilinear(Y, G, nXW)
+    H = chart.hermitian(Z)
+    rhs = _g(H, nXY, W) + _g(H, Y, nXW)
     diff = lhs - rhs
     resid = np.maximum(resid, np.hypot(diff.real, diff.imag))   # abs() of a Python complex
     # torsion on linear (z-dependent) fields, each differentiated once
@@ -815,6 +815,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("points must be >= 1")
     if not (0 < cfg.tol_analytic < math.inf and 0 < cfg.tol_fd < math.inf):
         raise UsageError("tolerances must be positive and finite")
+    if not math.isfinite(cfg.lam):
+        raise UsageError("lambda must be finite")
     if cfg.seed < 0:
         raise UsageError("seed must be non-negative")
     try:

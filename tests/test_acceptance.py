@@ -78,7 +78,7 @@ def test_criterion_01_christoffel_oracle():
                 gamma = christoffel(lck.chart, z)
                 solved = koszul_christoffel(lck.chart, z)
                 rel = np.abs(gamma - solved).max() / max(1.0, np.abs(gamma).max())
-                worst = max(worst, float(rel))
+                worst = np.maximum(worst, float(rel))
     for n in (1, 2):
         lck = tricerri_chart(n, max(0, n - 1))
         for _ in range(100):
@@ -86,7 +86,7 @@ def test_criterion_01_christoffel_oracle():
             gamma = christoffel(lck.chart, p)
             solved = koszul_christoffel(lck.chart, p)
             rel = np.abs(gamma - solved).max() / max(1.0, np.abs(gamma).max())
-            worst = max(worst, float(rel))
+            worst = np.maximum(worst, float(rel))
     elapsed = time.perf_counter() - start
     assert worst < 1e-6
     assert elapsed < 10.0
@@ -97,8 +97,8 @@ def test_criterion_01_christoffel_oracle():
 def test_criterion_02_parallel_lee():
     rng = np.random.default_rng(102)
     model, lck = hopf_pair(2, 1)
-    worst = max(parallel_lee_residual(lck, sample_hopf(model, hopf_variates(model.n, rng)))
-                for _ in range(100))
+    worst = np.max([parallel_lee_residual(lck, sample_hopf(model, hopf_variates(model.n, rng)))
+                    for _ in range(100)])
     assert worst < 1e-6
     tric = tricerri_chart(2, 1)
     worst_b = 0.0
@@ -110,7 +110,7 @@ def test_criterion_02_parallel_lee():
             out = covariant_derivative(tric.chart, X, Bf, p)
             expect = np.zeros(6, dtype=complex)
             expect[j] = 0.5
-            worst_b = max(worst_b, float(np.abs(out - expect).max()))
+            worst_b = np.maximum(worst_b, float(np.abs(out - expect).max()))
     assert worst_b < 1e-6
     p = sample_tricerri(2, rng)
     p[0] = p[0].real + 1j
@@ -127,10 +127,10 @@ def test_criterion_03_lee_norms():
         model, lck = hopf_pair(2, 1, region)
         for _ in range(100):
             z = sample_hopf(model, hopf_variates(model.n, rng), region)
-            worst = max(worst, abs(lee_data(lck, z).c - expect))
+            worst = np.maximum(worst, abs(lee_data(lck, z).c - expect))
     tric = tricerri_chart(2, 1)
     for _ in range(100):
-        worst = max(worst, abs(lee_data(tric, sample_tricerri(2, rng)).c - 1.0))
+        worst = np.maximum(worst, abs(lee_data(tric, sample_tricerri(2, rng)).c - 1.0))
     assert worst < 1e-10
     report(3, f"Lee norms on both regions and the family chart, err {worst:.2e}")
 
@@ -145,7 +145,7 @@ def test_criterion_04_totally_geodesic_and_signature():
         coeff = rng.standard_normal((2, fib.tangent.dim))
         h, _ = gauss_weingarten(lck, fib, coeff[0] @ fib.tangent.basis,
                                 coeff[1] @ fib.tangent.basis, z)
-        worst = max(worst, float(np.abs(h).max()))
+        worst = np.maximum(worst, float(np.abs(h).max()))
     assert worst < 1e-5
     for n, s in ((2, 1), (3, 1), (3, 2)):
         for region, expect in (("+", 2 * s), ("-", 2 * s - 1)):
@@ -173,14 +173,14 @@ def test_criterion_05_lightlike_transversal():
         screen = FrameSubspace.from_vectors(cfg.form, vt[:rank])
         V = sample_complement_vector(cfg.first_screen_perp[None], cfg.omega[None], [rng])[0]
         N = lightlike_transversal(cfg.form, cfg.omega, cfg.B, screen, V)
-        worst_eq = max(worst_eq, abs(inner(cfg.form, N, N)),
-                       abs(float(cfg.omega @ N) - 1.0))
+        worst_eq = np.max([worst_eq, abs(inner(cfg.form, N, N)),
+                           abs(float(cfg.omega @ N) - 1.0)])
         scale = rng.uniform(0.5, 3.0)
         N2 = lightlike_transversal(cfg.form, cfg.omega, cfg.B, screen, scale * V)
         V3 = sample_complement_vector(cfg.first_screen_perp[None], cfg.omega[None], [rng])[0]
         N3 = lightlike_transversal(cfg.form, cfg.omega, cfg.B, screen, V3)
-        worst_inv = max(worst_inv, float(np.abs(N - N2).max()),
-                        float(np.abs(N - N3).max()))
+        worst_inv = np.max([worst_inv, float(np.abs(N - N2).max()),
+                            float(np.abs(N - N3).max())])
     assert worst_eq < 1e-10
     assert worst_inv < 1e-9
     report(5, f"1000 null configs: normalization {worst_eq:.2e}, "
@@ -195,9 +195,9 @@ def test_criterion_06_second_foliation():
         sign = 1.0 if region == "+" else -1.0
         for _ in range(50):
             z = sample_hopf(model, hopf_variates(model.n, rng), region)
-            worst_br = max(worst_br, integrability_residual(lck, z))
+            worst_br = np.maximum(worst_br, integrability_residual(lck, z))
             fib = second_foliation_fibre(lck, z)
-            worst_gram = max(worst_gram, float(np.abs(
+            worst_gram = np.maximum(worst_gram, float(np.abs(
                 fib.tangent.gram_restricted - 4.0 * sign * np.eye(2)).max()))
     assert worst_br < 1e-5
     assert worst_gram < 1e-9
@@ -219,21 +219,21 @@ def test_criterion_07_isotropic_pair():
                                          cfg.theta[None], [rng])
         N1, N2 = isotropic_transversal_pair(cfg.form, cfg.omega, cfg.theta,
                                              cfg.A, cfg.B, cfg.screen, V1, V2)
-        worst_eq = max(worst_eq,
-                       abs(float(cfg.theta @ N1) - 1.0),
-                       abs(float(cfg.omega @ N2) - 1.0),
-                       abs(float(cfg.theta @ N2)),
-                       abs(float(cfg.omega @ N1)))
+        worst_eq = np.max([worst_eq,
+                           abs(float(cfg.theta @ N1) - 1.0),
+                           abs(float(cfg.omega @ N2) - 1.0),
+                           abs(float(cfg.theta @ N2)),
+                           abs(float(cfg.omega @ N1))])
         for u in (N1, N2):
             for v in (N1, N2):
-                worst_eq = max(worst_eq, abs(inner(cfg.form, u, v)))
+                worst_eq = np.maximum(worst_eq, abs(inner(cfg.form, u, v)))
         f = rng.standard_normal((2, 2))
         if abs(np.linalg.det(f)) > 0.1:
             M1, M2 = isotropic_transversal_pair(
                 cfg.form, cfg.omega, cfg.theta, cfg.A, cfg.B, cfg.screen,
                 f[0, 0] * V1 + f[0, 1] * V2, f[1, 0] * V1 + f[1, 1] * V2)
-            worst_inv = max(worst_inv, float(np.abs(N1 - M1).max()),
-                            float(np.abs(N2 - M2).max()))
+            worst_inv = np.max([worst_inv, float(np.abs(N1 - M1).max()),
+                                float(np.abs(N2 - M2).max())])
     assert worst_eq < 1e-10
     assert worst_inv < 1e-9
     # worked flat example, frozen values
@@ -258,9 +258,9 @@ def test_criterion_08_mean_curvature():
     for _ in range(50):
         u = (0.9 + 0.6 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         eq, mean = complex_submanifold_mean_curvature(lck, np.array([0.3, u]), jac)
-        worst_eq, worst_mean = max(worst_eq, eq), max(worst_mean, mean)
+        worst_eq, worst_mean = np.maximum(worst_eq, eq), np.maximum(worst_mean, mean)
         _, minimal = complex_submanifold_mean_curvature(lck, np.array([0.0, u]), jac)
-        worst_min = max(worst_min, minimal)
+        worst_min = np.maximum(worst_min, minimal)
     assert worst_eq < 1e-5 and worst_mean < 1e-5 and worst_min < 1e-5
     report(8, f"submanifold law {worst_eq:.2e}, mean offset {worst_mean:.2e}, "
               f"tangent line minimal {worst_min:.2e}")
@@ -278,7 +278,7 @@ def test_criterion_09_leaf_space():
         lab = leaf_label(m, z)
         for k in range(-3, 4):
             lab_k = leaf_label(m, m.lam ** k * z)
-            worst = max(worst, abs(lab_k.w - lab.w))
+            worst = np.maximum(worst, abs(lab_k.w - lab.w))
             assert lab.same_leaf(lab_k)
         assert not lab.same_leaf(leaf_label(m, np.exp(0.1) * z))
     assert worst < 1e-9
@@ -296,9 +296,9 @@ def test_criterion_09_leaf_space():
             x *= model.lam
         while x <= model.lam:
             x /= model.lam
-        worst_r = max(worst_r, abs(x - lab.chart_radius))
+        worst_r = np.maximum(worst_r, abs(x - lab.chart_radius))
         zetas = [sample_pseudosphere(2, 1, hopf_variates(2, rng)) for _ in range(5)]
-        worst_r = max(worst_r, leaf_chart_image_check(model, w, zetas))
+        worst_r = np.maximum(worst_r, leaf_chart_image_check(model, w, zetas))
     assert worst_r < 1e-9
     frozen = label_from_w(model, 1j).chart_radius
     assert abs(frozen - 0.5 * np.exp(0.25)) < 1e-12
@@ -315,8 +315,8 @@ def test_criterion_10_cayley_siegel():
             z = sample_pseudosphere(n, s, hopf_variates(n, rng))
             if abs(z[-1] + 1.0) < 1e-6:
                 z = -z
-            worst = max(worst, abs(cayley(s, 1.0, z)[1]))
-            worst = max(worst, cayley_cr_residual(model, 1.0, z))
+            worst = np.maximum(worst, abs(cayley(s, 1.0, z)[1]))
+            worst = np.maximum(worst, cayley_cr_residual(model, 1.0, z))
         assert siegel_levi_signature(n, s) == (s, n - s - 1)
     assert worst < 1e-9
     report(10, f"boundary residuals {worst:.2e}, Levi signatures exact")
@@ -334,29 +334,29 @@ def test_criterion_11_quotient_structure():
         back = hopf_diffeo_inv(model, zeta, w)
         k = deck_equivalent(model, z, back)
         assert not np.isnan(k)
-        worst_rt = max(worst_rt, float(np.abs(back - model.lam ** k * z).max()))
+        worst_rt = np.maximum(worst_rt, float(np.abs(back - model.lam ** k * z).max()))
     assert worst_rt < 1e-9
     worst_deck = 0.0
     for _ in range(100):
         z = sample_hopf(model, hopf_variates(model.n, rng))
         H = lck.chart.hermitian(z)
         Hl = lck.chart.hermitian(model.lam * z)
-        worst_deck = max(worst_deck, float(np.abs(Hl * model.lam ** 2 - H).max()))
+        worst_deck = np.maximum(worst_deck, float(np.abs(Hl * model.lam ** 2 - H).max()))
     assert worst_deck < 1e-12
     from lcklab.models import torus_pullback_isometry_residual
     worst_torus = 0.0
     for _ in range(100):
         z = sample_hopf(model, hopf_variates(model.n, rng))
         t = complex(0.5 * rng.standard_normal(), 2.0 * rng.standard_normal())
-        worst_torus = max(worst_torus, torus_pullback_isometry_residual(model, t, z, lck))
+        worst_torus = np.maximum(worst_torus, torus_pullback_isometry_residual(model, t, z, lck))
     assert worst_torus < 1e-12
     worst_ret = 0.0
     for _ in range(200):
         z = sample_hopf(model, hopf_variates(model.n, rng))
         t = rng.uniform()
-        worst_ret = max(worst_ret, max(0.0, model.b(z) - model.b(retraction(model, t, z))))
-        worst_ret = max(worst_ret, float(np.abs(retraction(model, 0.0, z) - z).max()))
-        worst_ret = max(worst_ret, float(np.abs(retraction(model, 1.0, z)[:1]).max()))
+        worst_ret = np.maximum(worst_ret, np.maximum(0.0, model.b(z) - model.b(retraction(model, t, z))))
+        worst_ret = np.maximum(worst_ret, float(np.abs(retraction(model, 0.0, z) - z).max()))
+        worst_ret = np.maximum(worst_ret, float(np.abs(retraction(model, 1.0, z)[:1]).max()))
     assert worst_ret < 1e-12
     report(11, f"roundtrip {worst_rt:.2e}, deck {worst_deck:.2e}, torus "
                f"{worst_torus:.2e}, retraction {worst_ret:.2e}")
@@ -373,7 +373,7 @@ def test_criterion_12_submersion():
             _, H0 = fibration_split(model, z, lck)
             u = real_vector(hol_from_real_coords(rng.standard_normal(H0.dim) @ H0.basis))
             v = real_vector(hol_from_real_coords(rng.standard_normal(H0.dim) @ H0.basis))
-            worst = max(worst, submersion_isometry_residual(model, z, u, v, lck))
+            worst = np.maximum(worst, submersion_isometry_residual(model, z, u, v, lck))
     assert worst < 1e-6
     report(12, f"horizontal Gram fibre-invariance {worst:.2e}")
 

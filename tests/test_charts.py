@@ -10,8 +10,12 @@ from lcklab.charts import (
     MetricChart,
     REAL_VECTOR_TOL,
     SingularMetricError,
-    _mixed_blocks,
+    _bilinear,
+    _g,
+    _lower,
+    _real_gram,
     _require_conditioned,
+    _solve_gram,
     _stencil,
     apply_j,
     christoffel,
@@ -52,6 +56,13 @@ def _twisted_hopf(model: HopfModel, A: np.ndarray) -> tuple[MetricChart, MetricC
         n=model.n, s=model.s, metric_eval=lambda z: A.T @ base.metric_eval(np.matvec(A, z)) @ A.conj(),
         domain_pred=lambda z: base.domain_pred(np.matvec(A, z)), name="twisted hopf")
     return base, twisted
+
+
+def _block_gram(H: np.ndarray) -> np.ndarray:
+    """The complexified Gram [[0, H], [conj(H), 0]] on frame components,
+    per matrix of a stack."""
+    zero = np.zeros_like(H)
+    return np.block([[zero, H], [H.conj(), zero]])
 
 
 class TestVectorComponents:
@@ -113,8 +124,8 @@ class TestVectorComponents:
     def test_real_gram_matches_hermitian_pairing(self):
         rng = np.random.default_rng(5)
         z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
-        G = HOPF.chart.real_gram(z)
         H = HOPF.chart.hermitian(z)
+        G = _real_gram(H)
         for _ in range(10):
             u = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
             v = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
@@ -455,14 +466,12 @@ class TestMetricCompatibility:
             X = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
             Y = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
             W = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            G = chart.gram_full(z)
+            H = chart.hermitian(z)
             nXY = covariant_derivative(chart, X, Y, z, gamma=gam)
             nXW = covariant_derivative(chart, X, W, z, gamma=gam)
-            rhs = complex(nXY @ G @ W
-                          + Y @ G @ nXW)
+            rhs = complex(_g(H, nXY, W) + _g(H, Y, nXW))
             # finite-difference lhs
-            gYW = lambda p: np.einsum("a,...ab,b->...", Y, chart.gram_full(p),
-                                      W)
+            gYW = lambda p: _g(chart.hermitian(p), Y, W)
             d_dz, d_dzb = wirtinger_derivative(gYW, z, chart=chart)
             df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
             assert abs(complex(df @ X) - rhs) < 1e-6
@@ -482,7 +491,7 @@ class TestConditioning:
 
     @staticmethod
     def _cond_accepts(H) -> bool:
-        return bool(np.linalg.cond(_mixed_blocks(H, H.conj())) <= GRAM_COND_MAX)
+        return bool(np.linalg.cond(_block_gram(H)) <= GRAM_COND_MAX)
 
     @pytest.mark.parametrize("n, s", [(2, 1), (4, 2)])
     def test_twisted_hopf_metrics_on_both_sides_of_the_bound(self, n, s):
@@ -524,3 +533,56 @@ class TestConditioning:
             _require_conditioned(H, np.zeros(2))
         H[0, 1] = 0.3 + 1e-13
         _require_conditioned(H, np.zeros(2))
+
+
+class TestGramThroughH:
+    """_solve_gram, _lower and _g act through the n x n components H as the
+    complexified 2n x 2n Gram [[0, H], [conj(H), 0]] acts on frame
+    components."""
+
+    @staticmethod
+    def _complex(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("n, s", [(2, 1), (4, 2)])
+    def test_an_off_diagonal_metric_matches_the_block_gram(self, n, s):
+        rng = np.random.default_rng(11)
+        model = HopfModel(n=n, s=s, lam=0.5)
+        A = np.eye(n) + 0.3 * self._complex(rng, (n, n))
+        _, twisted = _twisted_hopf(model, A)
+        w = np.stack([sample_hopf(model, hopf_variates(n, rng)) for _ in range(6)])
+        z = np.linalg.solve(A, w[..., None])[..., 0]
+        H = twisted.hermitian(z)
+        assert np.abs(H[..., 0, 1]).min() > 1e-3 * np.abs(H).max()
+        G = _block_gram(H)
+        u, v = self._complex(rng, (6, 2 * n)), self._complex(rng, (6, 2 * n))
+        rhs = self._complex(rng, (6, 2 * n, 3))
+
+        def rel(got, expect):
+            return np.abs(got - expect).max() / np.abs(expect).max()
+
+        assert rel(_lower(H, v), np.einsum("...ab,...b->...a", G, v)) < 1e-13
+        assert rel(_g(H, u, v), np.einsum("...a,...ab,...b->...", u, G, v)) < 1e-13
+        assert rel(_solve_gram(H, rhs, z), np.linalg.solve(G, rhs)) < 1e-13
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("lck, draw", [
+        (hopf_chart(HopfModel(n=3, s=1, lam=0.5)),
+         lambda rng: sample_hopf(HopfModel(n=3, s=1, lam=0.5), hopf_variates(3, rng))),
+        (TRIC, lambda rng: sample_tricerri(2, rng)),
+    ], ids=["hopf", "tricerri"])
+    def test_a_diagonal_metric_matches_the_block_gram_bit_for_bit(self, lck, draw, k):
+        rng = np.random.default_rng(12)
+        z = np.stack([draw(rng) for _ in range(5)])
+        H = lck.chart.hermitian(z)
+        assert np.array_equal(H, H * np.eye(lck.chart.n))
+        G = _block_gram(H)
+        n2 = 2 * lck.chart.n
+        u, v = self._complex(rng, (5, n2)), self._complex(rng, (5, n2))
+        rhs = self._complex(rng, (5, n2, k))
+        assert np.array_equal(_solve_gram(H, rhs, z), np.linalg.solve(G, rhs))
+        assert np.array_equal(_lower(H, v), np.matvec(G, v))
+        assert np.array_equal(_g(H, u, v), _bilinear(u, G, v))
+        # a point's one right-hand side may be 1-D, as conformal_connection_shift passes it
+        assert np.array_equal(_solve_gram(H[0], rhs[0, :, 0], z[0]),
+                              np.linalg.solve(G[0], rhs[0, :, 0]))

@@ -148,6 +148,14 @@ class TestRunConfig:
         with pytest.raises(UsageError):
             run_config(RunConfig(model="hopf", points=2, suites=("prop1-lee-field",), **bad))
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_nonfinite_lambda_rejected_for_every_model(self, model, lam):
+        # models other than hopf read no lambda, yet a report must not
+        # record one that JSON writes as null
+        with pytest.raises(UsageError, match="lambda"):
+            run_config(RunConfig(model=model, lam=lam, points=2, suites=("all",)))
+
     def test_seed_changes_points_not_verdicts(self):
         reports = [run_config(RunConfig(model="hopf", points=10, seed=seed,
                                         suites=("prop1-lee-field", "thm5-leaf-space")))
@@ -281,6 +289,12 @@ class TestCommandLine:
         assert out.returncode == 2
         out = run_cli(["--model", "hopf", "--suites", "nope"])
         assert out.returncode == 2
+
+    def test_nan_lambda_exits_2_on_a_model_that_reads_no_lambda(self):
+        out = run_cli(["--model", "flat", "--lambda", "nan", "--points", "2",
+                       "--suites", "christoffel-oracle"])
+        assert out.returncode == 2, out.stdout
+        assert "lambda must be finite" in out.stderr
 
     @pytest.mark.parametrize("args,env", [
         (["--tol-fd", "nan"], None),

@@ -6,6 +6,8 @@ from lcklab.charts import (
     ChartDomainError,
     MetricChart,
     SingularMetricError,
+    _g,
+    _lower,
     _stencil,
     apply_j,
     christoffel,
@@ -62,7 +64,7 @@ class TestLeeData:
         for _ in range(10):
             z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             d = lee_data(HOPF, z)
-            lowered = HOPF.chart.gram_full(z) @ d.B
+            lowered = _lower(HOPF.chart.hermitian(z), d.B)
             assert np.abs(lowered - lee_form_components(HOPF, z)).max() < 1e-10
 
     def test_anti_lee_identities(self):
@@ -144,7 +146,7 @@ class TestRealMembers:
         assert np.array_equal(d.omega_real, gram @ real_coords(d.B))
         assert np.array_equal(d.theta_real, gram @ real_coords(d.A))
         assert np.array_equal(d.omega, lee_form_components(lck, z))
-        assert np.array_equal(d.G, lck.chart.gram_full(z))
+        assert np.array_equal(d.H, lck.chart.hermitian(z))
         assert d.non_null == _non_null(d.c, real_coords(d.B))
         assert d.non_null == (case != "synthetic-null")
 
@@ -159,7 +161,7 @@ class TestRealMembers:
             assert getattr(lee_data(lck, z.copy()), name) is arr
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        for arr in (d.omega, d.H, d.G):
+        for arr in (d.omega, d.H):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -186,7 +188,7 @@ class TestStackedLeeData:
             single = lee_data(lck, p)
             assert d.c[i] == single.c
             assert np.array_equal(Om[i], kahler_form(lck.chart.hermitian(p)))
-            for name in ("omega", "theta", "H", "G", "B_real", "A_real",
+            for name in ("omega", "theta", "H", "B_real", "A_real",
                          "omega_real", "theta_real", "non_null"):
                 assert np.array_equal(getattr(d, name)[i], getattr(single, name)), name
             assert np.array_equal(d.B[i], single.B)
@@ -276,7 +278,7 @@ class TestPointMemo:
 
     def test_cached_arrays_are_read_only(self):
         d = lee_data(HOPF, self.Z)
-        for arr in (d.point, d.B, d.A, d.theta, d.G):
+        for arr in (d.point, d.B, d.A, d.theta, d.H):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         assert np.array_equal(lee_data(HOPF, self.Z).point, self.Z)
@@ -329,8 +331,7 @@ class TestWeylConnection:
         rng = np.random.default_rng(7)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         Y = real_vector([0.0, 1.0])
-        gYY = lambda p: np.einsum("a,...ab,b->...", Y, HOPF.chart.gram_full(p),
-                                  Y)
+        gYY = lambda p: _g(HOPF.chart.hermitian(p), Y, Y)
         d_dz, d_dzb = wirtinger_derivative(gYY, z, chart=HOPF.chart)
         df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
         # the defect is a covector in X: witness it over all 2n real
@@ -340,7 +341,7 @@ class TestWeylConnection:
             X = real_vector(hol)
             lhs = complex(df @ X)
             DY = weyl_connection(HOPF, X, Y, z)
-            rhs = 2.0 * complex(DY @ HOPF.chart.gram_full(z) @ Y)
+            rhs = 2.0 * complex(_g(HOPF.chart.hermitian(z), DY, Y))
             defects.append(abs(lhs - rhs))
         assert max(defects) > 1e-3
 
