@@ -8,7 +8,6 @@ from .charts import (
     apply_j,
     christoffel,
     conformal_connection_shift,
-    conj_vector,
     covariant_derivative,
     exterior_derivative_1form,
     exterior_derivative_2form,

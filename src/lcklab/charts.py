@@ -73,7 +73,6 @@ __all__ = [
     "MetricChart",
     "real_vector",
     "apply_j",
-    "conj_vector",
     "real_coords",
     "hol_from_real_coords",
     "ChartDomainError",
@@ -121,12 +120,6 @@ def apply_j(v: np.ndarray) -> np.ndarray:
     """The standard complex structure on frame components: J Z_j = i Z_j."""
     n = v.shape[-1] // 2
     return np.concatenate([1j * v[..., :n], -1j * v[..., n:]], axis=-1)
-
-
-def conj_vector(v: np.ndarray) -> np.ndarray:
-    """The complex conjugate vector: Z_j and Zbar_j swap."""
-    n = v.shape[-1] // 2
-    return np.concatenate([v[..., n:].conj(), v[..., :n].conj()], axis=-1)
 
 
 def real_coords(v) -> np.ndarray:
@@ -228,16 +221,13 @@ def _require_conditioned(H: np.ndarray, z: np.ndarray) -> None:
 
 def _solve_gram(H: np.ndarray, rhs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The x with g(., x) = rhs, frame components per point of a stack
-    (rhs (..., 2n, k), or (2n,) at a point), refusing H singular at z
-    (_require_conditioned).  g(., x) is (H x_antihol, conj(H) x_hol), so
-    one n x n solve of H against [rhs_hol | conj(rhs_antihol)] gives x."""
+    (rhs (..., 2n, k)), refusing H singular at z (_require_conditioned).
+    g(., x) is (H x_antihol, conj(H) x_hol), so one n x n solve of H
+    against [rhs_hol | conj(rhs_antihol)] gives x."""
     _require_conditioned(H, z)
-    n = H.shape[-1]
-    r = rhs[:, None] if rhs.ndim == 1 else rhs
-    k = r.shape[-1]
-    x = np.linalg.solve(H, np.concatenate([r[..., :n, :], r[..., n:, :].conj()], axis=-1))
-    x = np.concatenate([x[..., k:].conj(), x[..., :k]], axis=-2)
-    return x[:, 0] if rhs.ndim == 1 else x
+    n, k = H.shape[-1], rhs.shape[-1]
+    x = np.linalg.solve(H, np.concatenate([rhs[..., :n, :], rhs[..., n:, :].conj()], axis=-1))
+    return np.concatenate([x[..., k:].conj(), x[..., :k]], axis=-2)
 
 
 def _lower(H: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -484,28 +474,30 @@ def lie_bracket(X, Y, z: np.ndarray, *, chart: MetricChart) -> np.ndarray:
 
 def exterior_derivative_1form(alpha: Callable[[np.ndarray], np.ndarray],
                               z: np.ndarray, *, chart: MetricChart) -> np.ndarray:
-    """(d alpha)_{AB} = Z_A(alpha_B) - Z_B(alpha_A) on frame pairs, from a
-    stencil on the chart's domain.
+    """(d alpha)_{AB} = Z_A(alpha_B) - Z_B(alpha_A) on frame pairs, at a
+    point or at each point of a stack, from a stencil on the chart's
+    domain.
 
     alpha(z) returns the 2n frame components (alpha(Z_A))_A.
     """
     d_dz, d_dzb = wirtinger_derivative(alpha, z, chart=chart)
-    grad = np.vstack([d_dz, d_dzb])  # grad[A, B] = Z_A(alpha_B)
-    return grad - grad.T
+    grad = np.concatenate([d_dz, d_dzb], axis=-2)  # grad[A, B] = Z_A(alpha_B)
+    return grad - grad.swapaxes(-1, -2)
 
 
 def exterior_derivative_2form(omega: Callable[[np.ndarray], np.ndarray],
                               z: np.ndarray, *, chart: MetricChart) -> np.ndarray:
-    """(d Omega)_{ABC} by the alternating sum over coordinate triples, from
-    a stencil on the chart's domain.
+    """(d Omega)_{ABC} by the alternating sum over coordinate triples, at a
+    point or at each point of a stack, from a stencil on the chart's
+    domain.
 
     omega(z) returns the antisymmetric 2n x 2n frame component matrix.
     Coordinate frame fields commute, so no bracket terms appear.
     """
     d_dz, d_dzb = wirtinger_derivative(omega, z, chart=chart)
-    grad = np.concatenate([d_dz, d_dzb], axis=0)  # grad[E, A, B] = Z_E(Omega_AB)
+    grad = np.concatenate([d_dz, d_dzb], axis=-3)  # grad[E, A, B] = Z_E(Omega_AB)
     # (d Omega)_{ABC} = grad[A,B,C] - grad[B,A,C] + grad[C,A,B]
-    return grad - grad.transpose(1, 0, 2) + grad.transpose(1, 2, 0)
+    return grad - grad.swapaxes(-3, -2) + np.moveaxis(grad, -3, -1)
 
 
 def kahler_form(H: np.ndarray) -> np.ndarray:
@@ -517,7 +509,8 @@ def kahler_form(H: np.ndarray) -> np.ndarray:
 
 
 def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> np.ndarray:
-    """Levi-Civita connection of the rescaled metric exp(-f) g.
+    """Levi-Civita connection of the rescaled metric exp(-f) g, at a point
+    or at each point of a stack.
 
     Returns nabla_X Y - (1/2){X(f) Y + Y(f) X - g(X,Y) grad f}, the
     conformal-change law written with the base metric's gradient.
@@ -526,11 +519,11 @@ def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> np
     base = covariant_derivative(chart, X, Y, z)
     Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
     d_dz, d_dzb = wirtinger_derivative(f, z, chart=chart)
-    df = np.concatenate([d_dz.ravel(), d_dzb.ravel()])
-    Xf = complex(df @ Xv)
-    Yf = complex(df @ Yv)
+    df = np.concatenate([d_dz, d_dzb], axis=-1)
+    Xf = np.vecdot(df.conj(), Xv)[..., None]   # X(f) = df @ X
+    Yf = np.vecdot(df.conj(), Yv)[..., None]
     H = chart.hermitian(z)
-    gXY = _g(H, Xv, Yv)
-    gradf = _solve_gram(H, df, z)   # grad f: g(grad f, X) = X(f)
+    gXY = _g(H, Xv, Yv)[..., None]
+    gradf = _solve_gram(H, df[..., None], z)[..., 0]   # grad f: g(grad f, X) = X(f)
     shift = Xf * Yv + Yf * Xv - gXY * gradf
     return base - 0.5 * shift

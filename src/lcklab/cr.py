@@ -3,8 +3,8 @@
 Each leaf is a real hypersurface; its CR bundle is the intersection of
 the holomorphic tangent bundle with the complexified leaf tangent.  This
 module computes that bundle pointwise, evaluates the tangential CR
-operator on ambient functions, values the Levi form against a fixed
-characteristic generator, detects Levi-flatness, and implements the
+operator on ambient functions, values the Levi form through the
+anti-Lee form, detects Levi-flatness, and implements the
 explicit leaf bookkeeping on the positive Hopf region: leaf labels on
 the unit circle, chart-image radii inside the fundamental annulus, and
 the Cayley picture of the leaves as Siegel-domain boundaries with their
@@ -12,12 +12,13 @@ Levi signature.
 
 Stacks: cr_fibre takes a stack of points (..., n), a point (n,) being a
 stack with no leading axes; every member of a CRFibre carries the
-stack's axes first, and tangential_cr_residual, levi_form and
-levi_flat_detector return one value per point, an array of the stack's
-shape (V and W one vector per point).  The leaf bookkeeping takes stacks
-too: leaf_label and label_from_w give a LeafLabel whose fields hold one
-value per point, leaf_chart_image_check one w and one set of samples
-(..., k, n) per point, and cayley_cr_residual one residual per point.
+stack's axes first; tangential_cr_residual and levi_flat_detector
+return one value per point, an array of the stack's shape, and
+levi_form one (k, k) matrix per point of k vectors (..., k, n).  The
+leaf bookkeeping takes stacks too: leaf_label and label_from_w give a
+LeafLabel whose fields hold one value per point, leaf_chart_image_check
+one w and one set of samples (..., k, n) per point, and
+cayley_cr_residual one residual per point.
 Each row carries the bits of the single-point call.  The Siegel-boundary
 Levi data are constants of (n, s).
 """
@@ -28,13 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (
-    ChartDomainError, apply_j, conj_vector, lie_bracket, real_coords, real_vector,
-    wirtinger_derivative,
-)
+from .charts import ChartDomainError, apply_j, real_coords, real_vector, wirtinger_derivative
 from .lck import LCKStructure, _nonsingular, lee_data
 from .models import HopfModel, cayley, eps_signs, hopf_diffeo
-from .semieuclid import FrameSubspace, _kernel, _lstsq_rows
+from .semieuclid import FrameSubspace, _kernel
 
 __all__ = [
     "CRFibre", "LeafLabel", "cr_fibre", "tangential_cr_residual",
@@ -45,7 +43,7 @@ __all__ = [
 
 LEVI_FLAT_TOL = 1e-6      # Levi form values below this count as zero
 SAME_LEAF_TOL = 1e-9      # labels this close on the unit circle name one leaf
-EXCLUDED_LEAF_TOL = 1e-9  # chart index a this close to an integer is excluded
+EXCLUDED_LEAF_TOL = 1e-9  # chart index a this close to 0 or 1 is excluded
 UNIT_CIRCLE_TOL = 1e-9    # leaf labels w lie this close to the unit circle
 CAYLEY_SPHERE_TOL = 1e-8  # cayley_cr_residual's points lie this close to b(z, z) = r^2
 
@@ -56,14 +54,12 @@ class CRFibre:
 
     t10 columns are holomorphic components of a basis of the CR bundle
     (complex dimension n-1); levi_H is the real (2n-2)-dimensional
-    maximal complex distribution; characteristic, frame components
-    (..., 2n), spans the line complementing levi_H inside the leaf tangent.
+    maximal complex distribution.
     """
 
     point: np.ndarray
     t10: np.ndarray
     levi_H: FrameSubspace
-    characteristic: np.ndarray
 
 
 def _t10_basis(omega_hol: np.ndarray) -> np.ndarray:
@@ -73,24 +69,14 @@ def _t10_basis(omega_hol: np.ndarray) -> np.ndarray:
 
 
 def cr_fibre(lck: LCKStructure, z) -> CRFibre:
-    """CR bundle, Levi distribution and characteristic direction at z, a
-    point or a stack of points.
-
-    The characteristic generator is the anti-Lee vector when c != 0 (it
-    lies in the leaf tangent and is g-orthogonal to the Levi
-    distribution); for null Lee data the leaf tangent degenerates onto
-    the Levi distribution plus the Lee line, and the Lee field itself is
-    used as the marker of the quotient direction, chosen per point.
-    """
+    """CR bundle and Levi distribution at z, a point or a stack of points."""
     z = np.asarray(z, dtype=complex)
     data = _nonsingular(lee_data(lck, z))
     t10 = _t10_basis(lck.lee_hol(z))
     cr = real_vector(t10.swapaxes(-1, -2))    # one row per CR vector
     rows = np.stack([real_coords(cr), real_coords(apply_j(cr))], axis=-2)   # V_k, J V_k, ...
     rows = rows.reshape(z.shape[:-1] + (-1, 2 * z.shape[-1]))
-    levi_H = FrameSubspace._orthonormal(data.form, rows)
-    marker = np.where(data.non_null[..., None], data.A, data.B)
-    return CRFibre(point=z, t10=t10, levi_H=levi_H, characteristic=marker)
+    return CRFibre(point=z, t10=t10, levi_H=FrameSubspace._orthonormal(data.form, rows))
 
 
 def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):
@@ -108,53 +94,46 @@ def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):
     return np.abs(vals).max(axis=-1, initial=0.0)
 
 
-def _t10_projected_field(lck: LCKStructure, v0: np.ndarray):
-    """Type-(1,0) section of the CR bundle through v0 (one per point of a
-    stack), by Euclidean projection onto ker(omega_hol) pointwise."""
-    def field(p):
-        w = lck.lee_hol(p)
-        denom = np.vecdot(w, w).real[..., None]
-        v = v0 - np.vecdot(w.conj(), v0)[..., None] * w.conj() / denom
-        return np.concatenate([v, np.zeros_like(v)], axis=-1)
-    return field
+def levi_form(lck: LCKStructure, fib: CRFibre, V):
+    """Levi matrix L(V_a, conj V_b) = i theta([V_a, conj V_b]) / c of k
+    type-(1,0) vectors V (..., k, n) in the CR fibre fib of lck at
+    z = fib.point, shape (..., k, k): one matrix per point of a stack.
 
-
-def levi_form(lck: LCKStructure, fib: CRFibre, V, W):
-    """Levi form L(V, Wbar) = i * (characteristic component of [V, Wbar]),
-    per point of the fibre's stack.
-
-    V, W are type-(1,0) vectors in the CR fibre fib of lck at z = fib.point
-    (holomorphic component arrays, one per point of a stack); they are
-    extended as CR sections by pointwise projection and the bracket is
-    computed by central differences on the chart's domain.
-    The value is taken against the fixed characteristic generator of the
-    leaf tangent modulo the Levi distribution, so only signs and zeros are
-    geometrically meaningful.
+    theta = g(., A) annihilates the Levi distribution and theta(A) = c, so
+    this is the bracket's component along the anti-Lee field A (Boggess,
+    CR Manifolds and the Tangential Cauchy-Riemann Complex, 1991).  At a
+    null point (c = 0) it is read against a leaf direction X transverse to
+    the Levi distribution with theta(X) = 1.  Each V_a is extended as a
+    CR section by Euclidean projection onto ker(omega_hol) pointwise; the
+    bracket of a (1,0) field with a (0,1) field reads only their dzbar
+    derivatives, taken for all k fields on one stencil on the chart's
+    domain.
     """
-    Vf = _t10_projected_field(lck, np.asarray(V, dtype=complex))
-    Wf = _t10_projected_field(lck, np.asarray(W, dtype=complex))
+    V = np.asarray(V, dtype=complex)
 
-    def Wbar(p):
-        return conj_vector(Wf(p))
+    def field(p):
+        w = lck.lee_hol(p)[..., None, :]
+        denom = np.vecdot(w, w).real[..., None]
+        return V - np.vecdot(w.conj(), V)[..., None] * w.conj() / denom
 
-    br = lie_bracket(Vf, Wbar, fib.point, chart=lck.chart)
-    # decompose against (complexified) H basis + characteristic generator
-    cr = real_vector(fib.t10.swapaxes(-1, -2))
-    M = np.concatenate([cr, apply_j(cr), fib.characteristic[..., None, :]],
-                       axis=-2).swapaxes(-1, -2)
-    return 1j * _lstsq_rows(M, br)[..., -1]
+    _, d_dzb = wirtinger_derivative(field, fib.point, chart=lck.chart)   # [..., l, a, j]
+    data = lee_data(lck, fib.point)
+    # T[a, b] = theta((conj V_b)(V_a)), contracted over j, then over l; theta
+    # is real, so theta(V_a(conj V_b)) = conj(T[b, a]) and
+    # theta([V_a, conj V_b]) = conj(T[b, a]) - T[a, b]
+    dtheta = np.ascontiguousarray(
+        np.matvec(d_dzb, data.theta[..., None, :V.shape[-1]]).swapaxes(-1, -2))   # [..., a, l]
+    T = np.vecdot(field(fib.point)[..., None, :, :], dtheta[..., :, None, :])
+    c = np.where(data.non_null, data.c, 1.0)[..., None, None]
+    return 1j * (T.conj().swapaxes(-1, -2) - T) / c
 
 
 def levi_flat_detector(lck: LCKStructure, fib: CRFibre):
     """True iff the Levi form stays below LEVI_FLAT_TOL on a full CR basis
     of the CR fibre fib of lck (at z = fib.point; per point of a stacked
     fibre)."""
-    worst = 0.0
-    for a in range(fib.t10.shape[-1]):
-        for b in range(fib.t10.shape[-1]):
-            worst = np.maximum(worst, np.abs(levi_form(lck, fib, fib.t10[..., a],
-                                                       fib.t10[..., b])))
-    return worst < LEVI_FLAT_TOL
+    L = levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
+    return np.abs(L).max(axis=(-2, -1)) < LEVI_FLAT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +161,8 @@ class LeafLabel:
 
 def leaf_label(model: HopfModel, z) -> LeafLabel:
     """Label of the leaf through z, per point of a stack: the phase
-    w = exp(2 pi i log|z|_{s,n} / log lambda) of models.hopf_diffeo.
-
-    a = arg(w) / (2 pi log lambda) and the chart radius is
-    lambda^{-floor(a)} e^{arg(w)/(2 pi)}, the radius of the pseudosphere
-    the leaf traces inside the fundamental annulus chart.
+    w = exp(2 pi i log|z|_{s,n} / log lambda) of models.hopf_diffeo,
+    read back by label_from_w.
     """
     z = np.asarray(z, dtype=complex)
     b = model.b(z)
@@ -197,14 +173,19 @@ def leaf_label(model: HopfModel, z) -> LeafLabel:
 
 def label_from_w(model: HopfModel, w) -> LeafLabel:
     """Label built directly from unit-circle values, one per point of a
-    stack."""
+    stack, read as leaf_label writes them.
+
+    a = arg(w) / (2 pi) with arg in [0, 2 pi), and the chart radius is
+    lambda^a, the deck-reduced |z|_{s,n} of the leaf's points: the radius
+    of the pseudosphere the leaf traces inside the fundamental annulus
+    chart.  Rounding can put the unit pseudosphere's leaf at either end,
+    a near 0 or near 1, which leaf_chart_image_check excludes.
+    """
     w = np.asarray(w, dtype=complex)
     if np.any(np.abs(np.hypot(w.real, w.imag) - 1.0) > UNIT_CIRCLE_TOL):
         raise ValueError("leaf labels lie on the unit circle")
-    arg = np.angle(w) % (2.0 * np.pi)
-    a = arg / (2.0 * np.pi * np.log(model.lam))
-    radius = np.float_power(model.lam, -np.floor(a)) * np.exp(arg / (2.0 * np.pi))
-    return LeafLabel(w=w, a=a, chart_radius=radius)
+    a = (np.angle(w) % (2.0 * np.pi)) / (2.0 * np.pi)
+    return LeafLabel(w=w, a=a, chart_radius=np.float_power(model.lam, a))
 
 
 def leaf_chart_image_check(model: HopfModel, w, samples):
@@ -214,15 +195,15 @@ def leaf_chart_image_check(model: HopfModel, w, samples):
     For each unit-pseudosphere sample zeta, the representative
     (chart_radius * zeta) must have |.|_{s,n} equal to the radius and lie
     strictly inside the fundamental annulus lambda < |.|_{s,n} < 1.
-    Labels with integer a, to within EXCLUDED_LEAF_TOL (the leaf of the
-    unit pseudosphere itself), are excluded: that leaf needs the
+    Labels with a within EXCLUDED_LEAF_TOL of 0 or 1 (the leaf of the
+    unit pseudosphere itself) are excluded: that leaf needs the
     shifted-annulus chart instead.
     """
     label = label_from_w(model, w)
     a, radius = label.a, label.chart_radius
-    if np.any(np.minimum(a - np.floor(a), np.ceil(a) - a) <= EXCLUDED_LEAF_TOL):
+    if np.any(np.minimum(a, 1.0 - a) <= EXCLUDED_LEAF_TOL):
         raise ValueError("excluded leaf: use the shifted annulus chart "
-                         "(integer chart index)")
+                         "(chart index at 0 or 1)")
     samples = np.asarray(samples, dtype=complex)
     norms = model.norm_sn(radius[..., None, None] * samples)
     worst = np.abs(norms - radius[..., None]).max(axis=-1)

@@ -15,9 +15,8 @@ from_vectors, orthogonal_complement, signature_of, contains_span and
 same_span work per point of such a stack, through numpy's stacked
 linear algebra (one QR projection for a stack in contains_span), which
 gives each point the bits of a single-point call, and return one value
-per point, an array of the stack's shape; only cr.levi_form reads
-_lstsq_rows, the one home of the least-squares solve, point by point.
-_full_rank answers for the whole stack, and a stack whose points
+per point, an array of the stack's shape; no least-squares solve is
+taken, so no point is solved alone.  _full_rank answers for the whole stack, and a stack whose points
 disagree on a rank raises ValueError.
 
 Rank checks: a FrameSubspace comes from from_vectors, which proves by
@@ -182,17 +181,6 @@ def _kernel(rows: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.eye(ncols), rows.shape[:-2] + (ncols, ncols)).copy()
     _, sv, vt = np.linalg.svd(rows, full_matrices=True)
     return vt[..., _uniform_rank(sv):, :]
-
-
-def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.lstsq(a, b) solution per point of a stack (a (..., M, N),
-    b (..., M) or (..., M, K)); lstsq takes one matrix, so the points are
-    solved in turn."""
-    lead = a.shape[:-2]
-    flat_a = a.reshape((-1,) + a.shape[-2:])
-    flat_b = b.reshape((len(flat_a),) + b.shape[len(lead):])
-    x = [np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(flat_a, flat_b)]
-    return np.array(x).reshape(lead + x[0].shape)
 
 
 def _complement_within(space: np.ndarray, inside: np.ndarray) -> np.ndarray:

@@ -392,11 +392,8 @@ def _check_fibration_split(model, lck, Z):
 
 def _check_levi_hopf(model, lck, Z):
     fib = crmod.cr_fibre(lck, Z)
-    worst = 0.0
-    for k in range(fib.t10.shape[-1]):
-        V = fib.t10[..., k]
-        worst = np.maximum(worst, np.abs(crmod.levi_form(lck, fib, V, V)))
-    return worst
+    L = crmod.levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
+    return np.abs(np.diagonal(L, axis1=-2, axis2=-1)).max(axis=-1)
 
 
 def _check_cr_tangential(model, lck, Z, coeffs):
@@ -545,7 +542,7 @@ def _check_prop4_null(c):
     along = np.vecdot(lck.lee_hol(z).conj(), Z)    # Z is type (1,0) in ker omega
     resid = np.hypot(along.real, along.imag)        # abs() of a Python complex
     cfib = crmod.cr_fibre(lck, z)
-    levi = crmod.levi_form(lck, cfib, Z, Z)
+    levi = crmod.levi_form(lck, cfib, Z[:, None])[:, 0, 0]
     resid = np.maximum(resid, np.hypot(levi.real, levi.imag))
     fib = fol.first_foliation_fibre(lck, z)
     plane = FrameSubspace.from_vectors(fib.form, np.stack([data.A_real, data.B_real], axis=-2))
@@ -574,8 +571,8 @@ def _draw_leaf_radius(cfg, rng):
     of three pseudosphere points."""
     w = sample_unit_circle(rng)
     arg = float(np.angle(w)) % (2 * np.pi)
-    a = arg / (2 * np.pi * np.log(cfg.lam))
-    if min(a - np.floor(a), np.ceil(a) - a) < 1e-3:
+    a = arg / (2 * np.pi)   # the chart index of cr.label_from_w
+    if min(a, 1.0 - a) < 1e-3:
         w = complex(np.exp(1j * (arg + 0.5)))  # nudge off the excluded leaf
     return "+", w, np.stack([hopf_variates(cfg.n, rng) for _ in range(3)])
 
@@ -629,10 +626,12 @@ def _check_leaf_space(model, _, Z):
 def _check_leaf_radius(model, _, W, V):
     zetas = sample_pseudosphere(model.n, model.s, V)   # (m, 3, n) in one pass
     label = crmod.label_from_w(model, W)
-    # independent oracle: deck-reduce the sample-point norm into the annulus
-    x = np.exp((np.angle(W) % (2 * np.pi)) / (2 * np.pi))
-    while np.any(x >= 1.0):
-        x = np.where(x >= 1.0, x * model.lam, x)
+    # independent oracle: deck-reduce the norm of the representative
+    # lambda^(a+3) zeta of the leaf into (lambda, 1]
+    a = (np.angle(W) % (2 * np.pi)) / (2 * np.pi)
+    x = model.norm_sn(np.float_power(model.lam, a + 3.0)[:, None] * zetas[:, 0])
+    while np.any(x > 1.0):
+        x = np.where(x > 1.0, x * model.lam, x)
     while np.any(x <= model.lam):
         x = np.where(x <= model.lam, x / model.lam, x)
     return np.maximum(np.abs(x - label.chart_radius),

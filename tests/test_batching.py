@@ -590,15 +590,16 @@ class TestDerivedOnce:
         suite = suites_mod._BY_NAME["eq18-mean-curvature"]
         cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
         draws = _draws(suite, cfg)
-        names = ("_richardson", "wirtinger_derivative", "_lstsq_rows", "_covariant_along")
+        names = ("_richardson", "wirtinger_derivative", "_covariant_along")
         calls = {name: [self._counted(monkeypatch, module, name)
                         for module in (charts_mod, semieuclid_mod, lck_mod, fol, models_mod)
                         if hasattr(module, name)]
                  for name in names}
+        calls["lstsq"] = [self._counted(monkeypatch, np.linalg, "lstsq")]
         suite.check(cfg, draws)
         counts = {name: sum(map(len, lists)) for name, lists in calls.items()}
         # two lines, four h(X, Y) each
-        assert counts == {"_richardson": 0, "wirtinger_derivative": 0, "_lstsq_rows": 0,
+        assert counts == {"_richardson": 0, "wirtinger_derivative": 0, "lstsq": 0,
                           "_covariant_along": 8}
 
     def test_prop4_builds_one_cr_fibre_per_run(self, monkeypatch):
@@ -608,22 +609,24 @@ class TestDerivedOnce:
         assert report.results[0].verdict == "pass"
         assert len(calls) == 1          # one per point before the null suites were stacked
 
-    # (screen splits of the configuration, _lstsq_rows calls) per check of
-    # a null suite at n = 3; every check built both splits before they
-    # were built on first read, and each span test called _lstsq_rows
-    @pytest.mark.parametrize("name, splits, solves", [
+    # (screen splits of the configuration, finite-difference stencils) per
+    # check of a null suite at n = 3; every check built both splits before
+    # they were built on first read, and prop4-null-leaf's Levi form is one
+    # stencil where it was one least-squares solve per point
+    @pytest.mark.parametrize("name, splits, stencils", [
         ("prop4-null-leaf", 0, 1), ("eq8-transversal", 1, 0), ("eq5-nv-invariance", 1, 0),
         ("lemma6-pair", 1, 0), ("lemma6-invariance", 1, 0), ("screen-splits", 2, 0)])
     def test_a_null_check_builds_only_the_screens_it_reads(self, monkeypatch, name, splits,
-                                                           solves):
+                                                           stencils):
         # sampling's own name: first_foliation_fibre calls foliations'
         built = self._counted(monkeypatch, sampling_mod, "_screen_split")
-        solved = [self._counted(monkeypatch, module, "_lstsq_rows")
-                  for module in (semieuclid_mod, crmod)]
+        derived = [self._counted(monkeypatch, module, "wirtinger_derivative")
+                   for module in (charts_mod, lck_mod, crmod)]
+        solved = self._counted(monkeypatch, np.linalg, "lstsq")
         report = run_config(RunConfig(model="synthetic-null", n=3, s=1, points=6, seed=42,
                                       suites=(name,)))
         assert report.results[0].verdict == "pass"
-        assert (len(built), sum(map(len, solved))) == (splits, solves)
+        assert (len(built), sum(map(len, derived)), len(solved)) == (splits, stencils, 0)
 
     def test_a_screen_split_takes_two_svds(self, monkeypatch):
         # the complement within the space and the kernel of the screen; the

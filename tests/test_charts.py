@@ -20,7 +20,6 @@ from lcklab.charts import (
     apply_j,
     christoffel,
     conformal_connection_shift,
-    conj_vector,
     covariant_derivative,
     exterior_derivative_1form,
     exterior_derivative_2form,
@@ -90,13 +89,6 @@ class TestVectorComponents:
         expect = [[1j * v[0, 0], 1j * v[0, 1], -1j * v[0, 2], -1j * v[0, 3]]]
         assert np.array_equal(apply_j(v), expect)
         assert np.array_equal(real_coords(apply_j(real_vector([1.0, 2j]))), [0.0, 1.0, -2.0, 0.0])
-
-    def test_conjugation_swaps_the_halves(self):
-        v = np.array([1.0 + 2j, -0.5j, 3.0, 0.25 - 1j])
-        assert np.array_equal(conj_vector(v), [3.0, 0.25 + 1j, 1.0 - 2j, 0.5j])
-        assert np.array_equal(conj_vector(conj_vector(v)), v)
-        w = real_vector([0.3 - 1j, 2.0])
-        assert np.array_equal(conj_vector(w), w)
 
     @pytest.mark.parametrize("factor, real", [(10.0, False), (0.9, True), (0.1, True)])
     def test_reality_check_uses_the_named_tolerance(self, factor, real):
@@ -392,11 +384,30 @@ class TestExteriorDerivative:
             return np.matvec(coeff, w) + np.matvec(coeff, w ** 2)
 
         def dalpha(p):
-            return np.stack([exterior_derivative_1form(alpha, q, chart=FLAT.chart) for q in p])
+            return exterior_derivative_1form(alpha, p, chart=FLAT.chart)
 
         z = np.array([0.3 - 0.2j, 0.6 + 0.4j])
         dd = exterior_derivative_2form(dalpha, z, chart=FLAT.chart)
         assert np.abs(dd).max() < 1e-5
+
+    def test_each_row_of_a_stack_is_its_single_point_call(self):
+        # one region per point, so the stack's chart is not the points' chart
+        model = HopfModel(n=3, s=1, lam=0.5)
+        regions = np.array(["+", "-", "+", "-"])
+        lck = hopf_chart(model, regions=regions)
+        rng = np.random.default_rng(22)
+        Z = sample_hopf(model, np.stack([hopf_variates(3, rng) for _ in regions]), regions)
+        alpha = lambda p: lee_form_components(lck, p)
+        omega = lambda p: kahler_form(lck.chart.hermitian(p))
+        d1 = exterior_derivative_1form(alpha, Z, chart=lck.chart)
+        d2 = exterior_derivative_2form(omega, Z, chart=lck.chart)
+        assert d1.shape == (4, 6, 6) and d2.shape == (4, 6, 6, 6)
+        for i, z in enumerate(Z):
+            one = hopf_chart(model, regions=regions[i])
+            assert np.array_equal(d1[i], exterior_derivative_1form(
+                lambda p: lee_form_components(one, p), z, chart=one.chart))
+            assert np.array_equal(d2[i], exterior_derivative_2form(
+                lambda p: kahler_form(one.chart.hermitian(p)), z, chart=one.chart))
 
 
 class TestConformalShift:
@@ -448,6 +459,19 @@ class TestConformalShift:
         Y = real_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         shifted = conformal_connection_shift(HOPF.chart, f, X, Y, z)
         assert np.abs(shifted).max() < 1e-7
+
+    def test_each_row_of_a_stack_is_its_single_point_call(self):
+        model = HopfModel(n=3, s=1, lam=0.5)
+        flat = flat_chart(3, 1).chart
+        f = lambda q: np.log(np.abs(model.b(q)))
+        rng = np.random.default_rng(23)
+        Z = sample_hopf(model, np.stack([hopf_variates(3, rng) for _ in range(4)]))
+        X, Y = (real_vector(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+                for _ in range(2))
+        stacked = conformal_connection_shift(flat, f, X, Y, Z)
+        assert stacked.shape == (4, 6)
+        for i, z in enumerate(Z):
+            assert np.array_equal(stacked[i], conformal_connection_shift(flat, f, X[i], Y[i], z))
 
 
 class TestMetricCompatibility:
@@ -583,6 +607,5 @@ class TestGramThroughH:
         assert np.array_equal(_solve_gram(H, rhs, z), np.linalg.solve(G, rhs))
         assert np.array_equal(_lower(H, v), np.matvec(G, v))
         assert np.array_equal(_g(H, u, v), _bilinear(u, G, v))
-        # a point's one right-hand side may be 1-D, as conformal_connection_shift passes it
-        assert np.array_equal(_solve_gram(H[0], rhs[0, :, 0], z[0]),
-                              np.linalg.solve(G[0], rhs[0, :, 0]))
+        # a point is a stack with no leading axes
+        assert np.array_equal(_solve_gram(H[0], rhs[0], z[0]), np.linalg.solve(G[0], rhs[0]))

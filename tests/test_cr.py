@@ -3,6 +3,7 @@ import pytest
 
 from lcklab import cr as crmod
 from lcklab.cr import (
+    LEVI_FLAT_TOL,
     cayley_cr_residual,
     cr_fibre,
     label_from_w,
@@ -15,7 +16,9 @@ from lcklab.cr import (
     siegel_levi_signature,
     tangential_cr_residual,
 )
-from lcklab.charts import ChartDomainError, apply_j, hol_from_real_coords, real_coords, real_vector
+from lcklab.charts import (
+    ChartDomainError, apply_j, hol_from_real_coords, lie_bracket, real_coords, real_vector,
+)
 from lcklab.lck import LCKStructure, lee_data
 from lcklab.models import (
     HopfModel, deck_equivalent, flat_chart, hopf_chart, synthetic_null_structure,
@@ -107,37 +110,117 @@ class TestTangentialCR:
         assert len(built) == 1   # one stacked fibre for the run's three points
 
 
+def _projected(lck, v, conjugate=False):
+    """The CR section through the (1,0) vector v by Euclidean projection
+    onto ker(omega_hol), as frame components; conjugate gives its
+    conjugate (0,1) field."""
+    def field(p):
+        w = lck.lee_hol(p)
+        u = v - np.vecdot(w.conj(), v)[..., None] * w.conj() / np.vecdot(w, w).real[..., None]
+        zero = np.zeros_like(u)
+        return np.concatenate([zero, u.conj()] if conjugate else [u, zero], axis=-1)
+    return field
+
+
+def _draw_fibre(n, s, region, seed, points=3):
+    model = HopfModel(n=n, s=s, lam=0.5)
+    lck = hopf_chart(model, regions=region)
+    rng = np.random.default_rng(seed)
+    Z = sample_hopf(model, np.stack([hopf_variates(n, rng) for _ in range(points)]), region)
+    return lck, cr_fibre(lck, Z)
+
+
 class TestLeviForm:
     def test_hopf_leaf_not_levi_flat(self):
         fib = cr_fibre(HOPF, Z01)
-        val = levi_form(HOPF, fib, fib.t10[:, 0], fib.t10[:, 0])
-        assert abs(val) > 0.1
-        assert val.real == pytest.approx(-0.5, abs=1e-6)
+        val = levi_form(HOPF, fib, fib.t10.T)
+        assert val.shape == (1, 1)
+        assert abs(val[0, 0]) > 0.1
+        assert val[0, 0].real == pytest.approx(-0.5, abs=1e-6)
         assert not levi_flat_detector(HOPF, fib)
 
     def test_hermitian_symmetry(self):
-        model = HopfModel(n=3, s=1, lam=0.5)
-        lck = hopf_chart(model)
-        rng = np.random.default_rng(3)
-        z = sample_hopf(model, hopf_variates(model.n, rng))
-        fib = cr_fibre(lck, z)
-        V, W = fib.t10[:, 0], fib.t10[:, 1]
-        lvw = levi_form(lck, fib, V, W)
-        lwv = levi_form(lck, fib, W, V)
-        assert lvw == pytest.approx(np.conj(lwv), abs=1e-6)
+        lck, fib = _draw_fibre(3, 1, "+", 3, points=1)
+        L = levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
+        assert L.shape == (1, 2, 2)
+        assert np.abs(L[:, 0, 1]).min() > 1e-6   # not a diagonal matrix by accident
+        assert np.array_equal(L, L.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (4, 2)])
+    @pytest.mark.parametrize("region", ["+", "-"])
+    def test_entries_match_the_bracket_and_the_least_squares_references(self, n, s, region):
+        # i theta([V_a, conj V_b]) / c through lie_bracket, and the bracket's
+        # component along A against the basis (V_k + conj V_k, J of them, A)
+        # by one least-squares solve per point
+        lck, fib = _draw_fibre(n, s, region, 30 + n)
+        L = levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
+        for i, z in enumerate(fib.point):
+            data = lee_data(lck, z)
+            cr = real_vector(fib.t10[i].T)
+            M = np.concatenate([cr, apply_j(cr), data.A[None]]).T
+            scale = np.abs(L[i]).max()
+            for a in range(n - 1):
+                for b in range(n - 1):
+                    br = lie_bracket(_projected(lck, fib.t10[i, :, a]),
+                                     _projected(lck, fib.t10[i, :, b], conjugate=True),
+                                     z, chart=lck.chart)
+                    by_theta = 1j * np.vecdot(data.theta.conj(), br) / data.c
+                    by_lstsq = 1j * np.linalg.lstsq(M, br, rcond=None)[0][-1]
+                    assert abs(L[i, a, b] - by_theta) <= 1e-12 * scale
+                    assert abs(L[i, a, b] - by_lstsq) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2)])
+    @pytest.mark.parametrize("region", ["+", "-"])
+    def test_inertia_on_each_region(self, n, s, region):
+        # the Siegel signature (s, n - s - 1) on "+"; on "-", b -> -b swaps
+        # the blocks and the CR bundle loses a negative direction
+        lck, fib = _draw_fibre(n, s, region, 40 + n)
+        evals = np.linalg.eigvalsh(levi_form(lck, fib, fib.t10.swapaxes(-1, -2)))
+        cut = LEVI_FLAT_TOL * np.abs(evals).max(axis=-1, keepdims=True)
+        neg, pos = (evals < -cut).sum(axis=-1), (evals > cut).sum(axis=-1)
+        expect = (s, n - s - 1) if region == "+" else (s - 1, n - s)
+        assert (neg == expect[0]).all() and (pos == expect[1]).all()
+
+    @pytest.mark.parametrize("n, s", [(2, 1), (3, 1)])
+    def test_at_a_null_point_the_marker_matrix_is_singular_and_the_form_vanishes(self, n, s):
+        # the Lee field B, the characteristic marker where c = 0, lies in the
+        # Levi distribution, so (V_k + conj V_k, J of them, B) has no inverse
+        syn = synthetic_null_structure(n, s)
+        rng = np.random.default_rng(n)
+        Z = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        data, fib = lee_data(syn, Z), cr_fibre(syn, Z)
+        assert not data.non_null.any()
+        cr = real_vector(fib.t10.swapaxes(-1, -2))
+        marker = np.concatenate([cr, apply_j(cr), data.B[:, None]], axis=-2)
+        sv = np.linalg.svd(marker, compute_uv=False)
+        assert (sv[:, -1] <= 1e-12 * sv[:, 0]).all()
+        V = np.concatenate([fib.t10.swapaxes(-1, -2), (data.B + 1j * data.A)[:, None, :n]], axis=-2)
+        assert np.array_equal(levi_form(syn, fib, V), np.zeros((4, n, n)))
+
+    def test_one_stencil_per_call(self, monkeypatch):
+        calls = []
+        derive = crmod.wirtinger_derivative
+        monkeypatch.setattr(crmod, "wirtinger_derivative",
+                            lambda *a, **k: calls.append(1) or derive(*a, **k))
+        lck, fib = _draw_fibre(5, 2, "+", 5)
+        L = levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
+        assert L.shape == (3, 4, 4) and len(calls) == 1
+        report = run_config(RunConfig(model="hopf", n=5, s=2, points=6, seed=42,
+                                      suites=("levi-hopf-leaf",)))
+        assert report.results[0].verdict == "pass"
+        assert len(calls) == 2   # one for the run's stack of six points
 
     def test_stencil_across_the_cone_raises(self):
         fib = cr_fibre(HOPF, NEAR_CONE)
-        V = fib.t10[:, 0]
         with pytest.raises(ChartDomainError, match="^stencil around .* leaves domain"):
-            levi_form(HOPF, fib, V, V)
+            levi_form(HOPF, fib, fib.t10.T)
 
     def test_synthetic_null_direction(self):
         syn = synthetic_null_structure(2, 1)
         z = np.zeros(2, dtype=complex)
         d = lee_data(syn, z)
         Z = d.B[:2] + 1j * d.A[:2]
-        assert abs(levi_form(syn, cr_fibre(syn, z), Z, Z)) < 1e-10
+        assert abs(levi_form(syn, cr_fibre(syn, z), Z[None])[0, 0]) < 1e-10
         assert levi_flat_detector(syn, cr_fibre(syn, z))
 
     def test_flat_spacelike_hyperplane_levi_flat(self):
@@ -164,15 +247,13 @@ class TestLeafLabels:
         assert lab1.same_leaf(lab2)
 
     def test_frozen_radius_for_quarter_turn(self):
-        # leaf labeled w = i: radius = lambda^{-floor(a)} e^{arg/(2 pi)}
+        # leaf labeled w = i: a = arg(w) / (2 pi) = 1/4, radius = lambda^a
         lab = label_from_w(MODEL, 1j)
-        assert lab.a == pytest.approx(-1.0 / (4.0 * np.log(2.0)), abs=1e-12)
-        assert lab.chart_radius == pytest.approx(0.5 * np.exp(0.25), abs=1e-12)
-        # independent oracle: deck-reduce the representative norm into the
-        # annulus (lambda, 1)
-        x = float(np.exp((np.pi / 2) / (2 * np.pi)))
-        while x >= 1.0:
-            x *= MODEL.lam
+        assert lab.a == pytest.approx(0.25, abs=1e-12)
+        assert lab.chart_radius == pytest.approx(0.5 ** 0.25, abs=1e-12)
+        # independent oracle: deck-reduce the norm of the representative
+        # lambda^(a+3) zeta of the leaf into the annulus (lambda, 1]
+        x = float(MODEL.lam ** 3.25)
         while x <= MODEL.lam:
             x /= MODEL.lam
         assert lab.chart_radius == pytest.approx(x, abs=1e-12)
@@ -202,9 +283,8 @@ class TestLeafLabels:
         assert np.isnan(deck_equivalent(model, z, other))
         assert not leaf_label(model, z).same_leaf(leaf_label(model, other))
 
-    @pytest.mark.xfail(strict=True, reason="leaf_label writes w = exp(2 pi i log r / log lambda), "
-                       "label_from_w reads w as exp(2 pi i log r) (CHANGES.md FOUND)")
     def test_chart_radius_of_a_label_is_the_deck_reduced_radius(self):
+        # label_from_w once read w as exp(2 pi i log r) and gave 0.5488 here
         model = HopfModel(n=3, s=1, lam=0.5)
         z = sample_hopf(model, hopf_variates(model.n, np.random.default_rng(3)))
         r = model.norm_sn(z)
@@ -212,8 +292,24 @@ class TestLeafLabels:
             r *= model.lam
         while r <= model.lam:
             r /= model.lam
-        # 0.5488 against 0.5799
-        assert leaf_label(model, z).chart_radius == pytest.approx(r, rel=1e-9)
+        assert leaf_label(model, z).chart_radius == pytest.approx(r, rel=1e-9)   # 0.5799
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 0.9])
+    def test_stacked_labels_are_deck_invariant_with_deck_reduced_radii(self, lam):
+        model = HopfModel(n=3, s=1, lam=lam)
+        rng = np.random.default_rng(8)
+        Z = sample_hopf(model, np.stack([hopf_variates(3, rng) for _ in range(10)]))
+        lab = leaf_label(model, Z)
+        for k in range(-2, 3):
+            assert lab.same_leaf(leaf_label(model, lam ** k * Z)).all()
+        r = model.norm_sn(Z)
+        while np.any(r > 1.0):
+            r = np.where(r > 1.0, r * lam, r)
+        while np.any(r <= lam):
+            r = np.where(r <= lam, r / lam, r)
+        from_w = label_from_w(model, lab.w)
+        assert np.allclose(from_w.chart_radius, r, rtol=1e-9, atol=0.0)
+        assert ((0.0 <= from_w.a) & (from_w.a < 1.0)).all()
 
 
 class TestLeafChartImage:
@@ -224,7 +320,7 @@ class TestLeafChartImage:
 
     def test_half_turn_radius_value(self):
         lab = label_from_w(MODEL, -1.0)
-        assert lab.chart_radius == pytest.approx(0.5 * np.exp(0.5), abs=1e-12)
+        assert lab.chart_radius == pytest.approx(np.sqrt(0.5), abs=1e-12)   # lambda^(1/2)
         assert MODEL.lam < lab.chart_radius < 1.0
 
     def test_excluded_leaf(self):

@@ -10,7 +10,6 @@ from lcklab.semieuclid import (
     DegenerateSubspaceError,
     FrameSubspace,
     SemiEuclideanForm,
-    _lstsq_rows,
     contains_span,
     inner,
     orthogonal_complement,
@@ -219,7 +218,10 @@ def _lstsq_contains(big: FrameSubspace, small: FrameSubspace) -> list:
     """The per-point least-squares residual test that contains_span's
     stacked projection replaced, one verdict per point."""
     bigT, smallT = big.basis.swapaxes(-1, -2), small.basis.swapaxes(-1, -2)
-    resid = bigT @ _lstsq_rows(bigT, smallT) - smallT
+    coeffs = np.array([np.linalg.lstsq(a, b, rcond=None)[0]
+                       for a, b in zip(bigT.reshape((-1,) + bigT.shape[-2:]),
+                                       smallT.reshape((-1,) + smallT.shape[-2:]))])
+    resid = bigT @ coeffs.reshape(bigT.shape[:-2] + coeffs.shape[-2:]) - smallT
     size = np.abs(small.basis).max(axis=(-2, -1))
     return (np.abs(resid).max(axis=(-2, -1)) <= SPAN_TOL * np.maximum(size, 1.0)).tolist()
 
