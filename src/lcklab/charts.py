@@ -252,8 +252,11 @@ def _bilinear(u: np.ndarray, M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _norms(z: np.ndarray):
     """np.linalg.norm of each point of a stack (..., n), or of a point
-    (a scalar), summed as np.linalg.norm sums."""
+    (a scalar), summed as np.linalg.norm sums.  A real stack skips the
+    zero imaginary part: adding +0.0 to vecdot(x, x) >= 0 is exact."""
     z = np.asarray(z)
+    if not np.iscomplexobj(z):
+        return np.sqrt(np.vecdot(z, z))
     return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 

@@ -20,8 +20,8 @@ Lee forms, since their acceptance tests read them.
 The four null samplers (Lee vector, complement vector, pair frame,
 frame change) take a stack and a sequence of generators, one per row,
 through one rejection loop (_reject); one point is the one-row stack.
-A synthetic-null draw holds its first Lee candidate's variates (see
-suites), and _null_lee_vectors finishes a stack of them.
+A synthetic-null check replays each point's generator from its seed and
+samples the whole point on the stack with them (see suites).
 
 point_states seeds every point generator of a run in one pass: the PCG64
 seed words that numpy's SeedSequence of entropy seed and spawn key
@@ -319,17 +319,6 @@ def sample_null_lee_vector(n: int, s: int, rngs) -> np.ndarray:
         raise ValueError("need 0 < s < n")
     return _reject(rngs, lambda r: r.standard_normal(2 * n), lambda x, rows: _unit_blocks(x, s),
                    "a null Lee vector")
-
-
-def _null_lee_vectors(n: int, s: int, first: np.ndarray, rngs) -> np.ndarray:
-    """sample_null_lee_vector's stack (m, 2n) from each row's first
-    candidate first[i], rngs[i] in the state after it: the candidates are
-    tested as one stack, and a rejected row is sampled afresh."""
-    B, ok = _unit_blocks(first, s)
-    redraw = np.flatnonzero(~ok)
-    if redraw.size:
-        B[redraw] = sample_null_lee_vector(n, s, [rngs[i] for i in redraw])
-    return B
 
 
 def sample_null_config(n: int, s: int, B: np.ndarray) -> NullLeeConfig:

@@ -19,11 +19,11 @@ structure of a stack of its draws, and its chart dimension; no other
 code branches on a model's name.
 Draw, then check: every suite has one contract.  Every point is drawn
 first, draw(cfg, rng), which consumes that point's generator in a fixed
-order and evaluates nothing, then check(cfg, draws) returns the
-residuals of all draws in draw order; Suite.point_fn runs once per point
-and checks at the last one.  The chart, quotient, leaf and Tricerri
-suites evaluate all their draws as one (m, n) stack through the
-stack-native layers with one structure per check.  A Hopf draw holds
+order, or nothing at all, and evaluates nothing, then check(cfg, draws)
+returns the residuals of all draws in draw order; Suite.point_fn runs
+once per point and checks at the last one.  The chart, quotient, leaf
+and Tricerri suites evaluate all their draws as one (m, n) stack
+through the stack-native layers with one structure per check.  A Hopf draw holds
 its region and the variates of its point (sampling.hopf_variates), and
 the model's stack maps them to points in one sample_hopf or
 sample_pseudosphere call.  A Hopf stack may mix the two regions: its
@@ -31,14 +31,15 @@ chart carries each point's region, so point i and its stencil stay on
 region i's component.  The foliation suites run on
 Hopf and Tricerri only, where c = +-4 or 1 is never null, so even a
 stack mixing regions never mixes Lee branches (the foliation layer
-would refuse one that did).  A synthetic-null draw holds variates too:
-its first null Lee candidate (standard_normal(2n)), its generator and
-the state after that candidate.  The check resets every generator to
-that state, finishes the Lee vectors on the stack (only rejected rows
-draw again), builds one stacked configuration (m, 2n) for all draws,
-whose screen splits are built on first read (prop4-null-leaf reads
-none), then draws the rest of every point with one stacked sampler call
-per quantity (row i from point i's generator; eq5's scale and shift per
+would refuse one that did).  A synthetic-null draw, like
+levi-signature's, consumes nothing: it holds the point's seed
+(rng.bit_generator.seed_seq).  The check rebuilds every point's
+generator from its seed, so a rerun of the same draws sees the same
+numbers, samples the Lee vectors on the stack (only rejected rows draw
+again), builds one stacked configuration (m, 2n) for all draws, whose
+screen splits are built on first read (prop4-null-leaf reads none),
+then draws the rest of every point with one stacked sampler call per
+quantity (row i from point i's generator; eq5's scale and shift per
 point), in the order a point-by-point run did, and evaluates the stack.
 levi-signature checks a constant of (n, s).
 Stacked rows carry single-point bits, so checking all draws equals
@@ -71,8 +72,8 @@ from .models import (
 )
 from .report import SCHEMA, RunConfig, SuiteResult, VerificationReport
 from .sampling import (
-    _complex_normal, _null_lee_vectors, _Words, hopf_variates, point_states,
-    sample_complement_vector, sample_flat, sample_frame_change, sample_hopf, sample_null_config,
+    _complex_normal, _Words, hopf_variates, point_states, sample_complement_vector, sample_flat,
+    sample_frame_change, sample_hopf, sample_null_config, sample_null_lee_vector,
     sample_pair_frame, sample_pseudosphere, sample_tricerri, sample_unit_circle,
 )
 from .semieuclid import FrameSubspace, contains_span, inner, same_span, signature_of
@@ -94,7 +95,8 @@ _POINT_FAULTS = (ValueError, ArithmeticError, RuntimeError)
 
 @dataclass(frozen=True)
 class Suite:
-    """A named check: draw(cfg, rng) samples one point, check(cfg, draws)
+    """A named check: draw(cfg, rng) samples one point (a synthetic-null
+    draw, like levi-signature's, consumes nothing), check(cfg, draws)
     returns the residuals of a list of draws in draw order, and point_fn,
     called once per point of a run, draws that point and, at the run's
     last point, checks them all."""
@@ -415,28 +417,22 @@ def _check_cr_tangential(model, lck, Z, coeffs):
 # ---------------------------------------------------------------------------
 
 def _draw_null(cfg, rng):
-    """The variates of the point's first null Lee candidate, then its
-    generator and the state after them: the check finishes the Lee vector
-    and draws the rest of the point from that state."""
-    return rng.standard_normal(2 * cfg.n), rng, rng.bit_generator.state
+    """The point's seed: its check replays the generator from it."""
+    return rng.bit_generator.seed_seq
 
 
-def _null_stacked(evaluate, draw=None):
-    """A check of _draw_null draws.  It resets every generator to its state
-    after the first Lee candidate, so a rerun of the same draws sees the
-    same numbers, finishes the Lee vectors on the stack (only rejected
-    rows redraw), builds one configuration c of them and then, when given,
-    calls draw(c, rngs), which draws the rest of every point on the stack,
-    row i from rngs[i], in the order a point-by-point run did.
-    evaluate(c, *extras) gets c and draw's stacked extras, and returns the
-    m residuals; c builds a screen split only if one is read."""
+def _null_stacked(evaluate):
+    """A check of _draw_null draws.  It rebuilds every point's generator
+    from its seed, so a rerun of the same draws sees the same numbers,
+    samples the Lee vectors on the stack (only rejected rows redraw) and
+    builds one configuration c of them.  evaluate(c, rngs) draws the rest
+    of every point on the stack, row i from rngs[i], in the order a
+    point-by-point run did, and returns the m residuals; c builds a
+    screen split only if one is read."""
     def check(cfg: RunConfig, draws: list) -> list:
-        first, rngs, states = zip(*draws)
-        for rng, state in zip(rngs, states):
-            rng.bit_generator.state = state
-        c = sample_null_config(cfg.n, cfg.s, _null_lee_vectors(cfg.n, cfg.s, np.stack(first), rngs))
-        extras = () if draw is None else draw(c, rngs)
-        return [float(r) for r in evaluate(c, *extras)]
+        rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in draws]
+        c = sample_null_config(cfg.n, cfg.s, sample_null_lee_vector(cfg.n, cfg.s, rngs))
+        return [float(r) for r in evaluate(c, rngs)]
     return check
 
 
@@ -453,36 +449,33 @@ def _off_screen(screen: FrameSubspace, form, V):
     return np.abs(np.matvec(screen.basis @ form.gram, V)).max(axis=-1, initial=0.0)
 
 
-def _draw_complement(c, rngs):
-    return (sample_complement_vector(c.first_screen_perp, c.omega, rngs),)
+def _complement(c, rngs):
+    return sample_complement_vector(c.first_screen_perp, c.omega, rngs)
 
 
 def _pair_frame(c, rngs):
     return sample_pair_frame(c.screen_perp_basis, c.omega, c.theta, rngs)
 
 
-def _check_eq8_transversal(c, V):
-    N = _transversal(c, V)
+def _check_eq8_transversal(c, rngs):
+    N = _transversal(c, _complement(c, rngs))
     resid = np.maximum(np.abs(inner(c.form, N, N)), np.abs(np.vecdot(c.omega, N) - 1.0))
     # Lee line and transversal line span the screen orthocomplement
     return np.maximum(resid, _off_screen(c.first_screen, c.form, N))
 
 
-def _draw_eq5(c, rngs):
-    (V,), (V2,) = _draw_complement(c, rngs), _draw_complement(c, rngs)
-    scale = [r.uniform(0.2, 5.0) * (1.0 if r.uniform() < 0.5 else -1.0) for r in rngs]
-    return V, V2, np.array(scale), np.array([r.standard_normal() for r in rngs])
-
-
-def _check_eq5_invariance(c, V, V2, scale, shift):
+def _check_eq5_invariance(c, rngs):
+    V, V2 = _complement(c, rngs), _complement(c, rngs)
+    scale = np.array([r.uniform(0.2, 5.0) * (1.0 if r.uniform() < 0.5 else -1.0) for r in rngs])
+    shift = np.array([r.standard_normal() for r in rngs])
     N = _transversal(c, V)
     resid = np.abs(N - _transversal(c, scale[:, None] * V)).max(axis=-1)
     resid = np.maximum(resid, np.abs(N - _transversal(c, V + shift[:, None] * c.B)).max(axis=-1))
     return np.maximum(resid, np.abs(N - _transversal(c, V2)).max(axis=-1))
 
 
-def _check_lemma6_pair(c, V1, V2):
-    N1, N2 = _isotropic_pair(c, V1, V2)
+def _check_lemma6_pair(c, rngs):
+    N1, N2 = _isotropic_pair(c, *_pair_frame(c, rngs))
     resid = np.abs(np.vecdot(c.theta, N1) - 1.0)
     resid = np.maximum(resid, np.abs(np.vecdot(c.omega, N2) - 1.0))
     resid = np.maximum(resid, np.abs(np.vecdot(c.theta, N2)))
@@ -494,24 +487,19 @@ def _check_lemma6_pair(c, V1, V2):
     return np.maximum(resid, np.abs(cross).max(axis=(-2, -1), initial=0.0))
 
 
-def _draw_lemma6_invariance(c, rngs):
-    return (*_pair_frame(c, rngs), sample_frame_change(rngs))
-
-
-def _check_lemma6_invariance(c, V1, V2, f):
+def _check_lemma6_invariance(c, rngs):
+    V1, V2 = _pair_frame(c, rngs)
+    f = sample_frame_change(rngs)
     N1, N2 = _isotropic_pair(c, V1, V2)
     M1, M2 = _isotropic_pair(c, f[:, 0, 0, None] * V1 + f[:, 0, 1, None] * V2,
                              f[:, 1, 0, None] * V1 + f[:, 1, 1, None] * V2)
     return np.maximum(np.abs(N1 - M1).max(axis=-1), np.abs(N2 - M2).max(axis=-1))
 
 
-def _draw_screen_splits(c, rngs):
-    V = _draw_complement(c, rngs)
-    return (*V, *_pair_frame(c, rngs)) if c.n >= 3 else V
-
-
-def _check_screen_splits(c, V, *frame):
+def _check_screen_splits(c, rngs):
     """Dimension and orthogonality bookkeeping of the null splittings."""
+    V = _complement(c, rngs)
+    frame = _pair_frame(c, rngs) if c.n >= 3 else ()
     form, screen = c.form, c.first_screen
     resid = np.full(len(V), 0.0 if screen.dim == 2 * c.n - 2 else 1.0)
     # screen orthogonal to the radical (the Lee line)
@@ -532,7 +520,7 @@ def _check_screen_splits(c, V, *frame):
     return resid
 
 
-def _check_prop4_null(c):
+def _check_prop4_null(c, _):
     """Proposition 4 on the flat chart with each point's Lee covector,
     evaluated at the origin of every point of the stack."""
     lck = synthetic_null_structure(c.n, c.s, B_hol=hol_from_real_coords(c.B))
@@ -718,12 +706,12 @@ SUITES: tuple[Suite, ...] = (
     Suite("eq1-leaf-signature", "Equation (1)", frozenset({"hopf"}),
           _fixed(0.0), _hopf_sample, _stacked(_check_eq1_signature)),
     Suite("eq8-transversal", "Equation (8)", frozenset({"synthetic-null"}),
-          _fixed(1e-10), _draw_null, _null_stacked(_check_eq8_transversal, _draw_complement)),
+          _fixed(1e-10), _draw_null, _null_stacked(_check_eq8_transversal)),
     Suite("eq5-nv-invariance", "Lemma 1", frozenset({"synthetic-null"}),
-          _fixed(1e-9), _draw_null, _null_stacked(_check_eq5_invariance, _draw_eq5)),
+          _fixed(1e-9), _draw_null, _null_stacked(_check_eq5_invariance)),
     Suite("screen-splits", "Equations (3)-(9), (21)-(26)",
           frozenset({"synthetic-null"}), _fixed(1e-9), _draw_null,
-          _null_stacked(_check_screen_splits, _draw_screen_splits)),
+          _null_stacked(_check_screen_splits)),
     Suite("thm4-integrability", "Theorem 4", frozenset({"hopf", "tricerri"}),
           _fixed(1e-5), _chart_draw, _stacked(_check_thm4_integrability)),
     Suite("thm4-plane-gram", "Theorem 4", frozenset({"hopf", "tricerri"}),
@@ -732,11 +720,9 @@ SUITES: tuple[Suite, ...] = (
     Suite("thm4-hp", "Theorem 4", frozenset({"hopf"}), _fixed(1e-5),
           _chart_draw, _stacked(_check_thm4_hp)),
     Suite("lemma6-pair", "Lemma 6", frozenset({"synthetic-null"}),
-          _fixed(1e-10), _draw_null, _null_stacked(_check_lemma6_pair, _pair_frame),
-          min_n=3),
+          _fixed(1e-10), _draw_null, _null_stacked(_check_lemma6_pair), min_n=3),
     Suite("lemma6-invariance", "Lemma 6", frozenset({"synthetic-null"}),
-          _fixed(1e-9), _draw_null,
-          _null_stacked(_check_lemma6_invariance, _draw_lemma6_invariance), min_n=3),
+          _fixed(1e-9), _draw_null, _null_stacked(_check_lemma6_invariance), min_n=3),
     Suite("eq18-mean-curvature", "Proposition 3 / Equation (18)",
           frozenset({"hopf"}), _fixed(1e-5), _draw_eq18,
           _stacked(_check_eq18_mean_curvature, None)),

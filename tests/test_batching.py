@@ -147,10 +147,20 @@ def test_stacked_null_config_equals_single_builds(n, s):
 
 @pytest.mark.parametrize("suite", NULL, ids=lambda s: s.name)
 def test_a_null_check_run_twice_reads_the_same_numbers(suite):
-    # each check resets every generator to its state after the Lee vector
+    # each check rebuilds every generator from its point's seed
     cfg = RunConfig(model="synthetic-null", n=3, s=1, points=6, seed=42)
     draws = _draws(suite, cfg)
     assert _bits(suite.check(cfg, draws)) == _bits(suite.check(cfg, draws))
+
+
+@pytest.mark.parametrize("suite", NULL, ids=lambda s: s.name)
+def test_a_null_draw_consumes_nothing(suite):
+    # the draw is the point's seed; its check replays the generator
+    cfg = RunConfig(model="synthetic-null", n=3, s=1, points=6, seed=42)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert suite.draw(cfg, rng) is rng.bit_generator.seed_seq
+    assert rng.bit_generator.state == before
 
 
 STACK_DIMS = [(2, 1), (4, 2), (8, 7)]
@@ -442,21 +452,25 @@ def test_a_fault_at_draw_k_of_a_closed_form_suite_is_reported_at_k(monkeypatch, 
 @pytest.mark.parametrize("suite", NULL, ids=lambda s: s.name)
 def test_a_fault_at_draw_3_of_a_null_suite_is_named_as_point_by_point(monkeypatch, suite):
     # a zero Lee vector at draw 3 and a NaN one at draw 5, planted where the
-    # stacked sampler finishes those draws' rows (a draw holds its first
-    # candidate's variates): the stacked build meets the NaN first, the
-    # rerun one draw at a time names draw 3
+    # stacked sampler draws those rows (a draw is its point's seed, and a
+    # row's generator is rebuilt from it): the stacked build meets the NaN
+    # first, the rerun one draw at a time names draw 3
     cfg = RunConfig(model="synthetic-null", n=3, s=1, points=6, seed=42)
     draws = _draws(suite, cfg)
-    bad = {draws[3][0].tobytes(): 0.0, draws[5][0].tobytes(): np.nan}
-    finish = suites_mod._null_lee_vectors
 
-    def planted(n, s, first, rngs):
-        B = finish(n, s, first, rngs)
-        for i, x in enumerate(first):
-            B[i] = bad.get(x.tobytes(), B[i])
+    def words(seed):   # a run's seeds are its point_states rows, the same words
+        return seed.generate_state(4, np.uint64).tobytes()
+
+    bad = {words(draws[3]): 0.0, words(draws[5]): np.nan}
+    sample = suites_mod.sample_null_lee_vector
+
+    def planted(n, s, rngs):
+        B = sample(n, s, rngs)
+        for i, rng in enumerate(rngs):
+            B[i] = bad.get(words(rng.bit_generator.seed_seq), B[i])
         return B
 
-    monkeypatch.setattr(suites_mod, "_null_lee_vectors", planted)
+    monkeypatch.setattr(suites_mod, "sample_null_lee_vector", planted)
     with np.errstate(invalid="ignore"):
         result = _run_suite(cfg, suite, _point_states(cfg, [suite])[0])
         with pytest.raises(np.linalg.LinAlgError):

@@ -13,6 +13,7 @@ from lcklab.charts import (
     _bilinear,
     _g,
     _lower,
+    _norms,
     _real_gram,
     _require_conditioned,
     _solve_gram,
@@ -112,6 +113,17 @@ class TestVectorComponents:
         w = real_vector([1e6, 0.0])
         w[2:] += 1e-7
         assert real_coords(np.stack([w, real_vector([1.0, 0.0])])).shape == (2, 4)
+
+    @pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 5, 6)])
+    def test_a_real_stack_norm_equals_the_complex_route_bit_for_bit(self, shape):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+        if x.ndim > 1:
+            x[1] = 0.0                                 # a zero row
+            x[-1, ..., 0] = -0.0
+        real, complex_route = _norms(x), _norms(x.astype(complex))
+        assert real.dtype == complex_route.dtype == np.float64
+        assert real.tobytes() == complex_route.tobytes()
 
     def test_real_gram_matches_hermitian_pairing(self):
         rng = np.random.default_rng(5)
