@@ -72,10 +72,11 @@ from .models import (
 )
 from .report import RunConfig, SuiteResult, VerificationReport, to_csv, to_json
 from .semieuclid import (
-    FrameSubspace,
     SemiEuclideanForm,
+    independent_rows,
     inner,
     orthogonal_complement,
+    restricted_gram,
     same_span,
     signature_of,
 )

@@ -12,9 +12,10 @@ Levi signature.
 
 Stacks: cr_fibre takes a stack of points (..., n), a point (n,) being a
 stack with no leading axes; every member of a CRFibre carries the
-stack's axes first; tangential_cr_residual and levi_flat_detector
-return one value per point, an array of the stack's shape, and
-levi_form one (k, k) matrix per point of k vectors (..., k, n).  The
+stack's axes first, levi_H being a row basis (..., 2n-2, 2n);
+tangential_cr_residual and levi_flat_detector return one value per
+point, an array of the stack's shape, and levi_form one (k, k) matrix
+per point of k vectors (..., k, n).  The
 leaf bookkeeping takes stacks too: leaf_label and label_from_w give a
 LeafLabel whose fields hold one value per point, leaf_chart_image_check
 one w and one set of samples (..., k, n) per point, and
@@ -32,7 +33,7 @@ import numpy as np
 from .charts import ChartDomainError, apply_j, real_coords, real_vector, wirtinger_derivative
 from .lck import LCKStructure, _nonsingular, lee_data
 from .models import HopfModel, cayley, eps_signs, hopf_diffeo
-from .semieuclid import FrameSubspace, _kernel
+from .semieuclid import _kernel
 
 __all__ = [
     "CRFibre", "LeafLabel", "cr_fibre", "tangential_cr_residual",
@@ -53,13 +54,13 @@ class CRFibre:
     """Pointwise CR data of the leaf through z (per point of a stack).
 
     t10 columns are holomorphic components of a basis of the CR bundle
-    (complex dimension n-1); levi_H is the real (2n-2)-dimensional
-    maximal complex distribution.
+    (complex dimension n-1); levi_H, rows (..., 2n-2, 2n), is a basis of
+    the real (2n-2)-dimensional maximal complex distribution.
     """
 
     point: np.ndarray
     t10: np.ndarray
-    levi_H: FrameSubspace
+    levi_H: np.ndarray
 
 
 def _t10_basis(omega_hol: np.ndarray) -> np.ndarray:
@@ -71,12 +72,12 @@ def _t10_basis(omega_hol: np.ndarray) -> np.ndarray:
 def cr_fibre(lck: LCKStructure, z) -> CRFibre:
     """CR bundle and Levi distribution at z, a point or a stack of points."""
     z = np.asarray(z, dtype=complex)
-    data = _nonsingular(lee_data(lck, z))
+    _nonsingular(lee_data(lck, z))
     t10 = _t10_basis(lck.lee_hol(z))
     cr = real_vector(t10.swapaxes(-1, -2))    # one row per CR vector
     rows = np.stack([real_coords(cr), real_coords(apply_j(cr))], axis=-2)   # V_k, J V_k, ...
     rows = rows.reshape(z.shape[:-1] + (-1, 2 * z.shape[-1]))
-    return CRFibre(point=z, t10=t10, levi_H=FrameSubspace._orthonormal(data.form, rows))
+    return CRFibre(point=z, t10=t10, levi_H=rows)
 
 
 def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):

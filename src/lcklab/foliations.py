@@ -10,16 +10,17 @@ fundamental form law and the mean curvature it forces, on complex affine
 subspaces, where it takes no finite difference.
 
 Tangent/transversal decompositions at a point are done against the real
-interleaved coordinates of the chart (semieuclid.FrameSubspace); vector
-fields entering covariant derivatives are extended off the fibre by
-pointwise projection, which is legitimate because second fundamental
-forms are tensorial in their arguments.
+interleaved coordinates of the chart, a subspace being the array of its
+basis rows (see semieuclid); vector fields entering covariant
+derivatives are extended off the fibre by pointwise projection, which is
+legitimate because second fundamental forms are tensorial in their
+arguments.
 
-Stacks: the fibres, gauss_weingarten, h_P_residual,
-integrability_residual and complex_submanifold_mean_curvature take a
-stack of points (..., n), a point (n,) being a stack with no leading
-axes.  Every member of the result carries the stack's axes first
-(FoliationFibre holds stacked FrameSubspaces over a stacked form, and a
+Stacks: the fibres, h_P_residual, integrability_residual and
+complex_submanifold_mean_curvature take a stack of points (..., n), a
+point (n,) being a stack with no leading axes, and gauss_weingarten
+reads its points from its fibre.  Every member of the result carries the stack's axes first
+(FoliationFibre holds stacked row bases over a stacked form, and a
 residual is an array of the stack's shape), and each row carries the
 bits of the single-point call.  The points of one stack must share a Lee branch:
 all non-null or all null; a mixed stack raises ValueError.
@@ -48,11 +49,11 @@ from .charts import (
 )
 from .lck import LCKStructure, LeeData, _nonsingular, lee_data
 from .semieuclid import (
-    FrameSubspace,
     SemiEuclideanForm,
     _complement_within,
     _full_rank,
     _kernel,
+    independent_rows,
     inner,
     orthogonal_complement,
 )
@@ -70,14 +71,15 @@ ORTHO_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FoliationFibre:
-    """Pointwise data of a foliation: tangent fibre and its splitting."""
+    """Pointwise data of a foliation: tangent fibre and its splitting,
+    each subspace a row basis (..., k, 2n)."""
 
     point: np.ndarray
     c: np.ndarray       # g(B, B), per point of the stack
-    tangent: FrameSubspace
-    radical: FrameSubspace
-    screen: FrameSubspace
-    transversal: FrameSubspace
+    tangent: np.ndarray
+    radical: np.ndarray
+    screen: np.ndarray
+    transversal: np.ndarray
     form: SemiEuclideanForm
 
 
@@ -102,13 +104,13 @@ def _rows(*vectors: np.ndarray) -> np.ndarray:
 
 
 def _screen_split(form: SemiEuclideanForm, radical: np.ndarray,
-                  space: np.ndarray) -> tuple[FrameSubspace, np.ndarray]:
-    """Screen of a degenerate space (Duggal-Bejancu): the Euclidean
-    complement of its radical inside it, and a row basis of the screen's
+                  space: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Screen of a degenerate space (Duggal-Bejancu): row bases of the
+    Euclidean complement of its radical inside it, and of the screen's
     g-orthocomplement, which contains the radical.  Both inputs are row
     bases, the radical's rows lying in span(space)."""
-    screen = FrameSubspace._orthonormal(form, _complement_within(radical, space))
-    return screen, _kernel(screen.basis @ form.gram)
+    screen = _complement_within(radical, space)
+    return screen, _kernel(screen @ form.gram)
 
 
 def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
@@ -122,30 +124,30 @@ def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     z = np.asarray(z, dtype=complex)
     data, form = _lck_point(lck, z)
     omega, Breal = data.omega_real, data.B_real
-    tangent = FrameSubspace._orthonormal(form, _kernel(_rows(omega)))
-    lee_line = FrameSubspace.from_vectors(form, _rows(Breal))
+    tangent = _kernel(_rows(omega))
+    lee_line = independent_rows(form, _rows(Breal))
     if _lee_branch(data):
         return FoliationFibre(point=z, c=data.c, tangent=tangent,
-                              radical=FrameSubspace.zero(form), screen=tangent,
+                              radical=tangent[..., :0, :], screen=tangent,
                               transversal=lee_line, form=form)
-    screen, screen_perp = _screen_split(form, lee_line.basis, tangent.basis)
-    V_rows = _complement_within(lee_line.basis, screen_perp)
+    screen, screen_perp = _screen_split(form, lee_line, tangent)
+    V_rows = _complement_within(lee_line, screen_perp)
     if V_rows.shape[-2] != 1:
         raise ValueError("could not isolate a complement of the Lee line")
     N = lightlike_transversal(form, omega, Breal, screen, V_rows[..., 0, :])
     return FoliationFibre(point=z, c=data.c, tangent=tangent, radical=lee_line,
                           screen=screen,
-                          transversal=FrameSubspace.from_vectors(form, _rows(N)),
+                          transversal=independent_rows(form, _rows(N)),
                           form=form)
 
 
 def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
-                          B: np.ndarray, screen: FrameSubspace,
+                          B: np.ndarray, screen: np.ndarray,
                           V: np.ndarray) -> np.ndarray:
     """Canonical null transversal N_V = (1/omega(V)) {V - g(V,V)/(2 omega(V)) B}.
 
     V must span a complement of the Lee line inside the orthocomplement
-    of the screen: it is checked to be g-orthogonal to the screen and
+    of the screen (rows): it is checked to be g-orthogonal to the screen and
     independent of B.  omega(V) != 0 then holds automatically for valid
     inputs; a vanishing value signals an invalid complement.  The output
     satisfies g(N_V, N_V) = 0 and omega(N_V) = 1 and does not depend on
@@ -155,8 +157,8 @@ def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
     B = np.asarray(B, dtype=float)
     omega = np.asarray(omega, dtype=float)
     vmax = np.abs(V).max(axis=-1)
-    if screen.dim:
-        cross = np.abs(np.matvec(screen.basis @ form.gram, V)).max(axis=-1)
+    if screen.shape[-2]:
+        cross = np.abs(np.matvec(screen @ form.gram, V)).max(axis=-1)
         if (cross > ORTHO_TOL * np.maximum(1.0, vmax)).any():
             raise ValueError("V is not orthogonal to the screen")
     if not _full_rank(_rows(B, V)):
@@ -189,26 +191,26 @@ def _transversal_part(data: LeeData, fibre: FoliationFibre, w: np.ndarray) -> np
     of the first foliation at data's point, using the omega-normalization
     of the transversal (omega(N_V) = 1 where c = 0)."""
     coeff = np.vecdot(data.omega_real, w) / np.where(data.non_null, fibre.c, 1.0)
-    return coeff[..., None] * fibre.transversal.basis[..., 0, :]
+    return coeff[..., None] * fibre.transversal[..., 0, :]
 
 
-def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X, Y,
-                     z) -> tuple[np.ndarray, np.ndarray]:
+def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X,
+                     Y) -> tuple[np.ndarray, np.ndarray]:
     """(h, h_symmetry_residual): the transversal part h = tra(nabla_X Y)
     against the fibre decomposition, and max |h(X, Y) - h(Y, X)| relative
     to the transversal's size, per point of the stack.
 
-    X, Y are tangent vectors at z in real interleaved coordinates,
-    extended as sections of the tangent distribution by pointwise
-    projection.  z may be a stack, with one X and Y per point
-    and the stacked fibre; the two fields share one stencil evaluation.
+    X, Y are tangent vectors at z = fibre.point in real interleaved
+    coordinates, extended as sections of the tangent distribution by
+    pointwise projection.  z may be a stack, with one X and Y per point;
+    the two fields share one stencil evaluation.
     """
-    z = np.asarray(z, dtype=complex)
+    z = fibre.point
     chart = lck.chart
     gamma = christoffel(chart, z)
     data = lee_data(lck, z)
 
-    scale = np.maximum(1.0, np.abs(fibre.transversal.basis).max(axis=(-2, -1)))
+    scale = np.maximum(1.0, np.abs(fibre.transversal).max(axis=(-2, -1)))
     Xfield = _tangential_extension(lck, np.asarray(X, dtype=float))
     Yfield = _tangential_extension(lck, np.asarray(Y, dtype=float))
     dX, dY = _field_derivatives([Xfield, Yfield], z, chart=chart)
@@ -230,24 +232,24 @@ def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
     z = np.asarray(z, dtype=complex)
     data, form = _lck_point(lck, z)
     A, B = data.A_real, data.B_real
-    tangent = FrameSubspace.from_vectors(form, _rows(A, B))
+    tangent = independent_rows(form, _rows(A, B))
     perp = orthogonal_complement(form, tangent)
     if _lee_branch(data):
         return FoliationFibre(point=z, c=data.c, tangent=tangent,
-                              radical=FrameSubspace.zero(form), screen=tangent,
+                              radical=tangent[..., :0, :], screen=tangent,
                               transversal=perp, form=form)
-    screen, sperp = _screen_split(form, tangent.basis, perp.basis)
+    screen, sperp = _screen_split(form, tangent, perp)
     if lck.chart.n >= 3:
-        E_rows = _complement_within(tangent.basis, sperp)
+        E_rows = _complement_within(tangent, sperp)
         N1, N2 = isotropic_transversal_pair(form, data.omega_real, data.theta_real,
                                             A, B, screen, E_rows[..., 0, :], E_rows[..., 1, :])
-        trans_rows = np.concatenate([_rows(N1, N2), screen.basis], axis=-2)
+        trans_rows = np.concatenate([_rows(N1, N2), screen], axis=-2)
     else:
-        eye = np.broadcast_to(np.eye(form.dim), tangent.basis.shape[:-2] + (form.dim,) * 2)
-        trans_rows = _complement_within(tangent.basis, eye)
+        eye = np.broadcast_to(np.eye(form.dim), tangent.shape[:-2] + (form.dim,) * 2)
+        trans_rows = _complement_within(tangent, eye)
     return FoliationFibre(point=z, c=data.c, tangent=tangent, radical=tangent,
-                          screen=FrameSubspace.zero(form),
-                          transversal=FrameSubspace.from_vectors(form, trans_rows),
+                          screen=tangent[..., :0, :],
+                          transversal=independent_rows(form, trans_rows),
                           form=form)
 
 
@@ -269,7 +271,7 @@ def integrability_residual(lck: LCKStructure, z):
 
 def isotropic_transversal_pair(form: SemiEuclideanForm, omega: np.ndarray,
                                theta: np.ndarray, A: np.ndarray, B: np.ndarray,
-                               screen: FrameSubspace, V1, V2) -> tuple[np.ndarray, np.ndarray]:
+                               screen: np.ndarray, V1, V2) -> tuple[np.ndarray, np.ndarray]:
     """The null transversal pair (N1, N2) normalized by theta(N1) =
     omega(N2) = 1.
 
@@ -286,8 +288,8 @@ def isotropic_transversal_pair(form: SemiEuclideanForm, omega: np.ndarray,
     V2 = np.asarray(V2, dtype=float)
     V12 = _rows(V1, V2)
     vmax = np.abs(V12).max(axis=-1)
-    if screen.dim:
-        cross = np.abs(screen.basis @ form.gram @ V12.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if screen.shape[-2]:
+        cross = np.abs(screen @ form.gram @ V12.swapaxes(-1, -2)).max(axis=(-2, -1))
         if (cross > ORTHO_TOL * np.maximum(1.0, vmax.max(axis=-1))).any():
             raise ValueError("V1, V2 must be orthogonal to the screen")
     w = np.vecdot(V12, omega[..., None, :])      # omega(V1), omega(V2)
@@ -319,20 +321,20 @@ def _lee_plane_connection(lck: LCKStructure, z: np.ndarray, gamma: np.ndarray) -
             for X in "AB" for Y in "AB"}
 
 
-def h_P_residual(lck: LCKStructure, z, nabla: dict | None = None):
-    """Max transversal component of nabla_X Y over X, Y in {A, B}, per
-    point of a stack.
+def h_P_residual(lck: LCKStructure, z) -> tuple[np.ndarray, np.ndarray]:
+    """(h, nabla_AA), per point of a stack: h is the max transversal
+    component of nabla_X Y over X, Y in {A, B}, and nabla_AA is max
+    |nabla_A A|.
 
-    On parallel-Lee charts with c != 0 this is the second fundamental
-    form of the Lee/anti-Lee plane and must vanish; nabla_A A = 0 is part
-    of the same bound since the full covariant derivatives are measured.
-    nabla, when given, holds those derivatives as _lee_plane_connection
-    returns them.
+    On parallel-Lee charts with c != 0, h is the second fundamental form
+    of the Lee/anti-Lee plane and must vanish.  h reads only transversal
+    parts, so it does not see nabla_A A, which the proof also needs to
+    vanish: nabla_AA reads it in full.  On a Tricerri chart h vanishes
+    and nabla_AA does not.
     """
     z = np.asarray(z, dtype=complex)
+    nabla = _lee_plane_connection(lck, z, christoffel(lck.chart, z))
     data, form = _lck_point(lck, z)     # the plane is the second foliation's fibre
-    if nabla is None:
-        nabla = _lee_plane_connection(lck, z, christoffel(lck.chart, z))
     e0, e1 = data.A_real, data.B_real
     non_null = _lee_branch(data)
     worst = None
@@ -346,7 +348,7 @@ def h_P_residual(lck: LCKStructure, z, nabla: dict | None = None):
             resid = _plane_projection_residual(_rows(e0, e1), nXY)
         r = np.abs(resid).max(axis=-1)
         worst = r if worst is None else np.maximum(worst, r)
-    return worst
+    return worst, np.abs(nabla["AA"]).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------

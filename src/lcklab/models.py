@@ -16,7 +16,7 @@ Stacks: the charts, HopfModel.b / .a / .norm_sn and every quotient map
 take a stack (..., n), a point (n,) being a stack with no leading axes,
 and return one value per point, an array of the stack's shape, each row
 with the bits of the single-point call: fibration_split
-(stacked FrameSubspaces), submersion_isometry_residual (one u and v per
+(stacked row bases), submersion_isometry_residual (one u and v per
 point), deck_equivalent (NaN where no power matches), hopf_diffeo and
 its inverse, torus_pullback_isometry_residual and retraction (one t per
 point, or one for all), cayley (one image and residual per point) and
@@ -36,7 +36,7 @@ from .charts import (
     real_coords,
 )
 from .lck import LCKStructure, lee_data
-from .semieuclid import FrameSubspace, orthogonal_complement, signature_of
+from .semieuclid import independent_rows, orthogonal_complement, signature_of
 
 __all__ = [
     "HopfModel", "eps_signs", "b_form",
@@ -367,17 +367,17 @@ def torus_pullback_isometry_residual(model: HopfModel, t, z, lck: LCKStructure):
 
 
 def fibration_split(model: HopfModel, z,
-                    lck: LCKStructure) -> tuple[FrameSubspace, FrameSubspace]:
-    """Vertical span{A, B} and its orthogonal complement at a pseudosphere
-    point (b(z,z) = 1), or stacked FrameSubspaces over a stack of them.
-    lck is hopf_chart(model)."""
+                    lck: LCKStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Row bases of the vertical span{A, B} and of its orthogonal
+    complement at a pseudosphere point (b(z,z) = 1), or stacked over a
+    stack of them.  lck is hopf_chart(model)."""
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(model.b(z) - 1.0) > FIBRATION_SPHERE_TOL):
         raise ValueError("point must satisfy b(z, z) = 1")
     data = lee_data(lck, z)
     form = data.form
-    V0 = FrameSubspace.from_vectors(form, np.stack([data.A_real, data.B_real], axis=-2))
-    _, _, null = signature_of(V0)
+    V0 = independent_rows(form, np.stack([data.A_real, data.B_real], axis=-2))
+    _, _, null = signature_of(form, V0)
     if np.any(null):
         raise ValueError("vertical space is degenerate")
     H0 = orthogonal_complement(form, V0)

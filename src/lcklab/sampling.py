@@ -12,7 +12,8 @@ null-Lee samplers reject degenerate draws.
 A null-Lee configuration is drawn in two steps: sample_null_lee_vector
 draws its Lee vector B, and sample_null_config builds the configuration
 of B, or of a stack of Lee vectors at once, through the stack-native
-semieuclid layer.  Each of its two screen splits is built once, on first
+semieuclid layer; its plane and screens are row bases, as every
+subspace is.  Each of its two screen splits is built once, on first
 read, so a check that reads neither builds none.  The complement vectors
 and frames are then drawn against a point's screen orthocomplement and
 Lee forms, since their acceptance tests read them.
@@ -41,7 +42,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .charts import _norms
 from .foliations import _screen_split
 from .models import CONE_MARGIN, HopfModel, _region_signs
-from .semieuclid import FrameSubspace, SemiEuclideanForm, _kernel
+from .semieuclid import SemiEuclideanForm, _kernel, independent_rows
 
 __all__ = [
     "hopf_variates", "sample_hopf", "sample_pseudosphere", "sample_tricerri", "sample_flat",
@@ -232,10 +233,11 @@ class NullLeeConfig:
 
     Real interleaved coordinates; B and A = -JB are null and mutually
     orthogonal, omega and theta are their metric duals, plane is their
-    span.  Each screen split is built once, on first read: the plane's
-    gives the screen (the Euclidean orthocomplement of the plane inside
-    its g-orthocomplement) and screen_perp_basis, the first-foliation one
-    first_screen (the Lee line's complement in ker(omega)) and its perp.
+    span, rows A and B.  Each screen split is built once, on first read,
+    as row bases: the plane's gives the screen (the Euclidean
+    orthocomplement of the plane inside its g-orthocomplement) and
+    screen_perp_basis, the first-foliation one first_screen (the Lee
+    line's complement in ker(omega)) and its perp.
     """
 
     n: int
@@ -245,16 +247,15 @@ class NullLeeConfig:
     A: np.ndarray
     omega: np.ndarray
     theta: np.ndarray
-    plane: FrameSubspace   # span{A, B}, whose build checks that B is not zero
+    plane: np.ndarray   # rows A, B, whose build checks that B is not zero
 
     @cached_property
-    def _plane_split(self) -> tuple[FrameSubspace, np.ndarray]:
+    def _plane_split(self) -> tuple[np.ndarray, np.ndarray]:
         # P-perp via kernel of the Gram constraints; span{A, B} is its radical
-        basis = self.plane.basis
-        return _screen_split(self.form, basis, _kernel(basis @ self.form.gram))
+        return _screen_split(self.form, self.plane, _kernel(self.plane @ self.form.gram))
 
     @cached_property
-    def _first_split(self) -> tuple[FrameSubspace, np.ndarray]:
+    def _first_split(self) -> tuple[np.ndarray, np.ndarray]:
         return _screen_split(self.form, self.B[..., None, :], _kernel(self.omega[..., None, :]))
 
     screen = property(lambda self: self._plane_split[0])
@@ -333,7 +334,7 @@ def sample_null_config(n: int, s: int, B: np.ndarray) -> NullLeeConfig:
     A = -_apply_J(B)
     return NullLeeConfig(n=n, s=s, form=form, B=B, A=A,
                          omega=np.matvec(form.gram, B), theta=np.matvec(form.gram, A),
-                         plane=FrameSubspace.from_vectors(form, np.stack([A, B], axis=-2)))
+                         plane=independent_rows(form, np.stack([A, B], axis=-2)))
 
 
 def sample_complement_vector(sperp: np.ndarray, omega: np.ndarray, rngs) -> np.ndarray:

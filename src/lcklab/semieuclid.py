@@ -3,27 +3,29 @@
 Inner products, orthogonal complements and signatures of subspaces of
 a real coordinate space carrying a nondegenerate symmetric bilinear form
 of arbitrary index.  Everything here is exact pointwise linear algebra;
-subspaces are represented by explicit (non-canonical) bases and compared
-by mutual span containment.
+a subspace is the array of its basis rows (..., k, N), an explicit
+(non-canonical) basis, and subspaces are compared by mutual span
+containment.  Its restricted Gram is computed where it is read
+(restricted_gram).
 
 Stacks: the leading axes of an array are its stack, and a point is a
 stack with no leading axes.  A form may carry one Gram matrix per point,
-gram of shape (..., N, N), and then a FrameSubspace carries one basis
-per point, basis (..., k, N), with k the same at every point.  The form
+gram of shape (..., N, N), and then a subspace carries one basis per
+point, rows (..., k, N), with k the same at every point.  The form
 validation, _full_rank, _kernel, _complement_within, inner,
-from_vectors, orthogonal_complement, signature_of, contains_span and
-same_span work per point of such a stack, through numpy's stacked
-linear algebra (one QR projection for a stack in contains_span), which
-gives each point the bits of a single-point call, and return one value
-per point, an array of the stack's shape; no least-squares solve is
-taken, so no point is solved alone.  _full_rank answers for the whole stack, and a stack whose points
-disagree on a rank raises ValueError.
+independent_rows, restricted_gram, orthogonal_complement, signature_of,
+contains_span and same_span work per point of such a stack, through
+numpy's stacked linear algebra (one QR projection for a stack in
+contains_span), which gives each point the bits of a single-point call,
+and return one value per point, an array of the stack's shape; no
+least-squares solve is taken, so no point is solved alone.  _full_rank
+answers for the whole stack, and a stack whose points disagree on a
+rank raises ValueError.
 
-Rank checks: a FrameSubspace comes from from_vectors, which proves by
-one SVD that the rows a caller gives are independent, from
-FrameSubspace._orthonormal, whose rows are orthonormal by construction,
-or from zero; so its rows are independent, and orthogonal_complement
-takes them as they are.
+Rank checks: the rows of a subspace come from independent_rows, which
+proves by one SVD that the rows a caller gives are independent, or from
+_kernel or _complement_within, whose rows are orthonormal from an SVD,
+hence independent; so orthogonal_complement takes its rows as they are.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import numpy as np
 
 __all__ = [
     "SemiEuclideanForm",
-    "FrameSubspace",
+    "independent_rows",
+    "restricted_gram",
     "inner",
     "orthogonal_complement",
     "signature_of",
@@ -104,45 +107,20 @@ def inner(form: SemiEuclideanForm, u: np.ndarray, v: np.ndarray):
     return np.vecdot(np.matvec(form.gram.swapaxes(-1, -2), u), v)
 
 
-@dataclass(frozen=True)
-class FrameSubspace:
-    """A subspace given by an ordered basis (rows of `basis`) of R^N:
-    from_vectors checks a caller's rows for independence, _orthonormal
-    trusts rows that _kernel or _complement_within returned orthonormal
-    from an SVD, or a realified unitary frame."""
+def independent_rows(form: SemiEuclideanForm, vectors) -> np.ndarray:
+    """Spanning vectors (..., k, N) as the rows of a subspace, checked by
+    one SVD to be independent."""
+    b = np.asarray(vectors, dtype=float)
+    if b.shape[-1] != form.dim:
+        raise ValueError(f"vectors must have length {form.dim}")
+    if not _full_rank(b):
+        raise DegenerateSubspaceError("basis vectors are not linearly independent")
+    return b
 
-    ambient_dim: int
-    basis: np.ndarray            # shape (k, N), rows linearly independent
-    gram_restricted: np.ndarray  # shape (k, k), pairwise inner products
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[-2]
-
-    @classmethod
-    def from_vectors(cls, form: SemiEuclideanForm, vectors) -> "FrameSubspace":
-        """Build a subspace from spanning vectors, rows (..., k, N),
-        checking independence."""
-        b = np.asarray(vectors, dtype=float)
-        if b.shape[-1] != form.dim:
-            raise ValueError(f"vectors must have length {form.dim}")
-        if not _full_rank(b):
-            raise DegenerateSubspaceError("basis vectors are not linearly independent")
-        return cls._orthonormal(form, b)
-
-    @classmethod
-    def _orthonormal(cls, form: SemiEuclideanForm, rows: np.ndarray) -> "FrameSubspace":
-        """The subspace of rows (..., k, N) orthonormal by construction,
-        hence independent: from_vectors without its rank check."""
-        gram = rows @ form.gram @ rows.swapaxes(-1, -2)
-        return cls(ambient_dim=form.dim, basis=rows, gram_restricted=gram)
-
-    @classmethod
-    def zero(cls, form: SemiEuclideanForm) -> "FrameSubspace":
-        lead = form.gram.shape[:-2]
-        return cls(ambient_dim=form.dim,
-                   basis=np.zeros(lead + (0, form.dim)),
-                   gram_restricted=np.zeros(lead + (0, 0)))
+def restricted_gram(form: SemiEuclideanForm, W: np.ndarray) -> np.ndarray:
+    """Pairwise inner products (..., k, k) of the rows of W (..., k, N)."""
+    return W @ form.gram @ W.swapaxes(-1, -2)
 
 
 def _ranks(sv: np.ndarray) -> np.ndarray:
@@ -194,60 +172,62 @@ def _complement_within(space: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return vt[..., :_uniform_rank(sv), :]
 
 
-def orthogonal_complement(form: SemiEuclideanForm, W: FrameSubspace) -> FrameSubspace:
-    """Orthogonal complement of W with respect to the ambient form.
+def orthogonal_complement(form: SemiEuclideanForm, W: np.ndarray) -> np.ndarray:
+    """Orthogonal complement of the subspace W (rows) with respect to the
+    ambient form.
 
     Since the ambient form is nondegenerate, dim(W-perp) = N - dim(W).
-    Computed as the kernel of the constraint matrix (basis @ gram), which
+    Computed as the kernel of the constraint matrix (W @ gram), which
     is rank revealing through the SVD even when W is close to null.
     """
-    if W.ambient_dim != form.dim:
+    if W.shape[-1] != form.dim:
         raise ValueError("ambient dimension mismatch")
-    constraints = W.basis @ form.gram
-    ker = _kernel(constraints)
-    return FrameSubspace._orthonormal(form, ker) if ker.shape[-2] else FrameSubspace.zero(form)
+    return _kernel(W @ form.gram)
 
 
-def signature_of(W: FrameSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalue sign counts (pos, neg, null) of W's restricted Gram
-    matrix, per point of a stack; neg is the index and null the dimension
-    of the radical W cap W-perp.
+def signature_of(form: SemiEuclideanForm,
+                 W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalue sign counts (pos, neg, null) of the restricted Gram
+    matrix of the subspace W (rows), per point of a stack; neg is the
+    index and null the dimension of the radical W cap W-perp.
 
     The zero threshold is scale invariant: tau = 1e-9 * max |eigenvalue|
     (or 1 if the Gram vanishes).
     """
-    if W.dim == 0:
-        zero = np.zeros(W.basis.shape[:-2], dtype=int)
+    k = W.shape[-2]
+    if k == 0:
+        zero = np.zeros(W.shape[:-2], dtype=int)
         return zero, zero, zero
-    evals = np.linalg.eigvalsh(W.gram_restricted)
+    evals = np.linalg.eigvalsh(restricted_gram(form, W))
     largest = np.abs(evals).max(axis=-1, keepdims=True)
     tau = 1e-9 * np.where(largest > 0.0, largest, 1.0)
     pos = (evals > tau).sum(axis=-1)
     neg = (evals < -tau).sum(axis=-1)
-    null = W.dim - pos - neg
+    null = k - pos - neg
     return pos, neg, null
 
 
-def contains_span(big: FrameSubspace, small: FrameSubspace, tol: float):
-    """True if span(small) lies inside span(big), by the residual of its
-    projection onto span(big), one stacked QR (in exact arithmetic the
-    least-squares residual), per point of a stack."""
-    lead = small.basis.shape[:-2]
-    if small.dim == 0:
+def contains_span(big: np.ndarray, small: np.ndarray, tol: float):
+    """True if span(small) lies inside span(big), both given by their
+    rows, by the residual of its projection onto span(big), one stacked
+    QR (in exact arithmetic the least-squares residual), per point of a
+    stack."""
+    lead = small.shape[:-2]
+    if small.shape[-2] == 0:
         return np.ones(lead, dtype=bool)
-    size = np.abs(small.basis).max(axis=(-2, -1))
-    if big.dim == 0:
+    size = np.abs(small).max(axis=(-2, -1))
+    if big.shape[-2] == 0:
         return size <= tol
-    q, _ = np.linalg.qr(big.basis.swapaxes(-1, -2))
-    smallT = small.basis.swapaxes(-1, -2)
+    q, _ = np.linalg.qr(big.swapaxes(-1, -2))
+    smallT = small.swapaxes(-1, -2)
     resid = smallT - q @ (q.swapaxes(-1, -2) @ smallT)
     return np.abs(resid).max(axis=(-2, -1)) <= tol * np.maximum(size, 1.0)
 
 
-def same_span(a: FrameSubspace, b: FrameSubspace, tol: float):
+def same_span(a: np.ndarray, b: np.ndarray, tol: float):
     """Subspace equality by mutual containment (bases are non-canonical),
     per point of a stack."""
-    if a.dim != b.dim:
-        lead = np.broadcast_shapes(a.basis.shape[:-2], b.basis.shape[:-2])
+    if a.shape[-2] != b.shape[-2]:
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         return np.zeros(lead, dtype=bool)
     return np.logical_and(contains_span(a, b, tol), contains_span(b, a, tol))

@@ -113,18 +113,18 @@ def test_null_branch_stacks_equal_single_points(n, s):
     rng = np.random.default_rng(n)
     Z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     first, second = fol.first_foliation_fibre(syn, Z), fol.second_foliation_fibre(syn, Z)
-    X, Y = first.tangent.basis[:, 1], first.tangent.basis[:, 2]
-    h, h_sym = fol.gauss_weingarten(syn, first, X, Y, Z)
-    h_P, bracket = fol.h_P_residual(syn, Z), fol.integrability_residual(syn, Z)
+    X, Y = first.tangent[:, 1], first.tangent[:, 2]
+    h, h_sym = fol.gauss_weingarten(syn, first, X, Y)
+    (h_P, nabla_AA), bracket = fol.h_P_residual(syn, Z), fol.integrability_residual(syn, Z)
     for i, z in enumerate(Z):
         one, two = fol.first_foliation_fibre(syn, z), fol.second_foliation_fibre(syn, z)
         for stacked, single in ((first, one), (second, two)):
             for part in ("tangent", "radical", "screen", "transversal"):
-                assert np.array_equal(getattr(stacked, part).basis[i], getattr(single, part).basis)
-        h_one, h_sym_one = fol.gauss_weingarten(syn, one, X[i], Y[i], z)
+                assert np.array_equal(getattr(stacked, part)[i], getattr(single, part))
+        h_one, h_sym_one = fol.gauss_weingarten(syn, one, X[i], Y[i])
         assert np.array_equal(h[i], h_one)
         assert h_sym[i] == h_sym_one
-        assert h_P[i] == fol.h_P_residual(syn, z)
+        assert (h_P[i], nabla_AA[i]) == fol.h_P_residual(syn, z)
         assert bracket[i] == fol.integrability_residual(syn, z)
 
 
@@ -140,9 +140,10 @@ def test_stacked_null_config_equals_single_builds(n, s):
         for name in ("B", "A", "omega", "theta", "screen_perp_basis", "first_screen_perp"):
             assert _bits(getattr(stacked, name)[i]) == _bits(getattr(one, name)), name
         for name in ("plane", "screen", "first_screen"):
-            for part in ("basis", "gram_restricted"):
-                assert _bits(getattr(getattr(stacked, name), part)[i]) == \
-                    _bits(getattr(getattr(one, name), part)), (name, part)
+            rows, row = getattr(stacked, name), getattr(one, name)
+            assert _bits(rows[i]) == _bits(row), name
+            assert _bits(semieuclid_mod.restricted_gram(stacked.form, rows)[i]) == \
+                _bits(semieuclid_mod.restricted_gram(one.form, row)), name
 
 
 @pytest.mark.parametrize("suite", NULL, ids=lambda s: s.name)
@@ -649,7 +650,7 @@ class TestDerivedOnce:
         rng = np.random.default_rng(7)
         B = np.concatenate([sample_null_lee_vector(3, 1, [rng]) for _ in range(6)])
         c = sample_null_config(3, 1, B)
-        radical, space = c.plane.basis, semieuclid_mod._kernel(c.plane.basis @ c.form.gram)
+        radical, space = c.plane, semieuclid_mod._kernel(c.plane @ c.form.gram)
         svds = self._counted(monkeypatch, np.linalg, "svd")
         fol._screen_split(c.form, radical, space)
         assert len(svds) == 2
@@ -667,7 +668,8 @@ class TestDerivedOnce:
 
     def test_a_hopf_run_takes_13_svds(self, monkeypatch):
         # 16 before orthogonal_complement stopped re-checking the rank of a
-        # FrameSubspace, whose constructors already proved its rows independent
+        # subspace's rows, which independent_rows or an SVD already proved
+        # independent
         svds = self._counted(monkeypatch, np.linalg, "svd")
         report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
                                       suites=("all",)))

@@ -21,14 +21,15 @@ from lcklab.lck import LCKStructure, lee_data
 from lcklab.models import HopfModel, eps_signs, flat_chart, hopf_chart, synthetic_null_structure, tricerri_chart
 from lcklab.sampling import (
     hopf_variates, sample_complement_vector, sample_hopf, sample_null_config,
-    sample_null_lee_vector, sample_pair_frame,
+    sample_null_lee_vector, sample_pair_frame, sample_tricerri,
 )
 from lcklab.semieuclid import (
-    FrameSubspace,
     SemiEuclideanForm,
     contains_span,
+    independent_rows,
     inner,
     orthogonal_complement,
+    restricted_gram,
     same_span,
     signature_of,
 )
@@ -41,35 +42,35 @@ HOPF_NEG = hopf_chart(MODEL, regions="-")
 class TestFirstFoliation:
     def test_hopf_reference_fibre(self):
         fib = first_foliation_fibre(HOPF, np.array([0.0, 1.0]))
-        assert fib.tangent.dim == 3
-        assert fib.radical.dim == 0
+        assert fib.tangent.shape[-2] == 3
+        assert fib.radical.shape[-2] == 0
         d = lee_data(HOPF, np.array([0.0, 1.0]))
-        B = FrameSubspace.from_vectors(fib.form, [real_coords(d.B)])
+        B = independent_rows(fib.form, [real_coords(d.B)])
         assert not contains_span(fib.tangent, B, tol=1e-9)
-        assert signature_of(fib.tangent)[1] == 2  # the index, 2s
+        assert signature_of(fib.form, fib.tangent)[1] == 2  # the index, 2s
 
     def test_negative_region_index(self):
         z = np.array([1.3 + 0.4j, 0.2 - 0.1j])
         fib = first_foliation_fibre(HOPF_NEG, z)
-        assert signature_of(fib.tangent)[1] == 1  # the index, 2s - 1
+        assert signature_of(fib.form, fib.tangent)[1] == 1  # the index, 2s - 1
 
     def test_synthetic_null_fibre(self):
         syn = synthetic_null_structure(2, 1)
         fib = first_foliation_fibre(syn, np.zeros(2, dtype=complex))
         # tangent = span{B, e2, e4} in interleaved coordinates; oracle by
         # row reduction of omega = g(., e1+e3)
-        expect = FrameSubspace.from_vectors(
+        expect = independent_rows(
             fib.form, [[1.0, 0, 1, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
         assert same_span(fib.tangent, expect, tol=1e-9)
         B = real_coords(lee_data(syn, np.zeros(2, dtype=complex)).B)
-        assert same_span(fib.radical, FrameSubspace.from_vectors(fib.form, [B]),
+        assert same_span(fib.radical, independent_rows(fib.form, [B]),
                          tol=1e-9)
-        assert fib.screen.dim == 2
-        cross = fib.screen.basis @ fib.form.gram @ fib.radical.basis.T
+        assert fib.screen.shape[-2] == 2
+        cross = fib.screen @ fib.form.gram @ fib.radical.T
         assert np.abs(cross).max() < 1e-10
         # transversal normalization
         omega = fib.form.gram @ B
-        N = fib.transversal.basis[0]
+        N = fib.transversal[0]
         assert abs(inner(fib.form, N, N)) < 1e-12
         assert float(omega @ N) == pytest.approx(1.0, abs=1e-12)
 
@@ -83,7 +84,7 @@ class TestFirstFoliation:
             eps = np.array([-1.0, 1.0])
             db[0::2] = 2 * eps * z.real
             db[1::2] = 2 * eps * z.imag
-            assert np.abs(fib.tangent.basis @ db).max() < 1e-9
+            assert np.abs(fib.tangent @ db).max() < 1e-9
 
 
 class TestNullConfigScreen:
@@ -95,14 +96,14 @@ class TestNullConfigScreen:
         fib = first_foliation_fibre(lck, np.zeros(n, dtype=complex))
         assert cfg.first_screen is cfg.first_screen
         assert same_span(cfg.first_screen, fib.screen, 1e-10)
-        perp = FrameSubspace.from_vectors(cfg.form, cfg.first_screen_perp)
+        perp = independent_rows(cfg.form, cfg.first_screen_perp)
         assert same_span(perp, orthogonal_complement(fib.form, fib.screen), 1e-10)
 
 
 class TestLightlikeTransversal:
     FORM = SemiEuclideanForm.standard(2, 4)
     B = np.array([1.0, 0.0, 1.0, 0.0])
-    SCREEN = FrameSubspace.from_vectors(FORM, [[0, 1.0, 0, 0], [0, 0, 0, 1.0]])
+    SCREEN = independent_rows(FORM, [[0, 1.0, 0, 0], [0, 0, 0, 1.0]])
 
     def omega(self):
         return self.FORM.gram @ self.B
@@ -132,7 +133,7 @@ class TestLightlikeTransversal:
         # bad screen, reported as an invalid complement
         with pytest.raises(ValueError):
             lightlike_transversal(self.FORM, self.omega(), self.B,
-                                  FrameSubspace.zero(self.FORM),
+                                  np.zeros((0, 4)),
                                   np.array([0.0, 1.0, 0.0, 0.0]))
 
     def test_non_orthogonal_v_rejected(self):
@@ -148,9 +149,9 @@ class TestGaussWeingarten:
             z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
             fib = first_foliation_fibre(HOPF, z)
             coeff = rng.standard_normal((2, 3))
-            X = coeff[0] @ fib.tangent.basis
-            Y = coeff[1] @ fib.tangent.basis
-            h, h_sym = gauss_weingarten(HOPF, fib, X, Y, z)
+            X = coeff[0] @ fib.tangent
+            Y = coeff[1] @ fib.tangent
+            h, h_sym = gauss_weingarten(HOPF, fib, X, Y)
             assert np.abs(h).max() < 1e-6
             assert h_sym < 1e-6
 
@@ -158,7 +159,7 @@ class TestGaussWeingarten:
         lck = hopf_chart(MODEL)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, np.random.default_rng(3)))
         fib = first_foliation_fibre(lck, z)
-        X, Y = fib.tangent.basis[0], fib.tangent.basis[1]
+        X, Y = fib.tangent[0], fib.tangent[1]
         built = []
         validate = SemiEuclideanForm.__post_init__
 
@@ -167,14 +168,14 @@ class TestGaussWeingarten:
             validate(self)
 
         monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counted)
-        gauss_weingarten(lck, fib, X, Y, z)
+        gauss_weingarten(lck, fib, X, Y)
         assert built == []
 
     def test_null_branch_builds_no_validated_form(self, monkeypatch):
         syn = synthetic_null_structure(2, 1)
         z = np.zeros(2, dtype=complex)
         fib = first_foliation_fibre(syn, z)
-        X, Y = fib.tangent.basis[1], fib.tangent.basis[2]
+        X, Y = fib.tangent[1], fib.tangent[2]
         built = []
         validate = SemiEuclideanForm.__post_init__
 
@@ -183,7 +184,7 @@ class TestGaussWeingarten:
             validate(self)
 
         monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counted)
-        gauss_weingarten(syn, fib, X, Y, z)
+        gauss_weingarten(syn, fib, X, Y)
         assert len(built) <= 1
 
     @pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (4, 2), (5, 2)])
@@ -213,7 +214,7 @@ class TestGaussWeingarten:
             omega_hol, np.shape(p)))
         z = np.zeros(n, dtype=complex)
         for lck in (syn, weighted):
-            N = first_foliation_fibre(lck, z).transversal.basis[0]
+            N = first_foliation_fibre(lck, z).transversal[0]
             closed = closed_form(lee_data(lck, z))
             assert np.abs(closed - N).max() <= 1e-12 * np.abs(N).max()
 
@@ -230,8 +231,8 @@ class TestGaussWeingarten:
         fib = first_foliation_fibre(HOPF, z)
         d = lee_data(HOPF, z)
         omega_z = fib.form.gram @ real_coords(d.B)
-        Xr = rng.standard_normal(3) @ fib.tangent.basis
-        Yr = rng.standard_normal(3) @ fib.tangent.basis
+        Xr = rng.standard_normal(3) @ fib.tangent
+        Yr = rng.standard_normal(3) @ fib.tangent
 
         def metric_ext(vec):
             def field(p):
@@ -261,13 +262,13 @@ class TestGaussWeingarten:
         syn = synthetic_null_structure(2, 1)
         z = np.zeros(2, dtype=complex)
         fib = first_foliation_fibre(syn, z)
-        X = fib.tangent.basis[1]
-        Y = fib.tangent.basis[2]
-        h, _ = gauss_weingarten(syn, fib, X, Y, z)
+        X = fib.tangent[1]
+        Y = fib.tangent[2]
+        h, _ = gauss_weingarten(syn, fib, X, Y)
         omega = fib.form.gram @ real_coords(lee_data(syn, z).B)
         C = float(omega @ h)
         assert abs(C) < 1e-12       # flat synthetic data: h = 0
-        fake = h + 0.3 * fib.transversal.basis[0]
+        fake = h + 0.3 * fib.transversal[0]
         assert float(omega @ fake) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -293,26 +294,26 @@ def test_fibres_share_one_validated_form_per_point(monkeypatch):
 class TestSecondFoliation:
     def test_hopf_positive_plane(self):
         fib = second_foliation_fibre(HOPF, np.array([0.0, 1.0]))
-        assert np.allclose(fib.tangent.gram_restricted, 4.0 * np.eye(2), atol=1e-12)
-        assert fib.radical.dim == 0
+        assert np.allclose(restricted_gram(fib.form, fib.tangent), 4.0 * np.eye(2), atol=1e-12)
+        assert fib.radical.shape[-2] == 0
 
     def test_hopf_negative_plane(self):
         z = np.array([1.3, 0.2], dtype=complex)
         fib = second_foliation_fibre(HOPF_NEG, z)
-        assert np.allclose(fib.tangent.gram_restricted, -4.0 * np.eye(2), atol=1e-12)
+        assert np.allclose(restricted_gram(fib.form, fib.tangent), -4.0 * np.eye(2), atol=1e-12)
         # with the metric flipped by sign(c) the plane is Riemannian
-        assert signature_of(fib.tangent) == (0, 2, 0)
+        assert signature_of(fib.form, fib.tangent) == (0, 2, 0)
 
     def test_synthetic_null_plane_is_its_own_radical(self):
         syn = synthetic_null_structure(3, 1)
         fib = second_foliation_fibre(syn, np.zeros(3, dtype=complex))
-        assert np.abs(fib.tangent.gram_restricted).max() < 1e-14
+        assert np.abs(restricted_gram(fib.form, fib.tangent)).max() < 1e-14
         assert same_span(fib.radical, fib.tangent, 1e-10)
-        assert fib.tangent.dim == 2
+        assert fib.tangent.shape[-2] == 2
         # decomposition closes: tangent + transversal spans everything
-        total = FrameSubspace.from_vectors(
-            fib.form, np.vstack([fib.tangent.basis, fib.transversal.basis]))
-        assert total.dim == 6
+        total = independent_rows(
+            fib.form, np.vstack([fib.tangent, fib.transversal]))
+        assert total.shape[-2] == 6
 
     def test_integrability(self):
         rng = np.random.default_rng(2)
@@ -337,7 +338,7 @@ class TestIsotropicPair:
         A = np.array([0, -1.0, 0, -1, 0, 0])
         omega = form.gram @ B
         theta = form.gram @ A
-        screen = FrameSubspace.from_vectors(form, [np.eye(6)[4], np.eye(6)[5]])
+        screen = independent_rows(form, [np.eye(6)[4], np.eye(6)[5]])
         return form, B, A, omega, theta, screen
 
     def test_worked_example(self):
@@ -388,8 +389,8 @@ class TestIsotropicPair:
         for u in (N1, N2):
             for v in (N1, N2):
                 assert abs(inner(cfg.form, u, v)) < 1e-10
-        if cfg.screen.dim:
-            cross = cfg.screen.basis @ cfg.form.gram @ np.vstack([N1, N2]).T
+        if cfg.screen.shape[-2]:
+            cross = cfg.screen @ cfg.form.gram @ np.vstack([N1, N2]).T
             assert np.abs(cross).max() < 1e-10
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -407,7 +408,7 @@ class TestIsotropicPair:
         proj = tangent_rows - (tangent_rows @ qB) @ qB.T
         _, sv, vt = np.linalg.svd(proj, full_matrices=False)
         rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
-        screen = FrameSubspace.from_vectors(cfg.form, vt[:rank])
+        screen = independent_rows(cfg.form, vt[:rank])
         N = lightlike_transversal(cfg.form, cfg.omega, cfg.B, screen, V)
         assert abs(inner(cfg.form, N, N)) < 1e-10
         assert abs(float(cfg.omega @ N) - 1.0) < 1e-10
@@ -418,7 +419,16 @@ class TestHP:
         rng = np.random.default_rng(3)
         for _ in range(10):
             z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
-            assert h_P_residual(HOPF, z) < 1e-5
+            assert h_P_residual(HOPF, z)[0] < 1e-5
+
+    def test_tricerri_h_vanishes_and_nabla_AA_does_not(self):
+        # h reads only transversal parts, so it misses nabla_A A, which the
+        # second value reads in full
+        rng = np.random.default_rng(4)
+        Z = np.stack([sample_tricerri(2, rng) for _ in range(5)])
+        h, nabla_AA = h_P_residual(tricerri_chart(2, 1), Z)
+        assert h.max() < 1e-12
+        assert nabla_AA.min() > 0.1
 
     def test_lee_derivatives_vanish_exactly(self):
         z = np.array([0.4 - 0.1j, 1.2 + 0.3j])
@@ -432,7 +442,7 @@ class TestHP:
 
     def test_synthetic_constant_data(self):
         syn = synthetic_null_structure(3, 1)
-        assert h_P_residual(syn, np.zeros(3, dtype=complex)) < 1e-12
+        assert h_P_residual(syn, np.zeros(3, dtype=complex))[0] < 1e-12
 
 
 class TestMeanCurvature:
@@ -492,5 +502,5 @@ def test_torus_fibre_minimality():
     z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
     d = lee_data(HOPF, z)
     fib = second_foliation_fibre(HOPF, z)
-    B = FrameSubspace.from_vectors(fib.form, [real_coords(d.B)])
+    B = independent_rows(fib.form, [real_coords(d.B)])
     assert contains_span(fib.tangent, B, tol=1e-9)

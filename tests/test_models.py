@@ -20,7 +20,7 @@ from lcklab.models import (
 )
 from lcklab.lck import lee_data
 from lcklab.sampling import hopf_variates, sample_hopf, sample_pseudosphere
-from lcklab.semieuclid import signature_of
+from lcklab.semieuclid import restricted_gram, signature_of
 
 MODEL = HopfModel(n=2, s=1, lam=0.5)
 
@@ -166,17 +166,19 @@ class TestTorusAction:
 
 class TestFibrationSplit:
     def test_reference_point(self):
-        V0, H0 = fibration_split(MODEL, np.array([0.0, 1.0]), hopf_chart(MODEL))
-        assert np.allclose(V0.gram_restricted, 4.0 * np.eye(2), atol=1e-12)
+        z, lck = np.array([0.0, 1.0]), hopf_chart(MODEL)
+        V0, H0 = fibration_split(MODEL, z, lck)
+        form = lee_data(lck, z).form
+        assert np.allclose(restricted_gram(form, V0), 4.0 * np.eye(2), atol=1e-12)
         # horizontal space is the z1 coordinate plane, negative definite
-        assert signature_of(H0) == (0, 2, 0)
+        assert signature_of(form, H0) == (0, 2, 0)
 
     def test_vertical_spans_lee_plane(self):
         rng = np.random.default_rng(6)
         z = sample_pseudosphere(2, 1, hopf_variates(2, rng))
         V0, H0 = fibration_split(MODEL, z, hopf_chart(MODEL))
         d = lee_data(hopf_chart(MODEL), z)
-        gram = np.vstack([V0.basis, real_coords(d.A), real_coords(d.B)])
+        gram = np.vstack([V0, real_coords(d.A), real_coords(d.B)])
         assert np.linalg.matrix_rank(gram, tol=1e-8) == 2
 
     def test_off_pseudosphere_rejected(self):
@@ -195,8 +197,8 @@ class TestSubmersion:
         for _ in range(10):
             z = sample_pseudosphere(2, 1, hopf_variates(2, rng))
             _, H0 = fibration_split(MODEL, z, hopf_chart(MODEL))
-            u = real_vector(hol_from_real_coords(rng.standard_normal(2) @ H0.basis))
-            v = real_vector(hol_from_real_coords(rng.standard_normal(2) @ H0.basis))
+            u = real_vector(hol_from_real_coords(rng.standard_normal(2) @ H0))
+            v = real_vector(hol_from_real_coords(rng.standard_normal(2) @ H0))
             assert submersion_isometry_residual(MODEL, z, u, v, hopf_chart(MODEL)) < 1e-6
 
     def test_complex_vectors_rejected(self):

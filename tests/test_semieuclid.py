@@ -1,5 +1,4 @@
 import importlib
-import sys
 
 import numpy as np
 import pytest
@@ -8,9 +7,9 @@ from hypothesis import strategies as st
 
 from lcklab.semieuclid import (
     DegenerateSubspaceError,
-    FrameSubspace,
     SemiEuclideanForm,
     contains_span,
+    independent_rows,
     inner,
     orthogonal_complement,
     same_span,
@@ -58,32 +57,31 @@ def test_a_gram_asymmetric_by_2e_6_beside_an_entry_0_3_is_refused():
 
 class TestComplement:
     def test_axis_complement(self):
-        W = FrameSubspace.from_vectors(H24, [e(0)])
+        W = independent_rows(H24, [e(0)])
         perp = orthogonal_complement(H24, W)
-        expect = FrameSubspace.from_vectors(H24, [e(1), e(2), e(3)])
+        expect = independent_rows(H24, [e(1), e(2), e(3)])
         assert same_span(perp, expect, 1e-10)
 
     def test_null_line_contained_in_own_complement(self):
         v = e(0) + e(2)
-        W = FrameSubspace.from_vectors(H24, [v])
+        W = independent_rows(H24, [v])
         perp = orthogonal_complement(H24, W)
-        assert perp.dim == 3
+        assert perp.shape[-2] == 3
         assert contains_span(perp, W, tol=1e-10)
 
     def test_full_space_complement_is_zero(self):
-        W = FrameSubspace.from_vectors(H24, np.eye(4))
-        assert orthogonal_complement(H24, W).dim == 0
+        W = independent_rows(H24, np.eye(4))
+        assert orthogonal_complement(H24, W).shape[-2] == 0
 
     def test_rank_deficient_basis_rejected(self):
         with pytest.raises(ValueError):
-            FrameSubspace.from_vectors(H24, [e(0), 2 * e(0)])
+            independent_rows(H24, [e(0), 2 * e(0)])
 
     def test_overfull_basis_rejected(self):
         # three vectors in R^2: the SVD has only two singular values, both
         # large, so the row count must be checked as well
         with pytest.raises(DegenerateSubspaceError):
-            FrameSubspace.from_vectors(SemiEuclideanForm.standard(1, 2),
-                                       [[1, 0], [0, 1], [1, 1]])
+            independent_rows(SemiEuclideanForm.standard(1, 2), [[1, 0], [0, 1], [1, 1]])
 
 
 @pytest.mark.parametrize("module", ["lcklab.semieuclid", "lcklab.sampling"])
@@ -100,15 +98,15 @@ def test_kernel_cut_is_relative_1e10(module):
 
 
 class TestRadical:
-    # the radical W cap W-perp has dimension signature_of(W)[2]
+    # the radical W cap W-perp has dimension signature_of(H24, W)[2]
     def test_definite_restriction(self):
-        W = FrameSubspace.from_vectors(H24, [e(0), e(1)])
-        assert signature_of(W)[2] == 0
+        W = independent_rows(H24, [e(0), e(1)])
+        assert signature_of(H24, W)[2] == 0
 
     def test_null_line_is_own_radical(self):
         v = e(0) + e(2)
-        W = FrameSubspace.from_vectors(H24, [v])
-        assert signature_of(W)[2] == 1
+        W = independent_rows(H24, [v])
+        assert signature_of(H24, W)[2] == 1
         assert contains_span(orthogonal_complement(H24, W), W, 1e-10)
         assert inner(H24, v, v) == pytest.approx(0.0, abs=1e-12)
 
@@ -118,27 +116,27 @@ class TestRadical:
         B = e(0) + e(2)
         omega = H24.gram @ B
         _, _, vt = np.linalg.svd(omega.reshape(1, -1))
-        W = FrameSubspace.from_vectors(H24, vt[1:])
-        expect = FrameSubspace.from_vectors(H24, [B, e(1), e(3)])
+        W = independent_rows(H24, vt[1:])
+        expect = independent_rows(H24, [B, e(1), e(3)])
         assert same_span(W, expect, tol=1e-9)
         # one null direction, and B lies in W and in W-perp
-        assert signature_of(W)[2] == 1
+        assert signature_of(H24, W)[2] == 1
         assert contains_span(orthogonal_complement(H24, W),
-                             FrameSubspace.from_vectors(H24, [B]), tol=1e-9)
+                             independent_rows(H24, [B]), tol=1e-9)
 
 
 class TestSignature:
     def test_diagonal(self):
-        W = FrameSubspace.from_vectors(H24, [e(0), e(1), e(2)])
-        assert signature_of(W) == (1, 2, 0)
+        W = independent_rows(H24, [e(0), e(1), e(2)])
+        assert signature_of(H24, W) == (1, 2, 0)
 
     def test_one_null_direction(self):
-        W = FrameSubspace.from_vectors(H24, [e(0) + e(2), e(1), e(3)])
-        assert signature_of(W) == (1, 1, 1)
+        W = independent_rows(H24, [e(0) + e(2), e(1), e(3)])
+        assert signature_of(H24, W) == (1, 1, 1)
 
     def test_full_space(self):
-        W = FrameSubspace.from_vectors(H24, np.eye(4))
-        assert signature_of(W) == (2, 2, 0)
+        W = independent_rows(H24, np.eye(4))
+        assert signature_of(H24, W) == (2, 2, 0)
 
 
 @st.composite
@@ -161,21 +159,21 @@ def test_radical_membership_and_dimension(data):
     # W cap W-perp, intersected from the null space of [W | -perp], is
     # g-orthogonal to W and has signature_of's null count as dimension
     form, basis = data
-    W = FrameSubspace.from_vectors(form, basis)
+    W = independent_rows(form, basis)
     perp = orthogonal_complement(form, W)
-    _, sv, vt = np.linalg.svd(np.vstack([W.basis, -perp.basis]).T)
-    rad = vt[np.sum(sv > 1e-10 * sv[0]):, :W.dim] @ W.basis
-    assert len(rad) == signature_of(W)[2]
+    _, sv, vt = np.linalg.svd(np.vstack([W, -perp]).T)
+    rad = vt[np.sum(sv > 1e-10 * sv[0]):, :len(W)] @ W
+    assert len(rad) == signature_of(form, W)[2]
     if len(rad):
-        assert np.abs(rad @ form.gram @ W.basis.T).max() < 1e-8
+        assert np.abs(rad @ form.gram @ W.T).max() < 1e-8
 
 
 @given(form_and_subspace())
 @settings(max_examples=60, deadline=None)
 def test_double_complement_involution(data):
     form, basis = data
-    W = FrameSubspace.from_vectors(form, basis)
-    if signature_of(W)[2]:   # involution is asserted on nondegenerate W
+    W = independent_rows(form, basis)
+    if signature_of(form, W)[2]:   # involution is asserted on nondegenerate W
         return
     back = orthogonal_complement(form, orthogonal_complement(form, W))
     assert same_span(back, W, tol=1e-8)
@@ -186,8 +184,8 @@ def test_double_complement_involution(data):
 def test_full_space_signature(dim, data):
     index = data.draw(st.integers(min_value=0, max_value=dim))
     form = SemiEuclideanForm.standard(index, dim)
-    W = FrameSubspace.from_vectors(form, np.eye(dim))
-    assert signature_of(W) == (dim - index, index, 0)
+    W = independent_rows(form, np.eye(dim))
+    assert signature_of(form, W) == (dim - index, index, 0)
 
 
 def test_gram_signature_invariant_enforced():
@@ -200,13 +198,13 @@ def test_gram_signature_invariant_enforced():
 def test_same_span_of_different_dimensions_answers_per_point():
     # one verdict per point of a stack, whether the dimensions agree or not
     form = SemiEuclideanForm.standard(1, 3)
-    a = FrameSubspace.from_vectors(form, np.random.default_rng(7).standard_normal((4, 2, 3)))
-    b = FrameSubspace.from_vectors(form, a.basis[:, :1])
+    a = independent_rows(form, np.random.default_rng(7).standard_normal((4, 2, 3)))
+    b = independent_rows(form, a[:, :1])
     assert same_span(a, a, 1e-9).tolist() == [True] * 4
     assert same_span(a, b, 1e-9).tolist() == [False] * 4
     assert same_span(b, a, 1e-9).tolist() == [False] * 4
-    one = FrameSubspace.from_vectors(form, a.basis[0])   # a point: a stack with no leading axes
-    apart = same_span(one, FrameSubspace.from_vectors(form, b.basis[0]), 1e-9)
+    one = independent_rows(form, a[0])   # a point: a stack with no leading axes
+    apart = same_span(one, independent_rows(form, b[0]), 1e-9)
     assert apart.shape == () and not apart
     assert same_span(one, one, 1e-9)
 
@@ -214,15 +212,15 @@ def test_same_span_of_different_dimensions_answers_per_point():
 SPAN_TOL = 1e-9
 
 
-def _lstsq_contains(big: FrameSubspace, small: FrameSubspace) -> list:
+def _lstsq_contains(big: np.ndarray, small: np.ndarray) -> list:
     """The per-point least-squares residual test that contains_span's
     stacked projection replaced, one verdict per point."""
-    bigT, smallT = big.basis.swapaxes(-1, -2), small.basis.swapaxes(-1, -2)
+    bigT, smallT = big.swapaxes(-1, -2), small.swapaxes(-1, -2)
     coeffs = np.array([np.linalg.lstsq(a, b, rcond=None)[0]
                        for a, b in zip(bigT.reshape((-1,) + bigT.shape[-2:]),
                                        smallT.reshape((-1,) + smallT.shape[-2:]))])
     resid = bigT @ coeffs.reshape(bigT.shape[:-2] + coeffs.shape[-2:]) - smallT
-    size = np.abs(small.basis).max(axis=(-2, -1))
+    size = np.abs(small).max(axis=(-2, -1))
     return (np.abs(resid).max(axis=(-2, -1)) <= SPAN_TOL * np.maximum(size, 1.0)).tolist()
 
 
@@ -245,7 +243,7 @@ def _span_case(case):
         small = small[:, :1]
     elif case == "one point":
         big, small, moved, expected = big[:1], small[:1], moved[:1], expected[:1]
-    return (*(FrameSubspace.from_vectors(form, x) for x in (big, small, moved)), expected)
+    return (*(independent_rows(form, x) for x in (big, small, moved)), expected)
 
 
 @pytest.mark.parametrize("case", ["near and far", "one row", "all of R^N", "one point"])
@@ -263,32 +261,40 @@ ORTHONORMAL_CONFIGS = [("hopf", 2, 1), ("hopf", 4, 2), ("hopf", 8, 7), ("tricerr
 
 
 def test_orthonormal_rows_need_no_rank_check(monkeypatch):
-    # _orthonormal skips from_vectors' rank SVD on the premise that its rows
-    # are orthonormal; every row stack it gets over all suites is, and its
-    # restricted Gram carries the bits from_vectors gives it
+    # a subspace's rows from _kernel, _complement_within or cr_fibre's
+    # levi_H skip independent_rows' rank SVD on the premise that they are
+    # orthonormal; every row stack they give over all suites is (the
+    # conjugate transpose, as _t10_basis's kernel is complex)
+    from lcklab import cr, foliations, sampling, semieuclid
     from lcklab.report import RunConfig
     from lcklab.suites import run_config
 
-    build, seen, worst = FrameSubspace._orthonormal.__func__, set(), [0.0]
+    seen, worst = set(), [0.0]
 
-    def checked(cls, form, rows):
-        caller = sys._getframe(1).f_code.co_name
-        if caller == "from_vectors":   # past its rank check
-            return build(cls, form, rows)
-        seen.add(caller)
-        eye = np.eye(rows.shape[-2])
-        worst[0] = max(worst[0], np.abs(rows @ rows.swapaxes(-1, -2) - eye).max(initial=0.0))
-        built = build(cls, form, rows)
-        assert np.array_equal(built.gram_restricted,
-                              FrameSubspace.from_vectors(form, rows).gram_restricted)
-        return built
+    def checked(module, name, rows_of=lambda built: built):
+        build = getattr(module, name)
 
-    monkeypatch.setattr(FrameSubspace, "_orthonormal", classmethod(checked))
+        def wrapper(*args):
+            seen.add((module.__name__, name))
+            built = build(*args)
+            rows = rows_of(built)
+            eye = np.eye(rows.shape[-2])
+            gap = np.abs(rows @ rows.conj().swapaxes(-1, -2) - eye).max(initial=0.0)
+            worst[0] = max(worst[0], gap)
+            return built
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (semieuclid, foliations, sampling, cr):
+        checked(module, "_kernel")
+    for module in (semieuclid, foliations):
+        checked(module, "_complement_within")
+    checked(cr, "cr_fibre", lambda fib: fib.levi_H)
     for model, n, s in ORTHONORMAL_CONFIGS:
         for seed in range(5):
             report = run_config(RunConfig(model=model, n=n, s=s, points=20, seed=seed,
                                           suites=("all",)))
             assert {r.verdict for r in report.results} == {"pass"}, (model, n, s, seed)
-    assert seen == {"_screen_split", "first_foliation_fibre", "orthogonal_complement",
-                    "cr_fibre", "_check_screen_splits"}
+    assert seen == {("lcklab.semieuclid", "_kernel"), ("lcklab.foliations", "_kernel"),
+                    ("lcklab.foliations", "_complement_within"), ("lcklab.sampling", "_kernel"),
+                    ("lcklab.cr", "_kernel"), ("lcklab.cr", "cr_fibre")}
     assert worst[0] <= 1e-13
