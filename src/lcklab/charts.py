@@ -39,6 +39,11 @@ Conventions
   Constant evaluators broadcast over the stack.  lck.lee_data memoizes
   per stack, keyed by its shape and bytes, so the derivatives taken at
   one base point share one stacked evaluation.
+* One stencil and one stack per check: a check differentiates all its
+  fields on one stencil, _field_derivatives taking fields of any widths
+  (each returns (..., w) values per point, a scalar as w = 1, and gets
+  its own derivatives back), and evaluates its point sets (a point and
+  its image, or two lines) as one stack.
 * Stacks of base points: the leading axes of an array are its stack,
   and a point z (n,) is a stack with no leading axes.  christoffel (and
   a chart's closed form), koszul_christoffel, covariant_derivative,
@@ -411,15 +416,22 @@ def _as_field(obj) -> Callable[[np.ndarray], np.ndarray]:
 
 def _field_derivatives(fields, z: np.ndarray, *,
                        chart: MetricChart) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(d Y^A/dz^l, d Y^A/dzbar^l) of each vector field Y, indexed
-    [..., l, A], from one stencil evaluation of all of them on the
-    chart's domain."""
+    """(d Y^A/dz^l, d Y^A/dzbar^l) of each field Y, indexed [..., l, A],
+    from one stencil evaluation of all of them on the chart's domain.  A
+    field returns (..., w) values per point, its own width w: a vector
+    field's 2n frame components, or a scalar as width 1."""
     z = np.asarray(z, dtype=complex)
-    d_dz, d_dzb = wirtinger_derivative(
-        lambda p: np.concatenate([Y(p) for Y in fields], axis=-1), z, chart=chart)
-    w = d_dz.shape[-1] // len(fields)
-    return [(np.ascontiguousarray(d_dz[..., k * w:(k + 1) * w]),
-             np.ascontiguousarray(d_dzb[..., k * w:(k + 1) * w])) for k in range(len(fields))]
+    widths = []
+
+    def stacked(p):
+        values = [Y(p) for Y in fields]
+        widths[:] = [v.shape[-1] for v in values]
+        return np.concatenate(values, axis=-1)
+
+    d_dz, d_dzb = wirtinger_derivative(stacked, z, chart=chart)
+    cuts = np.cumsum(widths)[:-1]
+    return [(np.ascontiguousarray(a), np.ascontiguousarray(b))
+            for a, b in zip(np.split(d_dz, cuts, axis=-1), np.split(d_dzb, cuts, axis=-1))]
 
 
 def _along(X: np.ndarray, dY: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

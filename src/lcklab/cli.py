@@ -2,7 +2,8 @@
 
 Samples domain points, executes named suites and emits a deterministic
 JSON or CSV report.  Exit codes: 0 all suites pass, 1 at least one suite
-failed or errored, 2 usage error.
+failed or errored, 2 usage error (a --out path that cannot be written is
+one, refused before any suite runs).
 
 Seed resolution: --seed flag, else the LCKLAB_SEED environment variable,
 else 0.  Two runs with the same configuration produce byte-identical
@@ -80,6 +81,15 @@ def _resolve_seed(arg_seed) -> int:
     return 0
 
 
+def _require_writable(path: str) -> None:
+    """Refuse a report path that cannot be written, before any suite runs:
+    a directory, or a file in a missing or unwritable directory."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK) \
+            or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise UsageError(f"cannot write the report to {path!r}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -90,6 +100,8 @@ def main(argv=None) -> int:
         parser.error("--model is required unless --list-suites is given")
     try:
         seed = _resolve_seed(args.seed)
+        if args.out:
+            _require_writable(args.out)
         names = tuple(x.strip() for x in args.suites.split(",") if x.strip())
         cfg = RunConfig(model=args.model, n=args.n, s=args.s, lam=args.lam,
                         points=args.points, tol_analytic=args.tol_analytic,

@@ -85,14 +85,19 @@ def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):
     per point of the fibre's stack.
 
     f is an ambient scalar function near z, taking a stack of points (see
-    the charts module docstring); its restriction to the leaf is CR at z
-    iff the residual vanishes.  The derivative's stencil must stay on the
-    chart's domain.
+    the charts module docstring), or k such functions at once, returning
+    (..., k) values per point: all k are differentiated on one stencil,
+    and the residual is the max over them.  A function's restriction to
+    the leaf is CR at z iff its residual vanishes.  The derivative's
+    stencil must stay on the chart's domain.
     """
     _, d_dzb = wirtinger_derivative(f, fib.point, chart=lck.chart)
+    if d_dzb.ndim == fib.point.ndim:   # one scalar function: k = 1
+        d_dzb = d_dzb[..., None]
+    d_dzb = np.ascontiguousarray(np.moveaxis(d_dzb, -1, -2))   # a row [..., k, l] per function
     # T01 = conj(T10): Zbar(f) contracts conj components with dzbar
-    vals = np.matvec(fib.t10.conj().swapaxes(-1, -2), d_dzb)
-    return np.abs(vals).max(axis=-1, initial=0.0)
+    vals = np.matvec(fib.t10.conj().swapaxes(-1, -2)[..., None, :, :], d_dzb)
+    return np.abs(vals).max(axis=(-2, -1), initial=0.0)
 
 
 def levi_form(lck: LCKStructure, fib: CRFibre, V):

@@ -28,6 +28,7 @@ lambda go through np.float_power, which rounds as a Python float's **
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,10 +62,13 @@ HORIZONTAL_TOL = 1e-6
 CAYLEY_POLE_TOL = 1e-9
 
 
+@lru_cache(maxsize=None)
 def eps_signs(n: int, s: int) -> np.ndarray:
-    """Diagonal signs (-1 for the first s slots, +1 after)."""
+    """Diagonal signs (-1 for the first s slots, +1 after), built once per
+    (n, s) and shared, so read-only."""
     eps = np.ones(n)
     eps[:s] = -1.0
+    eps.setflags(write=False)
     return eps
 
 
@@ -129,7 +133,10 @@ def _diagonal(d: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def _hopf_metric_fns(n: int, s: int):
+    """The Hopf metric components and closed-form coefficients of (n, s),
+    built once and shared by every chart of (n, s)."""
     eps = eps_signs(n, s)
     d = np.eye(n)                    # d[l, j] = delta^l_j
     eps_d = eps[:, None] * d         # eps_j delta_jk
@@ -166,11 +173,12 @@ def _hopf_metric_fns(n: int, s: int):
 
 def _region_signs(regions) -> np.ndarray:
     """+1.0 for each region '+' and -1.0 for each '-' of regions (a name or
-    an array of names); any other name raises ValueError."""
-    regions = np.asarray(regions)
-    if not set(regions.flat) <= {"+", "-"}:
+    a sequence of names); any other name raises ValueError."""
+    names = (regions,) if isinstance(regions, str) else regions
+    if not set(names) <= {"+", "-"}:
         raise ValueError("region must be '+' or '-'")
-    return np.where(regions == "+", 1.0, -1.0)
+    signs = np.array([1.0 if r == "+" else -1.0 for r in names])
+    return signs[0] if isinstance(regions, str) else signs
 
 
 def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
@@ -186,7 +194,6 @@ def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
     n, s = model.n, model.s
     eps = eps_signs(n, s)
     metric, gamma = _hopf_metric_fns(n, s)
-    regions = np.asarray(regions)
     sign = _region_signs(regions)
 
     def domain(z):
@@ -197,7 +204,7 @@ def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
 
     chart = MetricChart(n=n, s=s, metric_eval=metric, domain_pred=domain,
                         christoffel_analytic=gamma,
-                        name=f"hopf(n={n},s={s},{''.join(sorted(set(regions.flat)))})")
+                        name=f"hopf(n={n},s={s},{''.join(sorted(set(regions)))})")
 
     def lee(z):
         z = np.asarray(z, dtype=complex)
@@ -360,8 +367,7 @@ def torus_pullback_isometry_residual(model: HopfModel, t, z, lck: LCKStructure):
     e = np.exp(np.asarray(t, dtype=complex))[..., None]
     zt = e * z
     _require_domain(lck.chart, zt)
-    H = lck.chart.hermitian(z)
-    Ht = lck.chart.hermitian(zt)
+    H, Ht = lck.chart.hermitian(np.stack(np.broadcast_arrays(z, zt)))
     pullback = Ht * e[..., None] * np.conj(e)[..., None]
     return np.abs(pullback - H).max(axis=(-2, -1))
 

@@ -76,9 +76,9 @@ def _uint32_words(x: int) -> list[int]:
     return words
 
 
-def _hashmix(value, h):
-    """SeedSequence's hashmix on a word (an int, or a uint64 array of
-    words): the mixed word and the advanced hash constant."""
+def _hashmix(value: int, h: int) -> tuple[int, int]:
+    """SeedSequence's hashmix on a word: the mixed word and the advanced
+    hash constant."""
     value = (value ^ h) & _MASK32
     h = (h * _MULT_A) & _MASK32
     value = (value * h) & _MASK32
@@ -86,26 +86,41 @@ def _hashmix(value, h):
 
 
 def _mix(x, y):
-    """SeedSequence's mix of a pool word x with a hashed word y."""
+    """SeedSequence's mix of a pool word x with a hashed word y (ints, or
+    uint64 arrays of words)."""
     out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return out ^ (out >> _XSHIFT)
 
 
-def _mix_words(pool: list, h, words) -> tuple[list, object]:
-    """SeedSequence's mixing of entropy words past the pool size into the
-    pool: each word into every pool word.  Returns the pool and the
-    advanced hash constant."""
-    pool = list(pool)
-    for w in words:
-        for dst in range(_POOL_SIZE):
-            v, h = _hashmix(w, h)
-            pool[dst] = _mix(pool[dst], v)
-    return pool, h
+def _constants(h: int, mult: int, count: int, ndim: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The hash constants of count hashes in a row from h: the one each
+    hash xors its word with and the one it multiplies by (h advanced by
+    mult), as uint64 arrays (count, 1, ..., 1) that broadcast over ndim
+    more axes, and the constant left after them.  They depend on h
+    alone, never on the words."""
+    hs = [h]
+    for _ in range(count):
+        hs.append((hs[-1] * mult) & _MASK32)
+    shape = (count,) + (1,) * ndim
+    return (np.array(hs[:-1], dtype=np.uint64).reshape(shape),
+            np.array(hs[1:], dtype=np.uint64).reshape(shape), hs[-1])
 
 
-def _seed_pool(words: list[int]) -> tuple[list[int], int]:
-    """SeedSequence's pool after its first pool-size entropy words, mixed
-    together, and its remaining words, with the hash constant it leaves."""
+def _mix_word(pool: np.ndarray, h: int, word) -> tuple[np.ndarray, int]:
+    """SeedSequence's mixing of one entropy word past the pool size into
+    every word of the pool (_POOL_SIZE, ...) uint64, all at once: a word
+    (an int, or a uint64 array that broadcasts against the pool's other
+    axes) hashed with each of the _POOL_SIZE hash constants.  Returns the
+    pool and the advanced hash constant."""
+    before, after, h = _constants(h, _MULT_A, _POOL_SIZE, np.ndim(word))
+    v = ((word ^ before) * after) & _MASK32   # word, h < 2**32: the xor needs no mask
+    return _mix(pool, v ^ (v >> _XSHIFT)), h
+
+
+def _seed_pool(words: list[int]) -> tuple[np.ndarray, int]:
+    """SeedSequence's pool (_POOL_SIZE,) uint64 after its first pool-size
+    entropy words, mixed together, and its remaining words, with the hash
+    constant it leaves."""
     h, pool = _INIT_A, []
     for w in words[:_POOL_SIZE]:
         v, h = _hashmix(w, h)
@@ -115,7 +130,20 @@ def _seed_pool(words: list[int]) -> tuple[list[int], int]:
             if src != dst:
                 v, h = _hashmix(pool[src], h)
                 pool[dst] = _mix(pool[dst], v)
-    return _mix_words(pool, h, words[_POOL_SIZE:])
+    pool = np.array(pool, dtype=np.uint64)
+    for w in words[_POOL_SIZE:]:
+        pool, h = _mix_word(pool, h, w)
+    return pool, h
+
+
+def _generate_state(pool: np.ndarray) -> np.ndarray:
+    """SeedSequence's generate_state(4, np.uint64) of every pool of a stack
+    (_POOL_SIZE, ...): eight words cycled from the pool, hashed at once and
+    read as little-endian pairs, shape (..., 4)."""
+    before, after, _ = _constants(_INIT_B, _MULT_B, 8, pool.ndim - 1)
+    v = ((pool[np.arange(8) % _POOL_SIZE] ^ before) * after) & _MASK32
+    v = v ^ (v >> _XSHIFT)
+    return np.moveaxis(v[0::2] | (v[1::2] << 32), 0, -1)
 
 
 def point_states(seed: int, keys, points: int) -> np.ndarray:
@@ -125,27 +153,26 @@ def point_states(seed: int, keys, points: int) -> np.ndarray:
 
     The entropy is the seed's words, padded to the pool size because a
     spawn key follows, then the key's words, then the point index.  The
-    seed words fill the pool, so they are mixed once per run, each key's
-    words once per key, and the index and generate_state for every
-    (key, point) at once.
+    seed words fill the pool, so they are mixed once per run.  The hash
+    constants never depend on the words, so keys of one length share them:
+    their words are mixed for all those keys at once, each word into all
+    four pool words at once, as uint64 arrays, then the index and
+    generate_state for every (key, point) at once.
     """
     if points > 2**32:   # one 32-bit word per point index
         raise ValueError("need points <= 2**32")
     run = _uint32_words(seed)
     pool, h = _seed_pool(run + [0] * (_POOL_SIZE - len(run)))
-    pools, hs = zip(*(_mix_words(pool, h, _uint32_words(key)) for key in keys))
-    pool = list(np.array(pools, dtype=np.uint64).T[:, :, None])   # _POOL_SIZE x (k, 1)
-    pool, _ = _mix_words(pool, np.array(hs, dtype=np.uint64)[:, None],
-                         [np.arange(points, dtype=np.uint64)])
-    # generate_state(4, np.uint64): eight words cycled from the pool, read
-    # as little-endian pairs
-    words, h = [], _INIT_B
-    for dst in range(8):
-        v = pool[dst % _POOL_SIZE] ^ h
-        h = (h * _MULT_B) & _MASK32
-        v = (v * h) & _MASK32
-        words.append(v ^ (v >> _XSHIFT))
-    return np.stack([lo | (hi << 32) for lo, hi in zip(words[0::2], words[1::2])], axis=-1)
+    key_words = [_uint32_words(key) for key in keys]
+    index = np.arange(points, dtype=np.uint64)[None, :]
+    states = np.empty((len(keys), points, 4), dtype=np.uint64)
+    for length in set(map(len, key_words)):
+        rows = [k for k, w in enumerate(key_words) if len(w) == length]
+        kpool, kh = pool[:, None, None], h
+        for word in np.array([key_words[k] for k in rows], dtype=np.uint64).T:
+            kpool, kh = _mix_word(kpool, kh, word[:, None])   # (_POOL_SIZE, keys, 1)
+        states[rows] = _generate_state(_mix_word(kpool, kh, index)[0])
+    return states
 
 
 class _Words(ISeedSequence):
@@ -174,9 +201,9 @@ def hopf_variates(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_hopf(model: HopfModel, variates, regions="+") -> np.ndarray:
     """Points (..., n) with |b(z,z)| > CONE_MARGIN * |z|^2, one per row of
-    hopf_variates (..., 2n + 2), all in region regions ('+' or '-') or each
-    in its own region of regions (...,), as hopf_chart takes and checks
-    them.
+    hopf_variates (..., 2n + 2), all in region regions ('+' or '-') or, for
+    a stack (m, 2n + 2), each in its own region of a sequence of m names,
+    as hopf_chart takes and checks them.
 
     Exact map z = r (sinh t u, cosh t v) for '+' and r (cosh t u, sinh t v)
     for '-', with u, v uniform on the unit spheres of the negative and

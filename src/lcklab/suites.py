@@ -61,7 +61,7 @@ from . import foliations as fol
 from .charts import (
     _along, _covariant_along, _field_derivatives, _g, _lower, _max_abs, _require_domain,
     apply_j, christoffel, covariant_derivative, hol_from_real_coords, koszul_christoffel,
-    real_vector, wirtinger_derivative,
+    real_vector,
 )
 from .lck import lee_data, nabla_J_defect, parallel_lee_residual, weyl_connection
 from .models import (
@@ -321,12 +321,14 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     sw = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
     flipped = gamma[..., sw, :, :][..., sw, :][..., sw].conj()
     resid = np.maximum(_max_abs(gamma - gamma.swapaxes(-1, -2), 3), _max_abs(gamma - flipped, 3))
-    # metric compatibility X(g(Y, W)) = g(nabla_X Y, W) + g(Y, nabla_X W)
-    def gYW(p):
-        return _g(chart.hermitian(p), Y, W)
-
-    d_dz, d_dzb = wirtinger_derivative(gYW, Z, chart=chart)
-    df = np.concatenate([d_dz, d_dzb], axis=-1)
+    # metric compatibility X(g(Y, W)) = g(nabla_X Y, W) + g(Y, nabla_X W),
+    # g(Y, W) differentiated on one stencil with the torsion's linear
+    # (z-dependent) fields F1 and F2
+    F1 = lambda p: real_vector(np.matvec(M1, p))
+    F2 = lambda p: real_vector(np.matvec(M2, p))
+    dG, dF1, dF2 = _field_derivatives(
+        [lambda p: _g(chart.hermitian(p), Y, W)[..., None], F1, F2], Z, chart=chart)
+    df = np.concatenate([dG[0][..., 0], dG[1][..., 0]], axis=-1)
     lhs = np.vecdot(df.conj(), X)
     nXY = covariant_derivative(chart, X, Y, Z, gamma=gamma)
     nXW = covariant_derivative(chart, X, W, Z, gamma=gamma)
@@ -334,10 +336,7 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     rhs = _g(H, nXY, W) + _g(H, Y, nXW)
     diff = lhs - rhs
     resid = np.maximum(resid, np.hypot(diff.real, diff.imag))   # abs() of a Python complex
-    # torsion on linear (z-dependent) fields, each differentiated once
-    F1 = lambda p: real_vector(np.matvec(M1, p))
-    F2 = lambda p: real_vector(np.matvec(M2, p))
-    dF1, dF2 = _field_derivatives([F1, F2], Z, chart=chart)
+    # torsion on F1 and F2
     F1v, F2v = F1(Z), F2(Z)
     bracket = _along(F1v, dF2) - _along(F2v, dF1)
     tors = _covariant_along(gamma, F1v, F2v, dF2) \
@@ -359,18 +358,18 @@ def _draw_cr_tangential(cfg, rng):
 
 
 def _check_eq18_mean_curvature(model, lck, U):
-    """The law on the complex lines u -> (c, ..., c, u) with c = c0 and
-    c = 0, through the points of U."""
+    """The law on the complex lines u -> (c, ..., c, u) with c = c0 (the
+    offset line) and c = 0 (the line through 0), through the points of U,
+    both lines as one (2, m, n) stack."""
     n = model.n
     jac = np.zeros((n, 1), dtype=complex)
     jac[-1, 0] = 1.0
     c0 = 0.3 / math.sqrt(model.s)   # negative-block mass 0.09 < |u|^2 for every s
-    offset = np.full((len(U), n), c0, dtype=complex)
-    through = np.zeros_like(offset)
-    offset[:, -1] = through[:, -1] = U
-    eq_resid, mean_off = fol.complex_submanifold_mean_curvature(lck, offset, jac)
-    _, mean_through = fol.complex_submanifold_mean_curvature(lck, through, jac)
-    return np.maximum(np.maximum(eq_resid, mean_off), mean_through)
+    lines = np.zeros((2, len(U), n), dtype=complex)
+    lines[0, :, :-1] = c0
+    lines[:, :, -1] = U
+    eq_resid, mean = fol.complex_submanifold_mean_curvature(lck, lines, jac)
+    return np.maximum(np.maximum(eq_resid[0], mean[0]), mean[1])
 
 
 def _check_submersion(model, lck, Z, coeffs):
@@ -398,17 +397,15 @@ def _check_levi_hopf(model, lck, Z):
 
 
 def _check_cr_tangential(model, lck, Z, coeffs):
-    def holo(p):
-        return np.prod(p, axis=-1) + np.vecdot(coeffs.conj(), p)
-
+    """A holomorphic function and |b(z, z)|, constant on the leaves, both
+    differentiated on one stencil."""
     eps = eps_signs(model.n, model.s)
 
-    def leaf_constant(p):
-        return np.abs(np.sum(eps * np.abs(p) ** 2, axis=-1))
+    def holo_and_leaf_constant(p):
+        return np.stack([np.prod(p, axis=-1) + np.vecdot(coeffs.conj(), p),
+                         np.abs(np.sum(eps * np.abs(p) ** 2, axis=-1))], axis=-1)
 
-    fib = crmod.cr_fibre(lck, Z)
-    return np.maximum(crmod.tangential_cr_residual(lck, fib, holo),
-                      crmod.tangential_cr_residual(lck, fib, leaf_constant))
+    return crmod.tangential_cr_residual(lck, crmod.cr_fibre(lck, Z), holo_and_leaf_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +565,7 @@ def _check_deck_pullback(model, lck, Z):
     lamZ = model.lam * Z
     _require_domain(lck.chart, Z)
     _require_domain(lck.chart, lamZ)
-    H = lck.chart.hermitian(Z)
-    Hl = lck.chart.hermitian(lamZ)
+    H, Hl = lck.chart.hermitian(np.stack([Z, lamZ]))
     return np.abs(Hl * model.lam ** 2 - H).max(axis=(-2, -1))
 
 
@@ -772,7 +768,7 @@ _BY_NAME = {s.name: s for s in SUITES}
 
 def suites_for(cfg: RunConfig) -> tuple[Suite, ...]:
     """Resolve the configured suite names against the registry; an empty
-    selection is a UsageError."""
+    selection, or one naming a suite twice, is a UsageError."""
     if not cfg.suites:
         raise UsageError("empty suite selection")
     if len(cfg.suites) == 1 and cfg.suites[0] == "all":
@@ -784,6 +780,8 @@ def suites_for(cfg: RunConfig) -> tuple[Suite, ...]:
     for name in cfg.suites:
         if name not in _BY_NAME:
             raise UsageError(f"unknown suite {name!r}")
+        if cfg.suites.count(name) > 1:
+            raise UsageError(f"suite {name!r} is selected more than once")
         suite = _BY_NAME[name]
         if not suite.applicable(cfg):
             raise UsageError(

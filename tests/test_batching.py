@@ -599,6 +599,24 @@ class TestDerivedOnce:
         assert report.results[0].verdict == "pass"
         assert (len(builds), len(misses)) == (1, 1)   # 12 and 12 point by point
 
+    @pytest.mark.parametrize("model, name", [
+        (model, suite.name) for model in ("hopf", "tricerri", "flat") for suite in SUITES
+        if suite.applicable(RunConfig(model=model, n=2, s=1))])
+    def test_a_suite_run_takes_at_most_one_stencil(self, monkeypatch, model, name):
+        # a check differentiates all its fields on one stencil
+        calls, original = [], charts_mod.wirtinger_derivative
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (charts_mod, crmod, fol, lck_mod, models_mod, suites_mod):
+            if getattr(module, "wirtinger_derivative", None) is original:
+                monkeypatch.setattr(module, "wirtinger_derivative", counted)
+        report = run_config(RunConfig(model=model, n=2, s=1, points=6, seed=42, suites=(name,)))
+        assert report.results[0].verdict == "pass"
+        assert len(calls) <= 1
+
     def test_eq18_evaluates_each_second_fundamental_form_once(self, monkeypatch):
         # each h(X, Y) is the normal part of one Gamma(X, Y) on an affine
         # line: no finite difference and no least-squares solve
@@ -613,9 +631,10 @@ class TestDerivedOnce:
         calls["lstsq"] = [self._counted(monkeypatch, np.linalg, "lstsq")]
         suite.check(cfg, draws)
         counts = {name: sum(map(len, lists)) for name, lists in calls.items()}
-        # two lines, four h(X, Y) each
+        # two lines as one (2, m, n) stack, so four h(X, Y) in all (eight
+        # when each line was its own call)
         assert counts == {"_richardson": 0, "wirtinger_derivative": 0, "lstsq": 0,
-                          "_covariant_along": 8}
+                          "_covariant_along": 4}
 
     def test_prop4_builds_one_cr_fibre_per_run(self, monkeypatch):
         calls = self._counted(monkeypatch, crmod, "cr_fibre")

@@ -185,6 +185,36 @@ class TestStackedStencil:
             koszul_christoffel(HOPF.chart, z)
 
 
+class TestFieldDerivatives:
+    def test_fields_of_unequal_widths_equal_their_separate_calls_bit_for_bit(self, monkeypatch):
+        model = HopfModel(n=3, s=1, lam=0.5)
+        regions = ["+", "-", "+", "-"]
+        lck = hopf_chart(model, regions=regions)
+        rng = np.random.default_rng(31)
+        Z = sample_hopf(model, np.stack([hopf_variates(3, rng) for _ in regions]), regions)
+        Y, W = (real_vector(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+                for _ in range(2))
+        M = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        gYW = lambda p: _g(lck.chart.hermitian(p), Y, W)
+        fields = [lambda p: gYW(p)[..., None],                                # width 1
+                  lambda p: real_vector(np.matvec(M, p)),                     # width 6
+                  lambda p: lck.chart.hermitian(p).reshape(p.shape[:-1] + (9,)),   # width 9
+                  lambda p: lee_form_components(lck, p)]                      # width 6
+        calls, original = [], charts_mod.wirtinger_derivative
+        monkeypatch.setattr(charts_mod, "wirtinger_derivative",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        together = charts_mod._field_derivatives(fields, Z, chart=lck.chart)
+        assert len(calls) == 1
+        for field, pair in zip(fields, together):
+            alone = charts_mod._field_derivatives([field], Z, chart=lck.chart)[0]
+            for d, a in zip(pair, alone):
+                assert d.flags.c_contiguous and d.shape == a.shape
+                assert d.tobytes() == a.tobytes()
+        # the width-1 field is the derivative of its scalar, indexed [..., l, 0]
+        for d, a in zip(together[0], original(gYW, Z, chart=lck.chart)):
+            assert d[..., 0].tobytes() == a.tobytes()
+
+
 class TestChartInvariants:
     @pytest.mark.parametrize("lck,sampler", [
         (HOPF, lambda rng: sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))),

@@ -77,6 +77,16 @@ class TestRegistry:
         with pytest.raises(UsageError, match="empty suite selection"):
             run_config(RunConfig(model="hopf"))
 
+    def test_repeated_suite_rejected(self):
+        # a suite named twice would run twice and be listed twice
+        cfg = RunConfig(model="hopf", suites=("prop1-lee-field", "thm2-deck-pullback",
+                                              "prop1-lee-field"))
+        with pytest.raises(UsageError, match="'prop1-lee-field' is selected more than once"):
+            suites_for(cfg)
+        out = run_cli(["--model", "hopf", "--points", "2",
+                       "--suites", "prop1-lee-field,prop1-lee-field"])
+        assert out.returncode == 2 and out.stdout == ""
+
     def test_inapplicable_suite_rejected(self):
         cfg = RunConfig(model="flat", suites=("thm1-totally-geodesic",))
         with pytest.raises(UsageError):
@@ -323,6 +333,17 @@ class TestCommandLine:
         text = path.read_text()
         assert text.splitlines()[1].startswith("name,")
         assert "parallel-lee" in text
+
+    @pytest.mark.parametrize("where", ["missing/report.json", ""])
+    def test_an_unwritable_out_path_exits_2_before_any_suite_runs(self, tmp_path, where):
+        # a file in a missing directory, or a directory
+        path = tmp_path / where
+        out = run_cli(["--model", "hopf", "--points", "2", "--suites", "prop1-lee-field",
+                       "--out", str(path)])
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.splitlines()[-1] == f"lcklab: error: cannot write the report to {str(path)!r}"
+        assert "Traceback" not in out.stderr and " suites in " not in out.stderr
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_option_defaults_are_the_run_config_defaults(self):
         args = cli._build_parser().parse_args(["--model", "hopf"])

@@ -95,6 +95,23 @@ class TestTangentialCR:
         f = lambda p: abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2)
         assert tangential_cr_residual(HOPF, cr_fibre(HOPF, z), f) < 1e-8
 
+    @pytest.mark.parametrize("points", [None, 4])
+    def test_k_functions_on_one_stencil_give_the_max_of_their_residuals_bit_for_bit(
+            self, points):
+        # None: a single point (n,), as a stack with no leading axes
+        lck, fib = _draw_fibre(3, 1, "+", 41, points=points or 1)
+        if points is None:
+            fib = cr_fibre(lck, fib.point[0])
+        coeffs = np.array([0.3 - 0.1j, 1.2j, -0.7])
+        fs = [lambda p: np.prod(p, axis=-1) + np.vecdot(coeffs.conj(), p),
+              lambda p: np.conj(p[..., 0]) * p[..., 1],
+              lambda p: p[..., 2] * p[..., 2] - p[..., 0],
+              lambda p: np.abs(np.sum(np.abs(p[..., 1:]) ** 2, axis=-1) - np.abs(p[..., 0]) ** 2)]
+        together = tangential_cr_residual(lck, fib, lambda p: np.stack([f(p) for f in fs], axis=-1))
+        alone = np.max([tangential_cr_residual(lck, fib, f) for f in fs], axis=0)
+        assert together.shape == fib.point.shape[:-1]
+        assert together.tobytes() == alone.tobytes()
+
     def test_stencil_across_the_cone_raises(self):
         fib = cr_fibre(HOPF, NEAR_CONE)
         with pytest.raises(ChartDomainError, match="^stencil around .* leaves domain"):
