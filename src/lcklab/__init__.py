@@ -19,16 +19,16 @@ from .charts import (
     real_vector,
 )
 from .cr import (
-    CRFibre,
-    LeafLabel,
     cayley_cr_residual,
+    chart_radius,
     cr_fibre,
-    label_from_w,
     leaf_chart_image_check,
     leaf_extension_hypothesis,
     leaf_label,
+    levi_distribution,
     levi_flat_detector,
     levi_form,
+    same_leaf,
     siegel_levi_matrix,
     siegel_levi_signature,
     tangential_cr_residual,

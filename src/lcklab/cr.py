@@ -10,23 +10,22 @@ the unit circle, chart-image radii inside the fundamental annulus, and
 the Cayley picture of the leaves as Siegel-domain boundaries with their
 Levi signature.
 
-Stacks: cr_fibre takes a stack of points (..., n), a point (n,) being a
-stack with no leading axes; every member of a CRFibre carries the
-stack's axes first, levi_H being a row basis (..., 2n-2, 2n);
-tangential_cr_residual and levi_flat_detector return one value per
-point, an array of the stack's shape, and levi_form one (k, k) matrix
-per point of k vectors (..., k, n).  The
-leaf bookkeeping takes stacks too: leaf_label and label_from_w give a
-LeafLabel whose fields hold one value per point, leaf_chart_image_check
-one w and one set of samples (..., k, n) per point, and
-cayley_cr_residual one residual per point.
+Stacks: the CR functions take a stack of points (..., n), a point (n,)
+being a stack with no leading axes, and return arrays with the stack's
+axes first: cr_fibre the CR basis (..., n, n-1), tangential_cr_residual
+one value per point and levi_form one (k, k) matrix per point of k
+vectors (..., k, n).  What derives from those arrays is a function of
+them, called where it is read: levi_distribution(t10) gives the Levi
+rows (..., 2n-2, 2n) and levi_flat_detector(L) one verdict per Levi
+matrix.  A leaf's label is its w, one per point from leaf_label, read
+by same_leaf and chart_radius; leaf_chart_image_check takes one w and
+one set of samples (..., k, n) per point, and cayley_cr_residual gives
+one residual per point.
 Each row carries the bits of the single-point call.  The Siegel-boundary
 Levi data are constants of (n, s).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +35,8 @@ from .models import HopfModel, cayley, eps_signs, hopf_diffeo
 from .semieuclid import _kernel
 
 __all__ = [
-    "CRFibre", "LeafLabel", "cr_fibre", "tangential_cr_residual",
-    "levi_form", "levi_flat_detector", "leaf_label", "label_from_w",
+    "cr_fibre", "levi_distribution", "tangential_cr_residual",
+    "levi_form", "levi_flat_detector", "leaf_label", "chart_radius", "same_leaf",
     "leaf_chart_image_check", "siegel_levi_matrix", "siegel_levi_signature",
     "cayley_cr_residual", "leaf_extension_hypothesis",
 ]
@@ -49,40 +48,33 @@ UNIT_CIRCLE_TOL = 1e-9    # leaf labels w lie this close to the unit circle
 CAYLEY_SPHERE_TOL = 1e-8  # cayley_cr_residual's points lie this close to b(z, z) = r^2
 
 
-@dataclass(frozen=True)
-class CRFibre:
-    """Pointwise CR data of the leaf through z (per point of a stack).
-
-    t10 columns are holomorphic components of a basis of the CR bundle
-    (complex dimension n-1); levi_H, rows (..., 2n-2, 2n), is a basis of
-    the real (2n-2)-dimensional maximal complex distribution.
-    """
-
-    point: np.ndarray
-    t10: np.ndarray
-    levi_H: np.ndarray
-
-
 def _t10_basis(omega_hol: np.ndarray) -> np.ndarray:
     """Orthonormal (Euclidean) basis of {v : omega_hol . v = 0} as columns,
     one (n, n-1) basis per point of a stack of covectors (..., n)."""
     return _kernel(omega_hol[..., None, :]).conj().swapaxes(-1, -2)
 
 
-def cr_fibre(lck: LCKStructure, z) -> CRFibre:
-    """CR bundle and Levi distribution at z, a point or a stack of points."""
+def cr_fibre(lck: LCKStructure, z) -> np.ndarray:
+    """Basis (..., n, n-1) of the CR bundle of the leaf through z, a point
+    or a stack of points: its columns are the holomorphic components of
+    n-1 type-(1,0) vectors, orthonormal in the Euclidean product.  A
+    vanishing Lee field raises SingularLeeError."""
     z = np.asarray(z, dtype=complex)
     _nonsingular(lee_data(lck, z))
-    t10 = _t10_basis(lck.lee_hol(z))
+    return _t10_basis(lck.lee_hol(z))
+
+
+def levi_distribution(t10: np.ndarray) -> np.ndarray:
+    """Row basis (..., 2n-2, 2n) of the real maximal complex distribution
+    spanned by a CR basis t10 (..., n, n-1) and its J-images."""
     cr = real_vector(t10.swapaxes(-1, -2))    # one row per CR vector
     rows = np.stack([real_coords(cr), real_coords(apply_j(cr))], axis=-2)   # V_k, J V_k, ...
-    rows = rows.reshape(z.shape[:-1] + (-1, 2 * z.shape[-1]))
-    return CRFibre(point=z, t10=t10, levi_H=rows)
+    return rows.reshape(t10.shape[:-2] + (-1, 2 * t10.shape[-2]))
 
 
-def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):
-    """max |Zbar(f)| over a basis of the conjugate CR bundle at z = fib.point,
-    per point of the fibre's stack.
+def tangential_cr_residual(lck: LCKStructure, z, f):
+    """max |Zbar(f)| over a basis of the conjugate CR bundle at z, per
+    point of a stack.
 
     f is an ambient scalar function near z, taking a stack of points (see
     the charts module docstring), or k such functions at once, returning
@@ -91,19 +83,21 @@ def tangential_cr_residual(lck: LCKStructure, fib: CRFibre, f):
     the leaf is CR at z iff its residual vanishes.  The derivative's
     stencil must stay on the chart's domain.
     """
-    _, d_dzb = wirtinger_derivative(f, fib.point, chart=lck.chart)
-    if d_dzb.ndim == fib.point.ndim:   # one scalar function: k = 1
+    z = np.asarray(z, dtype=complex)
+    t10 = cr_fibre(lck, z)
+    _, d_dzb = wirtinger_derivative(f, z, chart=lck.chart)
+    if d_dzb.ndim == z.ndim:   # one scalar function: k = 1
         d_dzb = d_dzb[..., None]
     d_dzb = np.ascontiguousarray(np.moveaxis(d_dzb, -1, -2))   # a row [..., k, l] per function
     # T01 = conj(T10): Zbar(f) contracts conj components with dzbar
-    vals = np.matvec(fib.t10.conj().swapaxes(-1, -2)[..., None, :, :], d_dzb)
+    vals = np.matvec(t10.conj().swapaxes(-1, -2)[..., None, :, :], d_dzb)
     return np.abs(vals).max(axis=(-2, -1), initial=0.0)
 
 
-def levi_form(lck: LCKStructure, fib: CRFibre, V):
+def levi_form(lck: LCKStructure, z, V):
     """Levi matrix L(V_a, conj V_b) = i theta([V_a, conj V_b]) / c of k
-    type-(1,0) vectors V (..., k, n) in the CR fibre fib of lck at
-    z = fib.point, shape (..., k, k): one matrix per point of a stack.
+    type-(1,0) vectors V (..., k, n) in the CR bundle of lck at z, shape
+    (..., k, k): one matrix per point of a stack.
 
     theta = g(., A) annihilates the Levi distribution and theta(A) = c, so
     this is the bracket's component along the anti-Lee field A (Boggess,
@@ -113,32 +107,31 @@ def levi_form(lck: LCKStructure, fib: CRFibre, V):
     CR section by Euclidean projection onto ker(omega_hol) pointwise; the
     bracket of a (1,0) field with a (0,1) field reads only their dzbar
     derivatives, taken for all k fields on one stencil on the chart's
-    domain.
+    domain.  A vanishing Lee field raises SingularLeeError.
     """
+    z = np.asarray(z, dtype=complex)
     V = np.asarray(V, dtype=complex)
+    data = _nonsingular(lee_data(lck, z))
 
     def field(p):
         w = lck.lee_hol(p)[..., None, :]
         denom = np.vecdot(w, w).real[..., None]
         return V - np.vecdot(w.conj(), V)[..., None] * w.conj() / denom
 
-    _, d_dzb = wirtinger_derivative(field, fib.point, chart=lck.chart)   # [..., l, a, j]
-    data = lee_data(lck, fib.point)
+    _, d_dzb = wirtinger_derivative(field, z, chart=lck.chart)   # [..., l, a, j]
     # T[a, b] = theta((conj V_b)(V_a)), contracted over j, then over l; theta
     # is real, so theta(V_a(conj V_b)) = conj(T[b, a]) and
     # theta([V_a, conj V_b]) = conj(T[b, a]) - T[a, b]
     dtheta = np.ascontiguousarray(
         np.matvec(d_dzb, data.theta[..., None, :V.shape[-1]]).swapaxes(-1, -2))   # [..., a, l]
-    T = np.vecdot(field(fib.point)[..., None, :, :], dtheta[..., :, None, :])
+    T = np.vecdot(field(z)[..., None, :, :], dtheta[..., :, None, :])
     c = np.where(data.non_null, data.c, 1.0)[..., None, None]
     return 1j * (T.conj().swapaxes(-1, -2) - T) / c
 
 
-def levi_flat_detector(lck: LCKStructure, fib: CRFibre):
-    """True iff the Levi form stays below LEVI_FLAT_TOL on a full CR basis
-    of the CR fibre fib of lck (at z = fib.point; per point of a stacked
-    fibre)."""
-    L = levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
+def levi_flat_detector(L):
+    """True iff a Levi matrix L (..., k, k) on a full CR basis stays below
+    LEVI_FLAT_TOL, per point of a stack."""
     return np.abs(L).max(axis=(-2, -1)) < LEVI_FLAT_TOL
 
 
@@ -146,43 +139,36 @@ def levi_flat_detector(lck: LCKStructure, fib: CRFibre):
 # leaf space of the positive Hopf region
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LeafLabel:
-    """Circle label of a leaf, with its chart-image radius data, each
-    field one value per point of a stack.
-
-    Labels are deck invariant: two labels name the same leaf iff their w
-    agree.
-    """
-
-    w: np.ndarray              # complex
-    a: np.ndarray              # float
-    chart_radius: np.ndarray   # float
-
-    def same_leaf(self, other: "LeafLabel"):
-        """True iff |w - w'| <= SAME_LEAF_TOL, per point of stacked labels."""
-        d = self.w - other.w
-        return np.hypot(d.real, d.imag) <= SAME_LEAF_TOL
-
-
-def leaf_label(model: HopfModel, z) -> LeafLabel:
-    """Label of the leaf through z, per point of a stack: the phase
-    w = exp(2 pi i log|z|_{s,n} / log lambda) of models.hopf_diffeo,
-    read back by label_from_w.
+def leaf_label(model: HopfModel, z):
+    """Label w of the leaf through z, per point of a stack: the phase
+    w = exp(2 pi i log|z|_{s,n} / log lambda) of models.hopf_diffeo, on
+    the unit circle.  Labels are deck invariant: two points lie on one
+    leaf iff their labels agree (same_leaf).
     """
     z = np.asarray(z, dtype=complex)
     b = model.b(z)
     if np.any(b <= 0.0):
         raise ChartDomainError("leaf labels require b(z, z) > 0")
-    return label_from_w(model, hopf_diffeo(model, z)[1])
+    return hopf_diffeo(model, z)[1]
 
 
-def label_from_w(model: HopfModel, w) -> LeafLabel:
-    """Label built directly from unit-circle values, one per point of a
-    stack, read as leaf_label writes them.
+def same_leaf(w, w2):
+    """True iff the labels w and w2 name one leaf, |w - w2| <= SAME_LEAF_TOL,
+    per point of stacked labels."""
+    d = w - w2
+    return np.hypot(d.real, d.imag) <= SAME_LEAF_TOL
 
-    a = arg(w) / (2 pi) with arg in [0, 2 pi), and the chart radius is
-    lambda^a, the deck-reduced |z|_{s,n} of the leaf's points: the radius
+
+def _chart_index(w):
+    """Chart index a = arg(w) / (2 pi) in [0, 1) of labels w."""
+    return (np.angle(w) % (2.0 * np.pi)) / (2.0 * np.pi)
+
+
+def chart_radius(model: HopfModel, w):
+    """Chart radius lambda^a of the leaves labelled w, one per point of a
+    stack, a being the chart index arg(w) / (2 pi) in [0, 1).
+
+    This is the deck-reduced |z|_{s,n} of the leaf's points: the radius
     of the pseudosphere the leaf traces inside the fundamental annulus
     chart.  Rounding can put the unit pseudosphere's leaf at either end,
     a near 0 or near 1, which leaf_chart_image_check excludes.
@@ -190,8 +176,7 @@ def label_from_w(model: HopfModel, w) -> LeafLabel:
     w = np.asarray(w, dtype=complex)
     if np.any(np.abs(np.hypot(w.real, w.imag) - 1.0) > UNIT_CIRCLE_TOL):
         raise ValueError("leaf labels lie on the unit circle")
-    a = (np.angle(w) % (2.0 * np.pi)) / (2.0 * np.pi)
-    return LeafLabel(w=w, a=a, chart_radius=np.float_power(model.lam, a))
+    return np.float_power(model.lam, _chart_index(w))
 
 
 def leaf_chart_image_check(model: HopfModel, w, samples):
@@ -205,8 +190,8 @@ def leaf_chart_image_check(model: HopfModel, w, samples):
     unit pseudosphere itself) are excluded: that leaf needs the
     shifted-annulus chart instead.
     """
-    label = label_from_w(model, w)
-    a, radius = label.a, label.chart_radius
+    w = np.asarray(w, dtype=complex)
+    radius, a = chart_radius(model, w), _chart_index(w)
     if np.any(np.minimum(a, 1.0 - a) <= EXCLUDED_LEAF_TOL):
         raise ValueError("excluded leaf: use the shifted annulus chart "
                          "(chart index at 0 or 1)")

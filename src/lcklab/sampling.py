@@ -52,6 +52,7 @@ __all__ = [
 
 _MAX_TRIES = 10_000
 TRICERRI_MIN_IM = 0.2   # Tricerri samples keep Im(w) at least this far from the boundary
+MAX_POINTS = 2**32      # point_states gives each point index one 32-bit word
 
 
 # numpy's SeedSequence, the seed_seq_fe of O'Neill's PCG work, whose
@@ -159,7 +160,7 @@ def point_states(seed: int, keys, points: int) -> np.ndarray:
     four pool words at once, as uint64 arrays, then the index and
     generate_state for every (key, point) at once.
     """
-    if points > 2**32:   # one 32-bit word per point index
+    if points > MAX_POINTS:
         raise ValueError("need points <= 2**32")
     run = _uint32_words(seed)
     pool, h = _seed_pool(run + [0] * (_POOL_SIZE - len(run)))

@@ -72,8 +72,8 @@ from .models import (
 )
 from .report import SCHEMA, RunConfig, SuiteResult, VerificationReport
 from .sampling import (
-    _complex_normal, _Words, hopf_variates, point_states, sample_complement_vector, sample_flat,
-    sample_frame_change, sample_hopf, sample_null_config, sample_null_lee_vector,
+    MAX_POINTS, _complex_normal, _Words, hopf_variates, point_states, sample_complement_vector,
+    sample_flat, sample_frame_change, sample_hopf, sample_null_config, sample_null_lee_vector,
     sample_pair_frame, sample_pseudosphere, sample_tricerri, sample_unit_circle,
 )
 from .semieuclid import (
@@ -391,8 +391,7 @@ def _check_fibration_split(model, lck, Z):
 
 
 def _check_levi_hopf(model, lck, Z):
-    fib = crmod.cr_fibre(lck, Z)
-    L = crmod.levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
+    L = crmod.levi_form(lck, Z, crmod.cr_fibre(lck, Z).swapaxes(-1, -2))
     return np.abs(np.diagonal(L, axis1=-2, axis2=-1)).max(axis=-1)
 
 
@@ -405,7 +404,7 @@ def _check_cr_tangential(model, lck, Z, coeffs):
         return np.stack([np.prod(p, axis=-1) + np.vecdot(coeffs.conj(), p),
                          np.abs(np.sum(eps * np.abs(p) ** 2, axis=-1))], axis=-1)
 
-    return crmod.tangential_cr_residual(lck, crmod.cr_fibre(lck, Z), holo_and_leaf_constant)
+    return crmod.tangential_cr_residual(lck, Z, holo_and_leaf_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +524,17 @@ def _check_prop4_null(c, _):
     Z = data.B[:, :c.n] + 1j * data.A[:, :c.n]
     along = np.vecdot(lck.lee_hol(z).conj(), Z)    # Z is type (1,0) in ker omega
     resid = np.hypot(along.real, along.imag)        # abs() of a Python complex
-    cfib = crmod.cr_fibre(lck, z)
-    levi = crmod.levi_form(lck, cfib, Z[:, None])[:, 0, 0]
+    t10 = crmod.cr_fibre(lck, z)
+    levi = crmod.levi_form(lck, z, Z[:, None])[:, 0, 0]
     resid = np.maximum(resid, np.hypot(levi.real, levi.imag))
     fib = fol.first_foliation_fibre(lck, z)
     plane = independent_rows(fib.form, np.stack([data.A_real, data.B_real], axis=-2))
     resid = np.maximum(resid, np.where(contains_span(fib.tangent, plane, 1e-9), 0.0, 1.0))
     if c.n == 2:
-        resid = np.maximum(resid, np.where(same_span(cfib.levi_H, plane, 1e-9), 0.0, 1.0))
-        resid = np.maximum(resid, np.where(crmod.levi_flat_detector(lck, cfib), 0.0, 1.0))
+        levi_H = crmod.levi_distribution(t10)
+        resid = np.maximum(resid, np.where(same_span(levi_H, plane, 1e-9), 0.0, 1.0))
+        flat = crmod.levi_flat_detector(crmod.levi_form(lck, z, t10.swapaxes(-1, -2)))
+        resid = np.maximum(resid, np.where(flat, 0.0, 1.0))
     return resid
 
 
@@ -555,17 +556,16 @@ def _draw_leaf_radius(cfg, rng):
     of three pseudosphere points."""
     w = sample_unit_circle(rng)
     arg = float(np.angle(w)) % (2 * np.pi)
-    a = arg / (2 * np.pi)   # the chart index of cr.label_from_w
+    a = arg / (2 * np.pi)   # the chart index of cr.chart_radius
     if min(a, 1.0 - a) < 1e-3:
         w = complex(np.exp(1j * (arg + 0.5)))  # nudge off the excluded leaf
     return "+", w, np.stack([hopf_variates(cfg.n, rng) for _ in range(3)])
 
 
 def _check_deck_pullback(model, lck, Z):
-    lamZ = model.lam * Z
-    _require_domain(lck.chart, Z)
-    _require_domain(lck.chart, lamZ)
-    H, Hl = lck.chart.hermitian(np.stack([Z, lamZ]))
+    both = np.stack([Z, model.lam * Z])   # one stack: a fault in Z is named first
+    _require_domain(lck.chart, both)
+    H, Hl = lck.chart.hermitian(both)
     return np.abs(Hl * model.lam ** 2 - H).max(axis=(-2, -1))
 
 
@@ -596,19 +596,18 @@ def _check_retraction(model, _, Z, T):
 
 
 def _check_leaf_space(model, _, Z):
-    lab = crmod.leaf_label(model, Z)
+    w = crmod.leaf_label(model, Z)
     powers = np.array([model.lam ** m for m in range(-3, 4)])
     deck = crmod.leaf_label(model, powers[:, None, None] * Z)   # one row per power
-    dw = deck.w - lab.w
+    dw = deck - w
     resid = np.hypot(dw.real, dw.imag).max(axis=0)   # abs() of a Python complex
-    resid = np.where(lab.same_leaf(deck).all(axis=0), resid, np.maximum(resid, 1.0))
+    resid = np.where(crmod.same_leaf(w, deck).all(axis=0), resid, np.maximum(resid, 1.0))
     other = crmod.leaf_label(model, np.exp(0.1) * Z)
-    return np.where(lab.same_leaf(other), np.maximum(resid, 1.0), resid)
+    return np.where(crmod.same_leaf(w, other), np.maximum(resid, 1.0), resid)
 
 
 def _check_leaf_radius(model, _, W, V):
     zetas = sample_pseudosphere(model.n, model.s, V)   # (m, 3, n) in one pass
-    label = crmod.label_from_w(model, W)
     # independent oracle: deck-reduce the norm of the representative
     # lambda^(a+3) zeta of the leaf into (lambda, 1]
     a = (np.angle(W) % (2 * np.pi)) / (2 * np.pi)
@@ -617,7 +616,7 @@ def _check_leaf_radius(model, _, W, V):
         x = np.where(x > 1.0, x * model.lam, x)
     while np.any(x <= model.lam):
         x = np.where(x <= model.lam, x / model.lam, x)
-    return np.maximum(np.abs(x - label.chart_radius),
+    return np.maximum(np.abs(x - crmod.chart_radius(model, W)),
                       crmod.leaf_chart_image_check(model, W, zetas))
 
 
@@ -795,6 +794,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"unknown model {cfg.model!r}")
     if cfg.points < 1:
         raise UsageError("points must be >= 1")
+    if cfg.points > MAX_POINTS:   # refused before any seed word is built
+        raise UsageError("points must be <= 2**32")
     if not (0 < cfg.tol_analytic < math.inf and 0 < cfg.tol_fd < math.inf):
         raise UsageError("tolerances must be positive and finite")
     if not math.isfinite(cfg.lam):

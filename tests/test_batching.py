@@ -273,16 +273,16 @@ def test_stacked_leaf_and_cayley_layers_equal_single_points(n, s):
     zetas = np.stack([[sample_pseudosphere(n, s, hopf_variates(n, rng)) for _ in range(3)]
                       for _ in range(5)])
     pseudo = zetas[:, 0]
-    labels, from_w = crmod.leaf_label(model, Z), crmod.label_from_w(model, W)
+    labels = crmod.leaf_label(model, Z)
     image = crmod.leaf_chart_image_check(model, W, zetas)
     zeta, residual = cayley(s, 1.0, pseudo)
     cr_resid = crmod.cayley_cr_residual(model, 1.0, pseudo)
     for i in range(5):
-        for stacked, single in ((labels, crmod.leaf_label(model, Z[i])),
-                                (from_w, crmod.label_from_w(model, W[i]))):
-            assert _cbits(stacked.w[i]) == _cbits(single.w)
-            assert _bits([stacked.a[i], stacked.chart_radius[i]]) == \
-                _bits([single.a, single.chart_radius])
+        single = crmod.leaf_label(model, Z[i])
+        assert _cbits(labels[i]) == _cbits(single)
+        for stacked, one in ((labels, single), (W, W[i])):
+            assert _bits([crmod._chart_index(stacked)[i], crmod.chart_radius(model, stacked)[i]]) == \
+                _bits([crmod._chart_index(one), crmod.chart_radius(model, one)])
         assert _bits(image[i]) == _bits(crmod.leaf_chart_image_check(model, W[i], zetas[i]))
         zeta_one, residual_one = cayley(s, 1.0, pseudo[i])
         assert (_cbits(zeta[i]), _bits(residual[i])) == (_cbits(zeta_one), _bits(residual_one))
@@ -710,6 +710,14 @@ class TestDerivedOnce:
             assert sum(map(len, builds)) in allowed, name
             for calls in builds:
                 calls.clear()
+
+    def test_deck_pullback_checks_z_and_lambda_z_in_one_domain_call(self, monkeypatch):
+        # Z and lambda Z are one (2, m, n) stack, Z first; two calls before
+        calls = self._counted(monkeypatch, suites_mod, "_require_domain")
+        report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
+                                      suites=("thm2-deck-pullback",)))
+        assert report.results[0].verdict == "pass"
+        assert len(calls) == 1
 
 
 # A 1e-6 relative perturbation of each stacked Hopf closed form.  The

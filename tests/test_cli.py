@@ -345,6 +345,14 @@ class TestCommandLine:
         assert "Traceback" not in out.stderr and " suites in " not in out.stderr
         assert sorted(tmp_path.iterdir()) == []
 
+    def test_more_points_than_index_words_exits_2_before_any_state_is_built(self):
+        # point_states gives each point index one 32-bit word
+        out = run_cli(["--model", "hopf", "--points", str(2**32 + 1),
+                       "--suites", "levi-signature"])
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.splitlines()[-1] == "lcklab: error: points must be <= 2**32"
+        assert "Traceback" not in out.stderr
+
     def test_option_defaults_are_the_run_config_defaults(self):
         args = cli._build_parser().parse_args(["--model", "hopf"])
         defaults = RunConfig(model="hopf")

@@ -5,13 +5,15 @@ from lcklab import cr as crmod
 from lcklab.cr import (
     LEVI_FLAT_TOL,
     cayley_cr_residual,
+    chart_radius,
     cr_fibre,
-    label_from_w,
     leaf_chart_image_check,
     leaf_extension_hypothesis,
     leaf_label,
+    levi_distribution,
     levi_flat_detector,
     levi_form,
+    same_leaf,
     siegel_levi_matrix,
     siegel_levi_signature,
     tangential_cr_residual,
@@ -36,12 +38,12 @@ NEAR_CONE = np.array([1.0, np.sqrt(1.0 + 2e-7)], dtype=complex)   # b(z, z) = 1e
 
 class TestCRFibre:
     def test_reference_point(self):
-        fib = cr_fibre(HOPF, Z01)
-        assert fib.t10.shape == (2, 1)
+        t10 = cr_fibre(HOPF, Z01)
+        assert t10.shape == (2, 1)
         # T10 is the z1 coordinate line there
-        assert abs(fib.t10[1, 0]) < 1e-12
-        assert abs(abs(fib.t10[0, 0]) - 1.0) < 1e-12
-        assert fib.levi_H.shape[-2] == 2
+        assert abs(t10[1, 0]) < 1e-12
+        assert abs(abs(t10[0, 0]) - 1.0) < 1e-12
+        assert levi_distribution(t10).shape == (2, 4)
 
     def test_h_dimension_and_j_invariance(self):
         rng = np.random.default_rng(0)
@@ -49,73 +51,87 @@ class TestCRFibre:
             model = HopfModel(n=n, s=s, lam=0.5)
             lck = hopf_chart(model)
             z = sample_hopf(model, hopf_variates(model.n, rng))
-            fib = cr_fibre(lck, z)
-            assert fib.levi_H.shape[-2] == 2 * n - 2
+            levi_H = levi_distribution(cr_fibre(lck, z))
+            assert levi_H.shape[-2] == 2 * n - 2
             # J stabilizes the Levi distribution
             J_rows = [real_coords(apply_j(real_vector(hol_from_real_coords(row))))
-                      for row in fib.levi_H]
+                      for row in levi_H]
             J_span = independent_rows(lck.chart.real_form(z), J_rows)
-            assert same_span(fib.levi_H, J_span, tol=1e-9)
+            assert same_span(levi_H, J_span, tol=1e-9)
 
     def test_t10_annihilates_lee_form(self):
         rng = np.random.default_rng(1)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
-        fib = cr_fibre(HOPF, z)
+        t10 = cr_fibre(HOPF, z)
         omega_hol = HOPF.lee_hol(z)
-        assert np.abs(omega_hol @ fib.t10).max() < 1e-9
+        assert np.abs(omega_hol @ t10).max() < 1e-9
 
     def test_synthetic_null_contains_b_plus_ia(self):
         syn = synthetic_null_structure(2, 1)
         z = np.zeros(2, dtype=complex)
         d = lee_data(syn, z)
         Z = d.B[:2] + 1j * d.A[:2]
-        fib = cr_fibre(syn, z)
+        t10 = cr_fibre(syn, z)
         # Z lies in the span of the computed CR basis
-        coeff, res, *_ = np.linalg.lstsq(fib.t10, Z, rcond=None)
-        assert np.abs(fib.t10 @ coeff - Z).max() < 1e-10
+        coeff, res, *_ = np.linalg.lstsq(t10, Z, rcond=None)
+        assert np.abs(t10 @ coeff - Z).max() < 1e-10
 
     def test_vanishing_lee_field_raises_singular_lee_error(self):
         from lcklab.lck import SingularLeeError
         with pytest.raises(SingularLeeError):
             cr_fibre(flat_chart(2, 1), np.array([0.1, 0.2], dtype=complex))
 
+    def test_only_the_null_leaf_check_builds_levi_rows(self, monkeypatch):
+        # prop4-null-leaf at n = 2 reads the Levi distribution; no Hopf
+        # check does, so a Hopf run builds none
+        built = []
+        build = crmod.levi_distribution
+        monkeypatch.setattr(crmod, "levi_distribution", lambda t10: built.append(1) or build(t10))
+        for model, n, s in (("hopf", 2, 1), ("hopf", 4, 2)):
+            report = run_config(RunConfig(model=model, n=n, s=s, points=3, seed=0, suites=("all",)))
+            assert {r.verdict for r in report.results} == {"pass"}
+        assert built == []
+        report = run_config(RunConfig(model="synthetic-null", n=2, s=1, points=3, seed=0,
+                                      suites=("prop4-null-leaf",)))
+        assert report.results[0].verdict == "pass"
+        assert len(built) == 1
+
 
 class TestTangentialCR:
     def test_holomorphic_restriction(self):
         f = lambda p: p[..., 0] * p[..., 1]
-        assert tangential_cr_residual(HOPF, cr_fibre(HOPF, Z01), f) < 1e-8
+        assert tangential_cr_residual(HOPF, Z01, f) < 1e-8
 
     def test_antiholomorphic_detected(self):
-        res = tangential_cr_residual(HOPF, cr_fibre(HOPF, Z01), lambda p: np.conj(p[..., 0]))
+        res = tangential_cr_residual(HOPF, Z01, lambda p: np.conj(p[..., 0]))
         assert res == pytest.approx(1.0, abs=1e-8)
 
     def test_leaf_constant_function(self):
         rng = np.random.default_rng(2)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
         f = lambda p: abs(-abs(p[..., 0]) ** 2 + abs(p[..., 1]) ** 2)
-        assert tangential_cr_residual(HOPF, cr_fibre(HOPF, z), f) < 1e-8
+        assert tangential_cr_residual(HOPF, z, f) < 1e-8
 
     @pytest.mark.parametrize("points", [None, 4])
     def test_k_functions_on_one_stencil_give_the_max_of_their_residuals_bit_for_bit(
             self, points):
         # None: a single point (n,), as a stack with no leading axes
-        lck, fib = _draw_fibre(3, 1, "+", 41, points=points or 1)
+        lck, Z, _ = _draw_fibre(3, 1, "+", 41, points=points or 1)
         if points is None:
-            fib = cr_fibre(lck, fib.point[0])
+            Z = Z[0]
         coeffs = np.array([0.3 - 0.1j, 1.2j, -0.7])
         fs = [lambda p: np.prod(p, axis=-1) + np.vecdot(coeffs.conj(), p),
               lambda p: np.conj(p[..., 0]) * p[..., 1],
               lambda p: p[..., 2] * p[..., 2] - p[..., 0],
               lambda p: np.abs(np.sum(np.abs(p[..., 1:]) ** 2, axis=-1) - np.abs(p[..., 0]) ** 2)]
-        together = tangential_cr_residual(lck, fib, lambda p: np.stack([f(p) for f in fs], axis=-1))
-        alone = np.max([tangential_cr_residual(lck, fib, f) for f in fs], axis=0)
-        assert together.shape == fib.point.shape[:-1]
+        together = tangential_cr_residual(lck, Z, lambda p: np.stack([f(p) for f in fs], axis=-1))
+        alone = np.max([tangential_cr_residual(lck, Z, f) for f in fs], axis=0)
+        assert together.shape == Z.shape[:-1]
         assert together.tobytes() == alone.tobytes()
 
     def test_stencil_across_the_cone_raises(self):
-        fib = cr_fibre(HOPF, NEAR_CONE)
         with pytest.raises(ChartDomainError, match="^stencil around .* leaves domain"):
-            tangential_cr_residual(HOPF, fib, lambda p: p[..., 0] * p[..., 1])
+            tangential_cr_residual(HOPF, NEAR_CONE, lambda p: p[..., 0] * p[..., 1])
 
 
     def test_suite_builds_one_fibre_per_run(self, monkeypatch):
@@ -144,21 +160,20 @@ def _draw_fibre(n, s, region, seed, points=3):
     lck = hopf_chart(model, regions=region)
     rng = np.random.default_rng(seed)
     Z = sample_hopf(model, np.stack([hopf_variates(n, rng) for _ in range(points)]), region)
-    return lck, cr_fibre(lck, Z)
+    return lck, Z, cr_fibre(lck, Z)
 
 
 class TestLeviForm:
     def test_hopf_leaf_not_levi_flat(self):
-        fib = cr_fibre(HOPF, Z01)
-        val = levi_form(HOPF, fib, fib.t10.T)
+        val = levi_form(HOPF, Z01, cr_fibre(HOPF, Z01).T)
         assert val.shape == (1, 1)
         assert abs(val[0, 0]) > 0.1
         assert val[0, 0].real == pytest.approx(-0.5, abs=1e-6)
-        assert not levi_flat_detector(HOPF, fib)
+        assert not levi_flat_detector(val)
 
     def test_hermitian_symmetry(self):
-        lck, fib = _draw_fibre(3, 1, "+", 3, points=1)
-        L = levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
+        lck, Z, t10 = _draw_fibre(3, 1, "+", 3, points=1)
+        L = levi_form(lck, Z, t10.swapaxes(-1, -2))
         assert L.shape == (1, 2, 2)
         assert np.abs(L[:, 0, 1]).min() > 1e-6   # not a diagonal matrix by accident
         assert np.array_equal(L, L.conj().swapaxes(-1, -2))
@@ -169,17 +184,17 @@ class TestLeviForm:
         # i theta([V_a, conj V_b]) / c through lie_bracket, and the bracket's
         # component along A against the basis (V_k + conj V_k, J of them, A)
         # by one least-squares solve per point
-        lck, fib = _draw_fibre(n, s, region, 30 + n)
-        L = levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
-        for i, z in enumerate(fib.point):
+        lck, Z, t10 = _draw_fibre(n, s, region, 30 + n)
+        L = levi_form(lck, Z, t10.swapaxes(-1, -2))
+        for i, z in enumerate(Z):
             data = lee_data(lck, z)
-            cr = real_vector(fib.t10[i].T)
+            cr = real_vector(t10[i].T)
             M = np.concatenate([cr, apply_j(cr), data.A[None]]).T
             scale = np.abs(L[i]).max()
             for a in range(n - 1):
                 for b in range(n - 1):
-                    br = lie_bracket(_projected(lck, fib.t10[i, :, a]),
-                                     _projected(lck, fib.t10[i, :, b], conjugate=True),
+                    br = lie_bracket(_projected(lck, t10[i, :, a]),
+                                     _projected(lck, t10[i, :, b], conjugate=True),
                                      z, chart=lck.chart)
                     by_theta = 1j * np.vecdot(data.theta.conj(), br) / data.c
                     by_lstsq = 1j * np.linalg.lstsq(M, br, rcond=None)[0][-1]
@@ -191,8 +206,8 @@ class TestLeviForm:
     def test_inertia_on_each_region(self, n, s, region):
         # the Siegel signature (s, n - s - 1) on "+"; on "-", b -> -b swaps
         # the blocks and the CR bundle loses a negative direction
-        lck, fib = _draw_fibre(n, s, region, 40 + n)
-        evals = np.linalg.eigvalsh(levi_form(lck, fib, fib.t10.swapaxes(-1, -2)))
+        lck, Z, t10 = _draw_fibre(n, s, region, 40 + n)
+        evals = np.linalg.eigvalsh(levi_form(lck, Z, t10.swapaxes(-1, -2)))
         cut = LEVI_FLAT_TOL * np.abs(evals).max(axis=-1, keepdims=True)
         neg, pos = (evals < -cut).sum(axis=-1), (evals > cut).sum(axis=-1)
         expect = (s, n - s - 1) if region == "+" else (s - 1, n - s)
@@ -205,22 +220,22 @@ class TestLeviForm:
         syn = synthetic_null_structure(n, s)
         rng = np.random.default_rng(n)
         Z = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-        data, fib = lee_data(syn, Z), cr_fibre(syn, Z)
+        data, t10 = lee_data(syn, Z), cr_fibre(syn, Z)
         assert not data.non_null.any()
-        cr = real_vector(fib.t10.swapaxes(-1, -2))
+        cr = real_vector(t10.swapaxes(-1, -2))
         marker = np.concatenate([cr, apply_j(cr), data.B[:, None]], axis=-2)
         sv = np.linalg.svd(marker, compute_uv=False)
         assert (sv[:, -1] <= 1e-12 * sv[:, 0]).all()
-        V = np.concatenate([fib.t10.swapaxes(-1, -2), (data.B + 1j * data.A)[:, None, :n]], axis=-2)
-        assert np.array_equal(levi_form(syn, fib, V), np.zeros((4, n, n)))
+        V = np.concatenate([t10.swapaxes(-1, -2), (data.B + 1j * data.A)[:, None, :n]], axis=-2)
+        assert np.array_equal(levi_form(syn, Z, V), np.zeros((4, n, n)))
 
     def test_one_stencil_per_call(self, monkeypatch):
         calls = []
         derive = crmod.wirtinger_derivative
         monkeypatch.setattr(crmod, "wirtinger_derivative",
                             lambda *a, **k: calls.append(1) or derive(*a, **k))
-        lck, fib = _draw_fibre(5, 2, "+", 5)
-        L = levi_form(lck, fib, fib.t10.swapaxes(-1, -2))
+        lck, Z, t10 = _draw_fibre(5, 2, "+", 5)
+        L = levi_form(lck, Z, t10.swapaxes(-1, -2))
         assert L.shape == (3, 4, 4) and len(calls) == 1
         report = run_config(RunConfig(model="hopf", n=5, s=2, points=6, seed=42,
                                       suites=("levi-hopf-leaf",)))
@@ -228,17 +243,17 @@ class TestLeviForm:
         assert len(calls) == 2   # one for the run's stack of six points
 
     def test_stencil_across_the_cone_raises(self):
-        fib = cr_fibre(HOPF, NEAR_CONE)
+        t10 = cr_fibre(HOPF, NEAR_CONE)
         with pytest.raises(ChartDomainError, match="^stencil around .* leaves domain"):
-            levi_form(HOPF, fib, fib.t10.T)
+            levi_form(HOPF, NEAR_CONE, t10.T)
 
     def test_synthetic_null_direction(self):
         syn = synthetic_null_structure(2, 1)
         z = np.zeros(2, dtype=complex)
         d = lee_data(syn, z)
         Z = d.B[:2] + 1j * d.A[:2]
-        assert abs(levi_form(syn, cr_fibre(syn, z), Z[None])[0, 0]) < 1e-10
-        assert levi_flat_detector(syn, cr_fibre(syn, z))
+        assert abs(levi_form(syn, z, Z[None])[0, 0]) < 1e-10
+        assert levi_flat_detector(levi_form(syn, z, cr_fibre(syn, z).T))
 
     def test_flat_spacelike_hyperplane_levi_flat(self):
         # leaves x1 = const of a constant spacelike covector on the flat
@@ -247,44 +262,51 @@ class TestLeviForm:
         lck = LCKStructure(chart=flat.chart,
                            lee_form_eval=lambda z: np.broadcast_to(
                                np.array([0.5, 0.0], dtype=complex), np.shape(z)))
-        assert levi_flat_detector(lck, cr_fibre(lck, np.array([0.2 + 0.1j, -0.4j])))
+        z = np.array([0.2 + 0.1j, -0.4j])
+        assert levi_flat_detector(levi_form(lck, z, cr_fibre(lck, z).T))
+
+    def test_vanishing_lee_field_raises_singular_lee_error(self):
+        from lcklab.lck import SingularLeeError
+        with pytest.raises(SingularLeeError):
+            levi_form(flat_chart(2, 1), np.array([0.1, 0.2], dtype=complex),
+                      np.array([[1.0, 0.0]], dtype=complex))
 
 
 class TestLeafLabels:
     def test_unit_point(self):
-        lab = leaf_label(MODEL, Z01)
-        assert lab.w == pytest.approx(1.0)
-        assert lab.a == pytest.approx(0.0)
-        assert lab.chart_radius == pytest.approx(1.0)
+        w = leaf_label(MODEL, Z01)
+        assert w == pytest.approx(1.0)
+        assert crmod._chart_index(w) == pytest.approx(0.0)
+        assert chart_radius(MODEL, w) == pytest.approx(1.0)
 
     def test_deck_scaled_point_same_leaf(self):
-        lab1 = leaf_label(MODEL, Z01)
-        lab2 = leaf_label(MODEL, np.array([0.0, 2.0], dtype=complex))
-        assert abs(lab2.w - 1.0) < 1e-12
-        assert lab1.same_leaf(lab2)
+        w1 = leaf_label(MODEL, Z01)
+        w2 = leaf_label(MODEL, np.array([0.0, 2.0], dtype=complex))
+        assert abs(w2 - 1.0) < 1e-12
+        assert same_leaf(w1, w2)
 
     def test_frozen_radius_for_quarter_turn(self):
         # leaf labeled w = i: a = arg(w) / (2 pi) = 1/4, radius = lambda^a
-        lab = label_from_w(MODEL, 1j)
-        assert lab.a == pytest.approx(0.25, abs=1e-12)
-        assert lab.chart_radius == pytest.approx(0.5 ** 0.25, abs=1e-12)
+        radius = chart_radius(MODEL, 1j)
+        assert crmod._chart_index(1j) == pytest.approx(0.25, abs=1e-12)
+        assert radius == pytest.approx(0.5 ** 0.25, abs=1e-12)
         # independent oracle: deck-reduce the norm of the representative
         # lambda^(a+3) zeta of the leaf into the annulus (lambda, 1]
         x = float(MODEL.lam ** 3.25)
         while x <= MODEL.lam:
             x /= MODEL.lam
-        assert lab.chart_radius == pytest.approx(x, abs=1e-12)
+        assert radius == pytest.approx(x, abs=1e-12)
 
     def test_deck_invariance_and_separation(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
-            lab = leaf_label(MODEL, z)
+            w = leaf_label(MODEL, z)
             for m in range(-3, 4):
-                lab_m = leaf_label(MODEL, MODEL.lam ** m * z)
-                assert abs(lab_m.w - lab.w) < 1e-9
-                assert lab.same_leaf(lab_m)
-            assert not lab.same_leaf(leaf_label(MODEL, np.exp(0.1) * z))
+                w_m = leaf_label(MODEL, MODEL.lam ** m * z)
+                assert abs(w_m - w) < 1e-9
+                assert same_leaf(w, w_m)
+            assert not same_leaf(w, leaf_label(MODEL, np.exp(0.1) * z))
 
     def test_negative_region_rejected(self):
         with pytest.raises(ChartDomainError):
@@ -298,10 +320,10 @@ class TestLeafLabels:
         z = sample_hopf(model, hopf_variates(model.n, np.random.default_rng(3)))
         other = np.exp(np.log(model.lam) ** 2) * z
         assert np.isnan(deck_equivalent(model, z, other))
-        assert not leaf_label(model, z).same_leaf(leaf_label(model, other))
+        assert not same_leaf(leaf_label(model, z), leaf_label(model, other))
 
     def test_chart_radius_of_a_label_is_the_deck_reduced_radius(self):
-        # label_from_w once read w as exp(2 pi i log r) and gave 0.5488 here
+        # the chart radius once read w as exp(2 pi i log r) and gave 0.5488 here
         model = HopfModel(n=3, s=1, lam=0.5)
         z = sample_hopf(model, hopf_variates(model.n, np.random.default_rng(3)))
         r = model.norm_sn(z)
@@ -309,24 +331,24 @@ class TestLeafLabels:
             r *= model.lam
         while r <= model.lam:
             r /= model.lam
-        assert leaf_label(model, z).chart_radius == pytest.approx(r, rel=1e-9)   # 0.5799
+        assert chart_radius(model, leaf_label(model, z)) == pytest.approx(r, rel=1e-9)   # 0.5799
 
     @pytest.mark.parametrize("lam", [0.05, 0.3, 0.9])
     def test_stacked_labels_are_deck_invariant_with_deck_reduced_radii(self, lam):
         model = HopfModel(n=3, s=1, lam=lam)
         rng = np.random.default_rng(8)
         Z = sample_hopf(model, np.stack([hopf_variates(3, rng) for _ in range(10)]))
-        lab = leaf_label(model, Z)
+        w = leaf_label(model, Z)
         for k in range(-2, 3):
-            assert lab.same_leaf(leaf_label(model, lam ** k * Z)).all()
+            assert same_leaf(w, leaf_label(model, lam ** k * Z)).all()
         r = model.norm_sn(Z)
         while np.any(r > 1.0):
             r = np.where(r > 1.0, r * lam, r)
         while np.any(r <= lam):
             r = np.where(r <= lam, r / lam, r)
-        from_w = label_from_w(model, lab.w)
-        assert np.allclose(from_w.chart_radius, r, rtol=1e-9, atol=0.0)
-        assert ((0.0 <= from_w.a) & (from_w.a < 1.0)).all()
+        assert np.allclose(chart_radius(model, w), r, rtol=1e-9, atol=0.0)
+        a = crmod._chart_index(w)
+        assert ((0.0 <= a) & (a < 1.0)).all()
 
 
 class TestLeafChartImage:
@@ -336,9 +358,9 @@ class TestLeafChartImage:
         assert leaf_chart_image_check(MODEL, 1j, zetas) < 1e-9
 
     def test_half_turn_radius_value(self):
-        lab = label_from_w(MODEL, -1.0)
-        assert lab.chart_radius == pytest.approx(np.sqrt(0.5), abs=1e-12)   # lambda^(1/2)
-        assert MODEL.lam < lab.chart_radius < 1.0
+        radius = chart_radius(MODEL, -1.0)
+        assert radius == pytest.approx(np.sqrt(0.5), abs=1e-12)   # lambda^(1/2)
+        assert MODEL.lam < radius < 1.0
 
     def test_excluded_leaf(self):
         rng = np.random.default_rng(6)

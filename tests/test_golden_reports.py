@@ -11,8 +11,8 @@ A change that alters any residual, verdict or serialized field changes a
 digest; such a change must say why and record the new digests here.
 Every Hopf digest was re-recorded once more when the Levi form became
 i theta([V, Wbar]) / c from one stencil (levi-hopf-leaf moved by
-rounding, at most 5e-15 relative) and label_from_w came to read w as
-leaf_label writes it (lemma7-leaf-radius, whose oracle and nudge follow
+rounding, at most 5e-15 relative) and the chart radius came to read w
+as leaf_label writes it (lemma7-leaf-radius, whose oracle and nudge follow
 the chart index a = arg(w) / 2 pi); no other suite's residual moved.
 
 GOLDEN_6 pins reports at 6 points of every suite, at other seeds and

@@ -255,16 +255,18 @@ def test_stacked_span_tests_give_each_point_the_lstsq_verdict(case):
 
 
 # Every configuration whose checks build orthonormal subspaces: the Hopf
-# foliation and fibration layers, the CR fibres and the null splittings.
+# foliation and fibration layers, the CR bases, the null splittings and
+# the Levi rows, which only synthetic-null n = 2 builds.
 ORTHONORMAL_CONFIGS = [("hopf", 2, 1), ("hopf", 4, 2), ("hopf", 8, 7), ("tricerri", 2, 1),
-                       ("flat", 2, 1), ("synthetic-null", 3, 1), ("synthetic-null", 6, 2)]
+                       ("flat", 2, 1), ("synthetic-null", 2, 1), ("synthetic-null", 3, 1),
+                       ("synthetic-null", 6, 2)]
 
 
 def test_orthonormal_rows_need_no_rank_check(monkeypatch):
-    # a subspace's rows from _kernel, _complement_within or cr_fibre's
-    # levi_H skip independent_rows' rank SVD on the premise that they are
-    # orthonormal; every row stack they give over all suites is (the
-    # conjugate transpose, as _t10_basis's kernel is complex)
+    # a subspace's rows from _kernel, _complement_within or
+    # levi_distribution skip independent_rows' rank SVD on the premise
+    # that they are orthonormal; every row stack they give over all
+    # suites is (the conjugate transpose, as _t10_basis's kernel is complex)
     from lcklab import cr, foliations, sampling, semieuclid
     from lcklab.report import RunConfig
     from lcklab.suites import run_config
@@ -288,7 +290,7 @@ def test_orthonormal_rows_need_no_rank_check(monkeypatch):
         checked(module, "_kernel")
     for module in (semieuclid, foliations):
         checked(module, "_complement_within")
-    checked(cr, "cr_fibre", lambda fib: fib.levi_H)
+    checked(cr, "levi_distribution")
     for model, n, s in ORTHONORMAL_CONFIGS:
         for seed in range(5):
             report = run_config(RunConfig(model=model, n=n, s=s, points=20, seed=seed,
@@ -296,5 +298,5 @@ def test_orthonormal_rows_need_no_rank_check(monkeypatch):
             assert {r.verdict for r in report.results} == {"pass"}, (model, n, s, seed)
     assert seen == {("lcklab.semieuclid", "_kernel"), ("lcklab.foliations", "_kernel"),
                     ("lcklab.foliations", "_complement_within"), ("lcklab.sampling", "_kernel"),
-                    ("lcklab.cr", "_kernel"), ("lcklab.cr", "cr_fibre")}
+                    ("lcklab.cr", "_kernel"), ("lcklab.cr", "levi_distribution")}
     assert worst[0] <= 1e-13
