@@ -44,16 +44,18 @@ Conventions
   (each returns (..., w) values per point, a scalar as w = 1, and gets
   its own derivatives back), and evaluates its point sets (a point and
   its image, or two lines) as one stack.
+* One route through the connection: a vector is always an array, and
+  only _field_derivatives differentiates a field (a callable); then
+  covariant_derivative(gamma, X, Y(z), dY) adds X(Y) to Gamma(X, Y).
 * Stacks of base points: the leading axes of an array are its stack,
   and a point z (n,) is a stack with no leading axes.  christoffel (and
-  a chart's closed form), koszul_christoffel, covariant_derivative,
-  lie_bracket and wirtinger_derivative take a stack (..., n) of base
-  points, with one step fd_step per point; the stencil of a stack (m, n)
-  is (8n, m, n), so per-point parameters of shape (m, ...) broadcast
-  against it, and derivatives come back indexed [m, l, ...].  Fixed
-  vectors may carry one vector per point.  A per-point result is an
-  array of the stack's shape.  Domain faults name the first failing
-  point in row order.
+  a chart's closed form), koszul_christoffel, lie_bracket and
+  wirtinger_derivative take a stack (..., n) of base points, with one
+  step fd_step per point; the stencil of a stack (m, n) is (8n, m, n),
+  so per-point parameters of shape (m, ...) broadcast against it, and
+  derivatives come back indexed [m, l, ...].  Fixed vectors may carry
+  one vector per point.  A per-point result is an array of the stack's
+  shape.  Domain faults name the first failing point in row order.
 * Stacked evaluators give each row the bits of a single-point call:
   they use elementwise arithmetic, np.vecdot, np.matvec, einsum and
   numpy's stacked linear algebra, which round per row as at a single
@@ -407,13 +409,6 @@ def christoffel(chart: MetricChart, z: np.ndarray) -> np.ndarray:
     return np.asarray(chart.christoffel_analytic(z), dtype=complex)
 
 
-def _as_field(obj) -> Callable[[np.ndarray], np.ndarray]:
-    """A field as it is; a fixed vector (an ndarray) as a constant field."""
-    if isinstance(obj, np.ndarray):
-        return lambda _z, _v=obj: _v
-    return obj
-
-
 def _field_derivatives(fields, z: np.ndarray, *,
                        chart: MetricChart) -> list[tuple[np.ndarray, np.ndarray]]:
     """(d Y^A/dz^l, d Y^A/dzbar^l) of each field Y, indexed [..., l, A],
@@ -443,48 +438,25 @@ def _along(X: np.ndarray, dY: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         + np.einsum("...l,...la->...a", np.ascontiguousarray(X[..., n:]), d_dzb)
 
 
-def _covariant_along(gamma: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                     dY: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """nabla_X Y = X(Y^A) + Gamma^A_{BC} X^B Y^C from the value Y and the
-    derivatives dY of the field at the point (as _field_derivatives
-    returns them; None for a constant field): one derivative of Y serves
-    every direction X."""
+def covariant_derivative(gamma: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                         dY: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """(nabla_X Y)^A = X(Y^A) + Gamma^A_{BC} X^B Y^C, per point of a stack,
+    from the coefficients gamma = christoffel(chart, z), the direction X,
+    the value Y of the field at z and its derivatives dY there (as
+    _field_derivatives returns them; None for a constant field): one
+    derivative of Y serves every direction X.  X and Y are frame
+    components, and may carry one vector per point or broadcast."""
     out = np.einsum("...abc,...b,...c->...a", gamma, X, Y)
     return out if dY is None else _along(X, dY) + out
 
 
-def covariant_derivative(chart: MetricChart, X, Y, z: np.ndarray,
-                         gamma: np.ndarray | None = None) -> np.ndarray:
-    """(nabla_X Y)^A = X(Y^A) + Gamma^A_{BC} X^B Y^C at z, a point (n,) or
-    a stack (..., n).
-
-    X may be a fixed vector (an ndarray of frame components) or a field;
-    Y must be a field (a fixed vector is treated as a constant field).
-    Fixed vectors may carry one vector per point of a stack.  Directional
-    derivatives use central differences with one Richardson step unless Y
-    is constant.
-    """
-    z = np.asarray(z, dtype=complex)
-    Xf, Yf = _as_field(X), _as_field(Y)
-    Xv, Yv = Xf(z), Yf(z)
-    if gamma is None:
-        gamma = christoffel(chart, z)
-    dY = None if isinstance(Y, np.ndarray) else _field_derivatives([Yf], z, chart=chart)[0]
-    return _covariant_along(gamma, Xv, Yv, dY)
-
-
 def lie_bracket(X, Y, z: np.ndarray, *, chart: MetricChart) -> np.ndarray:
-    """[X, Y]^A = X(Y^A) - Y(X^A) at a point or a stack; metric independent.
-    The fields among X and Y share one stencil evaluation on the chart's
-    domain."""
+    """[X, Y]^A = X(Y^A) - Y(X^A) of two vector fields at a point or a
+    stack; metric independent.  Both fields share one stencil evaluation
+    on the chart's domain."""
     z = np.asarray(z, dtype=complex)
-    Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
-    moving = [f for f in (Y, X) if not isinstance(f, np.ndarray)]
-    derivs = iter(_field_derivatives(moving, z, chart=chart) if moving else ())
-    zero = np.zeros(Xv.shape, dtype=complex)
-    dY = zero if isinstance(Y, np.ndarray) else _along(Xv, next(derivs))
-    dX = zero if isinstance(X, np.ndarray) else _along(Yv, next(derivs))
-    return dY - dX
+    dY, dX = _field_derivatives([Y, X], z, chart=chart)
+    return _along(X(z), dY) - _along(Y(z), dX)
 
 
 def exterior_derivative_1form(alpha: Callable[[np.ndarray], np.ndarray],
@@ -524,21 +496,20 @@ def kahler_form(H: np.ndarray) -> np.ndarray:
 
 
 def conformal_connection_shift(chart: MetricChart, f, X, Y, z: np.ndarray) -> np.ndarray:
-    """Levi-Civita connection of the rescaled metric exp(-f) g, at a point
-    or at each point of a stack.
+    """Levi-Civita connection of the rescaled metric exp(-f) g on the
+    vectors X and Y (arrays), at a point or at each point of a stack.
 
     Returns nabla_X Y - (1/2){X(f) Y + Y(f) X - g(X,Y) grad f}, the
     conformal-change law written with the base metric's gradient.
     """
     z = np.asarray(z, dtype=complex)
-    base = covariant_derivative(chart, X, Y, z)
-    Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
+    base = covariant_derivative(christoffel(chart, z), X, Y)
     d_dz, d_dzb = wirtinger_derivative(f, z, chart=chart)
     df = np.concatenate([d_dz, d_dzb], axis=-1)
-    Xf = np.vecdot(df.conj(), Xv)[..., None]   # X(f) = df @ X
-    Yf = np.vecdot(df.conj(), Yv)[..., None]
+    Xf = np.vecdot(df.conj(), X)[..., None]   # X(f) = df @ X
+    Yf = np.vecdot(df.conj(), Y)[..., None]
     H = chart.hermitian(z)
-    gXY = _g(H, Xv, Yv)[..., None]
+    gXY = _g(H, X, Y)[..., None]
     gradf = _solve_gram(H, df[..., None], z)[..., 0]   # grad f: g(grad f, X) = X(f)
-    shift = Xf * Yv + Yf * Xv - gXY * gradf
+    shift = Xf * Y + Yf * X - gXY * gradf
     return base - 0.5 * shift

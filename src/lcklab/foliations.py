@@ -35,13 +35,13 @@ import numpy as np
 
 from .charts import (
     _bilinear,
-    _covariant_along,
     _field_derivatives,
     _g,
     _max_abs,
     _norms,
     apply_j,
     christoffel,
+    covariant_derivative,
     hol_from_real_coords,
     lie_bracket,
     real_coords,
@@ -215,8 +215,8 @@ def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X,
     Yfield = _tangential_extension(lck, np.asarray(Y, dtype=float))
     dX, dY = _field_derivatives([Xfield, Yfield], z, chart=chart)
     Xv, Yv = Xfield(z), Yfield(z)
-    traXY = _transversal_part(data, fibre, real_coords(_covariant_along(gamma, Xv, Yv, dY)))
-    traYX = _transversal_part(data, fibre, real_coords(_covariant_along(gamma, Yv, Xv, dX)))
+    traXY = _transversal_part(data, fibre, real_coords(covariant_derivative(gamma, Xv, Yv, dY)))
+    traYX = _transversal_part(data, fibre, real_coords(covariant_derivative(gamma, Yv, Xv, dX)))
     return traXY, _max_abs(traXY - traYX, 1) / scale
 
 
@@ -317,7 +317,7 @@ def _lee_plane_connection(lck: LCKStructure, z: np.ndarray, gamma: np.ndarray) -
     derivs = dict(zip("AB", _field_derivatives([Afield, Bfield], z, chart=lck.chart)))
     data = lee_data(lck, z)
     at = {"A": data.A, "B": data.B}
-    return {X + Y: _covariant_along(gamma, at[X], at[Y], derivs[Y])
+    return {X + Y: covariant_derivative(gamma, at[X], at[Y], derivs[Y])
             for X in "AB" for Y in "AB"}
 
 
@@ -417,7 +417,7 @@ def complex_submanifold_mean_curvature(lck: LCKStructure, z, jac):
         return vcomp - tan
 
     def h_of(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return nor(_covariant_along(gamma, X, Y))
+        return nor(covariant_derivative(gamma, X, Y))
 
     Bperp = nor(data.B)
     eq_residual = 0.0

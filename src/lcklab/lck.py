@@ -19,7 +19,6 @@ import numpy as np
 
 from .charts import (
     MetricChart,
-    _as_field,
     _bilinear,
     _first_fault,
     _g,
@@ -188,37 +187,32 @@ def _applied(form: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def weyl_connection(lck: LCKStructure, X, Y, z: np.ndarray,
                     gamma: np.ndarray | None = None) -> np.ndarray:
-    """D_X Y = nabla_X Y - (1/2){omega(X) Y + omega(Y) X - g(X,Y) B}, at a
-    point or at each point of a stack."""
+    """D_X Y = nabla_X Y - (1/2){omega(X) Y + omega(Y) X - g(X,Y) B} on the
+    vectors X and Y (arrays), at a point or at each point of a stack;
+    gamma, when given, is christoffel(lck.chart, z)."""
     z = np.asarray(z, dtype=complex)
-    base = covariant_derivative(lck.chart, X, Y, z, gamma=gamma)
-    Xv, Yv = _as_field(X)(z), _as_field(Y)(z)
+    base = covariant_derivative(christoffel(lck.chart, z) if gamma is None else gamma, X, Y)
     data = lee_data(lck, z)
-    gXY = _g(data.H, Xv, Yv)[..., None]
-    shift = _applied(data.omega, Xv) * Yv + _applied(data.omega, Yv) * Xv - gXY * data.B
+    gXY = _g(data.H, X, Y)[..., None]
+    shift = _applied(data.omega, X) * Y + _applied(data.omega, Y) * X - gXY * data.B
     return base - 0.5 * shift
 
 
 def nabla_J_defect(lck: LCKStructure, X, Y, z: np.ndarray) -> np.ndarray:
-    """Defect of the closed-form expression for (nabla_X J) Y, at a point
-    or at each point of a stack.
+    """Defect of the closed-form expression for (nabla_X J) Y on the
+    vectors X and Y (arrays), at a point or at each point of a stack.
 
     Returns (nabla_X(JY) - J nabla_X Y)
       - (1/2){theta(Y) X - omega(Y) JX - g(X,Y) A - Omega(X,Y) B};
     the residual vanishes on any l.c.K. chart.
     """
     z = np.asarray(z, dtype=complex)
-    chart = lck.chart
-    gamma = christoffel(chart, z)
-    Xf, Yf = _as_field(X), _as_field(Y)
-    JY = apply_j(Y) if isinstance(Y, np.ndarray) else (lambda p: apply_j(Y(p)))
-    lhs = covariant_derivative(chart, X, JY, z, gamma=gamma) \
-        - apply_j(covariant_derivative(chart, X, Y, z, gamma=gamma))
-    Xv, Yv = Xf(z), Yf(z)
+    gamma = christoffel(lck.chart, z)
+    lhs = covariant_derivative(gamma, X, apply_j(Y)) - apply_j(covariant_derivative(gamma, X, Y))
     data = lee_data(lck, z)
-    gXY = _g(data.H, Xv, Yv)[..., None]
-    OmXY = _bilinear(Xv, kahler_form(data.H), Yv)[..., None]
-    rhs = 0.5 * (_applied(data.theta, Yv) * Xv - _applied(data.omega, Yv) * apply_j(Xv)
+    gXY = _g(data.H, X, Y)[..., None]
+    OmXY = _bilinear(X, kahler_form(data.H), Y)[..., None]
+    rhs = 0.5 * (_applied(data.theta, Y) * X - _applied(data.omega, Y) * apply_j(X)
                  - gXY * data.A - OmXY * data.B)
     return lhs - rhs
 

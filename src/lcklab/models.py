@@ -58,6 +58,8 @@ FIBRATION_SPHERE_TOL = 1e-9
 # submersion_isometry_residual's inputs count as horizontal while every
 # g(., A) and g(., B) stays below this times max(1, |u| |v|).
 HORIZONTAL_TOL = 1e-6
+# submersion_isometry_residual's central-difference step in the flow time.
+FLOW_STEP = 1e-5
 # The Cayley transform refuses a point with |r + z_n| at most this: its pole.
 CAYLEY_POLE_TOL = 1e-9
 
@@ -411,13 +413,13 @@ def submersion_isometry_residual(model: HopfModel, z, u: np.ndarray,
         raise ValueError("inputs are not horizontal at z")
     # flow factors exp(t d) for d = 1, i (rows) and t in _steps (columns),
     # each rounded as a Python scalar
-    fac = np.array([[np.exp(t * d) for t in _steps(1e-5)] for d in (1.0 + 0j, 1j)])
+    fac = np.array([[np.exp(t * d) for t in _steps(FLOW_STEP)] for d in (1.0 + 0j, 1j)])
     fac = fac.reshape(fac.shape + (1,) * z.ndim)
     n = model.n
     ut, vt = (np.concatenate([fac * w[..., :n], np.conj(fac) * w[..., n:]], axis=-1)
               for w in (u, v))
     gram = _g(lck.chart.hermitian(fac * z), ut, vt).real
-    return np.abs(_richardson(np.moveaxis(gram, 1, 0), 1e-5)).max(axis=0)
+    return np.abs(_richardson(np.moveaxis(gram, 1, 0), FLOW_STEP)).max(axis=0)
 
 
 def retraction(model: HopfModel, t, z) -> np.ndarray:

@@ -59,7 +59,7 @@ import numpy as np
 from . import cr as crmod
 from . import foliations as fol
 from .charts import (
-    _along, _covariant_along, _field_derivatives, _g, _lower, _max_abs, _require_domain,
+    _along, _field_derivatives, _g, _lower, _max_abs, _require_domain,
     apply_j, christoffel, covariant_derivative, hol_from_real_coords, koszul_christoffel,
     real_vector,
 )
@@ -330,8 +330,8 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
         [lambda p: _g(chart.hermitian(p), Y, W)[..., None], F1, F2], Z, chart=chart)
     df = np.concatenate([dG[0][..., 0], dG[1][..., 0]], axis=-1)
     lhs = np.vecdot(df.conj(), X)
-    nXY = covariant_derivative(chart, X, Y, Z, gamma=gamma)
-    nXW = covariant_derivative(chart, X, W, Z, gamma=gamma)
+    nXY = covariant_derivative(gamma, X, Y)
+    nXW = covariant_derivative(gamma, X, W)
     H = chart.hermitian(Z)
     rhs = _g(H, nXY, W) + _g(H, Y, nXW)
     diff = lhs - rhs
@@ -339,8 +339,8 @@ def _check_connection_identities(key, lck, Z, X, Y, W, M1, M2):
     # torsion on F1 and F2
     F1v, F2v = F1(Z), F2(Z)
     bracket = _along(F1v, dF2) - _along(F2v, dF1)
-    tors = _covariant_along(gamma, F1v, F2v, dF2) \
-        - _covariant_along(gamma, F2v, F1v, dF1) - bracket
+    tors = covariant_derivative(gamma, F1v, F2v, dF2) \
+        - covariant_derivative(gamma, F2v, F1v, dF1) - bracket
     return np.maximum(resid, np.abs(tors).max(axis=-1))
 
 
@@ -524,13 +524,13 @@ def _check_prop4_null(c, _):
     Z = data.B[:, :c.n] + 1j * data.A[:, :c.n]
     along = np.vecdot(lck.lee_hol(z).conj(), Z)    # Z is type (1,0) in ker omega
     resid = np.hypot(along.real, along.imag)        # abs() of a Python complex
-    t10 = crmod.cr_fibre(lck, z)
     levi = crmod.levi_form(lck, z, Z[:, None])[:, 0, 0]
     resid = np.maximum(resid, np.hypot(levi.real, levi.imag))
     fib = fol.first_foliation_fibre(lck, z)
     plane = independent_rows(fib.form, np.stack([data.A_real, data.B_real], axis=-2))
     resid = np.maximum(resid, np.where(contains_span(fib.tangent, plane, 1e-9), 0.0, 1.0))
     if c.n == 2:
+        t10 = crmod.cr_fibre(lck, z)
         levi_H = crmod.levi_distribution(t10)
         resid = np.maximum(resid, np.where(same_span(levi_H, plane, 1e-9), 0.0, 1.0))
         flat = crmod.levi_flat_detector(crmod.levi_form(lck, z, t10.swapaxes(-1, -2)))
@@ -668,7 +668,7 @@ def _check_prop2_nabla_b(_, lck, P):
     for j in range(1, m):
         X = np.eye(2 * m, dtype=complex)[j]    # Z_j
         expect = 0.5 * X
-        out = _covariant_along(gamma, X, B, dB)
+        out = covariant_derivative(gamma, X, B, dB)
         worst = np.maximum(worst, np.abs(out - expect).max(axis=-1))
     return worst
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from lcklab.charts import (
-    christoffel, covariant_derivative, hol_from_real_coords, koszul_christoffel, real_vector,
+    _field_derivatives, christoffel, covariant_derivative, hol_from_real_coords, koszul_christoffel, real_vector,
 )
 from lcklab.cr import (
     cayley_cr_residual,
@@ -106,9 +106,10 @@ def test_criterion_02_parallel_lee():
     for _ in range(100):
         p = sample_tricerri(2, rng)
         Bf = lambda q: lee_data(tric, q).B
+        gamma, dB = christoffel(tric.chart, p), _field_derivatives([Bf], p, chart=tric.chart)[0]
         for j in (1, 2):
             X = np.eye(6, dtype=complex)[j]   # Z_j
-            out = covariant_derivative(tric.chart, X, Bf, p)
+            out = covariant_derivative(gamma, X, Bf(p), dB)
             expect = np.zeros(6, dtype=complex)
             expect[j] = 0.5
             worst_b = np.maximum(worst_b, float(np.abs(out - expect).max()))

@@ -617,13 +617,24 @@ class TestDerivedOnce:
         assert report.results[0].verdict == "pass"
         assert len(calls) <= 1
 
+    def test_the_fixed_vector_connection_suites_take_no_stencil(self, monkeypatch):
+        # eq20-nabla-j and weyl-dj contract Hopf's closed-form Gamma with
+        # fixed vectors: no finite difference, though tol_fd judges them
+        calls = [self._counted(monkeypatch, module, "wirtinger_derivative")
+                 for module in (charts_mod, crmod, fol, lck_mod, models_mod, suites_mod)
+                 if hasattr(module, "wirtinger_derivative")]
+        report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
+                                      suites=("eq20-nabla-j", "weyl-dj")))
+        assert [r.verdict for r in report.results] == ["pass", "pass"]
+        assert sum(map(len, calls)) == 0
+
     def test_eq18_evaluates_each_second_fundamental_form_once(self, monkeypatch):
         # each h(X, Y) is the normal part of one Gamma(X, Y) on an affine
         # line: no finite difference and no least-squares solve
         suite = suites_mod._BY_NAME["eq18-mean-curvature"]
         cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
         draws = _draws(suite, cfg)
-        names = ("_richardson", "wirtinger_derivative", "_covariant_along")
+        names = ("_richardson", "wirtinger_derivative", "covariant_derivative")
         calls = {name: [self._counted(monkeypatch, module, name)
                         for module in (charts_mod, semieuclid_mod, lck_mod, fol, models_mod)
                         if hasattr(module, name)]
@@ -634,7 +645,7 @@ class TestDerivedOnce:
         # two lines as one (2, m, n) stack, so four h(X, Y) in all (eight
         # when each line was its own call)
         assert counts == {"_richardson": 0, "wirtinger_derivative": 0, "lstsq": 0,
-                          "_covariant_along": 4}
+                          "covariant_derivative": 4}
 
     def test_prop4_builds_one_cr_fibre_per_run(self, monkeypatch):
         calls = self._counted(monkeypatch, crmod, "cr_fibre")
@@ -674,16 +685,17 @@ class TestDerivedOnce:
         fol._screen_split(c.form, radical, space)
         assert len(svds) == 2
 
-    def test_a_null_algebra_run_takes_42_svds_and_no_cond(self, monkeypatch):
+    def test_a_null_algebra_run_takes_41_svds_and_no_cond(self, monkeypatch):
         # 52 SVDs and one np.linalg.cond before rank checks stopped
         # repeating the SVDs of orthonormal rows and the Gram conditioning
-        # became one eigvalsh
+        # became one eigvalsh; 42 before prop4-null-leaf built its CR
+        # basis only at n = 2, the one dimension that reads it
         svds = self._counted(monkeypatch, np.linalg, "svd")
         conds = self._counted(monkeypatch, np.linalg, "cond")
         report = run_config(RunConfig(model="synthetic-null", n=3, s=1, points=40, seed=42,
                                       suites=("all",)))
         assert {r.verdict for r in report.results} == {"pass"}
-        assert (len(svds), len(conds)) == (42, 0)
+        assert (len(svds), len(conds)) == (41, 0)
 
     def test_a_hopf_run_takes_13_svds(self, monkeypatch):
         # 16 before orthogonal_complement stopped re-checking the rank of a

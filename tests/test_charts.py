@@ -11,6 +11,7 @@ from lcklab.charts import (
     REAL_VECTOR_TOL,
     SingularMetricError,
     _bilinear,
+    _field_derivatives,
     _g,
     _lower,
     _norms,
@@ -180,7 +181,7 @@ class TestStackedStencil:
         assert HOPF.chart.domain_pred(z)
         B = lambda p: lee_data(HOPF, p).B
         with pytest.raises(ChartDomainError, match="stencil"):
-            covariant_derivative(HOPF.chart, real_vector([1.0, 0.0]), B, z)
+            _field_derivatives([B], z, chart=HOPF.chart)
         with pytest.raises(ChartDomainError, match="stencil"):
             koszul_christoffel(HOPF.chart, z)
 
@@ -340,24 +341,26 @@ class TestChristoffel:
 class TestCovariantDerivative:
     def test_flat_constant_field(self):
         Y = real_vector([1.0, 2.0])
-        out = covariant_derivative(FLAT.chart, real_vector([1, 0]), Y,
-                                   np.array([0.1, 0.2], dtype=complex))
+        gamma = christoffel(FLAT.chart, np.array([0.1, 0.2], dtype=complex))
+        out = covariant_derivative(gamma, real_vector([1, 0]), Y)
         assert np.abs(out).max() == 0.0
 
     def test_hopf_lee_field_parallel(self):
         B = lambda p: lee_data(HOPF, p).B
         rng = np.random.default_rng(14)
         z = sample_hopf(HopfModel(n=2, s=1, lam=0.5), hopf_variates(2, rng))
+        gamma, dB = christoffel(HOPF.chart, z), _field_derivatives([B], z, chart=HOPF.chart)[0]
         for j in range(2):
             X = np.eye(4, dtype=complex)[j]   # Z_j
-            out = covariant_derivative(HOPF.chart, X, B, z)
+            out = covariant_derivative(gamma, X, B(z), dB)
             assert np.abs(out).max() < 1e-8
 
     def test_tricerri_lee_derivative(self):
         B = lambda p: lee_data(TRIC, p).B
         p = np.array([0.4 + 1.1j, 0.2 + 0.5j, -0.6 + 0.1j])
         X = np.eye(6, dtype=complex)[1]   # Z_1
-        out = covariant_derivative(TRIC.chart, X, B, p)
+        dB = _field_derivatives([B], p, chart=TRIC.chart)[0]
+        out = covariant_derivative(christoffel(TRIC.chart, p), X, B(p), dB)
         expect = np.zeros(6, dtype=complex)
         expect[1] = 0.5
         assert np.abs(out - expect).max() < 1e-9
@@ -365,8 +368,8 @@ class TestCovariantDerivative:
 
 class TestLieBracket:
     def test_constant_fields(self):
-        X = real_vector([1.0, 0.0])
-        Y = real_vector([0.0, 1.0])
+        X = lambda p: np.broadcast_to(real_vector([1.0, 0.0]), p.shape[:-1] + (4,))
+        Y = lambda p: np.broadcast_to(real_vector([0.0, 1.0]), p.shape[:-1] + (4,))
         out = lie_bracket(X, Y, np.array([0.3, 0.4], dtype=complex), chart=FLAT.chart)
         assert np.abs(out).max() == 0.0
 
@@ -468,7 +471,7 @@ class TestConformalShift:
         z = np.array([0.5 + 0.2j, 1.1 - 0.7j])
         X = real_vector([1.0, 0.5j])
         Y = real_vector([0.2, -1.0])
-        base = covariant_derivative(HOPF.chart, X, Y, z)
+        base = covariant_derivative(christoffel(HOPF.chart, z), X, Y)
         shifted = conformal_connection_shift(
             HOPF.chart, lambda p: np.full(p.shape[:-1], 3.7), X, Y, z)
         assert np.abs(base - shifted).max() < 1e-12
@@ -533,8 +536,8 @@ class TestMetricCompatibility:
             Y = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
             W = real_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
             H = chart.hermitian(z)
-            nXY = covariant_derivative(chart, X, Y, z, gamma=gam)
-            nXW = covariant_derivative(chart, X, W, z, gamma=gam)
+            nXY = covariant_derivative(gam, X, Y)
+            nXW = covariant_derivative(gam, X, W)
             rhs = complex(_g(H, nXY, W) + _g(H, Y, nXW))
             # finite-difference lhs
             gYW = lambda p: _g(chart.hermitian(p), Y, W)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcklab.charts import (
-    MetricChart, _real_gram, christoffel, covariant_derivative, hol_from_real_coords, real_coords, real_vector,
+    MetricChart, _field_derivatives, _real_gram, christoffel, covariant_derivative, hol_from_real_coords, real_coords, real_vector,
 )
 from lcklab.cr import cr_fibre
 from lcklab.foliations import (
@@ -251,7 +251,9 @@ class TestGaussWeingarten:
             return field
 
         def h_of(ext):
-            nXY = covariant_derivative(HOPF.chart, ext(Xr), ext(Yr), z)
+            X, Y = ext(Xr), ext(Yr)
+            dY = _field_derivatives([Y], z, chart=HOPF.chart)[0]
+            nXY = covariant_derivative(christoffel(HOPF.chart, z), X(z), Y(z), dY)
             return (float(omega_z @ real_coords(nXY)) / d.c) * real_coords(d.B)
 
         assert np.abs(h_of(metric_ext) - h_of(euclid_ext)).max() < 1e-6
@@ -435,9 +437,10 @@ class TestHP:
         gam = christoffel(HOPF.chart, z)
         Bf = lambda p: lee_data(HOPF, p).B
         Af = lambda p: lee_data(HOPF, p).A
-        nAB = covariant_derivative(HOPF.chart, Af, Bf, z, gamma=gam)
+        dA, dB = _field_derivatives([Af, Bf], z, chart=HOPF.chart)
+        nAB = covariant_derivative(gam, Af(z), Bf(z), dB)
         assert np.abs(nAB).max() < 1e-8
-        nAA = covariant_derivative(HOPF.chart, Af, Af, z, gamma=gam)
+        nAA = covariant_derivative(gam, Af(z), Af(z), dA)
         assert np.abs(nAA).max() < 1e-8
 
     def test_synthetic_constant_data(self):

@@ -31,6 +31,13 @@ residual: per suite, the SHA-256 of its residuals at 6 points and seed
 42 as float64 bytes in draw order, recorded before the Gamma oracle,
 h, the isotropic pair, the Cayley image and the signatures were returned
 as arrays and tuples.
+
+Every digest names the suites it covers: a report digest runs its
+model's pinned tuple (HOPF_SUITES, ...), the suites that "all" resolved
+to when it was recorded, in registry order, and the per-point test runs
+the suites of its table.  A new suite therefore moves no digest here; it
+adds a per-point entry (test_every_applicable_suite_has_a_per_point_digest)
+and, when it is added to a pinned tuple, new report digests.
 """
 
 import hashlib
@@ -40,7 +47,29 @@ import pytest
 
 from lcklab.report import RunConfig, to_json
 from lcklab.sampling import _Words
-from lcklab.suites import _point_states, run_config, suites_for
+from lcklab.suites import SUITES, _BY_NAME, _point_states, run_config, suites_for
+
+HOPF_SUITES = (
+    "christoffel-oracle", "prop1-lee-field", "parallel-lee", "thm1-totally-geodesic",
+    "eq1-leaf-signature", "thm4-integrability", "thm4-plane-gram", "thm4-hp",
+    "eq18-mean-curvature", "eq20-nabla-j", "weyl-dj", "connection-identities",
+    "thm2-deck-pullback", "hopf-diffeo-roundtrip", "torus-isometry",
+    "submersion-fibre-invariance", "fibration-split", "retraction-monotonicity",
+    "thm5-leaf-space", "lemma7-leaf-radius", "cayley-boundary", "levi-signature",
+    "levi-hopf-leaf", "cr-tangential",
+)
+TRICERRI_SUITES = (
+    "christoffel-oracle", "prop2-lee-field", "nonparallel-lee", "prop2-nabla-b",
+    "thm4-integrability", "thm4-plane-gram", "eq20-nabla-j", "weyl-dj",
+    "connection-identities", "gab-invariance",
+)
+FLAT_SUITES = ("christoffel-oracle", "parallel-lee", "eq20-nabla-j", "weyl-dj",
+               "connection-identities")
+# lemma6-pair and lemma6-invariance need n >= 3 and drop out at n = 2
+NULL_SUITES = ("eq8-transversal", "eq5-nv-invariance", "screen-splits", "lemma6-pair",
+               "lemma6-invariance", "prop4-null-leaf")
+PINNED = {"hopf": HOPF_SUITES, "tricerri": TRICERRI_SUITES, "flat": FLAT_SUITES,
+          "synthetic-null": NULL_SUITES}
 
 GOLDEN = {
     ("hopf", 2, 1): "d5762b81f6b318c86305cce1560a09f34204a6271fe862167fff84f417fad09d",
@@ -164,31 +193,60 @@ PER_POINT = {
 }
 
 
+def _pinned(model: str, n: int) -> tuple[str, ...]:
+    """The suites a report digest of model at dimension n covers: the
+    model's pinned tuple less the suites that need a larger n."""
+    return tuple(name for name in PINNED[model] if n >= _BY_NAME[name].min_n)
+
+
 def _digest(cfg: RunConfig) -> str:
     return hashlib.sha256(to_json(run_config(cfg)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("model, n, s", sorted(GOLDEN))
 def test_report_digest(model, n, s):
-    cfg = RunConfig(model=model, n=n, s=s, points=3, seed=42, suites=("all",))
+    cfg = RunConfig(model=model, n=n, s=s, points=3, seed=42, suites=_pinned(model, n))
     assert _digest(cfg) == GOLDEN[(model, n, s)]
 
 
 @pytest.mark.parametrize("model, n, s, seed", sorted(GOLDEN_6))
 def test_six_point_report_digest(model, n, s, seed):
-    cfg = RunConfig(model=model, n=n, s=s, points=6, seed=seed, suites=("all",))
+    cfg = RunConfig(model=model, n=n, s=s, points=6, seed=seed, suites=_pinned(model, n))
     assert _digest(cfg) == GOLDEN_6[(model, n, s, seed)]
 
 
 @pytest.mark.parametrize("model, n, s, lam, seed", sorted(GOLDEN_6_LAMBDA))
 def test_six_point_report_digest_at_lambda(model, n, s, lam, seed):
-    cfg = RunConfig(model=model, n=n, s=s, lam=lam, points=6, seed=seed, suites=("all",))
+    cfg = RunConfig(model=model, n=n, s=s, lam=lam, points=6, seed=seed,
+                    suites=_pinned(model, n))
     assert _digest(cfg) == GOLDEN_6_LAMBDA[(model, n, s, lam, seed)]
+
+
+@pytest.mark.parametrize("model, n, s", sorted(
+    {key[:3] for key in (*GOLDEN, *GOLDEN_6, *GOLDEN_6_LAMBDA)}))
+def test_all_resolves_to_the_applicable_suites_in_registry_order(model, n, s):
+    # the report digests name their suites, so they no longer pin what
+    # "all" resolves to: the registry's applicable suites, in its order
+    cfg = RunConfig(model=model, n=n, s=s, points=1, seed=1, suites=("all",))
+    registry = [suite.name for suite in SUITES if suite.applicable(cfg)]
+    assert [result.name for result in run_config(cfg).results] == registry
+    # a pinned tuple keeps registry order, as the recorded reports listed it
+    pinned = _pinned(model, n)
+    assert list(pinned) == [name for name in registry if name in pinned]
+
+
+@pytest.mark.parametrize("model, n, s", sorted(PER_POINT))
+def test_every_applicable_suite_has_a_per_point_digest(model, n, s):
+    applicable = {suite.name for suite in suites_for(RunConfig(model=model, n=n, s=s,
+                                                               suites=("all",)))}
+    assert applicable <= set(PER_POINT[(model, n, s)])
 
 
 @pytest.mark.parametrize("model, n, s", sorted(PER_POINT))
 def test_per_point_residual_digests(model, n, s):
-    cfg = RunConfig(model=model, n=n, s=s, points=6, seed=42, suites=("all",))
+    # each suite of the table, and only those: a new suite moves no entry
+    cfg = RunConfig(model=model, n=n, s=s, points=6, seed=42,
+                    suites=tuple(PER_POINT[(model, n, s)]))
     chosen = suites_for(cfg)
     got = {}
     for suite, states in zip(chosen, _point_states(cfg, chosen)):

@@ -6,11 +6,14 @@ from lcklab.charts import (
     ChartDomainError,
     MetricChart,
     SingularMetricError,
+    _along,
+    _field_derivatives,
     _g,
     _lower,
     _stencil,
     apply_j,
     christoffel,
+    covariant_derivative,
     exterior_derivative_1form,
     exterior_derivative_2form,
     fd_step,
@@ -298,12 +301,11 @@ class TestPointMemo:
 
 class TestWeylConnection:
     def test_zero_lee_form_reduces_to_levi_civita(self):
-        from lcklab.charts import covariant_derivative
         z = np.array([0.4 + 0.2j, -0.3 + 0.8j])
         X = real_vector([1.0, 0.3j])
         Y = real_vector([0.5, -0.2])
         D = weyl_connection(FLAT, X, Y, z)
-        base = covariant_derivative(FLAT.chart, X, Y, z)
+        base = covariant_derivative(christoffel(FLAT.chart, z), X, Y)
         assert np.abs(D - base).max() < 1e-14
 
     def test_dj_vanishes_on_hopf(self):
@@ -318,11 +320,12 @@ class TestWeylConnection:
             assert np.abs(lhs - rhs).max() < 1e-6
 
     def test_lee_direction_value(self):
-        # D_B B = nabla_B B - (c/2) B = -2 B on the positive region
+        # D_B B = nabla_B B - (c/2) B = -2 B on the positive region: the
+        # Weyl connection of the fixed vector B plus the derivative B(B)
         z = np.array([0.2 - 0.5j, 1.4 + 0.3j])
         d = lee_data(HOPF, z)
-        Bf = lambda p: lee_data(HOPF, p).B
-        out = weyl_connection(HOPF, Bf, Bf, z)
+        dB = _field_derivatives([lambda p: lee_data(HOPF, p).B], z, chart=HOPF.chart)[0]
+        out = weyl_connection(HOPF, d.B, d.B, z) + _along(d.B, dB)
         assert np.abs(out + 2.0 * d.B).max() < 1e-8
 
     def test_not_metric_compatible(self):
