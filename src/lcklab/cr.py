@@ -19,8 +19,8 @@ them, called where it is read: levi_distribution(t10) gives the Levi
 rows (..., 2n-2, 2n) and levi_flat_detector(L) one verdict per Levi
 matrix.  A leaf's label is its w, one per point from leaf_label, read
 by same_leaf and chart_radius; leaf_chart_image_check takes one w and
-one set of samples (..., k, n) per point, and cayley_cr_residual gives
-one residual per point.
+one set of samples (..., k, n) per point and returns the radius with the
+residual, and cayley_cr_residual gives one residual per point.
 Each row carries the bits of the single-point call.  The Siegel-boundary
 Levi data are constants of (n, s).
 """
@@ -180,8 +180,8 @@ def chart_radius(model: HopfModel, w):
 
 
 def leaf_chart_image_check(model: HopfModel, w, samples):
-    """Max residual of the chart-image radius over pseudosphere samples,
-    per point of a stack of w (...) with samples (..., k, n).
+    """The chart radius and the max chart-image residual over pseudosphere
+    samples, per point of a stack of w (...) with samples (..., k, n).
 
     For each unit-pseudosphere sample zeta, the representative
     (chart_radius * zeta) must have |.|_{s,n} equal to the radius and lie
@@ -199,7 +199,7 @@ def leaf_chart_image_check(model: HopfModel, w, samples):
     norms = model.norm_sn(radius[..., None, None] * samples)
     worst = np.abs(norms - radius[..., None]).max(axis=-1)
     inside = (model.lam < norms) & (norms < 1.0)
-    return np.where(inside.all(axis=-1), worst, np.maximum(worst, 1.0))
+    return radius, np.where(inside.all(axis=-1), worst, np.maximum(worst, 1.0))
 
 
 def leaf_extension_hypothesis(n: int, s: int) -> bool:

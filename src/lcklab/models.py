@@ -173,14 +173,17 @@ def _hopf_metric_fns(n: int, s: int):
     return metric, gamma
 
 
-def _region_signs(regions) -> np.ndarray:
-    """+1.0 for each region '+' and -1.0 for each '-' of regions (a name or
-    a sequence of names); any other name raises ValueError."""
+def _positive_regions(regions) -> np.ndarray:
+    """True for each region '+' and False for each '-' of regions (a name or
+    a sequence of names; any other name raises ValueError), or regions as
+    they are if they are such a bool mask (m,), built once for a stack."""
+    if isinstance(regions, np.ndarray) and regions.dtype == bool:
+        return regions
     names = (regions,) if isinstance(regions, str) else regions
     if not set(names) <= {"+", "-"}:
         raise ValueError("region must be '+' or '-'")
-    signs = np.array([1.0 if r == "+" else -1.0 for r in names])
-    return signs[0] if isinstance(regions, str) else signs
+    positive = np.array([r == "+" for r in names], dtype=bool)
+    return positive[0] if isinstance(regions, str) else positive
 
 
 def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
@@ -189,14 +192,16 @@ def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
     Metric components g_{j kbar} = (1/2) |z|_{s,n}^{-2} eps_j delta_{jk};
     Lee form omega = -d log |z|^2_{s,n}.  The domain is the component of
     regions ('+' or '-'): sign b(z, z) > 1e-12 |z|^2.  regions may instead
-    name one region per point of a stack (m,): the structure is then
+    name one region per point of a stack (m,), or be their mask from
+    _positive_regions, as sample_hopf takes them: the structure is then
     evaluated at stacks of m points (..., m, n), point i and its stencil
     on region i's component, as m single-region charts would be.
     """
     n, s = model.n, model.s
     eps = eps_signs(n, s)
     metric, gamma = _hopf_metric_fns(n, s)
-    sign = _region_signs(regions)
+    positive = _positive_regions(regions)
+    sign = np.where(positive, 1.0, -1.0)
 
     def domain(z):
         z = np.asarray(z, dtype=complex)
@@ -204,9 +209,10 @@ def hopf_chart(model: HopfModel, regions="+") -> LCKStructure:
         zz = np.vecdot(z, z).real
         return (zz > 0.0) & (sign * b > 1e-12 * zz)
 
+    plus = np.count_nonzero(positive)
+    held = ("+" if plus else "") + ("-" if plus < positive.size else "")
     chart = MetricChart(n=n, s=s, metric_eval=metric, domain_pred=domain,
-                        christoffel_analytic=gamma,
-                        name=f"hopf(n={n},s={s},{''.join(sorted(set(regions)))})")
+                        christoffel_analytic=gamma, name=f"hopf(n={n},s={s},{held})")
 
     def lee(z):
         z = np.asarray(z, dtype=complex)

@@ -41,7 +41,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .charts import _norms
 from .foliations import _screen_split
-from .models import CONE_MARGIN, HopfModel, _region_signs
+from .models import CONE_MARGIN, HopfModel, _positive_regions
 from .semieuclid import SemiEuclideanForm, _kernel, independent_rows
 
 __all__ = [
@@ -190,21 +190,25 @@ class _Words(ISeedSequence):
 
 
 def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = rng.standard_normal(2 * n)   # the real parts, then the imaginary
+    return x[:n] + 1j * x[n:]
 
 
 def hopf_variates(n: int, rng: np.random.Generator) -> np.ndarray:
-    """The variates (2n + 2,) of one Hopf point: the real then the
-    imaginary parts of a complex-normal vector in C^n, then two uniforms
-    on [0, 1).  sample_hopf maps them, one row or a stack, to points."""
-    return np.concatenate([rng.standard_normal(2 * n), rng.random(2)])
+    """The variates (2n + 2,) of one Hopf point, drawn into one row: the
+    real then the imaginary parts of a complex-normal vector in C^n, then
+    two uniforms on [0, 1).  sample_hopf maps them, one or a stack, to points."""
+    v = np.empty(2 * n + 2)
+    rng.standard_normal(out=v[:-2])
+    rng.random(out=v[-2:])
+    return v
 
 
 def sample_hopf(model: HopfModel, variates, regions="+") -> np.ndarray:
     """Points (..., n) with |b(z,z)| > CONE_MARGIN * |z|^2, one per row of
     hopf_variates (..., 2n + 2), all in region regions ('+' or '-') or, for
-    a stack (m, 2n + 2), each in its own region of a sequence of m names,
-    as hopf_chart takes and checks them.
+    a stack (m, 2n + 2), each in its own region of a sequence of m names
+    or of their mask, as hopf_chart takes and checks them.
 
     Exact map z = r (sinh t u, cosh t v) for '+' and r (cosh t u, sinh t v)
     for '-', with u, v uniform on the unit spheres of the negative and
@@ -223,7 +227,7 @@ def sample_hopf(model: HopfModel, variates, regions="+") -> np.ndarray:
     t = 0.5 * np.arccosh(1.0 / ratio)
     r = 1.0 + v[..., 2 * n + 1]
     sinh, cosh = r * np.sinh(t), r * np.cosh(t)
-    positive = _region_signs(regions) > 0
+    positive = _positive_regions(regions)
     minor, major = np.where(positive, sinh, cosh), np.where(positive, cosh, sinh)
     z[..., :s] *= (minor / _norms(z[..., :s]))[..., None]
     z[..., s:] *= (major / _norms(z[..., s:]))[..., None]
@@ -250,7 +254,7 @@ def sample_flat(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_unit_circle(rng: np.random.Generator) -> complex:
-    return complex(np.exp(2j * np.pi * rng.uniform()))
+    return complex(np.exp(2j * np.pi * rng.random()))
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ from .charts import (
 )
 from .lck import lee_data, nabla_J_defect, parallel_lee_residual, weyl_connection
 from .models import (
-    HopfModel, cayley, deck_equivalent, eps_signs, fibration_split,
+    HopfModel, _positive_regions, cayley, deck_equivalent, eps_signs, fibration_split,
     flat_chart, gab_invariance_residual, hopf_chart, hopf_diffeo,
     hopf_diffeo_inv, retraction, submersion_isometry_residual,
     synthetic_null_structure, torus_pullback_isometry_residual, tricerri_chart,
@@ -143,7 +143,7 @@ class Suite:
 def _hopf_sample(cfg: RunConfig, rng) -> tuple[str, np.ndarray]:
     """A Hopf region drawn with even odds and the variates of a point in
     it, which the check maps (see _stacked)."""
-    region = "+" if rng.uniform() < 0.5 else "-"
+    region = "+" if rng.random() < 0.5 else "-"
     return region, hopf_variates(cfg.n, rng)
 
 
@@ -155,12 +155,14 @@ def _draw_positive(cfg, rng):
 
 def _hopf_stack(model: HopfModel, keys, columns: list, points):
     """The model as key and its chart with each draw's region; maps the
-    variates columns[0] to points as `points` says (see _stacked)."""
+    variates columns[0] to points as `points` says (see _stacked).  Both
+    take the one mask of the regions."""
+    positive = _positive_regions(keys)
     if points == "hopf":
-        columns[0] = sample_hopf(model, columns[0], keys)
+        columns[0] = sample_hopf(model, columns[0], positive)
     elif points == "pseudosphere":
         columns[0] = sample_pseudosphere(model.n, model.s, columns[0])
-    return model, hopf_chart(model, regions=keys)
+    return model, hopf_chart(model, regions=positive)
 
 
 class _Model(NamedTuple):
@@ -204,7 +206,7 @@ def _stacked(evaluate, points="hopf"):
     checks the chart domain, then reads the region's sign as key.a(Z)."""
     def check(cfg: RunConfig, draws: list) -> list:
         keys, *columns = zip(*draws)
-        columns = [np.stack(c) for c in columns]
+        columns = [np.array(c) for c in columns]
         build, _, stack, _ = MODELS[cfg.model]
         key, lck = stack(build(cfg.n, cfg.s, cfg.lam), keys, columns, points)
         return [float(r) for r in evaluate(key, lck, *columns)]
@@ -232,10 +234,8 @@ def _draw_vectors(count: int):
 
 def _draw_connection(cfg, rng):
     key, z, X, Y, W = _draw_vectors(3)(cfg, rng)
-    n = len(X)   # the chart dimension
-    M1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    M2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return key, z, X, Y, W, M1, M2
+    M = rng.standard_normal((4, len(X), len(X)))   # M1's real and imaginary parts, then M2's
+    return key, z, X, Y, W, M[0] + 1j * M[1], M[2] + 1j * M[3]
 
 
 def _check_christoffel_oracle(key, lck, Z):
@@ -350,7 +350,7 @@ def _draw_submersion(cfg, rng):
 
 
 def _draw_eq18(cfg, rng):
-    return "+", (0.9 + 0.6 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    return "+", (0.9 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random())
 
 
 def _draw_cr_tangential(cfg, rng):
@@ -461,7 +461,7 @@ def _check_eq8_transversal(c, rngs):
 
 def _check_eq5_invariance(c, rngs):
     V, V2 = _complement(c, rngs), _complement(c, rngs)
-    scale = np.array([r.uniform(0.2, 5.0) * (1.0 if r.uniform() < 0.5 else -1.0) for r in rngs])
+    scale = np.array([r.uniform(0.2, 5.0) * (1.0 if r.random() < 0.5 else -1.0) for r in rngs])
     shift = np.array([r.standard_normal() for r in rngs])
     N = _transversal(c, V)
     resid = np.abs(N - _transversal(c, scale[:, None] * V)).max(axis=-1)
@@ -548,7 +548,7 @@ def _draw_torus(cfg, rng):
 
 
 def _draw_retraction(cfg, rng):
-    return (*_draw_positive(cfg, rng), rng.uniform())
+    return (*_draw_positive(cfg, rng), rng.random())
 
 
 def _draw_leaf_radius(cfg, rng):
@@ -559,7 +559,7 @@ def _draw_leaf_radius(cfg, rng):
     a = arg / (2 * np.pi)   # the chart index of cr.chart_radius
     if min(a, 1.0 - a) < 1e-3:
         w = complex(np.exp(1j * (arg + 0.5)))  # nudge off the excluded leaf
-    return "+", w, np.stack([hopf_variates(cfg.n, rng) for _ in range(3)])
+    return "+", w, np.array([hopf_variates(cfg.n, rng) for _ in range(3)])
 
 
 def _check_deck_pullback(model, lck, Z):
@@ -616,8 +616,8 @@ def _check_leaf_radius(model, _, W, V):
         x = np.where(x > 1.0, x * model.lam, x)
     while np.any(x <= model.lam):
         x = np.where(x <= model.lam, x / model.lam, x)
-    return np.maximum(np.abs(x - crmod.chart_radius(model, W)),
-                      crmod.leaf_chart_image_check(model, W, zetas))
+    radius, image = crmod.leaf_chart_image_check(model, W, zetas)
+    return np.maximum(np.abs(x - radius), image)
 
 
 def _check_cayley_boundary(model, _, Z):
@@ -644,8 +644,8 @@ def _draw_witness(cfg, rng):
 
 def _draw_gab(cfg, rng):
     p = sample_tricerri(cfg.n, rng)
-    alpha = 1.0 + 3.0 * rng.uniform()
-    beta = np.exp(2j * np.pi * rng.uniform()) / np.sqrt(alpha)
+    alpha = 1.0 + 3.0 * rng.random()
+    beta = np.exp(2j * np.pi * rng.random()) / np.sqrt(alpha)
     return None, p, alpha, beta
 
 

@@ -283,7 +283,8 @@ def test_stacked_leaf_and_cayley_layers_equal_single_points(n, s):
         for stacked, one in ((labels, single), (W, W[i])):
             assert _bits([crmod._chart_index(stacked)[i], crmod.chart_radius(model, stacked)[i]]) == \
                 _bits([crmod._chart_index(one), crmod.chart_radius(model, one)])
-        assert _bits(image[i]) == _bits(crmod.leaf_chart_image_check(model, W[i], zetas[i]))
+        assert _bits([image[0][i], image[1][i]]) == \
+            _bits(crmod.leaf_chart_image_check(model, W[i], zetas[i]))
         zeta_one, residual_one = cayley(s, 1.0, pseudo[i])
         assert (_cbits(zeta[i]), _bits(residual[i])) == (_cbits(zeta_one), _bits(residual_one))
         assert _bits(cr_resid[i]) == _bits(crmod.cayley_cr_residual(model, 1.0, pseudo[i]))
@@ -335,14 +336,14 @@ def test_a_fault_at_draw_3_is_named_as_point_by_point(monkeypatch, suite):
     assert str(_on_the_cone(np.zeros(2, dtype=complex))) in result.error
 
 
-class _NaNUniform:
-    """A generator whose uniform() draws are NaN."""
+class _NaNRandom:
+    """A generator whose random() draws are NaN."""
 
     def __init__(self, rng):
         self._rng = rng
 
-    def uniform(self, *args, **kwargs):
-        return np.full_like(self._rng.uniform(*args, **kwargs), np.nan)[()]
+    def random(self, *args, **kwargs):
+        return np.full_like(self._rng.random(*args, **kwargs), np.nan)[()]
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -370,12 +371,12 @@ def test_a_fault_at_draw_3_of_a_positive_region_suite_keeps_its_message(monkeypa
     suite = suites_mod._BY_NAME[name]
     cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42)
     fault, expected = POSITIVE_REGION_FAULTS[name]
-    if fault is None:   # eq18 draws its parameter u from two uniforms
+    if fault is None:   # eq18 draws its parameter u from two random() uniforms
         draw, calls = suite.draw, []
 
         def planted(cfg, rng):
             calls.append(1)
-            return draw(cfg, _NaNUniform(rng) if len(calls) == 4 else rng)
+            return draw(cfg, _NaNRandom(rng) if len(calls) == 4 else rng)
 
         suite = replace(suite, draw=planted)
     else:

@@ -355,7 +355,8 @@ class TestLeafChartImage:
     def test_quarter_turn_samples(self):
         rng = np.random.default_rng(5)
         zetas = [sample_pseudosphere(2, 1, hopf_variates(2, rng)) for _ in range(20)]
-        assert leaf_chart_image_check(MODEL, 1j, zetas) < 1e-9
+        radius, residual = leaf_chart_image_check(MODEL, 1j, zetas)
+        assert radius == chart_radius(MODEL, 1j) and residual < 1e-9
 
     def test_half_turn_radius_value(self):
         radius = chart_radius(MODEL, -1.0)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcklab import cr as cr_mod
+from lcklab import models as models_mod
 from lcklab import sampling as sampling_mod
 from lcklab import suites as suites_mod
 from lcklab.models import CONE_MARGIN, HopfModel, hopf_chart
 from lcklab.report import RunConfig
 from lcklab.sampling import (
-    _Words, hopf_variates, point_states, sample_complement_vector, sample_frame_change,
+    TRICERRI_MIN_IM, _Words, hopf_variates, point_states, sample_complement_vector, sample_frame_change,
     sample_hopf, sample_null_config, sample_null_lee_vector, sample_pair_frame,
     sample_pseudosphere,
 )
@@ -83,6 +85,18 @@ class TestHopfSampler:
         for v, z in zip(P.reshape(100, -1), S.reshape(100, n)):
             assert sample_pseudosphere(n, s, v[None])[0].tobytes() == z.tobytes()
 
+    @pytest.mark.parametrize("regions", [["+", "+"], ["-", "-", "-"], ["-", "+", "-"]])
+    def test_a_stacks_region_mask_stands_for_its_names(self, regions):
+        # a Hopf check turns its draws' names into one mask for both
+        model = HopfModel(n=2, s=1, lam=0.5)
+        V = _variates(2, np.random.default_rng(1), len(regions))
+        positive = models_mod._positive_regions(regions)
+        assert sample_hopf(model, V, positive).tobytes() == sample_hopf(model, V, regions).tobytes()
+        named, masked = hopf_chart(model, regions).chart, hopf_chart(model, positive).chart
+        assert masked.name == named.name
+        Z = np.stack([sample_hopf(model, V, "+"), sample_hopf(model, V, "-")])
+        assert np.array_equal(masked.domain_pred(Z), named.domain_pred(Z))
+
     @pytest.mark.parametrize("regions", ["x", ["+", "-", "x"]])
     def test_a_region_other_than_plus_or_minus_is_refused(self, regions):
         # sample_hopf checks its regions as hopf_chart does
@@ -145,6 +159,171 @@ def test_a_hopf_run_maps_each_checks_points_in_one_call(monkeypatch):
     # its three pseudosphere points per draw as one (8, 3) stack
     assert len(calls) == len(SAMPLER_SUITES)
     assert sorted(calls) == sorted([(8, 18)] * 9 + [(8, 3, 18)])
+
+
+def test_a_hopf_check_checks_its_regions_once(monkeypatch):
+    built = []
+    original = models_mod._positive_regions
+
+    def counted(regions):
+        positive = original(regions)
+        if positive is not regions and not isinstance(regions, str):   # a stack's names
+            built.append(len(regions))
+        return positive
+
+    for module in (models_mod, sampling_mod, suites_mod):
+        monkeypatch.setattr(module, "_positive_regions", counted)
+    report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42, suites=("all",)))
+    assert all(r.verdict == "pass" for r in report.results)
+    # one build per stacked check: levi-signature stacks no points
+    assert built == [6] * (len(report.results) - 1)
+
+
+def test_a_leaf_radius_check_takes_each_radius_once(monkeypatch):
+    calls = []
+    original = cr_mod.chart_radius
+
+    def counted(model, w):
+        calls.append(np.shape(w))
+        return original(model, w)
+
+    monkeypatch.setattr(cr_mod, "chart_radius", counted)
+    cfg = RunConfig(model="hopf", n=2, s=1, points=6, seed=42, suites=("lemma7-leaf-radius",))
+    assert [r.verdict for r in run_config(cfg).results] == ["pass"]
+    assert calls == [(6,)]
+
+
+# Every draw of the hopf, tricerri and flat suites as it read its
+# generator call by call before its calls were fused: the region from
+# uniform() < 0.5, a Hopf point's variates from standard_normal(2n) then
+# random(2), and a complex vector from two standard_normal(n) calls.  The
+# fused draws must give the same numbers and leave the generator where
+# these leave it.
+def _old_complex(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _old_variates(n, rng):
+    return np.concatenate([rng.standard_normal(2 * n), rng.random(2)])
+
+
+def _old_hopf(cfg, rng):
+    region = "+" if rng.uniform() < 0.5 else "-"
+    return region, _old_variates(cfg.n, rng)
+
+
+def _old_positive(cfg, rng):
+    return "+", _old_variates(cfg.n, rng)
+
+
+def _old_tricerri(n, rng):
+    w = rng.standard_normal() + 1j * (TRICERRI_MIN_IM + abs(rng.standard_normal()))
+    return np.concatenate([[w], _old_complex(rng, n)])
+
+
+OLD_POINTS = {"hopf": _old_hopf,
+              "tricerri": lambda cfg, rng: (None, _old_tricerri(cfg.n, rng)),
+              "flat": lambda cfg, rng: (None, _old_complex(rng, cfg.n))}
+
+
+def _old_point(cfg, rng):
+    return OLD_POINTS[cfg.model](cfg, rng)
+
+
+def _old_vectors(count):
+    def draw(cfg, rng):
+        key, z = _old_point(cfg, rng)
+        dim = cfg.n + (cfg.model == "tricerri")
+        return (key, z) + tuple(_old_complex(rng, dim) for _ in range(count))
+    return draw
+
+
+def _old_connection(cfg, rng):
+    drawn = _old_vectors(3)(cfg, rng)
+    dim = len(drawn[2])
+    M1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    M2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return drawn + (M1, M2)
+
+
+def _old_witness(cfg, rng):
+    key, p = _old_point(cfg, rng)
+    p[0] = p[0].real + 1j
+    return key, p
+
+
+def _old_leaf_radius(cfg, rng):
+    w = complex(np.exp(2j * np.pi * rng.uniform()))
+    arg = float(np.angle(w)) % (2 * np.pi)
+    a = arg / (2 * np.pi)
+    if min(a, 1.0 - a) < 1e-3:
+        w = complex(np.exp(1j * (arg + 0.5)))
+    return "+", w, np.stack([_old_variates(cfg.n, rng) for _ in range(3)])
+
+
+def _old_gab(cfg, rng):
+    p = _old_tricerri(cfg.n, rng)
+    alpha = 1.0 + 3.0 * rng.uniform()
+    beta = np.exp(2j * np.pi * rng.uniform()) / np.sqrt(alpha)
+    return None, p, alpha, beta
+
+
+OLD_DRAWS = {
+    **dict.fromkeys(["christoffel-oracle", "prop1-lee-field", "prop2-lee-field", "parallel-lee",
+                     "prop2-nabla-b", "thm4-integrability", "thm4-plane-gram", "thm4-hp",
+                     "thm2-deck-pullback"], _old_point),
+    **dict.fromkeys(["eq1-leaf-signature", "hopf-diffeo-roundtrip"], _old_hopf),
+    **dict.fromkeys(["fibration-split", "thm5-leaf-space", "cayley-boundary", "levi-hopf-leaf"],
+                    _old_positive),
+    **dict.fromkeys(["eq20-nabla-j", "weyl-dj"], _old_vectors(2)),
+    "nonparallel-lee": _old_witness,
+    "thm1-totally-geodesic":
+        lambda cfg, rng: _old_point(cfg, rng) + (rng.standard_normal((2, 2 * cfg.n - 1)),),
+    "eq18-mean-curvature":
+        lambda cfg, rng: ("+", (0.9 + 0.6 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())),
+    "connection-identities": _old_connection,
+    "torus-isometry": lambda cfg, rng: _old_hopf(cfg, rng) + (
+        complex(rng.standard_normal() * 0.5, rng.standard_normal() * 2.0),),
+    "submersion-fibre-invariance":
+        lambda cfg, rng: _old_positive(cfg, rng) + (rng.standard_normal((2, 2 * cfg.n - 2)),),
+    "retraction-monotonicity": lambda cfg, rng: _old_positive(cfg, rng) + (rng.uniform(),),
+    "lemma7-leaf-radius": _old_leaf_radius,
+    "levi-signature": lambda cfg, rng: None,
+    "cr-tangential": lambda cfg, rng: _old_positive(cfg, rng) + (_old_complex(rng, cfg.n),),
+    "gab-invariance": _old_gab,
+}
+
+
+def _bits_of(x):
+    """A draw's bytes with each field's type, dtype and shape."""
+    if x is None or isinstance(x, str):
+        return x
+    if isinstance(x, tuple):
+        return tuple(_bits_of(v) for v in x)
+    a = np.asarray(x)
+    return type(x).__name__, a.dtype.str, a.shape, a.tobytes()
+
+
+def test_every_chart_suite_has_an_old_draw():
+    assert set(OLD_DRAWS) == {s.name for s in SUITES if s.models & set(OLD_POINTS)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       st.integers(0, 2**64 - 1))
+def test_every_chart_draw_reads_its_generator_as_its_old_recipe(ns, seed):
+    n, s = ns
+    for model in OLD_POINTS:
+        cfg = RunConfig(model=model, n=n, s=s, points=1, seed=seed)
+        for suite in SUITES:
+            if not suite.applicable(cfg):
+                continue
+            ours, ref = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+            for _ in range(3):
+                assert _bits_of(suite.draw(cfg, ours)) == _bits_of(OLD_DRAWS[suite.name](cfg, ref)), \
+                    (model, suite.name)
+            assert ours.bit_generator.random_raw() == ref.bit_generator.random_raw(), \
+                (model, suite.name)
 
 
 class TestNullConfigForm:
