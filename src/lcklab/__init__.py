@@ -34,7 +34,6 @@ from .cr import (
     tangential_cr_residual,
 )
 from .foliations import (
-    FoliationFibre,
     complex_submanifold_mean_curvature,
     first_foliation_fibre,
     gauss_weingarten,

@@ -1,34 +1,37 @@
 """Canonical foliations and their extrinsic geometry.
 
 First foliation: kernel of the Lee form (a hyperplane distribution),
-with the nondegenerate splitting when c != 0 and the screen/lightlike
-transversal construction when the Lee field is null.  Second foliation:
-the plane spanned by the Lee and anti-Lee fields, its integrability,
-the isotropic transversal pair for null Lee data, and the vanishing of
-second fundamental forms.  Also the complex-submanifold second
-fundamental form law and the mean curvature it forces, on complex affine
-subspaces, where it takes no finite difference.
+transversal to the Lee line when c != 0 and, when the Lee field is null,
+a lightlike hypersurface distribution whose screen (Duggal-Bejancu)
+carries the canonical null transversal N_V.  Second foliation: the plane
+spanned by the Lee and anti-Lee fields, its integrability, the isotropic
+transversal pair for null Lee data, and the vanishing of second
+fundamental forms.  Also the complex-submanifold second fundamental form
+law and the mean curvature it forces, on complex affine subspaces, where
+it takes no finite difference.
 
-Tangent/transversal decompositions at a point are done against the real
-interleaved coordinates of the chart, a subspace being the array of its
-basis rows (see semieuclid); vector fields entering covariant
-derivatives are extended off the fibre by pointwise projection, which is
-legitimate because second fundamental forms are tensorial in their
-arguments.
+A fibre is the array of its basis rows in the real interleaved
+coordinates of the chart (see semieuclid): first_foliation_fibre returns
+the tangent rows (..., 2n-1, 2n) of ker omega and second_foliation_fibre
+the plane rows A, B (..., 2, 2n).  The Lee data a caller pairs them with
+(form, c) is lee_data's.  gauss_weingarten builds the one transversal it
+reads at its point, B where c != 0 and N_V where c = 0.  Vector fields
+entering covariant derivatives are extended off the fibre by pointwise
+projection, which is legitimate because second fundamental forms are
+tensorial in their arguments.
 
-Stacks: the fibres, h_P_residual, integrability_residual and
-complex_submanifold_mean_curvature take a stack of points (..., n), a
-point (n,) being a stack with no leading axes, and gauss_weingarten
-reads its points from its fibre.  Every member of the result carries the stack's axes first
-(FoliationFibre holds stacked row bases over a stacked form, and a
-residual is an array of the stack's shape), and each row carries the
-bits of the single-point call.  The points of one stack must share a Lee branch:
-all non-null or all null; a mixed stack raises ValueError.
+Stacks: every function here that takes a point takes a stack of points
+(..., n), a point (n,) being a stack with no leading axes, and the
+transversal constructions take their vectors stacked alike.  Every
+result carries the stack's axes first, and each row carries the bits of
+the single-point call.  The fibres answer any stack; gauss_weingarten
+and h_P_residual, whose result depends on the Lee branch, need the
+points of one stack to share it (all non-null or all null), and a mixed
+stack raises ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,11 +58,10 @@ from .semieuclid import (
     _kernel,
     independent_rows,
     inner,
-    orthogonal_complement,
 )
 
 __all__ = [
-    "FoliationFibre", "first_foliation_fibre", "lightlike_transversal", "gauss_weingarten",
+    "first_foliation_fibre", "lightlike_transversal", "gauss_weingarten",
     "second_foliation_fibre", "integrability_residual",
     "isotropic_transversal_pair", "h_P_residual", "complex_submanifold_mean_curvature",
 ]
@@ -67,25 +69,6 @@ __all__ = [
 # Relative tolerance of the checks that caller-supplied vectors are
 # g-orthogonal to a screen.
 ORTHO_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FoliationFibre:
-    """Pointwise data of a foliation: tangent fibre and its splitting,
-    each subspace a row basis (..., k, 2n)."""
-
-    point: np.ndarray
-    c: np.ndarray       # g(B, B), per point of the stack
-    tangent: np.ndarray
-    radical: np.ndarray
-    screen: np.ndarray
-    transversal: np.ndarray
-    form: SemiEuclideanForm
-
-
-def _lck_point(lck: LCKStructure, z: np.ndarray) -> tuple[LeeData, SemiEuclideanForm]:
-    data = _nonsingular(lee_data(lck, z))
-    return data, data.form
 
 
 def _lee_branch(data: LeeData) -> bool:
@@ -113,32 +96,12 @@ def _screen_split(form: SemiEuclideanForm, radical: np.ndarray,
     return screen, _kernel(screen @ form.gram)
 
 
-def first_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
-    """Fibre of the hyperplane foliation omega = 0 at z (a point or a stack).
-
-    c != 0: the fibre is nondegenerate, the Lee line is transversal and
-    the screen is the whole fibre.  c = 0: the Lee line is the radical,
-    the screen is its Euclidean orthocomplement inside the fibre, and the
-    transversal is the canonical null line normalized against omega.
-    """
-    z = np.asarray(z, dtype=complex)
-    data, form = _lck_point(lck, z)
-    omega, Breal = data.omega_real, data.B_real
-    tangent = _kernel(_rows(omega))
-    lee_line = independent_rows(form, _rows(Breal))
-    if _lee_branch(data):
-        return FoliationFibre(point=z, c=data.c, tangent=tangent,
-                              radical=tangent[..., :0, :], screen=tangent,
-                              transversal=lee_line, form=form)
-    screen, screen_perp = _screen_split(form, lee_line, tangent)
-    V_rows = _complement_within(lee_line, screen_perp)
-    if V_rows.shape[-2] != 1:
-        raise ValueError("could not isolate a complement of the Lee line")
-    N = lightlike_transversal(form, omega, Breal, screen, V_rows[..., 0, :])
-    return FoliationFibre(point=z, c=data.c, tangent=tangent, radical=lee_line,
-                          screen=screen,
-                          transversal=independent_rows(form, _rows(N)),
-                          form=form)
+def first_foliation_fibre(lck: LCKStructure, z) -> np.ndarray:
+    """Tangent rows (..., 2n-1, 2n) of the hyperplane foliation omega = 0
+    at z (a point or a stack), on either Lee branch: where c = 0 they
+    contain the Lee field, the fibre's radical."""
+    data = _nonsingular(lee_data(lck, np.asarray(z, dtype=complex)))
+    return _kernel(_rows(data.omega_real))
 
 
 def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
@@ -170,6 +133,18 @@ def lightlike_transversal(form: SemiEuclideanForm, omega: np.ndarray,
     return (V - (gVV / (2.0 * wV))[..., None] * B) / wV[..., None]
 
 
+def _null_transversal(data: LeeData) -> np.ndarray:
+    """N_V of the first foliation where c = 0: the screen is the Euclidean
+    complement of the Lee line inside ker omega, and V spans the
+    complement of the Lee line inside the screen's g-orthocomplement."""
+    form, omega, lee_line = data.form, data.omega_real, _rows(data.B_real)
+    screen, screen_perp = _screen_split(form, lee_line, _kernel(_rows(omega)))
+    V_rows = _complement_within(lee_line, screen_perp)
+    if V_rows.shape[-2] != 1:
+        raise ValueError("could not isolate a complement of the Lee line")
+    return lightlike_transversal(form, omega, data.B_real, screen, V_rows[..., 0, :])
+
+
 def _tangential_extension(lck: LCKStructure, vec: np.ndarray) -> Callable:
     """Extend a tangent vector (one per point of a stack) to a section of
     ker(omega) by projecting a coordinate-constant field pointwise
@@ -186,71 +161,46 @@ def _tangential_extension(lck: LCKStructure, vec: np.ndarray) -> Callable:
     return field
 
 
-def _transversal_part(data: LeeData, fibre: FoliationFibre, w: np.ndarray) -> np.ndarray:
-    """The transversal part of a real vector against tangent + transversal
-    of the first foliation at data's point, using the omega-normalization
-    of the transversal (omega(N_V) = 1 where c = 0)."""
-    coeff = np.vecdot(data.omega_real, w) / np.where(data.non_null, fibre.c, 1.0)
-    return coeff[..., None] * fibre.transversal[..., 0, :]
-
-
-def gauss_weingarten(lck: LCKStructure, fibre: FoliationFibre, X,
-                     Y) -> tuple[np.ndarray, np.ndarray]:
+def gauss_weingarten(lck: LCKStructure, z, X, Y) -> tuple[np.ndarray, np.ndarray]:
     """(h, h_symmetry_residual): the transversal part h = tra(nabla_X Y)
-    against the fibre decomposition, and max |h(X, Y) - h(Y, X)| relative
-    to the transversal's size, per point of the stack.
+    of the first foliation, and max |h(X, Y) - h(Y, X)| relative to the
+    transversal's size, per point of the stack.
 
-    X, Y are tangent vectors at z = fibre.point in real interleaved
+    The transversal is B where c != 0 and N_V where c = 0; h is its
+    omega-normalized multiple, omega(w) / c times B or omega(w) times N_V
+    (omega(N_V) = 1).  X, Y are tangent vectors at z in real interleaved
     coordinates, extended as sections of the tangent distribution by
     pointwise projection.  z may be a stack, with one X and Y per point;
     the two fields share one stencil evaluation.
     """
-    z = fibre.point
+    z = np.asarray(z, dtype=complex)
     chart = lck.chart
     gamma = christoffel(chart, z)
-    data = lee_data(lck, z)
+    data = _nonsingular(lee_data(lck, z))
+    if _lee_branch(data):
+        N, denom = data.B_real, data.c
+    else:
+        N, denom = _null_transversal(data), 1.0
 
-    scale = np.maximum(1.0, np.abs(fibre.transversal).max(axis=(-2, -1)))
+    def transversal_part(w):
+        return (np.vecdot(data.omega_real, w) / denom)[..., None] * N
+
+    scale = np.maximum(1.0, np.abs(N).max(axis=-1))
     Xfield = _tangential_extension(lck, np.asarray(X, dtype=float))
     Yfield = _tangential_extension(lck, np.asarray(Y, dtype=float))
     dX, dY = _field_derivatives([Xfield, Yfield], z, chart=chart)
     Xv, Yv = Xfield(z), Yfield(z)
-    traXY = _transversal_part(data, fibre, real_coords(covariant_derivative(gamma, Xv, Yv, dY)))
-    traYX = _transversal_part(data, fibre, real_coords(covariant_derivative(gamma, Yv, Xv, dX)))
+    traXY = transversal_part(real_coords(covariant_derivative(gamma, Xv, Yv, dY)))
+    traYX = transversal_part(real_coords(covariant_derivative(gamma, Yv, Xv, dX)))
     return traXY, _max_abs(traXY - traYX, 1) / scale
 
 
-def second_foliation_fibre(lck: LCKStructure, z) -> FoliationFibre:
-    """Fibre of the Lee/anti-Lee plane foliation at z (a point or a stack).
-
-    c != 0: a definite plane (sign c) with the orthocomplement as
-    transversal.  c = 0: the plane is its own radical (isotropic for
-    n >= 3, totally lightlike for n = 2); the transversal combines the
-    isotropic pair with the screen of the orthocomplement when n >= 3
-    and falls back to a Euclidean complement for n = 2.
-    """
-    z = np.asarray(z, dtype=complex)
-    data, form = _lck_point(lck, z)
-    A, B = data.A_real, data.B_real
-    tangent = independent_rows(form, _rows(A, B))
-    perp = orthogonal_complement(form, tangent)
-    if _lee_branch(data):
-        return FoliationFibre(point=z, c=data.c, tangent=tangent,
-                              radical=tangent[..., :0, :], screen=tangent,
-                              transversal=perp, form=form)
-    screen, sperp = _screen_split(form, tangent, perp)
-    if lck.chart.n >= 3:
-        E_rows = _complement_within(tangent, sperp)
-        N1, N2 = isotropic_transversal_pair(form, data.omega_real, data.theta_real,
-                                            A, B, screen, E_rows[..., 0, :], E_rows[..., 1, :])
-        trans_rows = np.concatenate([_rows(N1, N2), screen], axis=-2)
-    else:
-        eye = np.broadcast_to(np.eye(form.dim), tangent.shape[:-2] + (form.dim,) * 2)
-        trans_rows = _complement_within(tangent, eye)
-    return FoliationFibre(point=z, c=data.c, tangent=tangent, radical=tangent,
-                          screen=tangent[..., :0, :],
-                          transversal=independent_rows(form, trans_rows),
-                          form=form)
+def second_foliation_fibre(lck: LCKStructure, z) -> np.ndarray:
+    """Plane rows A, B (..., 2, 2n) of the Lee/anti-Lee foliation at z (a
+    point or a stack), checked independent: a definite plane of sign c
+    where c != 0, a totally null one where c = 0."""
+    data = _nonsingular(lee_data(lck, np.asarray(z, dtype=complex)))
+    return independent_rows(data.form, _rows(data.A_real, data.B_real))
 
 
 def _plane_projection_residual(plane: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -334,7 +284,8 @@ def h_P_residual(lck: LCKStructure, z) -> tuple[np.ndarray, np.ndarray]:
     """
     z = np.asarray(z, dtype=complex)
     nabla = _lee_plane_connection(lck, z, christoffel(lck.chart, z))
-    data, form = _lck_point(lck, z)     # the plane is the second foliation's fibre
+    data = _nonsingular(lee_data(lck, z))
+    form = data.form
     e0, e1 = data.A_real, data.B_real
     non_null = _lee_branch(data)
     worst = None

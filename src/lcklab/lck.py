@@ -86,7 +86,7 @@ class LeeData:
 
     The metric is H: charts._g pairs and charts._lower lowers through it.
     The cached members hold B and A in real interleaved coordinates, the
-    real Gram, omega and theta as real covectors and the null test of c;
+    real Gram, omega as a real covector and the null test of c;
     each is derived from H when first asked for, then kept, as is `form`,
     the validated real form (a stacked form for a stack).
     """
@@ -115,10 +115,6 @@ class LeeData:
     @cached_property
     def omega_real(self) -> np.ndarray:
         return _read_only(np.matvec(self.real_gram, self.B_real))
-
-    @cached_property
-    def theta_real(self) -> np.ndarray:
-        return _read_only(np.matvec(self.real_gram, self.A_real))
 
     @cached_property
     def non_null(self) -> np.ndarray:

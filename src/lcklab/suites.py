@@ -267,18 +267,17 @@ def _check_parallel_lee(key, lck, Z):
 
 
 def _check_thm1_geodesic(key, lck, Z, coeffs):
-    fib = fol.first_foliation_fibre(lck, Z)
-    basisT = fib.tangent.swapaxes(-1, -2)
+    basisT = fol.first_foliation_fibre(lck, Z).swapaxes(-1, -2)
     X = np.matvec(basisT, coeffs[:, 0])          # coeffs[0] @ basis, per point
     Y = np.matvec(basisT, coeffs[:, 1])
-    h, h_symmetry = fol.gauss_weingarten(lck, fib, X, Y)
+    h, h_symmetry = fol.gauss_weingarten(lck, Z, X, Y)
     return np.maximum(np.abs(h).max(axis=-1), h_symmetry)
 
 
 def _check_eq1_signature(model, lck, Z):
     _require_domain(lck.chart, Z)
-    fib = fol.first_foliation_fibre(lck, Z)
-    _, index, null = signature_of(fib.form, fib.tangent)
+    tangent = fol.first_foliation_fibre(lck, Z)
+    _, index, null = signature_of(lee_data(lck, Z).form, tangent)
     s = lck.chart.s
     expect = np.where(model.a(Z) > 0, 2 * s, 2 * s - 1)
     return np.abs(index - expect) + null
@@ -290,9 +289,10 @@ def _check_thm4_integrability(key, lck, Z):
 
 def _check_thm4_plane_gram(key, lck, Z):
     _require_domain(lck.chart, Z)
-    fib = fol.second_foliation_fibre(lck, Z)
-    expect = fib.c[:, None, None] * np.eye(2)
-    return np.abs(restricted_gram(fib.form, fib.tangent) - expect).max(axis=(-2, -1))
+    plane = fol.second_foliation_fibre(lck, Z)
+    data = lee_data(lck, Z)
+    expect = data.c[:, None, None] * np.eye(2)
+    return np.abs(restricted_gram(data.form, plane) - expect).max(axis=(-2, -1))
 
 
 def _check_thm4_hp(key, lck, Z):
@@ -526,9 +526,9 @@ def _check_prop4_null(c, _):
     resid = np.hypot(along.real, along.imag)        # abs() of a Python complex
     levi = crmod.levi_form(lck, z, Z[:, None])[:, 0, 0]
     resid = np.maximum(resid, np.hypot(levi.real, levi.imag))
-    fib = fol.first_foliation_fibre(lck, z)
-    plane = independent_rows(fib.form, np.stack([data.A_real, data.B_real], axis=-2))
-    resid = np.maximum(resid, np.where(contains_span(fib.tangent, plane, 1e-9), 0.0, 1.0))
+    plane = fol.second_foliation_fibre(lck, z)
+    resid = np.maximum(resid, np.where(
+        contains_span(fol.first_foliation_fibre(lck, z), plane, 1e-9), 0.0, 1.0))
     if c.n == 2:
         t10 = crmod.cr_fibre(lck, z)
         levi_H = crmod.levi_distribution(t10)
@@ -609,15 +609,21 @@ def _check_leaf_space(model, _, Z):
 def _check_leaf_radius(model, _, W, V):
     zetas = sample_pseudosphere(model.n, model.s, V)   # (m, 3, n) in one pass
     # independent oracle: deck-reduce the norm of the representative
-    # lambda^(a+3) zeta of the leaf into (lambda, 1]
+    # lambda^(a+3) zeta of the leaf, below lambda^3, up into (lambda, 1]:
+    # four deck steps at most.  The norm is the mantissa's times zeta,
+    # scaled by the exponent: exact, and no square of lambda^(a+3)
+    # underflows.  A representative off the normal floats is a point fault.
     a = (np.angle(W) % (2 * np.pi)) / (2 * np.pi)
-    x = model.norm_sn(np.float_power(model.lam, a + 3.0)[:, None] * zetas[:, 0])
-    while np.any(x > 1.0):
-        x = np.where(x > 1.0, x * model.lam, x)
-    while np.any(x <= model.lam):
+    rep = np.float_power(model.lam, a + 3.0)
+    if np.any(rep < np.finfo(float).tiny):
+        raise FloatingPointError(f"lambda^(a+3) underflows at lambda = {model.lam}")
+    mantissa, exponent = np.frexp(rep)
+    x = np.ldexp(model.norm_sn(mantissa[:, None] * zetas[:, 0]), exponent)
+    for _ in range(4):
         x = np.where(x <= model.lam, x / model.lam, x)
     radius, image = crmod.leaf_chart_image_check(model, W, zetas)
-    return np.maximum(np.abs(x - radius), image)
+    resid = np.maximum(np.abs(x - radius), image)
+    return np.where((model.lam < x) & (x <= 1.0), resid, np.maximum(resid, 1.0))
 
 
 def _check_cayley_boundary(model, _, Z):

@@ -55,7 +55,9 @@ from lcklab.sampling import (
     sample_tricerri,
     sample_unit_circle,
 )
-from lcklab.semieuclid import independent_rows, inner, restricted_gram, same_span, signature_of
+from lcklab.semieuclid import (
+    contains_span, independent_rows, inner, orthogonal_complement, restricted_gram, signature_of,
+)
 
 
 def report(k: int, text: str) -> None:
@@ -143,17 +145,17 @@ def test_criterion_04_totally_geodesic_and_signature():
     worst = 0.0
     for _ in range(100):
         z = sample_hopf(model, hopf_variates(model.n, rng))
-        fib = first_foliation_fibre(lck, z)
-        coeff = rng.standard_normal((2, fib.tangent.shape[-2]))
-        h, _ = gauss_weingarten(lck, fib, coeff[0] @ fib.tangent, coeff[1] @ fib.tangent)
+        tangent = first_foliation_fibre(lck, z)
+        coeff = rng.standard_normal((2, tangent.shape[-2]))
+        h, _ = gauss_weingarten(lck, z, coeff[0] @ tangent, coeff[1] @ tangent)
         worst = np.maximum(worst, float(np.abs(h).max()))
     assert worst < 1e-5
     for n, s in ((2, 1), (3, 1), (3, 2)):
         for region, expect in (("+", 2 * s), ("-", 2 * s - 1)):
             m, lc = hopf_pair(n, s, region)
             for _ in range(10):
-                fib = first_foliation_fibre(lc, sample_hopf(m, hopf_variates(m.n, rng), region))
-                _, index, null = signature_of(fib.form, fib.tangent)
+                z = sample_hopf(m, hopf_variates(m.n, rng), region)
+                _, index, null = signature_of(lee_data(lc, z).form, first_foliation_fibre(lc, z))
                 assert index == expect and null == 0
     report(4, f"leaf second fundamental form {worst:.2e}, indices match")
 
@@ -197,15 +199,18 @@ def test_criterion_06_second_foliation():
         for _ in range(50):
             z = sample_hopf(model, hopf_variates(model.n, rng), region)
             worst_br = np.maximum(worst_br, integrability_residual(lck, z))
-            fib = second_foliation_fibre(lck, z)
+            plane = second_foliation_fibre(lck, z)
             worst_gram = np.maximum(worst_gram, float(np.abs(
-                restricted_gram(fib.form, fib.tangent) - 4.0 * sign * np.eye(2)).max()))
+                restricted_gram(lee_data(lck, z).form, plane) - 4.0 * sign * np.eye(2)).max()))
     assert worst_br < 1e-5
     assert worst_gram < 1e-9
     from lcklab.models import synthetic_null_structure
     syn = synthetic_null_structure(3, 1)
-    fib = second_foliation_fibre(syn, np.zeros(3, dtype=complex))
-    assert fib.radical.shape[-2] == 2 and same_span(fib.radical, fib.tangent, 1e-10)
+    z = np.zeros(3, dtype=complex)
+    form, plane = lee_data(syn, z).form, second_foliation_fibre(syn, z)
+    # the plane is its own radical: it lies in its g-orthocomplement
+    assert signature_of(form, plane) == (0, 0, 2)
+    assert contains_span(orthogonal_complement(form, plane), plane, 1e-10)
     report(6, f"bracket off-plane {worst_br:.2e}, plane Gram {worst_gram:.2e}, "
               f"null plane equals its radical")
 

@@ -113,15 +113,15 @@ def test_null_branch_stacks_equal_single_points(n, s):
     rng = np.random.default_rng(n)
     Z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     first, second = fol.first_foliation_fibre(syn, Z), fol.second_foliation_fibre(syn, Z)
-    X, Y = first.tangent[:, 1], first.tangent[:, 2]
-    h, h_sym = fol.gauss_weingarten(syn, first, X, Y)
+    N = fol._null_transversal(lck_mod.lee_data(syn, Z))
+    X, Y = first[:, 1], first[:, 2]
+    h, h_sym = fol.gauss_weingarten(syn, Z, X, Y)
     (h_P, nabla_AA), bracket = fol.h_P_residual(syn, Z), fol.integrability_residual(syn, Z)
     for i, z in enumerate(Z):
-        one, two = fol.first_foliation_fibre(syn, z), fol.second_foliation_fibre(syn, z)
-        for stacked, single in ((first, one), (second, two)):
-            for part in ("tangent", "radical", "screen", "transversal"):
-                assert np.array_equal(getattr(stacked, part)[i], getattr(single, part))
-        h_one, h_sym_one = fol.gauss_weingarten(syn, one, X[i], Y[i])
+        assert np.array_equal(first[i], fol.first_foliation_fibre(syn, z))
+        assert np.array_equal(second[i], fol.second_foliation_fibre(syn, z))
+        assert np.array_equal(N[i], fol._null_transversal(lck_mod.lee_data(syn, z)))
+        h_one, h_sym_one = fol.gauss_weingarten(syn, z, X[i], Y[i])
         assert np.array_equal(h[i], h_one)
         assert h_sym[i] == h_sym_one
         assert (h_P[i], nabla_AA[i]) == fol.h_P_residual(syn, z)
@@ -686,27 +686,31 @@ class TestDerivedOnce:
         fol._screen_split(c.form, radical, space)
         assert len(svds) == 2
 
-    def test_a_null_algebra_run_takes_41_svds_and_no_cond(self, monkeypatch):
+    def test_a_null_algebra_run_takes_35_svds_and_no_cond(self, monkeypatch):
         # 52 SVDs and one np.linalg.cond before rank checks stopped
         # repeating the SVDs of orthonormal rows and the Gram conditioning
         # became one eigvalsh; 42 before prop4-null-leaf built its CR
-        # basis only at n = 2, the one dimension that reads it
+        # basis only at n = 2, the one dimension that reads it; 41 before
+        # prop4-null-leaf's first foliation fibre stopped building the
+        # screen, radical and transversal it does not read
         svds = self._counted(monkeypatch, np.linalg, "svd")
         conds = self._counted(monkeypatch, np.linalg, "cond")
         report = run_config(RunConfig(model="synthetic-null", n=3, s=1, points=40, seed=42,
                                       suites=("all",)))
         assert {r.verdict for r in report.results} == {"pass"}
-        assert (len(svds), len(conds)) == (41, 0)
+        assert (len(svds), len(conds)) == (35, 0)
 
-    def test_a_hopf_run_takes_13_svds(self, monkeypatch):
+    def test_a_hopf_run_takes_10_svds(self, monkeypatch):
         # 16 before orthogonal_complement stopped re-checking the rank of a
         # subspace's rows, which independent_rows or an SVD already proved
-        # independent
+        # independent; 13 before the foliation fibres stopped checking the
+        # Lee line and building the second fibre's transversal, which no
+        # check reads
         svds = self._counted(monkeypatch, np.linalg, "svd")
         report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
                                       suites=("all",)))
         assert {r.verdict for r in report.results} == {"pass"}
-        assert len(svds) == 13
+        assert len(svds) == 10
 
     def test_closed_form_hopf_suites_build_one_chart_per_check(self, monkeypatch):
         builds = []

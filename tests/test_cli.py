@@ -31,13 +31,13 @@ def _residuals(cfg, draws):
     return list(draws)
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, timeout=None):
     import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "lcklab.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env=full_env, timeout=timeout)
 
 
 class TestRegistry:
@@ -293,6 +293,20 @@ class TestCommandLine:
         assert out1.stdout == out2.stdout
         parsed = json.loads(out1.stdout)
         assert parsed["summary"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("lam, code, verdict", [
+        ("1e-50", 0, "pass"), ("1e-60", 0, "pass"), ("1e-80", 1, "error")])
+    def test_lemma7_returns_at_small_lambda(self, lam, code, verdict):
+        # the oracle squared lambda^(a+3) to 0.0, and deck-reducing 0.0
+        # never ended; where lambda^(a+3) itself leaves the normal floats
+        # the point is a fault, not a vacuous pass
+        out = run_cli(["--model", "hopf", "--lambda", lam, "--points", "20", "--seed", "1",
+                       "--suites", "lemma7-leaf-radius"], timeout=60)
+        assert out.returncode == code
+        (result,) = json.loads(out.stdout)["suites"]
+        assert result["verdict"] == verdict
+        if verdict == "error":
+            assert result["error"].startswith("FloatingPointError: lambda^(a+3) underflows")
 
     def test_exit_code_usage_error(self):
         out = run_cli(["--model", "hopf", "--n", "1", "--s", "1"])

@@ -8,6 +8,7 @@ from lcklab.charts import (
 )
 from lcklab.cr import cr_fibre
 from lcklab.foliations import (
+    _null_transversal,
     complex_submanifold_mean_curvature,
     first_foliation_fibre,
     gauss_weingarten,
@@ -41,37 +42,39 @@ HOPF_NEG = hopf_chart(MODEL, regions="-")
 
 class TestFirstFoliation:
     def test_hopf_reference_fibre(self):
-        fib = first_foliation_fibre(HOPF, np.array([0.0, 1.0]))
-        assert fib.tangent.shape[-2] == 3
-        assert fib.radical.shape[-2] == 0
-        d = lee_data(HOPF, np.array([0.0, 1.0]))
-        B = independent_rows(fib.form, [real_coords(d.B)])
-        assert not contains_span(fib.tangent, B, tol=1e-9)
-        assert signature_of(fib.form, fib.tangent)[1] == 2  # the index, 2s
+        z = np.array([0.0, 1.0])
+        tangent = first_foliation_fibre(HOPF, z)
+        assert tangent.shape == (3, 4)
+        d = lee_data(HOPF, z)
+        B = independent_rows(d.form, [real_coords(d.B)])
+        assert not contains_span(tangent, B, tol=1e-9)
+        # the index is 2s, and the fibre has no radical
+        assert signature_of(d.form, tangent)[1:] == (2, 0)
 
     def test_negative_region_index(self):
         z = np.array([1.3 + 0.4j, 0.2 - 0.1j])
-        fib = first_foliation_fibre(HOPF_NEG, z)
-        assert signature_of(fib.form, fib.tangent)[1] == 1  # the index, 2s - 1
+        tangent = first_foliation_fibre(HOPF_NEG, z)
+        assert signature_of(lee_data(HOPF_NEG, z).form, tangent)[1] == 1  # the index, 2s - 1
 
     def test_synthetic_null_fibre(self):
         syn = synthetic_null_structure(2, 1)
-        fib = first_foliation_fibre(syn, np.zeros(2, dtype=complex))
+        z = np.zeros(2, dtype=complex)
+        tangent = first_foliation_fibre(syn, z)
+        d = lee_data(syn, z)
         # tangent = span{B, e2, e4} in interleaved coordinates; oracle by
         # row reduction of omega = g(., e1+e3)
         expect = independent_rows(
-            fib.form, [[1.0, 0, 1, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
-        assert same_span(fib.tangent, expect, tol=1e-9)
-        B = real_coords(lee_data(syn, np.zeros(2, dtype=complex)).B)
-        assert same_span(fib.radical, independent_rows(fib.form, [B]),
-                         tol=1e-9)
-        assert fib.screen.shape[-2] == 2
-        cross = fib.screen @ fib.form.gram @ fib.radical.T
-        assert np.abs(cross).max() < 1e-10
+            d.form, [[1.0, 0, 1, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
+        assert same_span(tangent, expect, tol=1e-9)
+        # the radical is the Lee line: B is tangent and g-orthogonal to the fibre
+        B = real_coords(d.B)
+        assert contains_span(tangent, independent_rows(d.form, [B]), tol=1e-9)
+        assert np.abs(tangent @ d.form.gram @ B).max() < 1e-10
+        assert signature_of(d.form, tangent)[2] == 1
         # transversal normalization
-        omega = fib.form.gram @ B
-        N = fib.transversal[0]
-        assert abs(inner(fib.form, N, N)) < 1e-12
+        omega = d.form.gram @ B
+        N = _null_transversal(d)
+        assert abs(inner(d.form, N, N)) < 1e-12
         assert float(omega @ N) == pytest.approx(1.0, abs=1e-12)
 
     def test_level_set_coherence(self):
@@ -79,25 +82,33 @@ class TestFirstFoliation:
         rng = np.random.default_rng(0)
         for _ in range(10):
             z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
-            fib = first_foliation_fibre(HOPF, z)
+            tangent = first_foliation_fibre(HOPF, z)
             db = np.empty(4)
             eps = np.array([-1.0, 1.0])
             db[0::2] = 2 * eps * z.real
             db[1::2] = 2 * eps * z.imag
-            assert np.abs(fib.tangent @ db).max() < 1e-9
+            assert np.abs(tangent @ db).max() < 1e-9
 
 
 class TestNullConfigScreen:
     @pytest.mark.parametrize("n,s", [(2, 1), (3, 1), (4, 2)])
     def test_first_screen_is_the_foliation_screen(self, n, s):
-        B = sample_null_lee_vector(n, s, [np.random.default_rng(n + s)])[0]
-        cfg = sample_null_config(n, s, B)
+        rng = np.random.default_rng(n + s)
+        cfg = sample_null_config(n, s, sample_null_lee_vector(n, s, [rng])[0])
         lck = synthetic_null_structure(n, s, B_hol=cfg.B[0::2] + 1j * cfg.B[1::2])
-        fib = first_foliation_fibre(lck, np.zeros(n, dtype=complex))
+        z = np.zeros(n, dtype=complex)
+        tangent = first_foliation_fibre(lck, z)
         assert cfg.first_screen is cfg.first_screen
-        assert same_span(cfg.first_screen, fib.screen, 1e-10)
+        # the screen and the radical span{B} split the fibre
+        assert cfg.first_screen.shape[-2] == 2 * n - 2
+        assert same_span(tangent, np.concatenate([cfg.first_screen, cfg.B[None]]), 1e-10)
+        assert np.abs(cfg.first_screen @ cfg.form.gram @ cfg.B).max() < 1e-10
         perp = independent_rows(cfg.form, cfg.first_screen_perp)
-        assert same_span(perp, orthogonal_complement(fib.form, fib.screen), 1e-10)
+        assert same_span(perp, orthogonal_complement(cfg.form, cfg.first_screen), 1e-10)
+        # and give the transversal that gauss_weingarten reads
+        V = sample_complement_vector(cfg.first_screen_perp[None], cfg.omega[None], [rng])[0]
+        N = lightlike_transversal(cfg.form, cfg.omega, cfg.B, cfg.first_screen, V)
+        assert np.abs(N - _null_transversal(lee_data(lck, z))).max() < 1e-10
 
 
 class TestLightlikeTransversal:
@@ -147,19 +158,17 @@ class TestGaussWeingarten:
         rng = np.random.default_rng(1)
         for _ in range(25):
             z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
-            fib = first_foliation_fibre(HOPF, z)
+            tangent = first_foliation_fibre(HOPF, z)
             coeff = rng.standard_normal((2, 3))
-            X = coeff[0] @ fib.tangent
-            Y = coeff[1] @ fib.tangent
-            h, h_sym = gauss_weingarten(HOPF, fib, X, Y)
+            X = coeff[0] @ tangent
+            Y = coeff[1] @ tangent
+            h, h_sym = gauss_weingarten(HOPF, z, X, Y)
             assert np.abs(h).max() < 1e-6
             assert h_sym < 1e-6
 
     def test_builds_no_validated_form(self, monkeypatch):
         lck = hopf_chart(MODEL)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, np.random.default_rng(3)))
-        fib = first_foliation_fibre(lck, z)
-        X, Y = fib.tangent[0], fib.tangent[1]
         built = []
         validate = SemiEuclideanForm.__post_init__
 
@@ -168,14 +177,13 @@ class TestGaussWeingarten:
             validate(self)
 
         monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counted)
-        gauss_weingarten(lck, fib, X, Y)
+        X, Y = first_foliation_fibre(lck, z)[:2]
+        gauss_weingarten(lck, z, X, Y)
         assert built == []
 
     def test_null_branch_builds_no_validated_form(self, monkeypatch):
         syn = synthetic_null_structure(2, 1)
         z = np.zeros(2, dtype=complex)
-        fib = first_foliation_fibre(syn, z)
-        X, Y = fib.tangent[1], fib.tangent[2]
         built = []
         validate = SemiEuclideanForm.__post_init__
 
@@ -184,8 +192,9 @@ class TestGaussWeingarten:
             validate(self)
 
         monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counted)
-        gauss_weingarten(syn, fib, X, Y)
-        assert len(built) <= 1
+        X, Y = first_foliation_fibre(syn, z)[1:]
+        gauss_weingarten(syn, z, X, Y)
+        assert len(built) <= 1     # the screen of N_V reads the point's one form
 
     @pytest.mark.parametrize("n, s", [(2, 1), (3, 1), (4, 2), (5, 2)])
     def test_closed_form_null_transversal_is_the_fibre_transversal(self, n, s):
@@ -214,7 +223,7 @@ class TestGaussWeingarten:
             omega_hol, np.shape(p)))
         z = np.zeros(n, dtype=complex)
         for lck in (syn, weighted):
-            N = first_foliation_fibre(lck, z).transversal[0]
+            N = _null_transversal(lee_data(lck, z))   # the transversal gauss_weingarten reads
             closed = closed_form(lee_data(lck, z))
             assert np.abs(closed - N).max() <= 1e-12 * np.abs(N).max()
 
@@ -228,11 +237,11 @@ class TestGaussWeingarten:
         # the metric projection extension and a Euclidean kernel extension
         rng = np.random.default_rng(9)
         z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
-        fib = first_foliation_fibre(HOPF, z)
+        tangent = first_foliation_fibre(HOPF, z)
         d = lee_data(HOPF, z)
-        omega_z = fib.form.gram @ real_coords(d.B)
-        Xr = rng.standard_normal(3) @ fib.tangent
-        Yr = rng.standard_normal(3) @ fib.tangent
+        omega_z = d.real_gram @ real_coords(d.B)
+        Xr = rng.standard_normal(3) @ tangent
+        Yr = rng.standard_normal(3) @ tangent
 
         def metric_ext(vec):
             def field(p):
@@ -263,14 +272,13 @@ class TestGaussWeingarten:
         # makes C = omega(h); a synthetic perturbation is detected
         syn = synthetic_null_structure(2, 1)
         z = np.zeros(2, dtype=complex)
-        fib = first_foliation_fibre(syn, z)
-        X = fib.tangent[1]
-        Y = fib.tangent[2]
-        h, _ = gauss_weingarten(syn, fib, X, Y)
-        omega = fib.form.gram @ real_coords(lee_data(syn, z).B)
+        tangent = first_foliation_fibre(syn, z)
+        h, _ = gauss_weingarten(syn, z, tangent[1], tangent[2])
+        d = lee_data(syn, z)
+        omega = d.real_gram @ real_coords(d.B)
         C = float(omega @ h)
         assert abs(C) < 1e-12       # flat synthetic data: h = 0
-        fake = h + 0.3 * fib.transversal[0]
+        fake = h + 0.3 * _null_transversal(d)
         assert float(omega @ fake) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -286,36 +294,54 @@ def test_fibres_share_one_validated_form_per_point(monkeypatch):
 
     monkeypatch.setattr(SemiEuclideanForm, "__post_init__", counted)
     first_foliation_fibre(syn, z)
+    assert built == []      # ker omega is an SVD kernel, which reads no form
     second_foliation_fibre(syn, z)
     cr_fibre(syn, z)
     assert len(built) == 1
-    assert first_foliation_fibre(syn, z).form is lee_data(syn, z).form
     assert np.array_equal(lee_data(syn, z).form.gram, syn.chart.real_form(z).gram)
+
+
+def test_a_stack_mixing_lee_branches_is_refused_only_where_the_branch_is_read():
+    # point 0 carries a null Lee field, point 1 a timelike one
+    B_hol = np.array([[1, 1], [1, 0]], dtype=complex)
+    mixed = synthetic_null_structure(2, 1, B_hol=B_hol)
+    Z = np.zeros((2, 2), dtype=complex)
+    assert lee_data(mixed, Z).c.tolist() == [0.0, -1.0]
+    tangent, plane = first_foliation_fibre(mixed, Z), second_foliation_fibre(mixed, Z)
+    assert (tangent.shape, plane.shape) == ((2, 3, 4), (2, 2, 4))
+    for i, b in enumerate(B_hol):
+        one = synthetic_null_structure(2, 1, B_hol=b)
+        assert np.array_equal(tangent[i], first_foliation_fibre(one, Z[i]))
+        assert np.array_equal(plane[i], second_foliation_fibre(one, Z[i]))
+    with pytest.raises(ValueError, match="stack mixes null and non-null Lee fields"):
+        gauss_weingarten(mixed, Z, tangent[:, 1], tangent[:, 2])
+    with pytest.raises(ValueError, match="stack mixes null and non-null Lee fields"):
+        h_P_residual(mixed, Z)
 
 
 class TestSecondFoliation:
     def test_hopf_positive_plane(self):
-        fib = second_foliation_fibre(HOPF, np.array([0.0, 1.0]))
-        assert np.allclose(restricted_gram(fib.form, fib.tangent), 4.0 * np.eye(2), atol=1e-12)
-        assert fib.radical.shape[-2] == 0
+        z = np.array([0.0, 1.0])
+        plane, form = second_foliation_fibre(HOPF, z), lee_data(HOPF, z).form
+        assert np.allclose(restricted_gram(form, plane), 4.0 * np.eye(2), atol=1e-12)
+        assert signature_of(form, plane) == (2, 0, 0)   # no radical
 
     def test_hopf_negative_plane(self):
         z = np.array([1.3, 0.2], dtype=complex)
-        fib = second_foliation_fibre(HOPF_NEG, z)
-        assert np.allclose(restricted_gram(fib.form, fib.tangent), -4.0 * np.eye(2), atol=1e-12)
+        plane, form = second_foliation_fibre(HOPF_NEG, z), lee_data(HOPF_NEG, z).form
+        assert np.allclose(restricted_gram(form, plane), -4.0 * np.eye(2), atol=1e-12)
         # with the metric flipped by sign(c) the plane is Riemannian
-        assert signature_of(fib.form, fib.tangent) == (0, 2, 0)
+        assert signature_of(form, plane) == (0, 2, 0)
 
     def test_synthetic_null_plane_is_its_own_radical(self):
         syn = synthetic_null_structure(3, 1)
-        fib = second_foliation_fibre(syn, np.zeros(3, dtype=complex))
-        assert np.abs(restricted_gram(fib.form, fib.tangent)).max() < 1e-14
-        assert same_span(fib.radical, fib.tangent, 1e-10)
-        assert fib.tangent.shape[-2] == 2
-        # decomposition closes: tangent + transversal spans everything
-        total = independent_rows(
-            fib.form, np.vstack([fib.tangent, fib.transversal]))
-        assert total.shape[-2] == 6
+        z = np.zeros(3, dtype=complex)
+        plane, form = second_foliation_fibre(syn, z), lee_data(syn, z).form
+        assert plane.shape == (2, 6)
+        assert np.abs(restricted_gram(form, plane)).max() < 1e-14
+        # the plane lies in its own g-orthocomplement: it is its radical
+        assert contains_span(orthogonal_complement(form, plane), plane, 1e-10)
+        assert signature_of(form, plane) == (0, 0, 2)
 
     def test_integrability(self):
         rng = np.random.default_rng(2)
@@ -504,6 +530,5 @@ def test_torus_fibre_minimality():
     rng = np.random.default_rng(6)
     z = sample_hopf(MODEL, hopf_variates(MODEL.n, rng))
     d = lee_data(HOPF, z)
-    fib = second_foliation_fibre(HOPF, z)
-    B = independent_rows(fib.form, [real_coords(d.B)])
-    assert contains_span(fib.tangent, B, tol=1e-9)
+    B = independent_rows(d.form, [real_coords(d.B)])
+    assert contains_span(second_foliation_fibre(HOPF, z), B, tol=1e-9)

@@ -147,7 +147,6 @@ class TestRealMembers:
         assert np.array_equal(d.B_real, real_coords(d.B))
         assert np.array_equal(d.A_real, real_coords(d.A))
         assert np.array_equal(d.omega_real, gram @ real_coords(d.B))
-        assert np.array_equal(d.theta_real, gram @ real_coords(d.A))
         assert np.array_equal(d.omega, lee_form_components(lck, z))
         assert np.array_equal(d.H, lck.chart.hermitian(z))
         assert d.non_null == _non_null(d.c, real_coords(d.B))
@@ -157,7 +156,7 @@ class TestRealMembers:
         lck = hopf_chart(MODEL)
         z = np.array([0.3 + 0.1j, 1.2 - 0.4j])
         d = lee_data(lck, z)
-        names = ("real_gram", "B_real", "A_real", "omega_real", "theta_real")
+        names = ("real_gram", "B_real", "A_real", "omega_real")
         assert not any(name in vars(d) for name in names)
         for name in names:
             arr = getattr(d, name)
@@ -192,7 +191,7 @@ class TestStackedLeeData:
             assert d.c[i] == single.c
             assert np.array_equal(Om[i], kahler_form(lck.chart.hermitian(p)))
             for name in ("omega", "theta", "H", "B_real", "A_real",
-                         "omega_real", "theta_real", "non_null"):
+                         "omega_real", "non_null"):
                 assert np.array_equal(getattr(d, name)[i], getattr(single, name)), name
             assert np.array_equal(d.B[i], single.B)
             assert np.array_equal(d.A[i], single.A)
