@@ -56,7 +56,6 @@ from .semieuclid import (
     _complement_within,
     _full_rank,
     _kernel,
-    independent_rows,
     inner,
 )
 
@@ -197,10 +196,12 @@ def gauss_weingarten(lck: LCKStructure, z, X, Y) -> tuple[np.ndarray, np.ndarray
 
 def second_foliation_fibre(lck: LCKStructure, z) -> np.ndarray:
     """Plane rows A, B (..., 2, 2n) of the Lee/anti-Lee foliation at z (a
-    point or a stack), checked independent: a definite plane of sign c
-    where c != 0, a totally null one where c = 0."""
+    point or a stack): a definite plane of sign c where c != 0, a totally
+    null one where c = 0.  The rows are independent by construction: A =
+    -JB is Euclidean-orthogonal to B with B's norm, and _nonsingular
+    refuses a B below SINGULAR_LEE_TOL."""
     data = _nonsingular(lee_data(lck, np.asarray(z, dtype=complex)))
-    return independent_rows(data.form, _rows(data.A_real, data.B_real))
+    return _rows(data.A_real, data.B_real)
 
 
 def _plane_projection_residual(plane: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -24,11 +24,12 @@ through one rejection loop (_reject); one point is the one-row stack.
 A synthetic-null check replays each point's generator from its seed and
 samples the whole point on the stack with them (see suites).
 
-point_states seeds every point generator of a run in one pass: the PCG64
-seed words that numpy's SeedSequence of entropy seed and spawn key
-(key, i) gives, for every suite key and point index i at once, bit for
-bit.  _Words hands one row of them to PCG64, so a point's generator is
-Generator(PCG64(_Words(row))).
+point_states seeds every point generator of a run: the PCG64 seed words
+that numpy's SeedSequence of entropy seed and spawn key (key, i) gives,
+bit for bit.  numpy's SeedSequence of spawn key (key,) mixes the run's
+seed and each suite key, once per key; point_states hashes only the
+point index i, for every key and index at once.  _Words hands one row of
+them to PCG64, so a point's generator is Generator(PCG64(_Words(row))).
 """
 
 from __future__ import annotations
@@ -59,92 +60,27 @@ MAX_POINTS = 2**32      # point_states gives each point index one 32-bit word
 # constants numpy's stream-compatibility policy freezes
 _MASK32 = 0xFFFF_FFFF
 _POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MULT_A = 0x931E_8875
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _XSHIFT = 16
 
 
-def _uint32_words(x: int) -> list[int]:
-    """The 32-bit words of a non-negative integer, least significant
-    first, as SeedSequence reads it; 0 is one word."""
-    if x < 0:
-        raise ValueError("expected non-negative integer")
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constants init mult^j, j < count, of count - 1 hashes in a
+    row: hash j xors its word with constant j, multiplies by j + 1."""
+    return np.array([init * pow(mult, j, 2**32) & _MASK32 for j in range(count)], dtype=np.uint64)
 
 
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    """SeedSequence's hashmix on a word: the mixed word and the advanced
-    hash constant."""
-    value = (value ^ h) & _MASK32
-    h = (h * _MULT_A) & _MASK32
-    value = (value * h) & _MASK32
-    return value ^ (value >> _XSHIFT), h
+# the point index's hash constants are _MIX_H times MULT_A^(hashes before it)
+_MIX_H = _hash_constants(0x43B0_D7E5, _MULT_A, _POOL_SIZE + 1)
+_STATE_H = _hash_constants(0x8B51_F9DD, 0x58F3_8DED, 9)   # generate_state's eight words
 
 
-def _mix(x, y):
-    """SeedSequence's mix of a pool word x with a hashed word y (ints, or
-    uint64 arrays of words)."""
-    out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return out ^ (out >> _XSHIFT)
-
-
-def _constants(h: int, mult: int, count: int, ndim: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The hash constants of count hashes in a row from h: the one each
-    hash xors its word with and the one it multiplies by (h advanced by
-    mult), as uint64 arrays (count, 1, ..., 1) that broadcast over ndim
-    more axes, and the constant left after them.  They depend on h
-    alone, never on the words."""
-    hs = [h]
-    for _ in range(count):
-        hs.append((hs[-1] * mult) & _MASK32)
-    shape = (count,) + (1,) * ndim
-    return (np.array(hs[:-1], dtype=np.uint64).reshape(shape),
-            np.array(hs[1:], dtype=np.uint64).reshape(shape), hs[-1])
-
-
-def _mix_word(pool: np.ndarray, h: int, word) -> tuple[np.ndarray, int]:
-    """SeedSequence's mixing of one entropy word past the pool size into
-    every word of the pool (_POOL_SIZE, ...) uint64, all at once: a word
-    (an int, or a uint64 array that broadcasts against the pool's other
-    axes) hashed with each of the _POOL_SIZE hash constants.  Returns the
-    pool and the advanced hash constant."""
-    before, after, h = _constants(h, _MULT_A, _POOL_SIZE, np.ndim(word))
-    v = ((word ^ before) * after) & _MASK32   # word, h < 2**32: the xor needs no mask
-    return _mix(pool, v ^ (v >> _XSHIFT)), h
-
-
-def _seed_pool(words: list[int]) -> tuple[np.ndarray, int]:
-    """SeedSequence's pool (_POOL_SIZE,) uint64 after its first pool-size
-    entropy words, mixed together, and its remaining words, with the hash
-    constant it leaves."""
-    h, pool = _INIT_A, []
-    for w in words[:_POOL_SIZE]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    pool = np.array(pool, dtype=np.uint64)
-    for w in words[_POOL_SIZE:]:
-        pool, h = _mix_word(pool, h, w)
-    return pool, h
-
-
-def _generate_state(pool: np.ndarray) -> np.ndarray:
-    """SeedSequence's generate_state(4, np.uint64) of every pool of a stack
-    (_POOL_SIZE, ...): eight words cycled from the pool, hashed at once and
-    read as little-endian pairs, shape (..., 4)."""
-    before, after, _ = _constants(_INIT_B, _MULT_B, 8, pool.ndim - 1)
-    v = ((pool[np.arange(8) % _POOL_SIZE] ^ before) * after) & _MASK32
-    v = v ^ (v >> _XSHIFT)
-    return np.moveaxis(v[0::2] | (v[1::2] << 32), 0, -1)
+def _hash(word, h):
+    """SeedSequence's hash of 32-bit words (uint64 arrays) with hash
+    constants h (one more than the words on h's last axis)."""
+    v = ((word ^ h[..., :-1]) * h[..., 1:]) & _MASK32   # word, h < 2**32: the xor needs no mask
+    return v ^ (v >> _XSHIFT)
 
 
 def point_states(seed: int, keys, points: int) -> np.ndarray:
@@ -152,28 +88,29 @@ def point_states(seed: int, keys, points: int) -> np.ndarray:
     generate_state(4, np.uint64) of numpy's SeedSequence of entropy seed
     and spawn key (keys[k], i).
 
-    The entropy is the seed's words, padded to the pool size because a
-    spawn key follows, then the key's words, then the point index.  The
-    seed words fill the pool, so they are mixed once per run.  The hash
-    constants never depend on the words, so keys of one length share them:
-    their words are mixed for all those keys at once, each word into all
-    four pool words at once, as uint64 arrays, then the index and
-    generate_state for every (key, point) at once.
+    That sequence's entropy is the seed's words, padded to the pool size
+    because a spawn key follows, then the key's words, then the point
+    index.  numpy's SeedSequence of spawn key (keys[k],) mixes all but the
+    index into its pool, once per key.  The index word comes past the pool
+    size, so it is hashed into each of the four pool words, after 4 hashes
+    per earlier word (which fill, mix and extend the pool), and then
+    generate_state hashes the pool: both for every (key, point) at once.
     """
     if points > MAX_POINTS:
         raise ValueError("need points <= 2**32")
-    run = _uint32_words(seed)
-    pool, h = _seed_pool(run + [0] * (_POOL_SIZE - len(run)))
-    key_words = [_uint32_words(key) for key in keys]
-    index = np.arange(points, dtype=np.uint64)[None, :]
-    states = np.empty((len(keys), points, 4), dtype=np.uint64)
-    for length in set(map(len, key_words)):
-        rows = [k for k, w in enumerate(key_words) if len(w) == length]
-        kpool, kh = pool[:, None, None], h
-        for word in np.array([key_words[k] for k in rows], dtype=np.uint64).T:
-            kpool, kh = _mix_word(kpool, kh, word[:, None])   # (_POOL_SIZE, keys, 1)
-        states[rows] = _generate_state(_mix_word(kpool, kh, index)[0])
-    return states
+    words = lambda x: max(1, -(-int(x).bit_length() // 32))   # 0 is one word
+    pools, hashes = [], []
+    for key in keys:
+        pools.append(np.random.SeedSequence(seed, spawn_key=(key,)).pool)
+        hashes.append(pow(_MULT_A, 4 * (max(_POOL_SIZE, words(seed)) + words(key)), 2**32))
+    pool = np.array(pools, dtype=np.uint64).reshape(-1, 1, _POOL_SIZE)
+    h = (np.array(hashes, dtype=np.uint64)[:, None, None] * _MIX_H) & _MASK32
+    index = _hash(np.arange(points, dtype=np.uint64)[:, None], h)   # (keys, points, 4)
+    pool = (_MIX_MULT_L * pool - _MIX_MULT_R * index) & _MASK32     # SeedSequence's mix
+    pool ^= pool >> _XSHIFT
+    v = _hash(pool[..., np.arange(8) % _POOL_SIZE], _STATE_H)
+    # PCG64 reads a row's memory as its four words: the rows must be contiguous
+    return np.ascontiguousarray(v[..., 0::2] | (v[..., 1::2] << 32))
 
 
 class _Words(ISeedSequence):

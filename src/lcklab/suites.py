@@ -4,11 +4,12 @@ Each suite draws its own sample from a per-point random generator seeded
 by (seed, suite name, point index) and returns one scalar residual, so
 a point's sample does not depend on which other points or suites ran,
 nor on where the suite sits in the registry.  run_config seeds every
-point generator of the run in one pass (sampling.point_states): the
-PCG64 seed words of numpy's SeedSequence of entropy seed and spawn key
-(first 8 bytes of the SHA-256 of the suite name, point index), bit for
-bit, and _run_suite builds a point's generator from its words when the
-run reaches that point.
+point generator of the run (sampling.point_states): the PCG64 seed
+words of numpy's SeedSequence of entropy seed and spawn key (first 8
+bytes of the SHA-256 of the suite name, point index), bit for bit, from
+one numpy SeedSequence per suite and one vectorized hash of the point
+indices, and _run_suite builds a point's generator from its words when
+the run reaches that point.
 Direction "le" means the aggregated maximum must stay below tolerance;
 "ge" marks witness suites whose aggregated minimum must exceed the
 threshold (e.g. exhibiting a nonparallel Lee form).
@@ -597,8 +598,16 @@ def _check_retraction(model, _, Z, T):
 
 def _check_leaf_space(model, _, Z):
     w = crmod.leaf_label(model, Z)
-    powers = np.array([model.lam ** m for m in range(-3, 4)])
-    deck = crmod.leaf_label(model, powers[:, None, None] * Z)   # one row per power
+    # lambda^m Z, one row per power: where b(lambda^m z, lambda^m z) leaves
+    # the normal floats (from about lambda = 5e-52), its label is lost, and
+    # the point is a fault, not a residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        deck = np.array([np.float64(model.lam) ** m for m in range(-3, 4)])[:, None, None] * Z
+        b = model.b(deck)
+    if not np.all((b >= np.finfo(float).tiny) & (b < np.inf)):
+        raise FloatingPointError(f"b(lambda^m z, lambda^m z) leaves the normal floats "
+                                 f"at lambda = {model.lam}")
+    deck = crmod.leaf_label(model, deck)
     dw = deck - w
     resid = np.hypot(dw.real, dw.imag).max(axis=0)   # abs() of a Python complex
     resid = np.where(crmod.same_leaf(w, deck).all(axis=0), resid, np.maximum(resid, 1.0))

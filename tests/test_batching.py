@@ -686,31 +686,52 @@ class TestDerivedOnce:
         fol._screen_split(c.form, radical, space)
         assert len(svds) == 2
 
-    def test_a_null_algebra_run_takes_35_svds_and_no_cond(self, monkeypatch):
+    def test_a_null_algebra_run_takes_34_svds_and_no_cond(self, monkeypatch):
         # 52 SVDs and one np.linalg.cond before rank checks stopped
         # repeating the SVDs of orthonormal rows and the Gram conditioning
         # became one eigvalsh; 42 before prop4-null-leaf built its CR
         # basis only at n = 2, the one dimension that reads it; 41 before
         # prop4-null-leaf's first foliation fibre stopped building the
-        # screen, radical and transversal it does not read
+        # screen, radical and transversal it does not read; 35 before the
+        # second fibre's rows, independent by construction, skipped their SVD
         svds = self._counted(monkeypatch, np.linalg, "svd")
         conds = self._counted(monkeypatch, np.linalg, "cond")
         report = run_config(RunConfig(model="synthetic-null", n=3, s=1, points=40, seed=42,
                                       suites=("all",)))
         assert {r.verdict for r in report.results} == {"pass"}
-        assert (len(svds), len(conds)) == (35, 0)
+        assert (len(svds), len(conds)) == (34, 0)
 
-    def test_a_hopf_run_takes_10_svds(self, monkeypatch):
+    def test_a_hopf_run_takes_9_svds(self, monkeypatch):
         # 16 before orthogonal_complement stopped re-checking the rank of a
         # subspace's rows, which independent_rows or an SVD already proved
         # independent; 13 before the foliation fibres stopped checking the
         # Lee line and building the second fibre's transversal, which no
-        # check reads
+        # check reads; 10 before the second fibre stopped checking its rows
         svds = self._counted(monkeypatch, np.linalg, "svd")
         report = run_config(RunConfig(model="hopf", n=2, s=1, points=6, seed=42,
                                       suites=("all",)))
         assert {r.verdict for r in report.results} == {"pass"}
-        assert len(svds) == 10
+        assert len(svds) == 9
+
+    def test_a_tricerri_run_takes_no_svd(self, monkeypatch):
+        # one before the second fibre's rows A = -JB and B, Euclidean-
+        # orthogonal and of one nonzero norm, skipped their rank check
+        svds = self._counted(monkeypatch, np.linalg, "svd")
+        report = run_config(RunConfig(model="tricerri", n=2, s=1, points=6, seed=42,
+                                      suites=("all",)))
+        assert {r.verdict for r in report.results} == {"pass"}
+        assert len(svds) == 0
+
+    def test_prop4_null_leaf_validates_no_form(self, monkeypatch):
+        # one before the second fibre stopped building the stack's
+        # SemiEuclideanForm, whose only reader was its rank check; the
+        # configurations' standard form is built once per (n, s), here first
+        sampling_mod._standard_form(3, 1)
+        forms = self._counted(monkeypatch, semieuclid_mod.SemiEuclideanForm, "__post_init__")
+        report = run_config(RunConfig(model="synthetic-null", n=3, s=1, points=40, seed=42,
+                                      suites=("prop4-null-leaf",)))
+        assert report.results[0].verdict == "pass"
+        assert len(forms) == 0
 
     def test_closed_form_hopf_suites_build_one_chart_per_check(self, monkeypatch):
         builds = []

@@ -308,6 +308,20 @@ class TestCommandLine:
         if verdict == "error":
             assert result["error"].startswith("FloatingPointError: lambda^(a+3) underflows")
 
+    @pytest.mark.parametrize("lam", ["1e-52", "1e-60"])
+    def test_leaf_space_faults_where_deck_images_leave_the_floats(self, lam):
+        # |lambda^-3 z|^2 overflowed to a NaN residual (fail) and
+        # |lambda^3 z|^2 underflowed to b = 0 (an error blaming the region),
+        # each with numpy warnings on stderr; correct code never reads fail
+        out = run_cli(["--model", "hopf", "--lambda", lam, "--points", "20", "--seed", "1",
+                       "--suites", "thm5-leaf-space"], timeout=60)
+        assert out.returncode == 1
+        (result,) = json.loads(out.stdout)["suites"]
+        assert result["verdict"] == "error"
+        assert result["error"] == ("FloatingPointError: b(lambda^m z, lambda^m z) leaves "
+                                   f"the normal floats at lambda = {float(lam)}")
+        assert "Warning" not in out.stderr
+
     def test_exit_code_usage_error(self):
         out = run_cli(["--model", "hopf", "--n", "1", "--s", "1"])
         assert out.returncode == 2

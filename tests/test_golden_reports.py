@@ -21,7 +21,9 @@ stacked, the synthetic-null ones (n = 2 runs the n = 2 branch of
 prop4-null-leaf and skips the two lemma6 suites) before the null suites
 were stacked, and the ones at seeds 2**32 + 5 and 2**64 + 1 (two and
 three seed words) before the point generators were seeded in one pass
-per run.  GOLDEN_6_LAMBDA, recorded before the closed-form Hopf and
+per run, and the ones at seed 2**130 + 9 (five words, more than the
+pool) before numpy's SeedSequence came to mix each run's seed and suite
+key.  GOLDEN_6_LAMBDA, recorded before the closed-form Hopf and
 the Tricerri suites were stacked, adds Tricerri at two more seeds and
 dimensions and Hopf at lambda other than 0.5, on which the leaf, diffeo
 and deck suites depend.
@@ -88,6 +90,8 @@ GOLDEN_6 = {
         "475da52a8bee24790f2acef818088aee102d4f717d2765970810da33db56d3e6",
     ("hopf", 2, 1, 2**64 + 1):
         "9fc3c3040e62fae40b8ed2c72002144ef465ec94afbd8b0fdaaea5ebec7bb616",
+    ("hopf", 2, 1, 2**130 + 9):
+        "bb21b53a9dc54551a0f33fc85922e12cfd0cf75a289ccd5cb45006953b6435ad",
     ("synthetic-null", 2, 1, 42):
         "721ff56d06f36798a5b7c495d00b81109417ccce1142bae21339c44ce055e3a2",
     ("synthetic-null", 3, 1, 1001):
@@ -96,6 +100,8 @@ GOLDEN_6 = {
         "d38b4999f3bf1e469dff16c41da6ee233599698c1861a71be83d429ce2e9343c",
     ("synthetic-null", 3, 1, 2**64 + 1):
         "346aae7620e8fa6a9735a9794958ed78fce7af2eafcc86737dbe6471e30047db",
+    ("synthetic-null", 3, 1, 2**130 + 9):
+        "63b6fe224f976d83ec9875cececcf52b0dc0357bfc930a149f1038dd8ea61b04",
     ("synthetic-null", 4, 2, 7):
         "b460dd1f98d6d35df3b680261e4a2b4a82bec3b75be66ba075e06b11584f6987",
 }

@@ -462,10 +462,11 @@ def test_mean_curvature_offset_stays_in_region(n, s):
     assert rep.results[0].verdict == "pass", rep.results[0].error
 
 
-# One-, two- and three-word seeds, and keys of one and two words (0 is one
-# word), the registered suites' keys among them.
-SEEDS = [0, 1, 42, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 1, 2**70 + 3]
-KEYS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+# Seeds of one to five words and keys of one to four (0 is one word), the
+# registered suites' keys among them: a seed of five words fills more than
+# the pool, so the hashes before the point index count both lengths.
+SEEDS = [0, 1, 42, 2**31 - 1, 2**32, 2**32 + 5, 2**64 + 1, 2**70 + 3, 2**96 + 7, 2**130 + 9]
+KEYS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 3] + [
     int.from_bytes(hashlib.sha256(s.name.encode()).digest()[:8], "big") for s in SUITES]
 
 
@@ -474,6 +475,7 @@ KEYS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
 def test_point_states_seed_generators_as_numpy_seed_sequence(seed, points):
     states = point_states(seed, KEYS, points)
     assert states.shape == (len(KEYS), points, 4) and states.dtype == np.uint64
+    assert states.flags.c_contiguous   # PCG64 reads each row's memory
     for key, rows in zip(KEYS, states):
         for i, row in enumerate(rows):
             ours = np.random.Generator(np.random.PCG64(_Words(row)))
